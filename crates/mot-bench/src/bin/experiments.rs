@@ -380,11 +380,12 @@ fn run() -> Result<(), BenchError> {
         eprintln!("wrote {path} ({} events)", events.len());
     }
     if let Some(path) = &metrics_path {
-        let (agg, cache) =
+        let (agg, cache, memory) =
             instrumented_run(&profile_for(100, profile_name.as_str(), oracle, jobs)?, 1)
                 .map_err(|e| format!("--metrics instrumented run failed: {e}"))?;
         report.trace = Some(agg);
         report.cache = cache;
+        report.memory = Some(memory);
         report.service = service_json;
         std::fs::write(path, report.to_json())
             .map_err(|e| format!("cannot write '{path}': {e}"))?;

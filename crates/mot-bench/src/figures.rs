@@ -7,7 +7,7 @@
 //! paths (`level-decomp`, `--trace`, `--metrics` aggregates) stay
 //! sequential — they are one fixed-seed run by construction.
 
-use crate::report::FigureTable;
+use crate::report::{BedMemory, FigureTable};
 use mot_baselines::DetectionRates;
 use mot_core::{LedgerKind, MemorySink, MotConfig, MotTracker, TraceEvent, TraceSink, Tracker};
 use mot_hierarchy::OverlayConfig;
@@ -713,12 +713,13 @@ pub fn scale_table(p: &Profile) -> BenchResult {
 /// maintenance replay + a query batch over the profile's largest grid,
 /// every billed hop mirrored to `sink`. Returns the maintenance stats so
 /// callers can cross-check the ledger against [`CostStats`] totals,
-/// plus the bed oracle's cache counters when its backend keeps them.
+/// plus the bed oracle's cache counters when its backend keeps them and
+/// the bed's footprint once the run is over.
 fn observed_mot_run(
     p: &Profile,
     seed: u64,
     sink: &dyn TraceSink,
-) -> Result<(CostStats, Option<CacheLedger>), BenchError> {
+) -> Result<(CostStats, Option<CacheLedger>, BedMemory), BenchError> {
     let &(r, c) = p.grids.last().ok_or("profile has no grids")?;
     let bed = TestBed::grid_with_oracle(r, c, seed, p.oracle)?;
     let w = WorkloadSpec::new(p.objects.min(100), p.moves_per_object, seed * 7 + 1)
@@ -734,7 +735,11 @@ fn observed_mot_run(
         p.queries,
         seed + 31,
     )?;
-    Ok((maint, bed.oracle.cache_stats()))
+    let memory = BedMemory {
+        oracle_bytes: bed.oracle.memory_bytes(),
+        overlay_bytes: bed.overlay.memory_bytes(),
+    };
+    Ok((maint, bed.oracle.cache_stats(), memory))
 }
 
 /// Raw event stream of the fixed-seed instrumented run (the `--trace`
@@ -748,20 +753,20 @@ pub fn trace_events(p: &Profile, seed: u64) -> Result<Vec<TraceEvent>, BenchErro
 /// Mergeable aggregates of the fixed-seed instrumented run (the
 /// `--metrics` report's observability section).
 pub fn trace_aggregates(p: &Profile, seed: u64) -> Result<TraceAggregates, BenchError> {
-    instrumented_run(p, seed).map(|(agg, _)| agg)
+    instrumented_run(p, seed).map(|(agg, _, _)| agg)
 }
 
 /// [`trace_aggregates`] plus the run's oracle cache counters — the
 /// `--metrics` report exposes both so long soaks on the `cached`
-/// backend can watch hit/miss/eviction health over time. `None` for
-/// backends that keep no cache.
+/// backend can watch hit/miss/eviction health over time; `None` for
+/// backends that keep no cache — and the bed's memory footprint.
 pub fn instrumented_run(
     p: &Profile,
     seed: u64,
-) -> Result<(TraceAggregates, Option<CacheLedger>), BenchError> {
+) -> Result<(TraceAggregates, Option<CacheLedger>, BedMemory), BenchError> {
     let rec = Recorder::new();
-    let (_, cache) = observed_mot_run(p, seed, &rec)?;
-    Ok((rec.finish(), cache))
+    let (_, cache, memory) = observed_mot_run(p, seed, &rec)?;
+    Ok((rec.finish(), cache, memory))
 }
 
 /// Per-level cost decomposition of the instrumented MOT run: one row per
@@ -776,7 +781,7 @@ pub fn instrumented_run(
 /// the populated levels has to spend strictly less than the bottom half.
 pub fn level_decomposition_table(p: &Profile) -> BenchResult {
     let rec = Recorder::new();
-    let (maint, _) = observed_mot_run(p, 1, &rec)?;
+    let (maint, _, _) = observed_mot_run(p, 1, &rec)?;
     let agg = rec.finish();
     let ledger = &agg.ledger;
     let maint_sum = ledger.ledger_total(LedgerKind::Maintenance);

@@ -59,6 +59,6 @@ pub use figures::{
 pub use profiling::{
     profile_fig4_phases, profile_service_phases, service_phase_timings, PhaseTimings,
 };
-pub use report::{FigureTable, RunReport};
+pub use report::{BedMemory, FigureTable, RunReport};
 pub use scenarios::{scenario_tables, scenarios_smoke_table, ScenarioProfile};
 pub use service::{service_run, service_table, ServiceSpec};

@@ -5,8 +5,10 @@
 //! Where `bench-baseline` commits coarse per-phase numbers as the CI
 //! contract, this module answers the *why is it slow* question during
 //! optimization work: a fig4 replay split into graph/oracle/hierarchy/
-//! publish/replay/queries, and a service soak split into bed build vs
-//! the soak loop, each phase with its share of the total. For
+//! publish/replay/queries (followed by the heap bytes the oracle and
+//! the overlay hold once the replay is over), and a service soak split
+//! into bed build vs the soak loop, each phase with its share of the
+//! total. For
 //! instruction-level attribution below this granularity, PERFORMANCE.md
 //! documents the flamegraph recipe (`perf record` against the
 //! `experiments` binary — no extra tooling baked into the crate).
@@ -16,7 +18,7 @@ use crate::service::{service_run, ServiceSpec};
 use crate::SizeSpec;
 use mot_baselines::DetectionRates;
 use mot_hierarchy::{build_doubling, OverlayConfig};
-use mot_net::OracleKind;
+use mot_net::{DistanceOracle, OracleKind};
 use mot_sim::{replay_moves, run_publish, run_queries, Algo, TestBed, WorkloadSpec};
 use std::time::Instant;
 
@@ -28,6 +30,10 @@ pub struct PhaseTimings {
     pub title: String,
     /// `(phase name, seconds)`, in execution order.
     pub phases: Vec<(String, f64)>,
+    /// `(what, heap bytes)` held when the last phase ended — the distance
+    /// backend next to the overlay's detection-path table. Empty where
+    /// the profiled run does not expose its bed.
+    pub memory: Vec<(String, usize)>,
 }
 
 impl PhaseTimings {
@@ -37,7 +43,7 @@ impl PhaseTimings {
     }
 
     /// Aligned text table: one row per phase with seconds and share of
-    /// the total, then a total row.
+    /// the total, then a total row, then one row per memory entry.
     pub fn render(&self) -> String {
         let width = self
             .phases
@@ -57,6 +63,10 @@ impl PhaseTimings {
             out.push_str(&format!("  {name:width$}  {secs:>10.4}s  {share:>5.1}%\n"));
         }
         out.push_str(&format!("  {:width$}  {total:>10.4}s\n", "total"));
+        for (what, bytes) in &self.memory {
+            let mib = *bytes as f64 / (1024.0 * 1024.0);
+            out.push_str(&format!("  {what:width$}  {mib:>10.2} MiB\n"));
+        }
         out
     }
 }
@@ -127,6 +137,10 @@ pub fn profile_fig4_phases(
             oracle.label(),
         ),
         phases,
+        memory: vec![
+            ("oracle".into(), bed.oracle.memory_bytes()),
+            ("overlay".into(), bed.overlay.memory_bytes()),
+        ],
     })
 }
 
@@ -160,6 +174,7 @@ pub fn service_phase_timings(
             spec.cfg.stream.ops as f64 / rep.wall_secs.max(1e-12),
         ),
         phases: vec![("bed_build".into(), setup), ("soak".into(), rep.wall_secs)],
+        memory: Vec::new(),
     }
 }
 
@@ -195,6 +210,10 @@ mod tests {
         assert!(rendered.contains("hierarchy"));
         assert!(rendered.contains("total"));
         assert!(rendered.contains('%'));
+        let memory: Vec<&str> = t.memory.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(memory, ["oracle", "overlay"]);
+        assert!(t.memory.iter().all(|&(_, bytes)| bytes > 0));
+        assert!(rendered.contains("MiB"));
     }
 
     #[test]

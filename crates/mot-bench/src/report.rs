@@ -124,6 +124,18 @@ impl FigureTable {
     }
 }
 
+/// Heap bytes held by the bed of the fixed-seed instrumented run once
+/// its replay finished: the distance backend's storage
+/// (`DistanceOracle::memory_bytes`) and the overlay's detection-path
+/// table (`Overlay::memory_bytes`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BedMemory {
+    /// Matrix, cached rows or pinned rows, whichever the backend keeps.
+    pub oracle_bytes: usize,
+    /// Stations, hop lengths and the per-node record index.
+    pub overlay_bytes: usize,
+}
+
 /// The machine-readable report `experiments --metrics out.json` writes:
 /// every table the run produced (keyed by experiment id), per-experiment
 /// wall-clock seconds, and the aggregates of the fixed-seed instrumented
@@ -144,6 +156,8 @@ pub struct RunReport {
     /// backend keeps them (`cached`) — long soaks watch hit/miss/eviction
     /// rates here for cache health over time.
     pub cache: Option<CacheLedger>,
+    /// Footprint of the instrumented run's bed, when collected.
+    pub memory: Option<BedMemory>,
     /// Full service-mode report JSON (counters, histograms, and the
     /// wall-clock throughput trailer), when a `service*` experiment ran.
     pub service: Option<String>,
@@ -177,15 +191,25 @@ impl RunReport {
                 )
             },
         );
+        let memory = self.memory.map_or_else(
+            || "null".to_string(),
+            |m| {
+                format!(
+                    "{{\"oracle_bytes\":{},\"overlay_bytes\":{}}}",
+                    m.oracle_bytes, m.overlay_bytes
+                )
+            },
+        );
         let service = self.service.clone().unwrap_or_else(|| "null".to_string());
         format!(
             "{{\"profile\":{},\"oracle\":{},\"timings_secs\":{{{}}},\"trace\":{},\
-             \"cache\":{},\"service\":{},\"tables\":{{{}}}}}",
+             \"cache\":{},\"memory\":{},\"service\":{},\"tables\":{{{}}}}}",
             json_string(&self.profile),
             json_string(&self.oracle),
             timings.join(","),
             trace,
             cache,
+            memory,
             service,
             tables.join(",")
         )
@@ -255,12 +279,14 @@ mod tests {
             timings_secs: vec![("fig4".into(), 1.5)],
             trace: None,
             cache: None,
+            memory: None,
             service: None,
         };
         let j = r.to_json();
         assert!(j.contains("\"fig4\":{\"title\""), "{j}");
         assert!(j.contains("\"trace\":null"), "{j}");
         assert!(j.contains("\"cache\":null"), "{j}");
+        assert!(j.contains("\"memory\":null"), "{j}");
         assert!(j.contains("\"service\":null"), "{j}");
         assert!(j.contains("\"timings_secs\":{\"fig4\":1.5}"), "{j}");
     }
@@ -278,12 +304,20 @@ mod tests {
                 resident_rows: 4,
                 resident_bytes: 4096,
             }),
+            memory: Some(BedMemory {
+                oracle_bytes: 4096,
+                overlay_bytes: 640,
+            }),
             service: Some("{\"sent\":5}".into()),
             ..RunReport::default()
         };
         let j = r.to_json();
         assert!(
             j.contains("\"cache\":{\"hits\":10,\"misses\":3,\"evictions\":1,"),
+            "{j}"
+        );
+        assert!(
+            j.contains("\"memory\":{\"oracle_bytes\":4096,\"overlay_bytes\":640}"),
             "{j}"
         );
         assert!(j.contains("\"service\":{\"sent\":5}"), "{j}");

@@ -6,14 +6,24 @@
 //! engine in `mot-sim` layers message timing on top of the same
 //! transitions).
 //!
-//! **Distance locality.** Every oracle read the tracker issues is
-//! between a node and one of its overlay stations, or between two
-//! stations of adjacent levels — pairs whose separation is bounded by
-//! `O(2^ℓ)` at level `ℓ`, never arbitrary node pairs. On-demand
-//! backends like [`mot_net::CachedOracle`] exploit exactly this: a
-//! tracker workload settles small source-centered regions (plus a hot
-//! set of high-level stations that promote to cached rows) instead of
-//! ever needing an all-pairs table.
+//! **Distance locality.** Every distance the tracker bills is between a
+//! node and one of its overlay stations, or between two stations of
+//! adjacent levels — pairs whose separation is bounded by `O(2^ℓ)` at
+//! level `ℓ`, never arbitrary node pairs. They come from two places:
+//!
+//! * **Overlay constants.** A hop between consecutive stops of one
+//!   detection path is fixed when the overlay is built, and the overlay
+//!   stores its length ([`Overlay::hop_in`], [`Overlay::hop_back`]) with
+//!   the bits the oracle would return. The publish, move and query
+//!   climbs, the meet-level rollback, and the prune steps *inside* a
+//!   trail level (whose holders are one origin's complete station —
+//!   [`TrailLevel::origin`]) read those and never call the oracle.
+//! * **The oracle.** Hops that join two different detection paths depend
+//!   on where objects have been: the prune hop from one trail level down
+//!   to the next, every `descend` step, the SDL jump, and — when billed —
+//!   the special-parent and load-balancing routes. On-demand backends
+//!   like [`mot_net::CachedOracle`] see only these: small
+//!   source-centered solves, never an all-pairs table.
 
 use crate::config::MotConfig;
 use crate::error::CoreError;
@@ -86,12 +96,14 @@ impl<'a> MotTracker<'a> {
     }
 
     /// Pops a cleared [`TrailLevel`] off the freelist (or allocates an
-    /// empty one). Recycled levels are cleared at recycle time, so the
-    /// value handed out is indistinguishable from `TrailLevel::default()`
-    /// except for retained capacity.
+    /// empty one) for a slice of `DPath(origin)`. Recycled levels are
+    /// cleared at recycle time, so the value handed out is
+    /// indistinguishable from a fresh one except for retained capacity.
     #[inline]
-    fn take_level(&mut self) -> TrailLevel {
-        self.spare_levels.pop().unwrap_or_default()
+    fn take_level(&mut self, origin: NodeId) -> TrailLevel {
+        let mut tl = self.spare_levels.pop().unwrap_or_default();
+        tl.origin = origin;
+        tl
     }
 
     /// Returns a pruned [`TrailLevel`] to the freelist, clearing its
@@ -301,11 +313,18 @@ impl<'a> MotTracker<'a> {
         let mut cost = 0.0;
         let mut cur = from_node;
         for level in (0..from_level).rev() {
-            let next = self
-                .oracle
-                .nearest_in(cur, &rec.trail[level].holders)
+            // One read per holder; the winner's distance is the hop
+            // (`nearest_in`'s (distance, id) tie-break).
+            let (d, next) = rec.trail[level]
+                .holders
+                .iter()
+                .map(|&hnode| (self.oracle.dist(cur, hnode), hnode))
+                .min_by(|a, b| {
+                    a.0.partial_cmp(&b.0)
+                        .expect("distances are never NaN")
+                        .then(a.1.cmp(&b.1))
+                })
                 .expect("trail levels are never empty");
-            let d = self.oracle.dist(cur, next);
             cost += d;
             if let Some((op, ledger)) = trace {
                 self.hop(op, TracePhase::Descend, ledger, o, cur, next, level, d);
@@ -379,9 +398,9 @@ impl<'a> MotTracker<'a> {
         let mut trail = Vec::with_capacity(h + 1);
         for level in 0..=h {
             let station = overlay.station(proxy, level);
-            let mut tl = self.take_level();
+            let mut tl = self.take_level(proxy);
             for (j, &s) in station.iter().enumerate() {
-                let d = self.oracle.dist(cur, s);
+                let d = overlay.hop_in(proxy, level, j);
                 cost += d;
                 self.hop(op, TracePhase::Climb, ledger, o, cur, s, level, d);
                 cur = s;
@@ -401,13 +420,21 @@ impl<'a> MotTracker<'a> {
     }
 
     /// The live node nearest to `u` (deterministic tie-break by id) —
-    /// the handoff target when a proxy crashes.
+    /// the handoff target when a proxy crashes. Searches doubling balls
+    /// around `u`, which come sorted by `(distance, id)`, so the cost is
+    /// the neighbourhood that had to be looked at, not a distance read
+    /// per node of the network.
     fn nearest_live(&self, u: NodeId) -> Option<NodeId> {
-        let live: Vec<NodeId> = (0..self.overlay.node_count())
-            .map(NodeId::from_index)
-            .filter(|&v| v != u && !self.down[v.index()])
-            .collect();
-        self.oracle.nearest_in(u, &live)
+        let mut ball = Vec::new();
+        let mut r = 1.0;
+        loop {
+            self.oracle.ball_into(u, r, &mut ball);
+            let live = ball.iter().find(|&&v| v != u && !self.down[v.index()]);
+            if live.is_some() || ball.len() >= self.overlay.node_count() || r == f64::INFINITY {
+                return live.copied();
+            }
+            r *= 2.0;
+        }
     }
 
     /// The first crashed node on `DPath(v)`, if any — an operation
@@ -494,9 +521,11 @@ impl<'a> MotTracker<'a> {
             );
             for (level, tl) in rec.trail.iter().enumerate() {
                 assert!(!tl.holders.is_empty(), "{o:?}: empty trail level {level}");
-                assert!(
-                    tl.holders.windows(2).all(|w| w[0] < w[1]),
-                    "{o:?}: unsorted holders at level {level}"
+                assert_eq!(
+                    tl.holders,
+                    self.overlay.station(tl.origin, level),
+                    "{o:?}: level {level} is not the station of its origin {}",
+                    tl.origin
                 );
                 for &hnode in &tl.holders {
                     assert!(
@@ -573,7 +602,7 @@ impl Tracker for MotTracker<'_> {
             let (holder, lb_cost) = self.placement_traced(to, 0, o, op, ledger);
             cost += lb_cost;
             self.stores.dl_add(to, 0, o, holder);
-            let mut tl = self.take_level();
+            let mut tl = self.take_level(to);
             tl.holders.push(to);
             let (entry, sp_cost) = self.install_sp(to, 0, 0, to, o, op, ledger);
             cost += sp_cost;
@@ -585,9 +614,9 @@ impl Tracker for MotTracker<'_> {
         let mut meet: Option<(usize, NodeId)> = None;
         'climb: for level in 1..=h {
             let station = overlay.station(to, level);
-            let mut tl = self.take_level();
+            let mut tl = self.take_level(to);
             for (j, &s) in station.iter().enumerate() {
-                let d = self.oracle.dist(cur, s);
+                let d = overlay.hop_in(to, level, j);
                 cost += d;
                 self.hop(op, TracePhase::Climb, ledger, o, cur, s, level, d);
                 cur = s;
@@ -611,7 +640,7 @@ impl Tracker for MotTracker<'_> {
                     let mut back = s;
                     for ri in (0..tl.holders.len()).rev() {
                         let rs = tl.holders[ri];
-                        let d = self.oracle.dist(back, rs);
+                        let d = overlay.hop_back(to, level, ri + 1);
                         cost += d;
                         self.hop(op, TracePhase::Rollback, ledger, o, back, rs, level, d);
                         back = rs;
@@ -643,8 +672,16 @@ impl Tracker for MotTracker<'_> {
         let mut dcur = meet_node;
         for level in (0..meet_level).rev() {
             let tl = std::mem::take(&mut rec.trail[level]);
-            for &hnode in &tl.holders {
-                let d = self.oracle.dist(dcur, hnode);
+            debug_assert_eq!(tl.holders, overlay.station(tl.origin, level));
+            for (i, &hnode) in tl.holders.iter().enumerate() {
+                // Only the hop down from the level above joins two
+                // different detection paths; the rest are constants of
+                // the path this level was climbed on.
+                let d = if i == 0 {
+                    self.oracle.dist(dcur, hnode)
+                } else {
+                    overlay.hop_in(tl.origin, level, i)
+                };
                 cost += d;
                 self.hop(op, TracePhase::Prune, ledger, o, dcur, hnode, level, d);
                 dcur = hnode;
@@ -694,8 +731,8 @@ impl Tracker for MotTracker<'_> {
         let mut cost = 0.0;
         let mut cur = from;
         for level in 0..=h {
-            for &s in self.overlay.station(from, level) {
-                let d = self.oracle.dist(cur, s);
+            for (j, &s) in self.overlay.station(from, level).iter().enumerate() {
+                let d = self.overlay.hop_in(from, level, j);
                 cost += d;
                 self.hop(op, TracePhase::Climb, ledger, o, cur, s, level, d);
                 cur = s;
@@ -755,11 +792,14 @@ impl Tracker for MotTracker<'_> {
             .map(|(&o, _)| o)
             .collect();
         orphaned.sort();
+        if orphaned.is_empty() {
+            return;
+        }
+        let Some(next) = self.nearest_live(u) else {
+            return;
+        };
+        let d = self.oracle.dist(u, next);
         for o in orphaned {
-            let Some(next) = self.nearest_live(u) else {
-                break;
-            };
-            let d = self.oracle.dist(u, next);
             self.repair_spent += d;
             self.hop(
                 OpKind::Repair,
@@ -778,6 +818,7 @@ impl Tracker for MotTracker<'_> {
                     .records
                     .get_mut(&o)
                     .expect("orphan ids come from records");
+                rec.trail[0].origin = next;
                 rec.trail[0].holders = vec![next];
                 std::mem::take(&mut rec.trail[0].sp_entries)
             };
@@ -1082,6 +1123,45 @@ mod tests {
             assert_eq!(t.query(x, o).unwrap().proxy, new_proxy);
         }
         t.check_invariants();
+    }
+
+    #[test]
+    fn crash_handoff_search_costs_a_neighbourhood_not_the_network() {
+        // 32×32 sensors on the on-demand backend: the handoff target must
+        // be the dense answer, found with a handful of bounded solves —
+        // not the ≈2n distance reads a scan over every live node costs.
+        let g = generators::grid(32, 32).unwrap();
+        let dense = DenseOracle::build(&g).unwrap();
+        let cached = mot_net::CachedOracle::new(&g).unwrap();
+        let overlay = build_doubling(&g, &dense, &OverlayConfig::practical(), 11);
+        let mut on_dense = MotTracker::new(&overlay, &dense, MotConfig::plain());
+        let mut on_cached = MotTracker::new(&overlay, &cached, MotConfig::plain());
+        let centre = NodeId(16 * 32 + 16);
+        // Its four neighbours crash first, so the search has to grow.
+        let ring = [centre.0 - 32, centre.0 - 1, centre.0 + 1, centre.0 + 32];
+        for t in [&mut on_dense, &mut on_cached] {
+            t.publish(ObjectId(0), centre).unwrap();
+            t.publish(ObjectId(1), centre).unwrap();
+            for v in ring {
+                t.crash_node(NodeId(v));
+            }
+        }
+        let before = cached.ledger().misses;
+        on_dense.crash_node(centre);
+        on_cached.crash_node(centre);
+        let target = on_dense.proxy_of(ObjectId(0)).unwrap();
+        assert_eq!(dense.dist(centre, target), 2.0);
+        assert_eq!(
+            target,
+            NodeId(centre.0 - 64),
+            "ties break towards the smallest id"
+        );
+        for o in [ObjectId(0), ObjectId(1)] {
+            assert_eq!(on_cached.proxy_of(o), Some(target), "{o:?}");
+        }
+        assert_eq!(on_dense.repair_cost(), on_cached.repair_cost());
+        let misses = cached.ledger().misses - before;
+        assert!(misses <= 8, "handoff search cost {misses} cold solves");
     }
 
     #[test]

@@ -32,12 +32,27 @@ pub struct SpEntry {
 }
 
 /// Per-level slice of an object's trail.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct TrailLevel {
+    /// The bottom node whose detection path this slice was climbed on:
+    /// `holders` is exactly `station(origin, ℓ)`, so the hop lengths
+    /// between consecutive holders are that station's overlay constants.
+    pub origin: NodeId,
     /// Nodes holding the object in their level-ℓ DL, sorted by id.
     pub holders: Vec<NodeId>,
     /// SDL installations guarding this level.
     pub sp_entries: Vec<SpEntry>,
+}
+
+impl Default for TrailLevel {
+    /// An empty slice; `origin` is a placeholder until holders are added.
+    fn default() -> Self {
+        TrailLevel {
+            origin: NodeId(0),
+            holders: Vec::new(),
+            sp_entries: Vec::new(),
+        }
+    }
 }
 
 /// Full per-object record: `trail[ℓ]` for `ℓ = 0..=h`;
@@ -283,10 +298,12 @@ mod tests {
         let rec = ObjectRecord {
             trail: vec![
                 TrailLevel {
+                    origin: NodeId(5),
                     holders: vec![NodeId(5)],
                     sp_entries: vec![],
                 },
                 TrailLevel {
+                    origin: NodeId(5),
                     holders: vec![NodeId(1), NodeId(2)],
                     sp_entries: vec![],
                 },

@@ -13,21 +13,43 @@
 //! `dist` calls per level for the connectivity graph and `O(n · k_ℓ)`
 //! more for the detection-path stations. It now runs radius-bounded
 //! Dijkstra (`bounded_ball` on a reusable
-//! [`mot_net::DijkstraWorkspace`]) straight over the
-//! CSR graph, touching only the `O(2^{dim·ℓ})`-sized neighborhoods the
-//! doubling predicate actually inspects, and caches stations per
-//! `(level, home)` pair — every node whose detection path passes through
-//! the same home shares the same station set by definition. All
-//! predicates quantize the exact f64 Dijkstra distances through `f32`
-//! before comparing, exactly like every oracle backend does, so the
-//! overlay is bit-identical to the oracle-scan construction (enforced by
-//! the `hierarchy_parity` tests and the frozen reference builder in
-//! `mot-bench`). See DESIGN.md §13.
+//! [`mot_net::DijkstraWorkspace`]) straight over the CSR graph, touching
+//! only the `O(2^{dim·ℓ})`-sized neighborhoods the doubling predicate
+//! actually inspects — **one ball pass per level, not three**. The
+//! connectivity rows of `I_ℓ`, the default parents and the level-(ℓ+1)
+//! stations all ask about the same sources (the level-ℓ members) within
+//! `max(1, mult) · 2^{ℓ+1}`, so each member's ball is run once and its
+//! row — the level members inside it, with quantized distances — is kept
+//! until the level's MIS is known and then read three ways.
+//!
+//! The same rows fill the overlay's station table, so no hop length is
+//! ever asked of the oracle:
+//!
+//! * hops *inside* a level-ℓ station (both directions): its members are
+//!   level-ℓ nodes within `max(1, mult) · 2^{ℓ+1}` of each other, so
+//!   each is in the other's pass-ℓ row, rooted at the hop's source;
+//! * the `up` hop from a level-ℓ station's last member to the first
+//!   member of the station above: read from the last member's own row
+//!   where that reaches (always at level 0), otherwise — it can be
+//!   `(3 · max(1, mult) + 1) · 2^ℓ` long — from one extra ball per
+//!   distinct first member, about one more pass in total. That ball is
+//!   rooted at the hop's *far* end, and on weighted graphs the two
+//!   directions of a shortest path can quantize differently, so its
+//!   value is taken only where `quantizes_alike` proves they cannot and
+//!   the hop is re-solved forwards elsewhere.
+//!
+//! Stations are stored once per `(level, home)` pair — every node whose
+//! detection path passes through the same home shares the same station
+//! by definition. All predicates quantize the exact f64 Dijkstra
+//! distances through `f32` before comparing, exactly like every oracle
+//! backend does, so the overlay is bit-identical to the oracle-scan
+//! construction (enforced by the `hierarchy_parity` and `hop_table`
+//! tests against the frozen reference builder). See DESIGN.md §13.
 
 use crate::config::OverlayConfig;
 use crate::mis::luby_mis;
 use crate::overlay::{Overlay, OverlayKind};
-use crate::path::DetectionPath;
+use crate::table::StationTable;
 use mot_net::{DijkstraWorkspace, DistanceOracle, Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,13 +61,6 @@ use rand_chacha::ChaCha8Rng;
 /// exact quantized predicate then filters the candidates, so padding
 /// only costs a few extra settles, never changes the result.
 const BALL_PAD: f64 = 1.0 + 1e-6;
-
-/// Quantizes a distance through `f32` exactly like the oracle backends
-/// store it, so graph-side Dijkstra and oracle reads agree bit-for-bit.
-#[inline]
-fn q32(d: f64) -> f64 {
-    d as f32 as f64
-}
 
 /// Node count below which [`build_doubling`] dispatches to the frozen
 /// oracle-scan reference builder instead of the bounded-ball builder —
@@ -64,6 +79,10 @@ fn q32(d: f64) -> f64 {
 /// strategies are bit-identical by construction (pinned by the
 /// `hierarchy_parity` crossover test), so the dispatch is purely a
 /// performance choice.
+///
+/// These measurements predate the fused ball pass (one pass per level
+/// where there were three) and the hop-length fill both builders now do;
+/// the threshold has not been re-measured since.
 pub const ADAPTIVE_CROSSOVER_NODES: usize = 1024;
 
 /// Builds the MIS-coarsened overlay for a (constant-doubling) network,
@@ -107,54 +126,166 @@ pub fn build_doubling_balls(
     );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = g.node_count();
+    let mult = cfg.parent_set_radius_mult;
     let mut ws = DijkstraWorkspace::with_capacity(n);
-    // Reused scratch: bounded_ball's result borrows the workspace, so
-    // copy it out before querying distances from the same workspace.
-    let mut ball: Vec<NodeId> = Vec::new();
-    // Position of each node in the level currently marked (stamped so a
+    // Second workspace for forward re-solves while `ws` holds a ball;
+    // grows on first use, which unit-weight graphs never reach.
+    let mut fwd_ws = DijkstraWorkspace::new();
+    let slack = reversal_slack(n);
+    // Position of each node in the level being processed (stamped so a
     // new level needs no O(n) clear).
-    let mut mark: Vec<(u32, u32)> = vec![(0, u32::MAX); n];
-    let mut mark_gen: u32 = 0;
-    let mut mark_level = |mark: &mut Vec<(u32, u32)>, members: &[NodeId]| -> u32 {
-        mark_gen += 1;
-        for (i, &u) in members.iter().enumerate() {
-            mark[u.index()] = (mark_gen, i as u32);
-        }
-        mark_gen
-    };
+    let mut pos: Vec<(u32, u32)> = vec![(0, u32::MAX); n];
+    let mut rows = LevelRows::default();
 
-    // --- level sets -----------------------------------------------------
-    let mut levels: Vec<Vec<NodeId>> = vec![g.nodes().collect()];
+    let mut levels: Vec<Vec<NodeId>> = Vec::new();
+    let mut cur: Vec<NodeId> = g.nodes().collect();
+    let mut table = StationTable::new();
+    // Level-0 stations are the nodes themselves: node u is record u.
+    let mut columns: Vec<Vec<u32>> = vec![cur.iter().map(|&u| table.push_record(&[u])).collect()];
+    // Per bottom node, the position in `cur` of its path's home.
+    let mut home: Vec<u32> = (0..n as u32).collect();
+    // The stations whose members are `cur` nodes are records
+    // `base + i`, one per home `i` of the level below; `above[i]` is
+    // the position in `cur` of that home's default parent (at level 0
+    // a node is its own home).
+    let mut base = 0u32;
+    let mut above: Vec<u32> = home.clone();
+    let mut pending: Vec<(NodeId, u32)> = Vec::new();
+
     // Hard cap: radii double each level, so ⌈log2 D⌉ + 2 levels always
     // suffice; 64 guards against pathological float behaviour.
-    for level in 1..=64usize {
-        let prev = &levels[level - 1];
-        if prev.len() == 1 {
+    for level in 0..64usize {
+        if cur.len() == 1 {
             break;
         }
-        let radius = (1u64 << level) as f64; // edges join nodes with dist < 2^ℓ at stage ℓ-1→ℓ
-        let stamp = mark_level(&mut mark, prev);
-        // Connectivity rows via bounded Dijkstra: `q32(d) < radius`
-        // implies `d < radius`, so the unpadded inclusive ball is a
-        // superset of every strict-predicate edge.
-        let adjacency: Vec<Vec<usize>> = prev
-            .iter()
-            .map(|&u| {
-                ball.clear();
-                ball.extend_from_slice(ws.bounded_ball(g, u, radius));
-                let mut row: Vec<usize> = ball
+        let stamp = level as u32 + 1;
+        for (i, &u) in cur.iter().enumerate() {
+            pos[u.index()] = (stamp, i as u32);
+        }
+        let at = |v: NodeId| {
+            let (s, i) = pos[v.index()];
+            debug_assert_eq!(s, stamp, "{v} is not a level-{level} member");
+            i
+        };
+        // Level-ℓ members closer than `link` are joined in I_ℓ and every
+        // one of them has a level-(ℓ+1) member within `link`; stations
+        // reach out to `reach`. One ball per member serves all three.
+        let link = (1u64 << (level + 1)) as f64;
+        let reach = mult * link;
+        rows.fill(g, &mut ws, &cur, &pos, stamp, link.max(reach) * BALL_PAD);
+
+        // --- hop lengths inside the stations made of `cur` nodes ---------
+        // Two members a, b of one station both lie within
+        // max(link, reach) / 2 of its home (quantized, so a relative
+        // 2⁻²⁴ over), hence within max(link, reach) of each other up to
+        // rounding far below BALL_PAD: b is in a's row and a in b's.
+        let next_base = table.record_count() as u32;
+        for r in base..next_base {
+            for j in 1..table.station(r as usize).len() {
+                let s = table.station(r as usize);
+                let (a, b) = (at(s[j - 1]), at(s[j]));
+                let pair = "station members lie in each other's level ball";
+                let hop = [rows.dist(a, b).expect(pair), rows.dist(b, a).expect(pair)];
+                table.set_hop(r, j, hop);
+            }
+        }
+
+        // --- level ℓ+1: an MIS of the connectivity graph -----------------
+        let adjacency: Vec<Vec<usize>> = (0..cur.len())
+            .map(|i| {
+                rows.row(i)
                     .iter()
-                    .filter(|&&v| v != u)
-                    .filter(|&&v| mark[v.index()].0 == stamp && q32(ws.dist(v)) < radius)
-                    .map(|&v| mark[v.index()].1 as usize)
-                    .collect();
-                row.sort_unstable();
-                row
+                    .filter(|&&(j, d)| j as usize != i && (d as f64) < link)
+                    .map(|&(j, _)| j as usize)
+                    .collect()
             })
             .collect();
-        let mis = luby_mis(prev, &adjacency, &mut rng);
-        levels.push(mis);
+        let next = luby_mis(&cur, &adjacency, &mut rng);
+        drop(adjacency);
+        let mut next_pos = vec![u32::MAX; cur.len()];
+        for (i, &v) in next.iter().enumerate() {
+            next_pos[at(v) as usize] = i as u32;
+        }
+
+        // --- default parents and level-(ℓ+1) stations, per home ----------
+        // The station of a node depends only on its level-ℓ home, so each
+        // distinct (level, home) station is one record shared by every
+        // path through that home.
+        // Position in `next` of each `cur` member's default parent.
+        let mut parent: Vec<u32> = Vec::with_capacity(cur.len());
+        let mut station: Vec<NodeId> = Vec::new();
+        for i in 0..cur.len() {
+            let upper = rows
+                .row(i)
+                .iter()
+                .filter(|&&(j, _)| next_pos[j as usize] != u32::MAX);
+            // MIS maximality guarantees a next-level member with
+            // quantized distance < link; rows are in id order, so
+            // (distance, position) is the (distance, id) tie-break.
+            let &(dp, dp_dist) = upper
+                .clone()
+                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+                .expect("non-empty upper level");
+            debug_assert!(
+                (dp_dist as f64) < link + 1e-6,
+                "default parent of {} must lie within 2^{}: {dp_dist}",
+                cur[i],
+                level + 1
+            );
+            station.clear();
+            station.extend(
+                upper
+                    .filter(|&&(j, d)| (d as f64) <= reach || j == dp)
+                    .map(|&(j, _)| cur[j as usize]),
+            );
+            table.push_record(&station);
+            parent.push(next_pos[dp as usize]);
+        }
+
+        // --- the hop from each `cur`-level station up to the next one ----
+        // Read forwards from the last member's own row where that
+        // reaches; the rest, at most (3·max(mult, 1) + 1)·2^ℓ long, from
+        // one ball per distinct first member above.
+        pending.clear();
+        for r in base..next_base {
+            let last = *table.station(r as usize).last().expect("non-empty");
+            let first = table.station((next_base + above[(r - base) as usize]) as usize)[0];
+            match rows.dist(at(last), at(first)) {
+                Some(d) => table.set_up(r, d),
+                None => pending.push((first, r)),
+            }
+        }
+        pending.sort_unstable();
+        let up_radius = (3.0 * mult.max(1.0) + 1.0) * (1u64 << level) as f64 * BALL_PAD;
+        let mut ball_of = None;
+        for &(first, r) in &pending {
+            if ball_of != Some(first) {
+                ws.bounded_ball(g, first, up_radius);
+                ball_of = Some(first);
+            }
+            let last = *table.station(r as usize).last().expect("non-empty");
+            // The ball is rooted at the hop's far end. Its distance is
+            // used only where the reversed sum provably quantizes alike;
+            // otherwise (and outside the ball) the hop is solved forwards.
+            let back = ws.dist(last);
+            let d = if back <= up_radius && quantizes_alike(back, slack) {
+                back
+            } else {
+                fwd_ws.sssp_targeted(g, last, first)
+            };
+            table.set_up(r, d as f32);
+        }
+
+        // --- the index column of level ℓ+1 -------------------------------
+        columns.push(home.iter().map(|&h| next_base + h).collect());
+        for h in &mut home {
+            *h = parent[*h as usize];
+        }
+        base = next_base;
+        above = parent;
+        levels.push(std::mem::replace(&mut cur, next));
     }
+    levels.push(cur);
     // The loop above always terminates with a singleton: once
     // 2^ℓ > diameter the connectivity graph is complete.
     assert_eq!(
@@ -163,93 +294,78 @@ pub fn build_doubling_balls(
         "doubling construction did not converge to a root (n = {n}, D = {})",
         m.diameter()
     );
-    let height = levels.len() - 1;
+    table.set_index(&columns);
+    Overlay::new(OverlayKind::Doubling, levels, table, cfg.sp_gap)
+}
 
-    // --- default parents (per level: member -> nearest next-level node) --
-    // parent_of[l][u] = the level-(l+1) member nearest to the level-l
-    // member u (ties by id), indexed by global node id.
-    let mut parent_of: Vec<Vec<u32>> = Vec::with_capacity(height);
-    for l in 0..height {
-        let stamp = mark_level(&mut mark, &levels[l + 1]);
-        let cover = (1u64 << (l + 1)) as f64;
-        let mut parents = vec![u32::MAX; n];
-        for &w in &levels[l] {
-            // MIS maximality guarantees a next-level member with
-            // quantized distance < 2^{l+1}; the padded ball therefore
-            // contains the global (dist, id) minimum over the level.
-            ball.clear();
-            ball.extend_from_slice(ws.bounded_ball(g, w, cover * BALL_PAD));
-            let p = ball
-                .iter()
-                .filter(|&&v| mark[v.index()].0 == stamp)
-                .map(|&v| (q32(ws.dist(v)), v))
-                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))
-                .map(|(_, v)| v)
-                .expect("non-empty upper level");
-            debug_assert!(
-                m.dist(w, p) < cover + 1e-6,
-                "default parent must lie within 2^(l+1): dist({w},{p}) = {}",
-                m.dist(w, p)
+/// Relative bound on how far the two Dijkstra sums of one shortest path
+/// can differ by direction. A run from either end yields the minimum
+/// over paths of the path's left-to-right f64 sum; a k-edge sum is
+/// within (k−1)·2⁻⁵³ of exact, k < n, so the directions agree within
+/// n·2⁻⁵². Doubled for the two multiplications of the check itself,
+/// and floored at 2⁻³⁰: a wider margin only re-solves more (≈ 2% of the
+/// reversed reads on Euclidean weights, none on unit weights), which
+/// keeps that branch exercised by graphs the test suite can afford.
+fn reversal_slack(n: usize) -> f64 {
+    (n as f64 * (-51f64).exp2()).max((-30f64).exp2())
+}
+
+/// Whether every distance within relative `slack` of `d` quantizes to
+/// the same f32 as `d` (rounding is monotone, so the endpoints decide).
+#[inline]
+fn quantizes_alike(d: f64, slack: f64) -> bool {
+    (d * (1.0 - slack)) as f32 == (d * (1.0 + slack)) as f32
+}
+
+/// The bounded balls of one level, kept until its MIS is known: per
+/// member (by position in the level) the level members inside its ball
+/// with their quantized distances, in position — hence id — order.
+#[derive(Default)]
+struct LevelRows {
+    start: Vec<u32>,
+    entries: Vec<(u32, f32)>,
+}
+
+impl LevelRows {
+    /// Runs one ball of `radius` per member of `level` (whose positions
+    /// are stamped into `pos`).
+    fn fill(
+        &mut self,
+        g: &Graph,
+        ws: &mut DijkstraWorkspace,
+        level: &[NodeId],
+        pos: &[(u32, u32)],
+        stamp: u32,
+        radius: f64,
+    ) {
+        self.start.clear();
+        self.entries.clear();
+        self.start.push(0);
+        for &u in level {
+            ws.bounded_ball(g, u, radius);
+            let from = self.entries.len();
+            self.entries.extend(
+                ws.settled()
+                    .iter()
+                    .filter(|v| pos[v.index()].0 == stamp)
+                    .map(|&v| (pos[v.index()].1, ws.dist(v) as f32)),
             );
-            parents[w.index()] = p.0;
+            self.entries[from..].sort_unstable_by_key(|e| e.0);
+            let end = u32::try_from(self.entries.len()).expect("level rows exceed u32 offsets");
+            self.start.push(end);
         }
-        parent_of.push(parents);
     }
 
-    // --- detection paths -------------------------------------------------
-    // The level-l station of a node depends only on its level-(l-1) home,
-    // so build each distinct (level, home) station once and share it down
-    // every path that passes through that home.
-    let mut station_of: Vec<Vec<Vec<NodeId>>> = Vec::with_capacity(height + 1);
-    station_of.push(Vec::new()); // level 0 stations are the nodes themselves
-    for l in 1..=height {
-        let stamp = mark_level(&mut mark, &levels[l]);
-        let radius = cfg.parent_set_radius_mult * (1u64 << l) as f64;
-        let homes = &levels[l - 1];
-        let mut per_home: Vec<Vec<NodeId>> = Vec::with_capacity(homes.len());
-        for &home in homes {
-            let dp = NodeId(parent_of[l - 1][home.index()]);
-            ball.clear();
-            ball.extend_from_slice(ws.bounded_ball(g, home, radius * BALL_PAD));
-            let mut station: Vec<NodeId> = ball
-                .iter()
-                .copied()
-                .filter(|&v| mark[v.index()].0 == stamp && q32(ws.dist(v)) <= radius)
-                .collect();
-            if !station.contains(&dp) {
-                station.push(dp);
-            }
-            station.sort();
-            per_home.push(station);
-        }
-        station_of.push(per_home);
+    fn row(&self, i: usize) -> &[(u32, f32)] {
+        &self.entries[self.start[i] as usize..self.start[i + 1] as usize]
     }
-    let pos_in_level: Vec<std::collections::HashMap<u32, u32>> = levels
-        .iter()
-        .map(|members| {
-            members
-                .iter()
-                .enumerate()
-                .map(|(i, &u)| (u.0, i as u32))
-                .collect()
-        })
-        .collect();
-    let paths: Vec<DetectionPath> = g
-        .nodes()
-        .map(|u| {
-            let mut stations = Vec::with_capacity(height + 1);
-            stations.push(vec![u]);
-            let mut home = u;
-            for l in 1..=height {
-                let hp = pos_in_level[l - 1][&home.0] as usize;
-                stations.push(station_of[l][hp].clone());
-                home = NodeId(parent_of[l - 1][home.index()]);
-            }
-            DetectionPath { stations }
-        })
-        .collect();
 
-    Overlay::new(OverlayKind::Doubling, levels, paths, cfg.sp_gap)
+    /// Quantized distance from member `a` to member `b`, if `b` lies in
+    /// `a`'s ball.
+    fn dist(&self, a: u32, b: u32) -> Option<f32> {
+        let row = self.row(a as usize);
+        row.binary_search_by_key(&b, |e| e.0).ok().map(|k| row[k].1)
+    }
 }
 
 #[cfg(test)]
@@ -266,6 +382,23 @@ mod tests {
         let m = DenseOracle::build(&g).unwrap();
         let o = build_doubling_balls(&g, &m, &cfg, 7);
         (o, m)
+    }
+
+    #[test]
+    fn reversed_reads_are_trusted_only_away_from_f32_rounding_boundaries() {
+        let slack = reversal_slack(1 << 16);
+        assert_eq!(slack, (-30f64).exp2(), "floored for small graphs");
+        assert!(reversal_slack(1 << 30) > slack, "grows with path length");
+        // Exactly representable, and a grid distance: safe.
+        assert!(quantizes_alike(1.0, slack));
+        assert!(quantizes_alike(37.0, slack));
+        // The tie between 1.0f32 and its successor, and a hair either
+        // side of it: the reversed sum could land across the boundary.
+        let tie = 1.0 + (-24f64).exp2();
+        assert!(!quantizes_alike(tie, slack));
+        assert!(!quantizes_alike(tie * (1.0 + slack / 2.0), slack));
+        assert!(!quantizes_alike(tie * (1.0 - slack / 2.0), slack));
+        assert!(quantizes_alike(tie * (1.0 + 4.0 * slack), slack));
     }
 
     #[test]
@@ -412,12 +545,12 @@ mod tests {
     fn path_length_grows_geometrically_lemma_2_2() {
         // Lemma 2.2: length(DPath_j(u)) ≤ c · 2^j for a topology-dependent
         // constant c. Verify the ratio length/2^j is bounded uniformly.
-        let (o, m) = build(16, 16, OverlayConfig::practical());
+        let (o, _) = build(16, 16, OverlayConfig::practical());
         let mut worst: f64 = 0.0;
         for u in (0..o.node_count()).step_by(7) {
             let u = NodeId::from_index(u);
             for j in 1..=o.height() {
-                let len = o.path_length(u, j, &m);
+                let len = o.path_length(u, j);
                 worst = worst.max(len / (1u64 << j) as f64);
             }
         }

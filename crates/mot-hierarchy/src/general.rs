@@ -17,7 +17,7 @@
 
 use crate::config::OverlayConfig;
 use crate::overlay::{Overlay, OverlayKind};
-use crate::path::DetectionPath;
+use crate::table::StationTable;
 use mot_net::{DijkstraWorkspace, DistanceOracle, Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -191,11 +191,8 @@ pub fn build_general(g: &Graph, m: &dyn DistanceOracle, cfg: &OverlayConfig, see
         levels[level] = leaders_this_level;
     }
 
-    let paths = stations
-        .into_iter()
-        .map(|s| DetectionPath { stations: s })
-        .collect();
-    Overlay::new(OverlayKind::General, levels, paths, cfg.sp_gap)
+    let table = StationTable::from_oracle(&stations, m);
+    Overlay::new(OverlayKind::General, levels, table, cfg.sp_gap)
 }
 
 #[cfg(test)]

@@ -13,10 +13,11 @@
 //!   clusters and every `2^ℓ`-ball is contained in some cluster.
 //!
 //! Both constructions export the same artifact: for every bottom-level
-//! sensor a [`DetectionPath`] — per level, the ordered *station* of parent
+//! sensor its detection path — per level, the ordered *station* of parent
 //! nodes a detection/maintenance/query message visits on its way to the
-//! root. The [`Overlay`] type packages paths, levels, and the
-//! special-parent pairing (Definition 3) consumed by `mot-core`.
+//! root, with the length of every hop between consecutive stops. The
+//! [`Overlay`] type packages paths (one flat station table), levels, and
+//! the special-parent pairing (Definition 3) consumed by `mot-core`.
 //!
 //! For §7 topology churn, [`RepairableHierarchy`] maintains the same
 //! doubling structure under sensor leave/join deltas via deterministic
@@ -59,9 +60,9 @@ pub mod doubling;
 pub mod general;
 pub mod mis;
 pub mod overlay;
-pub mod path;
 pub mod reference;
 pub mod repair;
+mod table;
 pub mod validate;
 
 pub use config::OverlayConfig;
@@ -69,7 +70,6 @@ pub use doubling::{build_doubling, build_doubling_balls, ADAPTIVE_CROSSOVER_NODE
 pub use general::build_general;
 pub use mis::luby_mis;
 pub use overlay::{Overlay, OverlayKind};
-pub use path::DetectionPath;
 pub use reference::reference_build_doubling;
 pub use repair::{
     HierarchySnapshot, RepairDecision, RepairLedger, RepairReport, RepairableHierarchy,

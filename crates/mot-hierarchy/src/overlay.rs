@@ -1,7 +1,7 @@
 //! The assembled overlay `HS` consumed by the tracking algorithms.
 
-use crate::path::DetectionPath;
-use mot_net::{DistanceOracle, NodeId};
+use crate::table::StationTable;
+use mot_net::NodeId;
 
 /// Which construction produced the overlay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -14,18 +14,25 @@ pub enum OverlayKind {
 
 /// The hierarchical overlay `HS = (V_T, E_T)`.
 ///
-/// Exposes exactly what MOT needs: per bottom node the [`DetectionPath`]
-/// (stations per level in visiting order), the level membership sets, and
-/// the special-parent pairing of Definition 3 extended to parent sets
-/// (station index `j` at level `ℓ` pairs with station index
-/// `j mod |station(ℓ + gap)|` at level `ℓ + gap`, wrapping as §3 puts it:
-/// "start again from the smallest ID node").
+/// Exposes exactly what MOT needs: per bottom node its detection path
+/// `DPath(u)` (Definition 1) — the stations per level in visiting order
+/// (ascending id, the discipline of §3.1 that prevents the Fig. 3 race)
+/// and the length of every hop between consecutive stops —, the level
+/// membership sets, and the special-parent pairing of Definition 3
+/// extended to parent sets (station index `j` at level `ℓ` pairs with
+/// station index `j mod |station(ℓ + gap)|` at level `ℓ + gap`, wrapping
+/// as §3 puts it: "start again from the smallest ID node").
+///
+/// Paths live in one flat station table (each distinct station once,
+/// hop lengths beside the members; see DESIGN.md §13), so a tracker
+/// climbing, rolling back or pruning along a detection path reads
+/// constants and never asks a distance oracle.
 #[derive(Clone, Debug)]
 pub struct Overlay {
     kind: OverlayKind,
     height: usize,
     levels: Vec<Vec<NodeId>>,
-    paths: Vec<DetectionPath>,
+    table: StationTable,
     sp_gap: usize,
 }
 
@@ -33,17 +40,17 @@ impl Overlay {
     pub(crate) fn new(
         kind: OverlayKind,
         levels: Vec<Vec<NodeId>>,
-        paths: Vec<DetectionPath>,
+        table: StationTable,
         sp_gap: usize,
     ) -> Self {
         let height = levels.len() - 1;
         debug_assert!(levels.last().map(|top| top.len() == 1).unwrap_or(false));
-        debug_assert!(paths.iter().all(|p| p.height() == height));
+        debug_assert_eq!(table.node_count(), levels[0].len());
         Overlay {
             kind,
             height,
             levels,
-            paths,
+            table,
             sp_gap,
         }
     }
@@ -60,7 +67,7 @@ impl Overlay {
 
     /// Number of bottom-level sensor nodes.
     pub fn node_count(&self) -> usize {
-        self.paths.len()
+        self.table.node_count()
     }
 
     /// The single root node `r` (the paper notes the sink typically plays
@@ -75,14 +82,35 @@ impl Overlay {
         &self.levels[level]
     }
 
-    /// Detection path of bottom node `u`.
-    pub fn path(&self, u: NodeId) -> &DetectionPath {
-        &self.paths[u.index()]
+    /// Station (ordered parent set) of `u` at `level`.
+    #[inline]
+    pub fn station(&self, u: NodeId, level: usize) -> &[NodeId] {
+        self.table.station(self.table.record(u, level))
     }
 
-    /// Station (ordered parent set) of `u` at `level`.
-    pub fn station(&self, u: NodeId, level: usize) -> &[NodeId] {
-        self.paths[u.index()].station(level)
+    /// Length of the hop that brings a message climbing `DPath(u)` to
+    /// member `j` of `station(u, level)` from the stop before it: the
+    /// previous member of the same station, or for `j = 0` the last
+    /// member of `station(u, level - 1)` (zero at level 0, where the
+    /// path starts). Bit-identical to `oracle.dist(prev, member)`.
+    #[inline]
+    pub fn hop_in(&self, u: NodeId, level: usize, j: usize) -> f64 {
+        if j > 0 {
+            self.table.hops(self.table.record(u, level))[j][0] as f64
+        } else if level > 0 {
+            self.table.up(self.table.record(u, level - 1)) as f64
+        } else {
+            0.0
+        }
+    }
+
+    /// Length of the reverse hop from member `j ≥ 1` of
+    /// `station(u, level)` back to member `j - 1` (the meet-level
+    /// rollback direction). Bit-identical to `oracle.dist(member, prev)`.
+    #[inline]
+    pub fn hop_back(&self, u: NodeId, level: usize, j: usize) -> f64 {
+        debug_assert!(j > 0, "the first member has no predecessor in its station");
+        self.table.hops(self.table.record(u, level))[j][1] as f64
     }
 
     /// The configured special-parent level gap.
@@ -108,23 +136,45 @@ impl Overlay {
     /// Lowest level where the detection paths of `u` and `v` share a
     /// station member (Lemma 2.1's quantity).
     pub fn meet_level(&self, u: NodeId, v: NodeId) -> usize {
-        self.paths[u.index()].meet_level(&self.paths[v.index()])
+        for level in 0..=self.height {
+            let (a, b) = (self.station(u, level), self.station(v, level));
+            // stations are sorted: linear merge intersection
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => return level,
+                }
+            }
+        }
+        unreachable!("paths always share the root station")
     }
 
-    /// `length(DPath_j(u))` per Lemma 2.2.
-    pub fn path_length(&self, u: NodeId, up_to_level: usize, m: &dyn DistanceOracle) -> f64 {
-        self.paths[u.index()].length_up_to(up_to_level, m)
+    /// `length(DPath_j(u))` per Lemma 2.2: the prefix sum of the stored
+    /// hop lengths up to and including `up_to_level`.
+    pub fn path_length(&self, u: NodeId, up_to_level: usize) -> f64 {
+        (0..=up_to_level.min(self.height))
+            .flat_map(|l| (0..self.station(u, l).len()).map(move |j| (l, j)))
+            .map(|(l, j)| self.hop_in(u, l, j))
+            .sum()
     }
 
     /// Largest station size over all nodes and levels (Observation 1
     /// bounds this by `2^{3ρ}` in the doubling model, `O(log n)` in the
     /// general model).
     pub fn max_station_size(&self) -> usize {
-        self.paths
-            .iter()
-            .flat_map(|p| p.stations.iter().map(|s| s.len()))
+        (0..self.table.record_count())
+            .map(|r| self.table.station(r).len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// Heap bytes of the detection-path storage: stations, hop lengths
+    /// and the per-node record index (the level membership lists, a few
+    /// bytes per node, are not counted).
+    pub fn memory_bytes(&self) -> usize {
+        self.table.memory_bytes()
     }
 
     /// Number of distinct (level ≥ 1) parent roles a physical node plays —
@@ -147,20 +197,20 @@ mod tests {
             vec![NodeId(0), NodeId(2)],
             vec![NodeId(0)],
         ];
-        let paths = (0..4)
-            .map(|i| DetectionPath {
-                stations: vec![
-                    vec![NodeId(i)],
-                    if i < 2 {
-                        vec![NodeId(0)]
-                    } else {
-                        vec![NodeId(0), NodeId(2)]
-                    },
-                    vec![NodeId(0)],
-                ],
-            })
-            .collect();
-        Overlay::new(OverlayKind::Doubling, levels, paths, 1)
+        // Stations shared per (level, home) like the doubling builder's,
+        // hop lengths as on the unit line 0 - 1 - 2 - 3.
+        let mut table = StationTable::new();
+        let bottom: Vec<u32> = (0..4).map(|i| table.push_record(&[NodeId(i)])).collect();
+        let near = table.push_record(&[NodeId(0)]);
+        let far = table.push_record(&[NodeId(0), NodeId(2)]);
+        table.set_hop(far, 1, [2.0, 2.0]);
+        let top = table.push_record(&[NodeId(0)]);
+        for (i, &r) in bottom.iter().enumerate() {
+            table.set_up(r, i as f32); // dist(i, 0)
+        }
+        table.set_up(far, 2.0); // dist(2, 0)
+        table.set_index(&[bottom, vec![near, near, far, far], vec![top; 4]]);
+        Overlay::new(OverlayKind::Doubling, levels, table, 1)
     }
 
     #[test]
@@ -199,6 +249,23 @@ mod tests {
         assert_eq!(o.meet_level(NodeId(0), NodeId(1)), 1);
         assert_eq!(o.meet_level(NodeId(2), NodeId(3)), 1);
         assert_eq!(o.meet_level(NodeId(1), NodeId(3)), 1); // share node 0 at level 1
+    }
+
+    #[test]
+    fn hop_lengths_and_path_length_read_the_table() {
+        let o = toy_overlay();
+        // DPath(3) = 3 -> 0 -> 2 -> 0
+        assert_eq!(o.hop_in(NodeId(3), 0, 0), 0.0);
+        assert_eq!(o.hop_in(NodeId(3), 1, 0), 3.0);
+        assert_eq!(o.hop_in(NodeId(3), 1, 1), 2.0);
+        assert_eq!(o.hop_back(NodeId(3), 1, 1), 2.0);
+        assert_eq!(o.hop_in(NodeId(3), 2, 0), 2.0);
+        assert_eq!(o.path_length(NodeId(3), 0), 0.0);
+        assert_eq!(o.path_length(NodeId(3), 1), 5.0);
+        assert_eq!(o.path_length(NodeId(3), 2), 7.0);
+        assert_eq!(o.path_length(NodeId(3), 99), 7.0, "clamped above height");
+        assert_eq!(o.path_length(NodeId(1), 2), 1.0);
+        assert!(o.memory_bytes() > 0);
     }
 
     #[test]

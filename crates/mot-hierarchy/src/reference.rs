@@ -18,12 +18,14 @@
 //!   what lets the optimized path claim the DESIGN.md §12 determinism
 //!   contract.
 //!
-//! Do not optimize this module; that would defeat both jobs.
+//! Do not optimize this module; that would defeat both jobs. Its last
+//! step stores the per-node stations in the flat station table, every
+//! hop length read from the oracle this builder already scans.
 
 use crate::config::OverlayConfig;
 use crate::mis::luby_mis;
 use crate::overlay::{Overlay, OverlayKind};
-use crate::path::DetectionPath;
+use crate::table::StationTable;
 use mot_net::{DistanceOracle, Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -93,7 +95,7 @@ pub fn reference_build_doubling(
         })
         .collect();
 
-    let paths: Vec<DetectionPath> = g
+    let paths: Vec<Vec<Vec<NodeId>>> = g
         .nodes()
         .map(|u| {
             let mut stations = Vec::with_capacity(height + 1);
@@ -114,9 +116,10 @@ pub fn reference_build_doubling(
                 stations.push(station);
                 home = dp;
             }
-            DetectionPath { stations }
+            stations
         })
         .collect();
 
-    Overlay::new(OverlayKind::Doubling, levels, paths, cfg.sp_gap)
+    let table = StationTable::from_oracle(&paths, m);
+    Overlay::new(OverlayKind::Doubling, levels, table, cfg.sp_gap)
 }

@@ -1,8 +1,9 @@
 //! Structural validation of overlays.
 //!
 //! Used by tests and by `mot-core`'s debug assertions: a malformed overlay
-//! (empty station, unsorted visiting order, missing root) would silently
-//! corrupt detection lists, so the checks live next to the constructions.
+//! (empty station, unsorted visiting order, missing root, a stored hop
+//! length that is not the oracle's) would silently corrupt detection
+//! lists or cost accounts, so the checks live next to the constructions.
 
 use crate::overlay::{Overlay, OverlayKind};
 use mot_net::DistanceOracle;
@@ -26,6 +27,8 @@ pub fn validate(o: &Overlay, m: &dyn DistanceOracle) -> Vec<String> {
         if o.station(u, h) != [o.root()] {
             issues.push(format!("station({u}, {h}) does not equal the root"));
         }
+        // The stop of DPath(u) visited before the current one.
+        let mut prev = u;
         for l in 0..=h {
             let s = o.station(u, l);
             if s.is_empty() {
@@ -34,12 +37,31 @@ pub fn validate(o: &Overlay, m: &dyn DistanceOracle) -> Vec<String> {
             if !s.windows(2).all(|w| w[0] < w[1]) {
                 issues.push(format!("station({u}, {l}) not sorted/deduped"));
             }
-            for &member in s {
+            for (j, &member) in s.iter().enumerate() {
                 if o.level_members(l).binary_search(&member).is_err() {
                     issues.push(format!(
                         "station({u}, {l}) member {member} is not a level-{l} node"
                     ));
                 }
+                // Trackers bill the stored hop lengths instead of asking
+                // the oracle, so each must be the oracle's own answer bit
+                // for bit — intra-station hops in the rollback direction
+                // too.
+                let (got, want) = (o.hop_in(u, l, j), m.dist(prev, member));
+                if got.to_bits() != want.to_bits() {
+                    issues.push(format!(
+                        "DPath({u}) level {l} stop {j}: stored hop {prev}->{member} is {got}, oracle says {want}"
+                    ));
+                }
+                if j > 0 {
+                    let (got, want) = (o.hop_back(u, l, j), m.dist(member, prev));
+                    if got.to_bits() != want.to_bits() {
+                        issues.push(format!(
+                            "DPath({u}) level {l} stop {j}: stored reverse hop {member}->{prev} is {got}, oracle says {want}"
+                        ));
+                    }
+                }
+                prev = member;
             }
         }
     }
@@ -94,6 +116,25 @@ mod tests {
                 assert_valid(&o, &m);
             }
         }
+    }
+
+    #[test]
+    fn a_hop_length_from_another_metric_is_reported() {
+        // The table of a unit grid checked against the same grid with
+        // stretched edges: every positive stored hop must be flagged.
+        let g = generators::grid(5, 5).unwrap();
+        let m = DenseOracle::build(&g).unwrap();
+        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 42);
+        let stretched = DenseOracle::build(&generators::perturbed_grid(5, 5, 0.3, 1).unwrap());
+        let issues = validate(&o, &stretched.unwrap());
+        assert!(
+            issues.iter().any(|i| i.contains("stored hop")),
+            "{issues:?}"
+        );
+        assert!(
+            issues.iter().any(|i| i.contains("stored reverse hop")),
+            "{issues:?}"
+        );
     }
 
     #[test]

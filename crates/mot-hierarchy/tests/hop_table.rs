@@ -1,0 +1,164 @@
+//! Every hop length an overlay stores is the oracle's answer, bit for bit.
+//!
+//! Trackers bill the stored constants of a detection path — the hop into
+//! each stop, the reverse hop inside a station, the `up` hop between
+//! levels — instead of asking the oracle, so a single differing bit would
+//! move a cost account. The ball builder reads most hops from balls rooted
+//! at the hop's source, but `up` hops from balls rooted at the far end,
+//! which on weighted graphs is only sound where it proves the reversed
+//! Dijkstra sum quantizes alike (and re-solves forwards elsewhere): the
+//! weighted generators below are what hold it to that.
+
+use mot_hierarchy::validate::validate;
+use mot_hierarchy::{
+    build_doubling_balls, build_general, reference_build_doubling, Overlay, OverlayConfig,
+};
+use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, Graph, GraphBuilder, NodeId};
+
+/// Compares every stored hop of `o` with `m.dist`; returns how many
+/// forward (incl. `up`) and reverse hops were checked.
+fn check_hops(o: &Overlay, m: &dyn DistanceOracle, ctx: &str) -> (usize, usize) {
+    let (mut forward, mut reverse) = (0, 0);
+    for u in (0..o.node_count()).map(NodeId::from_index) {
+        let mut prev = u;
+        let mut length = 0.0;
+        for l in 0..=o.height() {
+            for (j, &s) in o.station(u, l).iter().enumerate() {
+                let want = m.dist(prev, s);
+                assert_eq!(
+                    o.hop_in(u, l, j).to_bits(),
+                    want.to_bits(),
+                    "{ctx}: DPath({u}) level {l} stop {j}, hop {prev}->{s}"
+                );
+                forward += 1;
+                if j > 0 {
+                    assert_eq!(
+                        o.hop_back(u, l, j).to_bits(),
+                        m.dist(s, prev).to_bits(),
+                        "{ctx}: DPath({u}) level {l} stop {j}, reverse hop {s}->{prev}"
+                    );
+                    reverse += 1;
+                }
+                length += want;
+                prev = s;
+            }
+            assert_eq!(
+                o.path_length(u, l).to_bits(),
+                length.to_bits(),
+                "{ctx}: length(DPath_{l}({u})) is the prefix sum of the hops"
+            );
+        }
+    }
+    (forward, reverse)
+}
+
+fn profiles() -> [(&'static str, OverlayConfig); 3] {
+    [
+        ("practical", OverlayConfig::practical()),
+        ("paper_exact", OverlayConfig::paper_exact()),
+        ("singleton", OverlayConfig::singleton_parents()),
+    ]
+}
+
+type Builder = fn(&Graph, &dyn DistanceOracle, &OverlayConfig, u64) -> Overlay;
+
+const BALLS: (&str, Builder) = ("balls", build_doubling_balls);
+const ALL_BUILDERS: [(&str, Builder); 3] = [
+    BALLS,
+    ("reference", reference_build_doubling),
+    ("general", build_general),
+];
+
+/// `builders` on one graph, each profile, both oracles.
+fn check_graph(g: &Graph, name: &str, seed: u64, builders: &[(&str, Builder)]) -> (usize, usize) {
+    let dense = DenseOracle::build(g).unwrap();
+    let (mut forward, mut reverse) = (0, 0);
+    for (profile, cfg) in profiles() {
+        for &(builder, build) in builders {
+            // A fresh cached oracle per build: its answers must not
+            // depend on what an earlier build left resident.
+            let cached = CachedOracle::new(g).unwrap();
+            let oracles: [(&str, &dyn DistanceOracle); 2] =
+                [("dense", &dense), ("cached", &cached)];
+            for (backend, m) in oracles {
+                let ctx = format!("{name} seed {seed} {profile} {builder} {backend}");
+                let o = build(g, m, &cfg, seed);
+                // Checked against the dense matrix whichever oracle built
+                // it: backends agree bit for bit, and this way a cached
+                // build cannot vouch for itself.
+                let (f, r) = check_hops(&o, &dense, &ctx);
+                forward += f;
+                reverse += r;
+                let issues = validate(&o, &dense);
+                assert!(issues.is_empty(), "{ctx}: {issues:?}");
+            }
+        }
+    }
+    (forward, reverse)
+}
+
+#[test]
+fn stored_hops_equal_oracle_distances_on_unit_weight_graphs() {
+    for seed in [1, 2, 3] {
+        for (g, name) in [
+            (generators::grid(9, 7).unwrap(), "grid 9x7"),
+            (generators::ring(40).unwrap(), "ring 40"),
+            (generators::line(33).unwrap(), "line 33"),
+            (generators::random_tree(80, seed).unwrap(), "random tree 80"),
+        ] {
+            let (forward, reverse) = check_graph(&g, name, seed, &ALL_BUILDERS);
+            assert!(forward > 0 && reverse > 0, "{name}: nothing was checked");
+        }
+    }
+}
+
+#[test]
+fn stored_hops_equal_oracle_distances_on_weighted_graphs() {
+    for seed in [1, 2, 3] {
+        let g = generators::random_geometric(90, 10.0, 2.5, seed).unwrap();
+        let (forward, reverse) = check_graph(&g, "geometric 90", seed, &ALL_BUILDERS);
+        assert!(forward > 0 && reverse > 0, "nothing was checked");
+        // The ball builder again, on graphs sized so that every seed's
+        // build both accepts reversed reads and re-solves some forwards
+        // (≈ 2% of the `up` hops its level rows do not reach).
+        let geometric = generators::random_geometric(250, 16.0, 2.5, seed).unwrap();
+        let perturbed = generators::perturbed_grid(12, 12, 0.3, seed).unwrap();
+        for (g, name) in [(geometric, "geometric 250"), (perturbed, "perturbed 12x12")] {
+            check_graph(&g, name, seed, &[BALLS]);
+        }
+    }
+}
+
+#[test]
+fn a_shortest_path_can_quantize_differently_by_direction() {
+    // The premise of storing both directions and of never trusting a
+    // ball rooted at the far end unchecked: Dijkstra sums a path from
+    // its source, f64 addition is not associative, and a sum that lands
+    // on an f32 rounding boundary from one side crosses it from the
+    // other. On the path 0 -a- 1 -b- 2 -c- 3 below, (a + b) + c is
+    // exactly 1 + 2⁻²⁴ (a tie, rounds to 1.0f32) while (c + b) + a is
+    // one f64 ulp above it (rounds up).
+    let (a, b, c) = (
+        0.5 + (-53f64).exp2(),
+        0.5,
+        (-24f64).exp2() + (-53f64).exp2(),
+    );
+    let mut builder = GraphBuilder::new(4);
+    for (u, w) in [a, b, c].into_iter().enumerate() {
+        builder
+            .add_edge(NodeId::from_index(u), NodeId::from_index(u + 1), w)
+            .unwrap();
+    }
+    let g = builder.build().unwrap();
+    let dense = DenseOracle::build(&g).unwrap();
+    assert_eq!(dense.dist(NodeId(0), NodeId(3)), 1.0);
+    assert_eq!(
+        dense.dist(NodeId(3), NodeId(0)),
+        f64::from(1.0f32 + f32::EPSILON)
+    );
+    // The table stores what each direction's own solve says.
+    for (profile, cfg) in profiles() {
+        let o = build_doubling_balls(&g, &dense, &cfg, 1);
+        check_hops(&o, &dense, &format!("asymmetric path {profile}"));
+    }
+}

@@ -8,7 +8,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::error::NetError;
-use crate::graph::Graph;
+use crate::graph::{Edge, Graph};
 use crate::node::{NodeId, Point};
 use crate::Result;
 use rand::prelude::*;
@@ -21,21 +21,43 @@ pub fn grid(rows: usize, cols: usize) -> Result<Graph> {
     if rows == 0 || cols == 0 {
         return Err(NetError::EmptyGraph);
     }
-    let mut b = GraphBuilder::new(rows * cols);
-    let mut positions = Vec::with_capacity(rows * cols);
+    // Written straight into CSR form — each row's neighbors in ascending
+    // id order (up, left, right, down), connected by construction —
+    // rather than through `GraphBuilder`'s per-node vectors: this is the
+    // generator every large bed starts from, and at 65 536 nodes the
+    // builder's small allocations cost more than the grid itself.
+    let n = rows * cols;
+    assert!(4 * n <= u32::MAX as usize, "grid overflows the CSR offsets");
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut edges = Vec::with_capacity(4 * n - 2 * (rows + cols));
+    let mut positions = Vec::with_capacity(n);
+    offsets.push(0u32);
     for r in 0..rows {
         for c in 0..cols {
             positions.push(Point::new(c as f64, r as f64));
-            let id = NodeId::from_index(r * cols + c);
+            let id = r * cols + c;
+            let mut link = |to: usize| {
+                edges.push(Edge {
+                    to: NodeId::from_index(to),
+                    weight: 1.0,
+                })
+            };
+            if r > 0 {
+                link(id - cols);
+            }
+            if c > 0 {
+                link(id - 1);
+            }
             if c + 1 < cols {
-                b.add_edge(id, NodeId::from_index(r * cols + c + 1), 1.0)?;
+                link(id + 1);
             }
             if r + 1 < rows {
-                b.add_edge(id, NodeId::from_index((r + 1) * cols + c), 1.0)?;
+                link(id + cols);
             }
+            offsets.push(edges.len() as u32);
         }
     }
-    b.with_positions(positions).build()
+    Ok(Graph::from_csr(offsets, edges, Some(positions)))
 }
 
 /// `rows × cols` grid with wrap-around edges (a torus). Diameter is half
@@ -358,6 +380,33 @@ mod tests {
         assert_eq!(g.degree(NodeId(0)), 2);
         assert_eq!(g.degree(NodeId(6)), 4);
         assert_eq!(g.position(NodeId(7)).unwrap(), Point::new(2.0, 1.0));
+    }
+
+    #[test]
+    fn grid_rows_are_what_the_builder_would_store() {
+        // `grid` writes CSR rows itself; the builder is the specification.
+        for (rows, cols) in [(1, 1), (1, 6), (6, 1), (2, 2), (5, 7)] {
+            let g = grid(rows, cols).unwrap();
+            let mut b = GraphBuilder::new(rows * cols);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let id = NodeId::from_index(r * cols + c);
+                    if c + 1 < cols {
+                        b.add_edge(id, NodeId::from_index(r * cols + c + 1), 1.0)
+                            .unwrap();
+                    }
+                    if r + 1 < rows {
+                        b.add_edge(id, NodeId::from_index((r + 1) * cols + c), 1.0)
+                            .unwrap();
+                    }
+                }
+            }
+            let want = b.build().unwrap();
+            assert_eq!(g.edge_count(), want.edge_count(), "{rows}x{cols}");
+            for u in g.nodes() {
+                assert_eq!(g.neighbors(u), want.neighbors(u), "{rows}x{cols} row {u}");
+            }
+        }
     }
 
     #[test]

@@ -115,11 +115,24 @@ impl Graph {
             edges.extend_from_slice(row);
             offsets.push(edges.len() as u32);
         }
+        debug_assert_eq!(edges.len(), 2 * edge_count);
+        Self::from_csr(offsets, edges, positions)
+    }
+
+    /// A graph from finished CSR arrays: `offsets.len() == n + 1`, every
+    /// row sorted by neighbor id, every undirected edge stored once per
+    /// endpoint. For generators that can emit rows in that form directly.
+    pub(crate) fn from_csr(
+        offsets: Vec<u32>,
+        edges: Vec<Edge>,
+        positions: Option<Vec<Point>>,
+    ) -> Self {
+        debug_assert_eq!(offsets.last().map(|&e| e as usize), Some(edges.len()));
         Graph {
             offsets,
+            edge_count: edges.len() / 2,
             edges,
             positions,
-            edge_count,
             dyn_state: None,
         }
     }
