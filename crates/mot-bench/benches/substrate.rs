@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mot_core::{MotConfig, MotTracker, ObjectId, Tracker};
 use mot_debruijn::DeBruijnGraph;
 use mot_hierarchy::{build_doubling, build_general, OverlayConfig};
-use mot_net::{generators, DenseOracle, DistanceOracle, LazyOracle, NodeId};
+use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, NodeId};
 use mot_proto::ProtoTracker;
 use mot_sim::WorkloadSpec;
 
@@ -22,10 +22,10 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // Dense vs lazy distance backends at the grid sizes where the
+    // Dense vs cached distance backends at the grid sizes where the
     // choice starts to matter (1024 and 4096 nodes — the latter is the
     // Auto cutoff). "Build" is what you pay up front: the full APSP
-    // matrix for dense, constructor plus a 64-row working set for lazy.
+    // matrix for dense, constructor plus 64 targeted solves for cached.
     // "Query" is a warm mix of point distances and radius-4 balls.
     let mut group = c.benchmark_group("oracle_backend");
     group.sample_size(10);
@@ -35,15 +35,19 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dense_build", nodes), &g, |b, g| {
             b.iter(|| DenseOracle::build(g).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("lazy_build_warm64", nodes), &g, |b, g| {
-            b.iter(|| {
-                let o = LazyOracle::new(g).unwrap();
-                for u in 0..64 {
-                    o.dist(NodeId::from_index(u * nodes / 64), NodeId(0));
-                }
-                o
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("cached_build_warm64", nodes),
+            &g,
+            |b, g| {
+                b.iter(|| {
+                    let o = CachedOracle::new(g).unwrap();
+                    for u in 0..64 {
+                        o.dist(NodeId::from_index(u * nodes / 64), NodeId(0));
+                    }
+                    o
+                })
+            },
+        );
         let query_mix = |o: &dyn DistanceOracle| {
             let mut acc = 0.0;
             for u in (0..nodes).step_by(17) {
@@ -59,11 +63,16 @@ fn bench(c: &mut Criterion) {
             &dense,
             |b, o| b.iter(|| query_mix(o)),
         );
-        let lazy = LazyOracle::new(&g).unwrap();
-        query_mix(&lazy); // warm the row cache once
-        group.bench_with_input(BenchmarkId::new("lazy_query_mix", nodes), &lazy, |b, o| {
-            b.iter(|| query_mix(o))
-        });
+        let cached = CachedOracle::new(&g).unwrap();
+        // A source's second or third miss promotes it to a resident row.
+        for _ in 0..3 {
+            query_mix(&cached);
+        }
+        group.bench_with_input(
+            BenchmarkId::new("cached_query_mix", nodes),
+            &cached,
+            |b, o| b.iter(|| query_mix(o)),
+        );
     }
     group.finish();
 

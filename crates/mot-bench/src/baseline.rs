@@ -14,9 +14,8 @@
 //!    became the default past [`OracleKind::DENSE_NODE_LIMIT`] this is
 //!    validation + bookkeeping, not an n² warm-up, and the column
 //!    records exactly that collapse;
-//! 3. `hierarchy_secs` — the optimized [`build_doubling_balls`] (the
-//!    ball builder is timed directly so the column measures the same
-//!    code path at every size, not the adaptive dispatch);
+//! 3. `hierarchy_secs` — [`build_doubling`], the bounded-ball builder
+//!    every caller runs at every size;
 //! 4. `hierarchy_seq_secs` — the frozen pre-optimization builder on the
 //!    same inputs, whose overlay is then asserted **identical** to the
 //!    optimized one (a mismatch fails the run, not just a test). The
@@ -24,14 +23,9 @@
 //!    `hierarchy_speedup` only run up to
 //!    [`REFERENCE_PHASE_NODE_LIMIT`] nodes and serialize as `null`
 //!    beyond it;
-//! 5. `hierarchy_dispatch_secs` — the adaptive [`build_doubling`] entry
-//!    point on the same inputs, gated within [`DISPATCH_TOLERANCE`] of
-//!    the better specialized builder (same size limit as phase 4);
-//! 6. `fig4_replay_secs` — publish + one-by-one move replay of a Fig. 4
+//! 5. `fig4_replay_secs` — publish + one-by-one move replay of a Fig. 4
 //!    MOT arm, plus its cost ratio as a cross-check value. The bed
-//!    reuses the already-built oracle and overlay (this skips the
-//!    hybrid backend's hot-row pinning — a perf-only concern that
-//!    would double-build the hierarchy here).
+//!    reuses the already-built oracle and overlay.
 //!
 //! After the sizes, the profile's service soaks run (the `service`
 //! section of the report): end-to-end wall-clock and throughput of the
@@ -51,9 +45,7 @@ use crate::figures::BenchError;
 use crate::service::{service_run, ServiceSpec};
 use mot_baselines::DetectionRates;
 use mot_core::fmt_f64;
-use mot_hierarchy::{
-    build_doubling, build_doubling_balls, reference_build_doubling, Overlay, OverlayConfig,
-};
+use mot_hierarchy::{build_doubling, reference_build_doubling, Overlay, OverlayConfig};
 use mot_net::{generators, Graph, OracleKind};
 use mot_sim::{replay_moves, run_publish, Algo, TestBed, WorkloadSpec};
 use std::time::Instant;
@@ -62,30 +54,12 @@ use std::time::Instant;
 ///
 /// `/2` added `topology`, the cache hit/miss/memory counters, and made
 /// `hierarchy_seq_secs` / `hierarchy_speedup` nullable past
-/// [`REFERENCE_PHASE_NODE_LIMIT`]. `/3` added `hierarchy_dispatch_secs`
-/// (the adaptive [`build_doubling`] entry point, timed on the same
-/// sizes as the reference phase and asserted competitive — see
-/// [`DISPATCH_TOLERANCE`]) and the `service` phase family: wall-clock
-/// throughput plus deterministic cost quantiles from the chaos-soak
-/// specs of [`crate::service`].
-pub const BENCH_SCHEMA: &str = "mot-bench-baseline/3";
-
-/// The adaptive dispatcher may cost at most this factor over the better
-/// of the two specialized builders on any timed size (enforced by
-/// [`run_baseline`], not just reported). Guards the
-/// [`ADAPTIVE_CROSSOVER_NODES`](mot_hierarchy::ADAPTIVE_CROSSOVER_NODES)
-/// threshold against rotting as the builders evolve. The headroom is
-/// deliberately wide: when the dispatch picks correctly, this compares
-/// two timings of the *same* code, which on a busy single-core box can
-/// differ by tens of percent from jitter alone — while a genuine
-/// mis-dispatch costs a multiple (3×–16× measured across backends), so
-/// 1.5× still catches every real mis-tuning without flapping.
-pub const DISPATCH_TOLERANCE: f64 = 1.5;
-
-/// Dispatch timings below this are considered noise and never fail the
-/// run (tiny sizes finish in microseconds, where jitter swamps any
-/// real regression).
-const DISPATCH_FLOOR_SECS: f64 = 0.010;
+/// [`REFERENCE_PHASE_NODE_LIMIT`]. `/3` added the `service` phase
+/// family: wall-clock throughput plus deterministic cost quantiles from
+/// the chaos-soak specs of [`crate::service`]. `/4` dropped `/3`'s
+/// dispatch-phase column: [`build_doubling`] no longer chooses between
+/// builders, so `hierarchy_secs` already is what callers pay.
+pub const BENCH_SCHEMA: &str = "mot-bench-baseline/4";
 
 /// Largest size on which the frozen reference builder (full oracle-row
 /// scans) is timed and identity-checked. Matches
@@ -285,7 +259,7 @@ pub struct SizeTiming {
     pub graph_build_secs: f64,
     /// Distance-backend build.
     pub oracle_warmup_secs: f64,
-    /// Optimized doubling-overlay construction (ball builder).
+    /// Doubling-overlay construction ([`build_doubling`]).
     pub hierarchy_secs: f64,
     /// Frozen reference doubling-overlay construction (same inputs);
     /// `None` past [`REFERENCE_PHASE_NODE_LIMIT`].
@@ -293,11 +267,6 @@ pub struct SizeTiming {
     /// `hierarchy_seq_secs / hierarchy_secs`; `None` when the reference
     /// phase was skipped.
     pub hierarchy_speedup: Option<f64>,
-    /// The adaptive [`build_doubling`] entry point on the same inputs —
-    /// what production callers actually pay. Timed on the same sizes as
-    /// the reference phase (`None` beyond them) and asserted within
-    /// [`DISPATCH_TOLERANCE`] of the better specialized builder.
-    pub hierarchy_dispatch_secs: Option<f64>,
     /// Publish + one-by-one replay of the fig4 MOT arm.
     pub fig4_replay_secs: f64,
     /// Maintenance cost ratio of that arm (cross-check value).
@@ -398,10 +367,6 @@ impl BaselineReport {
                 ("hierarchy_secs", fmt_f64(s.hierarchy_secs)),
                 ("hierarchy_seq_secs", fmt_opt(s.hierarchy_seq_secs)),
                 ("hierarchy_speedup", fmt_opt(s.hierarchy_speedup)),
-                (
-                    "hierarchy_dispatch_secs",
-                    fmt_opt(s.hierarchy_dispatch_secs),
-                ),
                 ("fig4_replay_secs", fmt_f64(s.fig4_replay_secs)),
                 ("fig4_mot_ratio", fmt_f64(s.fig4_mot_ratio)),
                 ("oracle_cache_hits", s.oracle_cache_hits.to_string()),
@@ -474,7 +439,6 @@ impl BaselineReport {
                 "hier_s".into(),
                 "hier_seq_s".into(),
                 "speedup".into(),
-                "disp_s".into(),
                 "fig4_s".into(),
                 "fig4_ratio".into(),
             ],
@@ -495,7 +459,6 @@ impl BaselineReport {
                             s.hierarchy_secs,
                             s.hierarchy_seq_secs.unwrap_or(f64::NAN),
                             s.hierarchy_speedup.unwrap_or(f64::NAN),
-                            s.hierarchy_dispatch_secs.unwrap_or(f64::NAN),
                             s.fig4_replay_secs,
                             s.fig4_mot_ratio,
                         ],
@@ -589,48 +552,28 @@ pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
         let oracle_warmup_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let fast = build_doubling_balls(&g, &*oracle, &cfg, p.seed);
+        let fast = build_doubling(&g, &*oracle, &cfg, p.seed);
         let hierarchy_secs = t.elapsed().as_secs_f64();
 
         let nodes = g.node_count();
-        let (hierarchy_seq_secs, hierarchy_speedup, hierarchy_dispatch_secs) =
-            if nodes <= REFERENCE_PHASE_NODE_LIMIT {
-                let t = Instant::now();
-                let reference = reference_build_doubling(&g, &*oracle, &cfg, p.seed);
-                let seq = t.elapsed().as_secs_f64();
-                if !overlays_identical(&fast, &reference) {
-                    let (rows, cols) = spec.rows_cols();
-                    return Err(format!(
-                        "optimized and reference overlays differ on {} {rows}x{cols} \
+        let (hierarchy_seq_secs, hierarchy_speedup) = if nodes <= REFERENCE_PHASE_NODE_LIMIT {
+            let t = Instant::now();
+            let reference = reference_build_doubling(&g, &*oracle, &cfg, p.seed);
+            let seq = t.elapsed().as_secs_f64();
+            if !overlays_identical(&fast, &reference) {
+                let (rows, cols) = spec.rows_cols();
+                return Err(format!(
+                    "optimized and reference overlays differ on {} {rows}x{cols} \
                          ({nodes} nodes, seed {}) — speedup numbers would be meaningless",
-                        spec.topology(),
-                        p.seed
-                    )
-                    .into());
-                }
-                // What production callers pay: the adaptive entry point.
-                // Below the crossover the reference builder legitimately
-                // wins the direct comparison above, and the dispatcher's
-                // job is to always take the winner — so it is gated
-                // against the better of the two, not against either one.
-                let t = Instant::now();
-                let dispatched = build_doubling(&g, &*oracle, &cfg, p.seed);
-                let disp = t.elapsed().as_secs_f64();
-                debug_assert!(overlays_identical(&fast, &dispatched));
-                drop(dispatched);
-                let best = hierarchy_secs.min(seq);
-                if disp > DISPATCH_FLOOR_SECS && disp > best * DISPATCH_TOLERANCE {
-                    return Err(format!(
-                        "adaptive build_doubling took {disp:.3}s on {nodes} nodes where the \
-                         better specialized builder takes {best:.3}s — the \
-                         ADAPTIVE_CROSSOVER_NODES threshold is mis-tuned",
-                    )
-                    .into());
-                }
-                (Some(seq), Some(seq / hierarchy_secs.max(1e-12)), Some(disp))
-            } else {
-                (None, None, None)
-            };
+                    spec.topology(),
+                    p.seed
+                )
+                .into());
+            }
+            (Some(seq), Some(seq / hierarchy_secs.max(1e-12)))
+        } else {
+            (None, None)
+        };
 
         // Reuse the timed oracle and overlay instead of rebuilding a
         // bed from scratch: at these sizes a second hierarchy build
@@ -664,7 +607,6 @@ pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
             hierarchy_secs,
             hierarchy_seq_secs,
             hierarchy_speedup,
-            hierarchy_dispatch_secs,
             fig4_replay_secs,
             fig4_mot_ratio: stats.ratio(),
             oracle_cache_hits: ledger.hits,
@@ -750,7 +692,6 @@ mod tests {
             assert!(s.hierarchy_secs > 0.0);
             assert!(s.hierarchy_seq_secs.unwrap() > 0.0);
             assert!(s.hierarchy_speedup.unwrap() > 0.0);
-            assert!(s.hierarchy_dispatch_secs.unwrap() > 0.0);
             assert!(s.fig4_mot_ratio >= 1.0 - 1e-9, "ratio {}", s.fig4_mot_ratio);
         }
         assert_eq!(report.service.len(), 1);
@@ -759,11 +700,10 @@ mod tests {
         assert!(sv.wall_secs > 0.0 && sv.ops_per_sec > 0.0);
         assert!(sv.move_p99_cost >= sv.move_p50_cost);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"mot-bench-baseline/3\""));
+        assert!(json.contains("\"schema\": \"mot-bench-baseline/4\""));
         assert!(json.contains("\"topology\": \"grid\""));
         assert!(json.contains("\"nodes\": 25"));
         assert!(json.contains("\"hierarchy_speedup\""));
-        assert!(json.contains("\"hierarchy_dispatch_secs\""));
         assert!(json.contains("\"oracle_cache_hits\""));
         assert!(json.contains("\"name\": \"micro\""));
         assert!(json.contains("\"ops_per_sec\""));
@@ -830,7 +770,6 @@ mod tests {
                 hierarchy_secs: 0.1,
                 hierarchy_seq_secs: None,
                 hierarchy_speedup: None,
-                hierarchy_dispatch_secs: None,
                 fig4_replay_secs: 0.1,
                 fig4_mot_ratio: 1.5,
                 oracle_cache_hits: 10,
@@ -842,7 +781,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"hierarchy_seq_secs\": null"), "{json}");
         assert!(json.contains("\"hierarchy_speedup\": null"), "{json}");
-        assert!(json.contains("\"hierarchy_dispatch_secs\": null"), "{json}");
         assert!(!json.contains(",\n    }"), "{json}");
         let table = report.to_table();
         assert!(table.rows[0].1[3].is_nan());

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--profile quick|standard|paper] [--jobs N]
-//!             [--oracle auto|dense|lazy|hybrid|cached]
+//!             [--oracle auto|dense|cached]
 //!             [--csv DIR] [--metrics FILE.json] [--trace FILE.ndjson]
 //!             [--bench-out FILE.json] [--profile-phases]
 //!             [--experiment ID] [IDS...]
@@ -29,9 +29,9 @@
 //! ```
 //!
 //! `bench-baseline` is the wall-clock harness (PERFORMANCE.md): it times
-//! graph build, oracle warm-up, optimized vs frozen-reference hierarchy
-//! construction (reference and adaptive-dispatch phases only up to 4096
-//! nodes), and a fig4 replay per size, plus the profile's service
+//! graph build, oracle warm-up, hierarchy construction vs the frozen
+//! reference (the reference phase only up to 4096 nodes), and a fig4
+//! replay per size, plus the profile's service
 //! soaks, then writes the schema'd JSON to `--bench-out` (default
 //! `BENCH_pr8.json`). Its profiles are `smoke`/`full`; the figure
 //! profile names map onto them.
@@ -115,8 +115,7 @@ fn profile_for(
 
 /// The `scale` experiment sweeps grids past the paper's sizes; the
 /// largest (64×64 = 4096 nodes) sits exactly at the dense limit, so
-/// `--oracle lazy` or `--oracle cached` runs it well under the dense
-/// matrix's 64 MiB.
+/// `--oracle cached` runs it well under the dense matrix's 64 MiB.
 fn scale_profile(name: &str, oracle: OracleKind, jobs: usize) -> Result<Profile, BenchError> {
     let mut p = profile_for(50, name, oracle, jobs)?;
     p.grids = vec![(32, 32), (64, 64)];
@@ -174,10 +173,11 @@ fn run() -> Result<(), BenchError> {
             "--oracle" => {
                 let v = it
                     .next()
-                    .ok_or("--oracle needs a value (auto|dense|lazy|hybrid|cached)")?;
-                oracle_flag = Some(OracleKind::parse(&v).ok_or_else(|| {
-                    format!("unknown oracle '{v}' (auto|dense|lazy|hybrid|cached)")
-                })?);
+                    .ok_or("--oracle needs a value (auto|dense|cached)")?;
+                oracle_flag = Some(
+                    OracleKind::parse(&v)
+                        .ok_or_else(|| format!("unknown oracle '{v}' (auto|dense|cached)"))?,
+                );
             }
             "--csv" => csv_dir = Some(it.next().ok_or("--csv needs a directory")?),
             "--metrics" => metrics_path = Some(it.next().ok_or("--metrics needs a file path")?),
@@ -196,7 +196,7 @@ fn run() -> Result<(), BenchError> {
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--profile quick|standard|paper] [--jobs N]\n\
-                     \x20                  [--oracle auto|dense|lazy|hybrid|cached] [--csv DIR]\n\
+                     \x20                  [--oracle auto|dense|cached] [--csv DIR]\n\
                      \x20                  [--metrics FILE.json] [--trace FILE.ndjson]\n\
                      \x20                  [--bench-out FILE.json] [--profile-phases]\n\
                      \x20                  [--experiment ID] [IDS...]\n\

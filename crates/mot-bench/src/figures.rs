@@ -662,10 +662,9 @@ pub fn mobility_table(p: &Profile) -> BenchResult {
 
 /// Backend scaling: fig4-style MOT maintenance over the profile's
 /// grids, reporting the distance backend's *measured* memory footprint
-/// next to the dense matrix it replaces. On the 64×64 grid (4096
-/// nodes, the dense limit) the lazy backend's LRU holds 256 rows
-/// (~12.6 MiB) against the 64 MiB matrix; a 128×128 grid would pit
-/// ~50 MiB of rows against a 1 GiB matrix.
+/// next to the dense matrix it replaces (EXPERIMENTS.md `scale` has
+/// the measured table): the cached backend keeps only the rows hot
+/// sources earned, under a byte budget that never exceeds 64 MiB.
 pub fn scale_table(p: &Profile) -> BenchResult {
     const MIB: f64 = (1024 * 1024) as f64;
     let cells: Vec<Keyed<(usize, usize)>> = p
@@ -1055,13 +1054,13 @@ mod tests {
 
     #[test]
     fn scale_table_reports_ratio_and_memory() {
-        let mut p = Profile::quick(5).with_oracle(OracleKind::Lazy);
+        let mut p = Profile::quick(5).with_oracle(OracleKind::Cached);
         p.grids = vec![(8, 8)];
         let t = scale_table(&p).unwrap();
         assert_eq!(t.rows.len(), 1);
         let ys = &t.rows[0].1;
         assert!(ys[0] >= 1.0, "ratio {} below optimal", ys[0]);
-        assert!(ys[1] > 0.0, "lazy backend reported no memory");
+        assert!(ys[1] > 0.0, "cached backend reported no resident rows");
         // 64 nodes: dense matrix is 64*64*4 bytes
         assert!((ys[2] - (64.0 * 64.0 * 4.0) / (1024.0 * 1024.0)).abs() < 1e-9);
     }

@@ -47,7 +47,7 @@ pub mod service;
 
 pub use baseline::{
     run_baseline, BaselineProfile, BaselineReport, ServiceTiming, SizeSpec, SizeTiming,
-    BENCH_SCHEMA, DISPATCH_TOLERANCE, REFERENCE_PHASE_NODE_LIMIT,
+    BENCH_SCHEMA, REFERENCE_PHASE_NODE_LIMIT,
 };
 pub use churn::{churn_smoke_table, churn_table};
 pub use figures::{

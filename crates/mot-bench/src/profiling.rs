@@ -72,8 +72,8 @@ impl PhaseTimings {
 }
 
 /// Times every phase of one fig4-style replay: graph build, oracle
-/// build, hierarchy build (the adaptive dispatch production callers
-/// use), publish, the one-by-one move replay, and a query batch.
+/// build, hierarchy build, publish, the one-by-one move replay, and a
+/// query batch.
 pub fn profile_fig4_phases(
     spec: SizeSpec,
     objects: usize,

@@ -1,256 +1,15 @@
-//! Network dynamism: node joins/leaves under tracking (paper §7).
+//! Duty-cycled tracking under mobility: handover counts and energy.
 //!
-//! The paper keeps `HS` usable under churn by (a) handing leadership to a
-//! cluster member when a leader departs, (b) relabelling the embedded de
-//! Bruijn graph with `O(1)` amortized updates per event, and (c) falling
-//! back to a full rebuild once clusters drift past a threshold (too big
-//! after joins, at risk of disconnection after leaves). This module
-//! simulates exactly that protocol over all of an overlay's clusters and
-//! measures the *adaptability* (nodes updated per event) that the `churn`
-//! experiment reports. Full re-integration of a changed overlay into live
-//! tracking state is, as in the paper, done by rebuild.
+//! The yardsticks the scenario suite compares trackers against:
+//! [`min_handovers`], the fewest tracking assignments any schedule needs
+//! for one trajectory (arXiv:1105.0392), and [`EnergyModel`] /
+//! [`EnergyLedger`], which price wake-ups against update traffic
+//! (arXiv:1108.1321). The paper's §7 topology churn lives elsewhere:
+//! `mot_hierarchy::RepairableHierarchy` repairs the overlay under sensor
+//! leave/join, `mot_debruijn::DynamicCluster` relabels a cluster's
+//! embedded de Bruijn graph.
 
-use crate::config::MotConfig;
-use crate::mot::MotTracker;
-use crate::object::ObjectId;
-use crate::tracker::Tracker;
-use mot_debruijn::DynamicCluster;
-use mot_hierarchy::{build_doubling, Overlay, OverlayConfig};
-use mot_net::{dijkstra, subgraph, DistanceOracle, Graph, NetError, NodeId, OracleKind};
-
-/// Aggregate effect of one join/leave across every affected cluster.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ChurnReport {
-    /// Total member updates across all affected clusters (the paper's
-    /// adaptability measure, summed over the `O(log D)` levels the node
-    /// participates in).
-    pub nodes_updated: usize,
-    /// Clusters whose membership changed.
-    pub clusters_touched: usize,
-    /// Leadership handoffs triggered.
-    pub leader_changes: usize,
-    /// True when some cluster crossed the drift threshold and a hierarchy
-    /// rebuild is recommended.
-    pub rebuild_recommended: bool,
-}
-
-/// Simulates §7's churn protocol over all clusters of an overlay.
-pub struct ChurnSimulator<'a> {
-    oracle: &'a dyn DistanceOracle,
-    /// (level, radius) of each simulated cluster.
-    roles: Vec<(usize, NodeId, f64)>,
-    clusters: Vec<DynamicCluster>,
-    original_sizes: Vec<usize>,
-    /// Allowed relative growth/shrink before recommending a rebuild.
-    drift_factor: f64,
-    departed: Vec<bool>,
-    /// Rebuild recommendations issued so far.
-    pub rebuilds_recommended: usize,
-}
-
-impl<'a> ChurnSimulator<'a> {
-    /// Builds the cluster population of `overlay` (one radius-`2^ℓ`
-    /// cluster per internal member, as in §5).
-    pub fn new(overlay: &Overlay, oracle: &'a dyn DistanceOracle, drift_factor: f64) -> Self {
-        let mut roles = Vec::new();
-        let mut clusters = Vec::new();
-        for level in 1..=overlay.height() {
-            let radius = (1u64 << level) as f64;
-            for &center in overlay.level_members(level) {
-                let mut members = oracle.ball(center, radius);
-                members.sort();
-                roles.push((level, center, radius));
-                clusters.push(DynamicCluster::new(members));
-            }
-        }
-        let original_sizes = clusters.iter().map(|c| c.members().len()).collect();
-        ChurnSimulator {
-            oracle,
-            roles,
-            clusters,
-            original_sizes,
-            drift_factor,
-            departed: vec![false; oracle.node_count()],
-            rebuilds_recommended: 0,
-        }
-    }
-
-    fn drifted(&self, idx: usize) -> bool {
-        let orig = self.original_sizes[idx] as f64;
-        let now = self.clusters[idx].members().len() as f64;
-        now > orig * self.drift_factor || now < (orig / self.drift_factor).floor()
-    }
-
-    /// Node `u` announces departure (the paper assumes failing nodes
-    /// announce before dying so object state can be transferred).
-    pub fn node_leaves(&mut self, u: NodeId) -> ChurnReport {
-        debug_assert!(!self.departed[u.index()], "{u} left twice");
-        self.departed[u.index()] = true;
-        let mut report = ChurnReport::default();
-        for idx in 0..self.clusters.len() {
-            if !self.clusters[idx].members().contains(&u) || self.clusters[idx].members().len() <= 1
-            {
-                continue;
-            }
-            let ev = self.clusters[idx].leave(u);
-            report.nodes_updated += ev.nodes_updated;
-            report.clusters_touched += 1;
-            report.leader_changes += usize::from(ev.leader_changed);
-            if self.drifted(idx) {
-                report.rebuild_recommended = true;
-            }
-        }
-        if report.rebuild_recommended {
-            self.rebuilds_recommended += 1;
-        }
-        report
-    }
-
-    /// A (possibly returning) node joins at its physical position; it
-    /// enters every cluster whose center lies within the cluster radius.
-    pub fn node_joins(&mut self, u: NodeId) -> ChurnReport {
-        self.departed[u.index()] = false;
-        let mut report = ChurnReport::default();
-        for idx in 0..self.clusters.len() {
-            let (_, center, radius) = self.roles[idx];
-            if self.oracle.dist(center, u) > radius || self.clusters[idx].members().contains(&u) {
-                continue;
-            }
-            let ev = self.clusters[idx].join(u);
-            report.nodes_updated += ev.nodes_updated;
-            report.clusters_touched += 1;
-            if self.drifted(idx) {
-                report.rebuild_recommended = true;
-            }
-        }
-        if report.rebuild_recommended {
-            self.rebuilds_recommended += 1;
-        }
-        report
-    }
-
-    /// Mean nodes-updated per cluster event so far, across all clusters —
-    /// §7's amortized adaptability (O(1) per cluster; a node sits in
-    /// `O(log D)` clusters, hence `O(log D)` overall).
-    pub fn amortized_adaptability(&self) -> f64 {
-        let (mut updates, mut events) = (0usize, 0usize);
-        for c in &self.clusters {
-            events += c.events.len();
-            updates += c.events.iter().map(|e| e.nodes_updated).sum::<usize>();
-        }
-        if events == 0 {
-            0.0
-        } else {
-            updates as f64 / events as f64
-        }
-    }
-
-    /// Number of simulated clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-}
-
-/// The substrate bundle produced by [`plan_rebuild`]: the surviving
-/// deployment, its fresh oracle/overlay, id mappings, and the proxy
-/// assignment for every surviving tracked object.
-pub struct RebuildPlan {
-    /// The surviving deployment (departed sensors removed).
-    pub graph: Graph,
-    /// Distance backend rebuilt over the surviving graph.
-    pub oracle: Box<dyn DistanceOracle>,
-    /// Fresh hierarchical overlay over the surviving graph.
-    pub overlay: Overlay,
-    /// `old_of_new[new] = old` node id mapping.
-    pub old_of_new: Vec<NodeId>,
-    /// `new_of_old[old] = Some(new)` for survivors.
-    pub new_of_old: Vec<Option<NodeId>>,
-    /// Object → proxy (in *new* ids). Objects whose proxy died are
-    /// re-detected by the nearest surviving sensor (nearest-sensor
-    /// model: the object is still physically in the field).
-    pub proxies: Vec<(ObjectId, NodeId)>,
-}
-
-impl RebuildPlan {
-    /// Builds a fresh tracker over the rebuilt substrate and re-publishes
-    /// every object, returning the tracker and the total publish cost —
-    /// the price of a §7 rebuild.
-    pub fn execute(&self, cfg: MotConfig) -> crate::Result<(MotTracker<'_>, f64)> {
-        let mut t = MotTracker::new(&self.overlay, &*self.oracle, cfg);
-        let mut cost = 0.0;
-        for &(o, proxy) in &self.proxies {
-            cost += t.publish(o, proxy)?;
-        }
-        Ok((t, cost))
-    }
-}
-
-/// Plans the full rebuild §7 falls back to once clusters drift past the
-/// threshold: extract the surviving deployment, rebuild the overlay from
-/// scratch, and re-assign proxies. Fails with
-/// [`NetError::Disconnected`] when the survivors no longer form one
-/// field.
-pub fn plan_rebuild(
-    g: &Graph,
-    alive: &[bool],
-    objects: &[(ObjectId, NodeId)],
-    ocfg: &OverlayConfig,
-    seed: u64,
-) -> Result<RebuildPlan, NetError> {
-    plan_rebuild_with(g, alive, objects, ocfg, seed, OracleKind::Auto)
-}
-
-/// As [`plan_rebuild`] with an explicit distance-oracle backend for the
-/// rebuilt substrate.
-pub fn plan_rebuild_with(
-    g: &Graph,
-    alive: &[bool],
-    objects: &[(ObjectId, NodeId)],
-    ocfg: &OverlayConfig,
-    seed: u64,
-    kind: OracleKind,
-) -> Result<RebuildPlan, NetError> {
-    let (sub, old_of_new) = subgraph(g, alive)?;
-    let oracle = kind.build(&sub)?;
-    let overlay = build_doubling(&sub, &*oracle, ocfg, seed);
-    let mut new_of_old = vec![None; g.node_count()];
-    for (new, old) in old_of_new.iter().enumerate() {
-        new_of_old[old.index()] = Some(NodeId::from_index(new));
-    }
-    let proxies = objects
-        .iter()
-        .map(|&(o, old_proxy)| {
-            let new_proxy = match new_of_old[old_proxy.index()] {
-                Some(p) => p,
-                None => {
-                    // proxy died: nearest surviving sensor in the old
-                    // field takes over detection
-                    let d = dijkstra(g, old_proxy);
-                    let nearest_old = g
-                        .nodes()
-                        .filter(|u| alive[u.index()])
-                        .min_by(|&a, &b| {
-                            d[a.index()]
-                                .partial_cmp(&d[b.index()])
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.cmp(&b))
-                        })
-                        .expect("subgraph() guarantees at least one survivor");
-                    new_of_old[nearest_old.index()].expect("survivor has a new id")
-                }
-            };
-            (o, new_proxy)
-        })
-        .collect();
-    Ok(RebuildPlan {
-        graph: sub,
-        oracle,
-        overlay,
-        old_of_new,
-        new_of_old,
-        proxies,
-    })
-}
+use mot_net::{DistanceOracle, NodeId};
 
 /// Greedy few-handover assignment over one object trajectory
 /// (arXiv:1105.0392, Eppstein/Goodrich/Löffler): partition the
@@ -345,140 +104,11 @@ impl EnergyLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mot_net::generators;
-    use mot_net::DenseOracle;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
-
-    fn setup() -> (mot_net::Graph, DenseOracle) {
-        let g = generators::grid(8, 8).unwrap();
-        let m = DenseOracle::build(&g).unwrap();
-        (g, m)
-    }
-
-    #[test]
-    fn leave_touches_only_containing_clusters() {
-        let (g, m) = setup();
-        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 1);
-        let mut sim = ChurnSimulator::new(&o, &m, 2.0);
-        let total = sim.cluster_count();
-        let rep = sim.node_leaves(NodeId(27));
-        assert!(rep.clusters_touched >= 1);
-        assert!(rep.clusters_touched < total);
-        assert!(rep.nodes_updated >= rep.clusters_touched);
-    }
-
-    #[test]
-    fn leader_departure_hands_off() {
-        let (g, m) = setup();
-        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 1);
-        let mut sim = ChurnSimulator::new(&o, &m, 4.0);
-        // The first member of some cluster is its leader; removing it
-        // must trigger at least one handoff.
-        let leader = sim.clusters[0].leader();
-        let rep = sim.node_leaves(leader);
-        assert!(rep.leader_changes >= 1);
-    }
-
-    #[test]
-    fn join_after_leave_restores_membership() {
-        let (g, m) = setup();
-        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 1);
-        let mut sim = ChurnSimulator::new(&o, &m, 8.0);
-        let u = NodeId(35);
-        let before: usize = sim
-            .clusters
-            .iter()
-            .filter(|c| c.members().contains(&u))
-            .count();
-        sim.node_leaves(u);
-        let mid: usize = sim
-            .clusters
-            .iter()
-            .filter(|c| c.members().contains(&u))
-            .count();
-        assert_eq!(mid, 0);
-        sim.node_joins(u);
-        let after: usize = sim
-            .clusters
-            .iter()
-            .filter(|c| c.members().contains(&u))
-            .count();
-        assert_eq!(after, before);
-    }
-
-    #[test]
-    fn amortized_adaptability_is_small_under_churn() {
-        let (g, m) = setup();
-        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 1);
-        let mut sim = ChurnSimulator::new(&o, &m, 16.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut out: Vec<NodeId> = Vec::new();
-        for _ in 0..120 {
-            if !out.is_empty() && rng.gen_bool(0.5) {
-                let u = out.swap_remove(rng.gen_range(0..out.len()));
-                sim.node_joins(u);
-            } else {
-                let u = NodeId(rng.gen_range(0..64));
-                if !sim.departed[u.index()] {
-                    sim.node_leaves(u);
-                    out.push(u);
-                }
-            }
-        }
-        let a = sim.amortized_adaptability();
-        assert!(a > 0.0 && a < 8.0, "amortized adaptability {a}");
-    }
-
-    #[test]
-    fn rebuild_restores_tracking_after_heavy_churn() {
-        let (g, _m) = setup();
-        // a tracked population before the churn
-        let objects: Vec<(ObjectId, NodeId)> = (0..6u32)
-            .map(|k| (ObjectId(k), NodeId(k * 9 % 64)))
-            .collect();
-        // a fifth of the field dies (scattered, staying connected),
-        // including most proxies
-        let mut alive = vec![true; 64];
-        for i in [0usize, 9, 27, 36, 45, 11, 13, 25, 29, 41, 43, 54] {
-            alive[i] = false;
-        }
-        let plan = plan_rebuild(&g, &alive, &objects, &OverlayConfig::practical(), 3)
-            .expect("survivors stay connected");
-        assert_eq!(plan.graph.node_count(), 52);
-        // dead proxies were reassigned to survivors
-        for &(_, p) in &plan.proxies {
-            assert!(p.index() < 52);
-        }
-        let (t, publish_cost) = plan.execute(MotConfig::plain()).unwrap();
-        assert!(publish_cost > 0.0);
-        for &(o, p) in &plan.proxies {
-            for x in plan.graph.nodes() {
-                assert_eq!(t.query(x, o).unwrap().proxy, p);
-            }
-        }
-        // object 0's proxy (node 0) died; its new proxy must be near the
-        // old position (an old neighbor of node 0 that survived)
-        let (o0, p0) = plan.proxies[0];
-        assert_eq!(o0, ObjectId(0));
-        let old = plan.old_of_new[p0.index()];
-        assert!(old == NodeId(1) || old == NodeId(8), "reassigned to {old}");
-    }
-
-    #[test]
-    fn rebuild_fails_cleanly_when_survivors_split() {
-        let g = generators::line(6).unwrap();
-        let objects = vec![(ObjectId(0), NodeId(0))];
-        let alive = vec![true, true, false, false, true, true];
-        assert!(matches!(
-            plan_rebuild(&g, &alive, &objects, &OverlayConfig::practical(), 1),
-            Err(NetError::Disconnected)
-        ));
-    }
+    use mot_net::{generators, DenseOracle};
 
     #[test]
     fn min_handovers_beats_naive_and_respects_coverage() {
-        let (g, m) = setup();
+        let m = DenseOracle::build(&generators::grid(8, 8).unwrap()).unwrap();
         // A straight 8-hop walk along the top row of the 8×8 grid.
         let traj: Vec<NodeId> = (0..8).map(NodeId::from_index).collect();
         // Radius 2: one sensor covers a 5-node stretch of the row, so
@@ -491,7 +121,6 @@ mod tests {
         // Radius 0: only the position itself covers it.
         assert_eq!(min_handovers(&traj, &m, 0.0), traj.len());
         assert_eq!(min_handovers(&[], &m, 2.0), 0);
-        let _ = g;
     }
 
     #[test]
@@ -508,20 +137,5 @@ mod tests {
         let saving = few.saving_over(&naive, &model);
         assert!((saving - 40.0 / 60.0).abs() < 1e-12, "saving {saving}");
         assert_eq!(few.saving_over(&EnergyLedger::default(), &model), 0.0);
-    }
-
-    #[test]
-    fn drift_triggers_rebuild_recommendation() {
-        let (g, m) = setup();
-        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 1);
-        let mut sim = ChurnSimulator::new(&o, &m, 1.2); // tight threshold
-                                                        // strip the neighborhood of node 0 until some cluster shrinks
-        let mut recommended = false;
-        for u in [0u32, 1, 8, 9, 2, 16, 10, 17] {
-            let rep = sim.node_leaves(NodeId(u));
-            recommended |= rep.rebuild_recommended;
-        }
-        assert!(recommended, "aggressive shrink never recommended a rebuild");
-        assert!(sim.rebuilds_recommended >= 1);
     }
 }

@@ -48,8 +48,8 @@
 //! The algorithmic heart of the DAG: builds on `mot-net`,
 //! `mot-hierarchy`, and `mot-debruijn`; the baselines, simulator, and
 //! bench crates all drive it through the [`Tracker`] trait. Implements
-//! §4 (MOT, Algorithm 1), §5 (load balancing), §7 (dynamics); serves
-//! every figure. See DESIGN.md §3 and §5.
+//! §4 (MOT, Algorithm 1) and §5 (load balancing); serves every
+//! figure. See DESIGN.md §3 and §5.
 
 #![warn(missing_docs)]
 

@@ -50,70 +50,18 @@ use crate::config::OverlayConfig;
 use crate::mis::luby_mis;
 use crate::overlay::{Overlay, OverlayKind};
 use crate::table::StationTable;
-use mot_net::{DijkstraWorkspace, DistanceOracle, Graph, NodeId};
+use mot_net::{DijkstraWorkspace, DistanceOracle, Graph, NodeId, BALL_PAD};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Relative padding applied to bounded-ball radii when the selection
-/// predicate compares f32-quantized distances with `<=`: quantization
-/// can round a distance just above the radius down onto it, so the ball
-/// must over-collect by at least half an f32 ulp (2⁻²⁵ relative). The
-/// exact quantized predicate then filters the candidates, so padding
-/// only costs a few extra settles, never changes the result.
-const BALL_PAD: f64 = 1.0 + 1e-6;
-
-/// Node count below which [`build_doubling`] dispatches to the frozen
-/// oracle-scan reference builder instead of the bounded-ball builder —
-/// when the oracle's rows are precomputed.
-///
-/// Measured on the dense matrix, hierarchy speedup is below 1 under
-/// ~1024 nodes (0.32× at 256, 0.80× at 1024, 3.1× at 4096): on tiny
-/// graphs the bounded-ball machinery's per-ball setup costs more than
-/// the O(k²) oracle scans it avoids, and a dense oracle row read is a
-/// plain array load. That last property is load-bearing: on on-demand
-/// backends each row scan can trigger a Dijkstra solve, and the
-/// reference builder loses at *every* size (the bench-baseline dispatch
-/// gate caught it 16× slower at 256 nodes on the cached backend) — so
-/// the dispatch also requires
-/// [`rows_precomputed`](DistanceOracle::rows_precomputed). Both
-/// strategies are bit-identical by construction (pinned by the
-/// `hierarchy_parity` crossover test), so the dispatch is purely a
-/// performance choice.
-///
-/// These measurements predate the fused ball pass (one pass per level
-/// where there were three) and the hop-length fill both builders now do;
-/// the threshold has not been re-measured since.
-pub const ADAPTIVE_CROSSOVER_NODES: usize = 1024;
-
-/// Builds the MIS-coarsened overlay for a (constant-doubling) network,
-/// picking the construction strategy by size and backend: the
-/// oracle-scan reference builder below [`ADAPTIVE_CROSSOVER_NODES`]
-/// nodes on precomputed-row oracles, the bounded-ball builder
-/// ([`build_doubling_balls`]) everywhere else. Both produce
-/// bit-identical overlays; see the crossover constant for the
-/// measurements behind the threshold.
+/// Builds the MIS-coarsened overlay for a (constant-doubling) network
+/// by radius-bounded Dijkstra over the CSR graph (see the module docs).
+/// It never asks the oracle for a distance, so it runs warm-up-free on
+/// the on-demand backend, at every size.
 ///
 /// `seed` drives Luby's random priorities; identical seeds yield identical
 /// overlays.
 pub fn build_doubling(
-    g: &Graph,
-    m: &dyn DistanceOracle,
-    cfg: &OverlayConfig,
-    seed: u64,
-) -> Overlay {
-    if g.node_count() < ADAPTIVE_CROSSOVER_NODES && m.rows_precomputed() {
-        crate::reference::reference_build_doubling(g, m, cfg, seed)
-    } else {
-        build_doubling_balls(g, m, cfg, seed)
-    }
-}
-
-/// The bounded-ball construction: radius-bounded Dijkstra over the CSR
-/// graph instead of oracle distance scans (see the module docs). The
-/// strategy of choice at scale — it never asks the oracle for a
-/// distance, so it runs warm-up-free on on-demand backends — and what
-/// [`build_doubling`] dispatches to past [`ADAPTIVE_CROSSOVER_NODES`].
-pub fn build_doubling_balls(
     g: &Graph,
     m: &dyn DistanceOracle,
     cfg: &OverlayConfig,
@@ -374,13 +322,10 @@ mod tests {
     use mot_net::generators;
     use mot_net::DenseOracle;
 
-    // Exercise the bounded-ball path directly: these grids sit below the
-    // adaptive crossover, where `build_doubling` would dispatch to the
-    // reference builder.
     fn build(rows: usize, cols: usize, cfg: OverlayConfig) -> (Overlay, DenseOracle) {
         let g = generators::grid(rows, cols).unwrap();
         let m = DenseOracle::build(&g).unwrap();
-        let o = build_doubling_balls(&g, &m, &cfg, 7);
+        let o = build_doubling(&g, &m, &cfg, 7);
         (o, m)
     }
 
@@ -405,7 +350,7 @@ mod tests {
     fn single_node_graph_degenerates_gracefully() {
         let g = generators::line(1).unwrap();
         let m = DenseOracle::build(&g).unwrap();
-        let o = build_doubling_balls(&g, &m, &OverlayConfig::practical(), 1);
+        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 1);
         assert_eq!(o.height(), 0);
         assert_eq!(o.root(), NodeId(0));
         assert_eq!(o.station(NodeId(0), 0), &[NodeId(0)]);
@@ -513,8 +458,8 @@ mod tests {
     fn deterministic_per_seed() {
         let g = generators::grid(8, 8).unwrap();
         let m = DenseOracle::build(&g).unwrap();
-        let a = build_doubling_balls(&g, &m, &OverlayConfig::practical(), 3);
-        let b = build_doubling_balls(&g, &m, &OverlayConfig::practical(), 3);
+        let a = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
+        let b = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
         for l in 0..=a.height() {
             assert_eq!(a.level_members(l), b.level_members(l));
         }

@@ -18,23 +18,10 @@
 use crate::config::OverlayConfig;
 use crate::overlay::{Overlay, OverlayKind};
 use crate::table::StationTable;
-use mot_net::{DijkstraWorkspace, DistanceOracle, Graph, NodeId};
+use mot_net::{q32, DijkstraWorkspace, DistanceOracle, Graph, NodeId, BALL_PAD};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Relative padding for bounded-ball radii (see `doubling.rs`): f32
-/// quantization can round a distance just above the radius down onto
-/// it, so the bounded run over-collects by half an f32 ulp and the
-/// exact quantized predicate filters the candidates.
-const BALL_PAD: f64 = 1.0 + 1e-6;
-
-/// Quantizes through `f32` exactly like the oracle backends store
-/// distances, so graph-side Dijkstra and oracle reads agree bit-for-bit.
-#[inline]
-fn q32(d: f64) -> f64 {
-    d as f32 as f64
-}
 
 /// One carved partition of the node set.
 struct Partition {

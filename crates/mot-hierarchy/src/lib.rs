@@ -66,7 +66,7 @@ mod table;
 pub mod validate;
 
 pub use config::OverlayConfig;
-pub use doubling::{build_doubling, build_doubling_balls, ADAPTIVE_CROSSOVER_NODES};
+pub use doubling::build_doubling;
 pub use general::build_general;
 pub use mis::luby_mis;
 pub use overlay::{Overlay, OverlayKind};

@@ -1,4 +1,4 @@
-//! Frozen oracle-scan doubling builder: the measured baseline.
+//! Frozen oracle-scan doubling builder: the parity witness.
 //!
 //! This is the doubling construction exactly as it existed before the
 //! bounded-ball rewrite of [`build_doubling`](crate::build_doubling):
@@ -6,17 +6,17 @@
 //! graph, `nearest_in` scans for default parents, and a per-node scan
 //! over the level membership for every detection-path station.
 //!
-//! It is kept, unchanged, for two jobs:
+//! Nothing dispatches to it. It is kept, unchanged, for two jobs:
 //!
-//! * **Benchmark baseline** — `experiments bench-baseline` times this
-//!   builder next to the optimized one on identical inputs, so the
+//! * **Parity witness** — the `hierarchy_parity` and `hop_table` tests
+//!   assert [`build_doubling`](crate::build_doubling) produces a
+//!   bit-identical overlay (same levels, same parents, same stations,
+//!   same hop lengths) on every topology generator, which is what lets
+//!   it claim the DESIGN.md §12 determinism contract.
+//! * **Benchmark yardstick** — `experiments bench-baseline` times this
+//!   builder next to the real one on identical inputs, so the
 //!   `BENCH_*.json` speedup column always measures against the same
-//!   frozen yardstick, on the same machine, in the same process.
-//! * **Parity witness** — the `hierarchy_parity` tests assert the
-//!   optimized builder produces a bit-identical overlay (same levels,
-//!   same parents, same stations) on every topology generator, which is
-//!   what lets the optimized path claim the DESIGN.md §12 determinism
-//!   contract.
+//!   frozen code, on the same machine, in the same process.
 //!
 //! Do not optimize this module; that would defeat both jobs. Its last
 //! step stores the per-node stations in the flat station table, every

@@ -34,37 +34,17 @@
 
 use crate::config::OverlayConfig;
 use mot_net::delta::{ChurnEvent, TopologyDelta};
-use mot_net::{DijkstraWorkspace, Graph, NetError, NodeId, Result};
+use mot_net::{q32, splitmix64, DijkstraWorkspace, Graph, NetError, NodeId, Result, BALL_PAD};
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
-/// Same padding as the overlay builder: `<=` predicates on
-/// f32-quantized distances must over-collect by more than half an f32
-/// ulp before the exact quantized filter runs.
-const BALL_PAD: f64 = 1.0 + 1e-6;
-
-/// Quantizes through `f32` exactly like the oracle backends and the
-/// overlay builder.
-#[inline]
-fn q32(d: f64) -> f64 {
-    d as f32 as f64
-}
-
-/// SplitMix64 — the fixed per-`(level, node)` priority hash. Stateless,
-/// so membership priorities survive any number of topology deltas.
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Priority of node `u` in the level-`ℓ` MIS; ties cannot occur because
-/// comparisons always pair the hash with the node id.
+/// Priority of node `u` in the level-`ℓ` MIS: a fixed stateless hash,
+/// so membership priorities survive any number of topology deltas. Ties
+/// cannot occur because comparisons always pair the hash with the node
+/// id.
 #[inline]
 fn prio(seed: u64, level: usize, u: u32) -> u64 {
-    splitmix(splitmix(seed ^ (level as u64)) ^ u as u64)
+    splitmix64(splitmix64(seed ^ (level as u64)) ^ u as u64)
 }
 
 /// What [`RepairableHierarchy::repair`] decided for one delta.

@@ -1,21 +1,16 @@
-//! Bit-parity between the optimized and frozen doubling builders.
+//! Bit-parity between [`build_doubling`] and its frozen witness.
 //!
-//! The optimized [`build_doubling_balls`] replaced the reference
-//! builder's `O(k²)` oracle scans with radius-bounded Dijkstra over the
-//! CSR graph plus f32 re-quantization of every distance before each
-//! predicate. These tests pin the claim that the rewrite changed
-//! *nothing* about the output: identical levels, identical detection
-//! paths, on every topology generator and several seeds and configs.
-//! The adaptive front door [`build_doubling`] dispatches between the
-//! two by node count and backend, so a dedicated crossover test pins
-//! all three entry points identical on both sides of the threshold and
-//! across precomputed vs on-demand oracles.
+//! [`build_doubling`] replaced the reference builder's `O(k²)` oracle
+//! scans with radius-bounded Dijkstra over the CSR graph plus f32
+//! re-quantization of every distance before each predicate. These tests
+//! pin the claim that the rewrite changed *nothing* about the output:
+//! identical levels, identical detection paths, on every topology
+//! generator, several seeds and configs, both oracle backends, and at
+//! sizes either side of the 1024 nodes below which the reference used
+//! to be dispatched to.
 
-use mot_hierarchy::{
-    build_doubling, build_doubling_balls, reference_build_doubling, Overlay, OverlayConfig,
-    ADAPTIVE_CROSSOVER_NODES,
-};
-use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, Graph};
+use mot_hierarchy::{build_doubling, reference_build_doubling, Overlay, OverlayConfig};
+use mot_net::{generators, CachedOracle, DenseOracle, Graph};
 
 /// Compares two overlays through the public accessors only.
 fn assert_overlays_identical(a: &Overlay, b: &Overlay, ctx: &str) {
@@ -36,10 +31,7 @@ fn assert_overlays_identical(a: &Overlay, b: &Overlay, ctx: &str) {
 
 fn check(g: &Graph, seed: u64, cfg: &OverlayConfig, ctx: &str) {
     let m = DenseOracle::build(g).unwrap();
-    // Compare the ball builder directly (not through the adaptive
-    // dispatch, which would pick the reference itself on these small
-    // topologies and make the comparison vacuous).
-    let fast = build_doubling_balls(g, &m, cfg, seed);
+    let fast = build_doubling(g, &m, cfg, seed);
     let reference = reference_build_doubling(g, &m, cfg, seed);
     assert_overlays_identical(&fast, &reference, ctx);
 }
@@ -115,39 +107,19 @@ fn parity_on_random_topologies() {
 }
 
 #[test]
-fn adaptive_dispatch_is_bit_identical_across_the_crossover() {
-    // 31×33 = 1023 nodes (reference side) and 32×32 = 1024 nodes (ball
-    // side) straddle the threshold; on both, the adaptive entry point,
-    // the ball builder, and the frozen reference must agree bit-for-bit
-    // through every public accessor.
-    assert_eq!(ADAPTIVE_CROSSOVER_NODES, 1024);
-    for (rows, cols) in [(31, 33), (32, 32)] {
-        let g = generators::grid(rows, cols).unwrap();
-        let m = DenseOracle::build(&g).unwrap();
+fn parity_on_dense_and_cached_either_side_of_1024_nodes() {
+    // 16×16, 32×32 and 45×45 grids. The ball builder solves on the
+    // graph, so the backend it is handed must not matter either.
+    for side in [16, 32, 45] {
+        let g = generators::grid(side, side).unwrap();
+        let dense = DenseOracle::build(&g).unwrap();
+        let cached = CachedOracle::new(&g).unwrap();
         let cfg = OverlayConfig::practical();
-        let adaptive = build_doubling(&g, &m, &cfg, 7);
-        let balls = build_doubling_balls(&g, &m, &cfg, 7);
-        let reference = reference_build_doubling(&g, &m, &cfg, 7);
-        let ctx = format!("crossover grid {rows}x{cols}");
-        assert_overlays_identical(&adaptive, &balls, &ctx);
-        assert_overlays_identical(&adaptive, &reference, &ctx);
+        let reference = reference_build_doubling(&g, &dense, &cfg, 7);
+        let ctx = format!("grid {side}x{side}");
+        assert_overlays_identical(&build_doubling(&g, &dense, &cfg, 7), &reference, &ctx);
+        assert_overlays_identical(&build_doubling(&g, &cached, &cfg, 7), &reference, &ctx);
     }
-}
-
-#[test]
-fn adaptive_dispatch_is_bit_identical_across_backends() {
-    // Below the node crossover the dispatch also branches on the
-    // backend: reference builder on precomputed rows (dense), ball
-    // builder on on-demand backends (whose row scans would each pay a
-    // Dijkstra solve). The overlay must not care which path ran.
-    let g = generators::grid(12, 12).unwrap();
-    let cfg = OverlayConfig::practical();
-    let dense = DenseOracle::build(&g).unwrap();
-    let cached = CachedOracle::new(&g).unwrap();
-    assert!(dense.rows_precomputed() && !cached.rows_precomputed());
-    let via_dense = build_doubling(&g, &dense, &cfg, 7);
-    let via_cached = build_doubling(&g, &cached, &cfg, 7);
-    assert_overlays_identical(&via_dense, &via_cached, "backend dispatch 12x12");
 }
 
 #[test]

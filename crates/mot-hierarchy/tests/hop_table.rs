@@ -11,7 +11,7 @@
 
 use mot_hierarchy::validate::validate;
 use mot_hierarchy::{
-    build_doubling_balls, build_general, reference_build_doubling, Overlay, OverlayConfig,
+    build_doubling, build_general, reference_build_doubling, Overlay, OverlayConfig,
 };
 use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, Graph, GraphBuilder, NodeId};
 
@@ -62,7 +62,7 @@ fn profiles() -> [(&'static str, OverlayConfig); 3] {
 
 type Builder = fn(&Graph, &dyn DistanceOracle, &OverlayConfig, u64) -> Overlay;
 
-const BALLS: (&str, Builder) = ("balls", build_doubling_balls);
+const BALLS: (&str, Builder) = ("balls", build_doubling);
 const ALL_BUILDERS: [(&str, Builder); 3] = [
     BALLS,
     ("reference", reference_build_doubling),
@@ -158,7 +158,7 @@ fn a_shortest_path_can_quantize_differently_by_direction() {
     );
     // The table stores what each direction's own solve says.
     for (profile, cfg) in profiles() {
-        let o = build_doubling_balls(&g, &dense, &cfg, 1);
+        let o = build_doubling(&g, &dense, &cfg, 1);
         check_hops(&o, &dense, &format!("asymmetric path {profile}"));
     }
 }

@@ -15,12 +15,13 @@
 //! * single-source shortest paths ([`dijkstra()`]) and shortest-path
 //!   trees, plus the reusable zero-allocation [`DijkstraWorkspace`]
 //!   (`sssp` / `bounded_ball`) that hot callers thread through,
-//! * the [`DistanceOracle`] trait with four backends — the dense
-//!   all-pairs [`DenseOracle`] (built in parallel), the on-demand
-//!   [`LazyOracle`], the bounded-solve byte-budgeted [`CachedOracle`],
-//!   and the pinned-hot-set [`HybridOracle`] — selected via
-//!   [`OracleKind`]; every hierarchy construction, ball query, and
-//!   cost account goes through the trait,
+//! * the [`DistanceOracle`] trait with two backends — the dense
+//!   all-pairs [`DenseOracle`] (built in parallel; the verifier) and
+//!   the on-demand bounded-solve byte-budgeted [`CachedOracle`] —
+//!   selected via [`OracleKind`]; every ball query and cost account
+//!   goes through the trait,
+//! * the bit-level rules the layers above share ([`q32`] quantization,
+//!   [`BALL_PAD`], [`splitmix64`]),
 //! * network [`metrics`]: diameter, doubling-dimension estimation,
 //!   growth-restriction checks,
 //! * §7 topology churn: generation-stamped node leave/join mutation on
@@ -61,6 +62,7 @@
 
 #![warn(missing_docs)]
 
+mod bits;
 pub mod builder;
 pub mod delta;
 pub mod dijkstra;
@@ -73,6 +75,7 @@ pub mod ops;
 pub mod oracle;
 pub mod workspace;
 
+pub use bits::{q32, splitmix64, BALL_PAD};
 pub use builder::GraphBuilder;
 pub use delta::{ChurnEvent, ChurnSchedule, ChurnSpec, TopologyDelta};
 pub use dijkstra::{dijkstra, dijkstra_targeted, shortest_path_tree, PathTree};
@@ -82,8 +85,7 @@ pub use metrics::{estimate_doubling_dimension, growth_ratio, GraphStats};
 pub use node::{NodeId, Point};
 pub use ops::{k_nearest, path_between, subgraph};
 pub use oracle::{
-    CacheLedger, CachedOracle, DeltaInvalidation, DenseOracle, DistanceOracle, HybridOracle,
-    LazyOracle, OracleKind,
+    CacheLedger, CachedOracle, DeltaInvalidation, DenseOracle, DistanceOracle, OracleKind,
 };
 pub use workspace::DijkstraWorkspace;
 

@@ -8,13 +8,13 @@
 //! 4 MiB, 4096² ⇒ 64 MiB) which is far more precision than the
 //! unit-normalized weights require.
 //!
-//! Since the on-demand backends took over past
+//! Since the on-demand backend took over past
 //! [`OracleKind::DENSE_NODE_LIMIT`](super::OracleKind::DENSE_NODE_LIMIT),
-//! this backend's main role is the **opt-in parity verifier**: every
-//! other backend quantizes through the same `f32` pipeline, and the
-//! differential suites (`--oracle dense` on the CLI,
-//! `oracle_differential` / `backend_parity` / `golden_costs` in the
-//! tree) pin them bit-identical to the matrix computed here.
+//! this backend's main role is the **opt-in parity verifier**:
+//! [`CachedOracle`](super::CachedOracle) quantizes through the same
+//! `f32` pipeline, and the differential suites (`--oracle dense` on the
+//! CLI, `oracle_differential` / `backend_parity` / `golden_costs` in
+//! the tree) pin it bit-identical to the matrix computed here.
 //!
 //! `ball` queries go through a per-source sorted-by-distance index,
 //! built lazily on first touch and cached, so each query is a binary
@@ -206,7 +206,7 @@ impl DenseOracle {
     }
 
     /// Heap footprint of the matrix plus any built index rows, in
-    /// bytes — the number the lazy backends are competing against.
+    /// bytes — the number the cached backend is competing against.
     pub fn memory_bytes(&self) -> usize {
         let matrix = self.data.len() * std::mem::size_of::<f32>();
         let built: usize = self
@@ -242,10 +242,6 @@ impl DistanceOracle for DenseOracle {
 
     fn ball_into(&self, u: NodeId, r: f64, out: &mut Vec<NodeId>) {
         DenseOracle::ball_into(self, u, r, out)
-    }
-
-    fn rows_precomputed(&self) -> bool {
-        true
     }
 
     fn memory_bytes(&self) -> usize {

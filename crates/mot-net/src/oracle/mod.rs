@@ -3,42 +3,31 @@
 //! Every cost account and hierarchy radius query in the suite goes
 //! through the [`DistanceOracle`] trait: "how far apart are `u` and
 //! `v`?", "which nodes lie within `r` of `u`?", "what is the network
-//! diameter?". Four backends implement it:
+//! diameter?". Two backends implement it:
 //!
 //! * [`DenseOracle`] — the precomputed all-pairs matrix (parallel
 //!   Dijkstra, O(n²) f32 storage). Exact everything; the right choice
 //!   up to a few thousand nodes ([`OracleKind::DENSE_NODE_LIMIT`]),
-//!   and the parity yardstick every other backend is tested against.
-//! * [`LazyOracle`] — per-source Dijkstra rows computed on demand and
-//!   kept in a sharded LRU cache. O(cached · n) memory; the diameter is
-//!   a double-sweep estimate (a lower bound within 2× of the true
-//!   diameter, exact on trees and grids). Every first-touch query
-//!   still pays for a *full* row.
+//!   and the parity verifier the other backend is tested against.
 //! * [`CachedOracle`] — bounded solves on miss (targeted Dijkstra for
 //!   `dist`, radius-bounded for `ball`) plus a byte-budgeted LRU of
 //!   full rows for sources hot enough to earn one. The default at
-//!   scale: no query ever costs more than what it touches.
-//! * [`HybridOracle`] — lazy rows plus an explicitly pinned hot set
-//!   (hierarchy-internal nodes: every detection-list probe and
-//!   parent-set scan hits them), so the hot rows never churn out of
-//!   cache.
+//!   scale: no query ever costs more than what it touches. Its
+//!   diameter is a double-sweep estimate (a lower bound within 2× of
+//!   the true diameter, exact on trees and grids).
 //!
-//! All four quantize distances through `f32` exactly like the dense
-//! matrix always has, so switching backends never changes a cost
-//! account (see the `oracle_differential` integration tests).
+//! Both quantize distances through `f32` ([`q32`](crate::q32)), so
+//! switching backends never changes a cost account (see the
+//! `oracle_differential` integration tests).
 //!
 //! [`OracleKind`] is the configuration-level selector; consumers take
 //! `&dyn DistanceOracle` and never name a concrete backend.
 
 mod cached;
 mod dense;
-mod hybrid;
-mod lazy;
 
 pub use cached::{CachedOracle, DeltaInvalidation};
 pub use dense::DenseOracle;
-pub use hybrid::HybridOracle;
-pub use lazy::LazyOracle;
 
 use crate::graph::Graph;
 use crate::node::NodeId;
@@ -71,8 +60,9 @@ pub trait DistanceOracle: Send + Sync {
     /// Shortest-path distance between `u` and `v`.
     fn dist(&self, u: NodeId, v: NodeId) -> f64;
 
-    /// Network diameter `D = max_{u,v} dist(u, v)` — or, for lazy
-    /// backends, a documented estimate `est` with `D/2 ≤ est ≤ D`.
+    /// Network diameter `D = max_{u,v} dist(u, v)` — or, on the
+    /// on-demand backend, a double-sweep estimate `est` with
+    /// `D/2 ≤ est ≤ D` (exact on trees and grids).
     fn diameter(&self) -> f64;
 
     /// All nodes within distance `r` of `u` (inclusive; includes `u`) —
@@ -114,9 +104,9 @@ pub trait DistanceOracle: Send + Sync {
     }
 
     /// Approximate heap footprint of the backend's distance storage at
-    /// call time, in bytes: the full matrix for dense, the cached /
-    /// pinned rows for the lazy backends. Experiment reports use this to
-    /// compare backends at scale.
+    /// call time, in bytes: the full matrix for dense, the resident
+    /// rows for cached. Experiment reports use this to compare backends
+    /// at scale.
     fn memory_bytes(&self) -> usize;
 
     /// Row-cache counters for backends that keep one ([`CachedOracle`]);
@@ -125,16 +115,6 @@ pub trait DistanceOracle: Send + Sync {
     /// actually performed.
     fn cache_stats(&self) -> Option<CacheLedger> {
         None
-    }
-
-    /// Whether every distance read is a plain lookup into fully
-    /// precomputed storage (true only for the dense matrix), as opposed
-    /// to potentially triggering an on-demand single-source solve.
-    /// Purely a performance hint — adaptive overlay construction uses
-    /// it to decide whether full-row oracle scans are affordable — and
-    /// never affects any result bit (all backends answer identically).
-    fn rows_precomputed(&self) -> bool {
-        false
     }
 }
 
@@ -203,10 +183,6 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for Box<T> {
     fn cache_stats(&self) -> Option<CacheLedger> {
         (**self).cache_stats()
     }
-
-    fn rows_precomputed(&self) -> bool {
-        (**self).rows_precomputed()
-    }
 }
 
 impl std::fmt::Debug for dyn DistanceOracle {
@@ -217,9 +193,9 @@ impl std::fmt::Debug for dyn DistanceOracle {
     }
 }
 
-/// One source node's distances, shared by the lazy backends and the
-/// dense sorted index: distances by node index plus a
-/// sorted-by-(distance, id) view so `ball` is a binary search + slice.
+/// One source node's distances as the cached backend keeps them:
+/// distances by node index plus a sorted-by-(distance, id) view so
+/// `ball` is a binary search + slice.
 #[derive(Clone, Debug)]
 pub(crate) struct DistRow {
     /// f32-quantized distance to every node, indexed by node id.
@@ -258,18 +234,6 @@ impl DistRow {
     #[inline]
     pub(crate) fn values(&self) -> &[f32] {
         &self.by_node
-    }
-
-    #[inline]
-    pub(crate) fn max(&self) -> f64 {
-        self.sorted.last().map(|&(d, _)| d as f64).unwrap_or(0.0)
-    }
-
-    /// The node farthest from the source (deterministic under ties),
-    /// `None` on an empty row.
-    #[inline]
-    pub(crate) fn farthest(&self) -> Option<NodeId> {
-        self.sorted.last().map(|&(_, i)| NodeId(i))
     }
 
     /// Index of the first sorted entry strictly beyond `r`.
@@ -311,11 +275,9 @@ impl DistRow {
 /// nodes — the n² matrix is cheap there, exact, and the fastest thing
 /// to query — and [`CachedOracle`] beyond it: bounded Dijkstra solves
 /// on miss with a **byte-budgeted** row cache, so neither query time
-/// nor memory grows with n² ([`LazyOracle`], the previous fallback,
-/// computes a full O(n) row on every first-touch source and its
-/// row-count cap still admits O(n²/16) bytes of growth). Dense past
-/// the limit — and lazy/hybrid anywhere — stay available as explicit
-/// opt-ins, chiefly as parity verifiers (`--oracle dense`).
+/// nor memory grows with n². Either backend stays available as an
+/// explicit opt-in at any size, dense chiefly as the parity verifier
+/// (`--oracle dense`).
 ///
 /// Re-exported through `mot_core::config` for experiment
 /// configuration.
@@ -326,20 +288,15 @@ pub enum OracleKind {
     Auto,
     /// Full n² matrix of exact distances ([`DenseOracle`]).
     Dense,
-    /// Bounded LRU of on-demand Dijkstra rows ([`LazyOracle`]).
-    Lazy,
     /// Bounded solves on miss + byte-budgeted LRU of promoted rows
     /// ([`CachedOracle`]).
     Cached,
-    /// Landmark upper bounds refined to exact rows on demand
-    /// ([`HybridOracle`]).
-    Hybrid,
 }
 
 impl OracleKind {
     /// Largest node count `Auto` still solves densely: a 64×64 grid,
     /// 4096² f32 entries = 64 MiB. A 128×128 grid would already need
-    /// 1 GiB — that is what the lazy backends exist for.
+    /// 1 GiB — that is what the cached backend exists for.
     pub const DENSE_NODE_LIMIT: usize = 4096;
 
     /// The concrete backend `Auto` resolves to for an `n`-node graph:
@@ -362,9 +319,7 @@ impl OracleKind {
     pub fn build(self, g: &Graph) -> Result<Box<dyn DistanceOracle>> {
         Ok(match self.resolve(g.node_count()) {
             OracleKind::Dense => Box::new(DenseOracle::build(g)?),
-            OracleKind::Lazy => Box::new(LazyOracle::new(g)?),
             OracleKind::Cached => Box::new(CachedOracle::new(g)?),
-            OracleKind::Hybrid => Box::new(HybridOracle::new(g)?),
             OracleKind::Auto => unreachable!("resolve never returns Auto"),
         })
     }
@@ -374,9 +329,7 @@ impl OracleKind {
         match s {
             "auto" => Some(OracleKind::Auto),
             "dense" => Some(OracleKind::Dense),
-            "lazy" => Some(OracleKind::Lazy),
             "cached" => Some(OracleKind::Cached),
-            "hybrid" => Some(OracleKind::Hybrid),
             _ => None,
         }
     }
@@ -386,9 +339,7 @@ impl OracleKind {
         match self {
             OracleKind::Auto => "auto",
             OracleKind::Dense => "dense",
-            OracleKind::Lazy => "lazy",
             OracleKind::Cached => "cached",
-            OracleKind::Hybrid => "hybrid",
         }
     }
 }
@@ -406,27 +357,19 @@ mod tests {
         assert_eq!(row.ball_size(1.0), 3);
         assert_eq!(row.ball_size(4.999), 4);
         assert_eq!(row.ball(-1.0), Vec::<NodeId>::new());
-        assert_eq!(row.max(), 5.0);
     }
 
     #[test]
     fn auto_resolves_by_node_count() {
         assert_eq!(OracleKind::Auto.resolve(4096), OracleKind::Dense);
         assert_eq!(OracleKind::Auto.resolve(4097), OracleKind::Cached);
-        assert_eq!(OracleKind::Lazy.resolve(10), OracleKind::Lazy);
         assert_eq!(OracleKind::Cached.resolve(10), OracleKind::Cached);
-        assert_eq!(OracleKind::Hybrid.resolve(10_000), OracleKind::Hybrid);
+        assert_eq!(OracleKind::Dense.resolve(10_000), OracleKind::Dense);
     }
 
     #[test]
     fn kind_parse_and_label_roundtrip() {
-        for kind in [
-            OracleKind::Auto,
-            OracleKind::Dense,
-            OracleKind::Lazy,
-            OracleKind::Cached,
-            OracleKind::Hybrid,
-        ] {
+        for kind in [OracleKind::Auto, OracleKind::Dense, OracleKind::Cached] {
             assert_eq!(OracleKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(OracleKind::parse("sparse"), None);
@@ -435,13 +378,7 @@ mod tests {
     #[test]
     fn factory_builds_every_backend() {
         let g = generators::grid(4, 4).unwrap();
-        for kind in [
-            OracleKind::Auto,
-            OracleKind::Dense,
-            OracleKind::Lazy,
-            OracleKind::Cached,
-            OracleKind::Hybrid,
-        ] {
+        for kind in [OracleKind::Auto, OracleKind::Dense, OracleKind::Cached] {
             let o = kind.build(&g).unwrap();
             assert_eq!(o.node_count(), 16);
             assert_eq!(o.dist(NodeId(0), NodeId(15)), 6.0);

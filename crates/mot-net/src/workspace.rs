@@ -117,7 +117,7 @@ impl QuadHeap {
 /// stay valid until the next run on the same workspace.
 ///
 /// Workspaces are plain owned values: keep one per thread (they are
-/// `Send`), or a small pool behind a mutex as [`crate::LazyOracle`]
+/// `Send`), or a small pool behind a mutex as [`crate::CachedOracle`]
 /// does. Reuse is purely a performance optimization — a reused
 /// workspace returns bit-identical results to a fresh one, in any
 /// interleaving (covered by the `csr_parity` test suite).

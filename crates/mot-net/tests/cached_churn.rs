@@ -12,8 +12,8 @@
 //!    never changes a distance.
 //! 3. **Bounded memory at scale** — at 100k nodes the resident-row
 //!    footprint respects the configured byte budget even under heavy
-//!    promotion churn (the property `LazyOracle`'s row-count cap could
-//!    not give: its worst case still grows with n²).
+//!    promotion churn (the property a row-count cap cannot give: its
+//!    worst case still grows with n²).
 
 use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, NodeId};
 

@@ -1,16 +1,13 @@
-//! Backend parity: the lazy, cached, and hybrid oracles must agree
-//! with the dense matrix on every query the tracking stack issues.
+//! Backend parity: the cached oracle must agree with the dense matrix
+//! on every query the tracking stack issues.
 //!
-//! `dist` and `ball` agree *exactly* — all backends quantize through
+//! `dist` and `ball` agree *exactly* — both backends quantize through
 //! `f32` and Dijkstra is deterministic, so swapping backends can never
-//! change a cost account. `diameter` is exact for dense; the lazy /
-//! cached double-sweep estimate must sit in the documented `[D/2, D]`
-//! band (and be exact on grids).
+//! change a cost account. `diameter` is exact for dense; the cached
+//! double-sweep estimate must sit in the documented `[D/2, D]` band
+//! (and be exact on grids and trees).
 
-use mot_net::{
-    generators, CachedOracle, DenseOracle, DistanceOracle, Graph, HybridOracle, LazyOracle, NodeId,
-    OracleKind,
-};
+use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, Graph, NodeId, OracleKind};
 
 /// The topology families the evaluation sweeps.
 fn topologies() -> Vec<(String, Graph)> {
@@ -35,31 +32,18 @@ fn topologies() -> Vec<(String, Graph)> {
     out
 }
 
-/// Every on-demand backend over the same graph; hybrid gets a pinned
-/// subset so both its row paths (pinned and LRU) are exercised, and
-/// cached runs once with its default budget (promotion-heavy under the
-/// exhaustive query sweeps) and once with a two-row budget so the
-/// eviction-then-recompute path is exercised on every topology.
-fn backends(g: &Graph) -> Vec<(&'static str, Box<dyn DistanceOracle>)> {
-    let hybrid = HybridOracle::new(g).unwrap();
-    let pins: Vec<NodeId> = g.nodes().step_by(4).collect();
-    hybrid.pin(&pins);
+/// The on-demand backend over the same graph, once with its default
+/// budget (promotion-heavy under the exhaustive query sweeps) and once
+/// with a two-row budget so the eviction-then-recompute path is
+/// exercised on every topology.
+fn backends(g: &Graph) -> Vec<(&'static str, CachedOracle)> {
     let two_rows = 2 * 12 * g.node_count();
     vec![
-        (
-            "lazy",
-            Box::new(LazyOracle::new(g).unwrap()) as Box<dyn DistanceOracle>,
-        ),
-        (
-            "lazy-tiny-cache",
-            Box::new(LazyOracle::with_row_capacity(g, 2).unwrap()),
-        ),
-        ("cached", Box::new(CachedOracle::new(g).unwrap())),
+        ("cached", CachedOracle::new(g).unwrap()),
         (
             "cached-tiny-budget",
-            Box::new(CachedOracle::with_byte_budget(g, two_rows).unwrap()),
+            CachedOracle::with_byte_budget(g, two_rows).unwrap(),
         ),
-        ("hybrid", Box::new(hybrid)),
     ]
 }
 
@@ -162,24 +146,19 @@ fn diameter_is_exact_on_grids_and_trees() {
         ("tree", generators::random_tree(80, 3).unwrap()),
     ] {
         let exact = DenseOracle::build(&g).unwrap().diameter();
-        let lazy = LazyOracle::new(&g).unwrap();
-        assert_eq!(lazy.diameter(), exact, "{name}");
+        let cached = CachedOracle::new(&g).unwrap();
+        assert_eq!(cached.diameter(), exact, "{name}");
     }
 }
 
 #[test]
 fn factory_backends_agree_on_shared_queries() {
     let g = generators::grid(10, 10).unwrap();
-    let oracles: Vec<Box<dyn DistanceOracle>> = [
-        OracleKind::Dense,
-        OracleKind::Lazy,
-        OracleKind::Cached,
-        OracleKind::Hybrid,
-        OracleKind::Auto,
-    ]
-    .into_iter()
-    .map(|k| k.build(&g).unwrap())
-    .collect();
+    let oracles: Vec<Box<dyn DistanceOracle>> =
+        [OracleKind::Dense, OracleKind::Cached, OracleKind::Auto]
+            .into_iter()
+            .map(|k| k.build(&g).unwrap())
+            .collect();
     for u in g.nodes().step_by(3) {
         for v in g.nodes().step_by(4) {
             let d0 = oracles[0].dist(u, v);

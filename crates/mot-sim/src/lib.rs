@@ -89,7 +89,7 @@ pub use faults::{
 };
 pub use io::{load_workload, save_workload, validate_against};
 pub use metrics::{
-    CostStats, Histogram, LevelLedger, LoadStats, Profiler, Recorder, Summary, TraceAggregates,
+    CostStats, Histogram, LevelLedger, LoadStats, Recorder, Summary, TraceAggregates,
 };
 pub use mobility::{MobilityModel, MoveOp, Workload, WorkloadSpec};
 pub use parallel::{CellKey, Keyed, ParallelRunner};

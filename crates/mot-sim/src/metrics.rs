@@ -1,11 +1,9 @@
 //! Cost and load statistics, plus the aggregation side of the
 //! observability layer: per-level cost ledgers, mergeable log-spaced
-//! histograms, a trace-consuming [`Recorder`], and a wall-clock
-//! [`Profiler`] scope guard.
+//! histograms, and a trace-consuming [`Recorder`].
 
 use mot_core::{fmt_f64, LedgerKind, ObjectId, OpKind, TraceEvent, TraceSink};
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
 
 /// Accumulated algorithm-vs-optimal communication cost.
 ///
@@ -568,84 +566,6 @@ impl TraceAggregates {
     }
 }
 
-/// Wall-clock section profiler. `scope()` returns a guard that bills the
-/// elapsed time to its section on drop:
-///
-/// ```
-/// use mot_sim::Profiler;
-/// let prof = Profiler::new();
-/// {
-///     let _g = prof.scope("build");
-///     // ... timed work ...
-/// }
-/// assert_eq!(prof.report()[0].0, "build");
-/// ```
-#[derive(Default)]
-pub struct Profiler {
-    sections: RefCell<Vec<(&'static str, Duration, u64)>>,
-}
-
-/// Scope guard produced by [`Profiler::scope`].
-pub struct ProfileGuard<'a> {
-    profiler: &'a Profiler,
-    name: &'static str,
-    start: Instant,
-}
-
-impl Profiler {
-    /// A profiler with no recorded scopes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts timing `name`; the returned guard stops on drop.
-    pub fn scope(&self, name: &'static str) -> ProfileGuard<'_> {
-        ProfileGuard {
-            profiler: self,
-            name,
-            start: Instant::now(),
-        }
-    }
-
-    fn bill(&self, name: &'static str, elapsed: Duration) {
-        let mut sections = self.sections.borrow_mut();
-        match sections.iter_mut().find(|(n, _, _)| *n == name) {
-            Some((_, total, calls)) => {
-                *total += elapsed;
-                *calls += 1;
-            }
-            None => sections.push((name, elapsed, 1)),
-        }
-    }
-
-    /// `(section, total elapsed, calls)` in first-seen order.
-    pub fn report(&self) -> Vec<(&'static str, Duration, u64)> {
-        self.sections.borrow().clone()
-    }
-
-    /// JSON rendering: `[{"section":...,"secs":...,"calls":...}]`.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .sections
-            .borrow()
-            .iter()
-            .map(|(n, d, c)| {
-                format!(
-                    "{{\"section\":\"{n}\",\"secs\":{},\"calls\":{c}}}",
-                    fmt_f64(d.as_secs_f64())
-                )
-            })
-            .collect();
-        format!("[{}]", rows.join(","))
-    }
-}
-
-impl Drop for ProfileGuard<'_> {
-    fn drop(&mut self) {
-        self.profiler.bill(self.name, self.start.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -909,24 +829,5 @@ mod tests {
         assert_eq!(agg.hops.buckets[2], 1);
         assert_eq!(agg.op_counts, vec![(OpKind::Move, 2)]);
         assert_eq!(agg.op_costs.count, 2);
-    }
-
-    #[test]
-    fn profiler_scope_guard_bills_sections() {
-        let prof = Profiler::new();
-        {
-            let _g = prof.scope("a");
-            let _h = prof.scope("b");
-        }
-        {
-            let _g = prof.scope("a");
-        }
-        let report = prof.report();
-        assert_eq!(report.len(), 2);
-        let a = report.iter().find(|(n, _, _)| *n == "a").unwrap();
-        assert_eq!(a.2, 2, "two calls billed to section a");
-        let b = report.iter().find(|(n, _, _)| *n == "b").unwrap();
-        assert_eq!(b.2, 1);
-        assert!(prof.to_json().starts_with("[{\"section\":"));
     }
 }

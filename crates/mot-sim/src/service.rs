@@ -54,7 +54,7 @@ use std::time::Instant;
 use mot_baselines::DetectionRates;
 use mot_core::{fmt_f64, ObjectId, OpLedger};
 use mot_hierarchy::{OverlayConfig, RepairableHierarchy};
-use mot_net::{CacheLedger, NodeId};
+use mot_net::{splitmix64, CacheLedger, NodeId};
 use mot_proto::Backoff;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -347,16 +347,9 @@ const SALT_DELAY: u64 = 0xDE1A;
 const SALT_LINK: u64 = 0x11F4;
 const CRASH_STREAM: u64 = 0xC4A5_11DE;
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A uniform coin in `[0, 1)` keyed on identity, never on order.
 fn coin(seed: u64, a: u64, b: u64, salt: u64) -> f64 {
-    let z = splitmix(seed ^ splitmix(a ^ splitmix(b ^ splitmix(salt))));
+    let z = splitmix64(seed ^ splitmix64(a ^ splitmix64(b ^ splitmix64(salt))));
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

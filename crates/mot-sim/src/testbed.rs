@@ -12,7 +12,7 @@ use crate::faults::{FaultConfig, FaultPlan};
 use mot_baselines::{build_dat, build_stun, build_zdat, DetectionRates, TreeTracker, ZdatParams};
 use mot_core::{MotConfig, MotTracker, TraceSink};
 use mot_hierarchy::{build_doubling, build_general, Overlay, OverlayConfig};
-use mot_net::{DistanceOracle, Graph, HybridOracle, NodeId, OracleKind};
+use mot_net::{DistanceOracle, Graph, NodeId, OracleKind};
 
 /// The algorithms compared in the paper's evaluation, plus the ablation
 /// variants this reproduction adds.
@@ -60,9 +60,7 @@ impl Algo {
 /// dense (exact all-pairs matrix) by default up to
 /// [`OracleKind::DENSE_NODE_LIMIT`] nodes, the byte-budgeted cached
 /// backend (bounded solves on miss) beyond that — so no bed
-/// construction ever performs an n² warm-up. With the hybrid backend
-/// the bed pins every hierarchy-internal node's row right after overlay
-/// construction, so the hot set never churns out of the row cache.
+/// construction ever performs an n² warm-up.
 pub struct TestBed {
     /// The sensor-network topology.
     pub graph: Graph,
@@ -111,34 +109,12 @@ impl TestBed {
         kind: OracleKind,
         general: bool,
     ) -> Result<Self, SimError> {
-        let build_overlay = |g: &Graph, m: &dyn DistanceOracle| {
-            if general {
-                build_general(g, m, cfg, seed)
-            } else {
-                build_doubling(g, m, cfg, seed)
-            }
+        let oracle = kind.build(&graph)?;
+        let overlay = if general {
+            build_general(&graph, &*oracle, cfg, seed)
+        } else {
+            build_doubling(&graph, &*oracle, cfg, seed)
         };
-        let (oracle, overlay): (Box<dyn DistanceOracle>, Overlay) =
-            match kind.resolve(graph.node_count()) {
-                OracleKind::Hybrid => {
-                    let h = HybridOracle::new(&graph)?;
-                    let overlay = build_overlay(&graph, &h);
-                    // Pin the hierarchy-internal hot set: every level-1+
-                    // member is hit by each publish/move/query climb.
-                    let mut hot: Vec<NodeId> = (1..=overlay.height())
-                        .flat_map(|l| overlay.level_members(l).iter().copied())
-                        .collect();
-                    hot.sort_unstable();
-                    hot.dedup();
-                    h.pin(&hot);
-                    (Box::new(h), overlay)
-                }
-                resolved => {
-                    let oracle = resolved.build(&graph)?;
-                    let overlay = build_overlay(&graph, &*oracle);
-                    (oracle, overlay)
-                }
-            };
         Ok(TestBed {
             graph,
             oracle,

@@ -1,8 +1,8 @@
 //! End-to-end backend parity: a fig4-style tracking pipeline (build
 //! bed, publish, replay a mobility trace, issue query batches) must
 //! produce *identical* cost accounts whichever distance backend the bed
-//! runs on. Distances are f32-quantized by every backend and grid
-//! diameters are exact under the lazy double sweep, so the overlays —
+//! runs on. Distances are f32-quantized by both backends and grid
+//! diameters are exact under the cached double sweep, so the overlays —
 //! and therefore every cost — match bit for bit.
 
 use mot_baselines::DetectionRates;
@@ -46,21 +46,19 @@ fn run_pipeline_on(bed: &TestBed, algo: Algo) -> PipelineOutcome {
 fn grid_pipeline_costs_are_identical_across_all_backends() {
     for algo in [Algo::Mot, Algo::MotLb, Algo::Stun] {
         let dense = run_pipeline(OracleKind::Dense, algo);
-        for kind in [OracleKind::Lazy, OracleKind::Hybrid, OracleKind::Cached] {
-            let other = run_pipeline(kind, algo);
-            let label = format!("{:?}/{:?}", algo, kind);
-            assert_eq!(other.publish, dense.publish, "{label}: publish cost");
-            assert_eq!(
-                other.maintenance, dense.maintenance,
-                "{label}: maintenance cost"
-            );
-            assert_eq!(
-                other.maintenance_ratio, dense.maintenance_ratio,
-                "{label}: maintenance ratio"
-            );
-            assert_eq!(other.query_ratio, dense.query_ratio, "{label}: query ratio");
-            assert_eq!(other.correct, dense.correct, "{label}: query correctness");
-        }
+        let other = run_pipeline(OracleKind::Cached, algo);
+        let label = format!("{algo:?}/cached");
+        assert_eq!(other.publish, dense.publish, "{label}: publish cost");
+        assert_eq!(
+            other.maintenance, dense.maintenance,
+            "{label}: maintenance cost"
+        );
+        assert_eq!(
+            other.maintenance_ratio, dense.maintenance_ratio,
+            "{label}: maintenance ratio"
+        );
+        assert_eq!(other.query_ratio, dense.query_ratio, "{label}: query ratio");
+        assert_eq!(other.correct, dense.correct, "{label}: query correctness");
     }
 }
 
@@ -93,7 +91,7 @@ fn run_pipeline_faulty(kind: OracleKind, algo: Algo, cfg: &FaultConfig) -> Pipel
 fn zero_fault_pipeline_is_bit_identical_to_the_reliable_one() {
     let clean = FaultConfig::default();
     for algo in [Algo::Mot, Algo::MotLb, Algo::Stun] {
-        for kind in [OracleKind::Dense, OracleKind::Lazy, OracleKind::Cached] {
+        for kind in [OracleKind::Dense, OracleKind::Cached] {
             let reliable = run_pipeline(kind, algo);
             let faulty = run_pipeline_faulty(kind, algo, &clean);
             let label = format!("{algo:?}/{kind:?}");

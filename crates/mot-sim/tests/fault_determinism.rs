@@ -65,13 +65,13 @@ fn same_seed_replays_bit_identically_across_runs_and_backends() {
         assert_eq!(rerun.queries, first.queries, "{label}: query account");
         assert_eq!(rerun.repair_cost, first.repair_cost, "{label}: repairs");
         // a different distance backend changes nothing either
-        let lazy = run_faulty(OracleKind::Lazy, algo, &w);
-        assert_eq!(lazy.schedule, first.schedule, "{label}: schedule vs lazy");
-        assert_eq!(lazy.run, first.run, "{label}: maintenance vs lazy");
-        assert_eq!(lazy.queries, first.queries, "{label}: queries vs lazy");
+        let cached = run_faulty(OracleKind::Cached, algo, &w);
+        assert_eq!(cached.schedule, first.schedule, "{label}: schedule");
+        assert_eq!(cached.run, first.run, "{label}: maintenance vs cached");
+        assert_eq!(cached.queries, first.queries, "{label}: queries vs cached");
         assert_eq!(
-            lazy.repair_cost, first.repair_cost,
-            "{label}: repair vs lazy"
+            cached.repair_cost, first.repair_cost,
+            "{label}: repair vs cached"
         );
         // and the faults were real: overhead, repairs, full recovery
         assert!(

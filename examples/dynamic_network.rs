@@ -4,65 +4,52 @@
 //! cargo run --release --example dynamic_network
 //! ```
 //!
-//! Batteries die, nodes get replaced. §7's protocol keeps the overlay's
-//! clusters usable by handing leadership off, relabelling the embedded de
-//! Bruijn graphs (`O(1)` amortized updates per event), and recommending a
-//! rebuild once a cluster drifts too far. This example runs a year of
-//! simulated churn and reports the adaptability statistics.
+//! Batteries die, nodes get replaced. A [`RepairableHierarchy`] absorbs
+//! each leave/join in place — re-deciding membership only inside the
+//! event's influence ball — and stays bit-identical to a hierarchy built
+//! from scratch on the surviving field. This example runs a year of
+//! simulated churn and reports what the repairs cost.
 
-use mot_core::dynamics::ChurnSimulator;
-use mot_tracking::prelude::*;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use mot_tracking::hierarchy::{OverlayConfig, RepairableHierarchy};
+use mot_tracking::net::{generators, ChurnSchedule, ChurnSpec, NetError};
 
-fn main() {
-    let bed = TestBed::grid(16, 16, 23).unwrap();
+fn main() -> Result<(), NetError> {
+    let g = generators::grid(16, 16)?;
+    let cfg = OverlayConfig::practical();
+    let mut hier = RepairableHierarchy::build(&g, &cfg, 23)?;
     println!(
-        "deployment: {} sensors; overlay has {} levels",
-        bed.graph.node_count(),
-        bed.overlay.height() + 1
+        "deployment: {} sensors; hierarchy has {} levels, a full build costs {} units\n",
+        g.node_count(),
+        hier.height() + 1,
+        hier.full_build_units()
     );
 
-    let mut sim = ChurnSimulator::new(&bed.overlay, &bed.oracle, 3.0);
-    println!("simulating {} clusters under churn\n", sim.cluster_count());
-
-    let mut rng = ChaCha8Rng::seed_from_u64(99);
-    let n = bed.graph.node_count();
-    let mut offline: Vec<NodeId> = Vec::new();
-    let mut alive = vec![true; n];
-    let (mut failures, mut replacements, mut handoffs, mut updates) = (0u32, 0u32, 0u32, 0usize);
-    for _day in 0..365 {
-        // a battery dies...
-        let candidates: Vec<NodeId> = bed.graph.nodes().filter(|u| alive[u.index()]).collect();
-        if candidates.len() > n / 2 {
-            let victim = candidates[rng.gen_range(0..candidates.len())];
-            let report = sim.node_leaves(victim);
-            alive[victim.index()] = false;
-            offline.push(victim);
-            failures += 1;
-            handoffs += report.leader_changes as u32;
-            updates += report.nodes_updated;
-        }
-        // ...and sometimes a technician replaces one
-        if !offline.is_empty() && rng.gen_bool(0.8) {
-            let back = offline.swap_remove(rng.gen_range(0..offline.len()));
-            let report = sim.node_joins(back);
-            alive[back.index()] = true;
-            replacements += 1;
-            updates += report.nodes_updated;
-        }
+    // One event a day, at most an eighth of the field offline at once.
+    let schedule = ChurnSchedule::generate(&g, &ChurnSpec::new(365, g.node_count() / 8, 99))?;
+    let mut live = g.clone();
+    for delta in schedule.deltas() {
+        delta.apply(&mut live)?;
+        hier.repair(delta)?;
     }
 
-    println!("events: {failures} failures, {replacements} replacements");
-    println!("leadership handoffs: {handoffs}");
-    println!("total member updates: {updates}");
+    let ledger = hier.ledger();
     println!(
-        "amortized adaptability: {:.2} updates per cluster event (§7: O(1))",
-        sim.amortized_adaptability()
+        "events: {} ({} repaired in place, {} rebuild fallbacks)",
+        ledger.events, ledger.repairs, ledger.rebuilds
     );
     println!(
-        "rebuilds recommended by the drift threshold: {}",
-        sim.rebuilds_recommended
+        "cluster membership flips: {} ({:.2} per event; §7: O(1) per level)",
+        ledger.membership_flips,
+        ledger.membership_flips as f64 / ledger.events as f64
     );
-    assert!(sim.amortized_adaptability() < 8.0);
+    println!(
+        "amortized repair cost: {:.1} units per event",
+        ledger.amortized_units_per_event()
+    );
+
+    let rebuilt = RepairableHierarchy::build(&live, &cfg, 23)?;
+    assert_eq!(hier.snapshot(), rebuilt.snapshot(), "repair ≡ rebuild");
+    assert!(ledger.amortized_units_per_event() < hier.full_build_units() as f64 / 2.0);
+    println!("repaired hierarchy is bit-identical to a fresh build on the final field");
+    Ok(())
 }

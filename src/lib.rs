@@ -27,7 +27,7 @@
 //! Crate map:
 //!
 //! * [`net`] (`mot-net`) — weighted sensor graphs, generators, shortest
-//!   paths, the all-pairs distance oracle;
+//!   paths, the distance oracle (dense matrix or on-demand cached);
 //! * [`hierarchy`] (`mot-hierarchy`) — the overlay `HS`: Luby-MIS
 //!   coarsening (constant-doubling model) and sparse partitions (general
 //!   model);
@@ -35,7 +35,7 @@
 //!   clusters for load-balanced routing;
 //! * [`core`] (`mot-core`) — MOT itself: publish / maintenance / query
 //!   over detection lists and special detection lists, plus §5 load
-//!   balancing and §7 dynamics;
+//!   balancing and the handover/energy yardsticks;
 //! * [`baselines`] (`mot-baselines`) — STUN (DAB), DAT, Z-DAT,
 //!   Z-DAT+shortcuts;
 //! * [`proto`] (`mot-proto`) — the message-passing rendering of MOT:
@@ -64,8 +64,8 @@ pub mod prelude {
     pub use mot_debruijn::{DeBruijnGraph, DynamicCluster, Embedding};
     pub use mot_hierarchy::{build_doubling, build_general, Overlay, OverlayConfig};
     pub use mot_net::{
-        dijkstra, generators, DenseOracle, DistanceOracle, Graph, GraphBuilder, HybridOracle,
-        LazyOracle, NodeId, OracleKind, Point,
+        dijkstra, generators, CachedOracle, DenseOracle, DistanceOracle, Graph, GraphBuilder,
+        NodeId, OracleKind, Point,
     };
     pub use mot_proto::ProtoTracker;
     pub use mot_sim::{
