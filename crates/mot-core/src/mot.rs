@@ -13,17 +13,23 @@
 //!
 //! * **Overlay constants.** A hop between consecutive stops of one
 //!   detection path is fixed when the overlay is built, and the overlay
-//!   stores its length ([`Overlay::hop_in`], [`Overlay::hop_back`]) with
-//!   the bits the oracle would return. The publish, move and query
-//!   climbs, the meet-level rollback, and the prune steps *inside* a
-//!   trail level (whose holders are one origin's complete station —
-//!   [`TrailLevel::origin`]) read those and never call the oracle.
-//! * **The oracle.** Hops that join two different detection paths depend
-//!   on where objects have been: the prune hop from one trail level down
-//!   to the next, every `descend` step, the SDL jump, and — when billed —
-//!   the special-parent and load-balancing routes. On-demand backends
-//!   like [`mot_net::CachedOracle`] see only these: small
-//!   source-centered solves, never an all-pairs table.
+//!   stores its length with the bits the oracle would return — upwards
+//!   ([`Overlay::hop_in`], [`Overlay::hop_back`]) and downwards
+//!   ([`Overlay::drop_hop`]: from a member of `station(u, ℓ + 1)` into
+//!   `station(u, ℓ)`). The publish, move and query climbs, the
+//!   meet-level rollback, the prune steps *inside* a trail level (whose
+//!   holders are one origin's complete station — [`TrailLevel::origin`])
+//!   and every prune junction or `descend` step whose source is on the
+//!   target level's own detection path read those and never call the
+//!   oracle.
+//! * **The oracle.** What depends on where objects have been: a prune
+//!   junction or `descend` step from a trail level climbed on one
+//!   origin's path into a level climbed on another's whose stations
+//!   above differ (about a fifth of them on a long random walk), the
+//!   SDL jump, and — when billed — the special-parent and
+//!   load-balancing routes. On-demand backends like
+//!   [`mot_net::CachedOracle`] see only these: small source-centered
+//!   solves, never an all-pairs table.
 
 use crate::config::MotConfig;
 use crate::error::CoreError;
@@ -313,18 +319,23 @@ impl<'a> MotTracker<'a> {
         let mut cost = 0.0;
         let mut cur = from_node;
         for level in (0..from_level).rev() {
-            // One read per holder; the winner's distance is the hop
-            // (`nearest_in`'s (distance, id) tie-break).
-            let (d, next) = rec.trail[level]
-                .holders
-                .iter()
-                .map(|&hnode| (self.oracle.dist(cur, hnode), hnode))
-                .min_by(|a, b| {
-                    a.0.partial_cmp(&b.0)
-                        .expect("distances are never NaN")
-                        .then(a.1.cmp(&b.1))
-                })
-                .expect("trail levels are never empty");
+            let tl = &rec.trail[level];
+            // The hop goes to the nearest holder by (distance, id). The
+            // holders are `station(tl.origin, level)`, so when `cur` is
+            // on that origin's path the overlay knows which one that is.
+            let (d, next) = match self.overlay.drop_hop(tl.origin, level, cur) {
+                Some(drop) => (drop.nearest_dist, tl.holders[drop.nearest]),
+                None => tl
+                    .holders
+                    .iter()
+                    .map(|&hnode| (self.oracle.dist(cur, hnode), hnode))
+                    .min_by(|a, b| {
+                        a.0.partial_cmp(&b.0)
+                            .expect("distances are never NaN")
+                            .then(a.1.cmp(&b.1))
+                    })
+                    .expect("trail levels are never empty"),
+            };
             cost += d;
             if let Some((op, ledger)) = trace {
                 self.hop(op, TracePhase::Descend, ledger, o, cur, next, level, d);
@@ -533,6 +544,30 @@ impl<'a> MotTracker<'a> {
                         "{o:?}: trail holder {hnode} lost its level-{level} DL entry"
                     );
                 }
+                // Every junction from the level above that the overlay
+                // answers must read what the oracle would have said.
+                let above = rec.trail.get(level + 1).map_or(&[][..], |up| &up.holders);
+                for &from in above {
+                    let Some(drop) = self.overlay.drop_hop(tl.origin, level, from) else {
+                        continue;
+                    };
+                    let dist = |to: NodeId| self.oracle.dist(from, to).to_bits();
+                    let nearest = tl.holders[drop.nearest];
+                    assert_eq!(
+                        (drop.first.to_bits(), drop.nearest_dist.to_bits()),
+                        (dist(tl.holders[0]), dist(nearest)),
+                        "{o:?}: stored drop {from} -> level {level} of {} differs from the oracle",
+                        tl.origin
+                    );
+                    let closer = |&to: &NodeId| {
+                        let d = self.oracle.dist(from, to);
+                        d < drop.nearest_dist || (d == drop.nearest_dist && to < nearest)
+                    };
+                    assert!(
+                        !tl.holders.iter().any(closer),
+                        "{o:?}: {nearest} is not the holder nearest {from} at level {level}"
+                    );
+                }
             }
             let root = self.overlay.root();
             assert!(
@@ -674,13 +709,17 @@ impl Tracker for MotTracker<'_> {
             let tl = std::mem::take(&mut rec.trail[level]);
             debug_assert_eq!(tl.holders, overlay.station(tl.origin, level));
             for (i, &hnode) in tl.holders.iter().enumerate() {
-                // Only the hop down from the level above joins two
-                // different detection paths; the rest are constants of
-                // the path this level was climbed on.
-                let d = if i == 0 {
-                    self.oracle.dist(dcur, hnode)
-                } else {
+                // Only the hop down from the level above can join two
+                // different detection paths; the rest — and that one
+                // too when `dcur` is on this level's own path — are
+                // constants of the path this level was climbed on.
+                let d = if i > 0 {
                     overlay.hop_in(tl.origin, level, i)
+                } else {
+                    match overlay.drop_hop(tl.origin, level, dcur) {
+                        Some(drop) => drop.first,
+                        None => self.oracle.dist(dcur, hnode),
+                    }
                 };
                 cost += d;
                 self.hop(op, TracePhase::Prune, ledger, o, dcur, hnode, level, d);
@@ -1263,6 +1302,83 @@ mod tests {
             assert!((publish_sum - pc).abs() < 1e-9);
             assert!((move_sum - mv.cost).abs() < 1e-9);
             assert!((query_sum - q.cost).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn downward_hops_bill_the_oracles_bits_on_weighted_graphs() {
+        use crate::trace::MemorySink;
+        // Prune, descend and rollback hops come from the overlay's table
+        // wherever it has them. On Euclidean weights a stored length that
+        // was summed from the wrong end, or a nearest holder picked by
+        // anything but (distance, id), would show here as a differing bit.
+        for (cfg, seed) in [
+            (OverlayConfig::practical(), 5),
+            (OverlayConfig::paper_exact(), 6),
+        ] {
+            let g = generators::random_geometric(150, 12.0, 2.5, seed).unwrap();
+            let m = DenseOracle::build(&g).unwrap();
+            let overlay = build_doubling(&g, &m, &cfg, seed);
+            let sink = MemorySink::new();
+            let mut t = MotTracker::new(&overlay, &m, MotConfig::plain()).with_sink(&sink);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = g.node_count() as u32;
+            let mut proxies: Vec<NodeId> = (0..6).map(|_| NodeId(rng.gen_range(0..n))).collect();
+            for (i, &p) in proxies.iter().enumerate() {
+                t.publish(ObjectId(i as u32), p).unwrap();
+            }
+            let (mut seen, mut from_table) = (0, [0usize; 2]);
+            let mut counts = HashMap::new();
+            for step in 0..600 {
+                let i = rng.gen_range(0..proxies.len());
+                let o = ObjectId(i as u32);
+                if step % 3 == 2 {
+                    t.query(NodeId(rng.gen_range(0..n)), o).unwrap();
+                } else {
+                    let nbrs = g.neighbors(proxies[i]);
+                    proxies[i] = nbrs[rng.gen_range(0..nbrs.len())].to;
+                    t.move_object(o, proxies[i]).unwrap();
+                }
+                let events = sink.events();
+                for e in &events[seen..] {
+                    let downward = matches!(
+                        e.phase,
+                        TracePhase::Prune | TracePhase::Descend | TracePhase::Rollback
+                    );
+                    if !downward {
+                        continue;
+                    }
+                    *counts.entry(e.phase).or_insert(0usize) += 1;
+                    assert_eq!(
+                        e.distance.to_bits(),
+                        m.dist(e.src, e.dst).to_bits(),
+                        "step {step}: {e:?}"
+                    );
+                    if e.phase == TracePhase::Descend {
+                        // A query leaves the trail as it found it.
+                        let tl = &t.records[&o].trail[e.level as usize];
+                        let nearest = tl
+                            .holders
+                            .iter()
+                            .map(|&hnode| (m.dist(e.src, hnode), hnode))
+                            .min_by(|a, b| a.partial_cmp(b).unwrap());
+                        assert_eq!(nearest, Some((e.distance, e.dst)), "step {step}: {e:?}");
+                        let stored = overlay.drop_hop(tl.origin, e.level as usize, e.src);
+                        from_table[usize::from(stored.is_some())] += 1;
+                    }
+                }
+                seen = events.len();
+            }
+            for phase in [TracePhase::Prune, TracePhase::Descend, TracePhase::Rollback] {
+                assert!(counts.get(&phase).is_some_and(|&c| c > 20), "{counts:?}");
+            }
+            // Both arms of `descend` ran: junctions on the target's own
+            // path, and junctions between two origins' paths.
+            assert!(
+                from_table[0] > 0 && from_table[1] > from_table[0],
+                "{from_table:?}"
+            );
+            t.check_invariants();
         }
     }
 

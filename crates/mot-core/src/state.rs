@@ -70,15 +70,24 @@ impl ObjectRecord {
     }
 }
 
+/// The DL and SDL of one node that has ever held an entry.
+#[derive(Clone, Debug, Default)]
+struct NodeStore {
+    /// object → bitmask of levels at which the node holds the object in
+    /// its DL.
+    dl: HashMap<ObjectId, u64>,
+    /// object → SDL entries hosted here (guarded level, child).
+    sdl: HashMap<ObjectId, Vec<(u8, NodeId)>>,
+}
+
 /// The distributed DL/SDL state of every node, with physical load
 /// accounting.
 #[derive(Clone, Debug)]
 pub struct NodeStores {
-    /// node → object → bitmask of levels at which the node holds the
-    /// object in its DL.
-    dl: Vec<HashMap<ObjectId, u64>>,
-    /// node → object → SDL entries hosted there (guarded level, child).
-    sdl: Vec<HashMap<ObjectId, Vec<(u8, NodeId)>>>,
+    /// Allocated on a node's first entry: on a large deployment nearly
+    /// every sensor never holds one, and two empty maps apiece (96 bytes)
+    /// were most of what a tracker kept resident there.
+    nodes: Vec<Option<Box<NodeStore>>>,
     /// Physical per-node entry counts (who actually stores the record —
     /// under load balancing a hashed cluster member, not the role node).
     load: Vec<usize>,
@@ -88,16 +97,23 @@ impl NodeStores {
     /// Empty stores for an `n`-node deployment.
     pub fn new(n: usize) -> Self {
         NodeStores {
-            dl: vec![HashMap::new(); n],
-            sdl: vec![HashMap::new(); n],
+            nodes: vec![None; n],
             load: vec![0; n],
         }
     }
 
+    fn node(&self, u: NodeId) -> Option<&NodeStore> {
+        self.nodes[u.index()].as_deref()
+    }
+
+    fn node_mut(&mut self, u: NodeId) -> &mut NodeStore {
+        self.nodes[u.index()].get_or_insert_with(Default::default)
+    }
+
     /// Does `node` hold `o` in its level-`level` DL?
     pub fn dl_has(&self, node: NodeId, level: usize, o: ObjectId) -> bool {
-        self.dl[node.index()]
-            .get(&o)
+        self.node(node)
+            .and_then(|s| s.dl.get(&o))
             .map(|mask| mask & (1u64 << level) != 0)
             .unwrap_or(false)
     }
@@ -107,8 +123,8 @@ impl NodeStores {
     /// whole detection list, so a query probing it can exploit every
     /// role; the lowest level descends cheapest).
     pub fn dl_lowest_level(&self, node: NodeId, o: ObjectId) -> Option<usize> {
-        self.dl[node.index()]
-            .get(&o)
+        self.node(node)
+            .and_then(|s| s.dl.get(&o))
             .filter(|&&mask| mask != 0)
             .map(|mask| mask.trailing_zeros() as usize)
     }
@@ -116,7 +132,7 @@ impl NodeStores {
     /// Adds `o` to `node`'s level-`level` DL, charging the entry to
     /// `holder`. Returns false if it was already present.
     pub fn dl_add(&mut self, node: NodeId, level: usize, o: ObjectId, holder: NodeId) -> bool {
-        let mask = self.dl[node.index()].entry(o).or_insert(0);
+        let mask = self.node_mut(node).dl.entry(o).or_insert(0);
         let bit = 1u64 << level;
         if *mask & bit != 0 {
             return false;
@@ -129,7 +145,10 @@ impl NodeStores {
     /// Removes `o` from `node`'s level-`level` DL, releasing `holder`'s
     /// charge. Returns false if it was not present.
     pub fn dl_remove(&mut self, node: NodeId, level: usize, o: ObjectId, holder: NodeId) -> bool {
-        let entry = self.dl[node.index()].get_mut(&o);
+        let Some(store) = self.nodes[node.index()].as_deref_mut() else {
+            return false;
+        };
+        let entry = store.dl.get_mut(&o);
         let Some(mask) = entry else { return false };
         let bit = 1u64 << level;
         if *mask & bit == 0 {
@@ -137,7 +156,7 @@ impl NodeStores {
         }
         *mask &= !bit;
         if *mask == 0 {
-            self.dl[node.index()].remove(&o);
+            store.dl.remove(&o);
         }
         self.load[holder.index()] = self.load[holder.index()].saturating_sub(1);
         true
@@ -148,15 +167,16 @@ impl NodeStores {
     /// installation order (and the lowest guarded level descends
     /// cheapest).
     pub fn sdl_get(&self, node: NodeId, o: ObjectId) -> Option<(usize, NodeId)> {
-        self.sdl[node.index()]
-            .get(&o)
+        self.node(node)
+            .and_then(|s| s.sdl.get(&o))
             .and_then(|v| v.iter().min())
             .map(|&(lvl, child)| (lvl as usize, child))
     }
 
     /// Installs an SDL entry.
     pub fn sdl_add(&mut self, e: SpEntry, level: usize, o: ObjectId) {
-        self.sdl[e.host.index()]
+        self.node_mut(e.host)
+            .sdl
             .entry(o)
             .or_default()
             .push((level as u8, e.child));
@@ -165,7 +185,10 @@ impl NodeStores {
 
     /// Removes a previously installed SDL entry.
     pub fn sdl_remove(&mut self, e: SpEntry, level: usize, o: ObjectId) {
-        let entries = self.sdl[e.host.index()].get_mut(&o);
+        let Some(store) = self.nodes[e.host.index()].as_deref_mut() else {
+            return;
+        };
+        let entries = store.sdl.get_mut(&o);
         let Some(v) = entries else { return };
         if let Some(pos) = v
             .iter()
@@ -173,7 +196,7 @@ impl NodeStores {
         {
             v.swap_remove(pos);
             if v.is_empty() {
-                self.sdl[e.host.index()].remove(&o);
+                store.sdl.remove(&o);
             }
             self.load[e.holder.index()] = self.load[e.holder.index()].saturating_sub(1);
         }
@@ -187,13 +210,15 @@ impl NodeStores {
     /// load-balanced placement, whose entries live on hashed cluster
     /// members.
     pub fn wipe_node(&mut self, u: NodeId) -> usize {
-        let dl = std::mem::take(&mut self.dl[u.index()]);
-        let sdl = std::mem::take(&mut self.sdl[u.index()]);
-        let wiped = dl
+        let Some(store) = self.nodes[u.index()].take() else {
+            return 0;
+        };
+        let wiped = store
+            .dl
             .values()
             .map(|mask| mask.count_ones() as usize)
             .sum::<usize>()
-            + sdl.values().map(Vec::len).sum::<usize>();
+            + store.sdl.values().map(Vec::len).sum::<usize>();
         self.load[u.index()] = self.load[u.index()].saturating_sub(wiped);
         wiped
     }
@@ -205,16 +230,22 @@ impl NodeStores {
 
     /// Total DL entries across all nodes (testing aid).
     pub fn total_dl_entries(&self) -> usize {
-        self.dl
+        self.nodes
             .iter()
-            .flat_map(|m| m.values())
+            .flatten()
+            .flat_map(|m| m.dl.values())
             .map(|mask| mask.count_ones() as usize)
             .sum()
     }
 
     /// Total SDL entries across all nodes (testing aid).
     pub fn total_sdl_entries(&self) -> usize {
-        self.sdl.iter().flat_map(|m| m.values()).map(Vec::len).sum()
+        self.nodes
+            .iter()
+            .flatten()
+            .flat_map(|m| m.sdl.values())
+            .map(Vec::len)
+            .sum()
     }
 }
 
@@ -270,6 +301,34 @@ mod tests {
         s.sdl_remove(e, 2, o);
         assert_eq!(s.sdl_get(NodeId(4), o), None);
         assert_eq!(s.loads()[4], 0);
+    }
+
+    #[test]
+    fn a_node_costs_a_pointer_until_its_first_entry() {
+        let mut s = NodeStores::new(3);
+        let (n, o) = (NodeId(1), ObjectId(4));
+        let e = SpEntry {
+            host: NodeId(2),
+            child: n,
+            holder: NodeId(2),
+        };
+        // Reads and removals of what was never there allocate nothing.
+        assert!(!s.dl_has(n, 0, o) && !s.dl_remove(n, 0, o, n));
+        assert_eq!((s.dl_lowest_level(n, o), s.sdl_get(n, o)), (None, None));
+        s.sdl_remove(e, 0, o);
+        assert_eq!(s.wipe_node(n), 0);
+        assert!(s.nodes.iter().all(Option::is_none));
+        s.dl_add(n, 2, o, n);
+        s.sdl_add(e, 0, o);
+        assert_eq!(
+            s.nodes.iter().map(Option::is_some).collect::<Vec<_>>(),
+            [false, true, true]
+        );
+        assert_eq!((s.total_dl_entries(), s.total_sdl_entries()), (1, 1));
+        // A crash takes the node's store with it.
+        assert_eq!(s.wipe_node(NodeId(2)), 1);
+        assert!(s.nodes[2].is_none());
+        assert_eq!(s.sdl_get(NodeId(2), o), None);
     }
 
     #[test]

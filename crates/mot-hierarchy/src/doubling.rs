@@ -22,7 +22,7 @@
 //! row — the level members inside it, with quantized distances — is kept
 //! until the level's MIS is known and then read three ways.
 //!
-//! The same rows fill the overlay's station table, so no hop length is
+//! The same balls fill the overlay's station table, so no hop length is
 //! ever asked of the oracle:
 //!
 //! * hops *inside* a level-ℓ station (both directions): its members are
@@ -30,13 +30,29 @@
 //!   each is in the other's pass-ℓ row, rooted at the hop's source;
 //! * the `up` hop from a level-ℓ station's last member to the first
 //!   member of the station above: read from the last member's own row
-//!   where that reaches (always at level 0), otherwise — it can be
-//!   `(3 · max(1, mult) + 1) · 2^ℓ` long — from one extra ball per
-//!   distinct first member, about one more pass in total. That ball is
-//!   rooted at the hop's *far* end, and on weighted graphs the two
-//!   directions of a shortest path can quantize differently, so its
-//!   value is taken only where `quantizes_alike` proves they cannot and
-//!   the hop is re-solved forwards elsewhere.
+//!   where that reaches (always at level 0); otherwise — it can be
+//!   `(3 · max(1, mult) + 1) · 2^ℓ` long — it waits for pass ℓ+1, whose
+//!   ball around that first member covers `max(1, mult) · 2^{ℓ+2}`.
+//!   That ball is rooted at the hop's *far* end, and on weighted graphs
+//!   the two directions of a shortest path can quantize differently, so
+//!   its value is taken only where `quantizes_alike` proves they cannot
+//!   and the hop is re-solved forwards elsewhere;
+//! * the *drop* from each member of a level-ℓ station into the
+//!   level-(ℓ−1) station below it on the same paths (what prunes and
+//!   query descents bill): at most `(3 · max(1, mult) + 1) · 2^{ℓ−1}`
+//!   long, so inside that member's pass-ℓ ball, and read while the ball
+//!   is live — the targets are not level-ℓ members, so the rows do not
+//!   keep them. The ball is rooted at the drop's source; direction is
+//!   not a question.
+//!
+//! So the only Dijkstra runs besides the one ball per member per level
+//! are the forward re-solves and one ball around the root, whose level
+//! has no pass of its own but has hops up into it and drops out of it.
+//!
+//! Per-level scratch (the rows, the member → waiting-reads index)
+//! is allocated for its level and freed with it: the level-0 instances
+//! are several times the size of all later ones together, and kept to
+//! the end they, not the table, would set the build's peak memory.
 //!
 //! Stations are stored once per `(level, home)` pair — every node whose
 //! detection path passes through the same home shares the same station
@@ -49,7 +65,7 @@
 use crate::config::OverlayConfig;
 use crate::mis::luby_mis;
 use crate::overlay::{Overlay, OverlayKind};
-use crate::table::StationTable;
+use crate::table::{DropHop, StationTable};
 use mot_net::{DijkstraWorkspace, DistanceOracle, Graph, NodeId, BALL_PAD};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -81,46 +97,95 @@ pub fn build_doubling(
     let mut fwd_ws = DijkstraWorkspace::new();
     let slack = reversal_slack(n);
     // Position of each node in the level being processed (stamped so a
-    // new level needs no O(n) clear).
-    let mut pos: Vec<(u32, u32)> = vec![(0, u32::MAX); n];
-    let mut rows = LevelRows::default();
+    // new level needs no O(n) clear; level ℓ's stamp is ℓ + 1).
+    let mut pos: Vec<(u32, u32)> = (0..n as u32).map(|i| (1, i)).collect();
 
     let mut levels: Vec<Vec<NodeId>> = Vec::new();
     let mut cur: Vec<NodeId> = g.nodes().collect();
     let mut table = StationTable::new();
     // Level-0 stations are the nodes themselves: node u is record u.
-    let mut columns: Vec<Vec<u32>> = vec![cur.iter().map(|&u| table.push_record(&[u])).collect()];
-    // Per bottom node, the position in `cur` of its path's home.
-    let mut home: Vec<u32> = (0..n as u32).collect();
+    for &u in &cur {
+        table.push_record(&[u]);
+    }
     // The stations whose members are `cur` nodes are records
-    // `base + i`, one per home `i` of the level below; `above[i]` is
-    // the position in `cur` of that home's default parent (at level 0
-    // a node is its own home).
+    // `base + i`, one per home `i` of the level below (at level 0 a
+    // node is its own home). `station_base[ℓ]` is the `base` of level
+    // ℓ + 1 and `parents[ℓ][i]` the position in level ℓ + 1 of level-ℓ
+    // member `i`'s default parent: together they are every node's chain
+    // of homes, from which the index is written at the end.
     let mut base = 0u32;
-    let mut above: Vec<u32> = home.clone();
+    let mut station_base: Vec<u32> = Vec::new();
+    let mut parents: Vec<Vec<u32>> = Vec::new();
+    // What the balls of the `cur` nodes have to answer, by position.
+    let mut waiting = Waiting::default();
     let mut pending: Vec<(NodeId, u32)> = Vec::new();
 
     // Hard cap: radii double each level, so ⌈log2 D⌉ + 2 levels always
     // suffice; 64 guards against pathological float behaviour.
     for level in 0..64usize {
-        if cur.len() == 1 {
-            break;
-        }
         let stamp = level as u32 + 1;
-        for (i, &u) in cur.iter().enumerate() {
-            pos[u.index()] = (stamp, i as u32);
-        }
         let at = |v: NodeId| {
             let (s, i) = pos[v.index()];
             debug_assert_eq!(s, stamp, "{v} is not a level-{level} member");
             i
         };
+        // Position in `cur` of the default parent of home `i` of the
+        // level below: record `base + i` continues into the station of
+        // that parent.
+        let above = |i: u32| match level.checked_sub(1) {
+            Some(below) => parents[below][i as usize],
+            None => i,
+        };
         // Level-ℓ members closer than `link` are joined in I_ℓ and every
         // one of them has a level-(ℓ+1) member within `link`; stations
-        // reach out to `reach`. One ball per member serves all three.
+        // reach out to `reach`. One ball per member serves all three,
+        // every drop out of that member and every deferred hop up into it.
         let link = (1u64 << (level + 1)) as f64;
         let reach = mult * link;
-        rows.fill(g, &mut ws, &cur, &pos, stamp, link.max(reach) * BALL_PAD);
+        let radius = link.max(reach) * BALL_PAD;
+        // Fresh per level: the level-0 rows are the largest by far, and
+        // capacity carried past them would sit at the build's peak.
+        let mut rows = LevelRows::default();
+        let reads = std::mem::take(&mut waiting);
+        for (i, &u) in cur.iter().enumerate() {
+            ws.bounded_ball(g, u, radius);
+            rows.push(&ws, &pos, stamp);
+            for &(r, k) in reads.of(i) {
+                if k == UP_HOP {
+                    // --- a deferred hop up into `u` ----------------------
+                    // The ball is rooted at the hop's far end. Its
+                    // distance is used only where the reversed sum
+                    // provably quantizes alike; otherwise (and outside
+                    // the ball) the hop is solved forwards.
+                    let last = *table.station(r as usize).last().expect("non-empty");
+                    let back = ws.dist(last);
+                    let d = if back <= radius && quantizes_alike(back, slack) {
+                        back
+                    } else {
+                        fwd_ws.sssp_targeted(g, last, u)
+                    };
+                    table.set_up(r, d as f32);
+                    continue;
+                }
+                // --- a drop from `u` into a station one level down -------
+                // With R = max(link, reach): a target sits in the station
+                // of a level-(ℓ−2) home, within R/4 of it (at ℓ = 1 it is
+                // that home); the home is within link/4 of its default
+                // parent; and `u` is in that parent's station, within R/2
+                // of it. 3R/4 + link/4 ≤ R in all, so every target is
+                // inside this ball — which is rooted at the drop's
+                // source, so its sums are the oracle's own. A target the
+                // ball missed all the same is solved forwards.
+                let targets = table.station(r as usize).iter();
+                let dists = targets.map(|&t| ball_dist(&ws, radius, &mut fwd_ws, g, u, t) as f32);
+                let hop = DropHop::toward(dists);
+                table.set_drop(r, k as usize, hop);
+            }
+        }
+        drop(reads);
+        if cur.len() == 1 {
+            break;
+        }
 
         // --- hop lengths inside the stations made of `cur` nodes ---------
         // Two members a, b of one station both lie within
@@ -192,45 +257,49 @@ pub fn build_doubling(
 
         // --- the hop from each `cur`-level station up to the next one ----
         // Read forwards from the last member's own row where that
-        // reaches; the rest, at most (3·max(mult, 1) + 1)·2^ℓ long, from
-        // one ball per distinct first member above.
+        // reaches. The rest, at most (3·max(mult, 1) + 1)·2^ℓ long, wait
+        // for the next level's pass: its ball around the first member
+        // above covers max(mult, 1)·2^(ℓ+2).
         pending.clear();
         for r in base..next_base {
             let last = *table.station(r as usize).last().expect("non-empty");
-            let first = table.station((next_base + above[(r - base) as usize]) as usize)[0];
+            let first = table.station((next_base + above(r - base)) as usize)[0];
             match rows.dist(at(last), at(first)) {
                 Some(d) => table.set_up(r, d),
                 None => pending.push((first, r)),
             }
         }
-        pending.sort_unstable();
-        let up_radius = (3.0 * mult.max(1.0) + 1.0) * (1u64 << level) as f64 * BALL_PAD;
-        let mut ball_of = None;
-        for &(first, r) in &pending {
-            if ball_of != Some(first) {
-                ws.bounded_ball(g, first, up_radius);
-                ball_of = Some(first);
-            }
-            let last = *table.station(r as usize).last().expect("non-empty");
-            // The ball is rooted at the hop's far end. Its distance is
-            // used only where the reversed sum provably quantizes alike;
-            // otherwise (and outside the ball) the hop is solved forwards.
-            let back = ws.dist(last);
-            let d = if back <= up_radius && quantizes_alike(back, slack) {
-                back
-            } else {
-                fwd_ws.sssp_targeted(g, last, first)
-            };
-            table.set_up(r, d as f32);
+        drop(rows);
+
+        // --- drop slots of the `cur`-level stations ----------------------
+        // One per member of the station above, opened now that it exists
+        // and written during the next level's ball pass, which is rooted
+        // at those members; `waiting` is that pass's way back from a
+        // member to what its ball has to answer.
+        drop(next_pos);
+        for (i, &v) in next.iter().enumerate() {
+            pos[v.index()] = (stamp + 1, i as u32);
+        }
+        let next_at = &pos;
+        let drops = (base..next_base).flat_map(|r| {
+            let sources = table.station((next_base + above(r - base)) as usize);
+            let slots = sources.iter().enumerate();
+            slots.map(move |(k, &a)| (next_at[a.index()].1, r, k as u32))
+        });
+        let ups = pending
+            .iter()
+            .map(|&(first, r)| (next_at[first.index()].1, r, UP_HOP));
+        waiting = Waiting::index(next.len(), drops.chain(ups));
+        let slots = waiting.reads.len() - pending.len();
+        table.reserve_drops((next_base - base) as usize, slots);
+        for r in base..next_base {
+            let above_len = table.station((next_base + above(r - base)) as usize).len();
+            table.push_drops(above_len);
         }
 
-        // --- the index column of level ℓ+1 -------------------------------
-        columns.push(home.iter().map(|&h| next_base + h).collect());
-        for h in &mut home {
-            *h = parent[*h as usize];
-        }
+        station_base.push(next_base);
         base = next_base;
-        above = parent;
+        parents.push(parent);
         levels.push(std::mem::replace(&mut cur, next));
     }
     levels.push(cur);
@@ -242,8 +311,42 @@ pub fn build_doubling(
         "doubling construction did not converge to a root (n = {n}, D = {})",
         m.diameter()
     );
-    table.set_index(&columns);
+    // Top-level stations have nowhere to drop from.
+    let top = table.record_count() - base as usize;
+    table.reserve_drops(top, 0);
+    (0..top).for_each(|_| table.push_drops(0));
+
+    // --- the node-major index: every node's chain of homes ---------------
+    let stride = levels.len();
+    let mut index = Vec::with_capacity(n * stride);
+    for u in 0..n as u32 {
+        index.push(u);
+        let mut home = u;
+        for (first, parent) in station_base.iter().zip(&parents) {
+            index.push(first + home);
+            home = parent[home as usize];
+        }
+    }
+    table.set_index(stride, index);
     Overlay::new(OverlayKind::Doubling, levels, table, cfg.sp_gap)
+}
+
+/// Distance from `root`, whose ball of `radius` is live in `ws`, to
+/// `to`: the ball's own where it reached, otherwise solved forwards.
+fn ball_dist(
+    ws: &DijkstraWorkspace,
+    radius: f64,
+    fwd_ws: &mut DijkstraWorkspace,
+    g: &Graph,
+    root: NodeId,
+    to: NodeId,
+) -> f64 {
+    let d = ws.dist(to);
+    if d <= radius {
+        d
+    } else {
+        fwd_ws.sssp_targeted(g, root, to)
+    }
 }
 
 /// Relative bound on how far the two Dijkstra sums of one shortest path
@@ -268,40 +371,34 @@ fn quantizes_alike(d: f64, slack: f64) -> bool {
 /// The bounded balls of one level, kept until its MIS is known: per
 /// member (by position in the level) the level members inside its ball
 /// with their quantized distances, in position — hence id — order.
-#[derive(Default)]
 struct LevelRows {
     start: Vec<u32>,
     entries: Vec<(u32, f32)>,
 }
 
-impl LevelRows {
-    /// Runs one ball of `radius` per member of `level` (whose positions
-    /// are stamped into `pos`).
-    fn fill(
-        &mut self,
-        g: &Graph,
-        ws: &mut DijkstraWorkspace,
-        level: &[NodeId],
-        pos: &[(u32, u32)],
-        stamp: u32,
-        radius: f64,
-    ) {
-        self.start.clear();
-        self.entries.clear();
-        self.start.push(0);
-        for &u in level {
-            ws.bounded_ball(g, u, radius);
-            let from = self.entries.len();
-            self.entries.extend(
-                ws.settled()
-                    .iter()
-                    .filter(|v| pos[v.index()].0 == stamp)
-                    .map(|&v| (pos[v.index()].1, ws.dist(v) as f32)),
-            );
-            self.entries[from..].sort_unstable_by_key(|e| e.0);
-            let end = u32::try_from(self.entries.len()).expect("level rows exceed u32 offsets");
-            self.start.push(end);
+impl Default for LevelRows {
+    fn default() -> Self {
+        LevelRows {
+            start: vec![0],
+            entries: Vec::new(),
         }
+    }
+}
+
+impl LevelRows {
+    /// Appends the row of the next member from its ball, live in `ws`
+    /// (level positions are stamped into `pos`).
+    fn push(&mut self, ws: &DijkstraWorkspace, pos: &[(u32, u32)], stamp: u32) {
+        let from = self.entries.len();
+        self.entries.extend(
+            ws.settled()
+                .iter()
+                .filter(|v| pos[v.index()].0 == stamp)
+                .map(|&v| (pos[v.index()].1, ws.dist(v) as f32)),
+        );
+        self.entries[from..].sort_unstable_by_key(|e| e.0);
+        let end = u32::try_from(self.entries.len()).expect("level rows exceed u32 offsets");
+        self.start.push(end);
     }
 
     fn row(&self, i: usize) -> &[(u32, f32)] {
@@ -313,6 +410,52 @@ impl LevelRows {
     fn dist(&self, a: u32, b: u32) -> Option<f32> {
         let row = self.row(a as usize);
         row.binary_search_by_key(&b, |e| e.0).ok().map(|k| row[k].1)
+    }
+}
+
+/// `k` of a [`Waiting`] read that is a station's deferred `up` hop, not
+/// a drop slot.
+const UP_HOP: u32 = u32::MAX;
+
+/// What waits for one level's ball pass: per member of that level (by
+/// position) the `(record, k)` drop slots it is the source of — it is
+/// member `k` of the record above `record` — and, as `(record, UP_HOP)`,
+/// the records whose `up` hop ends at it and was out of their own rows'
+/// reach. Built for one pass and dropped after it, so the large
+/// low-level ones do not outlive the levels they serve.
+#[derive(Default)]
+struct Waiting {
+    start: Vec<u32>,
+    reads: Vec<(u32, u32)>,
+}
+
+impl Waiting {
+    /// Groups `(member position, record, k)` triples by position (a
+    /// counting sort: the triples are walked twice, nothing is resized).
+    fn index(members: usize, triples: impl Iterator<Item = (u32, u32, u32)> + Clone) -> Self {
+        let mut start = vec![0u32; members + 1];
+        for (p, _, _) in triples.clone() {
+            start[p as usize + 1] += 1;
+        }
+        for i in 0..members {
+            start[i + 1] += start[i];
+        }
+        let mut reads = vec![(0, 0); start[members] as usize];
+        let mut fill = start.clone();
+        for (p, r, k) in triples {
+            reads[fill[p as usize] as usize] = (r, k);
+            fill[p as usize] += 1;
+        }
+        Waiting { start, reads }
+    }
+
+    /// The reads waiting for member `i`'s ball; none before any were
+    /// indexed.
+    fn of(&self, i: usize) -> &[(u32, u32)] {
+        match self.start.get(i..i + 2) {
+            Some(w) => &self.reads[w[0] as usize..w[1] as usize],
+            None => &[],
+        }
     }
 }
 
@@ -344,6 +487,18 @@ mod tests {
         assert!(!quantizes_alike(tie * (1.0 + slack / 2.0), slack));
         assert!(!quantizes_alike(tie * (1.0 - slack / 2.0), slack));
         assert!(quantizes_alike(tie * (1.0 + 4.0 * slack), slack));
+    }
+
+    #[test]
+    fn a_target_the_ball_missed_is_solved_forwards() {
+        let g = generators::line(8).unwrap();
+        let (mut ws, mut fwd_ws) = (DijkstraWorkspace::new(), DijkstraWorkspace::new());
+        ws.bounded_ball(&g, NodeId(2), 1.5);
+        let mut dist = |to| ball_dist(&ws, 1.5, &mut fwd_ws, &g, NodeId(2), to);
+        assert_eq!(dist(NodeId(3)), 1.0);
+        // Relaxed to 2.0 but never settled: not the ball's to answer.
+        assert_eq!(dist(NodeId(4)), 2.0);
+        assert_eq!(dist(NodeId(7)), 5.0);
     }
 
     #[test]

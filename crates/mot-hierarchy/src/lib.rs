@@ -74,3 +74,4 @@ pub use reference::reference_build_doubling;
 pub use repair::{
     HierarchySnapshot, RepairDecision, RepairLedger, RepairReport, RepairableHierarchy,
 };
+pub use table::DropHop;

@@ -1,6 +1,6 @@
 //! The assembled overlay `HS` consumed by the tracking algorithms.
 
-use crate::table::StationTable;
+use crate::table::{DropHop, StationTable};
 use mot_net::NodeId;
 
 /// Which construction produced the overlay.
@@ -25,8 +25,8 @@ pub enum OverlayKind {
 ///
 /// Paths live in one flat station table (each distinct station once,
 /// hop lengths beside the members; see DESIGN.md §13), so a tracker
-/// climbing, rolling back or pruning along a detection path reads
-/// constants and never asks a distance oracle.
+/// climbing, rolling back, pruning or descending along a detection path
+/// reads constants and never asks a distance oracle.
 #[derive(Clone, Debug)]
 pub struct Overlay {
     kind: OverlayKind,
@@ -113,6 +113,21 @@ impl Overlay {
         self.table.hops(self.table.record(u, level))[j][1] as f64
     }
 
+    /// The hop from `from` down into `station(u, level)`, when `from` is
+    /// a member of `station(u, level + 1)` — the pair then lies on
+    /// `DPath(u)` and its lengths are overlay constants. `None` when
+    /// `from` is not on `u`'s own detection path (a junction between the
+    /// paths of two different origins), at the top level, or if the
+    /// builder left the slot unwritten; the caller asks the oracle then.
+    #[inline]
+    pub fn drop_hop(&self, u: NodeId, level: usize, from: NodeId) -> Option<DropHop> {
+        if level >= self.height {
+            return None;
+        }
+        let k = self.station(u, level + 1).binary_search(&from).ok()?;
+        self.table.drop(self.table.record(u, level), k)
+    }
+
     /// The configured special-parent level gap.
     pub fn sp_gap(&self) -> usize {
         self.sp_gap
@@ -170,8 +185,8 @@ impl Overlay {
             .unwrap_or(0)
     }
 
-    /// Heap bytes of the detection-path storage: stations, hop lengths
-    /// and the per-node record index (the level membership lists, a few
+    /// Heap bytes of the detection-path storage: stations, hop and drop
+    /// lengths and the per-node record index (the level membership lists, a few
     /// bytes per node, are not counted).
     pub fn memory_bytes(&self) -> usize {
         self.table.memory_bytes()
@@ -183,6 +198,17 @@ impl Overlay {
         (1..=self.height)
             .filter(|&l| self.levels[l].binary_search(&u).is_ok())
             .count()
+    }
+}
+
+#[cfg(test)]
+impl Overlay {
+    /// Overwrites the drop into `station(u, level)` from member `k` of
+    /// the station above with a single distance, or blanks it.
+    pub(crate) fn corrupt_drop(&mut self, u: NodeId, level: usize, k: usize, to: Option<f32>) {
+        let r = self.table.record(u, level) as u32;
+        self.table
+            .set_drop(r, k, DropHop::toward([to.unwrap_or(f32::NAN)]));
     }
 }
 
@@ -209,7 +235,25 @@ mod tests {
             table.set_up(r, i as f32); // dist(i, 0)
         }
         table.set_up(far, 2.0); // dist(2, 0)
-        table.set_index(&[bottom, vec![near, near, far, far], vec![top; 4]]);
+
+        // Drops: into [i] from the station above it, into `near` and
+        // `far` from the root.
+        for above_len in [1, 1, 2, 2, 1, 1, 0] {
+            table.push_drops(above_len);
+        }
+        for (i, &r) in bottom.iter().enumerate() {
+            table.set_drop(r, 0, DropHop::toward([i as f32])); // dist(0, i)
+        }
+        table.set_drop(bottom[2], 1, DropHop::toward([0.0])); // dist(2, 2)
+        table.set_drop(bottom[3], 1, DropHop::toward([1.0])); // dist(2, 3)
+        table.set_drop(near, 0, DropHop::toward([0.0]));
+        table.set_drop(far, 0, DropHop::toward([0.0, 2.0]));
+        let index = [near, near, far, far]
+            .iter()
+            .zip(&bottom)
+            .flat_map(|(&mid, &low)| [low, mid, top])
+            .collect();
+        table.set_index(3, index);
         Overlay::new(OverlayKind::Doubling, levels, table, 1)
     }
 
@@ -266,6 +310,24 @@ mod tests {
         assert_eq!(o.path_length(NodeId(3), 99), 7.0, "clamped above height");
         assert_eq!(o.path_length(NodeId(1), 2), 1.0);
         assert!(o.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn drops_answer_only_along_the_nodes_own_path() {
+        let o = toy_overlay();
+        // DPath(3) = 3 -> {0, 2} -> 0: both level-1 members drop to 3.
+        let from_2 = o.drop_hop(NodeId(3), 0, NodeId(2)).unwrap();
+        assert_eq!(
+            (from_2.first, from_2.nearest, from_2.nearest_dist),
+            (1.0, 0, 1.0)
+        );
+        assert_eq!(o.drop_hop(NodeId(3), 0, NodeId(0)).unwrap().first, 3.0);
+        let into_far = o.drop_hop(NodeId(3), 1, NodeId(0)).unwrap();
+        assert_eq!((into_far.first, into_far.nearest), (0.0, 0));
+        // Node 2 is not on DPath(1) = 1 -> {0} -> 0; nothing is above
+        // the root station.
+        assert_eq!(o.drop_hop(NodeId(1), 0, NodeId(2)), None);
+        assert_eq!(o.drop_hop(NodeId(3), 2, NodeId(0)), None);
     }
 
     #[test]

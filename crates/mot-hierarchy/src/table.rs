@@ -1,8 +1,10 @@
 //! The flat station table behind [`Overlay`](crate::Overlay).
 //!
 //! `DPath(u)` is fixed once the overlay is built, so both its stops and
-//! the length of every hop between consecutive stops are constants. The
-//! table stores them CSR-style, in five flat vectors:
+//! the length of every hop between consecutive stops are constants. So
+//! is every *drop*: the hop a downward walk (a prune, a query's descent)
+//! takes from a member of `station(u, ℓ + 1)` into `station(u, ℓ)`. The
+//! table stores them CSR-style, in eight flat vectors:
 //!
 //! * `members` / `hops` — every distinct station back to back; beside
 //!   each member the pair `[dist(prev, member), dist(member, prev)]`
@@ -16,6 +18,15 @@
 //!   top-level records.
 //! * `index` — `n × (h + 1)` record ids, node-major, so one climb reads
 //!   one contiguous run.
+//! * `drop_start` / `drop_len` / `drop_at` — per record `r` one slot per
+//!   member `k` of the record above it on the same detection paths
+//!   (slots `drop_start[r]..drop_start[r + 1]`; none for top-level
+//!   records): `[dist(above[k], r[0]), dist(above[k], nearest)]` and the
+//!   position in `r` of that nearest member by `(distance, id)`. The
+//!   first is what a prune walk bills entering `r`, the second what a
+//!   descent bills. Which record lies above `r` is not stored: every
+//!   path through `r` continues into the same one, so a reader takes it
+//!   from `index`. A slot never written holds NaN and reads as absent.
 //!
 //! A station is stored once however many detection paths pass through
 //! it: doubling overlays key records by `(level, home)`, general
@@ -28,6 +39,44 @@ use mot_net::{DistanceOracle, NodeId};
 /// `[dist(prev, member), dist(member, prev)]` for one station member.
 pub(crate) type Hop = [f32; 2];
 
+/// The hop from a member of `station(u, ℓ + 1)` down into
+/// `station(u, ℓ)` — see [`Overlay::drop_hop`](crate::Overlay::drop_hop).
+/// Both lengths are bit-identical to what `oracle.dist` returns for the
+/// pair.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DropHop {
+    /// Distance to the first member of the lower station: what a walk
+    /// that visits the whole station in order (a prune) pays to enter it.
+    pub first: f64,
+    /// Position in the lower station of its member nearest the source by
+    /// `(distance, id)`: where a descent forwards to.
+    pub nearest: usize,
+    /// Distance to that member.
+    pub nearest_dist: f64,
+}
+
+impl DropHop {
+    /// The drop into a station given the (quantized) distance from the
+    /// source to each of its members, in station order.
+    pub(crate) fn toward(dists: impl IntoIterator<Item = f32>) -> Self {
+        let mut dists = dists.into_iter();
+        let first = dists.next().expect("a station has at least one member");
+        // Stations are in id order, so the first minimum is the
+        // (distance, id) minimum.
+        let (mut nearest, mut nearest_dist) = (0, first);
+        for (j, d) in dists.enumerate() {
+            if d < nearest_dist {
+                (nearest, nearest_dist) = (j + 1, d);
+            }
+        }
+        DropHop {
+            first: first as f64,
+            nearest,
+            nearest_dist: nearest_dist as f64,
+        }
+    }
+}
+
 /// See the module docs.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct StationTable {
@@ -38,15 +87,20 @@ pub(crate) struct StationTable {
     members: Vec<NodeId>,
     hops: Vec<Hop>,
     up: Vec<f32>,
+    drop_start: Vec<u32>,
+    drop_len: Vec<[f32; 2]>,
+    drop_at: Vec<u8>,
 }
 
 impl StationTable {
     /// An empty table; records are appended with
-    /// [`push_record`](Self::push_record), then
+    /// [`push_record`](Self::push_record), given drop slots in the same
+    /// order with [`push_drops`](Self::push_drops), then
     /// [`set_index`](Self::set_index) closes it.
     pub(crate) fn new() -> Self {
         StationTable {
             start: vec![0],
+            drop_start: vec![0],
             ..Self::default()
         }
     }
@@ -76,22 +130,56 @@ impl StationTable {
         self.up[r as usize] = up;
     }
 
-    /// Closes the table with the record of every `(node, level)`:
-    /// `columns[level][node]`, transposed into the node-major index.
-    pub(crate) fn set_index(&mut self, columns: &[Vec<u32>]) {
-        let n = columns[0].len();
-        self.stride = columns.len();
-        self.index = (0..n)
-            .flat_map(|u| columns.iter().map(move |col| col[u]))
-            .collect();
+    /// Makes room for exactly `slots` more drop slots over `records`
+    /// more records, so a level's worth of
+    /// [`push_drops`](Self::push_drops) never over-allocates.
+    pub(crate) fn reserve_drops(&mut self, records: usize, slots: usize) {
+        self.drop_start.reserve_exact(records);
+        self.drop_len.reserve_exact(slots);
+        self.drop_at.reserve_exact(slots);
     }
 
-    /// One record per `(node, level)`, every hop read from the oracle:
-    /// the fill of the builders that hold precomputed rows.
+    /// Opens the drop slots of the next record that has none yet: one
+    /// per member of the record above it (`0` for a top-level record),
+    /// all absent until [`set_drop`](Self::set_drop) writes them.
+    pub(crate) fn push_drops(&mut self, above_len: usize) {
+        debug_assert!(self.drop_start.len() <= self.record_count());
+        let end = self.drop_len.len() + above_len;
+        self.drop_len.resize(end, [f32::NAN; 2]);
+        self.drop_at.resize(end, 0);
+        self.drop_start
+            .push(u32::try_from(end).expect("station table exceeds u32 offsets"));
+    }
+
+    /// Writes the drop into record `r` from member `k` of the record
+    /// above it.
+    pub(crate) fn set_drop(&mut self, r: u32, k: usize, hop: DropHop) {
+        let (from, to) = self.drop_range(r as usize);
+        assert!(k < to - from, "record {r} has no drop slot {k}");
+        self.drop_len[from + k] = [hop.first as f32, hop.nearest_dist as f32];
+        // Observation 1 bounds a station by 2^{3ρ} members (64 in the
+        // plane); a byte per slot is what keeps the table's growth small.
+        self.drop_at[from + k] =
+            u8::try_from(hop.nearest).expect("a station's nearest member sits below position 256");
+    }
+
+    /// Closes the table with the node-major index: the record of
+    /// `(node, level)` at `index[node * stride + level]`.
+    pub(crate) fn set_index(&mut self, stride: usize, index: Vec<u32>) {
+        debug_assert_eq!(index.len() % stride, 0);
+        debug_assert_eq!(self.drop_start.len(), self.record_count() + 1);
+        self.stride = stride;
+        self.index = index;
+    }
+
+    /// One record per `(node, level)`, every hop and drop read from the
+    /// oracle: the fill of the builders that hold precomputed rows.
     pub(crate) fn from_oracle(stations: &[Vec<Vec<NodeId>>], m: &dyn DistanceOracle) -> Self {
         let stride = stations[0].len();
         let mut t = Self::new();
         t.stride = stride;
+        let slots = stations.iter().flat_map(|path| &path[1..]).map(Vec::len);
+        t.reserve_drops(stations.len() * stride, slots.sum());
         for path in stations {
             debug_assert_eq!(path.len(), stride);
             for (level, station) in path.iter().enumerate() {
@@ -100,9 +188,15 @@ impl StationTable {
                     let hop = [m.dist(w[0], w[1]) as f32, m.dist(w[1], w[0]) as f32];
                     t.set_hop(r, j + 1, hop);
                 }
-                if let Some(above) = path.get(level + 1) {
+                let above = path.get(level + 1).map_or(&[][..], Vec::as_slice);
+                if let Some(&first) = above.first() {
                     let last = *station.last().expect("stations are non-empty");
-                    t.set_up(r, m.dist(last, above[0]) as f32);
+                    t.set_up(r, m.dist(last, first) as f32);
+                }
+                t.push_drops(above.len());
+                for (k, &from) in above.iter().enumerate() {
+                    let dists = station.iter().map(|&to| m.dist(from, to) as f32);
+                    t.set_drop(r, k, DropHop::toward(dists));
                 }
                 t.index.push(r);
             }
@@ -140,12 +234,34 @@ impl StationTable {
         self.up[r]
     }
 
+    #[inline]
+    fn drop_range(&self, r: usize) -> (usize, usize) {
+        (self.drop_start[r] as usize, self.drop_start[r + 1] as usize)
+    }
+
+    /// The drop into record `r` from member `k` of the record above it;
+    /// `None` if the slot does not exist or was never written.
+    #[inline]
+    pub(crate) fn drop(&self, r: usize, k: usize) -> Option<DropHop> {
+        let (from, to) = self.drop_range(r);
+        let slot = from + k;
+        if slot >= to {
+            return None;
+        }
+        let [first, nearest_dist] = self.drop_len[slot];
+        (!first.is_nan()).then(|| DropHop {
+            first: first as f64,
+            nearest: self.drop_at[slot] as usize,
+            nearest_dist: nearest_dist as f64,
+        })
+    }
+
     /// Number of distinct stations stored.
     pub(crate) fn record_count(&self) -> usize {
         self.up.len()
     }
 
-    /// Heap bytes of the five vectors.
+    /// Heap bytes of the eight vectors.
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.index.len() * size_of::<u32>()
@@ -153,6 +269,9 @@ impl StationTable {
             + self.members.len() * size_of::<NodeId>()
             + self.hops.len() * size_of::<Hop>()
             + self.up.len() * size_of::<f32>()
+            + self.drop_start.len() * size_of::<u32>()
+            + self.drop_len.len() * size_of::<[f32; 2]>()
+            + self.drop_at.len() * size_of::<u8>()
     }
 }
 
@@ -168,7 +287,11 @@ mod tests {
         let b = t.push_record(&[NodeId(1), NodeId(5)]);
         t.set_hop(b, 1, [4.0, 4.5]);
         t.set_up(a, 2.0);
-        t.set_index(&[vec![a, a], vec![b, b]]);
+        t.reserve_drops(2, 2);
+        t.push_drops(2);
+        t.push_drops(0);
+        t.set_drop(a, 1, DropHop::toward([7.0]));
+        t.set_index(2, vec![a, b, a, b]);
         assert_eq!(t.node_count(), 2);
         assert_eq!(t.record_count(), 2);
         let r = t.record(NodeId(1), 1);
@@ -176,8 +299,30 @@ mod tests {
         assert_eq!(t.hops(r), &[[0.0, 0.0], [4.0, 4.5]]);
         assert_eq!(t.up(t.record(NodeId(0), 0)), 2.0);
         assert_eq!(t.up(r), 0.0);
-        // index 2×2 + start 3 + members 3 (u32 each), hops 3×8, up 2×4
-        assert_eq!(t.memory_bytes(), (4 + 3 + 3) * 4 + 3 * 8 + 2 * 4);
+        assert_eq!(t.drop(a as usize, 0), None, "opened but never written");
+        assert_eq!(t.drop(a as usize, 1).map(|d| d.first), Some(7.0));
+        assert_eq!(t.drop(a as usize, 2), None, "past the record above");
+        assert_eq!(t.drop(b as usize, 0), None, "top-level records have none");
+        // index 2×2 + start 3 + members 3 + drop_start 3 (u32 each),
+        // hops 3×8, up 2×4, drops 2×(8 + 1)
+        assert_eq!(
+            t.memory_bytes(),
+            (4 + 3 + 3 + 3) * 4 + 3 * 8 + 2 * 4 + 2 * 9
+        );
+    }
+
+    #[test]
+    fn a_drop_keeps_the_first_and_the_nearest_member_by_distance_then_id() {
+        let mut t = StationTable::new();
+        let r = t.push_record(&[NodeId(2), NodeId(4), NodeId(6), NodeId(9)]);
+        t.push_drops(1);
+        t.set_drop(r, 0, DropHop::toward([5.0, 3.0, 3.0, 8.0]));
+        let want = DropHop {
+            first: 5.0,
+            nearest: 1,
+            nearest_dist: 3.0,
+        };
+        assert_eq!(t.drop(r as usize, 0), Some(want));
     }
 
     #[test]
@@ -195,5 +340,15 @@ mod tests {
         assert_eq!(t.hops(t.record(NodeId(0), 1))[1], [3.0, 3.0]);
         assert_eq!(t.up(t.record(NodeId(0), 1)), 1.0);
         assert_eq!(t.up(t.record(NodeId(0), 2)), 0.0);
+        // Into [0] from 2 and from 5; into [2, 5] from 6.
+        let drop = |level, k| t.drop(t.record(NodeId(0), level), k).unwrap();
+        assert_eq!((drop(0, 0).first, drop(0, 1).first), (2.0, 5.0));
+        let into_mid = DropHop {
+            first: 4.0,
+            nearest: 1,
+            nearest_dist: 1.0,
+        };
+        assert_eq!(drop(1, 0), into_mid);
+        assert_eq!(t.drop(t.record(NodeId(0), 2), 0), None);
     }
 }

@@ -63,6 +63,35 @@ pub fn validate(o: &Overlay, m: &dyn DistanceOracle) -> Vec<String> {
                 }
                 prev = member;
             }
+            // Downward walks bill the stored drops the same way: one
+            // slot per member of the station above, each holding the
+            // oracle's distance to the first member of this station and
+            // to its (distance, id)-nearest one.
+            if l < h {
+                for &from in o.station(u, l + 1) {
+                    let Some(drop) = o.drop_hop(u, l, from) else {
+                        issues.push(format!("DPath({u}) level {l}: no stored drop from {from}"));
+                        continue;
+                    };
+                    let want = s
+                        .iter()
+                        .map(|&to| m.dist(from, to))
+                        .enumerate()
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .map(|(at, d)| (m.dist(from, s[0]).to_bits(), at, d.to_bits()));
+                    let got = (
+                        drop.first.to_bits(),
+                        drop.nearest,
+                        drop.nearest_dist.to_bits(),
+                    );
+                    if Some(got) != want {
+                        issues.push(format!(
+                            "DPath({u}) level {l}: stored drop from {from} is {drop:?}, oracle says {:?}",
+                            s.iter().map(|&to| m.dist(from, to)).collect::<Vec<_>>()
+                        ));
+                    }
+                }
+            }
         }
     }
     if o.kind() == OverlayKind::Doubling {
@@ -133,6 +162,36 @@ mod tests {
         );
         assert!(
             issues.iter().any(|i| i.contains("stored reverse hop")),
+            "{issues:?}"
+        );
+    }
+
+    #[test]
+    fn a_missing_or_wrong_drop_is_reported() {
+        let g = generators::grid(5, 5).unwrap();
+        let m = DenseOracle::build(&g).unwrap();
+        let o = build_doubling(&g, &m, &OverlayConfig::practical(), 42);
+        let u = mot_net::NodeId(7);
+        let from = o.station(u, 1)[0];
+        let good = o
+            .drop_hop(u, 0, from)
+            .expect("every doubling slot is stored");
+        assert_eq!(good.first, m.dist(from, u));
+
+        let mut wrong = o.clone();
+        wrong.corrupt_drop(u, 0, 0, Some(good.first as f32 + 1.0));
+        let issues = validate(&wrong, &m);
+        assert!(
+            issues.iter().any(|i| i.contains("stored drop from")),
+            "{issues:?}"
+        );
+
+        let mut missing = o.clone();
+        missing.corrupt_drop(u, 0, 0, None);
+        assert_eq!(missing.drop_hop(u, 0, from), None);
+        let issues = validate(&missing, &m);
+        assert!(
+            issues.iter().any(|i| i.contains("no stored drop from")),
             "{issues:?}"
         );
     }

@@ -2,12 +2,13 @@
 //!
 //! Trackers bill the stored constants of a detection path — the hop into
 //! each stop, the reverse hop inside a station, the `up` hop between
-//! levels — instead of asking the oracle, so a single differing bit would
-//! move a cost account. The ball builder reads most hops from balls rooted
-//! at the hop's source, but `up` hops from balls rooted at the far end,
-//! which on weighted graphs is only sound where it proves the reversed
-//! Dijkstra sum quantizes alike (and re-solves forwards elsewhere): the
-//! weighted generators below are what hold it to that.
+//! levels, the drop from each member of a station into the station below
+//! — instead of asking the oracle, so a single differing bit would move
+//! a cost account. The ball builder reads most hops, and every drop,
+//! from balls rooted at the hop's source, but `up` hops from balls rooted
+//! at the far end, which on weighted graphs is only sound where it proves
+//! the reversed Dijkstra sum quantizes alike (and re-solves forwards
+//! elsewhere): the weighted generators below are what hold it to that.
 
 use mot_hierarchy::validate::validate;
 use mot_hierarchy::{
@@ -16,9 +17,9 @@ use mot_hierarchy::{
 use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, Graph, GraphBuilder, NodeId};
 
 /// Compares every stored hop of `o` with `m.dist`; returns how many
-/// forward (incl. `up`) and reverse hops were checked.
-fn check_hops(o: &Overlay, m: &dyn DistanceOracle, ctx: &str) -> (usize, usize) {
-    let (mut forward, mut reverse) = (0, 0);
+/// forward (incl. `up`) hops, reverse hops and drops were checked.
+fn check_hops(o: &Overlay, m: &dyn DistanceOracle, ctx: &str) -> [usize; 3] {
+    let (mut forward, mut reverse, mut drops) = (0, 0, 0);
     for u in (0..o.node_count()).map(NodeId::from_index) {
         let mut prev = u;
         let mut length = 0.0;
@@ -47,9 +48,46 @@ fn check_hops(o: &Overlay, m: &dyn DistanceOracle, ctx: &str) -> (usize, usize) 
                 length.to_bits(),
                 "{ctx}: length(DPath_{l}({u})) is the prefix sum of the hops"
             );
+            // One drop per member of the station above: the distance to
+            // this station's first member (what a prune bills) and its
+            // nearest member by (distance, id) (where a descent goes).
+            let station = o.station(u, l);
+            let above = if l < o.height() {
+                o.station(u, l + 1)
+            } else {
+                &[]
+            };
+            for &from in above {
+                let what = format!("{ctx}: drop {from} -> station({u}, {l})");
+                let drop = o
+                    .drop_hop(u, l, from)
+                    .unwrap_or_else(|| panic!("{what} is not stored"));
+                let (nearest_dist, nearest) = station
+                    .iter()
+                    .map(|&to| (m.dist(from, to), to))
+                    .min_by(|a, b| a.partial_cmp(b).unwrap())
+                    .unwrap();
+                let got = (
+                    drop.first.to_bits(),
+                    station[drop.nearest],
+                    drop.nearest_dist.to_bits(),
+                );
+                let want = (
+                    m.dist(from, station[0]).to_bits(),
+                    nearest,
+                    nearest_dist.to_bits(),
+                );
+                assert_eq!(got, want, "{what}");
+                drops += 1;
+            }
+            assert_eq!(
+                o.drop_hop(u, l, NodeId::from_index(o.node_count())),
+                None,
+                "{ctx}: only members of the station above have a drop"
+            );
         }
     }
-    (forward, reverse)
+    [forward, reverse, drops]
 }
 
 fn profiles() -> [(&'static str, OverlayConfig); 3] {
@@ -70,9 +108,9 @@ const ALL_BUILDERS: [(&str, Builder); 3] = [
 ];
 
 /// `builders` on one graph, each profile, both oracles.
-fn check_graph(g: &Graph, name: &str, seed: u64, builders: &[(&str, Builder)]) -> (usize, usize) {
+fn check_graph(g: &Graph, name: &str, seed: u64, builders: &[(&str, Builder)]) -> [usize; 3] {
     let dense = DenseOracle::build(g).unwrap();
-    let (mut forward, mut reverse) = (0, 0);
+    let mut checked = [0; 3];
     for (profile, cfg) in profiles() {
         for &(builder, build) in builders {
             // A fresh cached oracle per build: its answers must not
@@ -86,15 +124,15 @@ fn check_graph(g: &Graph, name: &str, seed: u64, builders: &[(&str, Builder)]) -
                 // Checked against the dense matrix whichever oracle built
                 // it: backends agree bit for bit, and this way a cached
                 // build cannot vouch for itself.
-                let (f, r) = check_hops(&o, &dense, &ctx);
-                forward += f;
-                reverse += r;
+                for (sum, n) in checked.iter_mut().zip(check_hops(&o, &dense, &ctx)) {
+                    *sum += n;
+                }
                 let issues = validate(&o, &dense);
                 assert!(issues.is_empty(), "{ctx}: {issues:?}");
             }
         }
     }
-    (forward, reverse)
+    checked
 }
 
 #[test]
@@ -106,8 +144,8 @@ fn stored_hops_equal_oracle_distances_on_unit_weight_graphs() {
             (generators::line(33).unwrap(), "line 33"),
             (generators::random_tree(80, seed).unwrap(), "random tree 80"),
         ] {
-            let (forward, reverse) = check_graph(&g, name, seed, &ALL_BUILDERS);
-            assert!(forward > 0 && reverse > 0, "{name}: nothing was checked");
+            let checked = check_graph(&g, name, seed, &ALL_BUILDERS);
+            assert!(checked.iter().all(|&n| n > 0), "{name}: {checked:?}");
         }
     }
 }
@@ -116,8 +154,8 @@ fn stored_hops_equal_oracle_distances_on_unit_weight_graphs() {
 fn stored_hops_equal_oracle_distances_on_weighted_graphs() {
     for seed in [1, 2, 3] {
         let g = generators::random_geometric(90, 10.0, 2.5, seed).unwrap();
-        let (forward, reverse) = check_graph(&g, "geometric 90", seed, &ALL_BUILDERS);
-        assert!(forward > 0 && reverse > 0, "nothing was checked");
+        let checked = check_graph(&g, "geometric 90", seed, &ALL_BUILDERS);
+        assert!(checked.iter().all(|&n| n > 0), "geometric 90: {checked:?}");
         // The ball builder again, on graphs sized so that every seed's
         // build both accepts reversed reads and re-solves some forwards
         // (≈ 2% of the `up` hops its level rows do not reach).
