@@ -6,9 +6,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mot_core::{MotConfig, MotTracker, ObjectId, Tracker};
 use mot_debruijn::DeBruijnGraph;
 use mot_hierarchy::{build_doubling, build_general, OverlayConfig};
-use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, NodeId};
+use mot_net::{generators, CachedOracle, DenseOracle, DijkstraWorkspace, DistanceOracle, NodeId};
 use mot_proto::ProtoTracker;
 use mot_sim::WorkloadSpec;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn bench(c: &mut Criterion) {
     // APSP oracle build (parallel Dijkstra).
@@ -73,6 +75,52 @@ fn bench(c: &mut Criterion) {
             &cached,
             |b, o| b.iter(|| query_mix(o)),
         );
+    }
+    group.finish();
+
+    // The shortest-path kernel under every ball, row and cold solve, one
+    // number per inner loop: the unit grid takes the layered loop, the
+    // jittered grid (same topology, Euclidean weights) the heap. A
+    // change to either loop must leave the other's column where it was.
+    let mut group = c.benchmark_group("shortest_path_kernel");
+    group.sample_size(10);
+    let side = 256;
+    let center = NodeId::from_index(side * side / 2 + side / 2);
+    let mut rng = ChaCha8Rng::seed_from_u64(18);
+    let pairs: Vec<(NodeId, NodeId)> = (0..1000)
+        .map(|_| {
+            let mut node = || NodeId::from_index(rng.gen_range(0..side * side));
+            (node(), node())
+        })
+        .collect();
+    for (name, g) in [
+        ("unit", generators::grid(side, side).unwrap()),
+        (
+            "weighted",
+            generators::perturbed_grid(side, side, 0.3, 1).unwrap(),
+        ),
+    ] {
+        assert_eq!(g.is_unit_weight(), name == "unit");
+        let mut ws = DijkstraWorkspace::with_capacity(g.node_count());
+        group.bench_function(BenchmarkId::new("sssp", name), |b| {
+            b.iter(|| {
+                ws.sssp(&g, center);
+                ws.settled().len()
+            })
+        });
+        for radius in [8.0, 64.0] {
+            group.bench_function(BenchmarkId::new(format!("ball_r{radius}"), name), |b| {
+                b.iter(|| ws.bounded_ball(&g, center, radius).len())
+            });
+        }
+        group.bench_function(BenchmarkId::new("targeted_x1000", name), |b| {
+            b.iter(|| {
+                pairs
+                    .iter()
+                    .map(|&(s, t)| ws.sssp_targeted(&g, s, t))
+                    .sum::<f64>()
+            })
+        });
     }
     group.finish();
 

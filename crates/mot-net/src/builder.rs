@@ -16,6 +16,8 @@ pub struct GraphBuilder {
     adjacency: Vec<Vec<Edge>>,
     positions: Option<Vec<Point>>,
     edge_count: usize,
+    /// Every stored weight so far is exactly 1.0 (`Graph::is_unit_weight`).
+    unit_weight: bool,
 }
 
 impl GraphBuilder {
@@ -25,6 +27,7 @@ impl GraphBuilder {
             adjacency: vec![Vec::new(); n],
             positions: None,
             edge_count: 0,
+            unit_weight: true,
         }
     }
 
@@ -70,6 +73,7 @@ impl GraphBuilder {
         self.adjacency[a.index()].push(Edge { to: b, weight: w });
         self.adjacency[b.index()].push(Edge { to: a, weight: w });
         self.edge_count += 1;
+        self.unit_weight &= w == 1.0;
         Ok(())
     }
 
@@ -94,7 +98,12 @@ impl GraphBuilder {
         for adj in &mut self.adjacency {
             adj.sort_by_key(|e| e.to);
         }
-        Graph::from_parts(self.adjacency, self.positions, self.edge_count)
+        Graph::from_parts(
+            self.adjacency,
+            self.positions,
+            self.edge_count,
+            self.unit_weight,
+        )
     }
 }
 
@@ -144,6 +153,26 @@ mod tests {
             b.add_edge(NodeId(1), NodeId(0), 3.0),
             Err(NetError::DuplicateEdge { .. })
         ));
+    }
+
+    #[test]
+    fn unit_weight_flag_follows_the_stored_weights() {
+        let path = |w: f64| {
+            let mut b = GraphBuilder::new(3);
+            b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+            b.add_edge(NodeId(1), NodeId(2), w).unwrap();
+            b.build().unwrap()
+        };
+        assert!(path(1.0).is_unit_weight());
+        assert!(!path(2.0).is_unit_weight());
+        // No edges at all: vacuously unit.
+        assert!(GraphBuilder::new(1).build().unwrap().is_unit_weight());
+        // An idempotent re-insert stores nothing, so it decides nothing.
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
+        b.add_edge(NodeId(1), NodeId(0), 1.0 + f64::EPSILON / 2.0)
+            .unwrap();
+        assert!(b.build_unchecked().is_unit_weight());
     }
 
     #[test]

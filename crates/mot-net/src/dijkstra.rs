@@ -6,6 +6,11 @@
 //! hierarchy builders) hold a workspace and reuse it — see
 //! [`crate::workspace`] for the zero-allocation variant. Both paths
 //! produce bit-identical distances, parents, and settle orders.
+//!
+//! "Dijkstra" names the contract, not always the loop: on a graph whose
+//! every edge weighs exactly 1.0 ([`Graph::is_unit_weight`]) the
+//! workspace runs a layer-by-layer search with the same results, bit for
+//! bit, and no heap. Nothing here — or in any caller — selects it.
 
 use crate::graph::Graph;
 use crate::node::NodeId;

@@ -57,7 +57,7 @@ pub fn grid(rows: usize, cols: usize) -> Result<Graph> {
             offsets.push(edges.len() as u32);
         }
     }
-    Ok(Graph::from_csr(offsets, edges, Some(positions)))
+    Ok(Graph::from_csr(offsets, edges, Some(positions), true))
 }
 
 /// `rows × cols` grid with wrap-around edges (a torus). Diameter is half
@@ -407,6 +407,30 @@ mod tests {
                 assert_eq!(g.neighbors(u), want.neighbors(u), "{rows}x{cols} row {u}");
             }
         }
+    }
+
+    #[test]
+    fn unit_weight_generators_say_so_and_euclidean_ones_do_not() {
+        for (g, name) in [
+            (grid(5, 7).unwrap(), "grid"),
+            (grid(1, 1).unwrap(), "grid 1x1"),
+            (torus(4, 5).unwrap(), "torus"),
+            (ring(9).unwrap(), "ring"),
+            (line(6).unwrap(), "line"),
+            (random_tree(40, 3).unwrap(), "tree"),
+        ] {
+            assert!(g.is_unit_weight(), "{name}");
+            assert!(g.edges().all(|(_, _, w)| w == 1.0), "{name}");
+        }
+        for (g, name) in [
+            (random_geometric(60, 8.0, 2.0, 3).unwrap(), "geometric"),
+            (perturbed_grid(5, 5, 0.3, 3).unwrap(), "perturbed"),
+            (clustered(60, 3, 12.0, 3.0, 3).unwrap(), "clustered"),
+        ] {
+            assert!(!g.is_unit_weight(), "{name}");
+        }
+        // No jitter: Euclidean weights that all come out at exactly 1.0.
+        assert!(perturbed_grid(4, 4, 0.0, 3).unwrap().is_unit_weight());
     }
 
     #[test]

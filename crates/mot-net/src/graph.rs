@@ -5,10 +5,14 @@
 //! The graph is stored in compressed-sparse-row (CSR) form: one flat
 //! array of packed half-[`Edge`]s plus a `u32` offset per node
 //! (`neighbors(u)` is the slice `edges[offsets[u]..offsets[u+1]]`).
-//! Every Dijkstra run — and therefore every oracle row, hierarchy
+//! Every shortest-path run — and therefore every oracle row, hierarchy
 //! radius query, and cost account in the suite — iterates neighbor
 //! lists, so they are contiguous in memory instead of one heap
 //! allocation per node. See DESIGN.md §13.
+//!
+//! Beside the arrays the graph carries one fact about its weights,
+//! [`Graph::is_unit_weight`], which is all the shortest-path kernel
+//! needs to skip its heap on the paper's unit grids.
 
 use crate::error::NetError;
 use crate::node::{NodeId, Point};
@@ -74,6 +78,9 @@ pub struct Graph {
     edges: Vec<Edge>,
     positions: Option<Vec<Point>>,
     edge_count: usize,
+    /// See [`Graph::is_unit_weight`]. Set by whoever held the weights at
+    /// construction; never derived by a scan of its own.
+    unit_weight: bool,
     /// Mutation overlay; `None` until the first `remove_node` /
     /// `restore_node` so static graphs stay branch-predictable and pay
     /// no extra memory.
@@ -101,6 +108,7 @@ impl Graph {
         adjacency: Vec<Vec<Edge>>,
         positions: Option<Vec<Point>>,
         edge_count: usize,
+        unit_weight: bool,
     ) -> Self {
         let n = adjacency.len();
         let half_edges: usize = adjacency.iter().map(Vec::len).sum();
@@ -116,23 +124,28 @@ impl Graph {
             offsets.push(edges.len() as u32);
         }
         debug_assert_eq!(edges.len(), 2 * edge_count);
-        Self::from_csr(offsets, edges, positions)
+        Self::from_csr(offsets, edges, positions, unit_weight)
     }
 
     /// A graph from finished CSR arrays: `offsets.len() == n + 1`, every
     /// row sorted by neighbor id, every undirected edge stored once per
     /// endpoint. For generators that can emit rows in that form directly.
+    /// `unit_weight` is the caller's word that every weight is exactly 1.0
+    /// (it wrote them); `false` is always safe.
     pub(crate) fn from_csr(
         offsets: Vec<u32>,
         edges: Vec<Edge>,
         positions: Option<Vec<Point>>,
+        unit_weight: bool,
     ) -> Self {
         debug_assert_eq!(offsets.last().map(|&e| e as usize), Some(edges.len()));
+        debug_assert!(!unit_weight || edges.iter().all(|e| e.weight == 1.0));
         Graph {
             offsets,
             edge_count: edges.len() / 2,
             edges,
             positions,
+            unit_weight,
             dyn_state: None,
         }
     }
@@ -251,6 +264,24 @@ impl Graph {
         })
     }
 
+    /// True when every edge is known to weigh exactly 1.0 — the paper's
+    /// grids, and every torus, ring, line and random tree. Shortest-path
+    /// runs on such a graph take the layered inner loop of
+    /// [`crate::DijkstraWorkspace`] instead of the heap; results are
+    /// bit-identical either way, so the flag only ever buys speed.
+    ///
+    /// It is a property of the input, fixed where the weights are
+    /// written: generators and [`crate::GraphBuilder`] set it,
+    /// [`Graph::normalized`] re-derives it from the rescaled weights, and
+    /// [`Graph::restore_node`] clears it for good on the first star with
+    /// a non-1.0 edge. [`Graph::remove_node`] leaves it alone, so under
+    /// churn it is conservative: a graph whose only weighted edges have
+    /// all left again still reads `false` and merely runs the heap.
+    #[inline]
+    pub fn is_unit_weight(&self) -> bool {
+        self.unit_weight
+    }
+
     /// Returns a copy of the graph with all edge weights rescaled so the
     /// shortest edge has weight exactly 1 (the paper's normalization; the
     /// cost-ratio bounds are then independent of the network's scale).
@@ -262,16 +293,22 @@ impl Graph {
             return self.clone();
         }
         let mut g = self.clone();
-        for e in &mut g.edges {
+        // Shadowed CSR rows are rescaled (and counted) with the live ones:
+        // at worst a conservative `false`.
+        let mut unit = true;
+        let mut rescale = |e: &mut Edge| {
             e.weight /= min_w;
-        }
+            unit &= e.weight == 1.0;
+        };
+        g.edges.iter_mut().for_each(&mut rescale);
         if let Some(d) = &mut g.dyn_state {
-            for row in d.patch.iter_mut().flatten() {
-                for e in row.iter_mut() {
-                    e.weight /= min_w;
-                }
-            }
+            d.patch
+                .iter_mut()
+                .flatten()
+                .flatten()
+                .for_each(&mut rescale);
         }
+        g.unit_weight = unit;
         g
     }
 
@@ -415,7 +452,8 @@ impl Graph {
     /// be active, weights finite and positive, no self-loops, no
     /// duplicates. On success the star is installed sorted by neighbor
     /// id and the generation is bumped, stamping `u` and every new
-    /// neighbor.
+    /// neighbor. A star with any weight other than 1.0 clears
+    /// [`Graph::is_unit_weight`] for the rest of the graph's life.
     ///
     /// Errors with [`NetError::NodeActive`] if `u` was not removed, and
     /// with the usual construction errors for a bad star.
@@ -429,6 +467,7 @@ impl Graph {
         }
         let mut star = edges.to_vec();
         star.sort_by_key(|e| e.to);
+        let mut unit = true;
         for (i, e) in star.iter().enumerate() {
             if e.to == u {
                 return Err(NetError::SelfLoop { node: u });
@@ -449,7 +488,9 @@ impl Graph {
             if i > 0 && star[i - 1].to == e.to {
                 return Err(NetError::DuplicateEdge { a: u, b: e.to });
             }
+            unit &= e.weight == 1.0;
         }
+        self.unit_weight &= unit;
         let added = star.len();
         let d = self.dyn_state_mut();
         d.generation += 1;
@@ -549,6 +590,51 @@ mod tests {
         assert!((min - 1.0).abs() < 1e-12);
         // relative proportions preserved
         assert!((g.edge_weight(NodeId(2), NodeId(0)).unwrap() - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn normalization_rederives_the_unit_weight_flag() {
+        assert!(!triangle().is_unit_weight());
+        assert!(!triangle().normalized().is_unit_weight());
+        // Uniformly heavy edges all come out at exactly 1.0.
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(NodeId(0), NodeId(1), 2.5).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 2.5).unwrap();
+        let heavy = b.build().unwrap();
+        assert!(!heavy.is_unit_weight());
+        assert!(heavy.normalized().is_unit_weight());
+        // Already normalized: the clone keeps what it had.
+        let grid = crate::generators::grid(3, 3).unwrap();
+        assert!(grid.normalized().is_unit_weight());
+    }
+
+    #[test]
+    fn unit_weight_flag_survives_unit_churn_and_dies_on_a_heavy_star() {
+        let mut g = crate::generators::grid(4, 4).unwrap();
+        assert!(g.is_unit_weight());
+        let star = g.remove_node(NodeId(5)).unwrap();
+        assert!(g.is_unit_weight());
+        g.restore_node(NodeId(5), &star).unwrap();
+        assert!(g.is_unit_weight());
+
+        let mut heavy = g.remove_node(NodeId(10)).unwrap();
+        heavy[0].weight = 2.0;
+        // A rejected star must not touch the flag.
+        let mut bad = heavy.clone();
+        bad[1].weight = f64::NAN;
+        assert!(g.restore_node(NodeId(10), &bad).is_err());
+        assert!(g.is_unit_weight());
+        g.restore_node(NodeId(10), &heavy).unwrap();
+        assert!(!g.is_unit_weight());
+        // Conservative from here on: the heavy edge leaving again, and
+        // unit stars coming back, do not re-arm it.
+        let star = g.remove_node(NodeId(10)).unwrap();
+        assert!(!g.is_unit_weight());
+        let unit: Vec<Edge> = star.iter().map(|e| Edge { weight: 1.0, ..*e }).collect();
+        g.restore_node(NodeId(10), &unit).unwrap();
+        assert!(!g.is_unit_weight());
+        // Nor does `normalized()`: the minimum is already 1, so it clones.
+        assert!(!g.normalized().is_unit_weight());
     }
 
     #[test]

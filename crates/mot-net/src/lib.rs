@@ -14,7 +14,10 @@
 //!   [`generators::random_tree`]),
 //! * single-source shortest paths ([`dijkstra()`]) and shortest-path
 //!   trees, plus the reusable zero-allocation [`DijkstraWorkspace`]
-//!   (`sssp` / `bounded_ball`) that hot callers thread through,
+//!   (`sssp` / `sssp_targeted` / `bounded_ball`) that hot callers
+//!   thread through — a heap Dijkstra on weighted fields, a layered
+//!   search with bit-identical results where every edge weighs 1.0
+//!   ([`Graph::is_unit_weight`]; the graph decides, no caller does),
 //! * the [`DistanceOracle`] trait with two backends — the dense
 //!   all-pairs [`DenseOracle`] (built in parallel; the verifier) and
 //!   the on-demand bounded-solve byte-budgeted [`CachedOracle`] —

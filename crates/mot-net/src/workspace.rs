@@ -1,26 +1,51 @@
-//! Reusable Dijkstra scratch space: zero allocation per shortest-path run.
+//! Reusable shortest-path scratch space: zero allocation per run, and
+//! no heap on graphs that do not need one.
 //!
 //! Every substrate in the suite (oracle rows, hierarchy radii, cost
-//! accounting, baselines) bottoms out in repeated Dijkstra runs over the
-//! same graph. A [`DijkstraWorkspace`] owns the dist/parent/visited
-//! buffers and the priority queue, so a run touches no allocator at all
-//! once the workspace has grown to the graph's size:
+//! accounting, baselines) bottoms out in repeated shortest-path runs
+//! over the same graph. A [`DijkstraWorkspace`] owns the dist/parent/
+//! visited buffers and the priority queue, so a run touches no allocator
+//! at all once the workspace has grown to the graph's size:
 //!
 //! * **Generation-stamped clearing** — instead of re-filling the `dist`
 //!   array with `INFINITY` (an O(n) write per call), every slot carries a
 //!   generation stamp; a slot is live only if its stamp matches the
 //!   current run's generation, so "clearing" is a single counter bump.
-//! * **4-ary heap** — a flat implicit d-ary heap with branching factor 4.
-//!   Shallower than a binary heap (fewer cache-missing levels on
-//!   `sift_down`) and, crucially, keyed on the pair `(dist, node)` with
-//!   ties broken by ascending node id — the exact total order the
-//!   previous `BinaryHeap` implementation used, which makes settle order,
-//!   relaxation order, parents, and distances bit-identical to the seed
-//!   implementation (DESIGN.md §12/§13 determinism contract).
+//! * **Two inner loops, one contract.** `run` picks by a property of the
+//!   input, [`Graph::is_unit_weight`]; there is no knob.
+//!   * *Heap loop* — the only path for weighted fields and the
+//!     executable specification of the other one. A flat implicit 4-ary
+//!     heap keyed on the pair `(dist, node)` with ties broken by
+//!     ascending node id — the exact total order the seed `BinaryHeap`
+//!     implementation used, which makes settle order, relaxation order,
+//!     parents, and distances bit-identical to the seed implementation
+//!     (DESIGN.md §12/§13 determinism contract).
+//!   * *Layered loop* — when every edge weighs exactly 1.0 the settle
+//!     order is layer by layer, so the heap is dead weight (≈ 115 ns a
+//!     node against ≈ 17 on a 256×256 grid). The current layer is the
+//!     tail of `settled`; a node is stamped, given its distance and
+//!     parent, and appended the first time any node of the layer touches
+//!     it. **Each new layer is sorted by id before it is expanded.** In
+//!     the heap loop a unit-weight node is pushed exactly once — by its
+//!     first-popped, i.e. smallest-id, neighbour in the previous layer —
+//!     and a layer pops in id order; expanding a sorted layer and keeping
+//!     the first touch reproduces both, so distances, parents, the
+//!     `(dist, id)` settle order and the settled *count* (which
+//!     [`crate::CachedOracle`] bills on every cold solve) are bit for bit
+//!     the heap loop's.
+//! * **Early stops leave the same state behind.** A targeted run ends
+//!   with `settled` cut just after the target: nodes of its layer with a
+//!   larger id, and whatever of the next layer was already touched, keep
+//!   their (exact) tentative distance but are not settled. A bounded ball
+//!   ends when the next layer's distance exceeds the radius: that layer
+//!   is dropped from `settled` and keeps tentative distances `> radius`,
+//!   everything beyond it reads `INFINITY` — so "`dist(v) <= radius`"
+//!   means "settled" after either loop, which the hierarchy builder's
+//!   `ball_dist` relies on.
 //!
 //! The classic entry points [`crate::dijkstra()`],
 //! [`crate::dijkstra_targeted()`] and [`crate::shortest_path_tree()`]
-//! are now thin wrappers that run a fresh workspace once; hot callers
+//! are thin wrappers that run a fresh workspace once; hot callers
 //! (the oracle backends, the hierarchy builders) hold a workspace and
 //! reuse it across thousands of runs.
 
@@ -189,9 +214,10 @@ impl DijkstraWorkspace {
     }
 
     /// Starts a new run: bumps the generation (lazily invalidating every
-    /// slot) and clears the heap and settled list.
-    fn begin(&mut self, n: usize) {
-        self.reserve(n);
+    /// slot), clears the heap and settled list, and makes the source live
+    /// at distance 0.
+    fn begin(&mut self, g: &Graph, source: NodeId) {
+        self.reserve(g.node_count());
         if self.generation == u32::MAX {
             // Stamp wrap-around: do the one real clear per 2^32 runs.
             self.stamp.fill(0);
@@ -200,6 +226,10 @@ impl DijkstraWorkspace {
         self.generation += 1;
         self.heap.clear();
         self.settled.clear();
+        let s = source.index();
+        self.dist[s] = 0.0;
+        self.parent[s] = NO_PARENT;
+        self.stamp[s] = self.generation;
     }
 
     #[inline]
@@ -211,16 +241,21 @@ impl DijkstraWorkspace {
         }
     }
 
-    /// The core loop shared by all run flavors.
-    ///
-    /// Settles nodes in ascending `(dist, node)` order; stops early when
-    /// `target` settles or the next settle distance exceeds `radius`.
+    /// The one entry point behind all run flavors: settles nodes in
+    /// ascending `(dist, node)` order; stops early when `target` settles
+    /// or the next settle distance exceeds `radius`. Which inner loop does
+    /// it is the graph's business, not the caller's.
     fn run(&mut self, g: &Graph, source: NodeId, radius: f64, target: Option<NodeId>) {
-        self.begin(g.node_count());
-        let s = source.index();
-        self.dist[s] = 0.0;
-        self.parent[s] = NO_PARENT;
-        self.stamp[s] = self.generation;
+        if g.is_unit_weight() {
+            self.run_layered(g, source, radius, target);
+        } else {
+            self.run_heap(g, source, radius, target);
+        }
+    }
+
+    /// Dijkstra over the 4-ary heap: any positive weights.
+    fn run_heap(&mut self, g: &Graph, source: NodeId, radius: f64, target: Option<NodeId>) {
+        self.begin(g, source);
         self.heap.push(0.0, source.0);
         while let Some((d, u)) = self.heap.pop() {
             let ui = u as usize;
@@ -244,6 +279,44 @@ impl DijkstraWorkspace {
                     self.heap.push(nd, e.to.0);
                 }
             }
+        }
+    }
+
+    /// The same run on a graph whose every edge weighs exactly 1.0, one
+    /// id-sorted layer at a time (see the module docs for why that is the
+    /// heap loop's order and state, bit for bit).
+    fn run_layered(&mut self, g: &Graph, source: NodeId, radius: f64, target: Option<NodeId>) {
+        self.begin(g, source);
+        self.settled.push(source);
+        // `settled[layer..]` is the current layer, every node at `d`.
+        let (mut layer, mut d) = (0, 0.0);
+        while layer < self.settled.len() {
+            if d > radius {
+                // The heap loop breaks on this layer's first pop: stamped
+                // with `d > radius`, never settled.
+                self.settled.truncate(layer);
+                return;
+            }
+            let end = self.settled.len();
+            self.settled[layer..end].sort_unstable();
+            let nd = d + 1.0;
+            for i in layer..end {
+                let u = self.settled[i];
+                if target == Some(u) {
+                    self.settled.truncate(i + 1);
+                    return;
+                }
+                for e in g.neighbors(u) {
+                    let vi = e.to.index();
+                    if self.stamp[vi] != self.generation {
+                        self.stamp[vi] = self.generation;
+                        self.dist[vi] = nd;
+                        self.parent[vi] = u.0;
+                        self.settled.push(e.to);
+                    }
+                }
+            }
+            (layer, d) = (end, nd);
         }
     }
 
@@ -340,6 +413,58 @@ mod tests {
         let mut expect = items.to_vec();
         expect.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
         assert_eq!(popped, expect);
+    }
+
+    /// Everything a caller can read back after a run, settled or not.
+    type Readout = (Vec<u64>, Vec<Option<NodeId>>, Vec<NodeId>);
+
+    fn readout(ws: &DijkstraWorkspace, g: &Graph) -> Readout {
+        (
+            g.nodes().map(|v| ws.dist(v).to_bits()).collect(),
+            g.nodes().map(|v| ws.parent(v)).collect(),
+            ws.settled().to_vec(),
+        )
+    }
+
+    #[test]
+    fn layered_loop_leaves_exactly_the_heap_loops_state() {
+        let mut holed = generators::grid(6, 6).unwrap();
+        holed.remove_node(NodeId(14)).unwrap();
+        let graphs = [
+            generators::grid(9, 7).unwrap(),
+            generators::torus(5, 6).unwrap(),
+            generators::ring(11).unwrap(),
+            generators::line(9).unwrap(),
+            generators::random_tree(50, 2).unwrap(),
+            holed,
+        ];
+        // One workspace, the two loops alternating on it: a stamp or a
+        // heap entry left behind by one would surface in the other.
+        let mut ws = DijkstraWorkspace::new();
+        for g in &graphs {
+            assert!(g.is_unit_weight());
+            let n = g.node_count();
+            for s in g.nodes() {
+                let mut runs = vec![(f64::INFINITY, None)];
+                for radius in [-1.0, 0.0, 0.5, 1.0, 2.5, 7.0, n as f64] {
+                    runs.push((radius, None));
+                }
+                let adjacent = g.neighbors(s).first().map_or(s, |e| e.to);
+                for t in [s, adjacent, NodeId::from_index((s.index() * 7 + 3) % n)] {
+                    runs.push((f64::INFINITY, Some(t)));
+                }
+                for (radius, target) in runs {
+                    ws.run_heap(g, s, radius, target);
+                    let want = readout(&ws, g);
+                    ws.run_layered(g, s, radius, target);
+                    assert_eq!(
+                        readout(&ws, g),
+                        want,
+                        "n={n} source={s} radius={radius} target={target:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!    worst case still grows with n²).
 
 use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, NodeId};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Bytes of one resident row on an n-node graph (f32 per node + a
 /// sorted (f32, u32) view), mirroring `DistRow::bytes`.
@@ -57,6 +59,41 @@ fn eviction_ledger_is_deterministic_for_a_fixed_stream_and_budget() {
     assert!(ledger_a.promotions > 3, "{ledger_a:?}");
     assert!(ledger_a.evictions > 0, "{ledger_a:?}");
     assert!(ledger_a.resident_bytes <= budget, "{ledger_a:?}");
+}
+
+#[test]
+fn ledger_is_pinned_to_the_heap_kernels_counts_on_a_64x64_grid() {
+    // Promotion is billed in *settled nodes*: a targeted solve that cut
+    // `settled` one node early or late, or a ball that kept its overshoot
+    // layer, would promote a hot source on a different query and move
+    // every count below. The numbers are what the heap loop gave on this
+    // stream before the unit-weight layered loop existed.
+    let n = 64 * 64;
+    let g = generators::grid(64, 64).unwrap();
+    let oracle = CachedOracle::with_byte_budget(&g, 6 * row_bytes(n)).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(18);
+    let node = |rng: &mut ChaCha8Rng| NodeId::from_index(rng.gen_range(0..n));
+    let hot: Vec<NodeId> = (0..24).map(|_| node(&mut rng)).collect();
+    let mut acc = 0.0;
+    for _ in 0..4000 {
+        let u = if rng.gen_bool(0.8) {
+            hot[rng.gen_range(0..hot.len())]
+        } else {
+            node(&mut rng)
+        };
+        match rng.gen_range(0..4) {
+            0 | 1 => acc += oracle.dist(u, node(&mut rng)),
+            2 => acc += oracle.ball(u, rng.gen_range(0..24) as f64 / 2.0).len() as f64,
+            _ => acc += oracle.ball_size(u, rng.gen_range(0..12) as f64) as f64,
+        }
+    }
+    let l = oracle.ledger();
+    assert_eq!(acc, 255755.0, "query values");
+    assert_eq!(
+        (l.hits, l.misses, l.promotions, l.evictions),
+        (766, 3234, 381, 375),
+        "{l:?}"
+    );
 }
 
 #[test]

@@ -13,8 +13,17 @@
 //! prove: that a *reused* workspace (stale buffers, grown capacity,
 //! interleaved with other workspaces in shuffled call order) returns
 //! exactly what a fresh one does.
+//!
+//! The workspace has two inner loops — the heap for weighted fields, a
+//! layered search where [`Graph::is_unit_weight`] — and this is the one
+//! solver in the repository that shares code with neither (the free
+//! functions in `dijkstra.rs` wrap the workspace). Every flavour of run
+//! is held to it: full, targeted (`settled` cut just after the target —
+//! the count `CachedOracle` bills per cold solve) and bounded (nothing
+//! outside the ball may read `<= radius`), on static graphs and across
+//! `remove_node` / `restore_node` churn that keeps, then drops, the flag.
 
-use mot_net::{generators, DijkstraWorkspace, Graph, NodeId};
+use mot_net::{generators, ChurnSchedule, ChurnSpec, DijkstraWorkspace, Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -100,7 +109,75 @@ fn suite() -> Vec<(Graph, &'static str)> {
             generators::clustered(50, 4, 12.0, 3.0, 5).unwrap(),
             "clustered",
         ),
+        // Unit-weight fields large enough for layers to be long (up to
+        // 40 nodes on the grid) and to wrap (the torus).
+        (generators::grid(40, 40).unwrap(), "grid40"),
+        (generators::torus(12, 15).unwrap(), "torus12x15"),
     ]
+}
+
+const RADII: [f64; 7] = [-1.0, 0.0, 0.5, 1.0, 2.5, 7.0, f64::MAX];
+
+/// A bounded run against the seed solver: the settled list is the seed
+/// pop order cut at the radius, settled nodes carry the seed distances
+/// and parents, and nothing else reads as inside the ball.
+fn assert_ball_matches_seed(ws: &mut DijkstraWorkspace, g: &Graph, src: NodeId, ctx: &str) {
+    let (dist, parent, settled) = seed_dijkstra(g, src);
+    for radius in RADII {
+        let cut = settled.partition_point(|v| dist[v.index()] <= radius);
+        let ball = ws.bounded_ball(g, src, radius).to_vec();
+        assert_eq!(ball, &settled[..cut], "{ctx}: ball({src}, {radius})");
+        let mut inside = vec![false; g.node_count()];
+        for &v in &ball {
+            inside[v.index()] = true;
+            assert_eq!(ws.dist(v).to_bits(), dist[v.index()].to_bits(), "{ctx}");
+            assert_eq!(ws.parent(v), parent[v.index()], "{ctx}: parent({v})");
+        }
+        for v in g.nodes().filter(|v| !inside[v.index()]) {
+            // Tentative or untouched, but never mistakable for settled.
+            let d = ws.dist(v);
+            assert!(d > radius, "{ctx}: ball({src}, {radius}) reads {v} at {d}");
+        }
+    }
+}
+
+/// A targeted run against the seed solver: the distance, and `settled`
+/// equal to the seed pop order truncated just after the target.
+fn assert_targeted_matches_seed(
+    ws: &mut DijkstraWorkspace,
+    g: &Graph,
+    (src, target): (NodeId, NodeId),
+    ctx: &str,
+) {
+    let (dist, parent, settled) = seed_dijkstra(g, src);
+    let got = ws.sssp_targeted(g, src, target);
+    assert_eq!(got.to_bits(), dist[target.index()].to_bits(), "{ctx}");
+    let want = match settled.iter().position(|&v| v == target) {
+        Some(at) => &settled[..=at],
+        None => &settled[..], // unreachable target: the run exhausts
+    };
+    assert_eq!(ws.settled(), want, "{ctx}: settled({src} -> {target})");
+    for &v in want {
+        assert_eq!(ws.dist(v).to_bits(), dist[v.index()].to_bits(), "{ctx}");
+        assert_eq!(ws.parent(v), parent[v.index()], "{ctx}: parent({v})");
+    }
+}
+
+/// Seeded `(source, target)` pairs over the active nodes of `g`; every
+/// fifth pair is `source == target`, every fifth an adjacent pair.
+fn seeded_pairs(g: &Graph, count: usize, rng: &mut ChaCha8Rng) -> Vec<(NodeId, NodeId)> {
+    let active: Vec<NodeId> = g.active_nodes().collect();
+    (0..count)
+        .map(|i| {
+            let src = *active.choose(rng).expect("an active node");
+            let target = match i % 5 {
+                0 => src,
+                1 => g.neighbors(src).choose(rng).map_or(src, |e| e.to),
+                _ => *active.choose(rng).expect("an active node"),
+            };
+            (src, target)
+        })
+        .collect()
 }
 
 #[test]
@@ -132,21 +209,59 @@ fn workspace_matches_seed_solver_on_every_generator() {
 fn bounded_ball_matches_seed_solver_cut() {
     let mut ws = DijkstraWorkspace::new();
     for (g, name) in suite() {
-        let src = NodeId(0);
-        let (dist, _, _) = seed_dijkstra(&g, src);
-        for radius in [0.0, 1.0, 2.5, 4.0] {
-            // The ball is exactly the seed-solver nodes within the
-            // radius, sorted by (dist, id) — the settle order.
-            let mut expect: Vec<NodeId> = g.nodes().filter(|v| dist[v.index()] <= radius).collect();
-            expect.sort_by(|a, b| {
-                dist[a.index()]
-                    .partial_cmp(&dist[b.index()])
-                    .unwrap()
-                    .then(a.cmp(b))
-            });
-            let ball = ws.bounded_ball(&g, src, radius).to_vec();
-            assert_eq!(ball, expect, "{name}: ball({src}, {radius})");
+        let n = g.node_count();
+        for src in [0, n / 3, n - 1] {
+            assert_ball_matches_seed(&mut ws, &g, NodeId::from_index(src), name);
         }
+    }
+}
+
+#[test]
+fn targeted_runs_settle_the_seed_pop_order_up_to_the_target() {
+    let mut ws = DijkstraWorkspace::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(18);
+    // Ten graphs, thirty pairs each.
+    for (g, name) in suite() {
+        for pair in seeded_pairs(&g, 30, &mut rng) {
+            assert_targeted_matches_seed(&mut ws, &g, pair, name);
+        }
+    }
+}
+
+#[test]
+fn parity_survives_unit_churn_and_then_a_weighted_star() {
+    let mut ws = DijkstraWorkspace::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let check = |g: &Graph, ctx: &str, ws: &mut DijkstraWorkspace, rng: &mut ChaCha8Rng| {
+        for pair in seeded_pairs(g, 5, rng) {
+            assert_targeted_matches_seed(ws, g, pair, ctx);
+            assert_ball_matches_seed(ws, g, pair.0, ctx);
+            // Inactive nodes have no edges: nothing ever reaches them.
+            assert!(ws.settled().iter().all(|&v| g.is_active(v)), "{ctx}");
+        }
+    };
+    for (base, name) in [
+        (generators::grid(12, 12).unwrap(), "grid"),
+        (generators::torus(8, 9).unwrap(), "torus"),
+    ] {
+        // Leaves, and joins that bring back the base star filtered to
+        // live far ends: every edge ever restored weighs 1.0.
+        let sched = ChurnSchedule::generate(&base, &ChurnSpec::new(40, 8, 7)).unwrap();
+        let mut g = base.clone();
+        for (step, delta) in sched.deltas().iter().enumerate() {
+            delta.apply(&mut g).unwrap();
+            assert!(g.is_unit_weight(), "{name}: unit churn keeps the flag");
+            check(&g, &format!("{name} step {step}"), &mut ws, &mut rng);
+        }
+
+        // One weight-2 star: the flag drops, the heap loop takes over,
+        // and the answers are still the seed solver's.
+        let u = g.active_nodes().find(|&u| g.degree(u) >= 2).unwrap();
+        let mut star = g.remove_node(u).unwrap();
+        star[0].weight = 2.0;
+        g.restore_node(u, &star).unwrap();
+        assert!(!g.is_unit_weight(), "{name}");
+        check(&g, &format!("{name} weighted"), &mut ws, &mut rng);
     }
 }
 
