@@ -7,13 +7,12 @@
 //! of traffic-consciousness, which makes the comparison conservative for
 //! MOT.
 
-use mot_net::{Graph, NodeId};
-use std::collections::HashMap;
+use mot_net::{Graph, IdMap, NodeId};
 
 /// Per-edge crossing frequencies.
 #[derive(Clone, Debug, Default)]
 pub struct DetectionRates {
-    rates: HashMap<(NodeId, NodeId), f64>,
+    rates: IdMap<(NodeId, NodeId), f64>,
 }
 
 fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -27,7 +26,7 @@ fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 impl DetectionRates {
     /// No traffic knowledge: every adjacency weighs the same.
     pub fn uniform(g: &Graph) -> Self {
-        let mut rates = HashMap::new();
+        let mut rates = IdMap::default();
         for (a, b, _) in g.edges() {
             rates.insert(key(a, b), 1.0);
         }

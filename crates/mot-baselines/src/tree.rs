@@ -8,13 +8,18 @@
 //! the object and descends the detection chain. Tree edges may be logical
 //! (representative-to-representative), so each hop costs the shortest-path
 //! distance between its endpoints.
+//!
+//! Detection sets, the proxy table and the crash-dirty set are keyed by
+//! `ObjectId` and probed at every tree hop, so they are
+//! [`mot_net::IdSet`]s / [`mot_net::IdMap`]s (one multiply per probe,
+//! DESIGN.md §13) — the same tables, under the same hasher, as the MOT
+//! tracker they are measured against.
 
 use mot_core::{
     CoreError, LedgerKind, MoveOutcome, ObjectId, OpKind, QueryResult, TraceEvent, TracePhase,
     TraceSink, Tracker,
 };
-use mot_net::{DistanceOracle, NodeId};
-use std::collections::{HashMap, HashSet};
+use mot_net::{DistanceOracle, IdMap, IdSet, NodeId};
 
 /// A rooted spanning tree over the sensor nodes.
 #[derive(Clone, Debug)]
@@ -153,8 +158,8 @@ pub struct TreeTracker<'a> {
     name: String,
     tree: TrackingTree,
     oracle: &'a dyn DistanceOracle,
-    detection: Vec<HashSet<ObjectId>>,
-    proxies: HashMap<ObjectId, NodeId>,
+    detection: Vec<IdSet<ObjectId>>,
+    proxies: IdMap<ObjectId, NodeId>,
     /// Liu-et-al.-style shortcuts: ancestors keep enough detail that a
     /// located query routes straight (shortest path) to the proxy instead
     /// of walking tree edges down.
@@ -173,7 +178,7 @@ pub struct TreeTracker<'a> {
     /// Objects that lost a detection entry to a crash and whose chain has
     /// not been rebuilt yet. Empty on fault-free runs, so those stay
     /// bit-identical to a build without the fault layer.
-    dirty: HashSet<ObjectId>,
+    dirty: IdSet<ObjectId>,
     /// Message distance spent on crash repair (handoffs + chain rebuilds).
     repair_spent: f64,
     /// Optional structured-trace consumer (`None` = zero-cost silence).
@@ -195,14 +200,14 @@ impl<'a> TreeTracker<'a> {
             name: name.into(),
             tree,
             oracle,
-            detection: vec![HashSet::new(); n],
-            proxies: HashMap::new(),
+            detection: vec![IdSet::default(); n],
+            proxies: IdMap::default(),
             shortcuts,
             via_root: false,
             load: vec![0; n],
             down: vec![false; n],
             down_count: 0,
-            dirty: HashSet::new(),
+            dirty: IdSet::default(),
             repair_spent: 0.0,
             sink: None,
         }
@@ -405,7 +410,7 @@ impl Tracker for TreeTracker<'_> {
         let mut cost = 0.0;
         // insert: climb from the new proxy to the first holder (the LCA
         // of the old and new proxies).
-        let mut added = HashSet::new();
+        let mut added = IdSet::default();
         let mut cur = to;
         while !self.holds(cur, o) {
             self.add(cur, o);
@@ -723,7 +728,7 @@ mod tests {
             t.move_object(o, NodeId(hop)).unwrap();
         }
         // collect expected ancestors of final proxy 5
-        let mut expected = HashSet::new();
+        let mut expected = IdSet::default();
         let mut cur = Some(NodeId(5));
         while let Some(u) = cur {
             expected.insert(u);

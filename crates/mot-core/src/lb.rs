@@ -9,8 +9,7 @@
 use crate::object::ObjectId;
 use mot_debruijn::Embedding;
 use mot_hierarchy::Overlay;
-use mot_net::{DistanceOracle, NodeId};
-use std::collections::HashMap;
+use mot_net::{DistanceOracle, IdMap, NodeId};
 
 /// Placement of one logical entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -26,14 +25,14 @@ pub struct Placement {
 /// overlay.
 #[derive(Clone, Debug)]
 pub struct ClusterTable {
-    clusters: HashMap<(u8, NodeId), Embedding>,
+    clusters: IdMap<(u8, NodeId), Embedding>,
 }
 
 impl ClusterTable {
     /// Builds the radius-`2^ℓ` cluster (and its de Bruijn embedding)
     /// around every level-`ℓ ≥ 1` member of the overlay.
     pub fn build(overlay: &Overlay, m: &dyn DistanceOracle) -> Self {
-        let mut clusters = HashMap::new();
+        let mut clusters = IdMap::default();
         for level in 1..=overlay.height() {
             let radius = (1u64 << level) as f64;
             for &center in overlay.level_members(level) {
@@ -156,7 +155,7 @@ mod tests {
         let h = o.height();
         let root = o.root();
         let e = t.embedding(root, h).unwrap();
-        let mut counts: HashMap<NodeId, usize> = HashMap::new();
+        let mut counts: IdMap<NodeId, usize> = IdMap::default();
         for key in 0..200 {
             let p = t.placement(root, h, ObjectId(key), &m);
             *counts.entry(p.holder).or_default() += 1;

@@ -40,8 +40,7 @@ use crate::trace::{LedgerKind, OpKind, TraceEvent, TracePhase, TraceSink};
 use crate::tracker::{MoveOutcome, QueryResult, Tracker};
 use crate::Result;
 use mot_hierarchy::Overlay;
-use mot_net::{DistanceOracle, NodeId};
-use std::collections::HashMap;
+use mot_net::{DistanceOracle, IdMap, NodeId};
 
 /// Mobile Object Tracking using sensors.
 pub struct MotTracker<'a> {
@@ -49,7 +48,7 @@ pub struct MotTracker<'a> {
     oracle: &'a dyn DistanceOracle,
     cfg: MotConfig,
     stores: NodeStores,
-    records: HashMap<ObjectId, ObjectRecord>,
+    records: IdMap<ObjectId, ObjectRecord>,
     clusters: Option<ClusterTable>,
     /// Per-node liveness under the fault model (true = crashed).
     down: Vec<bool>,
@@ -89,7 +88,7 @@ impl<'a> MotTracker<'a> {
             oracle,
             cfg,
             stores: NodeStores::new(overlay.node_count()),
-            records: HashMap::new(),
+            records: IdMap::default(),
             clusters,
             down: vec![false; overlay.node_count()],
             down_count: 0,
@@ -518,103 +517,16 @@ impl<'a> MotTracker<'a> {
         Ok(cost)
     }
 
-    /// Verifies the structural invariants of every object record; used by
-    /// tests and exposed for the simulator's sanity sweeps. Panics with a
-    /// description on violation.
-    pub fn check_invariants(&self) {
-        let h = self.overlay.height();
-        for (&o, rec) in &self.records {
-            assert_eq!(rec.trail.len(), h + 1, "{o:?}: trail height mismatch");
-            assert_eq!(
-                rec.trail[0].holders.len(),
-                1,
-                "{o:?}: proxy level must be single"
-            );
-            for (level, tl) in rec.trail.iter().enumerate() {
-                assert!(!tl.holders.is_empty(), "{o:?}: empty trail level {level}");
-                assert_eq!(
-                    tl.holders,
-                    self.overlay.station(tl.origin, level),
-                    "{o:?}: level {level} is not the station of its origin {}",
-                    tl.origin
-                );
-                for &hnode in &tl.holders {
-                    assert!(
-                        self.stores.dl_has(hnode, level, o),
-                        "{o:?}: trail holder {hnode} lost its level-{level} DL entry"
-                    );
-                }
-                // Every junction from the level above that the overlay
-                // answers must read what the oracle would have said.
-                let above = rec.trail.get(level + 1).map_or(&[][..], |up| &up.holders);
-                for &from in above {
-                    let Some(drop) = self.overlay.drop_hop(tl.origin, level, from) else {
-                        continue;
-                    };
-                    let dist = |to: NodeId| self.oracle.dist(from, to).to_bits();
-                    let nearest = tl.holders[drop.nearest];
-                    assert_eq!(
-                        (drop.first.to_bits(), drop.nearest_dist.to_bits()),
-                        (dist(tl.holders[0]), dist(nearest)),
-                        "{o:?}: stored drop {from} -> level {level} of {} differs from the oracle",
-                        tl.origin
-                    );
-                    let closer = |&to: &NodeId| {
-                        let d = self.oracle.dist(from, to);
-                        d < drop.nearest_dist || (d == drop.nearest_dist && to < nearest)
-                    };
-                    assert!(
-                        !tl.holders.iter().any(closer),
-                        "{o:?}: {nearest} is not the holder nearest {from} at level {level}"
-                    );
-                }
-            }
-            let root = self.overlay.root();
-            assert!(
-                rec.trail[h].holders.contains(&root),
-                "{o:?}: root dropped from the trail"
-            );
-        }
-    }
-}
-
-impl Tracker for MotTracker<'_> {
-    fn name(&self) -> String {
-        match (self.cfg.load_balance, self.cfg.use_special_parents) {
-            (true, _) => "MOT+LB".to_string(),
-            (false, true) => "MOT".to_string(),
-            (false, false) => "MOT-noSP".to_string(),
-        }
-    }
-
-    fn publish(&mut self, o: ObjectId, proxy: NodeId) -> Result<f64> {
-        self.check_node(proxy)?;
-        if self.records.contains_key(&o) {
-            return Err(CoreError::AlreadyPublished(o));
-        }
-        if let Some(s) = self.path_blocked(proxy) {
-            return Err(CoreError::NodeDown(s));
-        }
-        let (trail, cost) = self.build_trail(o, proxy, OpKind::Publish, LedgerKind::Publish);
-        self.records.insert(o, ObjectRecord { trail });
-        self.emit_op(OpKind::Publish, o, cost);
-        Ok(cost)
-    }
-
-    fn move_object(&mut self, o: ObjectId, to: NodeId) -> Result<MoveOutcome> {
-        self.check_node(to)?;
-        if !self.records.contains_key(&o) {
-            return Err(CoreError::UnknownObject(o));
-        }
-        if let Some(s) = self.path_blocked(to) {
-            return Err(CoreError::NodeDown(s));
-        }
-        if self.ever_crashed {
-            // Self-repair: a move touching a crash-damaged trail first
-            // re-publishes the pointer path, then proceeds normally.
-            self.repair_object(o)?;
-        }
-        let from = self.records.get(&o).expect("checked above").proxy();
+    /// Algorithm 1's maintenance operation on `o`'s record, already
+    /// resolved by [`Tracker::move_object`]: insert up `DPath(to)` to the
+    /// meet, delete the stale trail below it, splice.
+    fn move_record(
+        &mut self,
+        rec: &mut ObjectRecord,
+        o: ObjectId,
+        to: NodeId,
+    ) -> Result<MoveOutcome> {
+        let from = rec.proxy();
         if from == to {
             self.emit_op(OpKind::Move, o, 0.0);
             return Ok(MoveOutcome { from, cost: 0.0 });
@@ -703,7 +615,6 @@ impl Tracker for MotTracker<'_> {
         let (meet_level, meet_node) = meet.expect("the root always holds every published object");
 
         // ---- delete: walk the stale trail below the meet downward ------
-        let mut rec = self.records.remove(&o).expect("record checked above");
         let mut dcur = meet_node;
         for level in (0..meet_level).rev() {
             let tl = std::mem::take(&mut rec.trail[level]);
@@ -745,9 +656,118 @@ impl Tracker for MotTracker<'_> {
         }
         self.frag_buf = new_levels;
         debug_assert_eq!(rec.trail.len(), h + 1);
-        self.records.insert(o, rec);
         self.emit_op(OpKind::Move, o, cost);
         Ok(MoveOutcome { from, cost })
+    }
+
+    /// Verifies the structural invariants of every object record; used by
+    /// tests and exposed for the simulator's sanity sweeps. Panics with a
+    /// description on violation.
+    pub fn check_invariants(&self) {
+        let h = self.overlay.height();
+        for (&o, rec) in &self.records {
+            assert_eq!(rec.trail.len(), h + 1, "{o:?}: trail height mismatch");
+            assert_eq!(
+                rec.trail[0].holders.len(),
+                1,
+                "{o:?}: proxy level must be single"
+            );
+            for (level, tl) in rec.trail.iter().enumerate() {
+                assert!(!tl.holders.is_empty(), "{o:?}: empty trail level {level}");
+                assert_eq!(
+                    tl.holders,
+                    self.overlay.station(tl.origin, level),
+                    "{o:?}: level {level} is not the station of its origin {}",
+                    tl.origin
+                );
+                for &hnode in &tl.holders {
+                    assert!(
+                        self.stores.dl_has(hnode, level, o),
+                        "{o:?}: trail holder {hnode} lost its level-{level} DL entry"
+                    );
+                }
+                // Every junction from the level above that the overlay
+                // answers must read what the oracle would have said.
+                let above = rec.trail.get(level + 1).map_or(&[][..], |up| &up.holders);
+                for &from in above {
+                    let Some(drop) = self.overlay.drop_hop(tl.origin, level, from) else {
+                        continue;
+                    };
+                    let dist = |to: NodeId| self.oracle.dist(from, to).to_bits();
+                    let nearest = tl.holders[drop.nearest];
+                    assert_eq!(
+                        (drop.first.to_bits(), drop.nearest_dist.to_bits()),
+                        (dist(tl.holders[0]), dist(nearest)),
+                        "{o:?}: stored drop {from} -> level {level} of {} differs from the oracle",
+                        tl.origin
+                    );
+                    let closer = |&to: &NodeId| {
+                        let d = self.oracle.dist(from, to);
+                        d < drop.nearest_dist || (d == drop.nearest_dist && to < nearest)
+                    };
+                    assert!(
+                        !tl.holders.iter().any(closer),
+                        "{o:?}: {nearest} is not the holder nearest {from} at level {level}"
+                    );
+                }
+            }
+            let root = self.overlay.root();
+            assert!(
+                rec.trail[h].holders.contains(&root),
+                "{o:?}: root dropped from the trail"
+            );
+        }
+    }
+}
+
+impl Tracker for MotTracker<'_> {
+    fn name(&self) -> String {
+        match (self.cfg.load_balance, self.cfg.use_special_parents) {
+            (true, _) => "MOT+LB".to_string(),
+            (false, true) => "MOT".to_string(),
+            (false, false) => "MOT-noSP".to_string(),
+        }
+    }
+
+    fn publish(&mut self, o: ObjectId, proxy: NodeId) -> Result<f64> {
+        self.check_node(proxy)?;
+        if self.records.contains_key(&o) {
+            return Err(CoreError::AlreadyPublished(o));
+        }
+        if let Some(s) = self.path_blocked(proxy) {
+            return Err(CoreError::NodeDown(s));
+        }
+        let (trail, cost) = self.build_trail(o, proxy, OpKind::Publish, LedgerKind::Publish);
+        self.records.insert(o, ObjectRecord { trail });
+        self.emit_op(OpKind::Publish, o, cost);
+        Ok(cost)
+    }
+
+    fn move_object(&mut self, o: ObjectId, to: NodeId) -> Result<MoveOutcome> {
+        self.check_node(to)?;
+        if self.ever_crashed {
+            if !self.records.contains_key(&o) {
+                return Err(CoreError::UnknownObject(o));
+            }
+            // No node is down unless one crashed, so only this arm asks.
+            if let Some(s) = self.path_blocked(to) {
+                return Err(CoreError::NodeDown(s));
+            }
+            // Self-repair: a move touching a crash-damaged trail first
+            // re-publishes the pointer path, then proceeds normally.
+            self.repair_object(o)?;
+        }
+        // The record is looked up once and edited in place. The table
+        // steps out of `self` meanwhile, because the climb below borrows
+        // the whole tracker mutably (stores, freelists) and never reads
+        // `records`; moving an `IdMap` is four words and no allocation.
+        let mut records = std::mem::take(&mut self.records);
+        let out = match records.get_mut(&o) {
+            Some(rec) => self.move_record(rec, o, to),
+            None => Err(CoreError::UnknownObject(o)),
+        };
+        self.records = records;
+        out
     }
 
     fn query(&self, from: NodeId, o: ObjectId) -> Result<QueryResult> {
@@ -1024,6 +1044,55 @@ mod tests {
                 assert_eq!(t.query(x, o).unwrap().proxy, proxies[i]);
             }
         }
+    }
+
+    #[test]
+    fn random_walk_spills_sdl_slots_and_drains_them_back() {
+        // A special parent that guards one object through several
+        // children keeps them in one slot: the first pair inline, the
+        // rest spilled. A long walk must take slots both ways, in
+        // whatever order the moves happen to install and remove guards.
+        let f = fixture(8, 8);
+        let mut t = MotTracker::new(&f.overlay, &f.m, MotConfig::plain());
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let mut proxies: Vec<NodeId> = (0..6).map(|_| NodeId(rng.gen_range(0..64))).collect();
+        for (i, &p) in proxies.iter().enumerate() {
+            t.publish(ObjectId(i as u32), p).unwrap();
+        }
+        let mut widest = 0;
+        let mut drained = 0;
+        let mut before = t.stores.sdl_spilled();
+        for step in 0..2000 {
+            let i = rng.gen_range(0..proxies.len());
+            let o = ObjectId(i as u32);
+            let nbrs = f.g.neighbors(proxies[i]);
+            proxies[i] = nbrs[rng.gen_range(0..nbrs.len())].to;
+            t.move_object(o, proxies[i]).unwrap();
+            let after = t.stores.sdl_spilled();
+            widest = widest.max(after.iter().map(|s| s.2).max().unwrap_or(0));
+            // A slot that was spilled before this move and is not now
+            // went back to its inline pair (or away altogether).
+            let gone =
+                |s: &&(NodeId, ObjectId, usize)| !after.iter().any(|a| (a.0, a.1) == (s.0, s.1));
+            let newly_drained = before.iter().filter(gone).count();
+            if newly_drained > 0 || step % 97 == 0 {
+                drained += newly_drained;
+                t.check_invariants();
+                let from = NodeId(rng.gen_range(0..64));
+                assert_eq!(t.query(from, o).unwrap().proxy, proxies[i], "step {step}");
+                // The stores hold exactly the guards the trails list.
+                let listed: usize = t
+                    .records
+                    .values()
+                    .flat_map(|rec| &rec.trail)
+                    .map(|tl| tl.sp_entries.len())
+                    .sum();
+                assert_eq!(t.stores.total_sdl_entries(), listed, "step {step}");
+            }
+            before = after;
+        }
+        assert!(widest >= 3, "no slot ever held three guards ({widest})");
+        assert!(drained >= 10, "only {drained} spilled slots drained back");
     }
 
     #[test]
@@ -1328,7 +1397,7 @@ mod tests {
                 t.publish(ObjectId(i as u32), p).unwrap();
             }
             let (mut seen, mut from_table) = (0, [0usize; 2]);
-            let mut counts = HashMap::new();
+            let mut counts = std::collections::HashMap::new();
             for step in 0..600 {
                 let i = rng.gen_range(0..proxies.len());
                 let o = ObjectId(i as u32);

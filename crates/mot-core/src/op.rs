@@ -15,8 +15,13 @@
 //!   in the ledger rather than silently dropped, preserving the
 //!   zero-silent-loss invariant
 //!   `sent == applied + recorded-lost + shed`.
+//!
+//! Admission is one probe of an [`IdMap`] per arrival: ids are the
+//! sender's own sequence numbers, so the table hashes them with one
+//! multiply ([`mot_net::IdHasher`]) rather than a keyed SipHash.
 
-use std::collections::HashMap;
+use mot_net::IdMap;
+use std::collections::hash_map::Entry;
 
 /// Identity of one operation (or message) delivered at-least-once.
 ///
@@ -54,7 +59,7 @@ impl std::fmt::Display for OpId {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OpLedger {
     /// id → attempt number that first applied.
-    applied: HashMap<u64, u32>,
+    applied: IdMap<u64, u32>,
     /// Ids whose delivery budget was exhausted, in record order.
     lost: Vec<u64>,
     /// Redundant arrivals refused after the first apply (duplicates and
@@ -73,11 +78,11 @@ impl OpLedger {
     /// later arrival (duplicate delivery or stale retry) is fenced.
     pub fn admit(&mut self, op: OpId, attempt: u32) -> bool {
         match self.applied.entry(op.0) {
-            std::collections::hash_map::Entry::Occupied(_) => {
+            Entry::Occupied(_) => {
                 self.fenced += 1;
                 false
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 e.insert(attempt);
                 true
             }

@@ -8,14 +8,24 @@
 //! levels per (node, object) pair. SDL entries additionally remember the
 //! guarded level and the special child that installed them.
 //!
+//! Both tables are [`IdMap`]s — an operation probes one at every station
+//! stop, and the keys are object ids the program hands out, so they hash
+//! with one multiply instead of a keyed SipHash. A DL entry is 16 bytes
+//! (id + level mask); an SDL entry is 32 (id + a 24-byte `SdlSlot`
+//! holding its first `(level, child)` pair inline). A host that guards
+//! one object through several children spills the slot to a vector
+//! taken from — and, once drained, returned to — a freelist, so in
+//! steady state installing or removing a special parent allocates
+//! nothing either way.
+//!
 //! The *trail* of an object is the current chain of DL holders from the
 //! root down to the proxy — the concatenation of detection-path fragments
 //! that maintenance operations splice together (Fig. 2's fragmentation is
 //! exactly a trail whose levels come from different proxies' paths).
 
 use crate::object::ObjectId;
-use mot_net::NodeId;
-use std::collections::HashMap;
+use mot_net::{IdMap, NodeId};
+use std::collections::hash_map::Entry;
 
 /// One SDL installation: `host` guards `child` (a DL holder at the trail
 /// level this entry belongs to); the entry is physically charged to
@@ -70,14 +80,79 @@ impl ObjectRecord {
     }
 }
 
+/// `(guarded level, child)`.
+type SdlPair = (u8, NodeId);
+
+/// The SDL entries one host keeps for one object: a non-empty multiset
+/// of `(guarded level, child)` pairs. The first pair lives inline; a
+/// second guard on the same (host, object) spills all of them to a
+/// vector, and removing down to one drains back. No larger than the
+/// `Vec` header alone (asserted below) — 20 000 objects' worth of these
+/// is where a fatter entry shows up as resident memory.
+#[derive(Clone, Debug)]
+enum SdlSlot {
+    One(SdlPair),
+    Many(Vec<SdlPair>),
+}
+
+const _: () = assert!(std::mem::size_of::<SdlSlot>() <= std::mem::size_of::<Vec<SdlPair>>());
+
+/// Cap on [`NodeStores::spare_spills`]. One move installs and removes a
+/// few dozen guards at most, so its own drains cover its spills.
+const SPARE_SPILL_CAP: usize = 64;
+
+impl SdlSlot {
+    fn as_slice(&self) -> &[SdlPair] {
+        match self {
+            SdlSlot::One(e) => std::slice::from_ref(e),
+            SdlSlot::Many(v) => v,
+        }
+    }
+
+    /// Adds `e`, spilling into a vector off `spare` when the inline
+    /// pair is taken.
+    fn push(&mut self, e: SdlPair, spare: &mut Vec<Vec<SdlPair>>) {
+        match self {
+            SdlSlot::One(first) => {
+                let mut v = spare.pop().unwrap_or_default();
+                v.extend([*first, e]);
+                *self = SdlSlot::Many(v);
+            }
+            SdlSlot::Many(v) => v.push(e),
+        }
+    }
+
+    /// Removes one occurrence of `e`, draining back to the inline pair
+    /// (the emptied vector goes to `spare`) when one is left.
+    /// `Some(true)` when that emptied the slot (the caller drops it),
+    /// `None` when `e` was not there.
+    fn remove(&mut self, e: SdlPair, spare: &mut Vec<Vec<SdlPair>>) -> Option<bool> {
+        match self {
+            SdlSlot::One(only) => (*only == e).then_some(true),
+            SdlSlot::Many(v) => {
+                v.swap_remove(v.iter().position(|&x| x == e)?);
+                if let [last] = v[..] {
+                    let mut v = std::mem::take(v);
+                    if spare.len() < SPARE_SPILL_CAP {
+                        v.clear();
+                        spare.push(v);
+                    }
+                    *self = SdlSlot::One(last);
+                }
+                Some(false)
+            }
+        }
+    }
+}
+
 /// The DL and SDL of one node that has ever held an entry.
 #[derive(Clone, Debug, Default)]
 struct NodeStore {
     /// object → bitmask of levels at which the node holds the object in
     /// its DL.
-    dl: HashMap<ObjectId, u64>,
-    /// object → SDL entries hosted here (guarded level, child).
-    sdl: HashMap<ObjectId, Vec<(u8, NodeId)>>,
+    dl: IdMap<ObjectId, u64>,
+    /// object → SDL entries hosted here.
+    sdl: IdMap<ObjectId, SdlSlot>,
 }
 
 /// The distributed DL/SDL state of every node, with physical load
@@ -85,12 +160,16 @@ struct NodeStore {
 #[derive(Clone, Debug)]
 pub struct NodeStores {
     /// Allocated on a node's first entry: on a large deployment nearly
-    /// every sensor never holds one, and two empty maps apiece (96 bytes)
+    /// every sensor never holds one, and two empty maps apiece (64 bytes)
     /// were most of what a tracker kept resident there.
     nodes: Vec<Option<Box<NodeStore>>>,
     /// Physical per-node entry counts (who actually stores the record —
     /// under load balancing a hashed cluster member, not the role node).
     load: Vec<usize>,
+    /// Freelist of the vectors spilled [`SdlSlot`]s drained out of, so
+    /// the next spill reuses one instead of allocating. Cleared on
+    /// recycle; reuse is capacity-only (DESIGN.md §16).
+    spare_spills: Vec<Vec<SdlPair>>,
 }
 
 impl NodeStores {
@@ -99,6 +178,7 @@ impl NodeStores {
         NodeStores {
             nodes: vec![None; n],
             load: vec![0; n],
+            spare_spills: Vec::new(),
         }
     }
 
@@ -169,17 +249,20 @@ impl NodeStores {
     pub fn sdl_get(&self, node: NodeId, o: ObjectId) -> Option<(usize, NodeId)> {
         self.node(node)
             .and_then(|s| s.sdl.get(&o))
-            .and_then(|v| v.iter().min())
+            .and_then(|slot| slot.as_slice().iter().min())
             .map(|&(lvl, child)| (lvl as usize, child))
     }
 
     /// Installs an SDL entry.
     pub fn sdl_add(&mut self, e: SpEntry, level: usize, o: ObjectId) {
-        self.node_mut(e.host)
-            .sdl
-            .entry(o)
-            .or_default()
-            .push((level as u8, e.child));
+        let pair = (level as u8, e.child);
+        let store = self.nodes[e.host.index()].get_or_insert_with(Default::default);
+        match store.sdl.entry(o) {
+            Entry::Occupied(mut slot) => slot.get_mut().push(pair, &mut self.spare_spills),
+            Entry::Vacant(slot) => {
+                slot.insert(SdlSlot::One(pair));
+            }
+        }
         self.load[e.holder.index()] += 1;
     }
 
@@ -188,18 +271,17 @@ impl NodeStores {
         let Some(store) = self.nodes[e.host.index()].as_deref_mut() else {
             return;
         };
-        let entries = store.sdl.get_mut(&o);
-        let Some(v) = entries else { return };
-        if let Some(pos) = v
-            .iter()
-            .position(|&(l, c)| l == level as u8 && c == e.child)
-        {
-            v.swap_remove(pos);
-            if v.is_empty() {
-                store.sdl.remove(&o);
-            }
-            self.load[e.holder.index()] = self.load[e.holder.index()].saturating_sub(1);
+        let Entry::Occupied(mut slot) = store.sdl.entry(o) else {
+            return;
+        };
+        let pair = (level as u8, e.child);
+        let Some(emptied) = slot.get_mut().remove(pair, &mut self.spare_spills) else {
+            return;
+        };
+        if emptied {
+            slot.remove();
         }
+        self.load[e.holder.index()] = self.load[e.holder.index()].saturating_sub(1);
     }
 
     /// Simulates a crash of node `u`: every DL and SDL entry physically
@@ -218,7 +300,11 @@ impl NodeStores {
             .values()
             .map(|mask| mask.count_ones() as usize)
             .sum::<usize>()
-            + store.sdl.values().map(Vec::len).sum::<usize>();
+            + store
+                .sdl
+                .values()
+                .map(|slot| slot.as_slice().len())
+                .sum::<usize>();
         self.load[u.index()] = self.load[u.index()].saturating_sub(wiped);
         wiped
     }
@@ -238,13 +324,28 @@ impl NodeStores {
             .sum()
     }
 
+    /// The entry count of every SDL slot that has spilled past its
+    /// inline pair, as `(host, object, entries)`.
+    #[cfg(test)]
+    pub(crate) fn sdl_spilled(&self) -> Vec<(NodeId, ObjectId, usize)> {
+        let mut spilled = Vec::new();
+        for (i, store) in self.nodes.iter().enumerate() {
+            for (&o, slot) in store.iter().flat_map(|s| &s.sdl) {
+                if let SdlSlot::Many(v) = slot {
+                    spilled.push((NodeId::from_index(i), o, v.len()));
+                }
+            }
+        }
+        spilled
+    }
+
     /// Total SDL entries across all nodes (testing aid).
     pub fn total_sdl_entries(&self) -> usize {
         self.nodes
             .iter()
             .flatten()
             .flat_map(|m| m.sdl.values())
-            .map(Vec::len)
+            .map(|slot| slot.as_slice().len())
             .sum()
     }
 }
@@ -350,6 +451,40 @@ mod tests {
         assert_eq!(s.loads()[0], 2);
         s.sdl_remove(a, 1, o);
         assert_eq!(s.sdl_get(NodeId(0), o), Some((3, NodeId(2))));
+    }
+
+    #[test]
+    fn sdl_slot_spills_past_its_inline_entry_and_drains_back() {
+        let mut s = NodeStores::new(8);
+        let (host, o) = (NodeId(0), ObjectId(1));
+        let guard = |child: u32| SpEntry {
+            host,
+            child: NodeId(child),
+            holder: host,
+        };
+        let slot = |s: &NodeStores| s.node(host).and_then(|n| n.sdl.get(&o)).cloned();
+        s.sdl_add(guard(5), 2, o);
+        assert!(matches!(slot(&s), Some(SdlSlot::One(_))));
+        s.sdl_add(guard(3), 4, o);
+        s.sdl_add(guard(7), 1, o);
+        s.sdl_add(guard(3), 4, o); // a multiset: the same guard twice
+        assert!(matches!(slot(&s), Some(SdlSlot::Many(_))));
+        assert_eq!(s.sdl_get(host, o), Some((1, NodeId(7))));
+        assert_eq!((s.total_sdl_entries(), s.loads()[0]), (4, 4));
+        // Removal order differs from installation order; a guard that
+        // was never installed is a no-op.
+        s.sdl_remove(guard(3), 4, o);
+        s.sdl_remove(guard(6), 4, o);
+        assert_eq!((s.total_sdl_entries(), s.loads()[0]), (3, 3));
+        s.sdl_remove(guard(7), 1, o);
+        assert_eq!(s.sdl_get(host, o), Some((2, NodeId(5))));
+        s.sdl_remove(guard(5), 2, o);
+        assert!(matches!(slot(&s), Some(SdlSlot::One((4, NodeId(3))))));
+        s.sdl_remove(guard(5), 2, o);
+        assert_eq!((s.total_sdl_entries(), s.loads()[0]), (1, 1));
+        s.sdl_remove(guard(3), 4, o);
+        assert!(slot(&s).is_none());
+        assert_eq!(s.wipe_node(host), 0);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod ops;
 pub mod oracle;
 pub mod workspace;
 
-pub use bits::{q32, splitmix64, BALL_PAD};
+pub use bits::{q32, splitmix64, IdHasher, IdMap, IdSet, BALL_PAD};
 pub use builder::GraphBuilder;
 pub use delta::{ChurnEvent, ChurnSchedule, ChurnSpec, TopologyDelta};
 pub use dijkstra::{dijkstra, dijkstra_targeted, shortest_path_tree, PathTree};

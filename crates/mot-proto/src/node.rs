@@ -14,8 +14,7 @@ use crate::arena::RouteArena;
 use crate::message::{Message, Payload};
 use mot_core::ObjectId;
 use mot_hierarchy::Overlay;
-use mot_net::{DistanceOracle, NodeId};
-use std::collections::HashMap;
+use mot_net::{DistanceOracle, IdMap, NodeId};
 
 /// One detection-list entry with its distributed routing state.
 #[derive(Clone, Debug)]
@@ -55,8 +54,8 @@ impl Ctx<'_> {
 /// The state of one sensor node.
 #[derive(Clone, Debug, Default)]
 pub struct NodeState {
-    dl: HashMap<(ObjectId, u8), DlEntry>,
-    sdl: HashMap<ObjectId, Vec<(u8, NodeId)>>,
+    dl: IdMap<(ObjectId, u8), DlEntry>,
+    sdl: IdMap<ObjectId, Vec<(u8, NodeId)>>,
 }
 
 impl NodeState {

@@ -9,9 +9,8 @@ use crate::node::{Ctx, DlEntry, NodeState};
 use crate::transport::{CostLedger, Delivery, LossyTransport, TimedTransport, Transport};
 use mot_core::{CoreError, MotConfig, MoveOutcome, ObjectId, QueryResult, Tracker};
 use mot_hierarchy::Overlay;
-use mot_net::{DistanceOracle, NodeId};
+use mot_net::{DistanceOracle, IdMap, IdSet, NodeId};
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// One operation of a concurrent batch. All operations in a batch must
 /// reference *distinct* objects — the paper observes that overlay
@@ -130,7 +129,7 @@ struct Inner<'a> {
     use_special_parents: bool,
     nodes: Vec<NodeState>,
     transport: Pipe,
-    proxies: HashMap<ObjectId, NodeId>,
+    proxies: IdMap<ObjectId, NodeId>,
     last_reply: Option<(ObjectId, NodeId)>,
     /// Reply (result delivery) distance, reported separately from the
     /// query cost like the direct implementation.
@@ -273,7 +272,7 @@ impl<'a> ProtoTracker<'a> {
                 use_special_parents: cfg.use_special_parents,
                 nodes: vec![NodeState::default(); overlay.node_count()],
                 transport,
-                proxies: HashMap::new(),
+                proxies: IdMap::default(),
                 last_reply: None,
                 reply_distance: 0.0,
                 arena: RouteArena::new(),
@@ -326,7 +325,7 @@ impl<'a> ProtoTracker<'a> {
         period_base: f64,
     ) -> mot_core::Result<BatchOutcome> {
         {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = IdSet::default();
             for op in ops {
                 assert!(
                     seen.insert(op.object()),
@@ -339,7 +338,7 @@ impl<'a> ProtoTracker<'a> {
         let inner = &mut *inner;
         let mut timed = TimedTransport::new(period_base);
         let mut outcome = BatchOutcome::default();
-        let mut per_object: HashMap<ObjectId, f64> = HashMap::new();
+        let mut per_object: IdMap<ObjectId, f64> = IdMap::default();
 
         // Inject every operation at t = 0.
         for op in ops {

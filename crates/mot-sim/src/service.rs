@@ -47,14 +47,15 @@
 //! lives in a separate `"wall"` JSON trailer that parity comparisons
 //! strip.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 use mot_baselines::DetectionRates;
 use mot_core::{fmt_f64, ObjectId, OpLedger};
 use mot_hierarchy::{OverlayConfig, RepairableHierarchy};
-use mot_net::{splitmix64, CacheLedger, NodeId};
+use mot_net::{splitmix64, CacheLedger, ChurnSchedule, IdMap, IdSet, NodeId};
 use mot_proto::Backoff;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -454,14 +455,32 @@ struct Queued {
     env: OpEnvelope,
 }
 
+/// What a shard durably knows about one object it has adopted.
+struct Adopted {
+    /// High-water mark over `obj_seq`: the staleness fence.
+    hw: u32,
+    /// Committed position — the target of the state op that set `hw`.
+    at: NodeId,
+}
+
 /// The durable part of a shard: survives crashes, rebuilds the tracker.
 #[derive(Default)]
 struct ShardLedger {
     ops: OpLedger,
-    positions: HashMap<u32, NodeId>,
-    hw: HashMap<u32, u32>,
+    /// One entry per adopted object, so a state op probes once for the
+    /// fence, the publish-or-move choice and the new position together.
+    objects: IdMap<u32, Adopted>,
     checkpoint: Vec<(u32, NodeId)>,
     tail: Vec<(u32, NodeId)>,
+}
+
+impl ShardLedger {
+    /// Every adopted object's committed position, in object order.
+    fn positions_sorted(&self) -> Vec<(u32, NodeId)> {
+        let mut v: Vec<(u32, NodeId)> = self.objects.iter().map(|(&o, a)| (o, a.at)).collect();
+        v.sort_unstable_by_key(|&(o, _)| o);
+        v
+    }
 }
 
 struct ShardState<'a> {
@@ -518,14 +537,7 @@ impl<'a> ShardState<'a> {
             done += 1;
         }
         if cfg.checkpoint_every > 0 && tick > 0 && tick.is_multiple_of(cfg.checkpoint_every) {
-            let mut snap: Vec<(u32, NodeId)> = self
-                .ledger
-                .positions
-                .iter()
-                .map(|(&o, &n)| (o, n))
-                .collect();
-            snap.sort_unstable_by_key(|&(o, _)| o);
-            self.ledger.checkpoint = snap;
+            self.ledger.checkpoint = self.ledger.positions_sorted();
             self.ledger.tail.clear();
         }
         let depth = self.queue.len();
@@ -561,7 +573,7 @@ impl<'a> ShardState<'a> {
             })
             .collect();
         self.tracker = bed.make_tracker(Algo::Mot, rates)?;
-        let mut rebuilt: HashSet<u32> = HashSet::new();
+        let mut rebuilt: IdSet<u32> = IdSet::default();
         for &(o, at) in &self.ledger.checkpoint {
             self.stats.recovery_cost += self.tracker.publish(ObjectId(o), at)?;
             rebuilt.insert(o);
@@ -617,7 +629,7 @@ impl<'a> ShardState<'a> {
             ServiceOp::Move { to } => self.apply_state(q.env.obj_seq, o, to)?,
             ServiceOp::Query { from } => {
                 self.stats.applied += 1;
-                match self.ledger.positions.get(&o.0).copied() {
+                match self.ledger.objects.get(&o.0).map(|a| a.at) {
                     // The object hasn't been adopted here yet (its
                     // publish is still in flight): a degraded "not yet
                     // tracked" answer, not an error.
@@ -649,34 +661,35 @@ impl<'a> ShardState<'a> {
     /// object), so out-of-order delivery converges on the newest state.
     fn apply_state(&mut self, obj_seq: u32, o: ObjectId, target: NodeId) -> Result<(), SimError> {
         self.stats.applied += 1;
-        if self.ledger.hw.get(&o.0).is_some_and(|&h| obj_seq <= h) {
-            self.stats.superseded += 1;
-            return Ok(());
+        let adopted = Adopted {
+            hw: obj_seq,
+            at: target,
+        };
+        match self.ledger.objects.entry(o.0) {
+            Entry::Occupied(mut e) => {
+                if obj_seq <= e.get().hw {
+                    self.stats.superseded += 1;
+                    return Ok(());
+                }
+                let out = self.tracker.move_object(o, target)?;
+                self.stats.moves += 1;
+                self.stats.move_cost.record(out.cost);
+                e.insert(adopted);
+            }
+            Entry::Vacant(e) => {
+                let c = self.tracker.publish(o, target)?;
+                self.stats.publishes += 1;
+                self.stats.publish_cost.record(c);
+                e.insert(adopted);
+            }
         }
-        self.ledger.hw.insert(o.0, obj_seq);
-        if self.ledger.positions.contains_key(&o.0) {
-            let out = self.tracker.move_object(o, target)?;
-            self.stats.moves += 1;
-            self.stats.move_cost.record(out.cost);
-        } else {
-            let c = self.tracker.publish(o, target)?;
-            self.stats.publishes += 1;
-            self.stats.publish_cost.record(c);
-        }
-        self.ledger.positions.insert(o.0, target);
         self.ledger.tail.push((o.0, target));
         Ok(())
     }
 
     fn finish(mut self) -> ShardFinal {
         self.stats.fenced = self.ledger.ops.fenced;
-        let mut positions: Vec<(u32, NodeId)> = self
-            .ledger
-            .positions
-            .iter()
-            .map(|(&o, &n)| (o, n))
-            .collect();
-        positions.sort_unstable_by_key(|&(o, _)| o);
+        let positions = self.ledger.positions_sorted();
         let integrity_mismatches = positions
             .iter()
             .filter(|&&(o, n)| self.tracker.proxy_of(ObjectId(o)) != Some(n))
@@ -738,6 +751,28 @@ fn worker_main<'a>(
 }
 
 // ---- coordinator ----------------------------------------------------
+
+/// Absorbs control-plane delta `delta` of the stream's churn schedule
+/// into the coordinator's hierarchy mirror. A topology op that arrives
+/// without a schedule, without a mirror, or past the schedule's end
+/// fails the run like any other broken service invariant.
+fn apply_topology(
+    schedule: Option<&ChurnSchedule>,
+    mirror: Option<&mut RepairableHierarchy>,
+    delta: u32,
+) -> Result<(), SimError> {
+    let broken = |what: &str| SimError::Service(format!("topology op {delta}: {what}"));
+    let schedule = schedule.ok_or_else(|| broken("the stream has no churn schedule"))?;
+    let mirror = mirror.ok_or_else(|| broken("the coordinator keeps no hierarchy mirror"))?;
+    let batch = schedule
+        .deltas()
+        .get(delta as usize)
+        .ok_or_else(|| broken("past the end of the churn schedule"))?;
+    mirror
+        .repair(batch)
+        .map_err(|e| SimError::Service(format!("mirror repair: {e}")))?;
+    Ok(())
+}
 
 /// Runs the service loop to quiescence and verifies its operational
 /// invariants. See the module docs for the guarantees; any violation —
@@ -861,12 +896,7 @@ pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome,
                             // coins, no shard routing, no data-plane
                             // account — the mirror repairs in place.
                             topology_ops += 1;
-                            let sched = stream
-                                .churn_schedule()
-                                .expect("topology op implies a schedule");
-                            let m = mirror.as_mut().expect("topology op implies a mirror");
-                            m.repair(&sched.deltas()[delta as usize])
-                                .map_err(|e| SimError::Service(format!("mirror repair: {e}")))?;
+                            apply_topology(stream.churn_schedule(), mirror.as_mut(), delta)?;
                             continue;
                         }
                         sent += 1;
@@ -1151,6 +1181,32 @@ mod tests {
             crashes: 2,
             max_attempts: 8,
         }
+    }
+
+    #[test]
+    fn a_topology_op_the_coordinator_cannot_serve_is_an_error_not_a_panic() {
+        let bed = bed();
+        let failure = |schedule, mirror, delta| match apply_topology(schedule, mirror, delta) {
+            Err(SimError::Service(why)) => why,
+            other => panic!("expected a service error, got {other:?}"),
+        };
+        // A static stream has no schedule for a topology op to index.
+        let plain = OpStream::new(&bed.graph, StreamSpec::new(4, 100, 3));
+        assert!(failure(plain.churn_schedule(), None, 0).contains("no churn schedule"));
+        // A churn stream has one; the op still needs a mirror, and a
+        // delta the schedule holds.
+        let churn_spec = StreamSpec {
+            churn_every: 20,
+            ..StreamSpec::new(4, 100, 3)
+        };
+        let churn = OpStream::new(&bed.graph, churn_spec);
+        let schedule = churn.churn_schedule().unwrap();
+        assert!(failure(Some(schedule), None, 0).contains("no hierarchy mirror"));
+        let mut mirror =
+            RepairableHierarchy::build(&bed.graph, &OverlayConfig::practical(), 3).unwrap();
+        let past = schedule.len() as u32;
+        assert!(failure(Some(schedule), Some(&mut mirror), past).contains("past the end"));
+        apply_topology(Some(schedule), Some(&mut mirror), 0).unwrap();
     }
 
     #[test]

@@ -1,32 +1,45 @@
-//! Allocation-count regression gate for the replay hot path.
+//! Allocation-count regression gates for the op hot paths.
 //!
-//! A counting global allocator wraps the system allocator; a small
-//! fixed replay runs twice on the same tracker state — once to warm
-//! every freelist and cache, once under the counter — and the test
-//! fails if the steady-state allocation count per operation creeps
-//! past a generous ceiling. Wall-clock benchmarks drift with the
-//! machine; allocation counts are deterministic, so this is the CI-safe
-//! witness that the arena/freelist work keeps paying.
+//! A counting global allocator wraps the system allocator; a fixed
+//! replay runs twice on the same tracker state — once to warm every
+//! freelist and cache, once under the counter — and a test fails if the
+//! steady-state allocation count per operation creeps past its ceiling.
+//! Wall-clock benchmarks drift with the machine; allocation counts are
+//! deterministic, so these are the CI-safe witnesses that the
+//! arena/freelist work and the inline SDL slot keep paying.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per thread, because the harness runs the tests of this file side
+    /// by side: each counts only what its own thread asked for.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down has no counter left; nothing measured
+    // here allocates then.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
+        // SAFETY: as for `dealloc`, and the caller vouches for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -35,10 +48,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
-use mot_core::{MotConfig, ObjectId, Tracker};
+use mot_core::{MotConfig, MotTracker, ObjectId, Tracker};
 use mot_hierarchy::{build_doubling, OverlayConfig};
 use mot_net::{generators, DenseOracle, NodeId};
 use mot_proto::ProtoTracker;
@@ -86,4 +99,65 @@ fn steady_state_replay_allocates_sparingly() {
         "replay hot path allocates {per_op:.1} times per operation; \
          the arena/freelist reuse has regressed"
     );
+}
+
+#[test]
+fn direct_tracker_moves_and_queries_allocate_next_to_nothing() {
+    // The bed, overlay constants and tracker switches of the repository
+    // benchmark's service workloads (benchmark/src/workloads/mod.rs).
+    let g = generators::grid(32, 32).unwrap();
+    let m = DenseOracle::build(&g).unwrap();
+    let mut shape = OverlayConfig::practical();
+    shape.parent_set_radius_mult = 1.0;
+    shape.sp_gap = 2;
+    let overlay = build_doubling(&g, &m, &shape, 1);
+    let mut cfg = MotConfig::plain();
+    cfg.use_special_parents = true;
+    cfg.count_sp_cost = false;
+    cfg.load_balance = false;
+    let mut t = MotTracker::new(&overlay, &m, cfg);
+
+    const OBJECTS: u32 = 100;
+    const MOVES: u64 = 50_000;
+    const QUERIES: u64 = 20_000;
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut at: Vec<NodeId> = (0..OBJECTS)
+        .map(|_| NodeId(rng.gen_range(0..1024)))
+        .collect();
+    for (o, &p) in at.iter().enumerate() {
+        t.publish(ObjectId(o as u32), p).unwrap();
+    }
+    let mut walk = |t: &mut MotTracker, rng: &mut ChaCha8Rng| {
+        for _ in 0..MOVES {
+            let o = rng.gen_range(0..OBJECTS);
+            let nbrs = g.neighbors(at[o as usize]);
+            at[o as usize] = nbrs[rng.gen_range(0..nbrs.len())].to;
+            t.move_object(ObjectId(o), at[o as usize]).unwrap();
+        }
+    };
+
+    // Warm-up: trail vectors, the level freelist and every node's maps
+    // reach their high-water capacities.
+    walk(&mut t, &mut rng);
+
+    let before = allocs();
+    walk(&mut t, &mut rng);
+    let per_move = (allocs() - before) as f64 / MOVES as f64;
+
+    let before = allocs();
+    for _ in 0..QUERIES {
+        let o = ObjectId(rng.gen_range(0..OBJECTS));
+        t.query(NodeId(rng.gen_range(0..1024)), o).unwrap();
+    }
+    let in_queries = allocs() - before;
+
+    // With a `Vec` per SDL slot this read 0.447 a move: every special
+    // parent installed was one allocation. What is left is the rare
+    // slot that spills and a node's map growing past its old capacity.
+    assert!(
+        per_move <= 0.05,
+        "a steady-state move allocates {per_move:.3} times; \
+         SDL installs are on the heap again"
+    );
+    assert_eq!(in_queries, 0, "queries are read-only and allocate nothing");
 }
