@@ -181,6 +181,9 @@ pub struct TreeTracker<'a> {
     dirty: IdSet<ObjectId>,
     /// Message distance spent on crash repair (handoffs + chain rebuilds).
     repair_spent: f64,
+    /// Scratch of `move_object`: the nodes its climb just added, at most
+    /// tree-depth many. Empty between moves; only the capacity is kept.
+    added: Vec<NodeId>,
     /// Optional structured-trace consumer (`None` = zero-cost silence).
     /// Events are tagged with the tree depth of the destination node as
     /// the "level" (the tree analogue of MOT's hierarchy level).
@@ -209,6 +212,7 @@ impl<'a> TreeTracker<'a> {
             down_count: 0,
             dirty: IdSet::default(),
             repair_spent: 0.0,
+            added: Vec::new(),
             sink: None,
         }
     }
@@ -410,11 +414,11 @@ impl Tracker for TreeTracker<'_> {
         let mut cost = 0.0;
         // insert: climb from the new proxy to the first holder (the LCA
         // of the old and new proxies).
-        let mut added = IdSet::default();
+        let mut added = std::mem::take(&mut self.added);
         let mut cur = to;
         while !self.holds(cur, o) {
             self.add(cur, o);
-            added.insert(cur);
+            added.push(cur);
             let p = self
                 .tree
                 .parent(cur)
@@ -463,6 +467,8 @@ impl Tracker for TreeTracker<'_> {
             }
         }
         debug_assert_eq!(d, from, "stale branch must end at the old proxy");
+        added.clear();
+        self.added = added;
         self.proxies.insert(o, to);
         self.emit_op(OpKind::Move, o, cost);
         Ok(MoveOutcome { from, cost })

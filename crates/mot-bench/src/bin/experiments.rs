@@ -38,7 +38,11 @@
 //!
 //! `--profile-phases` additionally prints a self-timing breakdown to
 //! stderr for the `fig4` and `service`/`service-smoke` experiments
-//! (graph/oracle/hierarchy/publish/replay/queries, bed-build vs soak).
+//! (graph/oracle/hierarchy/publish/replay/queries, bed-build vs soak)
+//! and, for every sweep-shaped figure (`fig4`…`fig15`, `locality`,
+//! `mobility`, `faults`, `faults-smoke`), where the sweep's time went:
+//! seconds summed over cells per shared input and per cell phase, split
+//! by algorithm, and the runner's efficiency.
 //! Stdout tables are unaffected, so the flag composes with `--csv` and
 //! the determinism checks. See PERFORMANCE.md for the flamegraph recipe
 //! when per-function attribution is needed below phase granularity.
@@ -53,12 +57,13 @@
 //! unrepaired objects) — exits nonzero with a readable message.
 
 use mot_bench::{
-    ablation_table, churn_smoke_table, churn_table, faults_table, general_graph_table,
-    instrumented_run, level_decomposition_table, load_figure, locality_table, maintenance_figure,
-    mobility_table, profile_fig4_phases, publish_cost_table, query_figure, run_baseline,
-    scale_table, scenario_tables, scenarios_smoke_table, service_phase_timings, service_run,
-    state_size_table, trace_events, BaselineProfile, BenchError, FigureTable, Profile, RunReport,
-    ScenarioProfile, ServiceSpec, SizeSpec,
+    ablation_table, churn_smoke_table, churn_table, faults_table_profiled, general_graph_table,
+    instrumented_run, level_decomposition_table, load_figure_profiled, locality_table_profiled,
+    maintenance_figure_profiled, mobility_table_profiled, profile_fig4_phases, publish_cost_table,
+    query_figure_profiled, run_baseline, scale_table, scenario_tables, scenarios_smoke_table,
+    service_phase_timings, service_run, state_size_table, trace_events, BaselineProfile,
+    BenchError, FigureTable, Profile, ProfiledResult, RunReport, ScenarioProfile, ServiceSpec,
+    SizeSpec,
 };
 use mot_net::OracleKind;
 use mot_sim::Algo;
@@ -205,7 +210,7 @@ fn run() -> Result<(), BenchError> {
                      bench-baseline also accepts --profile smoke|full and writes\n\
                      its phase timings to --bench-out (default BENCH_pr8.json);\n\
                      --profile-phases prints self-timing breakdowns (stderr) for\n\
-                     fig4 and service/service-smoke runs;\n\
+                     the sweep figures and service/service-smoke runs;\n\
                      scenarios prints one table per family (waypoint levy hotspot\n\
                      zipf adversarial) before its summary — see EXPERIMENTS.md's\n\
                      scenario handbook",
@@ -267,6 +272,16 @@ fn run() -> Result<(), BenchError> {
             *service_out = Some(rep.to_json());
             Ok(table)
         };
+    // A sweep-shaped figure: its timings go to stderr when asked for,
+    // its table down the common path either way.
+    let sweep = |run: ProfiledResult| {
+        run.map(|(table, phases)| {
+            if profile_phases {
+                eprint!("{}", phases.render());
+            }
+            table
+        })
+    };
     let mut service_json: Option<String> = None;
     for id in &ids {
         let started = std::time::Instant::now();
@@ -298,18 +313,58 @@ fn run() -> Result<(), BenchError> {
                     }
                     Ok(rep.to_table())
                 }),
-            "fig4" => maintenance_figure(&profile_for(100, name, oracle, jobs)?, false),
-            "fig5" => maintenance_figure(&profile_for(1000, name, oracle, jobs)?, false),
-            "fig6" => query_figure(&profile_for(100, name, oracle, jobs)?, false),
-            "fig7" => query_figure(&profile_for(1000, name, oracle, jobs)?, false),
-            "fig8" => load_figure(&profile_for(100, name, oracle, jobs)?, Algo::Stun, 0),
-            "fig9" => load_figure(&profile_for(100, name, oracle, jobs)?, Algo::Stun, 10),
-            "fig10" => load_figure(&profile_for(100, name, oracle, jobs)?, Algo::Zdat, 0),
-            "fig11" => load_figure(&profile_for(100, name, oracle, jobs)?, Algo::Zdat, 10),
-            "fig12" => maintenance_figure(&profile_for(100, name, oracle, jobs)?, true),
-            "fig13" => maintenance_figure(&profile_for(1000, name, oracle, jobs)?, true),
-            "fig14" => query_figure(&profile_for(100, name, oracle, jobs)?, true),
-            "fig15" => query_figure(&profile_for(1000, name, oracle, jobs)?, true),
+            "fig4" => sweep(maintenance_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                false,
+            )),
+            "fig5" => sweep(maintenance_figure_profiled(
+                &profile_for(1000, name, oracle, jobs)?,
+                false,
+            )),
+            "fig6" => sweep(query_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                false,
+            )),
+            "fig7" => sweep(query_figure_profiled(
+                &profile_for(1000, name, oracle, jobs)?,
+                false,
+            )),
+            "fig8" => sweep(load_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                Algo::Stun,
+                0,
+            )),
+            "fig9" => sweep(load_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                Algo::Stun,
+                10,
+            )),
+            "fig10" => sweep(load_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                Algo::Zdat,
+                0,
+            )),
+            "fig11" => sweep(load_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                Algo::Zdat,
+                10,
+            )),
+            "fig12" => sweep(maintenance_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                true,
+            )),
+            "fig13" => sweep(maintenance_figure_profiled(
+                &profile_for(1000, name, oracle, jobs)?,
+                true,
+            )),
+            "fig14" => sweep(query_figure_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                true,
+            )),
+            "fig15" => sweep(query_figure_profiled(
+                &profile_for(1000, name, oracle, jobs)?,
+                true,
+            )),
             "pub-cost" => publish_cost_table(&profile_for(100, name, oracle, jobs)?),
             "ablations" => ablation_table(&profile_for(100, name, oracle, jobs)?),
             "general" => general_graph_table(&profile_for(50, name, oracle, jobs)?),
@@ -335,11 +390,21 @@ fn run() -> Result<(), BenchError> {
             // Fixed CI spec: --profile has no effect, --jobs does.
             "scenarios-smoke" => scenarios_smoke_table(jobs),
             "state-size" => state_size_table(&profile_for(100, name, oracle, jobs)?),
-            "locality" => locality_table(&profile_for(100, name, oracle, jobs)?),
-            "mobility" => mobility_table(&profile_for(50, name, oracle, jobs)?),
+            "locality" => sweep(locality_table_profiled(&profile_for(
+                100, name, oracle, jobs,
+            )?)),
+            "mobility" => sweep(mobility_table_profiled(&profile_for(
+                50, name, oracle, jobs,
+            )?)),
             "scale" => scale_table(&scale_profile(name, oracle, jobs)?),
-            "faults" => faults_table(&profile_for(100, name, oracle, jobs)?, (32, 32)),
-            "faults-smoke" => faults_table(&smoke_profile(oracle, jobs), (16, 16)),
+            "faults" => sweep(faults_table_profiled(
+                &profile_for(100, name, oracle, jobs)?,
+                (32, 32),
+            )),
+            "faults-smoke" => sweep(faults_table_profiled(
+                &smoke_profile(oracle, jobs),
+                (16, 16),
+            )),
             "service" => ServiceSpec::for_profile(name)
                 .map(|s| s.with_oracle(oracle).with_jobs(jobs))
                 .and_then(|s| run_service_id(s, &mut service_json)),

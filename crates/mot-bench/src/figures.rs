@@ -6,19 +6,34 @@
 //! `Profile::jobs` says (DESIGN.md §12). The instrumented single-run
 //! paths (`level-decomp`, `--trace`, `--metrics` aggregates) stay
 //! sequential — they are one fixed-seed run by construction.
+//!
+//! The cells of a sweep differ in the algorithm and share everything
+//! else, so the six sweep-shaped runners (`maintenance_figure`,
+//! `query_figure`, `load_figure`, `locality_table`, `mobility_table`,
+//! `faults_table`) take their graph, distance backend, overlay,
+//! workload and detection rates from one `SharedInputs` per call
+//! (`shared.rs`): built once per grid or per (grid, seed) by whichever
+//! worker needs them first, dropped when that grid's last cell is done.
+//! A cell instantiates only its tracker. Each of the six also has a
+//! `_profiled` twin returning the table *and* where the time went
+//! ([`SweepPhases`]); the plain function is that one minus the timings.
 
+use crate::profiling::{Laps, SweepPhases, CELL_PHASES, INPUTS, PUBLISH, QUERIES, RUN, TRACKER};
 use crate::report::{BedMemory, FigureTable};
+use crate::shared::{CellInputs, InputSpec, SharedInputs};
 use mot_baselines::DetectionRates;
 use mot_core::{LedgerKind, MemorySink, MotConfig, MotTracker, TraceEvent, TraceSink, Tracker};
 use mot_hierarchy::OverlayConfig;
 use mot_net::{generators, CacheLedger, DistanceOracle, OracleKind};
 use mot_sim::{
-    repair_all, replay_moves, replay_moves_faulty, run_publish, run_queries, run_queries_faulty,
-    unrepaired_objects, Algo, CellKey, ConcurrentConfig, ConcurrentEngine, CostStats, FaultConfig,
-    Keyed, LoadStats, ParallelRunner, Recorder, TestBed, TraceAggregates, WorkloadSpec,
+    graph_center, repair_all, replay_moves, replay_moves_faulty, run_publish, run_queries,
+    run_queries_faulty, unrepaired_objects, Algo, CellKey, ConcurrentConfig, ConcurrentEngine,
+    CostStats, FaultConfig, Keyed, LoadStats, ParallelRunner, Recorder, TestBed, TraceAggregates,
+    WorkloadSpec,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::time::Instant;
 
 /// Errors a figure run can surface: tracker/simulation failures plus the
 /// runners' own sanity checks (e.g. a query batch answering wrong).
@@ -28,6 +43,9 @@ pub type BenchError = Box<dyn std::error::Error + Send + Sync>;
 /// Every runner returns the table or a readable error — the
 /// `experiments` binary turns these into a nonzero exit, not a panic.
 pub type BenchResult = Result<FigureTable, BenchError>;
+
+/// What a `_profiled` runner returns: the table and the sweep's timings.
+pub type ProfiledResult = Result<(FigureTable, SweepPhases), BenchError>;
 
 /// Workload scale for a figure run.
 #[derive(Clone, Debug)]
@@ -112,76 +130,241 @@ fn lineup() -> Vec<Algo> {
     Algo::paper_lineup().to_vec()
 }
 
+/// Fans `cells` out on the profile's runner over `shared` and times the
+/// sweep. Each cell is handed the inputs `slot_of` names — asked for
+/// here, exactly once per cell, which is what lets an input count its
+/// users down — and runs `f` on them. Timings: every cell's own wall
+/// clock and [`Laps`], folded per algorithm (the cells' `key.algo`, in
+/// first-seen order), next to what `shared` spent building.
+/// `run_phase` names the [`RUN`] lap.
+fn run_sweep<C: Sync, T: Send>(
+    p: &Profile,
+    run_phase: &str,
+    shared: &SharedInputs,
+    cells: &[Keyed<C>],
+    slot_of: impl Fn(&C) -> (usize, usize) + Sync,
+    f: impl Fn(&C, &CellInputs, &mut Laps) -> Result<T, BenchError> + Sync,
+) -> Result<(Vec<T>, SweepPhases), BenchError> {
+    let runner = p.runner();
+    let wall = Instant::now();
+    let timed = runner.run(cells, |cell| -> Result<_, BenchError> {
+        let began = Instant::now();
+        let mut laps = Laps::start();
+        let (grid, spec) = slot_of(&cell.data);
+        let inp = shared.cell(grid, spec)?;
+        laps.lap(INPUTS);
+        let out = f(&cell.data, &inp, &mut laps)?;
+        Ok((out, laps.secs, began.elapsed().as_secs_f64()))
+    })?;
+    let wall_secs = wall.elapsed().as_secs_f64();
+
+    let mut algos: Vec<String> = Vec::new();
+    let mut by_algo: Vec<[f64; CELL_PHASES]> = Vec::new();
+    let mut cell_secs = 0.0;
+    let mut results = Vec::with_capacity(timed.len());
+    for (cell, (out, laps, secs)) in cells.iter().zip(timed) {
+        let col = algos
+            .iter()
+            .position(|a| *a == cell.key.algo)
+            .unwrap_or_else(|| {
+                algos.push(cell.key.algo.clone());
+                by_algo.push([0.0; CELL_PHASES]);
+                algos.len() - 1
+            });
+        for (acc, lap) in by_algo[col].iter_mut().zip(laps) {
+            *acc += lap;
+        }
+        cell_secs += secs;
+        results.push(out);
+    }
+    // Families that fold extra coordinates into the key (`mobility/…`,
+    // `faults/…`) are one sweep: title it by the family.
+    let figure = cells
+        .first()
+        .and_then(|c| c.key.figure.split('/').next())
+        .unwrap_or_default();
+    let names = ["inputs", "tracker", "publish", run_phase, "queries"];
+    let phases = SweepPhases {
+        title: format!("{figure} sweep, {} cells", cells.len()),
+        jobs: runner.jobs().min(cells.len()).max(1),
+        wall_secs,
+        cell_secs,
+        shared: shared.build_secs(),
+        algos,
+        per_algo: names
+            .iter()
+            .enumerate()
+            .map(|(k, name)| (name.to_string(), by_algo.iter().map(|a| a[k]).collect()))
+            .collect(),
+    };
+    Ok((results, phases))
+}
+
+/// A cell of the grid × seed × algorithm sweeps: `(grid index, seed,
+/// algorithm)`.
+type SweepCell = Keyed<(usize, u64, Algo)>;
+
 /// The sweep-shaped figures share one cell layout — grid-major, then
 /// seed, then algorithm — mirroring the historical sequential loop
 /// nesting, so the canonical merge below reproduces its exact
-/// floating-point accumulation order.
-fn sweep_cells(p: &Profile, figure: &str, algos: &[Algo]) -> Vec<Keyed<(usize, usize, u64, Algo)>> {
+/// floating-point accumulation order. The inputs are one [`InputSpec`]
+/// per seed, each asked for by one cell per algorithm.
+fn sweep_cells(p: &Profile, figure: &str, algos: &[Algo]) -> (SharedInputs, Vec<SweepCell>) {
+    let specs = (0..p.seeds)
+        .map(|seed| InputSpec {
+            overlay_seed: seed,
+            workload: WorkloadSpec::new(p.objects, p.moves_per_object, seed * 7 + 1),
+        })
+        .collect();
+    let shared = SharedInputs::new(p.oracle, &p.grids, specs, algos.len());
     let mut cells = Vec::with_capacity(p.grids.len() * p.seeds as usize * algos.len());
-    for &(r, c) in &p.grids {
+    for (gi, &(r, c)) in p.grids.iter().enumerate() {
         for seed in 0..p.seeds {
             for &algo in algos {
                 cells.push(Keyed::new(
                     CellKey::new(figure, r * c, algo.label(), seed),
-                    (r, c, seed, algo),
+                    (gi, seed, algo),
                 ));
             }
         }
     }
-    cells
+    (shared, cells)
 }
 
 /// Folds per-cell stats from [`sweep_cells`] order back into one
 /// accumulator per (grid, algorithm), merging seeds in ascending order —
 /// the canonical order that keeps output independent of worker count.
-fn merge_sweep(p: &Profile, algo_count: usize, results: Vec<CostStats>) -> Vec<Vec<CostStats>> {
+fn merge_sweep(
+    p: &Profile,
+    algo_count: usize,
+    results: Vec<CostStats>,
+) -> Result<Vec<Vec<CostStats>>, BenchError> {
     let mut per_grid = Vec::with_capacity(p.grids.len());
     let mut it = results.into_iter();
     for _ in &p.grids {
         let mut per_algo = vec![CostStats::default(); algo_count];
         for _seed in 0..p.seeds {
             for acc in per_algo.iter_mut() {
-                acc.merge(&it.next().expect("one result per cell"));
+                acc.merge(&it.next().ok_or("sweep returned fewer results than cells")?);
             }
         }
         per_grid.push(per_algo);
     }
-    per_grid
+    Ok(per_grid)
+}
+
+/// One maintenance cell: publish, then the workload one by one or
+/// through the concurrent engine.
+fn maintenance_cell(
+    inp: &CellInputs,
+    algo: Algo,
+    seed: u64,
+    concurrent: bool,
+    laps: &mut Laps,
+) -> Result<CostStats, BenchError> {
+    let w = &inp.drawn.workload;
+    let mut t = inp.tracker(algo)?;
+    laps.lap(TRACKER);
+    run_publish(t.as_mut(), w)?;
+    laps.lap(PUBLISH);
+    let stats = if concurrent {
+        ConcurrentEngine::run(
+            t.as_mut(),
+            w,
+            inp.oracle(),
+            &ConcurrentConfig {
+                max_inflight_per_object: 10,
+                queries_per_batch: 0,
+                seed,
+            },
+        )?
+        .maintenance
+    } else {
+        replay_moves(t.as_mut(), w, inp.oracle())?
+    };
+    laps.lap(RUN);
+    Ok(stats)
+}
+
+/// One query cell: the maintenance workload, then (or, concurrently,
+/// racing it) the queries. Wrong answers fail the cell.
+fn query_cell(
+    p: &Profile,
+    inp: &CellInputs,
+    algo: Algo,
+    seed: u64,
+    concurrent: bool,
+    laps: &mut Laps,
+) -> Result<CostStats, BenchError> {
+    let w = &inp.drawn.workload;
+    let mut t = inp.tracker(algo)?;
+    laps.lap(TRACKER);
+    run_publish(t.as_mut(), w)?;
+    laps.lap(PUBLISH);
+    if concurrent {
+        // queries race the maintenance batches (§4.2.2)
+        let out = ConcurrentEngine::run(
+            t.as_mut(),
+            w,
+            inp.oracle(),
+            &ConcurrentConfig {
+                max_inflight_per_object: 10,
+                queries_per_batch: 1,
+                seed,
+            },
+        )?;
+        laps.lap(RUN);
+        if out.queries_correct != out.queries_issued {
+            return Err(format!(
+                "{}: {}/{} concurrent queries answered wrong",
+                algo.label(),
+                out.queries_issued - out.queries_correct,
+                out.queries_issued
+            )
+            .into());
+        }
+        Ok(out.queries)
+    } else {
+        replay_moves(t.as_mut(), w, inp.oracle())?;
+        laps.lap(RUN);
+        let q = run_queries(t.as_ref(), inp.oracle(), p.objects, p.queries, seed + 31)?;
+        laps.lap(QUERIES);
+        if q.correct != p.queries {
+            return Err(format!(
+                "{}: {}/{} queries answered wrong",
+                algo.label(),
+                p.queries - q.correct,
+                p.queries
+            )
+            .into());
+        }
+        Ok(q.cost)
+    }
 }
 
 /// Figs. 4/5 (one-by-one) and 12/13 (concurrent): maintenance cost ratio
 /// across network sizes.
 pub fn maintenance_figure(p: &Profile, concurrent: bool) -> BenchResult {
+    Ok(maintenance_figure_profiled(p, concurrent)?.0)
+}
+
+/// [`maintenance_figure`] plus where its time went.
+pub fn maintenance_figure_profiled(p: &Profile, concurrent: bool) -> ProfiledResult {
     let algos = lineup();
     let figure = if concurrent { "maint-conc" } else { "maint" };
-    let cells = sweep_cells(p, figure, &algos);
-    let results: Vec<CostStats> = p.runner().run(&cells, |cell| -> Result<_, BenchError> {
-        let (r, c, seed, algo) = cell.data;
-        let bed = TestBed::grid_with_oracle(r, c, seed, p.oracle)?;
-        let w = WorkloadSpec::new(p.objects, p.moves_per_object, seed * 7 + 1).generate(&bed.graph);
-        let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-        let mut t = bed.make_tracker(algo, &rates)?;
-        run_publish(t.as_mut(), &w)?;
-        Ok(if concurrent {
-            ConcurrentEngine::run(
-                t.as_mut(),
-                &w,
-                &bed.oracle,
-                &ConcurrentConfig {
-                    max_inflight_per_object: 10,
-                    queries_per_batch: 0,
-                    seed,
-                },
-            )?
-            .maintenance
-        } else {
-            replay_moves(t.as_mut(), &w, &bed.oracle)?
-        })
-    })?;
+    let (shared, cells) = sweep_cells(p, figure, &algos);
+    let (results, phases) = run_sweep(
+        p,
+        if concurrent { "engine" } else { "replay" },
+        &shared,
+        &cells,
+        |&(grid, seed, _)| (grid, seed as usize),
+        |&(_, seed, algo), inp, laps| maintenance_cell(inp, algo, seed, concurrent, laps),
+    )?;
     let rows = p
         .grids
         .iter()
-        .zip(merge_sweep(p, algos.len(), results))
+        .zip(merge_sweep(p, algos.len(), results)?)
         .map(|(&(r, c), per_algo)| {
             (
                 (r * c).to_string(),
@@ -189,7 +372,7 @@ pub fn maintenance_figure(p: &Profile, concurrent: bool) -> BenchResult {
             )
         })
         .collect();
-    Ok(FigureTable {
+    let table = FigureTable {
         title: format!(
             "Maintenance cost ratio, {} objects, {} execution (paper Fig. {})",
             p.objects,
@@ -208,63 +391,33 @@ pub fn maintenance_figure(p: &Profile, concurrent: bool) -> BenchResult {
         x_label: "nodes".into(),
         columns: algos.iter().map(|a| a.label().to_string()).collect(),
         rows,
-    })
+    };
+    Ok((table, phases))
 }
 
 /// Figs. 6/7 (one-by-one) and 14/15 (concurrent): query cost ratio across
 /// network sizes, after the maintenance workload.
 pub fn query_figure(p: &Profile, concurrent: bool) -> BenchResult {
+    Ok(query_figure_profiled(p, concurrent)?.0)
+}
+
+/// [`query_figure`] plus where its time went.
+pub fn query_figure_profiled(p: &Profile, concurrent: bool) -> ProfiledResult {
     let algos = lineup();
     let figure = if concurrent { "query-conc" } else { "query" };
-    let cells = sweep_cells(p, figure, &algos);
-    let results: Vec<CostStats> = p.runner().run(&cells, |cell| -> Result<_, BenchError> {
-        let (r, c, seed, algo) = cell.data;
-        let bed = TestBed::grid_with_oracle(r, c, seed, p.oracle)?;
-        let w = WorkloadSpec::new(p.objects, p.moves_per_object, seed * 7 + 1).generate(&bed.graph);
-        let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-        let mut t = bed.make_tracker(algo, &rates)?;
-        run_publish(t.as_mut(), &w)?;
-        if concurrent {
-            // queries race the maintenance batches (§4.2.2)
-            let out = ConcurrentEngine::run(
-                t.as_mut(),
-                &w,
-                &bed.oracle,
-                &ConcurrentConfig {
-                    max_inflight_per_object: 10,
-                    queries_per_batch: 1,
-                    seed,
-                },
-            )?;
-            if out.queries_correct != out.queries_issued {
-                return Err(format!(
-                    "{}: {}/{} concurrent queries answered wrong",
-                    algo.label(),
-                    out.queries_issued - out.queries_correct,
-                    out.queries_issued
-                )
-                .into());
-            }
-            Ok(out.queries)
-        } else {
-            replay_moves(t.as_mut(), &w, &bed.oracle)?;
-            let q = run_queries(t.as_ref(), &bed.oracle, p.objects, p.queries, seed + 31)?;
-            if q.correct != p.queries {
-                return Err(format!(
-                    "{}: {}/{} queries answered wrong",
-                    algo.label(),
-                    p.queries - q.correct,
-                    p.queries
-                )
-                .into());
-            }
-            Ok(q.cost)
-        }
-    })?;
+    let (shared, cells) = sweep_cells(p, figure, &algos);
+    let (results, phases) = run_sweep(
+        p,
+        if concurrent { "engine" } else { "replay" },
+        &shared,
+        &cells,
+        |&(grid, seed, _)| (grid, seed as usize),
+        |&(_, seed, algo), inp, laps| query_cell(p, inp, algo, seed, concurrent, laps),
+    )?;
     let rows = p
         .grids
         .iter()
-        .zip(merge_sweep(p, algos.len(), results))
+        .zip(merge_sweep(p, algos.len(), results)?)
         .map(|(&(r, c), per_algo)| {
             (
                 (r * c).to_string(),
@@ -272,7 +425,7 @@ pub fn query_figure(p: &Profile, concurrent: bool) -> BenchResult {
             )
         })
         .collect();
-    Ok(FigureTable {
+    let table = FigureTable {
         title: format!(
             "Query cost ratio, {} objects, {} execution (paper Fig. {})",
             p.objects,
@@ -291,46 +444,63 @@ pub fn query_figure(p: &Profile, concurrent: bool) -> BenchResult {
         x_label: "nodes".into(),
         columns: algos.iter().map(|a| a.label().to_string()).collect(),
         rows,
-    })
+    };
+    Ok((table, phases))
 }
 
 /// Figs. 8–11: per-node load of MOT(+LB) against a baseline, on the
 /// largest grid of the profile, `moves_per_object` moves after
 /// initialization (0 = "just after initialization").
 pub fn load_figure(p: &Profile, vs: Algo, moves_per_object: usize) -> BenchResult {
+    Ok(load_figure_profiled(p, vs, moves_per_object)?.0)
+}
+
+/// [`load_figure`] plus where its time went.
+pub fn load_figure_profiled(p: &Profile, vs: Algo, moves_per_object: usize) -> ProfiledResult {
     let &(r, c) = p.grids.last().ok_or("profile has no grids")?;
     let cells: Vec<Keyed<Algo>> = [Algo::MotLb, vs]
         .into_iter()
         .map(|algo| Keyed::new(CellKey::new("load", r * c, algo.label(), 1), algo))
         .collect();
-    let rows = p.runner().run(&cells, |cell| -> Result<_, BenchError> {
-        let algo = cell.data;
-        let bed = TestBed::grid_with_oracle(r, c, 1, p.oracle)?;
-        let w = WorkloadSpec::new(p.objects, moves_per_object.max(1), 5).generate(&bed.graph);
-        let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-        let mut t = bed.make_tracker(algo, &rates)?;
-        run_publish(t.as_mut(), &w)?;
-        if moves_per_object > 0 {
-            replay_moves(t.as_mut(), &w, &bed.oracle)?;
-        }
-        let stats = LoadStats::from_loads(&t.node_loads());
-        Ok((
-            algo.label().to_string(),
-            vec![
-                stats.max as f64,
-                stats.mean,
-                stats.nodes_above_10 as f64,
-                stats.jain_index,
-            ],
-        ))
-    })?;
+    let spec = InputSpec {
+        overlay_seed: 1,
+        workload: WorkloadSpec::new(p.objects, moves_per_object.max(1), 5),
+    };
+    let shared = SharedInputs::new(p.oracle, &[(r, c)], vec![spec], cells.len());
+    let (rows, phases) = run_sweep(
+        p,
+        "replay",
+        &shared,
+        &cells,
+        |_| (0, 0),
+        |&algo, inp, laps| {
+            let mut t = inp.tracker(algo)?;
+            laps.lap(TRACKER);
+            run_publish(t.as_mut(), &inp.drawn.workload)?;
+            laps.lap(PUBLISH);
+            if moves_per_object > 0 {
+                replay_moves(t.as_mut(), &inp.drawn.workload, inp.oracle())?;
+                laps.lap(RUN);
+            }
+            let stats = LoadStats::from_loads(&t.node_loads());
+            Ok((
+                algo.label().to_string(),
+                vec![
+                    stats.max as f64,
+                    stats.mean,
+                    stats.nodes_above_10 as f64,
+                    stats.jain_index,
+                ],
+            ))
+        },
+    )?;
     let fig = match (vs, moves_per_object > 0) {
         (Algo::Stun, false) => "8",
         (Algo::Stun, true) => "9",
         (_, false) => "10",
         (_, true) => "11",
     };
-    Ok(FigureTable {
+    let table = FigureTable {
         title: format!(
             "Load per node, {} objects on {} nodes, {} (paper Fig. {fig})",
             p.objects,
@@ -349,7 +519,8 @@ pub fn load_figure(p: &Profile, vs: Algo, moves_per_object: usize) -> BenchResul
             "jain".into(),
         ],
         rows,
-    })
+    };
+    Ok((table, phases))
 }
 
 /// Theorem 4.1 sanity: publish cost stays `O(D)` as the diameter grows.
@@ -362,7 +533,7 @@ pub fn publish_cost_table(p: &Profile) -> BenchResult {
     let rows = p.runner().run(&cells, |cell| -> Result<_, BenchError> {
         let (r, c) = cell.data;
         let bed = TestBed::grid_with_oracle(r, c, 2, p.oracle)?;
-        let mut t = MotTracker::new(&bed.overlay, &bed.oracle, MotConfig::plain());
+        let mut t = MotTracker::new(&bed.overlay, &*bed.oracle, MotConfig::plain());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let n = bed.graph.node_count();
         let objects = p.objects.min(100);
@@ -412,13 +583,12 @@ pub fn ablation_table(p: &Profile) -> BenchResult {
         .collect();
     let rows = p.runner().run(&cells, |cell| -> Result<_, BenchError> {
         let (label, ocfg, mcfg) = &cell.data;
-        let bed =
-            TestBed::with_oracle(generators::grid(r, c).expect("grid"), ocfg, seed, p.oracle)?;
+        let bed = TestBed::with_oracle(generators::grid(r, c)?, ocfg, seed, p.oracle)?;
         let w = WorkloadSpec::new(p.objects.min(100), p.moves_per_object, 9).generate(&bed.graph);
-        let mut t = MotTracker::new(&bed.overlay, &bed.oracle, mcfg.clone());
+        let mut t = MotTracker::new(&bed.overlay, &*bed.oracle, mcfg.clone());
         run_publish(&mut t, &w)?;
-        let maint = replay_moves(&mut t, &w, &bed.oracle)?;
-        let q = run_queries(&t, &bed.oracle, w.object_count(), p.queries, 17)?;
+        let maint = replay_moves(&mut t, &w, &*bed.oracle)?;
+        let q = run_queries(&t, &*bed.oracle, w.object_count(), p.queries, 17)?;
         let loads = LoadStats::from_loads(&t.node_loads());
         Ok((
             label.to_string(),
@@ -440,12 +610,9 @@ pub fn ablation_table(p: &Profile) -> BenchResult {
 /// §6: MOT over the general-network overlay on non-grid topologies.
 pub fn general_graph_table(p: &Profile) -> BenchResult {
     let topologies: Vec<(&str, mot_net::Graph)> = vec![
-        ("grid-10x10", generators::grid(10, 10).expect("grid")),
-        ("ring-100", generators::ring(100).expect("ring")),
-        (
-            "rgg-100",
-            generators::random_geometric(100, 12.0, 2.2, 7).expect("rgg"),
-        ),
+        ("grid-10x10", generators::grid(10, 10)?),
+        ("ring-100", generators::ring(100)?),
+        ("rgg-100", generators::random_geometric(100, 12.0, 2.2, 7)?),
     ];
     let mut cells = Vec::new();
     for (name, g) in &topologies {
@@ -463,10 +630,10 @@ pub fn general_graph_table(p: &Profile) -> BenchResult {
             _ => TestBed::general(g.clone(), &OverlayConfig::practical(), 4)?,
         };
         let w = WorkloadSpec::new(p.objects.min(50), p.moves_per_object, 13).generate(&bed.graph);
-        let mut t = MotTracker::new(&bed.overlay, &bed.oracle, MotConfig::plain());
+        let mut t = MotTracker::new(&bed.overlay, &*bed.oracle, MotConfig::plain());
         run_publish(&mut t, &w)?;
-        let maint = replay_moves(&mut t, &w, &bed.oracle)?;
-        let q = run_queries(&t, &bed.oracle, w.object_count(), p.queries, 23)?;
+        let maint = replay_moves(&mut t, &w, &*bed.oracle)?;
+        let q = run_queries(&t, &*bed.oracle, w.object_count(), p.queries, 23)?;
         Ok((
             format!("{name}/{kind}"),
             vec![maint.ratio(), q.cost.mean_ratio()],
@@ -495,7 +662,7 @@ pub fn state_size_table(p: &Profile) -> BenchResult {
     let rows = p.runner().run(&cells, |cell| -> Result<_, BenchError> {
         let (r, c) = cell.data;
         let bed = TestBed::grid_with_oracle(r, c, 1, p.oracle)?;
-        let table = ClusterTable::build(&bed.overlay, &bed.oracle);
+        let table = ClusterTable::build(&bed.overlay, &*bed.oracle);
         let (mut max_table, mut max_cluster, mut sum_table, mut count) =
             (0usize, 0usize, 0usize, 0usize);
         for level in 1..=bed.overlay.height() {
@@ -538,30 +705,46 @@ pub fn state_size_table(p: &Profile) -> BenchResult {
 /// strongest for nearby requesters; sink-routed STUN pays its full
 /// root detour exactly there.
 pub fn locality_table(p: &Profile) -> BenchResult {
+    Ok(locality_table_profiled(p)?.0)
+}
+
+/// [`locality_table`] plus where its time went.
+pub fn locality_table_profiled(p: &Profile) -> ProfiledResult {
     let &(r, c) = p.grids.last().ok_or("profile has no grids")?;
     let algos = [Algo::Mot, Algo::Stun, Algo::Zdat, Algo::ZdatShortcuts];
     let cells: Vec<Keyed<Algo>> = algos
         .iter()
         .map(|&a| Keyed::new(CellKey::new("locality", r * c, a.label(), 2), a))
         .collect();
-    // One cell per algorithm: build the bed, replay the workload once,
-    // then sweep every radius on the settled tracker. Each cell returns
+    let spec = InputSpec {
+        overlay_seed: 2,
+        workload: WorkloadSpec::new(p.objects.min(100), p.moves_per_object, 4),
+    };
+    let shared = SharedInputs::new(p.oracle, &[(r, c)], vec![spec], cells.len());
+    // One cell per algorithm: replay the shared workload once, then
+    // sweep every radius on the settled tracker. Each cell returns
     // (diameter, per-radius series); the diameter labels the last row.
-    let per_algo: Vec<(f64, Vec<f64>)> =
-        p.runner().run(&cells, |cell| -> Result<_, BenchError> {
-            let bed = TestBed::grid_with_oracle(r, c, 2, p.oracle)?;
-            let w =
-                WorkloadSpec::new(p.objects.min(100), p.moves_per_object, 4).generate(&bed.graph);
-            let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-            let mut t = bed.make_tracker(cell.data, &rates)?;
-            run_publish(t.as_mut(), &w)?;
-            replay_moves(t.as_mut(), &w, &bed.oracle)?;
-            let radii = [2.0, 4.0, 8.0, 16.0, bed.oracle.diameter()];
+    let (per_algo, phases): (Vec<(f64, Vec<f64>)>, _) = run_sweep(
+        p,
+        "replay",
+        &shared,
+        &cells,
+        |_| (0, 0),
+        |&algo, inp, laps| {
+            let w = &inp.drawn.workload;
+            let mut t = inp.tracker(algo)?;
+            laps.lap(TRACKER);
+            run_publish(t.as_mut(), w)?;
+            laps.lap(PUBLISH);
+            replay_moves(t.as_mut(), w, inp.oracle())?;
+            laps.lap(RUN);
+            let diameter = inp.oracle().diameter();
+            let radii = [2.0, 4.0, 8.0, 16.0, diameter];
             let mut ys = Vec::with_capacity(radii.len());
             for &radius in &radii {
                 let q = mot_sim::run_local_queries(
                     t.as_ref(),
-                    &bed.oracle,
+                    inp.oracle(),
                     w.object_count(),
                     radius,
                     p.queries,
@@ -576,8 +759,10 @@ pub fn locality_table(p: &Profile) -> BenchResult {
                 }
                 ys.push(q.cost.mean_ratio());
             }
-            Ok((bed.oracle.diameter(), ys))
-        })?;
+            laps.lap(QUERIES);
+            Ok((diameter, ys))
+        },
+    )?;
     let diameter = per_algo[0].0;
     let radii = [2.0, 4.0, 8.0, 16.0, diameter];
     let mut rows = Vec::new();
@@ -589,7 +774,7 @@ pub fn locality_table(p: &Profile) -> BenchResult {
         };
         rows.push((label, per_algo.iter().map(|(_, ys)| ys[ri]).collect()));
     }
-    Ok(FigureTable {
+    let table = FigureTable {
         title: format!(
             "Query cost ratio by requester distance ({}x{} grid, {} objects)",
             r,
@@ -599,7 +784,8 @@ pub fn locality_table(p: &Profile) -> BenchResult {
         x_label: "distance".into(),
         columns: algos.iter().map(|a| a.label().to_string()).collect(),
         rows,
-    })
+    };
+    Ok((table, phases))
 }
 
 /// Mobility-model stress test: maintenance cost ratios under the three
@@ -607,6 +793,11 @@ pub fn locality_table(p: &Profile) -> BenchResult {
 /// predictable traffic, the best case for rate-built trees and the
 /// honest worst case for MOT's traffic-obliviousness.
 pub fn mobility_table(p: &Profile) -> BenchResult {
+    Ok(mobility_table_profiled(p)?.0)
+}
+
+/// [`mobility_table`] plus where its time went.
+pub fn mobility_table_profiled(p: &Profile) -> ProfiledResult {
     use mot_sim::MobilityModel;
     let (r, c) = (16usize, 16usize);
     let algos = [Algo::Mot, Algo::Stun, Algo::Dat, Algo::Zdat];
@@ -616,34 +807,49 @@ pub fn mobility_table(p: &Profile) -> BenchResult {
         ("commuter", MobilityModel::Commuter),
     ];
     // Model-major, algo-minor — the historical nesting, so merge order
-    // (and f64 placement) is unchanged.
-    let cells: Vec<Keyed<(MobilityModel, Algo)>> = models
+    // (and f64 placement) is unchanged. A cell is (model index, algo);
+    // the algorithms of one model share its workload, all share the net.
+    let cells: Vec<Keyed<(usize, Algo)>> = models
         .iter()
-        .flat_map(|&(label, model)| {
+        .enumerate()
+        .flat_map(|(mi, &(label, _))| {
             algos.iter().map(move |&algo| {
                 Keyed::new(
                     CellKey::new(format!("mobility/{label}"), r * c, algo.label(), 5),
-                    (model, algo),
+                    (mi, algo),
                 )
             })
         })
         .collect();
-    let ratios = p.runner().run(&cells, |cell| -> Result<_, BenchError> {
-        let (model, algo) = cell.data;
-        let bed = TestBed::grid_with_oracle(r, c, 3, p.oracle)?;
-        let spec = mot_sim::WorkloadSpec {
-            objects: p.objects.min(50),
-            moves_per_object: p.moves_per_object,
-            model,
-            seed: 5,
-        };
-        let w = spec.generate(&bed.graph);
-        let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-        let mut t = bed.make_tracker(algo, &rates)?;
-        run_publish(t.as_mut(), &w)?;
-        let stats = replay_moves(t.as_mut(), &w, &bed.oracle)?;
-        Ok(stats.ratio())
-    })?;
+    let specs = models
+        .iter()
+        .map(|&(_, model)| InputSpec {
+            overlay_seed: 3,
+            workload: WorkloadSpec {
+                objects: p.objects.min(50),
+                moves_per_object: p.moves_per_object,
+                model,
+                seed: 5,
+            },
+        })
+        .collect();
+    let shared = SharedInputs::new(p.oracle, &[(r, c)], specs, algos.len());
+    let (ratios, phases) = run_sweep(
+        p,
+        "replay",
+        &shared,
+        &cells,
+        |&(model, _)| (0, model),
+        |&(_, algo), inp, laps| {
+            let mut t = inp.tracker(algo)?;
+            laps.lap(TRACKER);
+            run_publish(t.as_mut(), &inp.drawn.workload)?;
+            laps.lap(PUBLISH);
+            let stats = replay_moves(t.as_mut(), &inp.drawn.workload, inp.oracle())?;
+            laps.lap(RUN);
+            Ok(stats.ratio())
+        },
+    )?;
     let rows = models
         .iter()
         .enumerate()
@@ -652,12 +858,13 @@ pub fn mobility_table(p: &Profile) -> BenchResult {
             (label.to_string(), ys)
         })
         .collect();
-    Ok(FigureTable {
+    let table = FigureTable {
         title: format!("Maintenance cost ratio by mobility model ({r}x{c} grid)"),
         x_label: "mobility".into(),
         columns: algos.iter().map(|a| a.label().to_string()).collect(),
         rows,
-    })
+    };
+    Ok((table, phases))
 }
 
 /// Backend scaling: fig4-style MOT maintenance over the profile's
@@ -680,7 +887,7 @@ pub fn scale_table(p: &Profile) -> BenchResult {
         let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
         let mut t = bed.make_tracker(Algo::Mot, &rates)?;
         run_publish(t.as_mut(), &w)?;
-        let stats = replay_moves(t.as_mut(), &w, &bed.oracle)?;
+        let stats = replay_moves(t.as_mut(), &w, &*bed.oracle)?;
         let n = bed.graph.node_count();
         let dense_bytes = (n * n * std::mem::size_of::<f32>()) as f64;
         Ok((
@@ -726,10 +933,10 @@ fn observed_mot_run(
     let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
     let mut t = bed.make_tracker_traced(Algo::Mot, &rates, sink)?;
     run_publish(t.as_mut(), &w)?;
-    let maint = replay_moves(t.as_mut(), &w, &bed.oracle)?;
+    let maint = replay_moves(t.as_mut(), &w, &*bed.oracle)?;
     run_queries(
         t.as_ref(),
-        &bed.oracle,
+        &*bed.oracle,
         w.object_count(),
         p.queries,
         seed + 31,
@@ -841,6 +1048,11 @@ pub fn level_decomposition_table(p: &Profile) -> BenchResult {
 /// (after self-repair) and a final repair pass must leave zero
 /// unrepaired objects, or the run fails with a readable error.
 pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
+    Ok(faults_table_profiled(p, grid)?.0)
+}
+
+/// [`faults_table`] plus where its time went.
+pub fn faults_table_profiled(p: &Profile, grid: (usize, usize)) -> ProfiledResult {
     let (r, c) = grid;
     let drop_rates = [0.0, 0.01, 0.05, 0.10];
     let crash_counts = [0usize, 4, 16];
@@ -865,33 +1077,49 @@ pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
             }
         }
     }
+    // One bed and one workload per seed, shared by every fault mix and
+    // both algorithms.
+    let specs: Vec<InputSpec> = (0..p.seeds)
+        .map(|seed| InputSpec {
+            overlay_seed: seed,
+            workload: WorkloadSpec::new(p.objects, p.moves_per_object, seed * 7 + 1),
+        })
+        .collect();
+    let cells_per_seed = crash_counts.len() * drop_rates.len() * algos.len();
+    let shared = SharedInputs::new(p.oracle, &[grid], specs, cells_per_seed);
     // Each cell replays one (fault mix, algo, seed) run, keeping its
     // health checks (query correctness + full repair) inside the cell so
     // a failure names the exact run that broke.
-    let per_cell: Vec<(CostStats, CostStats, f64, f64)> =
-        p.runner().run(&cells, |cell| -> Result<_, BenchError> {
-            let (crashes, drop_rate, algo, seed) = cell.data;
-            let bed = TestBed::grid_with_oracle(r, c, seed, p.oracle)?.with_faults(FaultConfig {
+    let (per_cell, phases): (Vec<(CostStats, CostStats, f64, f64)>, _) = run_sweep(
+        p,
+        "replay",
+        &shared,
+        &cells,
+        |&(_, _, _, seed)| (0, seed as usize),
+        |&(crashes, drop_rate, algo, seed), inp, laps| {
+            let w = &inp.drawn.workload;
+            let mut plan = FaultConfig {
                 seed: seed * 101 + 13,
                 drop_rate,
                 crashes,
                 ..FaultConfig::default()
-            });
-            let w =
-                WorkloadSpec::new(p.objects, p.moves_per_object, seed * 7 + 1).generate(&bed.graph);
-            let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-            let mut plan = bed.fault_plan(w.moves.len()).ok_or("bed has no faults")?;
-            let mut t = bed.make_tracker(algo, &rates)?;
-            run_publish(t.as_mut(), &w)?;
-            let run = replay_moves_faulty(t.as_mut(), &w, &bed.oracle, &mut plan)?;
+            }
+            .plan(inp.net.graph.node_count(), w.moves.len());
+            let mut t = inp.tracker(algo)?;
+            laps.lap(TRACKER);
+            run_publish(t.as_mut(), w)?;
+            laps.lap(PUBLISH);
+            let run = replay_moves_faulty(t.as_mut(), w, inp.oracle(), &mut plan)?;
+            laps.lap(RUN);
             let q = run_queries_faulty(
                 t.as_mut(),
-                &bed.oracle,
+                inp.oracle(),
                 p.objects,
                 p.queries,
                 seed + 31,
                 &mut plan,
             )?;
+            laps.lap(QUERIES);
             if q.batch.correct != p.queries {
                 return Err(format!(
                     "{} (drop {drop_rate}, {crashes} crashes): {}/{} faulty \
@@ -903,7 +1131,8 @@ pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
                 .into());
             }
             repair_all(t.as_mut(), p.objects)?;
-            let unrepaired = unrepaired_objects(t.as_ref(), p.objects, bed.center());
+            let unrepaired =
+                unrepaired_objects(t.as_ref(), p.objects, graph_center(&inp.net.graph));
             if unrepaired != 0 {
                 return Err(format!(
                     "{} (drop {drop_rate}, {crashes} crashes): {unrepaired} \
@@ -918,7 +1147,8 @@ pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
                 run.retry_overhead + q.retry_overhead,
                 t.repair_cost(),
             ))
-        })?;
+        },
+    )?;
     let mut rows = Vec::new();
     let mut next = per_cell.into_iter();
     for &crashes in &crash_counts {
@@ -929,7 +1159,9 @@ pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
                 let mut query = CostStats::default();
                 let (mut retry, mut repair) = (0.0, 0.0);
                 for _ in 0..p.seeds {
-                    let (m, q, rt, rp) = next.next().expect("cell count mismatch");
+                    let (m, q, rt, rp) = next
+                        .next()
+                        .ok_or("fault sweep returned fewer results than cells")?;
                     maint.merge(&m);
                     query.merge(&q);
                     retry += rt;
@@ -944,7 +1176,7 @@ pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
             rows.push((format!("d={:.0}% x={crashes}", drop_rate * 100.0), ys));
         }
     }
-    Ok(FigureTable {
+    let table = FigureTable {
         title: format!(
             "Fault sweep on a {r}x{c} grid, {} objects (drop rate × crashes; \
              overheads relative to effective maintenance distance)",
@@ -960,12 +1192,115 @@ pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
             })
             .collect(),
         rows,
-    })
+    };
+    Ok((table, phases))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mot_net::NetError;
+    use mot_sim::SimError;
+
+    /// A sweep cell the way every runner built it before the inputs were
+    /// shared: its own bed, its own workload, its own rates.
+    fn fresh_cell(
+        p: &Profile,
+        (r, c): (usize, usize),
+        seed: u64,
+        algo: Algo,
+        concurrent: bool,
+        queries: bool,
+    ) -> CostStats {
+        let bed = TestBed::grid_with_oracle(r, c, seed, p.oracle).unwrap();
+        let w = WorkloadSpec::new(p.objects, p.moves_per_object, seed * 7 + 1).generate(&bed.graph);
+        let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
+        let mut t = bed.make_tracker(algo, &rates).unwrap();
+        run_publish(t.as_mut(), &w).unwrap();
+        if concurrent {
+            let cfg = ConcurrentConfig {
+                max_inflight_per_object: 10,
+                queries_per_batch: queries as usize,
+                seed,
+            };
+            let out = ConcurrentEngine::run(t.as_mut(), &w, &*bed.oracle, &cfg).unwrap();
+            return if queries {
+                out.queries
+            } else {
+                out.maintenance
+            };
+        }
+        let maint = replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
+        if !queries {
+            return maint;
+        }
+        run_queries(t.as_ref(), &*bed.oracle, p.objects, p.queries, seed + 31)
+            .unwrap()
+            .cost
+    }
+
+    fn bits(s: &CostStats) -> (u64, u64, u64, usize, usize) {
+        (
+            s.total.to_bits(),
+            s.optimal.to_bits(),
+            s.ratio_sum.to_bits(),
+            s.operations,
+            s.zero_optimal_ops,
+        )
+    }
+
+    #[test]
+    fn shared_inputs_equal_fresh_beds() {
+        let mut p = Profile::quick(6).with_jobs(1);
+        p.grids = vec![(4, 4), (7, 5)];
+        p.queries = 40;
+        let algos = lineup();
+        for (concurrent, queries) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (shared, cells) = sweep_cells(&p, "parity", &algos);
+            for cell in &cells {
+                let (grid, seed, algo) = cell.data;
+                let inp = shared.cell(grid, seed as usize).unwrap();
+                let mut laps = Laps::start();
+                let on_shared = if queries {
+                    query_cell(&p, &inp, algo, seed, concurrent, &mut laps)
+                } else {
+                    maintenance_cell(&inp, algo, seed, concurrent, &mut laps)
+                }
+                .unwrap();
+                let fresh = fresh_cell(&p, p.grids[grid], seed, algo, concurrent, queries);
+                assert!(fresh.operations > 0, "{}: nothing compared", cell.key);
+                assert_eq!(
+                    bits(&on_shared),
+                    bits(&fresh),
+                    "{} (concurrent {concurrent}, queries {queries})",
+                    cell.key
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_input_that_cannot_be_built_fails_the_sweep_with_its_own_error() {
+        // Every cell of the empty grid sees the one failed build; the
+        // runner reports the canonically-first of them — the same error
+        // whatever the worker count, not a panic wrapped as a cell.
+        for jobs in [1, 2] {
+            let mut p = Profile::quick(4).with_jobs(jobs);
+            p.grids = vec![(3, 3), (0, 5)];
+            let err = maintenance_figure(&p, false).unwrap_err();
+            assert_eq!(
+                err.downcast_ref::<SimError>(),
+                Some(&SimError::Net(NetError::EmptyGraph)),
+                "jobs {jobs}: {err}"
+            );
+            assert!(err.to_string().contains(&NetError::EmptyGraph.to_string()));
+            let err = faults_table(&p, (0, 5)).unwrap_err();
+            assert!(
+                err.to_string().contains(&NetError::EmptyGraph.to_string()),
+                "jobs {jobs}: {err}"
+            );
+        }
+    }
 
     #[test]
     fn quick_maintenance_figure_has_expected_shape() {

@@ -44,6 +44,7 @@ pub mod profiling;
 pub mod report;
 pub mod scenarios;
 pub mod service;
+mod shared;
 
 pub use baseline::{
     run_baseline, BaselineProfile, BaselineReport, ServiceTiming, SizeSpec, SizeTiming,
@@ -51,13 +52,15 @@ pub use baseline::{
 };
 pub use churn::{churn_smoke_table, churn_table};
 pub use figures::{
-    ablation_table, faults_table, general_graph_table, instrumented_run, level_decomposition_table,
-    load_figure, locality_table, maintenance_figure, mobility_table, publish_cost_table,
-    query_figure, scale_table, state_size_table, trace_aggregates, trace_events, BenchError,
-    BenchResult, Profile,
+    ablation_table, faults_table, faults_table_profiled, general_graph_table, instrumented_run,
+    level_decomposition_table, load_figure, load_figure_profiled, locality_table,
+    locality_table_profiled, maintenance_figure, maintenance_figure_profiled, mobility_table,
+    mobility_table_profiled, publish_cost_table, query_figure, query_figure_profiled, scale_table,
+    state_size_table, trace_aggregates, trace_events, BenchError, BenchResult, Profile,
+    ProfiledResult,
 };
 pub use profiling::{
-    profile_fig4_phases, profile_service_phases, service_phase_timings, PhaseTimings,
+    profile_fig4_phases, profile_service_phases, service_phase_timings, PhaseTimings, SweepPhases,
 };
 pub use report::{BedMemory, FigureTable, RunReport};
 pub use scenarios::{scenario_tables, scenarios_smoke_table, ScenarioProfile};

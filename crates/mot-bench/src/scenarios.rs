@@ -242,10 +242,10 @@ fn tracked_run(
     };
     let mut t = bed.make_tracker(algo, &rates)?;
     run_publish(t.as_mut(), &w)?;
-    let maint = replay_moves(t.as_mut(), &w, &bed.oracle)?;
+    let maint = replay_moves(t.as_mut(), &w, &*bed.oracle)?;
     let q = run_queries_model(
         t.as_ref(),
-        &bed.oracle,
+        &*bed.oracle,
         p.objects,
         p.queries,
         seed ^ QUERY_SALT,

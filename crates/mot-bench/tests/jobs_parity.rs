@@ -4,12 +4,15 @@
 //! from their own (figure, size, algo, seed) key and merge in canonical
 //! cell order, so worker count and scheduling can only change
 //! wall-clock time — these tests fail on the first byte that differs.
+//! That includes which worker happens to build the inputs a sweep's
+//! cells share: with two and four workers the builder changes from run
+//! to run, and the bytes may not.
 
 use mot_bench::{
-    churn_table, faults_table, locality_table, maintenance_figure, mobility_table, query_figure,
-    FigureTable, Profile,
+    churn_table, faults_table, load_figure, locality_table, maintenance_figure, mobility_table,
+    query_figure, FigureTable, Profile,
 };
-use mot_sim::{CellKey, Keyed, ParallelRunner, SimError};
+use mot_sim::{Algo, CellKey, Keyed, ParallelRunner, SimError};
 
 /// A small but non-trivial profile: 3 grids × 2 seeds × the full
 /// algorithm lineup per sweep figure.
@@ -21,23 +24,30 @@ fn bytes_of(t: &FigureTable) -> (String, String) {
     (t.to_csv(), t.to_json())
 }
 
+/// Every runner on shared inputs but the fault sweep (below), one-by-one
+/// and concurrent, at 1, 2 and 4 jobs.
 #[test]
 fn tables_are_byte_identical_for_1_and_4_jobs() {
-    let runs: Vec<Vec<(String, String)>> = [1usize, 4]
+    let runs: Vec<Vec<(String, String)>> = [1usize, 2, 4]
         .iter()
         .map(|&jobs| {
             let p = profile(jobs);
             vec![
                 bytes_of(&maintenance_figure(&p, false).expect("maintenance")),
                 bytes_of(&query_figure(&p, false).expect("query")),
+                bytes_of(&maintenance_figure(&p, true).expect("concurrent maintenance")),
+                bytes_of(&query_figure(&p, true).expect("concurrent query")),
+                bytes_of(&load_figure(&p, Algo::Stun, 10).expect("load")),
                 bytes_of(&locality_table(&p).expect("locality")),
                 bytes_of(&mobility_table(&p).expect("mobility")),
             ]
         })
         .collect();
-    for (i, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
-        assert_eq!(a.0, b.0, "CSV bytes differ for table {i}");
-        assert_eq!(a.1, b.1, "JSON bytes differ for table {i}");
+    for (jobs, run) in [2, 4].iter().zip(&runs[1..]) {
+        for (i, (a, b)) in runs[0].iter().zip(run).enumerate() {
+            assert_eq!(a.0, b.0, "CSV bytes differ for table {i} at {jobs} jobs");
+            assert_eq!(a.1, b.1, "JSON bytes differ for table {i} at {jobs} jobs");
+        }
     }
 }
 

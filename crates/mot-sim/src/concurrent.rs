@@ -30,9 +30,11 @@ use std::collections::BinaryHeap;
 /// committed-state probe, a locate probe for queries, and the forwarding
 /// period per level.
 pub trait ClimbStructure: Tracker {
-    /// The visiting sequence of a maintenance/query climb from `v`:
-    /// `(station node, level)` pairs in order, ending at the root.
-    fn climb_sequence(&self, v: NodeId) -> Vec<(NodeId, usize)>;
+    /// Replaces the contents of `path` with the visiting sequence of a
+    /// maintenance/query climb from `v`: `(station node, level)` pairs
+    /// in order, ending at the root. Whatever `path` held before is
+    /// gone; only its capacity is reused.
+    fn climb_into(&self, v: NodeId, path: &mut Vec<(NodeId, usize)>);
 
     /// Whether `node` holds `o` at role `level` in the committed state.
     fn committed_holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool;
@@ -47,11 +49,12 @@ pub trait ClimbStructure: Tracker {
 }
 
 impl ClimbStructure for MotTracker<'_> {
-    fn climb_sequence(&self, v: NodeId) -> Vec<(NodeId, usize)> {
+    fn climb_into(&self, v: NodeId, path: &mut Vec<(NodeId, usize)>) {
         let overlay = self.overlay();
-        (0..=overlay.height())
-            .flat_map(|l| overlay.station(v, l).iter().map(move |&s| (s, l)))
-            .collect()
+        path.clear();
+        for l in 0..=overlay.height() {
+            path.extend(overlay.station(v, l).iter().map(|&s| (s, l)));
+        }
     }
 
     fn committed_holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool {
@@ -68,16 +71,13 @@ impl ClimbStructure for MotTracker<'_> {
 }
 
 impl ClimbStructure for TreeTracker<'_> {
-    fn climb_sequence(&self, v: NodeId) -> Vec<(NodeId, usize)> {
-        let mut seq = Vec::new();
+    fn climb_into(&self, v: NodeId, path: &mut Vec<(NodeId, usize)>) {
+        path.clear();
         let mut cur = Some(v);
-        let mut level = 0usize;
         while let Some(u) = cur {
-            seq.push((u, level));
+            path.push((u, path.len()));
             cur = self.tree().parent(u);
-            level += 1;
         }
-        seq
     }
 
     fn committed_holds(&self, node: NodeId, _level: usize, o: ObjectId) -> bool {
@@ -160,6 +160,58 @@ struct Op {
     task: Task,
     path: Vec<(NodeId, usize)>,
     pos: usize,
+    /// Distance travelled along `path[..=pos]`: [`ConcurrentEngine::advance`]
+    /// adds each hop as it schedules it, first hop first.
+    travelled: f64,
+}
+
+/// The state of one run: its results so far, the query stream, and the
+/// buffers it keeps between batches so that a batch allocates nothing
+/// once the largest one has been seen (DESIGN.md §16: a buffer is
+/// cleared when it is recycled, and only its capacity is reused).
+struct Run {
+    outcome: ConcurrentOutcome,
+    /// Query placement; drawn batch by batch, in batch order.
+    rng: ChaCha8Rng,
+    /// The live batch's ops; empty between batches.
+    ops: Vec<Op>,
+    /// Pending events; a batch runs until it is empty.
+    heap: BinaryHeap<Event>,
+    /// Cleared climb paths of finished ops, for the next batch's.
+    spare_paths: Vec<Vec<(NodeId, usize)>>,
+}
+
+impl Run {
+    /// Admits one op climbing from `v`, first probe at `start`.
+    fn admit<S: ClimbStructure + ?Sized>(
+        &mut self,
+        tracker: &S,
+        v: NodeId,
+        start: f64,
+        task: Task,
+    ) {
+        let mut path = self.spare_paths.pop().unwrap_or_default();
+        tracker.climb_into(v, &mut path);
+        self.heap.push(Event {
+            time: start,
+            op: self.ops.len(),
+        });
+        self.ops.push(Op {
+            task,
+            path,
+            pos: 0,
+            travelled: 0.0,
+        });
+    }
+
+    /// Retires the finished batch: its paths go back, cleared.
+    fn recycle(&mut self) {
+        debug_assert!(self.heap.is_empty(), "a batch ends when no event is left");
+        for mut op in self.ops.drain(..) {
+            op.path.clear();
+            self.spare_paths.push(op.path);
+        }
+    }
 }
 
 struct Event {
@@ -230,24 +282,45 @@ impl ConcurrentEngine {
         oracle: &dyn DistanceOracle,
         cfg: &ConcurrentConfig,
     ) -> Result<ConcurrentOutcome> {
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut outcome = ConcurrentOutcome::default();
+        let mut run = Run {
+            outcome: ConcurrentOutcome::default(),
+            rng: ChaCha8Rng::seed_from_u64(cfg.seed),
+            ops: Vec::new(),
+            heap: BinaryHeap::new(),
+            spare_paths: Vec::new(),
+        };
         let k = cfg.max_inflight_per_object.max(1);
+        let Some(&first) = workload.moves.first() else {
+            return Ok(run.outcome);
+        };
 
-        // Group moves per object, keeping trace order.
-        let mut per_object: Vec<Vec<crate::mobility::MoveOp>> =
-            vec![Vec::new(); workload.object_count()];
+        // Group moves per object, keeping trace order: a counting sort
+        // into one vector. `ends[o]` is where object `o`'s next move
+        // goes while filling, and where its group ends afterwards.
+        let objects = workload.object_count();
+        let mut ends = vec![0usize; objects + 1];
         for m in &workload.moves {
-            per_object[m.object.index()].push(*m);
+            ends[m.object.index() + 1] += 1;
+        }
+        for o in 0..objects {
+            ends[o + 1] += ends[o];
+        }
+        let mut grouped = vec![first; workload.moves.len()];
+        for m in &workload.moves {
+            let slot = &mut ends[m.object.index()];
+            grouped[*slot] = *m;
+            *slot += 1;
         }
 
-        for (oi, destinations) in per_object.iter().enumerate() {
+        let mut start = 0;
+        for (oi, &end) in ends[..objects].iter().enumerate() {
             let object = ObjectId(oi as u32);
-            for batch in destinations.chunks(k) {
-                Self::run_batch(tracker, object, batch, oracle, cfg, &mut rng, &mut outcome)?;
+            for batch in grouped[start..end].chunks(k) {
+                Self::run_batch(tracker, object, batch, oracle, cfg, &mut run)?;
             }
+            start = end;
         }
-        Ok(outcome)
+        Ok(run.outcome)
     }
 
     fn run_batch<S: ClimbStructure + ?Sized>(
@@ -256,48 +329,25 @@ impl ConcurrentEngine {
         destinations: &[crate::mobility::MoveOp],
         oracle: &dyn DistanceOracle,
         cfg: &ConcurrentConfig,
-        rng: &mut ChaCha8Rng,
-        outcome: &mut ConcurrentOutcome,
+        run: &mut Run,
     ) -> Result<()> {
-        // One op per move plus the query batch: reserving up front keeps
-        // the event loop free of heap regrowth.
-        let capacity = destinations.len() + cfg.queries_per_batch;
-        let mut ops: Vec<Op> = Vec::with_capacity(capacity);
-        let mut heap = BinaryHeap::with_capacity(capacity);
         for mv in destinations {
-            let path = tracker.climb_sequence(mv.to);
-            heap.push(Event {
-                time: 0.0,
-                op: ops.len(),
-            });
-            ops.push(Op {
-                task: Task::Move {
-                    to: mv.to,
-                    optimal: oracle.dist(mv.from, mv.to),
-                },
-                path,
-                pos: 0,
-            });
+            let optimal = oracle.dist(mv.from, mv.to);
+            run.admit(tracker, mv.to, 0.0, Task::Move { to: mv.to, optimal });
         }
         let n = oracle.node_count();
         for _ in 0..cfg.queries_per_batch {
-            let from = NodeId::from_index(rng.gen_range(0..n));
+            let from = NodeId::from_index(run.rng.gen_range(0..n));
             // Queries start staggered through the batch's early phase so
             // some overlap the racing maintenance mid-flight.
-            let start = rng.gen_range(0.0..oracle.diameter().max(1.0));
-            let path = tracker.climb_sequence(from);
-            heap.push(Event {
-                time: start,
-                op: ops.len(),
-            });
-            ops.push(Op {
-                task: Task::QueryClimb { from },
-                path,
-                pos: 0,
-            });
-            outcome.queries_issued += 1;
+            let start = run.rng.gen_range(0.0..oracle.diameter().max(1.0));
+            run.admit(tracker, from, start, Task::QueryClimb { from });
+            run.outcome.queries_issued += 1;
         }
 
+        let Run {
+            ops, heap, outcome, ..
+        } = run;
         while let Some(Event { time, op: op_idx }) = heap.pop() {
             let (node, level) = ops[op_idx].path[ops[op_idx].pos];
             match ops[op_idx].task {
@@ -312,18 +362,18 @@ impl ConcurrentEngine {
                         // holder *now*, so bill the difference between
                         // the distance this op actually traveled and the
                         // fresh climb (the wasted racing distance).
-                        let travelled = Self::climb_cost(&ops[op_idx], oracle);
+                        let travelled = ops[op_idx].travelled;
                         let fresh = Self::fresh_climb_cost(tracker, &ops[op_idx], object, oracle);
                         let mv = tracker.move_object(object, to)?;
                         let waste = (travelled - fresh).max(0.0);
                         outcome.maintenance.record(mv.cost + waste, optimal);
                     } else {
-                        Self::advance(tracker, &mut ops, op_idx, time, oracle, &mut heap);
+                        Self::advance(tracker, ops, op_idx, time, oracle, heap);
                     }
                 }
                 Task::QueryClimb { from } => {
                     if let Some(descend) = tracker.locate(node, level, object) {
-                        let climbed = Self::climb_cost(&ops[op_idx], oracle);
+                        let climbed = ops[op_idx].travelled;
                         let expected = tracker.proxy_of(object).expect("object is published");
                         let cost_so_far = climbed + descend;
                         ops[op_idx].task = Task::QueryChase {
@@ -336,7 +386,7 @@ impl ConcurrentEngine {
                             op: op_idx,
                         });
                     } else {
-                        Self::advance(tracker, &mut ops, op_idx, time, oracle, &mut heap);
+                        Self::advance(tracker, ops, op_idx, time, oracle, heap);
                     }
                 }
                 Task::QueryChase {
@@ -370,16 +420,8 @@ impl ConcurrentEngine {
                 }
             }
         }
+        run.recycle();
         Ok(())
-    }
-
-    /// Distance already travelled along an op's climb path up to its
-    /// current position.
-    fn climb_cost(op: &Op, oracle: &dyn DistanceOracle) -> f64 {
-        op.path[..=op.pos]
-            .windows(2)
-            .map(|w| oracle.dist(w[0].0, w[1].0))
-            .sum()
     }
 
     /// Distance a climb along `op.path` would travel against the current
@@ -402,8 +444,9 @@ impl ConcurrentEngine {
         cost
     }
 
-    /// Schedules the next probe of a climbing op: travel time plus the
-    /// period barrier when crossing into a higher level.
+    /// Schedules the next probe of a climbing op — travel time plus the
+    /// period barrier when crossing into a higher level — and bills the
+    /// hop to the op's `travelled`.
     fn advance<S: ClimbStructure + ?Sized>(
         tracker: &S,
         ops: &mut [Op],
@@ -420,7 +463,9 @@ impl ConcurrentEngine {
         let (cur, cur_level) = op.path[op.pos];
         op.pos += 1;
         let (next, next_level) = op.path[op.pos];
-        let mut t = now + oracle.dist(cur, next).max(1e-9);
+        let hop = oracle.dist(cur, next);
+        op.travelled += hop;
+        let mut t = now + hop.max(1e-9);
         if next_level > cur_level {
             let phi = tracker.level_period(next_level);
             if phi > 0.0 {
@@ -586,5 +631,81 @@ mod tests {
             c.maintenance.ratio(),
             s.ratio()
         );
+    }
+    #[test]
+    fn outcomes_match_the_constants_of_the_unpooled_engine() {
+        // Constants from a run at the commit before the engine pooled its
+        // buffers and began carrying `travelled`. Every object has 25
+        // moves at 10 in flight, so its batches shrink (10, 10, 5) and
+        // the last one reuses paths the earlier ones filled; on a 6×6
+        // grid a corner's climb is shorter than the centre's, so a
+        // recycled path that kept stale stations would move these bits.
+        let (g, m, overlay) = grid_env();
+        let w = WorkloadSpec::new(3, 25, 6).generate(&g);
+        let rates = DetectionRates::from_moves(&g, &w.move_pairs());
+        let mot = || MotTracker::new(&overlay, &m, MotConfig::plain());
+        let stun =
+            || TreeTracker::new("STUN", build_stun(&g, &rates), &m, false).with_root_queries();
+        let (mut corner, mut centre) = (Vec::new(), Vec::new());
+        mot().climb_into(NodeId(0), &mut corner);
+        mot().climb_into(NodeId(14), &mut centre);
+        assert!(corner.len() < centre.len(), "the bed must mix path lengths");
+        mot().climb_into(NodeId(0), &mut centre);
+        assert_eq!(centre, corner, "climb_into replaces what the buffer held");
+
+        // (queries per batch, MOT?, maintenance total, maintenance ratio
+        // sum, query total, query ratio sum, queries issued) — f64s as bits.
+        let pins: [(usize, bool, u64, u64, u64, u64, usize); 4] = [
+            (0, true, 0x4080580000000000, 0x4080580000000000, 0, 0, 0),
+            (0, false, 0x4070200000000000, 0x4070200000000000, 0, 0, 0),
+            (
+                2,
+                true,
+                0x4080580000000000,
+                0x4080580000000000,
+                0x4064600000000000,
+                0x404b449249249249,
+                18,
+            ),
+            (
+                2,
+                false,
+                0x4070200000000000,
+                0x4070200000000000,
+                0x4068200000000000,
+                0x405223a83a83a83b,
+                18,
+            ),
+        ];
+        for (queries_per_batch, is_mot, maint, maint_ratios, query, query_ratios, issued) in pins {
+            let cfg = ConcurrentConfig {
+                max_inflight_per_object: 10,
+                queries_per_batch,
+                seed: 9,
+            };
+            let out = if is_mot {
+                let mut t = mot();
+                run_publish(&mut t, &w).unwrap();
+                ConcurrentEngine::run(&mut t, &w, &m, &cfg).unwrap()
+            } else {
+                let mut t = stun();
+                run_publish(&mut t, &w).unwrap();
+                ConcurrentEngine::run(&mut t, &w, &m, &cfg).unwrap()
+            };
+            let got = (
+                out.maintenance.total.to_bits(),
+                out.maintenance.ratio_sum.to_bits(),
+                out.queries.total.to_bits(),
+                out.queries.ratio_sum.to_bits(),
+                out.queries_issued,
+            );
+            assert_eq!(
+                got,
+                (maint, maint_ratios, query, query_ratios, issued),
+                "mot {is_mot}, {queries_per_batch} queries a batch"
+            );
+            assert_eq!(out.maintenance.operations, 75);
+            assert_eq!(out.queries_correct, out.queries_issued);
+        }
     }
 }

@@ -100,4 +100,4 @@ pub use run::{
 pub use scenario::{run_queries_model, QueryModel, ScenarioQueryStats, ZipfSampler};
 pub use service::{run_service, ServiceConfig, ServiceOutcome, ServiceReport, ShedPolicy};
 pub use stream::{OpEnvelope, OpStream, ServiceOp, StreamSpec};
-pub use testbed::{Algo, TestBed};
+pub use testbed::{graph_center, tracker_over, Algo, TestBed};

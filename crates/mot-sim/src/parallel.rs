@@ -1,13 +1,17 @@
 //! Deterministic fan-out over independent experiment cells.
 //!
 //! The paper's evaluation is a sweep over *(figure × grid size ×
-//! algorithm × seed)* cells, and every cell is self-contained: it builds
-//! its own test bed, generates its own workload from explicit seeds, and
+//! algorithm × seed)* cells, and every cell is independent: what it
+//! computes is a function of its own key and explicit seeds, and it
 //! returns plain mergeable statistics ([`crate::CostStats`],
-//! [`crate::LevelLedger`], [`crate::Histogram`]). That independence is
-//! what makes the sweep parallelizable *without* giving up bit-exact
-//! reproducibility — provided two rules hold, which this module
-//! enforces structurally:
+//! [`crate::LevelLedger`], [`crate::Histogram`]). Cells may *read*
+//! common inputs — the figure runners build one graph, distance backend,
+//! overlay and workload per (grid, seed) and hand it to every algorithm's
+//! cell — as long as those inputs are themselves pure functions of
+//! explicit seeds and immutable once built (DESIGN.md §12). That
+//! independence is what makes the sweep parallelizable *without* giving
+//! up bit-exact reproducibility — provided two rules hold, which this
+//! module enforces structurally:
 //!
 //! 1. **Cell-keyed randomness.** Every random stream a cell consumes is
 //!    derived from the cell's stable [`CellKey`] (directly via
@@ -187,9 +191,10 @@ impl ParallelRunner {
     /// Executes `f` once per cell and returns the results in the cells'
     /// canonical order, or the canonically-first failure.
     ///
-    /// `f` must treat each cell as self-contained: any randomness it
+    /// `f` must treat each cell as independent: any randomness it
     /// consumes has to derive from the cell's key (or explicit per-cell
     /// seeds carried in the payload), never from shared mutable state.
+    /// Immutable inputs shared between cells are fine.
     pub fn run<C, T, E, F>(&self, cells: &[Keyed<C>], f: F) -> Result<Vec<T>, E>
     where
         C: Sync,

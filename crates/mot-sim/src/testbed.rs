@@ -5,6 +5,13 @@
 //! algorithms over it. The traffic-conscious baselines receive the
 //! workload's measured [`DetectionRates`]; MOT never sees them
 //! (traffic-obliviousness is its defining property).
+//!
+//! The bed owns its parts; [`tracker_over`] is the same instantiation
+//! over *borrowed* parts, for callers that build one graph, oracle or
+//! overlay and run several trackers on it (the figure runners share
+//! them between the cells of a sweep). `make_tracker` is that function
+//! applied to the bed's own fields — there is no second copy of the
+//! algorithm table.
 
 use crate::concurrent::ClimbStructure;
 use crate::error::SimError;
@@ -194,26 +201,10 @@ impl TestBed {
         (a, b)
     }
 
-    /// A graph center — the sink the tree baselines root at.
-    ///
-    /// Eccentricities come from one graph-side Dijkstra per node
-    /// (quantized through f32 like every oracle read, so the pick is
-    /// identical to an oracle scan) instead of n² oracle `dist` calls —
-    /// on-demand backends would otherwise warm a full row per node.
+    /// A graph center — the sink the tree baselines root at
+    /// ([`graph_center`] of this bed's graph).
     pub fn center(&self) -> NodeId {
-        let n = self.graph.node_count();
-        let mut ws = mot_net::DijkstraWorkspace::with_capacity(n);
-        let mut best: Option<(f64, NodeId)> = None;
-        for u in (0..n).map(NodeId::from_index) {
-            ws.sssp(&self.graph, u);
-            let ecc = (0..n)
-                .map(|v| ws.dist(NodeId::from_index(v)) as f32 as f64)
-                .fold(0.0, f64::max);
-            if best.map(|(be, bu)| (ecc, u) < (be, bu)).unwrap_or(true) {
-                best = Some((ecc, u));
-            }
-        }
-        best.expect("non-empty graph").1
+        graph_center(&self.graph)
     }
 
     /// Instantiates `algo` over this bed. `rates` is the traffic
@@ -225,7 +216,7 @@ impl TestBed {
         algo: Algo,
         rates: &DetectionRates,
     ) -> Result<Box<dyn ClimbStructure + 'a>, SimError> {
-        self.tracker_inner(algo, rates, None)
+        tracker_over(&self.graph, &*self.oracle, &self.overlay, algo, rates, None)
     }
 
     /// [`TestBed::make_tracker`] with a structured-trace sink attached:
@@ -237,52 +228,91 @@ impl TestBed {
         rates: &DetectionRates,
         sink: &'a dyn TraceSink,
     ) -> Result<Box<dyn ClimbStructure + 'a>, SimError> {
-        self.tracker_inner(algo, rates, Some(sink))
+        tracker_over(
+            &self.graph,
+            &*self.oracle,
+            &self.overlay,
+            algo,
+            rates,
+            Some(sink),
+        )
     }
+}
 
-    fn tracker_inner<'a>(
-        &'a self,
-        algo: Algo,
-        rates: &DetectionRates,
-        sink: Option<&'a dyn TraceSink>,
-    ) -> Result<Box<dyn ClimbStructure + 'a>, SimError> {
-        let mot = |cfg: MotConfig| -> Box<dyn ClimbStructure + 'a> {
-            let mut t = MotTracker::new(&self.overlay, &self.oracle, cfg);
-            if let Some(s) = sink {
-                t = t.with_sink(s);
-            }
-            Box::new(t)
-        };
-        let tree = |t: TreeTracker<'a>| -> Box<dyn ClimbStructure + 'a> {
-            match sink {
-                Some(s) => Box::new(t.with_sink(s)),
-                None => Box::new(t),
-            }
-        };
-        Ok(match algo {
-            Algo::Mot => mot(MotConfig::plain()),
-            Algo::MotLb => mot(MotConfig::load_balanced()),
-            Algo::MotNoSp => mot(MotConfig::no_special_parents()),
-            Algo::Stun => {
-                // Kung & Vlah's queries are served from the sink: the
-                // request travels to the root and descends from there.
-                let t = build_stun(&self.graph, rates);
-                tree(TreeTracker::new("STUN", t, &self.oracle, false).with_root_queries())
-            }
-            Algo::Dat => {
-                let t = build_dat(&self.graph, rates, self.center());
-                tree(TreeTracker::new("DAT", t, &self.oracle, false))
-            }
-            Algo::Zdat => {
-                let t = build_zdat(&self.graph, rates, ZdatParams::default())?;
-                tree(TreeTracker::new("Z-DAT", t, &self.oracle, false))
-            }
-            Algo::ZdatShortcuts => {
-                let t = build_zdat(&self.graph, rates, ZdatParams::default())?;
-                tree(TreeTracker::new("Z-DAT+shortcuts", t, &self.oracle, true))
-            }
-        })
+/// A center of `graph` — the sink the tree baselines root at.
+///
+/// Eccentricities come from one graph-side Dijkstra per node
+/// (quantized through f32 like every oracle read, so the pick is
+/// identical to an oracle scan) instead of n² oracle `dist` calls —
+/// on-demand backends would otherwise warm a full row per node.
+pub fn graph_center(graph: &Graph) -> NodeId {
+    let n = graph.node_count();
+    let mut ws = mot_net::DijkstraWorkspace::with_capacity(n);
+    let mut best: Option<(f64, NodeId)> = None;
+    for u in (0..n).map(NodeId::from_index) {
+        ws.sssp(graph, u);
+        let ecc = (0..n)
+            .map(|v| ws.dist(NodeId::from_index(v)) as f32 as f64)
+            .fold(0.0, f64::max);
+        if best.map(|(be, bu)| (ecc, u) < (be, bu)).unwrap_or(true) {
+            best = Some((ecc, u));
+        }
     }
+    best.expect("non-empty graph").1
+}
+
+/// Instantiates `algo` over borrowed parts: a topology, the distance
+/// backend its costs are billed against and an overlay built on both.
+/// This is what [`TestBed::make_tracker`] runs on the bed's own fields;
+/// callers that share one graph, oracle or overlay between several
+/// trackers (the figure runners) call it directly. `rates` goes to the
+/// traffic-conscious baselines only, `sink` mirrors every billed hop.
+/// Errors if the topology lacks what the algorithm needs (Z-DAT
+/// requires node positions).
+pub fn tracker_over<'a>(
+    graph: &Graph,
+    oracle: &'a dyn DistanceOracle,
+    overlay: &'a Overlay,
+    algo: Algo,
+    rates: &DetectionRates,
+    sink: Option<&'a dyn TraceSink>,
+) -> Result<Box<dyn ClimbStructure + 'a>, SimError> {
+    let mot = |cfg: MotConfig| -> Box<dyn ClimbStructure + 'a> {
+        let mut t = MotTracker::new(overlay, oracle, cfg);
+        if let Some(s) = sink {
+            t = t.with_sink(s);
+        }
+        Box::new(t)
+    };
+    let tree = |t: TreeTracker<'a>| -> Box<dyn ClimbStructure + 'a> {
+        match sink {
+            Some(s) => Box::new(t.with_sink(s)),
+            None => Box::new(t),
+        }
+    };
+    Ok(match algo {
+        Algo::Mot => mot(MotConfig::plain()),
+        Algo::MotLb => mot(MotConfig::load_balanced()),
+        Algo::MotNoSp => mot(MotConfig::no_special_parents()),
+        Algo::Stun => {
+            // Kung & Vlah's queries are served from the sink: the
+            // request travels to the root and descends from there.
+            let t = build_stun(graph, rates);
+            tree(TreeTracker::new("STUN", t, oracle, false).with_root_queries())
+        }
+        Algo::Dat => {
+            let t = build_dat(graph, rates, graph_center(graph));
+            tree(TreeTracker::new("DAT", t, oracle, false))
+        }
+        Algo::Zdat => {
+            let t = build_zdat(graph, rates, ZdatParams::default())?;
+            tree(TreeTracker::new("Z-DAT", t, oracle, false))
+        }
+        Algo::ZdatShortcuts => {
+            let t = build_zdat(graph, rates, ZdatParams::default())?;
+            tree(TreeTracker::new("Z-DAT+shortcuts", t, oracle, true))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -307,14 +337,14 @@ mod tests {
         ] {
             let mut t = bed.make_tracker(algo, &rates).unwrap();
             run_publish(t.as_mut(), &w).unwrap();
-            let stats = replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
+            let stats = replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
             assert!(
                 stats.ratio() >= 1.0,
                 "{}: ratio {}",
                 algo.label(),
                 stats.ratio()
             );
-            let q = run_queries(t.as_ref(), &bed.oracle, 3, 50, 2).unwrap();
+            let q = run_queries(t.as_ref(), &*bed.oracle, 3, 50, 2).unwrap();
             assert_eq!(q.correct, 50, "{} answered queries wrong", algo.label());
         }
     }
@@ -326,8 +356,8 @@ mod tests {
             let rates = DetectionRates::uniform(&bed.graph);
             let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
             run_publish(t.as_mut(), &w).unwrap();
-            replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
-            let q = run_queries(t.as_ref(), &bed.oracle, 2, 30, 1).unwrap();
+            replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
+            let q = run_queries(t.as_ref(), &*bed.oracle, 2, 30, 1).unwrap();
             assert_eq!(q.correct, 30);
         }
     }
@@ -387,8 +417,8 @@ mod tests {
         let rates = DetectionRates::uniform(&bed.graph);
         let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
-        let q = run_queries(t.as_ref(), &bed.oracle, 2, 40, 3).unwrap();
+        replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
+        let q = run_queries(t.as_ref(), &*bed.oracle, 2, 40, 3).unwrap();
         assert_eq!(q.correct, 40);
     }
 }

@@ -6,7 +6,8 @@
 //! steady-state allocation count per operation creeps past its ceiling.
 //! Wall-clock benchmarks drift with the machine; allocation counts are
 //! deterministic, so these are the CI-safe witnesses that the
-//! arena/freelist work and the inline SDL slot keep paying.
+//! arena/freelist work, the inline SDL slot, the tree trackers' climb
+//! scratch and the concurrent engine's pooled buffers keep paying.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -51,10 +52,12 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+use mot_baselines::{build_stun, build_zdat, DetectionRates, TreeTracker, ZdatParams};
 use mot_core::{MotConfig, MotTracker, ObjectId, Tracker};
 use mot_hierarchy::{build_doubling, OverlayConfig};
 use mot_net::{generators, DenseOracle, NodeId};
 use mot_proto::ProtoTracker;
+use mot_sim::{replay_moves, run_publish, ConcurrentConfig, ConcurrentEngine, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -160,4 +163,69 @@ fn direct_tracker_moves_and_queries_allocate_next_to_nothing() {
          SDL installs are on the heap again"
     );
     assert_eq!(in_queries, 0, "queries are read-only and allocate nothing");
+}
+
+#[test]
+fn tree_tracker_moves_allocate_next_to_nothing() {
+    // The figures' tree baselines on a 16×16 bed: a move used to build
+    // an `IdSet` of the nodes its climb added — 0.888 allocations a STUN
+    // move, one whenever the climb added any; the tracker now keeps that
+    // scratch and a steady-state move reads 0.
+    let g = generators::grid(16, 16).unwrap();
+    let m = DenseOracle::build(&g).unwrap();
+    let w = WorkloadSpec::new(100, 200, 1).generate(&g);
+    let rates = DetectionRates::from_moves(&g, &w.move_pairs());
+    let stun = TreeTracker::new("STUN", build_stun(&g, &rates), &m, false).with_root_queries();
+    let zdat = build_zdat(&g, &rates, ZdatParams::default()).unwrap();
+    let zdat = TreeTracker::new("Z-DAT", zdat, &m, false);
+    for mut t in [stun, zdat] {
+        run_publish(&mut t, &w).unwrap();
+        // Warm-up: the detection sets reach their high-water capacities.
+        replay_moves(&mut t, &w, &m).unwrap();
+
+        // Walk every object back along its trace: as many unit moves
+        // again, over the same nodes.
+        let before = allocs();
+        for mv in w.moves.iter().rev() {
+            t.move_object(mv.object, mv.from).unwrap();
+        }
+        let per_move = (allocs() - before) as f64 / w.moves.len() as f64;
+        assert!(
+            per_move <= 0.05,
+            "a steady-state {} move allocates {per_move:.3} times; \
+             the climb scratch is per move again",
+            t.name()
+        );
+    }
+}
+
+#[test]
+fn concurrent_engine_allocates_per_run_not_per_op() {
+    // A fig-14 cell on a 16×16 bed. With a fresh path `Vec` per op and a
+    // fresh op table and event heap per batch this read 3.25 an op; it
+    // reads 0.035 now — the run's own set-up (the grouped moves, the
+    // buffers growing to the largest batch) and what a cold tracker's
+    // `move_object` allocates while its node maps grow.
+    let g = generators::grid(16, 16).unwrap();
+    let m = DenseOracle::build(&g).unwrap();
+    let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 0);
+    let w = WorkloadSpec::new(100, 200, 1).generate(&g);
+    let mut t = MotTracker::new(&overlay, &m, MotConfig::plain());
+    run_publish(&mut t, &w).unwrap();
+    let cfg = ConcurrentConfig {
+        max_inflight_per_object: 10,
+        queries_per_batch: 1,
+        seed: 0,
+    };
+
+    let before = allocs();
+    let out = ConcurrentEngine::run(&mut t, &w, &m, &cfg).unwrap();
+    let ops = (out.maintenance.operations + out.queries_issued) as f64;
+    let per_op = (allocs() - before) as f64 / ops;
+    assert_eq!(out.maintenance.operations, w.moves.len());
+    assert!(
+        per_op <= 0.1,
+        "the concurrent engine allocates {per_op:.3} times per op; \
+         its path, op or event buffers are per batch again"
+    );
 }
