@@ -301,11 +301,6 @@ impl<'a> TreeTracker<'a> {
         self.detection[u.index()].contains(&o)
     }
 
-    /// Whether this tracker routes located queries straight to the proxy.
-    pub fn has_shortcuts(&self) -> bool {
-        self.shortcuts
-    }
-
     /// The live node nearest to `u` (deterministic tie-break by id) —
     /// the handoff target when a proxy crashes.
     fn nearest_live(&self, u: NodeId) -> Option<NodeId> {

@@ -957,15 +957,10 @@ pub fn trace_events(p: &Profile, seed: u64) -> Result<Vec<TraceEvent>, BenchErro
 }
 
 /// Mergeable aggregates of the fixed-seed instrumented run (the
-/// `--metrics` report's observability section).
-pub fn trace_aggregates(p: &Profile, seed: u64) -> Result<TraceAggregates, BenchError> {
-    instrumented_run(p, seed).map(|(agg, _, _)| agg)
-}
-
-/// [`trace_aggregates`] plus the run's oracle cache counters — the
-/// `--metrics` report exposes both so long soaks on the `cached`
-/// backend can watch hit/miss/eviction health over time; `None` for
-/// backends that keep no cache — and the bed's memory footprint.
+/// `--metrics` report's observability section), plus the run's oracle
+/// cache counters — the report exposes both so long soaks on the
+/// `cached` backend can watch hit/miss/eviction health over time; `None`
+/// for backends that keep no cache — and the bed's memory footprint.
 pub fn instrumented_run(
     p: &Profile,
     seed: u64,
@@ -1452,8 +1447,8 @@ mod tests {
         let b = trace_events(&p, 3).unwrap();
         assert!(!a.is_empty());
         assert_eq!(a, b, "same profile + seed must produce identical traces");
-        let agg1 = trace_aggregates(&p, 3).unwrap();
-        let agg2 = trace_aggregates(&p, 3).unwrap();
+        let (agg1, _, _) = instrumented_run(&p, 3).unwrap();
+        let (agg2, _, _) = instrumented_run(&p, 3).unwrap();
         assert_eq!(agg1.to_json(), agg2.to_json());
     }
 

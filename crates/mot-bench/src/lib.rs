@@ -1,8 +1,7 @@
 //! Experiment definitions regenerating every figure of the paper's §8,
 //! plus the ablations DESIGN.md calls out.
 //!
-//! The `experiments` binary prints the tables; the criterion benches in
-//! `benches/` time the same code paths on reduced workloads. Figures:
+//! The `experiments` binary prints the tables. Figures:
 //!
 //! | id       | paper figure | metric |
 //! |----------|--------------|--------|
@@ -56,12 +55,9 @@ pub use figures::{
     level_decomposition_table, load_figure, load_figure_profiled, locality_table,
     locality_table_profiled, maintenance_figure, maintenance_figure_profiled, mobility_table,
     mobility_table_profiled, publish_cost_table, query_figure, query_figure_profiled, scale_table,
-    state_size_table, trace_aggregates, trace_events, BenchError, BenchResult, Profile,
-    ProfiledResult,
+    state_size_table, trace_events, BenchError, BenchResult, Profile, ProfiledResult,
 };
-pub use profiling::{
-    profile_fig4_phases, profile_service_phases, service_phase_timings, PhaseTimings, SweepPhases,
-};
+pub use profiling::{profile_fig4_phases, service_phase_timings, PhaseTimings, SweepPhases};
 pub use report::{BedMemory, FigureTable, RunReport};
 pub use scenarios::{scenario_tables, scenarios_smoke_table, ScenarioProfile};
 pub use service::{service_run, service_table, ServiceSpec};

@@ -19,7 +19,7 @@
 //! `experiments` binary — no extra tooling baked into the crate).
 
 use crate::figures::BenchError;
-use crate::service::{service_run, ServiceSpec};
+use crate::service::ServiceSpec;
 use crate::SizeSpec;
 use mot_baselines::DetectionRates;
 use mot_hierarchy::{build_doubling, OverlayConfig};
@@ -248,18 +248,11 @@ pub fn profile_fig4_phases(
     })
 }
 
-/// Times a service soak split into bed construction and the soak loop
-/// itself, with throughput in the title. The soak number is the
-/// report's own wall clock (the same value `bench-baseline` gates).
-pub fn profile_service_phases(spec: &ServiceSpec) -> Result<PhaseTimings, BenchError> {
-    let t = Instant::now();
-    let (_, rep) = service_run(spec)?;
-    Ok(service_phase_timings(spec, &rep, t.elapsed().as_secs_f64()))
-}
-
-/// The breakdown behind [`profile_service_phases`], for callers that
-/// already ran the soak (the `experiments` binary times its normal
-/// `service` run and feeds it here, avoiding a second soak).
+/// A service soak split into bed construction and the soak loop itself,
+/// with throughput in the title, for a caller that timed the soak end to
+/// end (the `experiments` binary times its normal `service` run and
+/// feeds it here). The soak number is the report's own wall clock (the
+/// same value `bench-baseline` gates).
 pub fn service_phase_timings(
     spec: &ServiceSpec,
     rep: &mot_sim::ServiceReport,
@@ -348,7 +341,9 @@ mod tests {
         let mut s = ServiceSpec::smoke();
         s.cfg.stream.ops = 500;
         s.cfg.stream.objects = 20;
-        let t = profile_service_phases(&s).unwrap();
+        let start = Instant::now();
+        let (_, rep) = crate::service::service_run(&s).unwrap();
+        let t = service_phase_timings(&s, &rep, start.elapsed().as_secs_f64());
         assert_eq!(t.phases.len(), 2);
         assert!(t.phases[1].1 > 0.0, "soak wall clock missing");
         assert!(t.title.contains("ops/s"));

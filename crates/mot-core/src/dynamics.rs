@@ -6,8 +6,7 @@
 //! [`EnergyLedger`], which price wake-ups against update traffic
 //! (arXiv:1108.1321). The paper's §7 topology churn lives elsewhere:
 //! `mot_hierarchy::RepairableHierarchy` repairs the overlay under sensor
-//! leave/join, `mot_debruijn::DynamicCluster` relabels a cluster's
-//! embedded de Bruijn graph.
+//! leave/join.
 
 use mot_net::{DistanceOracle, NodeId};
 

@@ -350,12 +350,6 @@ impl<'a> MotTracker<'a> {
         self.stores.dl_has(node, level, o)
     }
 
-    /// First SDL entry for `o` at `node`: the guarded level and special
-    /// child, if any (committed state).
-    pub fn sdl_lookup(&self, node: NodeId, o: ObjectId) -> Option<(usize, NodeId)> {
-        self.stores.sdl_get(node, o)
-    }
-
     /// Cost of descending the current trail of `o` from `(node, level)`
     /// to the proxy, or `None` for an unpublished object.
     pub fn descend_cost(&self, o: ObjectId, node: NodeId, level: usize) -> Option<f64> {

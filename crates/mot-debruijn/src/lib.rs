@@ -11,9 +11,7 @@
 //!   canonical shift-in shortest-path routing,
 //! * [`Embedding`] — the mapping of `2^d` virtual labels onto an
 //!   arbitrary-size physical cluster (labels `≥ |X|` are emulated by the
-//!   member whose label differs only in the most significant bit),
-//! * [`dynamic::DynamicCluster`] — §7's join/leave maintenance with
-//!   `O(1)` amortized adaptability per event.
+//!   member whose label differs only in the most significant bit).
 //!
 //! # Example
 //!
@@ -43,15 +41,13 @@
 //! # Place in the workspace
 //!
 //! Depends only on `mot-net`; consumed by `mot-core`'s load-balanced
-//! tracker. Implements §5 (load balancing) and §7 (dynamics); serves
-//! Figs. 8–11 and the `state-size` table. See DESIGN.md §3 and §5.
+//! tracker. Implements §5 (load balancing); serves Figs. 8–11 and the
+//! `state-size` table. See DESIGN.md §3 and §5.
 
 #![warn(missing_docs)]
 
-pub mod dynamic;
 pub mod embedding;
 pub mod graph;
 
-pub use dynamic::{ChurnEvent, DynamicCluster};
 pub use embedding::Embedding;
 pub use graph::DeBruijnGraph;

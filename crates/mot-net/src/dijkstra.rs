@@ -28,13 +28,6 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> Vec<f64> {
     dist
 }
 
-/// Shortest-path distance from `source` to a single `target`, stopping
-/// early once the target is settled.
-pub fn dijkstra_targeted(g: &Graph, source: NodeId, target: NodeId) -> f64 {
-    let mut ws = DijkstraWorkspace::with_capacity(g.node_count());
-    ws.sssp_targeted(g, source, target)
-}
-
 /// A shortest-path tree rooted at `root`.
 ///
 /// `parent[root] = None`; every other node's parent lies on a shortest path
@@ -115,8 +108,9 @@ mod tests {
     fn targeted_matches_full() {
         let g = generators::grid(5, 7).unwrap();
         let full = dijkstra(&g, NodeId(3));
+        let mut ws = DijkstraWorkspace::with_capacity(g.node_count());
         for t in g.nodes() {
-            assert_eq!(dijkstra_targeted(&g, NodeId(3), t), full[t.index()]);
+            assert_eq!(ws.sssp_targeted(&g, NodeId(3), t), full[t.index()]);
         }
     }
 

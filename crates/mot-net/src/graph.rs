@@ -518,11 +518,6 @@ impl Graph {
         self.edge_count += added;
         Ok(())
     }
-
-    /// Sum of all edge weights — handy for sanity checks in tests.
-    pub fn total_weight(&self) -> f64 {
-        self.edges().map(|(_, _, w)| w).sum()
-    }
 }
 
 #[cfg(test)]

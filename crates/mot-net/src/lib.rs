@@ -25,8 +25,6 @@
 //!   goes through the trait,
 //! * the bit-level rules the layers above share ([`q32`] quantization,
 //!   [`BALL_PAD`], [`splitmix64`]),
-//! * network [`metrics`]: diameter, doubling-dimension estimation,
-//!   growth-restriction checks,
 //! * §7 topology churn: generation-stamped node leave/join mutation on
 //!   [`Graph`], [`TopologyDelta`] batches, and seeded
 //!   connectivity-preserving [`ChurnSchedule`]s (see DESIGN.md §17).
@@ -72,21 +70,17 @@ pub mod dijkstra;
 pub mod error;
 pub mod generators;
 pub mod graph;
-pub mod metrics;
 pub mod node;
-pub mod ops;
 pub mod oracle;
 pub mod workspace;
 
 pub use bits::{q32, splitmix64, IdHasher, IdMap, IdSet, BALL_PAD};
 pub use builder::GraphBuilder;
 pub use delta::{ChurnEvent, ChurnSchedule, ChurnSpec, TopologyDelta};
-pub use dijkstra::{dijkstra, dijkstra_targeted, shortest_path_tree, PathTree};
+pub use dijkstra::{dijkstra, shortest_path_tree, PathTree};
 pub use error::NetError;
 pub use graph::{Edge, Graph};
-pub use metrics::{estimate_doubling_dimension, growth_ratio, GraphStats};
 pub use node::{NodeId, Point};
-pub use ops::{k_nearest, path_between, subgraph};
 pub use oracle::{
     CacheLedger, CachedOracle, DeltaInvalidation, DenseOracle, DistanceOracle, OracleKind,
 };

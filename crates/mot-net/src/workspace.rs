@@ -43,11 +43,10 @@
 //!   means "settled" after either loop, which the hierarchy builder's
 //!   `ball_dist` relies on.
 //!
-//! The classic entry points [`crate::dijkstra()`],
-//! [`crate::dijkstra_targeted()`] and [`crate::shortest_path_tree()`]
-//! are thin wrappers that run a fresh workspace once; hot callers
-//! (the oracle backends, the hierarchy builders) hold a workspace and
-//! reuse it across thousands of runs.
+//! The classic entry points [`crate::dijkstra()`] and
+//! [`crate::shortest_path_tree()`] are thin wrappers that run a fresh
+//! workspace once; hot callers (the oracle backends, the hierarchy
+//! builders) hold a workspace and reuse it across thousands of runs.
 
 use crate::graph::Graph;
 use crate::node::NodeId;
@@ -328,8 +327,7 @@ impl DijkstraWorkspace {
     }
 
     /// Shortest-path distance from `source` to `target`, stopping as soon
-    /// as the target settles (the workspace equivalent of
-    /// [`crate::dijkstra_targeted()`]).
+    /// as the target settles.
     pub fn sssp_targeted(&mut self, g: &Graph, source: NodeId, target: NodeId) -> f64 {
         self.run(g, source, f64::INFINITY, Some(target));
         self.live_dist(target.index())

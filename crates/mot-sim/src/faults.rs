@@ -116,9 +116,6 @@ pub struct FaultPlan {
     /// Links already decided on first use; the failed subset.
     checked_links: HashSet<(NodeId, NodeId)>,
     failed_links: HashSet<(NodeId, NodeId)>,
-    /// Sensors currently crashed (for persistent-crash protocols; the
-    /// reboot-with-amnesia replay never populates this).
-    down: HashSet<NodeId>,
 }
 
 impl FaultPlan {
@@ -159,7 +156,6 @@ impl FaultPlan {
             crash_schedule,
             checked_links: HashSet::new(),
             failed_links: HashSet::new(),
-            down: HashSet::new(),
         }
     }
 
@@ -179,16 +175,6 @@ impl FaultPlan {
             .iter()
             .filter(move |&&(s, _)| s == step)
             .map(|&(_, v)| v)
-    }
-
-    /// Marks `u` crashed for [`FaultModel::node_down`] consultations.
-    pub fn mark_down(&mut self, u: NodeId) {
-        self.down.insert(u);
-    }
-
-    /// Marks `u` recovered.
-    pub fn mark_up(&mut self, u: NodeId) {
-        self.down.remove(&u);
     }
 
     /// Lazily decides (once, on first use) whether the `src↔dst` link is
@@ -250,10 +236,6 @@ impl FaultModel for FaultPlan {
 
     fn delay_message(&mut self, _src: NodeId, _dst: NodeId) -> bool {
         self.cfg.delay_rate > 0.0 && self.rng.gen_bool(self.cfg.delay_rate)
-    }
-
-    fn node_down(&self, u: NodeId) -> bool {
-        self.down.contains(&u)
     }
 }
 
@@ -329,6 +311,9 @@ pub fn run_queries_faulty(
     seed: u64,
     plan: &mut FaultPlan,
 ) -> std::result::Result<FaultyQueryStats, SimError> {
+    if object_count == 0 && count > 0 {
+        return Err(CoreError::UnknownObject(ObjectId(0)).into());
+    }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = oracle.node_count();
     let mut out = FaultyQueryStats::default();
@@ -344,9 +329,7 @@ pub fn run_queries_faulty(
             }
             Err(e) => return Err(e.into()),
         };
-        let truth = tracker
-            .proxy_of(o)
-            .expect("workload published every object");
+        let truth = tracker.proxy_of(o).ok_or(CoreError::UnknownObject(o))?;
         if r.proxy == truth {
             out.batch.correct += 1;
         }
@@ -510,6 +493,19 @@ mod tests {
                 "{}: crashes must cost repair work",
                 algo.label()
             );
+        }
+    }
+
+    #[test]
+    fn faulty_queries_reject_missing_objects() {
+        let bed = TestBed::grid(3, 3, 1).unwrap();
+        let rates = DetectionRates::uniform(&bed.graph);
+        let unknown = Err(SimError::Core(CoreError::UnknownObject(ObjectId(0))));
+        for objects in [0, 1] {
+            let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
+            let mut plan = FaultConfig::default().plan(bed.graph.node_count(), 0);
+            let got = run_queries_faulty(t.as_mut(), &bed.oracle, objects, 5, 1, &mut plan);
+            assert_eq!(got, unknown, "{objects} objects");
         }
     }
 

@@ -71,7 +71,6 @@
 pub mod concurrent;
 pub mod error;
 pub mod faults;
-pub mod io;
 pub mod metrics;
 pub mod mobility;
 pub mod parallel;
@@ -87,7 +86,6 @@ pub use faults::{
     repair_all, replay_moves_faulty, run_queries_faulty, unrepaired_objects, FaultConfig,
     FaultPlan, FaultyQueryStats, FaultyRunStats,
 };
-pub use io::{load_workload, save_workload, validate_against};
 pub use metrics::{
     CostStats, Histogram, LevelLedger, LoadStats, Recorder, Summary, TraceAggregates,
 };

@@ -7,7 +7,7 @@
 use crate::error::SimError;
 use crate::metrics::{CostStats, Histogram};
 use crate::mobility::Workload;
-use mot_core::{ObjectId, Result, Tracker};
+use mot_core::{CoreError, ObjectId, Result, Tracker};
 use mot_net::{DistanceOracle, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -140,15 +140,16 @@ fn queries_inner(
     seed: u64,
     mut ratios: Option<&mut Histogram>,
 ) -> Result<QueryBatchStats> {
+    if object_count == 0 && count > 0 {
+        return Err(CoreError::UnknownObject(ObjectId(0)));
+    }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = oracle.node_count();
     let mut out = QueryBatchStats::default();
     for _ in 0..count {
         let from = NodeId::from_index(rng.gen_range(0..n));
         let o = ObjectId(rng.gen_range(0..object_count as u32));
-        let truth = tracker
-            .proxy_of(o)
-            .expect("workload published every object");
+        let truth = tracker.proxy_of(o).ok_or(CoreError::UnknownObject(o))?;
         let r = tracker.query(from, o)?;
         if r.proxy == truth {
             out.correct += 1;
@@ -179,14 +180,15 @@ pub fn run_local_queries(
     count: usize,
     seed: u64,
 ) -> Result<QueryBatchStats> {
+    if object_count == 0 && count > 0 {
+        return Err(CoreError::UnknownObject(ObjectId(0)));
+    }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut out = QueryBatchStats::default();
     let mut near = Vec::new();
     for _ in 0..count {
         let o = ObjectId(rng.gen_range(0..object_count as u32));
-        let truth = tracker
-            .proxy_of(o)
-            .expect("workload published every object");
+        let truth = tracker.proxy_of(o).ok_or(CoreError::UnknownObject(o))?;
         oracle.ball_into(truth, radius, &mut near);
         let from = near[rng.gen_range(0..near.len())];
         let r = tracker.query(from, o)?;
@@ -301,5 +303,32 @@ mod tests {
         assert!(q.zero_distance > 0);
         assert_eq!(q.correct, 300);
         assert_eq!(q.cost.operations + q.zero_distance, 300);
+    }
+
+    #[test]
+    fn query_batches_reject_missing_objects() {
+        let g = generators::grid(3, 3).unwrap();
+        let m = DenseOracle::build(&g).unwrap();
+        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
+        let t = MotTracker::new(&overlay, &m, MotConfig::plain());
+        let unknown = Err(CoreError::UnknownObject(ObjectId(0)));
+        // no objects to draw from, then one object that was never published
+        for objects in [0, 1] {
+            assert_eq!(run_queries(&t, &m, objects, 5, 1), unknown);
+            let mut h = Histogram::new();
+            assert_eq!(run_queries_observed(&t, &m, objects, 5, 1, &mut h), unknown);
+        }
+    }
+
+    #[test]
+    fn local_queries_reject_missing_objects() {
+        let g = generators::grid(3, 3).unwrap();
+        let m = DenseOracle::build(&g).unwrap();
+        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
+        let t = MotTracker::new(&overlay, &m, MotConfig::plain());
+        let unknown = Err(CoreError::UnknownObject(ObjectId(0)));
+        for objects in [0, 1] {
+            assert_eq!(run_local_queries(&t, &m, objects, 2.0, 5, 1), unknown);
+        }
     }
 }

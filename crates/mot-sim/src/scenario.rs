@@ -13,7 +13,7 @@
 
 use crate::metrics::LoadStats;
 use crate::run::QueryBatchStats;
-use mot_core::{ObjectId, Result, Tracker};
+use mot_core::{CoreError, ObjectId, Result, Tracker};
 use mot_net::{DistanceOracle, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -121,9 +121,12 @@ pub fn run_queries_model(
 ) -> Result<ScenarioQueryStats> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = oracle.node_count();
+    if object_count == 0 && count > 0 {
+        return Err(CoreError::UnknownObject(ObjectId(0)));
+    }
     let sampler = match model {
-        QueryModel::Uniform => None,
-        QueryModel::Zipf { s } => Some(ZipfSampler::new(object_count, s)),
+        QueryModel::Zipf { s } if object_count > 0 => Some(ZipfSampler::new(object_count, s)),
+        _ => None,
     };
     let mut out = ScenarioQueryStats {
         batch: QueryBatchStats::default(),
@@ -137,9 +140,7 @@ pub fn run_queries_model(
         };
         let o = ObjectId(oi as u32);
         out.object_hits[oi] += 1;
-        let truth = tracker
-            .proxy_of(o)
-            .expect("workload published every object");
+        let truth = tracker.proxy_of(o).ok_or(CoreError::UnknownObject(o))?;
         let r = tracker.query(from, o)?;
         if r.proxy == truth {
             out.batch.correct += 1;
@@ -230,5 +231,20 @@ mod tests {
         let a = run_queries_model(t.as_ref(), &bed.oracle, 4, 100, 3, QueryModel::zipf(1.0));
         let b = run_queries_model(t.as_ref(), &bed.oracle, 4, 100, 3, QueryModel::zipf(1.0));
         assert_eq!(a.unwrap(), b.unwrap());
+    }
+
+    #[test]
+    fn model_aware_runner_rejects_missing_objects() {
+        let bed = TestBed::grid(3, 3, 1).unwrap();
+        let t = bed
+            .make_tracker(Algo::Mot, &DetectionRates::uniform(&bed.graph))
+            .unwrap();
+        let unknown = Err(CoreError::UnknownObject(ObjectId(0)));
+        for objects in [0, 1] {
+            for model in [QueryModel::Uniform, QueryModel::zipf(1.0)] {
+                let got = run_queries_model(t.as_ref(), &bed.oracle, objects, 5, 1, model);
+                assert_eq!(got, unknown, "{objects} objects, {model:?}");
+            }
+        }
     }
 }

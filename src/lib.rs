@@ -61,7 +61,7 @@ pub mod prelude {
     pub use mot_core::{
         CoreError, MotConfig, MotTracker, MoveOutcome, ObjectId, QueryResult, Tracker,
     };
-    pub use mot_debruijn::{DeBruijnGraph, DynamicCluster, Embedding};
+    pub use mot_debruijn::{DeBruijnGraph, Embedding};
     pub use mot_hierarchy::{build_doubling, build_general, Overlay, OverlayConfig};
     pub use mot_net::{
         dijkstra, generators, CachedOracle, DenseOracle, DistanceOracle, Graph, GraphBuilder,

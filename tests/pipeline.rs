@@ -106,30 +106,6 @@ fn load_conservation_between_plain_and_balanced() {
 }
 
 #[test]
-fn saved_workload_replays_identically() {
-    use mot_tracking::sim::{load_workload, save_workload, validate_against};
-    let bed = TestBed::grid(6, 6, 3).unwrap();
-    let w = WorkloadSpec::new(4, 60, 9).generate(&bed.graph);
-    let path = std::env::temp_dir().join(format!("mot-pipeline-{}.json", std::process::id()));
-    save_workload(&w, &path).unwrap();
-    let replayed = load_workload(&path).unwrap();
-    validate_against(&replayed, &bed.graph).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    let rates = DetectionRates::uniform(&bed.graph);
-    let run = |w: &Workload| {
-        let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
-        run_publish(t.as_mut(), w).unwrap();
-        replay_moves(t.as_mut(), w, &bed.oracle).unwrap().total
-    };
-    assert_eq!(
-        run(&w),
-        run(&replayed),
-        "saved trace must replay to identical costs"
-    );
-}
-
-#[test]
 fn traffic_knowledge_changes_baseline_trees_not_mot() {
     let bed = TestBed::grid(6, 6, 4).unwrap();
     let w = WorkloadSpec::new(4, 100, 6).generate(&bed.graph);

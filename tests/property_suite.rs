@@ -184,41 +184,6 @@ fn debruijn_routing_is_shortest() {
     }
 }
 
-/// Dynamic clusters stay routable through arbitrary churn: after any
-/// join/leave sequence every virtual label routes to a live member.
-#[test]
-fn dynamic_cluster_stays_routable() {
-    for case in 0..CASES {
-        let mut rng = case_rng(6, case);
-        let op_count = rng.gen_range(1usize..60);
-        let mut c = DynamicCluster::new((0..4u32).map(NodeId).collect());
-        let mut next_id = 100u32;
-        for _ in 0..op_count {
-            let join: bool = rng.gen();
-            if join || c.members().len() <= 1 {
-                c.join(NodeId(next_id));
-                next_id += 1;
-            } else {
-                let idx = rng.gen_range(0..c.members().len());
-                let victim = c.members()[idx];
-                c.leave(victim);
-            }
-            let e = c.embedding();
-            assert!(e.members().contains(&c.leader()), "case {case}");
-            for label in 0..e.graph().vertex_count() {
-                assert!(e.members().contains(&e.host(label)), "case {case}");
-            }
-            // every member can route to the leader
-            let leader_label = e.label_of(c.leader()).unwrap();
-            for &mm in e.members() {
-                let src = e.label_of(mm).unwrap();
-                let hosts = e.route_hosts(src, leader_label);
-                assert_eq!(*hosts.last().unwrap(), c.leader(), "case {case}");
-            }
-        }
-    }
-}
-
 /// Workload generation always produces valid adjacent chains.
 #[test]
 fn workloads_are_valid_walks() {
