@@ -28,7 +28,8 @@ fn bench(c: &mut Criterion) {
     // choice starts to matter (1024 and 4096 nodes — the latter is the
     // Auto cutoff). "Build" is what you pay up front: the full APSP
     // matrix for dense, constructor plus 64 targeted solves for cached.
-    // "Query" is a warm mix of point distances and radius-4 balls.
+    // "Query" is a mix of point distances and radius-4 balls: row reads
+    // for dense, one bounded solve per call for cached.
     let mut group = c.benchmark_group("oracle_backend");
     group.sample_size(10);
     for n in [32usize, 64] {
@@ -66,10 +67,6 @@ fn bench(c: &mut Criterion) {
             |b, o| b.iter(|| query_mix(o)),
         );
         let cached = CachedOracle::new(&g).unwrap();
-        // A source's second or third miss promotes it to a resident row.
-        for _ in 0..3 {
-            query_mix(&cached);
-        }
         group.bench_with_input(
             BenchmarkId::new("cached_query_mix", nodes),
             &cached,

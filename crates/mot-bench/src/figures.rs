@@ -870,8 +870,8 @@ pub fn mobility_table_profiled(p: &Profile) -> ProfiledResult {
 /// Backend scaling: fig4-style MOT maintenance over the profile's
 /// grids, reporting the distance backend's *measured* memory footprint
 /// next to the dense matrix it replaces (EXPERIMENTS.md `scale` has
-/// the measured table): the cached backend keeps only the rows hot
-/// sources earned, under a byte budget that never exceeds 64 MiB.
+/// the measured table): the cached backend stores no distances, so its
+/// column is 0 at every size.
 pub fn scale_table(p: &Profile) -> BenchResult {
     const MIB: f64 = (1024 * 1024) as f64;
     let cells: Vec<Keyed<(usize, usize)>> = p
@@ -958,9 +958,8 @@ pub fn trace_events(p: &Profile, seed: u64) -> Result<Vec<TraceEvent>, BenchErro
 
 /// Mergeable aggregates of the fixed-seed instrumented run (the
 /// `--metrics` report's observability section), plus the run's oracle
-/// cache counters — the report exposes both so long soaks on the
-/// `cached` backend can watch hit/miss/eviction health over time; `None`
-/// for backends that keep no cache — and the bed's memory footprint.
+/// counters (the `cached` backend's solve count; `None` for backends
+/// without a ledger) and the bed's memory footprint.
 pub fn instrumented_run(
     p: &Profile,
     seed: u64,
@@ -1390,7 +1389,7 @@ mod tests {
         assert_eq!(t.rows.len(), 1);
         let ys = &t.rows[0].1;
         assert!(ys[0] >= 1.0, "ratio {} below optimal", ys[0]);
-        assert!(ys[1] > 0.0, "cached backend reported no resident rows");
+        assert_eq!(ys[1], 0.0, "the cached backend stores no distances");
         // 64 nodes: dense matrix is 64*64*4 bytes
         assert!((ys[2] - (64.0 * 64.0 * 4.0) / (1024.0 * 1024.0)).abs() < 1e-9);
     }

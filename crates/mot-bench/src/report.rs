@@ -152,9 +152,8 @@ pub struct RunReport {
     pub timings_secs: Vec<(String, f64)>,
     /// Aggregates of the fixed-seed instrumented run, when collected.
     pub trace: Option<TraceAggregates>,
-    /// Distance-oracle cache counters of the instrumented run, when its
-    /// backend keeps them (`cached`) — long soaks watch hit/miss/eviction
-    /// rates here for cache health over time.
+    /// Distance-oracle counters of the instrumented run, when its
+    /// backend keeps them (`cached`, whose `misses` are its solves).
     pub cache: Option<CacheLedger>,
     /// Footprint of the instrumented run's bed, when collected.
     pub memory: Option<BedMemory>,

@@ -9,8 +9,7 @@
 //! test before it can silently move a published figure.
 
 use mot_baselines::DetectionRates;
-use mot_hierarchy::{build_doubling, OverlayConfig};
-use mot_net::{generators, CachedOracle, OracleKind};
+use mot_net::OracleKind;
 use mot_sim::{replay_moves, run_publish, Algo, TestBed, WorkloadSpec};
 
 /// `(rows, cols, seed, algo, total_bits, optimal_bits, operations)`
@@ -201,27 +200,6 @@ fn cached_backend_reproduces_the_golden_bits() {
     for &(r, c, seed, algo, total_bits, optimal_bits, operations) in &GOLDEN {
         let bed = TestBed::grid_with_oracle(r, c, seed, OracleKind::Cached).unwrap();
         let ctx = format!("{r}x{c} seed {seed} {algo:?} cached");
-        assert_golden_replay(&bed, seed, algo, total_bits, optimal_bits, operations, &ctx);
-    }
-}
-
-/// Same golden bits under continuous cache eviction: a two-row byte
-/// budget forces rows out and back throughout overlay construction and
-/// replay, and every recomputed row must quantize identically.
-#[test]
-fn cached_backend_under_eviction_reproduces_the_golden_bits() {
-    for &(r, c, seed, algo, total_bits, optimal_bits, operations) in &GOLDEN {
-        let g = generators::grid(r, c).unwrap();
-        let n = g.node_count();
-        let oracle = CachedOracle::with_byte_budget(&g, 2 * n * (4 + 8)).unwrap();
-        let overlay = build_doubling(&g, &oracle, &OverlayConfig::practical(), seed);
-        let bed = TestBed {
-            graph: g,
-            oracle: Box::new(oracle),
-            overlay,
-            faults: None,
-        };
-        let ctx = format!("{r}x{c} seed {seed} {algo:?} cached-evicting");
         assert_golden_replay(&bed, seed, algo, total_bits, optimal_bits, operations, &ctx);
     }
 }

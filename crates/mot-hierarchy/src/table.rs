@@ -34,7 +34,7 @@
 //! oracle backend quantizes through, so widening it back to `f64`
 //! reproduces `oracle.dist(prev, next)` bit for bit (DESIGN.md §13).
 
-use mot_net::{DistanceOracle, NodeId};
+use mot_net::{DistanceOracle, IdMap, NodeId};
 
 /// `[dist(prev, member), dist(member, prev)]` for one station member.
 pub(crate) type Hop = [f32; 2];
@@ -173,8 +173,12 @@ impl StationTable {
     }
 
     /// One record per `(node, level)`, every hop and drop read from the
-    /// oracle: the fill of the builders that hold precomputed rows.
+    /// oracle: the fill of the general and reference builders. Nodes
+    /// whose paths share stations repeat the same pairs, so each distinct
+    /// pair is asked once (on the on-demand backend every read is a solve).
     pub(crate) fn from_oracle(stations: &[Vec<Vec<NodeId>>], m: &dyn DistanceOracle) -> Self {
+        let mut memo: IdMap<(NodeId, NodeId), f32> = IdMap::default();
+        let mut dist = |a, b| *memo.entry((a, b)).or_insert_with(|| m.dist(a, b) as f32);
         let stride = stations[0].len();
         let mut t = Self::new();
         t.stride = stride;
@@ -185,17 +189,16 @@ impl StationTable {
             for (level, station) in path.iter().enumerate() {
                 let r = t.push_record(station);
                 for (j, w) in station.windows(2).enumerate() {
-                    let hop = [m.dist(w[0], w[1]) as f32, m.dist(w[1], w[0]) as f32];
-                    t.set_hop(r, j + 1, hop);
+                    t.set_hop(r, j + 1, [dist(w[0], w[1]), dist(w[1], w[0])]);
                 }
                 let above = path.get(level + 1).map_or(&[][..], Vec::as_slice);
                 if let Some(&first) = above.first() {
                     let last = *station.last().expect("stations are non-empty");
-                    t.set_up(r, m.dist(last, first) as f32);
+                    t.set_up(r, dist(last, first));
                 }
                 t.push_drops(above.len());
                 for (k, &from) in above.iter().enumerate() {
-                    let dists = station.iter().map(|&to| m.dist(from, to) as f32);
+                    let dists = station.iter().map(|&to| dist(from, to));
                     t.set_drop(r, k, DropHop::toward(dists));
                 }
                 t.index.push(r);

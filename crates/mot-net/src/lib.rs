@@ -20,9 +20,10 @@
 //!   ([`Graph::is_unit_weight`]; the graph decides, no caller does),
 //! * the [`DistanceOracle`] trait with two backends — the dense
 //!   all-pairs [`DenseOracle`] (built in parallel; the verifier) and
-//!   the on-demand bounded-solve byte-budgeted [`CachedOracle`] —
-//!   selected via [`OracleKind`]; every ball query and cost account
-//!   goes through the trait,
+//!   the stateless on-demand [`CachedOracle`], which answers every call
+//!   with a targeted or radius-bounded solve — selected via
+//!   [`OracleKind`]; every ball query and cost account goes through the
+//!   trait,
 //! * the bit-level rules the layers above share ([`q32`] quantization,
 //!   [`BALL_PAD`], [`splitmix64`]),
 //! * §7 topology churn: generation-stamped node leave/join mutation on
@@ -81,9 +82,7 @@ pub use dijkstra::{dijkstra, shortest_path_tree, PathTree};
 pub use error::NetError;
 pub use graph::{Edge, Graph};
 pub use node::{NodeId, Point};
-pub use oracle::{
-    CacheLedger, CachedOracle, DeltaInvalidation, DenseOracle, DistanceOracle, OracleKind,
-};
+pub use oracle::{CacheLedger, CachedOracle, DenseOracle, DistanceOracle, OracleKind};
 pub use workspace::DijkstraWorkspace;
 
 /// Convenient result alias for this crate.

@@ -50,8 +50,9 @@ pub struct DenseOracle {
     /// [`Graph::generation`] at build time. The dense matrix has no
     /// incremental repair path (every row is a function of the whole
     /// topology): under churn it is the **rebuild-only verifier** — the
-    /// differential suites rebuild it on the final topology and compare
-    /// the incremental backends against it bit for bit (DESIGN.md §17).
+    /// differential suites rebuild it on the mutated topology and
+    /// compare the on-demand backend against it bit for bit (DESIGN.md
+    /// §17).
     built_generation: u64,
     /// Per-source `(dist, node)` pairs sorted ascending, built lazily:
     /// most sources never serve a `ball` query, and hierarchy
@@ -127,7 +128,8 @@ impl DenseOracle {
     /// The graph mutation generation this matrix was computed at.
     /// There is deliberately no `apply_delta` here: a fresh
     /// [`DenseOracle::build`] on the mutated topology is the ground
-    /// truth the incremental paths are verified against.
+    /// truth that the on-demand backend (after its own `apply_delta`)
+    /// and the hierarchy's repair path are verified against.
     #[inline]
     pub fn built_generation(&self) -> u64 {
         self.built_generation

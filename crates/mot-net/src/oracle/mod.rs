@@ -9,10 +9,10 @@
 //!   Dijkstra, O(n²) f32 storage). Exact everything; the right choice
 //!   up to a few thousand nodes ([`OracleKind::DENSE_NODE_LIMIT`]),
 //!   and the parity verifier the other backend is tested against.
-//! * [`CachedOracle`] — bounded solves on miss (targeted Dijkstra for
-//!   `dist`, radius-bounded for `ball`) plus a byte-budgeted LRU of
-//!   full rows for sources hot enough to earn one. The default at
-//!   scale: no query ever costs more than what it touches. Its
+//! * [`CachedOracle`] — a stateless solver: every call runs a bounded
+//!   solve (targeted Dijkstra for `dist`, radius-bounded for `ball`)
+//!   and nothing is stored. The default at scale: no query ever costs
+//!   more than what it touches, and memory does not grow with n². Its
 //!   diameter is a double-sweep estimate (a lower bound within 2× of
 //!   the true diameter, exact on trees and grids).
 //!
@@ -26,7 +26,7 @@
 mod cached;
 mod dense;
 
-pub use cached::{CachedOracle, DeltaInvalidation};
+pub use cached::CachedOracle;
 pub use dense::DenseOracle;
 
 use crate::graph::Graph;
@@ -104,39 +104,37 @@ pub trait DistanceOracle: Send + Sync {
     }
 
     /// Approximate heap footprint of the backend's distance storage at
-    /// call time, in bytes: the full matrix for dense, the resident
-    /// rows for cached. Experiment reports use this to compare backends
-    /// at scale.
+    /// call time, in bytes: the full matrix for dense, 0 for cached
+    /// (it stores no distances). Experiment reports use this to compare
+    /// backends at scale.
     fn memory_bytes(&self) -> usize;
 
-    /// Row-cache counters for backends that keep one ([`CachedOracle`]);
-    /// `None` for backends without a hit/miss ledger. Experiment
-    /// reports surface these to show how much distance work a replay
-    /// actually performed.
+    /// Solve counters for backends that solve on demand
+    /// ([`CachedOracle`]); `None` for backends without a ledger.
+    /// Experiment reports surface these to show how much distance work
+    /// a replay actually performed.
     fn cache_stats(&self) -> Option<CacheLedger> {
         None
     }
 }
 
-/// Snapshot of a row cache's activity and footprint (see
-/// [`DistanceOracle::cache_stats`] and [`CachedOracle::ledger`]).
-///
-/// For a single-threaded query stream the counters are deterministic:
-/// the same queries against the same budget produce the same ledger
-/// (pinned by the `cached_churn` test suite).
+/// Snapshot of an on-demand backend's distance work (see
+/// [`DistanceOracle::cache_stats`]). [`CachedOracle`] reports every
+/// call as a miss — its [`solves`](CachedOracle::solves) — and leaves
+/// the other fields 0; they remain because reports serialise them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheLedger {
-    /// Queries answered from a resident row.
+    /// Queries answered from stored distances.
     pub hits: u64,
-    /// Queries that ran a (bounded or full) Dijkstra.
+    /// Queries that ran a bounded Dijkstra solve.
     pub misses: u64,
-    /// Rows dropped by the byte-budget LRU.
+    /// Stored rows dropped.
     pub evictions: u64,
-    /// Full rows computed and cached for hot sources.
+    /// Full rows computed and stored.
     pub promotions: u64,
-    /// Rows resident when the snapshot was taken.
+    /// Rows stored when the snapshot was taken.
     pub resident_rows: usize,
-    /// Bytes held by resident rows (equals `memory_bytes()`).
+    /// Bytes held by stored rows (equals `memory_bytes()`).
     pub resident_bytes: usize,
 }
 
@@ -193,91 +191,17 @@ impl std::fmt::Debug for dyn DistanceOracle {
     }
 }
 
-/// One source node's distances as the cached backend keeps them:
-/// distances by node index plus a sorted-by-(distance, id) view so
-/// `ball` is a binary search + slice.
-#[derive(Clone, Debug)]
-pub(crate) struct DistRow {
-    /// f32-quantized distance to every node, indexed by node id.
-    by_node: Vec<f32>,
-    /// `(dist, node)` ascending by distance, ties by node id.
-    sorted: Vec<(f32, u32)>,
-}
-
-impl DistRow {
-    /// Builds a row straight from a just-run [`DijkstraWorkspace`]
-    /// (same f32 quantization, no intermediate f64 vector).
-    pub(crate) fn from_workspace(ws: &crate::workspace::DijkstraWorkspace, n: usize) -> Self {
-        let by_node: Vec<f32> = (0..n)
-            .map(|v| ws.dist(NodeId::from_index(v)) as f32)
-            .collect();
-        Self::from_f32(by_node)
-    }
-
-    pub(crate) fn from_f32(by_node: Vec<f32>) -> Self {
-        let mut sorted: Vec<(f32, u32)> = by_node
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i as u32))
-            .collect();
-        sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        DistRow { by_node, sorted }
-    }
-
-    #[inline]
-    pub(crate) fn dist(&self, v: NodeId) -> f64 {
-        self.by_node[v.index()] as f64
-    }
-
-    /// The quantized distance array, indexed by node id (for cache
-    /// patching under topology deltas — see `CachedOracle::apply_delta`).
-    #[inline]
-    pub(crate) fn values(&self) -> &[f32] {
-        &self.by_node
-    }
-
-    /// Index of the first sorted entry strictly beyond `r`.
-    #[inline]
-    fn cut(&self, r: f64) -> usize {
-        self.sorted.partition_point(|&(d, _)| (d as f64) <= r)
-    }
-
-    /// Nodes within `r`, sorted by (distance, id).
-    pub(crate) fn ball(&self, r: f64) -> Vec<NodeId> {
-        self.sorted[..self.cut(r)]
-            .iter()
-            .map(|&(_, i)| NodeId(i))
-            .collect()
-    }
-
-    /// [`ball`](Self::ball) into a caller-owned buffer (cleared first).
-    pub(crate) fn ball_into(&self, r: f64, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.sorted[..self.cut(r)].iter().map(|&(_, i)| NodeId(i)));
-    }
-
-    pub(crate) fn ball_size(&self, r: f64) -> usize {
-        self.cut(r)
-    }
-
-    /// Approximate heap footprint, for cache accounting.
-    pub(crate) fn bytes(&self) -> usize {
-        self.by_node.len() * std::mem::size_of::<f32>()
-            + self.sorted.len() * std::mem::size_of::<(f32, u32)>()
-    }
-}
-
 /// Which distance backend to run an experiment on.
 ///
 /// # Selection rule (`Auto`)
 ///
 /// `Auto` picks [`DenseOracle`] up to [`OracleKind::DENSE_NODE_LIMIT`]
 /// nodes — the n² matrix is cheap there, exact, and the fastest thing
-/// to query — and [`CachedOracle`] beyond it: bounded Dijkstra solves
-/// on miss with a **byte-budgeted** row cache, so neither query time
-/// nor memory grows with n². Either backend stays available as an
-/// explicit opt-in at any size, dense chiefly as the parity verifier
-/// (`--oracle dense`).
+/// to query — and [`CachedOracle`] beyond it: a bounded Dijkstra solve
+/// per call and no stored distances, so neither query time nor memory
+/// grows with n². Either backend stays available as an explicit opt-in
+/// at any size, dense chiefly as the parity verifier (`--oracle
+/// dense`).
 ///
 /// Re-exported through `mot_core::config` for experiment
 /// configuration.
@@ -288,8 +212,7 @@ pub enum OracleKind {
     Auto,
     /// Full n² matrix of exact distances ([`DenseOracle`]).
     Dense,
-    /// Bounded solves on miss + byte-budgeted LRU of promoted rows
-    /// ([`CachedOracle`]).
+    /// A bounded solve per call, nothing stored ([`CachedOracle`]).
     Cached,
 }
 
@@ -348,16 +271,6 @@ impl OracleKind {
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn dist_row_ball_is_binary_search_prefix() {
-        let row = DistRow::from_f32(vec![0.0, 1.0, 1.0, 2.0, 5.0]);
-        assert_eq!(row.dist(NodeId(3)), 2.0);
-        assert_eq!(row.ball(1.0), vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(row.ball_size(1.0), 3);
-        assert_eq!(row.ball_size(4.999), 4);
-        assert_eq!(row.ball(-1.0), Vec::<NodeId>::new());
-    }
 
     #[test]
     fn auto_resolves_by_node_count() {

@@ -30,9 +30,8 @@
 //!     first-popped, i.e. smallest-id, neighbour in the previous layer —
 //!     and a layer pops in id order; expanding a sorted layer and keeping
 //!     the first touch reproduces both, so distances, parents, the
-//!     `(dist, id)` settle order and the settled *count* (which
-//!     [`crate::CachedOracle`] bills on every cold solve) are bit for bit
-//!     the heap loop's.
+//!     `(dist, id)` settle order and the settled *count* (the work a
+//!     targeted solve does) are bit for bit the heap loop's.
 //! * **Early stops leave the same state behind.** A targeted run ends
 //!   with `settled` cut just after the target: nodes of its layer with a
 //!   larger id, and whatever of the next layer was already touched, keep
@@ -141,10 +140,11 @@ impl QuadHeap {
 /// stay valid until the next run on the same workspace.
 ///
 /// Workspaces are plain owned values: keep one per thread (they are
-/// `Send`), or a small pool behind a mutex as [`crate::CachedOracle`]
-/// does. Reuse is purely a performance optimization — a reused
-/// workspace returns bit-identical results to a fresh one, in any
-/// interleaving (covered by the `csr_parity` test suite).
+/// `Send`), or a small pool behind a mutex, which is all the state
+/// [`crate::CachedOracle`] keeps between solves. Reuse is purely a
+/// performance optimization — a reused workspace returns bit-identical
+/// results to a fresh one, in any interleaving (covered by the
+/// `csr_parity` test suite).
 ///
 /// # Example
 ///

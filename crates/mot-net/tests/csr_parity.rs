@@ -19,7 +19,7 @@
 //! solver in the repository that shares code with neither (the free
 //! functions in `dijkstra.rs` wrap the workspace). Every flavour of run
 //! is held to it: full, targeted (`settled` cut just after the target —
-//! the count `CachedOracle` bills per cold solve) and bounded (nothing
+//! the work of every `CachedOracle::dist`) and bounded (nothing
 //! outside the ball may read `<= radius`), on static graphs and across
 //! `remove_node` / `restore_node` churn that keeps, then drops, the flag.
 

@@ -5,9 +5,15 @@
 //! `f32` and Dijkstra is deterministic, so swapping backends can never
 //! change a cost account. `diameter` is exact for dense; the cached
 //! double-sweep estimate must sit in the documented `[D/2, D]` band
-//! (and be exact on grids and trees).
+//! (and be exact on grids and trees). Under churn the on-demand backend
+//! absorbs each delta with `apply_delta` and must then match a dense
+//! matrix rebuilt on the mutated topology — the rebuild-only verifier
+//! (DESIGN.md §17).
 
-use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, Graph, NodeId, OracleKind};
+use mot_net::{
+    generators, CachedOracle, ChurnSchedule, ChurnSpec, DenseOracle, DistanceOracle, Graph, NodeId,
+    OracleKind, TopologyDelta,
+};
 
 /// The topology families the evaluation sweeps.
 fn topologies() -> Vec<(String, Graph)> {
@@ -32,19 +38,9 @@ fn topologies() -> Vec<(String, Graph)> {
     out
 }
 
-/// The on-demand backend over the same graph, once with its default
-/// budget (promotion-heavy under the exhaustive query sweeps) and once
-/// with a two-row budget so the eviction-then-recompute path is
-/// exercised on every topology.
+/// The on-demand backends under test over the same graph.
 fn backends(g: &Graph) -> Vec<(&'static str, CachedOracle)> {
-    let two_rows = 2 * 12 * g.node_count();
-    vec![
-        ("cached", CachedOracle::new(g).unwrap()),
-        (
-            "cached-tiny-budget",
-            CachedOracle::with_byte_budget(g, two_rows).unwrap(),
-        ),
-    ]
+    vec![("cached", CachedOracle::new(g).unwrap())]
 }
 
 #[test]
@@ -170,4 +166,86 @@ fn factory_backends_agree_on_shared_queries() {
     for o in &oracles {
         assert_eq!(o.diameter(), 18.0);
     }
+}
+
+#[test]
+fn interleaved_oracles_and_query_types_match_dense() {
+    // Two oracles over different graphs, queried in lockstep: pooled
+    // workspaces inside each oracle are reused across interleaved
+    // dist/ball solves and must never leak state between runs.
+    let ga = generators::grid(9, 8).unwrap();
+    let gb = generators::random_geometric(70, 9.0, 2.5, 23).unwrap();
+    let da = DenseOracle::build(&ga).unwrap();
+    let db = DenseOracle::build(&gb).unwrap();
+    let ca = CachedOracle::new(&ga).unwrap();
+    let cb = CachedOracle::new(&gb).unwrap();
+    for i in 0..400usize {
+        let (ua, va) = (
+            NodeId::from_index((i * 31) % 72),
+            NodeId::from_index((i * 17 + 5) % 72),
+        );
+        let (ub, vb) = (
+            NodeId::from_index((i * 29) % 70),
+            NodeId::from_index((i * 13 + 3) % 70),
+        );
+        assert_eq!(ca.dist(ua, va), da.dist(ua, va), "step {i}");
+        assert_eq!(cb.dist(ub, vb), db.dist(ub, vb), "step {i}");
+        if i % 3 == 0 {
+            let r = (i % 9) as f64 / 2.0;
+            assert_eq!(ca.ball(ua, r), da.ball(ua, r), "step {i}");
+            assert_eq!(cb.ball(ub, r), db.ball(ub, r), "step {i}");
+        }
+    }
+}
+
+/// Full-pair differential against the rebuild-only dense verifier.
+fn assert_matches_dense(cached: &CachedOracle, g: &Graph, ctx: &str) {
+    let dense = DenseOracle::build(g).expect("dense rebuild");
+    let d = dense.diameter();
+    for u in g.nodes() {
+        for v in g.nodes() {
+            assert_eq!(
+                cached.dist(u, v).to_bits(),
+                dense.dist(u, v).to_bits(),
+                "{ctx}: dist({u},{v})"
+            );
+        }
+        for r in [1.0, 2.0, d / 2.0, d] {
+            assert_eq!(cached.ball(u, r), dense.ball(u, r), "{ctx}: ball({u},{r})");
+        }
+    }
+}
+
+#[test]
+fn cached_matches_dense_rebuild_after_every_delta() {
+    for (name, g, seed) in [
+        ("grid", generators::grid(6, 6).unwrap(), 5u64),
+        (
+            "geometric",
+            generators::random_geometric(48, 8.0, 2.2, 21).unwrap(),
+            6,
+        ),
+    ] {
+        let sched = ChurnSchedule::generate(&g, &ChurnSpec::new(10, 4, seed)).unwrap();
+        let mut cached = CachedOracle::new(&g).unwrap();
+        let mut live = g.clone();
+        for (i, delta) in sched.deltas().iter().enumerate() {
+            delta.apply(&mut live).unwrap();
+            cached.apply_delta(delta).unwrap();
+            assert_matches_dense(&cached, &live, &format!("{name} delta {i}"));
+        }
+    }
+}
+
+#[test]
+fn generation_stamps_advance_with_deltas() {
+    let g = generators::grid(4, 4).unwrap();
+    let mut cached = CachedOracle::new(&g).unwrap();
+    assert_eq!(cached.graph().generation(), 0);
+    cached
+        .apply_delta(&TopologyDelta::leave(NodeId(5)))
+        .unwrap();
+    assert_eq!(cached.graph().generation(), 1);
+    assert!(cached.graph().node_generation(NodeId(5)) == 1);
+    assert_eq!(cached.graph().node_generation(NodeId(15)), 0);
 }

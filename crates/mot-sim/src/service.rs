@@ -777,14 +777,20 @@ fn apply_topology(
 /// Runs the service loop to quiescence and verifies its operational
 /// invariants. See the module docs for the guarantees; any violation —
 /// unaccounted ops, ledger/tracker disagreement, a dead worker, a loop
-/// that never drains — is a [`SimError::Service`], not a report.
+/// that never drains — is a [`SimError::Service`], not a report. So is
+/// a configuration no run can honour, rejected before any thread starts.
 pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome, SimError> {
-    assert!(cfg.shards > 0, "a service needs at least one shard");
-    assert!(cfg.batch > 0, "a zero batch would never make progress");
-    assert!(
-        cfg.policy.degrade_depth <= cfg.policy.shed_depth,
-        "degradation must engage before shedding"
-    );
+    let reject = |why: &str| Err(SimError::Service(why.into()));
+    if cfg.shards == 0 {
+        return reject("a service needs at least one shard");
+    }
+    if cfg.batch == 0 {
+        return reject("a zero batch would never make progress");
+    }
+    if cfg.policy.degrade_depth > cfg.policy.shed_depth {
+        return reject("degradation must engage before shedding");
+    }
+    cfg.stream.check().map_err(SimError::Service)?;
     let shards = cfg.shards;
     let workers = if cfg.jobs == 0 {
         std::thread::available_parallelism()
@@ -1207,6 +1213,66 @@ mod tests {
         let past = schedule.len() as u32;
         assert!(failure(Some(schedule), Some(&mut mirror), past).contains("past the end"));
         apply_topology(Some(schedule), Some(&mut mirror), 0).unwrap();
+    }
+
+    /// The reason `run_service` gives for refusing `cfg`.
+    fn rejection(cfg: &ServiceConfig) -> String {
+        match run_service(&bed(), cfg) {
+            Err(SimError::Service(why)) => why,
+            other => panic!("expected a service error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_shards_is_rejected() {
+        let mut cfg = ServiceConfig::new(StreamSpec::new(4, 100, 3));
+        cfg.shards = 0;
+        assert!(rejection(&cfg).contains("at least one shard"));
+    }
+
+    #[test]
+    fn zero_batch_is_rejected() {
+        let mut cfg = ServiceConfig::new(StreamSpec::new(4, 100, 3));
+        cfg.batch = 0;
+        assert!(rejection(&cfg).contains("zero batch"));
+    }
+
+    #[test]
+    fn shedding_before_degrading_is_rejected() {
+        let mut cfg = ServiceConfig::new(StreamSpec::new(4, 100, 3));
+        cfg.policy = ShedPolicy {
+            degrade_depth: 13,
+            shed_depth: 12,
+        };
+        assert!(rejection(&cfg).contains("degradation must engage before shedding"));
+    }
+
+    #[test]
+    fn zero_object_stream_is_rejected() {
+        let cfg = ServiceConfig::new(StreamSpec::new(0, 100, 3));
+        assert!(rejection(&cfg).contains("at least one object"));
+    }
+
+    #[test]
+    fn query_fraction_outside_the_unit_interval_is_rejected() {
+        for query_fraction in [-0.1, 1.5, f64::NAN] {
+            let cfg = ServiceConfig::new(StreamSpec {
+                query_fraction,
+                ..StreamSpec::new(4, 100, 3)
+            });
+            assert!(rejection(&cfg).contains("probability"), "{query_fraction}");
+        }
+    }
+
+    #[test]
+    fn churn_with_path_movers_is_rejected() {
+        let spec = StreamSpec {
+            churn_every: 20,
+            ..StreamSpec::new(4, 100, 3)
+        }
+        .with_mobility(crate::MobilityModel::Waypoint);
+        let cfg = ServiceConfig::new(spec);
+        assert!(rejection(&cfg).contains("random-walk mobility"));
     }
 
     #[test]

@@ -101,6 +101,24 @@ impl StreamSpec {
         self
     }
 
+    /// Rejects a spec no stream can honour: zero objects, a query
+    /// fraction outside `[0, 1]`, or churn combined with a
+    /// non-random-walk mobility model.
+    pub fn check(&self) -> Result<(), String> {
+        if self.objects == 0 {
+            return Err("a stream needs at least one object".into());
+        }
+        if !(0.0..=1.0).contains(&self.query_fraction) {
+            return Err("query fraction is a probability".into());
+        }
+        if !matches!(self.mobility, MobilityModel::RandomWalk) && self.churn_every > 0 {
+            return Err("churn streams require random-walk mobility \
+                 (path movers cannot steer around the removable pool)"
+                .into());
+        }
+        Ok(())
+    }
+
     /// The churn schedule parameters this spec implies on an `n`-node
     /// graph, or `None` for a static topology: one delta per
     /// `churn_every` ops, with up to `max(1, n/8)` concurrently
@@ -202,21 +220,11 @@ pub struct OpStream<'g> {
 }
 
 impl<'g> OpStream<'g> {
-    /// A stream over `graph`. Panics on a zero-object spec, a query
-    /// fraction outside `[0, 1]`, a churn spec the graph cannot
-    /// support, or churn combined with a non-random-walk mobility
-    /// model — all configuration errors.
+    /// A stream over `graph`. Panics on a spec [`StreamSpec::check`]
+    /// rejects or a churn spec the graph cannot support — all
+    /// configuration errors.
     pub fn new(graph: &'g Graph, spec: StreamSpec) -> Self {
-        assert!(spec.objects > 0, "a stream needs at least one object");
-        assert!(
-            (0.0..=1.0).contains(&spec.query_fraction),
-            "query fraction is a probability"
-        );
-        assert!(
-            matches!(spec.mobility, MobilityModel::RandomWalk) || spec.churn_every == 0,
-            "churn streams require random-walk mobility \
-             (path movers cannot steer around the removable pool)"
-        );
+        spec.check().unwrap_or_else(|why| panic!("{why}"));
         let schedule = spec
             .churn_plan(graph.node_count())
             .map(|plan| ChurnSchedule::generate(graph, &plan).expect("churn schedule"));

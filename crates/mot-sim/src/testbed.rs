@@ -65,8 +65,8 @@ impl Algo {
 ///
 /// The oracle is a boxed [`DistanceOracle`] chosen via [`OracleKind`]:
 /// dense (exact all-pairs matrix) by default up to
-/// [`OracleKind::DENSE_NODE_LIMIT`] nodes, the byte-budgeted cached
-/// backend (bounded solves on miss) beyond that — so no bed
+/// [`OracleKind::DENSE_NODE_LIMIT`] nodes, the on-demand cached
+/// backend (one bounded solve per call) beyond that — so no bed
 /// construction ever performs an n² warm-up.
 pub struct TestBed {
     /// The sensor-network topology.

@@ -6,8 +6,7 @@
 //! and therefore every cost — match bit for bit.
 
 use mot_baselines::DetectionRates;
-use mot_hierarchy::{build_doubling, OverlayConfig};
-use mot_net::{generators, CachedOracle, DistanceOracle, OracleKind};
+use mot_net::OracleKind;
 use mot_sim::{
     replay_moves, replay_moves_faulty, run_publish, run_queries, run_queries_faulty, Algo,
     FaultConfig, TestBed, WorkloadSpec,
@@ -23,10 +22,6 @@ struct PipelineOutcome {
 
 fn run_pipeline(kind: OracleKind, algo: Algo) -> PipelineOutcome {
     let bed = TestBed::grid_with_oracle(12, 12, 7, kind).unwrap();
-    run_pipeline_on(&bed, algo)
-}
-
-fn run_pipeline_on(bed: &TestBed, algo: Algo) -> PipelineOutcome {
     let w = WorkloadSpec::new(4, 120, 3).generate(&bed.graph);
     let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
     let mut t = bed.make_tracker(algo, &rates).unwrap();
@@ -119,51 +114,4 @@ fn auto_matches_dense_below_the_node_limit() {
     let dense = run_pipeline(OracleKind::Dense, Algo::Mot);
     assert_eq!(auto.maintenance, dense.maintenance);
     assert_eq!(auto.query_ratio, dense.query_ratio);
-}
-
-/// Cache eviction mid-pipeline must not change a single bit: a cached
-/// backend squeezed into a three-row byte budget evicts and recomputes
-/// rows throughout overlay construction, replay, and querying, yet its
-/// cost accounts match the dense pipeline exactly.
-#[test]
-fn eviction_and_recompute_leave_pipeline_costs_bit_identical() {
-    for algo in [Algo::Mot, Algo::Stun] {
-        let g = generators::grid(12, 12).unwrap();
-        let n = g.node_count();
-        let row_bytes = n * (4 + 8);
-        let oracle = CachedOracle::with_byte_budget(&g, 3 * row_bytes).unwrap();
-        let overlay = build_doubling(&g, &oracle, &OverlayConfig::practical(), 7);
-        let bed = TestBed {
-            graph: g,
-            oracle: Box::new(oracle),
-            overlay,
-            faults: None,
-        };
-        let squeezed = run_pipeline_on(&bed, algo);
-        let dense = run_pipeline(OracleKind::Dense, algo);
-        let label = format!("{algo:?}/cached-tiny-budget");
-        let ledger = bed.oracle.cache_stats().expect("cached backend ledger");
-        assert!(
-            ledger.evictions > 0,
-            "{label}: budget too generous, no eviction was exercised"
-        );
-        assert!(
-            ledger.resident_bytes <= 3 * row_bytes,
-            "{label}: resident bytes exceed the budget"
-        );
-        assert_eq!(squeezed.publish, dense.publish, "{label}: publish cost");
-        assert_eq!(
-            squeezed.maintenance, dense.maintenance,
-            "{label}: maintenance cost"
-        );
-        assert_eq!(
-            squeezed.maintenance_ratio, dense.maintenance_ratio,
-            "{label}: maintenance ratio"
-        );
-        assert_eq!(
-            squeezed.query_ratio, dense.query_ratio,
-            "{label}: query ratio"
-        );
-        assert_eq!(squeezed.correct, dense.correct, "{label}: correctness");
-    }
 }
