@@ -27,7 +27,8 @@ fn bench(c: &mut Criterion) {
     // Dense vs cached distance backends at the grid sizes where the
     // choice starts to matter (1024 and 4096 nodes — the latter is the
     // Auto cutoff). "Build" is what you pay up front: the full APSP
-    // matrix for dense, constructor plus 64 targeted solves for cached.
+    // matrix for dense, constructor plus 64 point-to-point distances
+    // (`DijkstraWorkspace::distance`, one BFS from each end) for cached.
     // "Query" is a mix of point distances and radius-4 balls: row reads
     // for dense, one bounded solve per call for cached.
     let mut group = c.benchmark_group("oracle_backend");
@@ -79,6 +80,9 @@ fn bench(c: &mut Criterion) {
     // number per inner loop: the unit grid takes the layered loop, the
     // jittered grid (same topology, Euclidean weights) the heap. A
     // change to either loop must leave the other's column where it was.
+    // `targeted_x1000` times `distance` over 1 000 seeded pairs: the
+    // bidirectional BFS on the unit grid, a heap run to the target on
+    // the jittered one.
     let mut group = c.benchmark_group("shortest_path_kernel");
     group.sample_size(10);
     let side = 256;
@@ -114,7 +118,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 pairs
                     .iter()
-                    .map(|&(s, t)| ws.sssp_targeted(&g, s, t))
+                    .map(|&(s, t)| ws.distance(&g, s, t))
                     .sum::<f64>()
             })
         });

@@ -28,8 +28,10 @@
 //!   above differ (about a fifth of them on a long random walk), the
 //!   SDL jump, and — when billed — the special-parent and
 //!   load-balancing routes. The on-demand [`mot_net::CachedOracle`]
-//!   answers each of these with one small source-centered solve and
-//!   stores nothing; there is no all-pairs table to fall back on.
+//!   answers each of these with one small point-to-point search (on
+//!   unit-weight fields two BFS balls of about half the distance's
+//!   radius, one around each end) and stores nothing; there is no
+//!   all-pairs table to fall back on.
 
 use crate::config::MotConfig;
 use crate::error::CoreError;

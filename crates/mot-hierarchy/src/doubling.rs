@@ -162,7 +162,7 @@ pub fn build_doubling(
                     let d = if back <= radius && quantizes_alike(back, slack) {
                         back
                     } else {
-                        fwd_ws.sssp_targeted(g, last, u)
+                        fwd_ws.distance(g, last, u)
                     };
                     table.set_up(r, d as f32);
                     continue;
@@ -345,7 +345,7 @@ fn ball_dist(
     if d <= radius {
         d
     } else {
-        fwd_ws.sssp_targeted(g, root, to)
+        fwd_ws.distance(g, root, to)
     }
 }
 

@@ -110,7 +110,7 @@ mod tests {
         let full = dijkstra(&g, NodeId(3));
         let mut ws = DijkstraWorkspace::with_capacity(g.node_count());
         for t in g.nodes() {
-            assert_eq!(ws.sssp_targeted(&g, NodeId(3), t), full[t.index()]);
+            assert_eq!(ws.distance(&g, NodeId(3), t), full[t.index()]);
         }
     }
 

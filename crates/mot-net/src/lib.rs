@@ -14,14 +14,15 @@
 //!   [`generators::random_tree`]),
 //! * single-source shortest paths ([`dijkstra()`]) and shortest-path
 //!   trees, plus the reusable zero-allocation [`DijkstraWorkspace`]
-//!   (`sssp` / `sssp_targeted` / `bounded_ball`) that hot callers
-//!   thread through — a heap Dijkstra on weighted fields, a layered
-//!   search with bit-identical results where every edge weighs 1.0
+//!   (`sssp` / `bounded_ball` / `distance`) that hot callers thread
+//!   through — a heap Dijkstra on weighted fields, a layered search
+//!   with bit-identical results where every edge weighs 1.0, and there
+//!   a bidirectional BFS for one pair's distance
 //!   ([`Graph::is_unit_weight`]; the graph decides, no caller does),
 //! * the [`DistanceOracle`] trait with two backends — the dense
 //!   all-pairs [`DenseOracle`] (built in parallel; the verifier) and
 //!   the stateless on-demand [`CachedOracle`], which answers every call
-//!   with a targeted or radius-bounded solve — selected via
+//!   with a point-to-point or radius-bounded search — selected via
 //!   [`OracleKind`]; every ball query and cost account goes through the
 //!   trait,
 //! * the bit-level rules the layers above share ([`q32`] quantization,

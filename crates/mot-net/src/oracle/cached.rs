@@ -2,16 +2,19 @@
 //!
 //! [`DenseOracle`](super::DenseOracle) front-loads an O(n²) all-pairs
 //! solve. [`CachedOracle`] stores no distances and computes only what
-//! each call touches: `dist(u, v)` runs a targeted Dijkstra that stops
-//! the moment `v` settles (a few dozen nodes for the locally bounded
-//! pairs the trackers bill), and `ball(u, r)` a radius-bounded one (the
-//! hierarchy builder's padded-ball + f32-filter discipline). Solves run
-//! in pooled [`DijkstraWorkspace`]s; concurrent callers share nothing
-//! but the pool's lock and one solve counter ([`CachedOracle::solves`]).
+//! each call touches: `dist(u, v)` runs [`DijkstraWorkspace::distance`]
+//! — on unit-weight fields a bidirectional BFS that stops where the
+//! balls around `u` and `v` meet, elsewhere a Dijkstra from `u` that
+//! stops the moment `v` settles (a few dozen nodes for the locally
+//! bounded pairs the trackers bill) — and `ball(u, r)` a radius-bounded
+//! Dijkstra (the hierarchy builder's padded-ball + f32-filter
+//! discipline). Solves run in pooled [`DijkstraWorkspace`]s; concurrent
+//! callers share nothing but the pool's lock and one solve counter
+//! ([`CachedOracle::solves`]).
 //!
 //! Every distance returned is the f32 quantization of the exact
-//! Dijkstra distance from `u` — the bits the dense matrix stores — so
-//! cost accounts are bit-identical to the dense backend's (see
+//! distance a Dijkstra from `u` reads — the bits the dense matrix stores
+//! — so cost accounts are bit-identical to the dense backend's (see
 //! `oracle_differential`, `backend_parity` and `golden_costs`). Only
 //! `diameter` is the documented double-sweep estimate.
 
@@ -40,7 +43,7 @@ const POOL: usize = 8;
 ///
 /// let g = generators::grid(4, 4)?;
 /// let m = CachedOracle::new(&g)?; // O(1) construction
-/// assert_eq!(m.dist(NodeId(0), NodeId(15)), 6.0); // targeted solve
+/// assert_eq!(m.dist(NodeId(0), NodeId(15)), 6.0); // one search
 /// assert_eq!(m.solves(), 1);
 /// assert_eq!(m.memory_bytes(), 0); // no distance is stored
 /// # Ok::<(), mot_net::NetError>(())
@@ -150,7 +153,7 @@ impl DistanceOracle for CachedOracle {
 
     fn dist(&self, u: NodeId, v: NodeId) -> f64 {
         self.solves.fetch_add(1, Ordering::Relaxed);
-        q32(self.with_ws(|ws| ws.sssp_targeted(&self.g, u, v)))
+        q32(self.with_ws(|ws| ws.distance(&self.g, u, v)))
     }
 
     fn diameter(&self) -> f64 {
@@ -209,6 +212,22 @@ mod tests {
             }
         }
         assert_eq!(cached.solves(), 50 * 50);
+    }
+
+    #[test]
+    fn nearest_in_solves_each_candidate_once() {
+        let g = generators::grid(9, 9).unwrap();
+        let dense = DenseOracle::build(&g).unwrap();
+        let cached = CachedOracle::new(&g).unwrap();
+        // Five ties at distance 4 from the centre, listed out of id order.
+        let candidates = [76, 4, 36, 44, 80, 0, 20].map(NodeId);
+        let u = NodeId(40);
+        let nearest = cached.nearest_in(u, &candidates);
+        assert_eq!(cached.solves(), candidates.len() as u64);
+        assert_eq!(nearest, Some(NodeId(4)));
+        assert_eq!(nearest, dense.nearest_in(u, &candidates));
+        assert_eq!(cached.nearest_in(u, &[]), None);
+        assert_eq!(cached.solves(), candidates.len() as u64);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   up to a few thousand nodes ([`OracleKind::DENSE_NODE_LIMIT`]),
 //!   and the parity verifier the other backend is tested against.
 //! * [`CachedOracle`] — a stateless solver: every call runs a bounded
-//!   solve (targeted Dijkstra for `dist`, radius-bounded for `ball`)
-//!   and nothing is stored. The default at scale: no query ever costs
+//!   solve (a point-to-point search for `dist` — bidirectional BFS on
+//!   unit-weight fields — and a radius-bounded one for `ball`) and
+//!   nothing is stored. The default at scale: no query ever costs
 //!   more than what it touches, and memory does not grow with n². Its
 //!   diameter is a double-sweep estimate (a lower bound within 2× of
 //!   the true diameter, exact on trees and grids).
@@ -86,14 +87,18 @@ pub trait DistanceOracle: Send + Sync {
 
     /// The member of `candidates` nearest to `u`, ties broken by
     /// smallest node id (the paper breaks parent ties arbitrarily; ID
-    /// order keeps runs reproducible). `None` on an empty list.
+    /// order keeps runs reproducible). `None` on an empty list. Reads
+    /// each candidate's distance once.
     fn nearest_in(&self, u: NodeId, candidates: &[NodeId]) -> Option<NodeId> {
-        candidates.iter().copied().min_by(|&a, &b| {
-            self.dist(u, a)
-                .partial_cmp(&self.dist(u, b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        })
+        candidates
+            .iter()
+            .map(|&c| (self.dist(u, c), c))
+            .min_by(|a, b| {
+                a.0.partial_cmp(&b.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.1.cmp(&b.1))
+            })
+            .map(|(_, c)| c)
     }
 
     /// Total length of a node walk `p_0 → p_1 → … → p_k` where

@@ -30,17 +30,22 @@
 //!     first-popped, i.e. smallest-id, neighbour in the previous layer —
 //!     and a layer pops in id order; expanding a sorted layer and keeping
 //!     the first touch reproduces both, so distances, parents, the
-//!     `(dist, id)` settle order and the settled *count* (the work a
-//!     targeted solve does) are bit for bit the heap loop's.
-//! * **Early stops leave the same state behind.** A targeted run ends
-//!   with `settled` cut just after the target: nodes of its layer with a
-//!   larger id, and whatever of the next layer was already touched, keep
-//!   their (exact) tentative distance but are not settled. A bounded ball
-//!   ends when the next layer's distance exceeds the radius: that layer
-//!   is dropped from `settled` and keeps tentative distances `> radius`,
+//!     `(dist, id)` settle order and the settled count are bit for bit
+//!     the heap loop's.
+//! * **An early stop leaves the same state behind.** A bounded ball ends
+//!   when the next layer's distance exceeds the radius: that layer is
+//!   dropped from `settled` and keeps tentative distances `> radius`,
 //!   everything beyond it reads `INFINITY` — so "`dist(v) <= radius`"
 //!   means "settled" after either loop, which the hierarchy builder's
 //!   `ball_dist` relies on.
+//! * **A distance is not a search tree.** [`DijkstraWorkspace::distance`]
+//!   answers one pair and leaves nothing readable. On unit-weight fields
+//!   it is a bidirectional breadth-first search that returns where the
+//!   two balls meet: no sort, no `dist`/`parent` writes, two generation
+//!   values on the one `stamp` array. Hop counts are exact integers in
+//!   f64, so the answer is bit for bit a source-`u` solve's. Weighted
+//!   fields run the heap loop from `u` until `v` settles, because a
+//!   meet-in-the-middle f64 sum need not be.
 //!
 //! The classic entry points [`crate::dijkstra()`] and
 //! [`crate::shortest_path_tree()`] are thin wrappers that run a fresh
@@ -138,6 +143,8 @@ impl QuadHeap {
 /// Results are read back through [`DijkstraWorkspace::dist`] /
 /// [`DijkstraWorkspace::parent`] / [`DijkstraWorkspace::settled`] and
 /// stay valid until the next run on the same workspace.
+/// [`DijkstraWorkspace::distance`] returns its one answer and leaves
+/// nothing to read back.
 ///
 /// Workspaces are plain owned values: keep one per thread (they are
 /// `Send`), or a small pool behind a mutex, which is all the state
@@ -167,6 +174,10 @@ impl QuadHeap {
 /// assert_eq!(ball.len(), 6); // self + 2 at distance 1 + 3 at distance 2
 /// assert_eq!(ball[0], NodeId(15));
 /// assert!(ball.iter().all(|&v| ws.dist(v) <= 2.0));
+///
+/// // One pair's distance; it leaves nothing behind to read.
+/// assert_eq!(ws.distance(&g, NodeId(0), NodeId(15)), 6.0);
+/// assert!(ws.settled().is_empty());
 /// # Ok::<(), mot_net::NetError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -181,8 +192,12 @@ pub struct DijkstraWorkspace {
     generation: u32,
     heap: QuadHeap,
     /// Nodes settled by the last run, in settle order = ascending
-    /// `(dist, node id)`.
+    /// `(dist, node id)`. A unit-weight `distance` borrows it as the
+    /// forward frontier.
     settled: Vec<NodeId>,
+    /// The backward frontier of a unit-weight `distance`; empty between
+    /// calls.
+    back: Vec<NodeId>,
 }
 
 impl DijkstraWorkspace {
@@ -217,18 +232,25 @@ impl DijkstraWorkspace {
     /// at distance 0.
     fn begin(&mut self, g: &Graph, source: NodeId) {
         self.reserve(g.node_count());
-        if self.generation == u32::MAX {
-            // Stamp wrap-around: do the one real clear per 2^32 runs.
-            self.stamp.fill(0);
-            self.generation = 0;
-        }
-        self.generation += 1;
+        self.advance(1);
         self.heap.clear();
         self.settled.clear();
         let s = source.index();
         self.dist[s] = 0.0;
         self.parent[s] = NO_PARENT;
         self.stamp[s] = self.generation;
+    }
+
+    /// Takes `k` fresh generation values, makes the last one current and
+    /// returns the first. No slot carries any of them yet: on wrap-around
+    /// the one real clear per 2^32 values runs before anything is stamped.
+    fn advance(&mut self, k: u32) -> u32 {
+        if self.generation > u32::MAX - k {
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += k;
+        self.generation - (k - 1)
     }
 
     #[inline]
@@ -240,19 +262,20 @@ impl DijkstraWorkspace {
         }
     }
 
-    /// The one entry point behind all run flavors: settles nodes in
-    /// ascending `(dist, node)` order; stops early when `target` settles
-    /// or the next settle distance exceeds `radius`. Which inner loop does
-    /// it is the graph's business, not the caller's.
-    fn run(&mut self, g: &Graph, source: NodeId, radius: f64, target: Option<NodeId>) {
+    /// The one entry point behind both run flavors: settles nodes in
+    /// ascending `(dist, node)` order; stops early when the next settle
+    /// distance exceeds `radius`. Which inner loop does it is the graph's
+    /// business, not the caller's.
+    fn run(&mut self, g: &Graph, source: NodeId, radius: f64) {
         if g.is_unit_weight() {
-            self.run_layered(g, source, radius, target);
+            self.run_layered(g, source, radius);
         } else {
-            self.run_heap(g, source, radius, target);
+            self.run_heap(g, source, radius, None);
         }
     }
 
-    /// Dijkstra over the 4-ary heap: any positive weights.
+    /// Dijkstra over the 4-ary heap: any positive weights. Also stops
+    /// when `target` settles (a weighted [`DijkstraWorkspace::distance`]).
     fn run_heap(&mut self, g: &Graph, source: NodeId, radius: f64, target: Option<NodeId>) {
         self.begin(g, source);
         self.heap.push(0.0, source.0);
@@ -284,7 +307,7 @@ impl DijkstraWorkspace {
     /// The same run on a graph whose every edge weighs exactly 1.0, one
     /// id-sorted layer at a time (see the module docs for why that is the
     /// heap loop's order and state, bit for bit).
-    fn run_layered(&mut self, g: &Graph, source: NodeId, radius: f64, target: Option<NodeId>) {
+    fn run_layered(&mut self, g: &Graph, source: NodeId, radius: f64) {
         self.begin(g, source);
         self.settled.push(source);
         // `settled[layer..]` is the current layer, every node at `d`.
@@ -301,10 +324,6 @@ impl DijkstraWorkspace {
             let nd = d + 1.0;
             for i in layer..end {
                 let u = self.settled[i];
-                if target == Some(u) {
-                    self.settled.truncate(i + 1);
-                    return;
-                }
                 for e in g.neighbors(u) {
                     let vi = e.to.index();
                     if self.stamp[vi] != self.generation {
@@ -323,14 +342,70 @@ impl DijkstraWorkspace {
     /// node. Read results via [`DijkstraWorkspace::dist`] (and
     /// [`DijkstraWorkspace::parent`] for the shortest-path tree).
     pub fn sssp(&mut self, g: &Graph, source: NodeId) {
-        self.run(g, source, f64::INFINITY, None);
+        self.run(g, source, f64::INFINITY);
     }
 
-    /// Shortest-path distance from `source` to `target`, stopping as soon
-    /// as the target settles.
-    pub fn sssp_targeted(&mut self, g: &Graph, source: NodeId, target: NodeId) -> f64 {
-        self.run(g, source, f64::INFINITY, Some(target));
-        self.live_dist(target.index())
+    /// Shortest-path distance from `u` to `v` (`INFINITY` if unreached),
+    /// bit for bit what [`DijkstraWorkspace::sssp`] from `u` reads at `v`.
+    ///
+    /// On a unit-weight graph ([`Graph::is_unit_weight`]) this is a
+    /// bidirectional breadth-first search; on any other it is the heap
+    /// loop from `u`, stopped when `v` settles.
+    ///
+    /// **Nothing is readable afterwards:** the generation is bumped past
+    /// every stamp the call wrote, so [`DijkstraWorkspace::dist`] reads
+    /// `INFINITY`, [`DijkstraWorkspace::parent`] `None` and
+    /// [`DijkstraWorkspace::settled`] is empty until the next run.
+    pub fn distance(&mut self, g: &Graph, u: NodeId, v: NodeId) -> f64 {
+        let d = if g.is_unit_weight() {
+            self.meet(g, u, v)
+        } else {
+            self.run_heap(g, u, f64::INFINITY, Some(v));
+            self.live_dist(v.index())
+        };
+        self.advance(1);
+        self.settled.clear();
+        self.back.clear();
+        d
+    }
+
+    /// The unit-weight `distance`: `settled` grows the ball around `u`
+    /// and `back` the ball around `v`, each with its current layer at the
+    /// tail, stamped `fwd` and `bwd`. Each step expands one full layer of
+    /// the smaller frontier. The balls were disjoint before the step, so
+    /// the path through the first node the other side already stamped is
+    /// a shortest one and its length is the layers expanded so far plus
+    /// one.
+    fn meet(&mut self, g: &Graph, u: NodeId, v: NodeId) -> f64 {
+        self.reserve(g.node_count());
+        if u == v {
+            return 0.0;
+        }
+        let fwd = self.advance(2);
+        let bwd = fwd + 1;
+        self.settled.clear();
+        self.stamp[u.index()] = fwd;
+        self.settled.push(u);
+        self.stamp[v.index()] = bwd;
+        self.back.push(v);
+        // Where each side's current layer starts, and the layers expanded
+        // on both sides together (df + db).
+        let (mut f_at, mut b_at, mut depth) = (0, 0, 0u32);
+        loop {
+            let (f_len, b_len) = (self.settled.len() - f_at, self.back.len() - b_at);
+            if f_len.min(b_len) == 0 {
+                return f64::INFINITY; // one side's component is exhausted
+            }
+            let met = if f_len <= b_len {
+                expand_layer(g, &mut self.stamp, &mut self.settled, &mut f_at, fwd, bwd)
+            } else {
+                expand_layer(g, &mut self.stamp, &mut self.back, &mut b_at, bwd, fwd)
+            };
+            if met {
+                return f64::from(depth + 1);
+            }
+            depth += 1;
+        }
     }
 
     /// Dijkstra truncated at `radius`: settles exactly the nodes `v` with
@@ -341,7 +416,7 @@ impl DijkstraWorkspace {
     /// returned nodes; nodes outside the ball may hold tentative
     /// (over-)estimates or `INFINITY`.
     pub fn bounded_ball(&mut self, g: &Graph, source: NodeId, radius: f64) -> &[NodeId] {
-        self.run(g, source, radius, None);
+        self.run(g, source, radius);
         &self.settled
     }
 
@@ -382,6 +457,35 @@ impl DijkstraWorkspace {
             out.push(self.live_dist(v));
         }
     }
+}
+
+/// One step of the bidirectional search: expands the current layer
+/// `frontier[*at..]` of the side stamped `mine`, appending every
+/// neighbour neither side has reached as the next layer, and moves `*at`
+/// to it. Returns `true`, at once, on a neighbour stamped `theirs`.
+fn expand_layer(
+    g: &Graph,
+    stamp: &mut [u32],
+    frontier: &mut Vec<NodeId>,
+    at: &mut usize,
+    mine: u32,
+    theirs: u32,
+) -> bool {
+    let end = frontier.len();
+    for i in *at..end {
+        for e in g.neighbors(frontier[i]) {
+            let s = &mut stamp[e.to.index()];
+            if *s == theirs {
+                return true;
+            }
+            if *s != mine {
+                *s = mine;
+                frontier.push(e.to);
+            }
+        }
+    }
+    *at = end;
+    false
 }
 
 #[cfg(test)]
@@ -436,31 +540,62 @@ mod tests {
             generators::random_tree(50, 2).unwrap(),
             holed,
         ];
-        // One workspace, the two loops alternating on it: a stamp or a
-        // heap entry left behind by one would surface in the other.
+        // One workspace, the two loops and `distance` alternating on it: a
+        // stamp or a heap entry left behind by one would surface in the
+        // next.
         let mut ws = DijkstraWorkspace::new();
         for g in &graphs {
             assert!(g.is_unit_weight());
             let n = g.node_count();
+            let blank: Readout = (vec![f64::INFINITY.to_bits(); n], vec![None; n], vec![]);
             for s in g.nodes() {
-                let mut runs = vec![(f64::INFINITY, None)];
-                for radius in [-1.0, 0.0, 0.5, 1.0, 2.5, 7.0, n as f64] {
-                    runs.push((radius, None));
-                }
                 let adjacent = g.neighbors(s).first().map_or(s, |e| e.to);
-                for t in [s, adjacent, NodeId::from_index((s.index() * 7 + 3) % n)] {
-                    runs.push((f64::INFINITY, Some(t)));
-                }
-                for (radius, target) in runs {
-                    ws.run_heap(g, s, radius, target);
+                let targets = [s, adjacent, NodeId::from_index((s.index() * 7 + 3) % n)];
+                ws.run_heap(g, s, f64::INFINITY, None);
+                let full = readout(&ws, g).0;
+                for radius in [f64::INFINITY, -1.0, 0.0, 0.5, 1.0, 2.5, 7.0, n as f64] {
+                    ws.run_heap(g, s, radius, None);
                     let want = readout(&ws, g);
-                    ws.run_layered(g, s, radius, target);
-                    assert_eq!(
-                        readout(&ws, g),
-                        want,
-                        "n={n} source={s} radius={radius} target={target:?}"
-                    );
+                    ws.run_layered(g, s, radius);
+                    assert_eq!(readout(&ws, g), want, "n={n} source={s} radius={radius}");
+                    for t in targets {
+                        let d = ws.distance(g, s, t);
+                        assert_eq!(d.to_bits(), full[t.index()], "n={n} {s} -> {t}");
+                        assert_eq!(readout(&ws, g), blank, "n={n} {s} -> {t} left state");
+                    }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_and_distances_survive_the_generation_wrap() {
+        let g = generators::grid(5, 4).unwrap();
+        let n = g.node_count();
+        let mut fresh = DijkstraWorkspace::new();
+        let want: Vec<Readout> = g
+            .nodes()
+            .map(|s| {
+                fresh.sssp(&g, s);
+                readout(&fresh, &g)
+            })
+            .collect();
+        let blank: Readout = (vec![f64::INFINITY.to_bits(); n], vec![None; n], vec![]);
+        let pairs = [(0, 19), (7, 7), (3, 4), (12, 1), (19, 0)];
+        // Every start from 8 values short of the wrap to the last one, so
+        // the wrap lands inside each of `begin`'s, `meet`'s and the
+        // retiring `advance`; the low stamps of the first run must not
+        // come back to life after it.
+        for short in 0..8 {
+            let mut ws = DijkstraWorkspace::new();
+            ws.sssp(&g, NodeId(5));
+            ws.generation = u32::MAX - short;
+            for (u, v) in pairs {
+                ws.sssp(&g, NodeId(u));
+                assert_eq!(readout(&ws, &g), want[u as usize], "short {short}");
+                let d = ws.distance(&g, NodeId(u), NodeId(v));
+                assert_eq!(d.to_bits(), want[u as usize].0[v as usize], "short {short}");
+                assert_eq!(readout(&ws, &g), blank, "short {short}: {u} -> {v}");
             }
         }
     }
@@ -507,8 +642,9 @@ mod tests {
         let g = generators::random_geometric(60, 10.0, 3.0, 13).unwrap();
         let mut ws = DijkstraWorkspace::new();
         let reference = crate::dijkstra(&g, NodeId(0));
+        assert!(!g.is_unit_weight(), "the weighted arm: a heap run to `t`");
         for t in g.nodes() {
-            assert_eq!(ws.sssp_targeted(&g, NodeId(0), t), reference[t.index()]);
+            assert_eq!(ws.distance(&g, NodeId(0), t), reference[t.index()]);
         }
     }
 

@@ -15,13 +15,15 @@
 //! exactly what a fresh one does.
 //!
 //! The workspace has two inner loops — the heap for weighted fields, a
-//! layered search where [`Graph::is_unit_weight`] — and this is the one
-//! solver in the repository that shares code with neither (the free
-//! functions in `dijkstra.rs` wrap the workspace). Every flavour of run
-//! is held to it: full, targeted (`settled` cut just after the target —
-//! the work of every `CachedOracle::dist`) and bounded (nothing
-//! outside the ball may read `<= radius`), on static graphs and across
-//! `remove_node` / `restore_node` churn that keeps, then drops, the flag.
+//! layered search where [`Graph::is_unit_weight`] — plus, for one pair's
+//! distance on unit-weight fields, a bidirectional BFS; this is the one
+//! solver in the repository that shares code with none of them (the
+//! free functions in `dijkstra.rs` wrap the workspace). Every flavour of
+//! run is held to it: full, bounded (nothing outside the ball may read
+//! `<= radius`) and `distance` (the work of every `CachedOracle::dist`;
+//! its bits are the seed's distance from the source), on static graphs
+//! and across `remove_node` / `restore_node` churn that keeps, then
+//! drops, the flag.
 
 use mot_net::{generators, ChurnSchedule, ChurnSpec, DijkstraWorkspace, Graph, NodeId};
 use rand::seq::SliceRandom;
@@ -141,26 +143,28 @@ fn assert_ball_matches_seed(ws: &mut DijkstraWorkspace, g: &Graph, src: NodeId, 
     }
 }
 
-/// A targeted run against the seed solver: the distance, and `settled`
-/// equal to the seed pop order truncated just after the target.
-fn assert_targeted_matches_seed(
+/// `distance` against the seed solver: the seed's distance from the
+/// source to the target, bit for bit, and no run left to read back.
+fn assert_distance_matches_seed(
     ws: &mut DijkstraWorkspace,
     g: &Graph,
     (src, target): (NodeId, NodeId),
     ctx: &str,
-) {
-    let (dist, parent, settled) = seed_dijkstra(g, src);
-    let got = ws.sssp_targeted(g, src, target);
-    assert_eq!(got.to_bits(), dist[target.index()].to_bits(), "{ctx}");
-    let want = match settled.iter().position(|&v| v == target) {
-        Some(at) => &settled[..=at],
-        None => &settled[..], // unreachable target: the run exhausts
-    };
-    assert_eq!(ws.settled(), want, "{ctx}: settled({src} -> {target})");
-    for &v in want {
-        assert_eq!(ws.dist(v).to_bits(), dist[v.index()].to_bits(), "{ctx}");
-        assert_eq!(ws.parent(v), parent[v.index()], "{ctx}: parent({v})");
-    }
+) -> f64 {
+    let (dist, _, _) = seed_dijkstra(g, src);
+    let got = ws.distance(g, src, target);
+    assert_eq!(
+        got.to_bits(),
+        dist[target.index()].to_bits(),
+        "{ctx}: distance({src} -> {target})"
+    );
+    assert!(ws.settled().is_empty(), "{ctx}: distance left a run behind");
+    assert_eq!(
+        ws.dist(target),
+        f64::INFINITY,
+        "{ctx}: distance left a stamp"
+    );
+    got
 }
 
 /// Seeded `(source, target)` pairs over the active nodes of `g`; every
@@ -217,13 +221,13 @@ fn bounded_ball_matches_seed_solver_cut() {
 }
 
 #[test]
-fn targeted_runs_settle_the_seed_pop_order_up_to_the_target() {
+fn distance_is_the_seed_solvers_distance_from_the_source() {
     let mut ws = DijkstraWorkspace::new();
     let mut rng = ChaCha8Rng::seed_from_u64(18);
-    // Ten graphs, thirty pairs each.
+    // Ten graphs, unit and weighted, thirty pairs each.
     for (g, name) in suite() {
         for pair in seeded_pairs(&g, 30, &mut rng) {
-            assert_targeted_matches_seed(&mut ws, &g, pair, name);
+            assert_distance_matches_seed(&mut ws, &g, pair, name);
         }
     }
 }
@@ -234,10 +238,25 @@ fn parity_survives_unit_churn_and_then_a_weighted_star() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let check = |g: &Graph, ctx: &str, ws: &mut DijkstraWorkspace, rng: &mut ChaCha8Rng| {
         for pair in seeded_pairs(g, 5, rng) {
-            assert_targeted_matches_seed(ws, g, pair, ctx);
+            assert_distance_matches_seed(ws, g, pair, ctx);
             assert_ball_matches_seed(ws, g, pair.0, ctx);
             // Inactive nodes have no edges: nothing ever reaches them.
             assert!(ws.settled().iter().all(|&v| g.is_active(v)), "{ctx}");
+        }
+        // An inactive end: itself at 0, everything else out of reach.
+        if let Some(gone) = g.nodes().find(|&v| !g.is_active(v)) {
+            let live = g.active_nodes().next().expect("an active node");
+            for (pair, want) in [
+                ((gone, gone), 0.0),
+                ((gone, live), f64::INFINITY),
+                ((live, gone), f64::INFINITY),
+            ] {
+                assert_eq!(
+                    assert_distance_matches_seed(ws, g, pair, ctx),
+                    want,
+                    "{ctx}"
+                );
+            }
         }
     };
     for (base, name) in [
