@@ -48,7 +48,7 @@ use mot_baselines::DetectionRates;
 use mot_core::fmt_f64;
 use mot_hierarchy::{build_doubling, reference_build_doubling, Overlay, OverlayConfig};
 use mot_net::{generators, DenseOracle, DistanceOracle, Graph, OracleKind};
-use mot_sim::{replay_moves, run_publish, Algo, TestBed, WorkloadSpec};
+use mot_sim::{replay, run_publish, Algo, TestBed, WorkloadSpec};
 use std::time::Instant;
 
 /// Schema identifier stamped into every report this module writes.
@@ -603,7 +603,7 @@ pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
         let mut tracker = bed.make_tracker(Algo::Mot, &rates)?;
         let t = Instant::now();
         run_publish(tracker.as_mut(), &w)?;
-        let stats = replay_moves(tracker.as_mut(), &w, &bed.oracle)?;
+        let stats = replay(tracker.as_mut(), &w, &bed.oracle, None)?.cost;
         let fig4_replay_secs = t.elapsed().as_secs_f64();
         drop(tracker);
 

@@ -26,10 +26,9 @@ use mot_core::{LedgerKind, MemorySink, MotConfig, MotTracker, TraceEvent, TraceS
 use mot_hierarchy::OverlayConfig;
 use mot_net::{generators, CacheLedger, DistanceOracle, OracleKind};
 use mot_sim::{
-    graph_center, repair_all, replay_moves, replay_moves_faulty, run_publish, run_queries,
-    run_queries_faulty, unrepaired_objects, Algo, CellKey, ConcurrentConfig, ConcurrentEngine,
-    CostStats, FaultConfig, Keyed, LoadStats, ParallelRunner, Recorder, TestBed, TraceAggregates,
-    WorkloadSpec,
+    graph_center, query_batch, repair_all, replay, run_publish, unrepaired_objects, Algo, CellKey,
+    ConcurrentConfig, ConcurrentEngine, CostStats, Draw, FaultConfig, Keyed, LoadStats,
+    ParallelRunner, Recorder, TestBed, TraceAggregates, WorkloadSpec,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -253,6 +252,18 @@ fn merge_sweep(
     Ok(per_grid)
 }
 
+/// Fails a cell whose batch answered any of its `issued` queries wrong.
+pub(crate) fn all_correct(what: &str, correct: usize, issued: usize) -> Result<(), BenchError> {
+    if correct == issued {
+        return Ok(());
+    }
+    Err(format!(
+        "{what}: {}/{issued} queries answered wrong",
+        issued - correct
+    )
+    .into())
+}
+
 /// One maintenance cell: publish, then the workload one by one or
 /// through the concurrent engine.
 fn maintenance_cell(
@@ -280,7 +291,7 @@ fn maintenance_cell(
         )?
         .maintenance
     } else {
-        replay_moves(t.as_mut(), w, inp.oracle())?
+        replay(t.as_mut(), w, inp.oracle(), None)?.cost
     };
     laps.lap(RUN);
     Ok(stats)
@@ -314,30 +325,23 @@ fn query_cell(
             },
         )?;
         laps.lap(RUN);
-        if out.queries_correct != out.queries_issued {
-            return Err(format!(
-                "{}: {}/{} concurrent queries answered wrong",
-                algo.label(),
-                out.queries_issued - out.queries_correct,
-                out.queries_issued
-            )
-            .into());
-        }
+        let what = format!("{} concurrent", algo.label());
+        all_correct(&what, out.queries_correct, out.queries_issued)?;
         Ok(out.queries)
     } else {
-        replay_moves(t.as_mut(), w, inp.oracle())?;
+        replay(t.as_mut(), w, inp.oracle(), None)?;
         laps.lap(RUN);
-        let q = run_queries(t.as_ref(), inp.oracle(), p.objects, p.queries, seed + 31)?;
+        let q = query_batch(
+            t.as_mut(),
+            inp.oracle(),
+            p.objects,
+            p.queries,
+            seed + 31,
+            Draw::UNIFORM,
+            None,
+        )?;
         laps.lap(QUERIES);
-        if q.correct != p.queries {
-            return Err(format!(
-                "{}: {}/{} queries answered wrong",
-                algo.label(),
-                p.queries - q.correct,
-                p.queries
-            )
-            .into());
-        }
+        all_correct(algo.label(), q.correct, p.queries)?;
         Ok(q.cost)
     }
 }
@@ -479,7 +483,7 @@ pub fn load_figure_profiled(p: &Profile, vs: Algo, moves_per_object: usize) -> P
             run_publish(t.as_mut(), &inp.drawn.workload)?;
             laps.lap(PUBLISH);
             if moves_per_object > 0 {
-                replay_moves(t.as_mut(), &inp.drawn.workload, inp.oracle())?;
+                replay(t.as_mut(), &inp.drawn.workload, inp.oracle(), None)?;
                 laps.lap(RUN);
             }
             let stats = LoadStats::from_loads(&t.node_loads());
@@ -587,8 +591,16 @@ pub fn ablation_table(p: &Profile) -> BenchResult {
         let w = WorkloadSpec::new(p.objects.min(100), p.moves_per_object, 9).generate(&bed.graph);
         let mut t = MotTracker::new(&bed.overlay, &*bed.oracle, mcfg.clone());
         run_publish(&mut t, &w)?;
-        let maint = replay_moves(&mut t, &w, &*bed.oracle)?;
-        let q = run_queries(&t, &*bed.oracle, w.object_count(), p.queries, 17)?;
+        let maint = replay(&mut t, &w, &*bed.oracle, None)?.cost;
+        let q = query_batch(
+            &mut t,
+            &*bed.oracle,
+            w.object_count(),
+            p.queries,
+            17,
+            Draw::UNIFORM,
+            None,
+        )?;
         let loads = LoadStats::from_loads(&t.node_loads());
         Ok((
             label.to_string(),
@@ -632,8 +644,16 @@ pub fn general_graph_table(p: &Profile) -> BenchResult {
         let w = WorkloadSpec::new(p.objects.min(50), p.moves_per_object, 13).generate(&bed.graph);
         let mut t = MotTracker::new(&bed.overlay, &*bed.oracle, MotConfig::plain());
         run_publish(&mut t, &w)?;
-        let maint = replay_moves(&mut t, &w, &*bed.oracle)?;
-        let q = run_queries(&t, &*bed.oracle, w.object_count(), p.queries, 23)?;
+        let maint = replay(&mut t, &w, &*bed.oracle, None)?.cost;
+        let q = query_batch(
+            &mut t,
+            &*bed.oracle,
+            w.object_count(),
+            p.queries,
+            23,
+            Draw::UNIFORM,
+            None,
+        )?;
         Ok((
             format!("{name}/{kind}"),
             vec![maint.ratio(), q.cost.mean_ratio()],
@@ -736,27 +756,23 @@ pub fn locality_table_profiled(p: &Profile) -> ProfiledResult {
             laps.lap(TRACKER);
             run_publish(t.as_mut(), w)?;
             laps.lap(PUBLISH);
-            replay_moves(t.as_mut(), w, inp.oracle())?;
+            replay(t.as_mut(), w, inp.oracle(), None)?;
             laps.lap(RUN);
             let diameter = inp.oracle().diameter();
             let radii = [2.0, 4.0, 8.0, 16.0, diameter];
             let mut ys = Vec::with_capacity(radii.len());
             for &radius in &radii {
-                let q = mot_sim::run_local_queries(
-                    t.as_ref(),
+                let q = query_batch(
+                    t.as_mut(),
                     inp.oracle(),
                     w.object_count(),
-                    radius,
                     p.queries,
                     11,
+                    Draw::Local { radius },
+                    None,
                 )?;
-                if q.correct != p.queries {
-                    return Err(format!(
-                        "local queries answered wrong: {}/{} correct",
-                        q.correct, p.queries
-                    )
-                    .into());
-                }
+                let what = format!("{} local (radius {radius})", algo.label());
+                all_correct(&what, q.correct, p.queries)?;
                 ys.push(q.cost.mean_ratio());
             }
             laps.lap(QUERIES);
@@ -845,9 +861,9 @@ pub fn mobility_table_profiled(p: &Profile) -> ProfiledResult {
             laps.lap(TRACKER);
             run_publish(t.as_mut(), &inp.drawn.workload)?;
             laps.lap(PUBLISH);
-            let stats = replay_moves(t.as_mut(), &inp.drawn.workload, inp.oracle())?;
+            let stats = replay(t.as_mut(), &inp.drawn.workload, inp.oracle(), None)?;
             laps.lap(RUN);
-            Ok(stats.ratio())
+            Ok(stats.cost.ratio())
         },
     )?;
     let rows = models
@@ -887,7 +903,7 @@ pub fn scale_table(p: &Profile) -> BenchResult {
         let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
         let mut t = bed.make_tracker(Algo::Mot, &rates)?;
         run_publish(t.as_mut(), &w)?;
-        let stats = replay_moves(t.as_mut(), &w, &*bed.oracle)?;
+        let stats = replay(t.as_mut(), &w, &*bed.oracle, None)?.cost;
         let n = bed.graph.node_count();
         let dense_bytes = (n * n * std::mem::size_of::<f32>()) as f64;
         Ok((
@@ -933,13 +949,15 @@ fn observed_mot_run(
     let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
     let mut t = bed.make_tracker_traced(Algo::Mot, &rates, sink)?;
     run_publish(t.as_mut(), &w)?;
-    let maint = replay_moves(t.as_mut(), &w, &*bed.oracle)?;
-    run_queries(
-        t.as_ref(),
+    let maint = replay(t.as_mut(), &w, &*bed.oracle, None)?.cost;
+    query_batch(
+        t.as_mut(),
         &*bed.oracle,
         w.object_count(),
         p.queries,
         seed + 31,
+        Draw::UNIFORM,
+        None,
     )?;
     let memory = BedMemory {
         oracle_bytes: bed.oracle.memory_bytes(),
@@ -1098,32 +1116,25 @@ pub fn faults_table_profiled(p: &Profile, grid: (usize, usize)) -> ProfiledResul
                 crashes,
                 ..FaultConfig::default()
             }
-            .plan(inp.net.graph.node_count(), w.moves.len());
+            .plan(inp.net.graph.node_count(), w.moves.len())?;
             let mut t = inp.tracker(algo)?;
             laps.lap(TRACKER);
             run_publish(t.as_mut(), w)?;
             laps.lap(PUBLISH);
-            let run = replay_moves_faulty(t.as_mut(), w, inp.oracle(), &mut plan)?;
+            let run = replay(t.as_mut(), w, inp.oracle(), Some(&mut plan))?;
             laps.lap(RUN);
-            let q = run_queries_faulty(
+            let q = query_batch(
                 t.as_mut(),
                 inp.oracle(),
                 p.objects,
                 p.queries,
                 seed + 31,
-                &mut plan,
+                Draw::UNIFORM,
+                Some(&mut plan),
             )?;
             laps.lap(QUERIES);
-            if q.batch.correct != p.queries {
-                return Err(format!(
-                    "{} (drop {drop_rate}, {crashes} crashes): {}/{} faulty \
-                 queries answered wrong",
-                    algo.label(),
-                    p.queries - q.batch.correct,
-                    p.queries
-                )
-                .into());
-            }
+            let what = format!("{} (drop {drop_rate}, {crashes} crashes)", algo.label());
+            all_correct(&what, q.correct, p.queries)?;
             repair_all(t.as_mut(), p.objects)?;
             let unrepaired =
                 unrepaired_objects(t.as_ref(), p.objects, graph_center(&inp.net.graph));
@@ -1136,8 +1147,8 @@ pub fn faults_table_profiled(p: &Profile, grid: (usize, usize)) -> ProfiledResul
                 .into());
             }
             Ok((
-                run.maintenance,
-                q.batch.cost,
+                run.cost,
+                q.cost,
                 run.retry_overhead + q.retry_overhead,
                 t.repair_cost(),
             ))
@@ -1224,13 +1235,21 @@ mod tests {
                 out.maintenance
             };
         }
-        let maint = replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
+        let maint = replay(t.as_mut(), &w, &*bed.oracle, None).unwrap().cost;
         if !queries {
             return maint;
         }
-        run_queries(t.as_ref(), &*bed.oracle, p.objects, p.queries, seed + 31)
-            .unwrap()
-            .cost
+        query_batch(
+            t.as_mut(),
+            &*bed.oracle,
+            p.objects,
+            p.queries,
+            seed + 31,
+            Draw::UNIFORM,
+            None,
+        )
+        .unwrap()
+        .cost
     }
 
     fn bits(s: &CostStats) -> (u64, u64, u64, usize, usize) {

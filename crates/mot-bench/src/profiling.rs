@@ -24,7 +24,7 @@ use crate::SizeSpec;
 use mot_baselines::DetectionRates;
 use mot_hierarchy::{build_doubling, OverlayConfig};
 use mot_net::{DistanceOracle, OracleKind};
-use mot_sim::{replay_moves, run_publish, run_queries, Algo, TestBed, WorkloadSpec};
+use mot_sim::{query_batch, replay, run_publish, Algo, Draw, TestBed, WorkloadSpec};
 use std::time::Instant;
 
 /// A labelled sequence of phase durations with a one-line context
@@ -223,12 +223,20 @@ pub fn profile_fig4_phases(
     timed("publish", t.elapsed().as_secs_f64());
 
     let t = Instant::now();
-    replay_moves(tracker.as_mut(), &w, &*bed.oracle)?;
+    replay(tracker.as_mut(), &w, &*bed.oracle, None)?;
     timed("replay", t.elapsed().as_secs_f64());
 
     let queries = (objects * 10).max(100);
     let t = Instant::now();
-    run_queries(tracker.as_ref(), &*bed.oracle, objects, queries, seed + 2)?;
+    query_batch(
+        tracker.as_mut(),
+        &*bed.oracle,
+        objects,
+        queries,
+        seed + 2,
+        Draw::UNIFORM,
+        None,
+    )?;
     timed("queries", t.elapsed().as_secs_f64());
 
     let (rows, cols) = spec.rows_cols();

@@ -25,14 +25,14 @@
 //! service loop on a scenario stream — all byte-identical across
 //! `--jobs` (DESIGN.md §12).
 
-use crate::figures::{BenchError, BenchResult};
+use crate::figures::{all_correct, BenchError, BenchResult};
 use crate::report::FigureTable;
 use mot_baselines::DetectionRates;
 use mot_core::dynamics::{min_handovers, EnergyLedger, EnergyModel};
 use mot_core::ObjectId;
 use mot_net::{DistanceOracle, NodeId};
 use mot_sim::{
-    replay_moves, run_publish, run_queries_model, Algo, CellKey, FaultConfig, Keyed, LoadStats,
+    query_batch, replay, run_publish, Algo, CellKey, Draw, FaultConfig, Keyed, LoadStats,
     MobilityModel, ParallelRunner, QueryModel, ServiceConfig, StreamSpec, TestBed, Workload,
     WorkloadSpec,
 };
@@ -242,23 +242,17 @@ fn tracked_run(
     };
     let mut t = bed.make_tracker(algo, &rates)?;
     run_publish(t.as_mut(), &w)?;
-    let maint = replay_moves(t.as_mut(), &w, &*bed.oracle)?;
-    let q = run_queries_model(
-        t.as_ref(),
+    let maint = replay(t.as_mut(), &w, &*bed.oracle, None)?.cost;
+    let q = query_batch(
+        t.as_mut(),
         &*bed.oracle,
         p.objects,
         p.queries,
         seed ^ QUERY_SALT,
-        qmodel,
+        Draw::Model(qmodel),
+        None,
     )?;
-    if q.batch.correct != p.queries {
-        return Err(format!(
-            "{family}/{label}: {} of {} queries answered wrong",
-            p.queries - q.batch.correct,
-            p.queries
-        )
-        .into());
-    }
+    all_correct(&format!("{family}/{label}"), q.correct, p.queries)?;
     let loads = LoadStats::from_loads(&t.node_loads());
     let (handover_frac, energy_saved_pct) = if algo == Algo::Mot {
         handover_energy(&w, &*bed.oracle, p.coverage_radius, maint.optimal)
@@ -269,7 +263,7 @@ fn tracked_run(
         family,
         label,
         maint_ratio: maint.ratio(),
-        query_ratio: q.batch.cost.ratio(),
+        query_ratio: q.cost.ratio(),
         max_load: loads.max as f64,
         jain_node: loads.jain_index,
         jain_pop: q.popularity_jain(),

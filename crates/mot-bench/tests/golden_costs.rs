@@ -10,7 +10,7 @@
 
 use mot_baselines::DetectionRates;
 use mot_net::OracleKind;
-use mot_sim::{replay_moves, run_publish, Algo, TestBed, WorkloadSpec};
+use mot_sim::{replay, run_publish, Algo, TestBed, WorkloadSpec};
 
 /// `(rows, cols, seed, algo, total_bits, optimal_bits, operations)`
 /// captured from the pre-CSR implementation.
@@ -186,7 +186,7 @@ fn assert_golden_replay(
     let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
     let mut t = bed.make_tracker(algo, &rates).unwrap();
     run_publish(t.as_mut(), &w).unwrap();
-    let s = replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
+    let s = replay(t.as_mut(), &w, &bed.oracle, None).unwrap().cost;
     assert_eq!(s.total.to_bits(), total_bits, "{ctx}: total drifted");
     assert_eq!(s.optimal.to_bits(), optimal_bits, "{ctx}: optimal drifted");
     assert_eq!(s.operations, operations, "{ctx}: operation count drifted");

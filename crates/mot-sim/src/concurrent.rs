@@ -540,7 +540,7 @@ mod tests {
 
         let mut seq = MotTracker::new(&overlay, &m, MotConfig::plain());
         run_publish(&mut seq, &w).unwrap();
-        let seq_stats = crate::run::replay_moves(&mut seq, &w, &m).unwrap();
+        let seq_stats = crate::run::replay(&mut seq, &w, &m, None).unwrap().cost;
 
         let mut con = MotTracker::new(&overlay, &m, MotConfig::plain());
         run_publish(&mut con, &w).unwrap();
@@ -620,7 +620,7 @@ mod tests {
 
         let mut seq = MotTracker::new(&overlay, &m, MotConfig::plain());
         run_publish(&mut seq, &w).unwrap();
-        let s = crate::run::replay_moves(&mut seq, &w, &m).unwrap();
+        let s = crate::run::replay(&mut seq, &w, &m, None).unwrap().cost;
 
         let mut con = MotTracker::new(&overlay, &m, MotConfig::plain());
         run_publish(&mut con, &w).unwrap();

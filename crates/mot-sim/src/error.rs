@@ -44,7 +44,10 @@ pub enum SimError {
     /// its tracker, a worker that died mid-tick, or an event loop that
     /// failed to quiesce after the stream ended. Any of these means the
     /// run's zero-silent-loss guarantee does not hold, so the run is
-    /// rejected rather than reported.
+    /// rejected rather than reported. A configuration no run can honour
+    /// (zero shards, a fault rate outside `[0, 1]`) is refused with this
+    /// error before anything runs, by `run_service` and by
+    /// [`crate::FaultConfig::plan`] alike.
     Service(String),
 }
 

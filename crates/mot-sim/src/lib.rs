@@ -8,14 +8,15 @@
 //!   (adjacent random walks, shortest-path waypoint tours, and the
 //!   scenario suite's Lévy flights, hotspot flows, and ping-pong
 //!   adversaries — DESIGN.md §18),
-//! * [`scenario`] — query-popularity models (uniform / Zipf-skewed)
-//!   and the model-aware query runner with per-object popularity
-//!   reporting,
-//! * [`run`] — one-by-one execution: publish, replay moves, issue
-//!   queries, with cost-ratio accounting against the optimal costs,
+//! * [`scenario`] — query-popularity models (uniform / Zipf-skewed),
+//! * [`run`] — one-by-one execution: publish, then the two op drivers,
+//!   [`replay`] for moves and [`query_batch`] for queries (uniform,
+//!   popularity-skewed or local draws), each scoring every op against
+//!   its optimal cost, with or without a fault plan,
 //! * [`faults`] — seeded, replayable fault plans (message loss,
-//!   duplication, delay, link failures, sensor crashes) and the faulty
-//!   replay/query harness that exercises tracker self-repair,
+//!   duplication, delay, link failures, sensor crashes) that the drivers
+//!   inject to exercise tracker self-repair, and the repair checks run
+//!   after them,
 //! * [`concurrent`] — the discrete-event engine for concurrent
 //!   executions: message latency = distance, per-level forwarding periods
 //!   `Φ(i) ∝ 2^i` (§4.1.2), bounded in-flight operations per object,
@@ -40,7 +41,7 @@
 //! # Example
 //!
 //! ```
-//! use mot_sim::{replay_moves, run_publish, run_queries, Algo, TestBed, WorkloadSpec};
+//! use mot_sim::{query_batch, replay, run_publish, Algo, Draw, TestBed, WorkloadSpec};
 //! use mot_baselines::DetectionRates;
 //!
 //! let bed = TestBed::grid(6, 6, 42)?;
@@ -49,10 +50,10 @@
 //!
 //! let mut tracker = bed.make_tracker(Algo::Mot, &rates)?;
 //! run_publish(tracker.as_mut(), &w)?;
-//! let maint = replay_moves(tracker.as_mut(), &w, &bed.oracle)?;
-//! assert!(maint.ratio() >= 1.0); // nothing beats the optimal cost
+//! let maint = replay(tracker.as_mut(), &w, &bed.oracle, None)?;
+//! assert!(maint.cost.ratio() >= 1.0); // nothing beats the optimal cost
 //!
-//! let queries = run_queries(tracker.as_ref(), &bed.oracle, 3, 50, 2)?;
+//! let queries = query_batch(tracker.as_mut(), &bed.oracle, 3, 50, 2, Draw::UNIFORM, None)?;
 //! assert_eq!(queries.correct, 50); // every query finds the true proxy
 //! # Ok::<(), mot_sim::SimError>(())
 //! ```
@@ -82,20 +83,14 @@ pub mod testbed;
 
 pub use concurrent::{ConcurrentConfig, ConcurrentEngine};
 pub use error::SimError;
-pub use faults::{
-    repair_all, replay_moves_faulty, run_queries_faulty, unrepaired_objects, FaultConfig,
-    FaultPlan, FaultyQueryStats, FaultyRunStats,
-};
+pub use faults::{repair_all, unrepaired_objects, FaultConfig, FaultPlan};
 pub use metrics::{
     CostStats, Histogram, LevelLedger, LoadStats, Recorder, Summary, TraceAggregates,
 };
 pub use mobility::{MobilityModel, MoveOp, Workload, WorkloadSpec};
 pub use parallel::{CellKey, Keyed, ParallelRunner};
-pub use run::{
-    replay_moves, replay_moves_observed, run_local_queries, run_publish, run_queries,
-    run_queries_observed, QueryBatchStats,
-};
-pub use scenario::{run_queries_model, QueryModel, ScenarioQueryStats, ZipfSampler};
+pub use run::{query_batch, replay, run_publish, Draw, QueryBatchStats, ReplayStats};
+pub use scenario::{QueryModel, ZipfSampler};
 pub use service::{run_service, ServiceConfig, ServiceOutcome, ServiceReport, ShedPolicy};
 pub use stream::{OpEnvelope, OpStream, ServiceOp, StreamSpec};
 pub use testbed::{graph_center, tracker_over, Algo, TestBed};

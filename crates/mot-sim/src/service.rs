@@ -791,6 +791,7 @@ pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome,
         return reject("degradation must engage before shedding");
     }
     cfg.stream.check().map_err(SimError::Service)?;
+    cfg.faults.check().map_err(SimError::Service)?;
     let shards = cfg.shards;
     let workers = if cfg.jobs == 0 {
         std::thread::available_parallelism()
@@ -1261,6 +1262,15 @@ mod tests {
                 ..StreamSpec::new(4, 100, 3)
             });
             assert!(rejection(&cfg).contains("probability"), "{query_fraction}");
+        }
+    }
+
+    #[test]
+    fn fault_rates_outside_the_unit_interval_are_rejected() {
+        for rate in [1.5, -0.1, f64::NAN] {
+            let mut cfg = ServiceConfig::new(StreamSpec::new(4, 100, 3));
+            cfg.faults = FaultConfig::dropping(rate, 1);
+            assert!(rejection(&cfg).contains("probability"), "{rate}");
         }
     }
 

@@ -15,7 +15,7 @@
 
 use crate::concurrent::ClimbStructure;
 use crate::error::SimError;
-use crate::faults::{FaultConfig, FaultPlan};
+use crate::faults::FaultConfig;
 use mot_baselines::{build_dat, build_stun, build_zdat, DetectionRates, TreeTracker, ZdatParams};
 use mot_core::{MotConfig, MotTracker, TraceSink};
 use mot_hierarchy::{build_doubling, build_general, Overlay, OverlayConfig};
@@ -75,7 +75,8 @@ pub struct TestBed {
     pub oracle: Box<dyn DistanceOracle>,
     /// The hierarchical overlay the trackers are built on.
     pub overlay: Overlay,
-    /// Optional fault environment; [`TestBed::fault_plan`] expands it.
+    /// Optional fault environment. Nothing here reads it: a run expands
+    /// its own config with [`FaultConfig::plan`].
     pub faults: Option<FaultConfig>,
 }
 
@@ -128,20 +129,6 @@ impl TestBed {
             overlay,
             faults: None,
         })
-    }
-
-    /// Attaches a fault environment to this bed.
-    pub fn with_faults(mut self, cfg: FaultConfig) -> Self {
-        self.faults = Some(cfg);
-        self
-    }
-
-    /// Expands the attached fault config (if any) into a replayable plan
-    /// over this bed's sensors and a workload of `steps` moves.
-    pub fn fault_plan(&self, steps: usize) -> Option<FaultPlan> {
-        self.faults
-            .as_ref()
-            .map(|cfg| cfg.plan(self.graph.node_count(), steps))
     }
 
     /// `rows × cols` unit grid bed (the paper's topology).
@@ -319,7 +306,7 @@ pub fn tracker_over<'a>(
 mod tests {
     use super::*;
     use crate::mobility::WorkloadSpec;
-    use crate::run::{replay_moves, run_publish, run_queries};
+    use crate::run::{query_batch, replay, run_publish, Draw};
 
     #[test]
     fn all_algorithms_run_one_workload() {
@@ -337,14 +324,14 @@ mod tests {
         ] {
             let mut t = bed.make_tracker(algo, &rates).unwrap();
             run_publish(t.as_mut(), &w).unwrap();
-            let stats = replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
+            let stats = replay(t.as_mut(), &w, &*bed.oracle, None).unwrap().cost;
             assert!(
                 stats.ratio() >= 1.0,
                 "{}: ratio {}",
                 algo.label(),
                 stats.ratio()
             );
-            let q = run_queries(t.as_ref(), &*bed.oracle, 3, 50, 2).unwrap();
+            let q = query_batch(t.as_mut(), &*bed.oracle, 3, 50, 2, Draw::UNIFORM, None).unwrap();
             assert_eq!(q.correct, 50, "{} answered queries wrong", algo.label());
         }
     }
@@ -356,8 +343,8 @@ mod tests {
             let rates = DetectionRates::uniform(&bed.graph);
             let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
             run_publish(t.as_mut(), &w).unwrap();
-            replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
-            let q = run_queries(t.as_ref(), &*bed.oracle, 2, 30, 1).unwrap();
+            replay(t.as_mut(), &w, &*bed.oracle, None).unwrap();
+            let q = query_batch(t.as_mut(), &*bed.oracle, 2, 30, 1, Draw::UNIFORM, None).unwrap();
             assert_eq!(q.correct, 30);
         }
     }
@@ -417,8 +404,8 @@ mod tests {
         let rates = DetectionRates::uniform(&bed.graph);
         let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &*bed.oracle).unwrap();
-        let q = run_queries(t.as_ref(), &*bed.oracle, 2, 40, 3).unwrap();
+        replay(t.as_mut(), &w, &*bed.oracle, None).unwrap();
+        let q = query_batch(t.as_mut(), &*bed.oracle, 2, 40, 3, Draw::UNIFORM, None).unwrap();
         assert_eq!(q.correct, 40);
     }
 }

@@ -57,7 +57,7 @@ use mot_core::{MotConfig, MotTracker, ObjectId, Tracker};
 use mot_hierarchy::{build_doubling, OverlayConfig};
 use mot_net::{generators, DenseOracle, NodeId};
 use mot_proto::ProtoTracker;
-use mot_sim::{replay_moves, run_publish, ConcurrentConfig, ConcurrentEngine, WorkloadSpec};
+use mot_sim::{replay, run_publish, ConcurrentConfig, ConcurrentEngine, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -181,7 +181,7 @@ fn tree_tracker_moves_allocate_next_to_nothing() {
     for mut t in [stun, zdat] {
         run_publish(&mut t, &w).unwrap();
         // Warm-up: the detection sets reach their high-water capacities.
-        replay_moves(&mut t, &w, &m).unwrap();
+        replay(&mut t, &w, &m, None).unwrap();
 
         // Walk every object back along its trace: as many unit moves
         // again, over the same nodes.

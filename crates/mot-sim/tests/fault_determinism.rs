@@ -6,8 +6,8 @@
 use mot_baselines::DetectionRates;
 use mot_net::OracleKind;
 use mot_sim::{
-    replay_moves_faulty, run_publish, run_queries_faulty, unrepaired_objects, Algo, FaultConfig,
-    FaultyQueryStats, FaultyRunStats, TestBed,
+    query_batch, replay, run_publish, unrepaired_objects, Algo, Draw, FaultConfig, QueryBatchStats,
+    ReplayStats, TestBed,
 };
 use mot_sim::{Workload, WorkloadSpec};
 
@@ -26,23 +26,32 @@ fn config() -> FaultConfig {
 
 struct FaultyOutcome {
     schedule: Vec<(usize, mot_net::NodeId)>,
-    run: FaultyRunStats,
-    queries: FaultyQueryStats,
+    run: ReplayStats,
+    queries: QueryBatchStats,
     repair_cost: f64,
     unrepaired: usize,
 }
 
 fn run_faulty(kind: OracleKind, algo: Algo, w: &Workload) -> FaultyOutcome {
-    let bed = TestBed::grid_with_oracle(10, 10, 4, kind)
-        .unwrap()
-        .with_faults(config());
+    let bed = TestBed::grid_with_oracle(10, 10, 4, kind).unwrap();
     let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-    let mut plan = bed.fault_plan(w.moves.len()).unwrap();
+    let mut plan = config()
+        .plan(bed.graph.node_count(), w.moves.len())
+        .unwrap();
     let schedule = plan.crash_schedule().to_vec();
     let mut t = bed.make_tracker(algo, &rates).unwrap();
     run_publish(t.as_mut(), w).unwrap();
-    let run = replay_moves_faulty(t.as_mut(), w, &bed.oracle, &mut plan).unwrap();
-    let queries = run_queries_faulty(t.as_mut(), &bed.oracle, OBJECTS, 100, 6, &mut plan).unwrap();
+    let run = replay(t.as_mut(), w, &bed.oracle, Some(&mut plan)).unwrap();
+    let queries = query_batch(
+        t.as_mut(),
+        &bed.oracle,
+        OBJECTS,
+        100,
+        6,
+        Draw::UNIFORM,
+        Some(&mut plan),
+    )
+    .unwrap();
     FaultyOutcome {
         schedule,
         run,
@@ -79,7 +88,7 @@ fn same_seed_replays_bit_identically_across_runs_and_backends() {
             "{label}: no drops injected?"
         );
         assert!(first.repair_cost > 0.0, "{label}: no crash damage?");
-        assert_eq!(first.queries.batch.correct, 100, "{label}: wrong answers");
+        assert_eq!(first.queries.correct, 100, "{label}: wrong answers");
         assert_eq!(first.unrepaired, 0, "{label}: unrepaired objects remain");
     }
 }

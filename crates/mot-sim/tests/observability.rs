@@ -5,8 +5,7 @@
 use mot_baselines::DetectionRates;
 use mot_core::MemorySink;
 use mot_sim::{
-    replay_moves, replay_moves_observed, run_publish, run_queries, run_queries_observed, Algo,
-    Histogram, Recorder, TestBed, WorkloadSpec,
+    query_batch, replay, run_publish, Algo, Draw, Histogram, Recorder, TestBed, WorkloadSpec,
 };
 
 const OBJECTS: usize = 6;
@@ -49,7 +48,7 @@ fn aggregates_merge_across_seeds_like_one_combined_stream() {
         let rates = DetectionRates::from_moves(&b.graph, &w.move_pairs());
         let mut t = b.make_tracker_traced(Algo::Mot, &rates, &rec).unwrap();
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &b.oracle).unwrap();
+        replay(t.as_mut(), &w, &b.oracle, None).unwrap();
         drop(t);
         let agg = rec.finish();
         total_events += agg.ledger.total();
@@ -83,8 +82,8 @@ fn fixed_seed_traces_are_deterministic() {
         let rates = DetectionRates::from_moves(&b.graph, &w.move_pairs());
         let mut t = b.make_tracker_traced(Algo::Mot, &rates, &sink).unwrap();
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &b.oracle).unwrap();
-        run_queries(t.as_ref(), &b.oracle, OBJECTS, 50, 9).unwrap();
+        replay(t.as_mut(), &w, &b.oracle, None).unwrap();
+        query_batch(t.as_mut(), &b.oracle, OBJECTS, 50, 9, Draw::UNIFORM, None).unwrap();
         sink.events()
     };
     let a = run();
@@ -105,14 +104,32 @@ fn tracing_disabled_is_bit_identical_to_a_traced_run() {
 
         let mut silent = b.make_tracker(algo, &rates).unwrap();
         run_publish(silent.as_mut(), &w).unwrap();
-        let m1 = replay_moves(silent.as_mut(), &w, &b.oracle).unwrap();
-        let q1 = run_queries(silent.as_ref(), &b.oracle, OBJECTS, 80, 2).unwrap();
+        let m1 = replay(silent.as_mut(), &w, &b.oracle, None).unwrap().cost;
+        let q1 = query_batch(
+            silent.as_mut(),
+            &b.oracle,
+            OBJECTS,
+            80,
+            2,
+            Draw::UNIFORM,
+            None,
+        )
+        .unwrap();
 
         let rec = Recorder::new();
         let mut traced = b.make_tracker_traced(algo, &rates, &rec).unwrap();
         run_publish(traced.as_mut(), &w).unwrap();
-        let m2 = replay_moves(traced.as_mut(), &w, &b.oracle).unwrap();
-        let q2 = run_queries(traced.as_ref(), &b.oracle, OBJECTS, 80, 2).unwrap();
+        let m2 = replay(traced.as_mut(), &w, &b.oracle, None).unwrap().cost;
+        let q2 = query_batch(
+            traced.as_mut(),
+            &b.oracle,
+            OBJECTS,
+            80,
+            2,
+            Draw::UNIFORM,
+            None,
+        )
+        .unwrap();
 
         let label = algo.label();
         assert_eq!(m1.total.to_bits(), m2.total.to_bits(), "{label} total");
@@ -139,41 +156,4 @@ fn tracing_disabled_is_bit_identical_to_a_traced_run() {
             m2.total
         );
     }
-}
-
-#[test]
-fn observed_variants_fill_histograms_without_changing_stats() {
-    let b = bed();
-    let w = WorkloadSpec::new(OBJECTS, 50, 11).generate(&b.graph);
-    let rates = DetectionRates::from_moves(&b.graph, &w.move_pairs());
-
-    let mut plain = b.make_tracker(Algo::Mot, &rates).unwrap();
-    run_publish(plain.as_mut(), &w).unwrap();
-    let m1 = replay_moves(plain.as_mut(), &w, &b.oracle).unwrap();
-    let q1 = run_queries(plain.as_ref(), &b.oracle, OBJECTS, 70, 4).unwrap();
-
-    let mut observed = b.make_tracker(Algo::Mot, &rates).unwrap();
-    let mut move_ratios = Histogram::new();
-    let mut query_ratios = Histogram::new();
-    run_publish(observed.as_mut(), &w).unwrap();
-    let m2 = replay_moves_observed(observed.as_mut(), &w, &b.oracle, &mut move_ratios).unwrap();
-    let q2 = run_queries_observed(
-        observed.as_ref(),
-        &b.oracle,
-        OBJECTS,
-        70,
-        4,
-        &mut query_ratios,
-    )
-    .unwrap();
-
-    assert_eq!(m1, m2, "observed replay must not change the stats");
-    assert_eq!(q1, q2, "observed queries must not change the stats");
-    assert_eq!(
-        move_ratios.count,
-        m2.operations as u64 - m2.zero_optimal_ops as u64
-    );
-    assert_eq!(query_ratios.count, q2.cost.operations as u64);
-    // per-op ratios never undercut the optimal
-    assert_eq!(Histogram::bucket_index(move_ratios.mean()).min(1), 1);
 }

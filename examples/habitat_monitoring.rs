@@ -30,7 +30,9 @@ fn main() {
     let herd = WorkloadSpec::new(25, 400, 3).generate(&bed.graph);
     let mut tracker = MotTracker::new(&bed.overlay, &bed.oracle, MotConfig::load_balanced());
     run_publish(&mut tracker, &herd).expect("collaring");
-    let maint = replay_moves(&mut tracker, &herd, &bed.oracle).expect("tracking");
+    let maint = replay(&mut tracker, &herd, &bed.oracle, None)
+        .expect("tracking")
+        .cost;
     println!(
         "tracked {} moves: maintenance cost ratio {:.2}",
         maint.operations,

@@ -47,8 +47,19 @@ fn main() {
     ] {
         let mut t = bed.make_tracker(algo, &rates).unwrap();
         run_publish(t.as_mut(), &traffic).expect("publish");
-        let maint = replay_moves(t.as_mut(), &traffic, &bed.oracle).expect("replay");
-        let q = run_queries(t.as_ref(), &bed.oracle, spec.objects, 400, 13).expect("queries");
+        let maint = replay(t.as_mut(), &traffic, &bed.oracle, None)
+            .expect("replay")
+            .cost;
+        let q = query_batch(
+            t.as_mut(),
+            &bed.oracle,
+            spec.objects,
+            400,
+            13,
+            Draw::UNIFORM,
+            None,
+        )
+        .expect("queries");
         let loads = LoadStats::from_loads(&t.node_loads());
         println!(
             "{:<18} {:>12.2} {:>12.2} {:>10} {:>9}/400",

@@ -69,8 +69,8 @@ pub mod prelude {
     };
     pub use mot_proto::ProtoTracker;
     pub use mot_sim::{
-        replay_moves, run_publish, run_queries, Algo, ConcurrentConfig, ConcurrentEngine,
-        CostStats, LoadStats, MobilityModel, SimError, TestBed, Workload, WorkloadSpec,
+        query_batch, replay, run_publish, Algo, ConcurrentConfig, ConcurrentEngine, CostStats,
+        Draw, LoadStats, MobilityModel, SimError, TestBed, Workload, WorkloadSpec,
     };
 }
 

@@ -15,7 +15,7 @@ fn single_inflight_equals_sequential_for_every_algorithm() {
     for algo in [Algo::Mot, Algo::Stun, Algo::Zdat] {
         let mut seq = bed.make_tracker(algo, &rates).unwrap();
         run_publish(seq.as_mut(), &w).unwrap();
-        let s = replay_moves(seq.as_mut(), &w, &bed.oracle).unwrap();
+        let s = replay(seq.as_mut(), &w, &bed.oracle, None).unwrap().cost;
 
         let mut con = bed.make_tracker(algo, &rates).unwrap();
         run_publish(con.as_mut(), &w).unwrap();
@@ -72,7 +72,7 @@ fn concurrent_cost_at_least_sequential_cost() {
 
     let mut seq = bed.make_tracker(Algo::Mot, &rates).unwrap();
     run_publish(seq.as_mut(), &w).unwrap();
-    let s = replay_moves(seq.as_mut(), &w, &bed.oracle).unwrap();
+    let s = replay(seq.as_mut(), &w, &bed.oracle, None).unwrap().cost;
 
     let mut con = bed.make_tracker(Algo::Mot, &rates).unwrap();
     run_publish(con.as_mut(), &w).unwrap();
@@ -128,6 +128,6 @@ fn mot_invariants_survive_concurrency() {
     ConcurrentEngine::run(&mut t, &w, &bed.oracle, &ConcurrentConfig::default()).unwrap();
     t.check_invariants();
     // and the structure still answers every query correctly afterwards
-    let q = run_queries(&t, &bed.oracle, 4, 200, 8).unwrap();
+    let q = query_batch(&mut t, &bed.oracle, 4, 200, 8, Draw::UNIFORM, None).unwrap();
     assert_eq!(q.correct, 200);
 }

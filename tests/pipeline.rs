@@ -22,7 +22,7 @@ fn exercise(bed: &TestBed, objects: usize, moves: usize, seed: u64) {
     for algo in algorithms() {
         let mut t = bed.make_tracker(algo, &rates).unwrap();
         run_publish(t.as_mut(), &w).unwrap();
-        let maint = replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
+        let maint = replay(t.as_mut(), &w, &bed.oracle, None).unwrap().cost;
         assert!(
             maint.ratio() >= 1.0,
             "{}: maintenance ratio {} beats optimal",
@@ -39,7 +39,16 @@ fn exercise(bed: &TestBed, objects: usize, moves: usize, seed: u64) {
             );
         }
         // every query from every node locates the true proxy
-        let q = run_queries(t.as_ref(), &bed.oracle, objects, 150, seed + 1).unwrap();
+        let q = query_batch(
+            t.as_mut(),
+            &bed.oracle,
+            objects,
+            150,
+            seed + 1,
+            Draw::UNIFORM,
+            None,
+        )
+        .unwrap();
         assert_eq!(q.correct, 150, "{} answered queries wrong", algo.label());
         // load accounting is non-negative and bounded by total entries
         let loads = t.node_loads();
@@ -78,9 +87,9 @@ fn mot_on_general_overlay_pipeline() {
     let w = WorkloadSpec::new(4, 100, 3).generate(&bed.graph);
     let mut t = MotTracker::new(&bed.overlay, &bed.oracle, MotConfig::plain());
     run_publish(&mut t, &w).unwrap();
-    replay_moves(&mut t, &w, &bed.oracle).unwrap();
+    replay(&mut t, &w, &bed.oracle, None).unwrap();
     t.check_invariants();
-    let q = run_queries(&t, &bed.oracle, 4, 200, 2).unwrap();
+    let q = query_batch(&mut t, &bed.oracle, 4, 200, 2, Draw::UNIFORM, None).unwrap();
     assert_eq!(q.correct, 200);
 }
 
@@ -95,7 +104,7 @@ fn load_conservation_between_plain_and_balanced() {
     let mut lb = bed.make_tracker(Algo::MotLb, &rates).unwrap();
     for t in [&mut plain, &mut lb] {
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
+        replay(t.as_mut(), &w, &bed.oracle, None).unwrap();
     }
     let total_plain: usize = plain.node_loads().iter().sum();
     let total_lb: usize = lb.node_loads().iter().sum();
@@ -116,7 +125,10 @@ fn traffic_knowledge_changes_baseline_trees_not_mot() {
     let run = |rates: &DetectionRates, algo: Algo| {
         let mut t = bed.make_tracker(algo, rates).unwrap();
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &bed.oracle).unwrap().total
+        replay(t.as_mut(), &w, &bed.oracle, None)
+            .unwrap()
+            .cost
+            .total
     };
     assert_eq!(run(&hot, Algo::Mot), run(&cold, Algo::Mot));
     // DAT generally reacts to rates (tie-breaks shift parents).

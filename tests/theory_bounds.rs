@@ -36,7 +36,10 @@ fn maintenance_ratio_grows_sublinearly() {
         let rates = DetectionRates::uniform(&bed.graph);
         let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &bed.oracle).unwrap().ratio()
+        replay(t.as_mut(), &w, &bed.oracle, None)
+            .unwrap()
+            .cost
+            .ratio()
     };
     let small = ratio_at(8, 8);
     let large = ratio_at(32, 32);
@@ -57,7 +60,7 @@ fn query_ratio_flat_across_distances() {
     let rates = DetectionRates::uniform(&bed.graph);
     let mut t = bed.make_tracker(Algo::Mot, &rates).unwrap();
     run_publish(t.as_mut(), &w).unwrap();
-    replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
+    replay(t.as_mut(), &w, &bed.oracle, None).unwrap();
     // bucket per-query ratios by distance scale
     let mut short = (0.0f64, 0usize);
     let mut long = (0.0f64, 0usize);
@@ -96,11 +99,11 @@ fn load_balancing_tradeoff_matches_corollary_5_2() {
 
     let mut plain = bed.make_tracker(Algo::Mot, &rates).unwrap();
     run_publish(plain.as_mut(), &w).unwrap();
-    let plain_cost = replay_moves(plain.as_mut(), &w, &bed.oracle).unwrap();
+    let plain_cost = replay(plain.as_mut(), &w, &bed.oracle, None).unwrap().cost;
 
     let mut lb = bed.make_tracker(Algo::MotLb, &rates).unwrap();
     run_publish(lb.as_mut(), &w).unwrap();
-    let lb_cost = replay_moves(lb.as_mut(), &w, &bed.oracle).unwrap();
+    let lb_cost = replay(lb.as_mut(), &w, &bed.oracle, None).unwrap().cost;
 
     let max_plain = *plain.node_loads().iter().max().unwrap();
     let max_lb = *lb.node_loads().iter().max().unwrap();
@@ -130,10 +133,28 @@ fn special_parents_only_help() {
     let mut without = bed.make_tracker(Algo::MotNoSp, &rates).unwrap();
     for t in [&mut with_sp, &mut without] {
         run_publish(t.as_mut(), &w).unwrap();
-        replay_moves(t.as_mut(), &w, &bed.oracle).unwrap();
+        replay(t.as_mut(), &w, &bed.oracle, None).unwrap();
     }
-    let qs = run_queries(with_sp.as_ref(), &bed.oracle, 6, 400, 3).unwrap();
-    let qn = run_queries(without.as_ref(), &bed.oracle, 6, 400, 3).unwrap();
+    let qs = query_batch(
+        with_sp.as_mut(),
+        &bed.oracle,
+        6,
+        400,
+        3,
+        Draw::UNIFORM,
+        None,
+    )
+    .unwrap();
+    let qn = query_batch(
+        without.as_mut(),
+        &bed.oracle,
+        6,
+        400,
+        3,
+        Draw::UNIFORM,
+        None,
+    )
+    .unwrap();
     assert_eq!(qs.correct, 400);
     assert_eq!(qn.correct, 400);
     assert!(
@@ -192,7 +213,7 @@ fn general_overlay_within_polylog_of_doubling() {
         let w = WorkloadSpec::new(5, 120, 3).generate(&bed.graph);
         let mut t = MotTracker::new(&bed.overlay, &bed.oracle, MotConfig::plain());
         run_publish(&mut t, &w).unwrap();
-        replay_moves(&mut t, &w, &bed.oracle).unwrap().ratio()
+        replay(&mut t, &w, &bed.oracle, None).unwrap().cost.ratio()
     };
     let doubling = run(&TestBed::new(g.clone(), 6).unwrap());
     let general = run(&TestBed::general(g, &OverlayConfig::practical(), 6).unwrap());
