@@ -127,8 +127,9 @@ pub fn churn_table(jobs: usize) -> BenchResult {
 /// The CI `churn-smoke` job: three seeded schedules on a 10×10 grid
 /// with the zero-divergence gate checked after **every** delta, plus a
 /// short churn-enabled service soak whose coordinator mirror is
-/// re-verified at quiescence. Seconds-scale; every row is
-/// byte-identical for any `jobs`.
+/// re-verified at quiescence. Fails on any divergence, a wrong query
+/// answer, a soak without topology deltas, or fewer than 90 replay
+/// events. Seconds-scale; every row is byte-identical for any `jobs`.
 pub fn churn_smoke_table(jobs: usize) -> BenchResult {
     let g = generators::grid(10, 10)?;
     let seeds = [41u64, 42, 43];
@@ -177,6 +178,16 @@ pub fn churn_smoke_table(jobs: usize) -> BenchResult {
     }
     if rep.topology_ops == 0 {
         return Err("churn-smoke: service stream carried no topology deltas".into());
+    }
+    if rep.queries_wrong > 0 {
+        return Err(format!(
+            "churn-smoke: service soak answered {} queries wrong",
+            rep.queries_wrong
+        )
+        .into());
+    }
+    if events < 90 {
+        return Err(format!("churn-smoke: only {events} replay events, expected ≥ 90").into());
     }
 
     Ok(FigureTable {

@@ -32,7 +32,7 @@
 //! use mot_core::{MotConfig, ObjectId, Tracker};
 //! use mot_hierarchy::{build_doubling, OverlayConfig};
 //! use mot_net::{generators, DenseOracle, NodeId};
-//! use mot_proto::{BatchOp, ProtoTracker};
+//! use mot_proto::ProtoTracker;
 //!
 //! let g = generators::grid(6, 6)?;
 //! let m = DenseOracle::build(&g)?;
@@ -44,15 +44,8 @@
 //! t.move_object(ObjectId(0), NodeId(1))?;
 //! assert_eq!(t.query(NodeId(35), ObjectId(0))?.proxy, NodeId(1));
 //!
-//! // Distinct-object operations can race at message granularity.
-//! let out = t.run_batch(
-//!     &[
-//!         BatchOp::Publish { object: ObjectId(1), proxy: NodeId(30) },
-//!         BatchOp::Query { object: ObjectId(0), from: NodeId(20) },
-//!     ],
-//!     0.0,
-//! )?;
-//! assert_eq!(out.replies, vec![(ObjectId(0), NodeId(1))]);
+//! // Each operation's ledger splits its traffic by message kind.
+//! assert!(t.ledger().of_kind("query") > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -75,7 +68,5 @@ pub mod transport;
 pub use arena::{ArenaStats, RouteArena};
 pub use faults::{FaultModel, NoFaults, ScriptedFaults};
 pub use message::{Message, Payload};
-pub use runtime::{BatchOp, BatchOutcome, ProtoTracker};
-pub use transport::{
-    Backoff, CostLedger, Delivery, LossyTransport, TimedTransport, Transport, RETRIES_KIND,
-};
+pub use runtime::ProtoTracker;
+pub use transport::{Backoff, CostLedger, Delivery, LossyTransport, Transport, RETRIES_KIND};

@@ -123,8 +123,8 @@ impl Payload {
         )
     }
 
-    /// The object this message concerns (used for per-object cost
-    /// attribution in batched executions).
+    /// The object this message concerns (named in trace events and in
+    /// [`mot_core::CoreError::DeliveryFailed`]).
     pub fn object(&self) -> ObjectId {
         match *self {
             Payload::Climb { object, .. }
@@ -135,21 +135,6 @@ impl Payload {
             | Payload::Query { object, .. }
             | Payload::Descend { object, .. }
             | Payload::Reply { object, .. } => object,
-        }
-    }
-
-    /// For climb/query messages that just crossed into a new level
-    /// (station index 0 above the bottom), the level entered — the §4.1.2
-    /// period gate applies to these.
-    pub fn level_entry(&self) -> Option<usize> {
-        match *self {
-            Payload::Climb {
-                level, index: 0, ..
-            }
-            | Payload::Query {
-                level, index: 0, ..
-            } if level > 0 => Some(level),
-            _ => None,
         }
     }
 

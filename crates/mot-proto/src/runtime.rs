@@ -6,64 +6,11 @@ use crate::arena::{ArenaStats, RouteArena};
 use crate::faults::FaultModel;
 use crate::message::{Message, Payload};
 use crate::node::{Ctx, DlEntry, NodeState};
-use crate::transport::{CostLedger, Delivery, LossyTransport, TimedTransport, Transport};
+use crate::transport::{CostLedger, Delivery, LossyTransport, Transport};
 use mot_core::{CoreError, MotConfig, MoveOutcome, ObjectId, QueryResult, Tracker};
 use mot_hierarchy::Overlay;
-use mot_net::{DistanceOracle, IdMap, IdSet, NodeId};
+use mot_net::{DistanceOracle, IdMap, NodeId};
 use std::cell::RefCell;
-
-/// One operation of a concurrent batch. All operations in a batch must
-/// reference *distinct* objects — the paper observes that overlay
-/// changes for one object never interfere with another's, which is what
-/// makes cross-object concurrency safe at message granularity.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BatchOp {
-    /// First detection of `object` at `proxy`.
-    Publish {
-        /// The object entering the system.
-        object: ObjectId,
-        /// The detecting bottom-level sensor.
-        proxy: NodeId,
-    },
-    /// Hand `object` off to the sensor `to`.
-    Move {
-        /// The object moving.
-        object: ObjectId,
-        /// The destination sensor.
-        to: NodeId,
-    },
-    /// Locate `object` from the sensor `from`.
-    Query {
-        /// The object being located.
-        object: ObjectId,
-        /// The querying sensor.
-        from: NodeId,
-    },
-}
-
-impl BatchOp {
-    fn object(&self) -> ObjectId {
-        match *self {
-            BatchOp::Publish { object, .. }
-            | BatchOp::Move { object, .. }
-            | BatchOp::Query { object, .. } => object,
-        }
-    }
-}
-
-/// Result of a concurrently executed batch.
-#[derive(Clone, Debug, Default)]
-pub struct BatchOutcome {
-    /// Total charged message distance across the batch.
-    pub total_cost: f64,
-    /// Wall-clock completion time (message latency = distance; climbs
-    /// gated by the §4.1.2 periods when `period_base > 0`).
-    pub makespan: f64,
-    /// Charged cost attributed per object.
-    pub per_object: Vec<(ObjectId, f64)>,
-    /// Query answers observed (object → proxy).
-    pub replies: Vec<(ObjectId, NodeId)>,
-}
 
 /// The one-by-one delivery pipe: reliable FIFO, or lossy with ack/retry.
 enum Pipe {
@@ -166,9 +113,9 @@ impl Inner<'_> {
         Ok(())
     }
 
-    /// Seeds the level-0 entry at a (new) proxy and builds the messages
+    /// Seeds the level-0 entry at a (new) proxy and sends the messages
     /// that launch the climb.
-    fn seed_climb_messages(&mut self, o: ObjectId, proxy: NodeId, publish: bool) -> Vec<Message> {
+    fn start_climb(&mut self, o: ObjectId, proxy: NodeId, publish: bool) {
         self.arena.begin_op();
         // level-0 special parent, same policy as internal levels
         let sp0 = if self.use_special_parents && self.overlay.sp_level(0) != 0 {
@@ -177,9 +124,8 @@ impl Inner<'_> {
             None
         };
         self.nodes[proxy.index()].seed_proxy_entry(o, proxy, sp0, &mut self.arena);
-        let mut msgs = Vec::new();
         if let Some(host) = sp0 {
-            msgs.push(Message {
+            self.transport.send(Message {
                 src: proxy,
                 dst: host,
                 payload: Payload::SpInstall {
@@ -193,7 +139,7 @@ impl Inner<'_> {
             let station = self.overlay.station(proxy, 1);
             let mut prev_members = self.arena.take();
             prev_members.push(proxy);
-            msgs.push(Message {
+            self.transport.send(Message {
                 src: proxy,
                 dst: station[0],
                 payload: Payload::Climb {
@@ -207,13 +153,6 @@ impl Inner<'_> {
                 },
             });
         }
-        msgs
-    }
-
-    /// Seeds and launches a climb on the FIFO transport (one-by-one path).
-    fn start_climb(&mut self, o: ObjectId, proxy: NodeId, publish: bool) {
-        let msgs = self.seed_climb_messages(o, proxy, publish);
-        self.transport.send_all(msgs);
     }
 }
 
@@ -241,9 +180,7 @@ impl<'a> ProtoTracker<'a> {
     /// charged messages ride the ack/retry protocol (`max_attempts`
     /// transmissions each before [`CoreError::DeliveryFailed`]), wasted
     /// distance accrues under the uncharged `retries` ledger kind, and
-    /// redelivered messages are applied exactly once. Only one-by-one
-    /// operations go through the lossy pipe; `run_batch` models timing,
-    /// not loss, and stays reliable.
+    /// redelivered messages are applied exactly once.
     pub fn with_faults(
         overlay: &'a Overlay,
         oracle: &'a dyn DistanceOracle,
@@ -281,10 +218,11 @@ impl<'a> ProtoTracker<'a> {
         }
     }
 
-    /// Fault overhead (lost + duplicate transmission distance) billed
-    /// during the most recent operation; 0 on the reliable transport.
-    pub fn retry_distance(&self) -> f64 {
-        self.inner.borrow().transport.ledger().retries()
+    /// The most recent operation's per-kind message ledger: charged and
+    /// bookkeeping distance by payload kind, plus fault overhead under
+    /// the `retries` kind (0 on the reliable transport).
+    pub fn ledger(&self) -> CostLedger {
+        self.inner.borrow().transport.ledger().clone()
     }
 
     /// Toggles route-buffer reuse (on by default). Disabling makes every
@@ -309,133 +247,7 @@ impl<'a> ProtoTracker<'a> {
         self.inner.borrow().reply_distance
     }
 
-    /// Executes a batch of operations on *distinct* objects concurrently
-    /// at message granularity: all operations start at time 0, messages
-    /// race through a timed transport (latency = distance), and climbs
-    /// entering level `i` wait for the period `Φ(i) = period_base · 2^i`
-    /// (§4.1.2; 0 disables the gate). Because the objects are distinct,
-    /// the final state is identical to any sequential execution — what
-    /// concurrency buys is the makespan.
-    ///
-    /// # Panics
-    /// Panics if two operations reference the same object.
-    pub fn run_batch(
-        &mut self,
-        ops: &[BatchOp],
-        period_base: f64,
-    ) -> mot_core::Result<BatchOutcome> {
-        {
-            let mut seen = IdSet::default();
-            for op in ops {
-                assert!(
-                    seen.insert(op.object()),
-                    "batch operations must reference distinct objects ({} repeats)",
-                    op.object()
-                );
-            }
-        }
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let mut timed = TimedTransport::new(period_base);
-        let mut outcome = BatchOutcome::default();
-        let mut per_object: IdMap<ObjectId, f64> = IdMap::default();
-
-        // Inject every operation at t = 0.
-        for op in ops {
-            match *op {
-                BatchOp::Publish { object, proxy } => {
-                    if inner.proxies.contains_key(&object) {
-                        return Err(CoreError::AlreadyPublished(object));
-                    }
-                    if proxy.index() >= inner.nodes.len() {
-                        return Err(CoreError::UnknownNode(proxy));
-                    }
-                    for m in inner.seed_climb_messages(object, proxy, true) {
-                        timed.send_at(m, 0.0, inner.oracle);
-                    }
-                    inner.proxies.insert(object, proxy);
-                }
-                BatchOp::Move { object, to } => {
-                    let from = *inner
-                        .proxies
-                        .get(&object)
-                        .ok_or(CoreError::UnknownObject(object))?;
-                    if to.index() >= inner.nodes.len() {
-                        return Err(CoreError::UnknownNode(to));
-                    }
-                    if from == to {
-                        continue;
-                    }
-                    for m in inner.seed_climb_messages(object, to, false) {
-                        timed.send_at(m, 0.0, inner.oracle);
-                    }
-                    inner.proxies.insert(object, to);
-                }
-                BatchOp::Query { object, from } => {
-                    if !inner.proxies.contains_key(&object) {
-                        return Err(CoreError::UnknownObject(object));
-                    }
-                    if from.index() >= inner.nodes.len() {
-                        return Err(CoreError::UnknownNode(from));
-                    }
-                    inner.arena.begin_op();
-                    timed.send_at(
-                        Message {
-                            src: from,
-                            dst: from,
-                            payload: Payload::Query {
-                                object,
-                                origin: from,
-                                level: 0,
-                                index: 0,
-                            },
-                        },
-                        0.0,
-                        inner.oracle,
-                    );
-                }
-            }
-        }
-
-        // Race everything to quiescence.
-        while let Some(msg) = timed.deliver(inner.oracle) {
-            let sent_at = timed.now;
-            if msg.payload.charged() {
-                *per_object.entry(msg.payload.object()).or_default() +=
-                    inner.oracle.dist(msg.src, msg.dst);
-            }
-            if let Payload::Reply { object, proxy } = msg.payload {
-                outcome.replies.push((object, proxy));
-                continue;
-            }
-            let ctx = Ctx {
-                overlay: inner.overlay,
-                oracle: inner.oracle,
-                use_special_parents: inner.use_special_parents,
-            };
-            inner.out_buf.clear();
-            inner.nodes[msg.dst.index()].handle(
-                msg.dst,
-                msg.payload,
-                &ctx,
-                &mut inner.arena,
-                &mut inner.out_buf,
-            );
-            for m in inner.out_buf.drain(..) {
-                timed.send_at(m, sent_at, inner.oracle);
-            }
-        }
-        outcome.total_cost = timed.ledger.charged;
-        outcome.makespan = timed.now;
-        outcome.per_object = {
-            let mut v: Vec<_> = per_object.into_iter().collect();
-            v.sort_by_key(|&(o, _)| o);
-            v
-        };
-        Ok(outcome)
-    }
-
-    /// Distance accumulated under a payload kind since the start.
+    /// Rejects a node id outside the overlay.
     fn check_node(&self, u: NodeId) -> mot_core::Result<()> {
         if u.index() >= self.inner.borrow().nodes.len() {
             return Err(CoreError::UnknownNode(u));
@@ -597,154 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_publish_matches_sequential_cost_with_smaller_makespan() {
-        let (g, m) = env();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
-        let pubs: Vec<BatchOp> = (0..8u32)
-            .map(|k| BatchOp::Publish {
-                object: ObjectId(k),
-                proxy: NodeId(k * 4 % 36),
-            })
-            .collect();
-
-        // sequential reference
-        let mut seq = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        let mut seq_cost = 0.0;
-        let mut latencies = Vec::new();
-        for op in &pubs {
-            if let BatchOp::Publish { object, proxy } = *op {
-                let c = seq.publish(object, proxy).unwrap();
-                seq_cost += c;
-                latencies.push(c);
-            }
-        }
-
-        // concurrent batch (no period gate)
-        let mut con = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        let out = con.run_batch(&pubs, 0.0).unwrap();
-        assert!(
-            (out.total_cost - seq_cost).abs() < 1e-6,
-            "batch cost {} vs sequential {}",
-            out.total_cost,
-            seq_cost
-        );
-        // cross-object parallelism: finish before the serialized sum but
-        // no earlier than the slowest single operation's own latency.
-        assert!(
-            out.makespan < seq_cost,
-            "no parallelism: makespan {}",
-            out.makespan
-        );
-        // identical final state
-        for node in g.nodes() {
-            for level in 0..=overlay.height() {
-                for k in 0..8u32 {
-                    assert_eq!(
-                        seq.holds(node, level, ObjectId(k)),
-                        con.holds(node, level, ObjectId(k))
-                    );
-                }
-            }
-        }
-        assert_eq!(out.per_object.len(), 8);
-    }
-
-    #[test]
-    fn batch_moves_and_queries_race_safely() {
-        let (g, m) = env();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
-        let mut t = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        for k in 0..6u32 {
-            t.publish(ObjectId(k), NodeId(k * 6 % 36)).unwrap();
-        }
-        // moves for objects 0..3, queries for objects 3..6 — distinct
-        let ops = vec![
-            BatchOp::Move {
-                object: ObjectId(0),
-                to: NodeId(1),
-            },
-            BatchOp::Move {
-                object: ObjectId(1),
-                to: NodeId(7),
-            },
-            BatchOp::Move {
-                object: ObjectId(2),
-                to: NodeId(13),
-            },
-            BatchOp::Query {
-                object: ObjectId(3),
-                from: NodeId(35),
-            },
-            BatchOp::Query {
-                object: ObjectId(4),
-                from: NodeId(0),
-            },
-            BatchOp::Query {
-                object: ObjectId(5),
-                from: NodeId(17),
-            },
-        ];
-        let out = t.run_batch(&ops, 0.0).unwrap();
-        assert_eq!(out.replies.len(), 3);
-        for &(o, answered) in &out.replies {
-            assert_eq!(Some(answered), t.proxy_of(o), "query answer for {o}");
-        }
-        assert_eq!(t.proxy_of(ObjectId(0)), Some(NodeId(1)));
-        assert_eq!(t.proxy_of(ObjectId(2)), Some(NodeId(13)));
-        // post-batch structure still answers everything correctly
-        for k in 0..6u32 {
-            let truth = t.proxy_of(ObjectId(k)).unwrap();
-            assert_eq!(t.query(NodeId(20), ObjectId(k)).unwrap().proxy, truth);
-        }
-    }
-
-    #[test]
-    fn period_gating_slows_makespan_but_not_cost() {
-        let (_, m) = env();
-        let g = generators::grid(6, 6).unwrap();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
-        let pubs: Vec<BatchOp> = (0..5u32)
-            .map(|k| BatchOp::Publish {
-                object: ObjectId(k),
-                proxy: NodeId(k * 7 % 36),
-            })
-            .collect();
-        let mut free = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        let out_free = free.run_batch(&pubs, 0.0).unwrap();
-        let mut gated = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        let out_gated = gated.run_batch(&pubs, 1.0).unwrap();
-        assert!((out_free.total_cost - out_gated.total_cost).abs() < 1e-6);
-        assert!(
-            out_gated.makespan >= out_free.makespan,
-            "periods cannot speed things up: {} < {}",
-            out_gated.makespan,
-            out_free.makespan
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct objects")]
-    fn batch_rejects_duplicate_objects() {
-        let g = generators::grid(3, 3).unwrap();
-        let m = DenseOracle::build(&g).unwrap();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 1);
-        let mut t = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        let _ = t.run_batch(
-            &[
-                BatchOp::Publish {
-                    object: ObjectId(0),
-                    proxy: NodeId(0),
-                },
-                BatchOp::Move {
-                    object: ObjectId(0),
-                    to: NodeId(1),
-                },
-            ],
-            0.0,
-        );
-    }
-
-    #[test]
     fn lossy_runtime_with_clean_model_matches_reliable_costs() {
         use crate::faults::NoFaults;
         let (g, m) = env();
@@ -765,7 +429,7 @@ mod tests {
             clean.query(NodeId(35), o).unwrap().cost,
             lossy.query(NodeId(35), o).unwrap().cost
         );
-        assert_eq!(lossy.retry_distance(), 0.0);
+        assert_eq!(lossy.ledger().retries(), 0.0);
     }
 
     #[test]
@@ -785,7 +449,10 @@ mod tests {
             c_clean, c_lossy,
             "retries restore delivery; charged cost unchanged"
         );
-        assert!(lossy.retry_distance() > 0.0, "wasted attempts were billed");
+        assert!(
+            lossy.ledger().retries() > 0.0,
+            "wasted attempts were billed"
+        );
         for x in g.nodes() {
             assert_eq!(lossy.query(x, o).unwrap().proxy, NodeId(14));
         }
@@ -805,7 +472,7 @@ mod tests {
         let c_clean = clean.publish(o, NodeId(3)).unwrap();
         let c_lossy = lossy.publish(o, NodeId(3)).unwrap();
         assert_eq!(c_clean, c_lossy, "duplicates never double-charge");
-        assert!(lossy.retry_distance() > 0.0, "duplicate arrivals billed");
+        assert!(lossy.ledger().retries() > 0.0, "duplicate arrivals billed");
         // identical final state: redelivery applied exactly once
         for node in g.nodes() {
             for level in 0..=overlay.height() {

@@ -388,110 +388,6 @@ impl LossyTransport {
     }
 }
 
-/// A message scheduled for timed delivery.
-#[derive(Debug)]
-struct Scheduled {
-    deliver_at: f64,
-    seq: u64,
-    msg: Message,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // min-heap on (time, seq)
-        other
-            .deliver_at
-            .partial_cmp(&self.deliver_at)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Timed message transport for concurrent (batched) executions: message
-/// latency equals message distance, and a climb/query entering level `i`
-/// waits for the end of the current period `Φ(i) = period_base · 2^i`
-/// (§4.1.2's forwarding discipline; `period_base = 0` disables gating).
-pub struct TimedTransport {
-    heap: std::collections::BinaryHeap<Scheduled>,
-    seq: u64,
-    /// Simulation clock: the delivery time of the last popped message.
-    pub now: f64,
-    /// Base period of the §4.1.2 level gate (`0` disables gating).
-    pub period_base: f64,
-    /// Cost accounting for every delivery.
-    pub ledger: CostLedger,
-    sink: Option<Rc<dyn TraceSink>>,
-}
-
-impl TimedTransport {
-    /// An empty timed transport with the given gating period base.
-    pub fn new(period_base: f64) -> Self {
-        TimedTransport {
-            // Sized for the typical in-flight window (a few messages per
-            // hop across a handful of concurrent climbs) so steady-state
-            // delivery never regrows the heap.
-            heap: std::collections::BinaryHeap::with_capacity(64),
-            seq: 0,
-            now: 0.0,
-            period_base,
-            ledger: CostLedger::default(),
-            sink: None,
-        }
-    }
-
-    /// Attaches a structured-trace sink for billed deliveries.
-    pub fn set_sink(&mut self, sink: Rc<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Schedules `msg` sent at time `sent_at`.
-    pub fn send_at(&mut self, msg: Message, sent_at: f64, oracle: &dyn DistanceOracle) {
-        let mut deliver_at = sent_at + oracle.dist(msg.src, msg.dst);
-        if self.period_base > 0.0 {
-            if let Some(level) = msg.payload.level_entry() {
-                let phi = self.period_base * (1u64 << level) as f64;
-                deliver_at = (deliver_at / phi).ceil() * phi;
-            }
-        }
-        self.heap.push(Scheduled {
-            deliver_at,
-            seq: self.seq,
-            msg,
-        });
-        self.seq += 1;
-    }
-
-    /// Pops the earliest message, advancing the clock and billing its
-    /// distance.
-    pub fn deliver(&mut self, oracle: &dyn DistanceOracle) -> Option<Message> {
-        let Scheduled {
-            deliver_at, msg, ..
-        } = self.heap.pop()?;
-        debug_assert!(deliver_at >= self.now - 1e-9, "time ran backwards");
-        self.now = self.now.max(deliver_at);
-        let dist = oracle.dist(msg.src, msg.dst);
-        self.ledger.bill(&msg.payload, dist);
-        emit_msg(&self.sink, &msg, dist, false);
-        Some(msg)
-    }
-
-    /// True when nothing is in flight.
-    pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,95 +435,6 @@ mod tests {
         assert_eq!(t.ledger.messages, 2);
         assert!(t.is_idle());
         assert!(t.deliver(&m).is_none());
-    }
-
-    #[test]
-    fn timed_transport_orders_by_arrival() {
-        let g = generators::line(6).unwrap();
-        let m = DenseOracle::build(&g).unwrap();
-        let mut t = TimedTransport::new(0.0);
-        // sent simultaneously: the shorter hop arrives first
-        t.send_at(
-            msg(
-                0,
-                5,
-                Payload::Reply {
-                    object: ObjectId(0),
-                    proxy: NodeId(5),
-                },
-            ),
-            0.0,
-            &m,
-        );
-        t.send_at(
-            msg(
-                0,
-                1,
-                Payload::Reply {
-                    object: ObjectId(1),
-                    proxy: NodeId(1),
-                },
-            ),
-            0.0,
-            &m,
-        );
-        let first = t.deliver(&m).unwrap();
-        assert_eq!(first.payload.object(), ObjectId(1));
-        assert!((t.now - 1.0).abs() < 1e-12);
-        let second = t.deliver(&m).unwrap();
-        assert_eq!(second.payload.object(), ObjectId(0));
-        assert!((t.now - 5.0).abs() < 1e-12);
-        assert!(t.is_idle());
-    }
-
-    #[test]
-    fn period_gate_delays_level_entries() {
-        let g = generators::line(8).unwrap();
-        let m = DenseOracle::build(&g).unwrap();
-        let climb_into_level_2 = Payload::Climb {
-            object: ObjectId(0),
-            origin: NodeId(0),
-            level: 2,
-            index: 0,
-            prev_members: vec![],
-            added: vec![],
-            publish: false,
-        };
-        assert_eq!(climb_into_level_2.level_entry(), Some(2));
-
-        let mut gated = TimedTransport::new(1.0); // Φ(2) = 4
-        gated.send_at(msg(0, 1, climb_into_level_2.clone()), 0.0, &m);
-        gated.deliver(&m).unwrap();
-        assert!(
-            (gated.now - 4.0).abs() < 1e-12,
-            "arrival gated to the period end"
-        );
-
-        let mut free = TimedTransport::new(0.0);
-        free.send_at(msg(0, 1, climb_into_level_2), 0.0, &m);
-        free.deliver(&m).unwrap();
-        assert!((free.now - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mid_level_hops_are_not_gated() {
-        let p = Payload::Climb {
-            object: ObjectId(0),
-            origin: NodeId(0),
-            level: 2,
-            index: 1,
-            prev_members: vec![],
-            added: vec![],
-            publish: false,
-        };
-        assert_eq!(p.level_entry(), None);
-        let q = Payload::Query {
-            object: ObjectId(0),
-            origin: NodeId(0),
-            level: 0,
-            index: 0,
-        };
-        assert_eq!(q.level_entry(), None, "level-0 start is not a level entry");
     }
 
     #[test]

@@ -1272,6 +1272,9 @@ mod tests {
             cfg.faults = FaultConfig::dropping(rate, 1);
             assert!(rejection(&cfg).contains("probability"), "{rate}");
         }
+        let mut cfg = ServiceConfig::new(StreamSpec::new(4, 100, 3));
+        cfg.faults.delay_rate = 1.0;
+        assert!(rejection(&cfg).contains("forever"));
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! Algorithm 1 "can be immediately converted to a message-passing based
 //! distributed algorithm" (paper, footnote 2) — this example runs that
 //! conversion (`mot_proto::ProtoTracker`), shows the message-kind
-//! breakdown of real operations, verifies cost-exact agreement with the
-//! direct implementation, and demonstrates cross-object concurrency with
-//! the §4.1.2 period-gated timed transport.
+//! breakdown of a real move, and verifies cost-exact agreement with the
+//! direct implementation. Concurrent execution (§4.1.2) is
+//! `mot_sim::ConcurrentEngine`'s job; see `tests/concurrent_execution.rs`.
 
 use mot_tracking::prelude::*;
-use mot_tracking::proto::BatchOp;
+use mot_tracking::proto::message::KIND_LABELS;
 
 fn main() {
     let bed = TestBed::grid(8, 8, 42).unwrap();
@@ -45,61 +45,22 @@ fn main() {
     );
     assert_eq!(qd.proxy, qp.proxy);
 
-    // Cross-object concurrency on the timed transport: 12 animals are
-    // collared simultaneously; messages race, climbs wait at level-period
-    // boundaries.
-    let pubs: Vec<BatchOp> = (1..=12u32)
-        .map(|k| BatchOp::Publish {
-            object: ObjectId(k),
-            proxy: NodeId(k * 5 % 64),
-        })
-        .collect();
-    let mut fresh = ProtoTracker::new(&bed.overlay, &bed.oracle, &cfg);
-    let free = fresh.run_batch(&pubs, 0.0).unwrap();
-    let mut fresh2 = ProtoTracker::new(&bed.overlay, &bed.oracle, &cfg);
-    let gated = fresh2.run_batch(&pubs, 1.0).unwrap();
-    println!("12 concurrent publishes:");
+    // One more move, broken down by message kind: charged climbs and
+    // deletes, plus the uncharged SDL and repoint bookkeeping.
+    let md = direct.move_object(o, NodeId(60)).unwrap();
+    let mp = proto.move_object(o, NodeId(60)).unwrap();
+    assert!((md.cost - mp.cost).abs() < 1e-6);
+    let ledger = proto.ledger();
     println!(
-        "  ungated:      total cost {:7.1}, makespan {:6.1}",
-        free.total_cost, free.makespan
+        "move 59 -> 60: charged {:.1} over {} messages",
+        mp.cost, ledger.messages
     );
-    println!(
-        "  period-gated: total cost {:7.1}, makespan {:6.1}  (Φ(i) = 2^i)",
-        gated.total_cost, gated.makespan
-    );
-    assert!((free.total_cost - gated.total_cost).abs() < 1e-6);
-    assert!(
-        free.makespan < free.total_cost,
-        "parallelism must beat serialization"
-    );
-
-    // Mixed racing batch: moves and queries on distinct objects.
-    let ops = vec![
-        BatchOp::Move {
-            object: ObjectId(1),
-            to: NodeId(6),
-        },
-        BatchOp::Move {
-            object: ObjectId(2),
-            to: NodeId(11),
-        },
-        BatchOp::Query {
-            object: ObjectId(3),
-            from: NodeId(63),
-        },
-        BatchOp::Query {
-            object: ObjectId(4),
-            from: NodeId(56),
-        },
-    ];
-    let out = fresh.run_batch(&ops, 0.0).unwrap();
-    println!(
-        "\nmixed batch (2 moves + 2 queries): makespan {:.1}",
-        out.makespan
-    );
-    for (obj, proxy) in &out.replies {
-        println!("  query answer: object {obj} is at sensor {proxy}");
+    for kind in KIND_LABELS {
+        let d = ledger.of_kind(kind);
+        if d > 0.0 {
+            println!("  {kind:<10} {d:6.1}");
+        }
     }
-    assert_eq!(out.replies.len(), 2);
+    assert_eq!(ledger.charged, mp.cost);
     println!("\nmessage-passing and direct implementations agree to < 1e-6.");
 }
