@@ -7,7 +7,11 @@
 //! stale branch downward; a query climbs to the first ancestor that knows
 //! the object and descends the detection chain. Tree edges may be logical
 //! (representative-to-representative), so each hop costs the shortest-path
-//! distance between its endpoints.
+//! distance between its endpoints. The tree is fixed, so those lengths
+//! are constants: the tracker reads each parent edge from the oracle once
+//! per direction when it is built, and climbs, prunes and descents read
+//! the stored values. Only the shortcut jump and the crash handoff, whose
+//! endpoints are not a tree edge, ask the oracle on the op path.
 //!
 //! Detection sets, the proxy table and the crash-dirty set are keyed by
 //! `ObjectId` and probed at every tree hop, so they are
@@ -20,13 +24,13 @@ use mot_core::{
     TraceSink, Tracker,
 };
 use mot_net::{DistanceOracle, IdMap, IdSet, NodeId};
+use std::cell::Cell;
 
 /// A rooted spanning tree over the sensor nodes.
 #[derive(Clone, Debug)]
 pub struct TrackingTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
     depth: Vec<usize>,
 }
 
@@ -41,22 +45,17 @@ impl TrackingTree {
         let n = parent.len();
         assert!(root.index() < n, "root out of range");
         assert!(parent[root.index()].is_none(), "root must have no parent");
-        let mut children = vec![Vec::new(); n];
         for (i, p) in parent.iter().enumerate() {
-            if let Some(p) = p {
-                children[p.index()].push(NodeId::from_index(i));
-            } else {
+            if p.is_none() {
                 assert_eq!(i, root.index(), "second root at node {i}");
             }
-        }
-        for ch in &mut children {
-            ch.sort();
         }
         // depth by walking up (also detects cycles / unreachable nodes)
         let mut depth = vec![usize::MAX; n];
         depth[root.index()] = 0;
+        let mut chain = Vec::new();
         for start in 0..n {
-            let mut chain = Vec::new();
+            chain.clear();
             let mut cur = start;
             while depth[cur] == usize::MAX {
                 chain.push(cur);
@@ -71,7 +70,6 @@ impl TrackingTree {
         TrackingTree {
             root,
             parent,
-            children,
             depth,
         }
     }
@@ -94,11 +92,6 @@ impl TrackingTree {
     /// Tree parent of `u` (None for the root).
     pub fn parent(&self, u: NodeId) -> Option<NodeId> {
         self.parent[u.index()]
-    }
-
-    /// Tree children of `u`, sorted by id.
-    pub fn children(&self, u: NodeId) -> &[NodeId] {
-        &self.children[u.index()]
     }
 
     /// Hop depth of `u` below the root.
@@ -158,6 +151,14 @@ pub struct TreeTracker<'a> {
     name: String,
     tree: TrackingTree,
     oracle: &'a dyn DistanceOracle,
+    /// `hop_up[c]` = `dist(c, parent(c))`, the hop a climb takes out of
+    /// `c`; 0 at the root. Read once in [`TreeTracker::new`].
+    hop_up: Vec<f64>,
+    /// `hop_down[c]` = `dist(parent(c), c)`, the hop a prune or descent
+    /// takes into `c`; 0 at the root. Stored apart from `hop_up` for the
+    /// reason the overlay's `StationTable` stores both directions of a
+    /// hop: a weighted solve may round each direction differently.
+    hop_down: Vec<f64>,
     detection: Vec<IdSet<ObjectId>>,
     proxies: IdMap<ObjectId, NodeId>,
     /// Liu-et-al.-style shortcuts: ancestors keep enough detail that a
@@ -181,9 +182,10 @@ pub struct TreeTracker<'a> {
     dirty: IdSet<ObjectId>,
     /// Message distance spent on crash repair (handoffs + chain rebuilds).
     repair_spent: f64,
-    /// Scratch of `move_object`: the nodes its climb just added, at most
-    /// tree-depth many. Empty between moves; only the capacity is kept.
-    added: Vec<NodeId>,
+    /// Scratch of [`TreeTracker::descend`]: a tree path, bottom first, at
+    /// most tree-depth long. Empty between operations; only its capacity
+    /// is kept. A `Cell`, so the read-only query path can borrow it too.
+    chain: Cell<Vec<NodeId>>,
     /// Optional structured-trace consumer (`None` = zero-cost silence).
     /// Events are tagged with the tree depth of the destination node as
     /// the "level" (the tree analogue of MOT's hierarchy level).
@@ -191,7 +193,8 @@ pub struct TreeTracker<'a> {
 }
 
 impl<'a> TreeTracker<'a> {
-    /// Wraps a tree in tracking state.
+    /// Wraps a tree in tracking state, reading every parent edge's length
+    /// in both directions from `oracle`.
     pub fn new(
         name: impl Into<String>,
         tree: TrackingTree,
@@ -199,10 +202,19 @@ impl<'a> TreeTracker<'a> {
         shortcuts: bool,
     ) -> Self {
         let n = tree.len();
+        let (mut hop_up, mut hop_down) = (vec![0.0; n], vec![0.0; n]);
+        for c in (0..n).map(NodeId::from_index) {
+            if let Some(p) = tree.parent(c) {
+                hop_up[c.index()] = oracle.dist(c, p);
+                hop_down[c.index()] = oracle.dist(p, c);
+            }
+        }
         TreeTracker {
             name: name.into(),
             tree,
             oracle,
+            hop_up,
+            hop_down,
             detection: vec![IdSet::default(); n],
             proxies: IdMap::default(),
             shortcuts,
@@ -212,7 +224,7 @@ impl<'a> TreeTracker<'a> {
             down_count: 0,
             dirty: IdSet::default(),
             repair_spent: 0.0,
-            added: Vec::new(),
+            chain: Cell::default(),
             sink: None,
         }
     }
@@ -276,6 +288,12 @@ impl<'a> TreeTracker<'a> {
         &self.tree
     }
 
+    /// Length of the climb hop from `u` to its tree parent (0 at the
+    /// root): the stored `dist(u, parent(u))`.
+    pub fn hop_up(&self, u: NodeId) -> f64 {
+        self.hop_up[u.index()]
+    }
+
     fn check_node(&self, u: NodeId) -> mot_core::Result<()> {
         if u.index() >= self.tree.len() {
             return Err(CoreError::UnknownNode(u));
@@ -302,13 +320,10 @@ impl<'a> TreeTracker<'a> {
     }
 
     /// The live node nearest to `u` (deterministic tie-break by id) —
-    /// the handoff target when a proxy crashes.
+    /// the handoff target when a proxy crashes, by the rule MOT uses
+    /// ([`mot_net::nearest_where`]).
     fn nearest_live(&self, u: NodeId) -> Option<NodeId> {
-        let live: Vec<NodeId> = (0..self.tree.len())
-            .map(NodeId::from_index)
-            .filter(|&v| v != u && !self.down[v.index()])
-            .collect();
-        self.oracle.nearest_in(u, &live)
+        mot_net::nearest_where(self.oracle, u, |v| !self.down[v.index()])
     }
 
     /// The first crashed node on the tree path from `v` to the root, if
@@ -330,25 +345,49 @@ impl<'a> TreeTracker<'a> {
     }
 
     /// Cost of the downward phase of a query that located `o` at `node`,
-    /// or `None` for an unpublished object.
+    /// or `None` for an unpublished object or a `node` that is not an
+    /// ancestor of its proxy.
     pub fn descend_cost(&self, o: ObjectId, node: NodeId) -> Option<f64> {
         let proxy = *self.proxies.get(&o)?;
         if self.shortcuts {
             return Some(self.oracle.dist(node, proxy));
         }
         let mut cost = 0.0;
-        let mut cur = node;
-        while cur != proxy {
-            let c = self
-                .tree
-                .children(cur)
-                .iter()
-                .copied()
-                .find(|c| self.holds(*c, o))?;
-            cost += self.oracle.dist(cur, c);
-            cur = c;
+        self.descend(node, proxy, |_, _, d| cost += d)
+            .then_some(cost)
+    }
+
+    /// Visits the tree hops from `top` down to `bottom`, in that order,
+    /// as `(parent, child, stored length)`. The path is found by walking
+    /// up from `bottom`, so no child list is searched. Returns false,
+    /// having visited nothing, if `top` is not an ancestor of `bottom`.
+    fn descend(
+        &self,
+        top: NodeId,
+        bottom: NodeId,
+        mut visit: impl FnMut(NodeId, NodeId, f64),
+    ) -> bool {
+        let mut chain = self.chain.take();
+        let mut cur = bottom;
+        let reached = loop {
+            if cur == top {
+                break true;
+            }
+            chain.push(cur);
+            match self.tree.parent(cur) {
+                Some(p) => cur = p,
+                None => break false,
+            }
+        };
+        if reached {
+            for &c in chain.iter().rev() {
+                let p = self.tree.parent(c).expect("a chain node below `top`");
+                visit(p, c, self.hop_down[c.index()]);
+            }
         }
-        Some(cost)
+        chain.clear();
+        self.chain.set(chain);
+        reached
     }
 }
 
@@ -369,7 +408,7 @@ impl Tracker for TreeTracker<'_> {
         let mut cur = proxy;
         self.add(cur, o);
         while let Some(p) = self.tree.parent(cur) {
-            let d = self.oracle.dist(cur, p);
+            let d = self.hop_up[cur.index()];
             cost += d;
             self.hop(
                 OpKind::Publish,
@@ -409,16 +448,14 @@ impl Tracker for TreeTracker<'_> {
         let mut cost = 0.0;
         // insert: climb from the new proxy to the first holder (the LCA
         // of the old and new proxies).
-        let mut added = std::mem::take(&mut self.added);
         let mut cur = to;
         while !self.holds(cur, o) {
             self.add(cur, o);
-            added.push(cur);
             let p = self
                 .tree
                 .parent(cur)
                 .expect("the root holds every published object");
-            let d = self.oracle.dist(cur, p);
+            let d = self.hop_up[cur.index()];
             cost += d;
             self.hop(
                 OpKind::Move,
@@ -433,37 +470,25 @@ impl Tracker for TreeTracker<'_> {
         }
         let meet = cur;
         // delete: prune the stale branch from the meet down to `from`,
-        // following the unique old-path child (never the fresh one).
-        let mut d = meet;
-        loop {
-            let next = self
-                .tree
-                .children(d)
-                .iter()
-                .copied()
-                .find(|c| self.holds(*c, o) && !added.contains(c));
-            match next {
-                Some(c) => {
-                    let dd = self.oracle.dist(d, c);
-                    cost += dd;
-                    self.hop(
-                        OpKind::Move,
-                        TracePhase::Prune,
-                        LedgerKind::Maintenance,
-                        o,
-                        d,
-                        c,
-                        dd,
-                    );
-                    self.remove(c, o);
-                    d = c;
-                }
-                None => break,
-            }
+        // billed top-down, then drop it from the detection sets.
+        let pruned = self.descend(meet, from, |p, c, d| {
+            cost += d;
+            self.hop(
+                OpKind::Move,
+                TracePhase::Prune,
+                LedgerKind::Maintenance,
+                o,
+                p,
+                c,
+                d,
+            );
+        });
+        assert!(pruned, "the meet must be an ancestor of the old proxy");
+        let mut c = from;
+        while c != meet {
+            self.remove(c, o);
+            c = self.tree.parent(c).expect("a node below the meet");
         }
-        debug_assert_eq!(d, from, "stale branch must end at the old proxy");
-        added.clear();
-        self.added = added;
         self.proxies.insert(o, to);
         self.emit_op(OpKind::Move, o, cost);
         Ok(MoveOutcome { from, cost })
@@ -506,7 +531,7 @@ impl Tracker for TreeTracker<'_> {
                 .tree
                 .parent(cur)
                 .expect("the root holds every published object");
-            let d = self.oracle.dist(cur, p);
+            let d = self.hop_up[cur.index()];
             cost += d;
             self.hop(
                 OpKind::Query,
@@ -534,27 +559,19 @@ impl Tracker for TreeTracker<'_> {
             );
         } else {
             // Walk the detection chain down, one tree hop at a time.
-            while cur != proxy {
-                let c = self
-                    .tree
-                    .children(cur)
-                    .iter()
-                    .copied()
-                    .find(|c| self.holds(*c, o))
-                    .expect("detection chain must lead to the proxy");
-                let d = self.oracle.dist(cur, c);
+            let reached = self.descend(cur, proxy, |p, c, d| {
                 cost += d;
                 self.hop(
                     OpKind::Query,
                     TracePhase::Descend,
                     LedgerKind::Query,
                     o,
-                    cur,
+                    p,
                     c,
                     d,
                 );
-                cur = c;
-            }
+            });
+            assert!(reached, "detection chain must lead to the proxy");
         }
         self.emit_op(OpKind::Query, o, cost);
         Ok(QueryResult { proxy, cost })
@@ -637,7 +654,7 @@ impl Tracker for TreeTracker<'_> {
         let mut cur = proxy;
         self.add(cur, o);
         while let Some(p) = self.tree.parent(cur) {
-            let d = self.oracle.dist(cur, p);
+            let d = self.hop_up[cur.index()];
             cost += d;
             self.hop(
                 OpKind::Repair,
@@ -688,7 +705,6 @@ mod tests {
             let u = NodeId(i);
             let p = t.parent(u).unwrap();
             assert_eq!(t.depth(u), t.depth(p) + 1);
-            assert!(t.children(p).contains(&u));
         }
     }
 

@@ -426,21 +426,10 @@ impl<'a> MotTracker<'a> {
     }
 
     /// The live node nearest to `u` (deterministic tie-break by id) —
-    /// the handoff target when a proxy crashes. Searches doubling balls
-    /// around `u`, which come sorted by `(distance, id)`, so the cost is
-    /// the neighbourhood that had to be looked at, not a distance read
-    /// per node of the network.
+    /// the handoff target when a proxy crashes ([`mot_net::nearest_where`],
+    /// the rule the tree baselines share).
     fn nearest_live(&self, u: NodeId) -> Option<NodeId> {
-        let mut ball = Vec::new();
-        let mut r = 1.0;
-        loop {
-            self.oracle.ball_into(u, r, &mut ball);
-            let live = ball.iter().find(|&&v| v != u && !self.down[v.index()]);
-            if live.is_some() || ball.len() >= self.overlay.node_count() || r == f64::INFINITY {
-                return live.copied();
-            }
-            r *= 2.0;
-        }
+        mot_net::nearest_where(self.oracle, u, |v| !self.down[v.index()])
     }
 
     /// The first crashed node on `DPath(v)`, if any — an operation

@@ -83,7 +83,9 @@ pub use dijkstra::{dijkstra, shortest_path_tree, PathTree};
 pub use error::NetError;
 pub use graph::{Edge, Graph};
 pub use node::{NodeId, Point};
-pub use oracle::{CacheLedger, CachedOracle, DenseOracle, DistanceOracle, OracleKind};
+pub use oracle::{
+    nearest_where, CacheLedger, CachedOracle, DenseOracle, DistanceOracle, OracleKind,
+};
 pub use workspace::DijkstraWorkspace;
 
 /// Convenient result alias for this crate.

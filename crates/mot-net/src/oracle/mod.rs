@@ -143,6 +143,30 @@ pub struct CacheLedger {
     pub resident_bytes: usize,
 }
 
+/// The node nearest to `u`, other than `u` itself, that `accept` takes;
+/// ties broken by smallest node id — what
+/// [`DistanceOracle::nearest_in`] would pick from every accepted node.
+/// Searches balls of doubling radius around `u`, which come sorted by
+/// `(distance, id)`, so the cost is the neighbourhood that had to be
+/// looked at, not a distance read per node of the network. `None` when
+/// no node qualifies. Both trackers' crash handoff asks this.
+pub fn nearest_where(
+    oracle: &dyn DistanceOracle,
+    u: NodeId,
+    mut accept: impl FnMut(NodeId) -> bool,
+) -> Option<NodeId> {
+    let mut ball = Vec::new();
+    let mut r = 1.0;
+    loop {
+        oracle.ball_into(u, r, &mut ball);
+        let found = ball.iter().copied().find(|&v| v != u && accept(v));
+        if found.is_some() || ball.len() >= oracle.node_count() || r == f64::INFINITY {
+            return found;
+        }
+        r *= 2.0;
+    }
+}
+
 /// Boxed oracles are oracles, so owners of a `Box<dyn DistanceOracle>`
 /// can hand out `&self.oracle` wherever `&dyn DistanceOracle` is asked
 /// for.
@@ -311,6 +335,22 @@ mod tests {
         cached.dist(NodeId(0), NodeId(15));
         let ledger = cached.cache_stats().expect("cached keeps a ledger");
         assert_eq!(ledger.misses, 1);
+    }
+
+    #[test]
+    fn nearest_where_picks_what_nearest_in_picks_from_every_accepted_node() {
+        let g = generators::random_geometric(60, 8.0, 2.5, 3).unwrap();
+        let m = OracleKind::Dense.build(&g).unwrap();
+        let accept = |v: NodeId| !v.index().is_multiple_of(3);
+        for u in g.nodes() {
+            let accepted: Vec<NodeId> = g.nodes().filter(|&v| v != u && accept(v)).collect();
+            assert_eq!(
+                nearest_where(&*m, u, accept),
+                m.nearest_in(u, &accepted),
+                "from {u}"
+            );
+        }
+        assert_eq!(nearest_where(&*m, NodeId(0), |_| false), None);
     }
 
     #[test]

@@ -26,15 +26,21 @@ use rand_chacha::ChaCha8Rng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// One stop of a climb: the station node, its level, and the length of
+/// the hop that brings the climb there from the stop before (0 at the
+/// first stop). The length is the structure's stored constant, bit for
+/// bit the oracle's `dist(previous, node)`.
+pub type Stop = (NodeId, usize, f64);
+
 /// A tracking structure the event engine can drive: a climb order, a
 /// committed-state probe, a locate probe for queries, and the forwarding
 /// period per level.
 pub trait ClimbStructure: Tracker {
     /// Replaces the contents of `path` with the visiting sequence of a
-    /// maintenance/query climb from `v`: `(station node, level)` pairs
-    /// in order, ending at the root. Whatever `path` held before is
-    /// gone; only its capacity is reused.
-    fn climb_into(&self, v: NodeId, path: &mut Vec<(NodeId, usize)>);
+    /// maintenance/query climb from `v`: its [`Stop`]s in order, ending
+    /// at the root. Whatever `path` held before is gone; only its
+    /// capacity is reused.
+    fn climb_into(&self, v: NodeId, path: &mut Vec<Stop>);
 
     /// Whether `node` holds `o` at role `level` in the committed state.
     fn committed_holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool;
@@ -49,11 +55,12 @@ pub trait ClimbStructure: Tracker {
 }
 
 impl ClimbStructure for MotTracker<'_> {
-    fn climb_into(&self, v: NodeId, path: &mut Vec<(NodeId, usize)>) {
+    fn climb_into(&self, v: NodeId, path: &mut Vec<Stop>) {
         let overlay = self.overlay();
         path.clear();
         for l in 0..=overlay.height() {
-            path.extend(overlay.station(v, l).iter().map(|&s| (s, l)));
+            let station = overlay.station(v, l).iter().enumerate();
+            path.extend(station.map(|(j, &s)| (s, l, overlay.hop_in(v, l, j))));
         }
     }
 
@@ -71,12 +78,13 @@ impl ClimbStructure for MotTracker<'_> {
 }
 
 impl ClimbStructure for TreeTracker<'_> {
-    fn climb_into(&self, v: NodeId, path: &mut Vec<(NodeId, usize)>) {
+    fn climb_into(&self, v: NodeId, path: &mut Vec<Stop>) {
         path.clear();
-        let mut cur = Some(v);
-        while let Some(u) = cur {
-            path.push((u, path.len()));
-            cur = self.tree().parent(u);
+        path.push((v, 0, 0.0));
+        let mut cur = v;
+        while let Some(p) = self.tree().parent(cur) {
+            path.push((p, path.len(), self.hop_up(cur)));
+            cur = p;
         }
     }
 
@@ -158,7 +166,7 @@ enum Task {
 
 struct Op {
     task: Task,
-    path: Vec<(NodeId, usize)>,
+    path: Vec<Stop>,
     pos: usize,
     /// Distance travelled along `path[..=pos]`: [`ConcurrentEngine::advance`]
     /// adds each hop as it schedules it, first hop first.
@@ -178,7 +186,7 @@ struct Run {
     /// Pending events; a batch runs until it is empty.
     heap: BinaryHeap<Event>,
     /// Cleared climb paths of finished ops, for the next batch's.
-    spare_paths: Vec<Vec<(NodeId, usize)>>,
+    spare_paths: Vec<Vec<Stop>>,
 }
 
 impl Run {
@@ -349,7 +357,7 @@ impl ConcurrentEngine {
             ops, heap, outcome, ..
         } = run;
         while let Some(Event { time, op: op_idx }) = heap.pop() {
-            let (node, level) = ops[op_idx].path[ops[op_idx].pos];
+            let (node, level, _) = ops[op_idx].path[ops[op_idx].pos];
             match ops[op_idx].task {
                 Task::Move { to, optimal } => {
                     if tracker.committed_holds(node, level, object) {
@@ -363,12 +371,12 @@ impl ConcurrentEngine {
                         // the distance this op actually traveled and the
                         // fresh climb (the wasted racing distance).
                         let travelled = ops[op_idx].travelled;
-                        let fresh = Self::fresh_climb_cost(tracker, &ops[op_idx], object, oracle);
+                        let fresh = Self::fresh_climb_cost(tracker, &ops[op_idx], object);
                         let mv = tracker.move_object(object, to)?;
                         let waste = (travelled - fresh).max(0.0);
                         outcome.maintenance.record(mv.cost + waste, optimal);
                     } else {
-                        Self::advance(tracker, ops, op_idx, time, oracle, heap);
+                        Self::advance(tracker, ops, op_idx, time, heap);
                     }
                 }
                 Task::QueryClimb { from } => {
@@ -386,7 +394,7 @@ impl ConcurrentEngine {
                             op: op_idx,
                         });
                     } else {
-                        Self::advance(tracker, ops, op_idx, time, oracle, heap);
+                        Self::advance(tracker, ops, op_idx, time, heap);
                     }
                 }
                 Task::QueryChase {
@@ -426,20 +434,18 @@ impl ConcurrentEngine {
 
     /// Distance a climb along `op.path` would travel against the current
     /// committed state (stopping at the first holder) — what
-    /// `move_object` is about to recompute and charge internally.
-    fn fresh_climb_cost<S: ClimbStructure + ?Sized>(
-        tracker: &S,
-        op: &Op,
-        object: ObjectId,
-        oracle: &dyn DistanceOracle,
-    ) -> f64 {
+    /// `move_object` is about to recompute and charge internally. The
+    /// op's own stop `path[pos]` holds, so the climb ends there at the
+    /// latest, and the sum is `travelled` unless a racing commit filled
+    /// a stop below it.
+    fn fresh_climb_cost<S: ClimbStructure + ?Sized>(tracker: &S, op: &Op, object: ObjectId) -> f64 {
         let mut cost = 0.0;
-        for w in op.path.windows(2) {
-            let (node, level) = w[0];
+        for k in 0..op.pos {
+            let (node, level, _) = op.path[k];
             if tracker.committed_holds(node, level, object) {
                 break;
             }
-            cost += oracle.dist(node, w[1].0);
+            cost += op.path[k + 1].2;
         }
         cost
     }
@@ -452,7 +458,6 @@ impl ConcurrentEngine {
         ops: &mut [Op],
         op_idx: usize,
         now: f64,
-        oracle: &dyn DistanceOracle,
         heap: &mut BinaryHeap<Event>,
     ) {
         let op = &mut ops[op_idx];
@@ -460,10 +465,9 @@ impl ConcurrentEngine {
             op.pos + 1 < op.path.len(),
             "climb ran past the root without meeting the object"
         );
-        let (cur, cur_level) = op.path[op.pos];
+        let cur_level = op.path[op.pos].1;
         op.pos += 1;
-        let (next, next_level) = op.path[op.pos];
-        let hop = oracle.dist(cur, next);
+        let (_, next_level, hop) = op.path[op.pos];
         op.travelled += hop;
         let mut t = now + hop.max(1e-9);
         if next_level > cur_level {

@@ -6,7 +6,7 @@
 //! steady-state allocation count per operation creeps past its ceiling.
 //! Wall-clock benchmarks drift with the machine; allocation counts are
 //! deterministic, so these are the CI-safe witnesses that the
-//! arena/freelist work, the inline SDL slot, the tree trackers' climb
+//! arena/freelist work, the inline SDL slot, the tree trackers' chain
 //! scratch and the concurrent engine's pooled buffers keep paying.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -169,8 +169,10 @@ fn direct_tracker_moves_and_queries_allocate_next_to_nothing() {
 fn tree_tracker_moves_allocate_next_to_nothing() {
     // The figures' tree baselines on a 16×16 bed: a move used to build
     // an `IdSet` of the nodes its climb added — 0.888 allocations a STUN
-    // move, one whenever the climb added any; the tracker now keeps that
-    // scratch and a steady-state move reads 0.
+    // move, one whenever the climb added any. The prune and the query
+    // descent now walk the parent chain up from the proxy into one kept
+    // scratch, so a steady-state move reads 0 and a query allocates
+    // nothing: STUN's routed via the root, Z-DAT's descending tree hops.
     let g = generators::grid(16, 16).unwrap();
     let m = DenseOracle::build(&g).unwrap();
     let w = WorkloadSpec::new(100, 200, 1).generate(&g);
@@ -178,10 +180,23 @@ fn tree_tracker_moves_allocate_next_to_nothing() {
     let stun = TreeTracker::new("STUN", build_stun(&g, &rates), &m, false).with_root_queries();
     let zdat = build_zdat(&g, &rates, ZdatParams::default()).unwrap();
     let zdat = TreeTracker::new("Z-DAT", zdat, &m, false);
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let queries: Vec<(NodeId, ObjectId)> = (0..2_000)
+        .map(|_| {
+            (
+                NodeId(rng.gen_range(0..256)),
+                ObjectId(rng.gen_range(0..100)),
+            )
+        })
+        .collect();
     for mut t in [stun, zdat] {
         run_publish(&mut t, &w).unwrap();
-        // Warm-up: the detection sets reach their high-water capacities.
+        // Warm-up: the detection sets and the chain scratch reach their
+        // high-water capacities.
         replay(&mut t, &w, &m, None).unwrap();
+        for &(from, o) in &queries {
+            t.query(from, o).unwrap();
+        }
 
         // Walk every object back along its trace: as many unit moves
         // again, over the same nodes.
@@ -193,7 +208,18 @@ fn tree_tracker_moves_allocate_next_to_nothing() {
         assert!(
             per_move <= 0.05,
             "a steady-state {} move allocates {per_move:.3} times; \
-             the climb scratch is per move again",
+             the chain scratch is per move again",
+            t.name()
+        );
+
+        let before = allocs();
+        for &(from, o) in &queries {
+            t.query(from, o).unwrap();
+        }
+        assert_eq!(
+            allocs() - before,
+            0,
+            "{} queries are read-only and allocate nothing",
             t.name()
         );
     }

@@ -92,3 +92,31 @@ fn same_seed_replays_bit_identically_across_runs_and_backends() {
         assert_eq!(first.unrepaired, 0, "{label}: unrepaired objects remain");
     }
 }
+
+#[test]
+fn every_tracker_hands_a_crashed_proxy_to_the_same_node_on_a_tie() {
+    // On a 5×5 grid the centre 12 has four neighbours at distance 1.
+    // With 7 down too, 11, 13 and 17 tie; the rule MOT and the trees
+    // share breaks the tie by id, as `nearest_in` over every live node
+    // would.
+    use mot_core::ObjectId;
+    use mot_net::{DistanceOracle, NodeId};
+    let bed = TestBed::grid(5, 5, 1).unwrap();
+    let w = WorkloadSpec::new(2, 10, 1).generate(&bed.graph);
+    let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
+    let (down, centre, o) = (NodeId(7), NodeId(12), ObjectId(0));
+    let live: Vec<NodeId> = bed
+        .graph
+        .nodes()
+        .filter(|&v| v != down && v != centre)
+        .collect();
+    let expected = bed.oracle.nearest_in(centre, &live);
+    assert_eq!(expected, Some(NodeId(11)));
+    for algo in [Algo::Mot, Algo::Stun, Algo::Zdat, Algo::ZdatShortcuts] {
+        let mut t = bed.make_tracker(algo, &rates).unwrap();
+        t.publish(o, centre).unwrap();
+        t.crash_node(down);
+        t.crash_node(centre);
+        assert_eq!(t.proxy_of(o), expected, "{}", algo.label());
+    }
+}
