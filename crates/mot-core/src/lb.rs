@@ -50,6 +50,13 @@ impl ClusterTable {
         self.clusters.get(&(level as u8, center))
     }
 
+    /// Where role `(center, level)` stores object `o`: [`Self::placement`]'s
+    /// holder, without the route.
+    pub fn holder(&self, center: NodeId, level: usize, o: ObjectId) -> NodeId {
+        self.embedding(center, level)
+            .map_or(center, |e| e.host(o.key() % e.len() as u32))
+    }
+
     /// Where role `(center, level)` stores object `o`, and the de Bruijn
     /// route cost from the center to that holder (§5's hash placement:
     /// label `key(o) mod |X|`).

@@ -37,7 +37,7 @@ use crate::config::MotConfig;
 use crate::error::CoreError;
 use crate::lb::ClusterTable;
 use crate::object::ObjectId;
-use crate::state::{NodeStores, ObjectRecord, SpEntry, TrailLevel};
+use crate::state::{ObjectRecord, Probe, SpEntry, TrailLevel};
 use crate::trace::{LedgerKind, OpKind, TraceEvent, TracePhase, TraceSink};
 use crate::tracker::{MoveOutcome, QueryResult, Tracker};
 use crate::Result;
@@ -49,8 +49,11 @@ pub struct MotTracker<'a> {
     overlay: &'a Overlay,
     oracle: &'a dyn DistanceOracle,
     cfg: MotConfig,
-    stores: NodeStores,
+    /// Every object's DL/SDL entries, in its trail (see [`crate::state`]).
     records: IdMap<ObjectId, ObjectRecord>,
+    /// Physical per-node entry counts (who actually stores the record —
+    /// under load balancing a hashed cluster member, not the role node).
+    load: Vec<usize>,
     clusters: Option<ClusterTable>,
     /// Per-node liveness under the fault model (true = crashed).
     down: Vec<bool>,
@@ -64,20 +67,10 @@ pub struct MotTracker<'a> {
     /// Optional structured-trace consumer. `None` (the default) keeps
     /// every hot path free of event construction — see [`crate::trace`].
     sink: Option<&'a dyn TraceSink>,
-    /// Freelist of [`TrailLevel`]s pruned by moves/repairs, recycled by
-    /// the next climb so steady-state trail surgery reuses capacity
-    /// instead of allocating. Values are cleared on recycle; reuse is
-    /// capacity-only, so costs stay bit-identical to fresh allocation
-    /// (DESIGN.md §16).
-    spare_levels: Vec<TrailLevel>,
     /// Reusable container for the fresh trail fragment a move builds
-    /// (drained into the spliced trail at the end of each move).
+    /// (copied into the spliced trail at the end of each move).
     frag_buf: Vec<TrailLevel>,
 }
-
-/// Cap on [`MotTracker::spare_levels`]: enough to absorb a full-height
-/// prune while keeping a crash-heavy run's high-water mark bounded.
-const SPARE_LEVEL_CAP: usize = 64;
 
 impl<'a> MotTracker<'a> {
     /// Creates a tracker over a prebuilt overlay.
@@ -89,38 +82,26 @@ impl<'a> MotTracker<'a> {
             overlay,
             oracle,
             cfg,
-            stores: NodeStores::new(overlay.node_count()),
             records: IdMap::default(),
+            load: vec![0; overlay.node_count()],
             clusters,
             down: vec![false; overlay.node_count()],
             down_count: 0,
             ever_crashed: false,
             repair_spent: 0.0,
             sink: None,
-            spare_levels: Vec::new(),
             frag_buf: Vec::new(),
         }
     }
 
-    /// Pops a cleared [`TrailLevel`] off the freelist (or allocates an
-    /// empty one) for a slice of `DPath(origin)`. Recycled levels are
-    /// cleared at recycle time, so the value handed out is
-    /// indistinguishable from a fresh one except for retained capacity.
+    /// A fresh slice of `DPath(origin)` at `level`, guarded wherever
+    /// special parents are on and defined: near the root they are
+    /// undefined (§3), and the root itself already guards everything.
     #[inline]
-    fn take_level(&mut self, origin: NodeId) -> TrailLevel {
-        let mut tl = self.spare_levels.pop().unwrap_or_default();
-        tl.origin = origin;
-        tl
-    }
-
-    /// Returns a pruned [`TrailLevel`] to the freelist, clearing its
-    /// contents so no holder or SP entry can leak into a later operation.
-    #[inline]
-    fn recycle_level(&mut self, mut tl: TrailLevel) {
-        if self.spare_levels.len() < SPARE_LEVEL_CAP {
-            tl.holders.clear();
-            tl.sp_entries.clear();
-            self.spare_levels.push(tl);
+    fn new_level(&self, origin: NodeId, level: usize) -> TrailLevel {
+        TrailLevel {
+            origin,
+            guarded: self.cfg.use_special_parents && self.overlay.sp_level(level) != level,
         }
     }
 
@@ -190,6 +171,15 @@ impl<'a> MotTracker<'a> {
         Ok(())
     }
 
+    /// The node physically charged for role `(node, level)`'s entry for
+    /// `o`: [`Self::placement`]'s holder, without the route.
+    fn holder_of(&self, node: NodeId, level: usize, o: ObjectId) -> NodeId {
+        match (&self.clusters, level) {
+            (Some(t), l) if l >= 1 => t.holder(node, l, o),
+            _ => node,
+        }
+    }
+
     /// Physical placement of role `(node, level)`'s entry for `o` plus
     /// the de Bruijn route cost to reach it (0 unless load balancing).
     fn placement(&self, node: NodeId, level: usize, o: ObjectId) -> (NodeId, f64) {
@@ -235,8 +225,8 @@ impl<'a> MotTracker<'a> {
     }
 
     /// Installs the SDL entry guarding holder `child` (station index `j`
-    /// of `path_origin`'s level-`level` station). Returns the entry (for
-    /// the trail) and any counted cost.
+    /// of `path_origin`'s level-`level` station, a guarded level).
+    /// Returns any counted cost.
     #[allow(clippy::too_many_arguments)]
     fn install_sp(
         &mut self,
@@ -247,42 +237,37 @@ impl<'a> MotTracker<'a> {
         o: ObjectId,
         op: OpKind,
         ledger: LedgerKind,
-    ) -> (Option<SpEntry>, f64) {
-        if !self.cfg.use_special_parents {
-            return (None, 0.0);
-        }
+    ) -> f64 {
         let sp_level = self.overlay.sp_level(level);
-        if sp_level == level {
-            // Near the root special parents are undefined (§3); the root
-            // itself already guards everything.
-            return (None, 0.0);
-        }
         let host = self.overlay.sp_host(path_origin, level, j);
         let (holder, lb_cost) = self.placement_traced(host, sp_level, o, op, ledger);
-        let entry = SpEntry {
-            host,
-            child,
-            holder,
-        };
-        self.stores.sdl_add(entry, level, o);
+        self.load[holder.index()] += 1;
         let mut cost = lb_cost;
         if self.cfg.count_sp_cost {
             let d = self.oracle.dist(child, host);
             cost += d;
             self.hop(op, TracePhase::SpInstall, ledger, o, child, host, level, d);
         }
-        (Some(entry), cost)
+        cost
     }
 
+    /// Removes guard `entry` of trail level `level`, releasing its
+    /// holder's charge unless a crash already lost it, and bills the
+    /// removal message when special-parent traffic is counted.
+    #[allow(clippy::too_many_arguments)]
     fn remove_sp(
         &mut self,
         entry: SpEntry,
+        live: bool,
         level: usize,
         o: ObjectId,
         op: OpKind,
         ledger: LedgerKind,
     ) -> f64 {
-        self.stores.sdl_remove(entry, level, o);
+        if live {
+            let holder = self.holder_of(entry.host, self.overlay.sp_level(level), o);
+            self.release(holder);
+        }
         if self.cfg.count_sp_cost {
             let d = self.oracle.dist(entry.child, entry.host);
             self.hop(
@@ -320,14 +305,14 @@ impl<'a> MotTracker<'a> {
         let mut cost = 0.0;
         let mut cur = from_node;
         for level in (0..from_level).rev() {
-            let tl = &rec.trail[level];
+            let tl = rec.trail[level];
+            let holders = tl.holders(self.overlay, level);
             // The hop goes to the nearest holder by (distance, id). The
             // holders are `station(tl.origin, level)`, so when `cur` is
             // on that origin's path the overlay knows which one that is.
             let (d, next) = match self.overlay.drop_hop(tl.origin, level, cur) {
-                Some(drop) => (drop.nearest_dist, tl.holders[drop.nearest]),
-                None => tl
-                    .holders
+                Some(drop) => (drop.nearest_dist, holders[drop.nearest]),
+                None => holders
                     .iter()
                     .map(|&hnode| (self.oracle.dist(cur, hnode), hnode))
                     .min_by(|a, b| {
@@ -346,10 +331,27 @@ impl<'a> MotTracker<'a> {
         cost
     }
 
+    /// Releases one entry's charge at `holder`.
+    #[inline]
+    fn release(&mut self, holder: NodeId) {
+        self.load[holder.index()] = self.load[holder.index()].saturating_sub(1);
+    }
+
     /// Whether `node` currently holds `o` in its level-`level` detection
     /// list (committed state; used by the concurrent execution engine).
     pub fn holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool {
-        self.stores.dl_has(node, level, o)
+        self.records
+            .get(&o)
+            .is_some_and(|rec| rec.holds(self.overlay, node, level))
+    }
+
+    /// The canonical SDL entry `node` keeps for `o` — the minimum
+    /// `(guarded level, child)` pair over the live guards it hosts — or
+    /// `None` when it guards nothing for `o`.
+    pub fn guard(&self, node: NodeId, o: ObjectId) -> Option<(usize, NodeId)> {
+        self.records
+            .get(&o)
+            .and_then(|rec| rec.guard(self.overlay, node))
     }
 
     /// Cost of descending the current trail of `o` from `(node, level)`
@@ -370,18 +372,12 @@ impl<'a> MotTracker<'a> {
     /// `None` when this probe misses (committed state).
     pub fn locate_cost(&self, node: NodeId, _level: usize, o: ObjectId) -> Option<f64> {
         let rec = self.records.get(&o)?;
-        if let Some(found_level) = self.stores.dl_lowest_level(node, o) {
-            return Some(self.descend(rec, o, node, found_level, None));
-        }
-        if self.cfg.use_special_parents {
-            if let Some((guarded_level, child)) = self.stores.sdl_get(node, o) {
-                return Some(
-                    self.oracle.dist(node, child)
-                        + self.descend(rec, o, child, guarded_level, None),
-                );
+        Some(match rec.probe(self.overlay, node)? {
+            Probe::Dl(found_level) => self.descend(rec, o, node, found_level, None),
+            Probe::Sdl(guarded_level, child) => {
+                self.oracle.dist(node, child) + self.descend(rec, o, child, guarded_level, None)
             }
-        }
-        None
+        })
     }
 
     /// Climbs `DPath(proxy)` from scratch, installing a complete trail
@@ -403,21 +399,17 @@ impl<'a> MotTracker<'a> {
         let mut cur = proxy;
         let mut trail = Vec::with_capacity(h + 1);
         for level in 0..=h {
-            let station = overlay.station(proxy, level);
-            let mut tl = self.take_level(proxy);
-            for (j, &s) in station.iter().enumerate() {
+            let tl = self.new_level(proxy, level);
+            for (j, &s) in tl.holders(overlay, level).iter().enumerate() {
                 let d = overlay.hop_in(proxy, level, j);
                 cost += d;
                 self.hop(op, TracePhase::Climb, ledger, o, cur, s, level, d);
                 cur = s;
                 let (holder, lb_cost) = self.placement_traced(s, level, o, op, ledger);
                 cost += lb_cost;
-                self.stores.dl_add(s, level, o, holder);
-                tl.holders.push(s);
-                let (entry, sp_cost) = self.install_sp(proxy, level, j, s, o, op, ledger);
-                cost += sp_cost;
-                if let Some(e) = entry {
-                    tl.sp_entries.push(e);
+                self.load[holder.index()] += 1;
+                if tl.guarded {
+                    cost += self.install_sp(proxy, level, j, s, o, op, ledger);
                 }
             }
             trail.push(tl);
@@ -443,12 +435,12 @@ impl<'a> MotTracker<'a> {
             .find(|s| self.down[s.index()])
     }
 
-    /// The first node on `o`'s recorded trail whose DL entry was lost to
-    /// a crash (or that is itself still down), if any.
-    fn damage_in(&self, o: ObjectId, rec: &ObjectRecord) -> Option<NodeId> {
+    /// The first node on a recorded trail whose DL entry was lost to a
+    /// crash (or that is itself still down), if any.
+    fn damage_in(&self, rec: &ObjectRecord) -> Option<NodeId> {
         for (level, tl) in rec.trail.iter().enumerate() {
-            for &hnode in &tl.holders {
-                if self.down[hnode.index()] || !self.stores.dl_has(hnode, level, o) {
+            for &hnode in tl.holders(self.overlay, level) {
+                if self.down[hnode.index()] || rec.is_lost(level, hnode) {
                     return Some(hnode);
                 }
             }
@@ -481,22 +473,21 @@ impl<'a> MotTracker<'a> {
         // Scrub the surviving entries of the damaged trail. These are
         // local state drops (the dead node's entries are already gone);
         // the messages billed are the re-publish climb below.
+        let overlay = self.overlay;
         for (level, tl) in rec.trail.iter().enumerate() {
-            for &hnode in &tl.holders {
-                let (holder, _) = self.placement(hnode, level, o);
-                self.stores.dl_remove(hnode, level, o, holder);
+            for &hnode in tl.holders(overlay, level) {
+                if !rec.is_lost(level, hnode) {
+                    self.release(self.holder_of(hnode, level, o));
+                }
             }
-            for &e in &tl.sp_entries {
-                self.stores.sdl_remove(e, level, o);
+            for e in tl.guards(overlay, level) {
+                if !rec.is_lost(level, e.host) {
+                    self.release(self.holder_of(e.host, overlay.sp_level(level), o));
+                }
             }
-        }
-        // The scrubbed levels feed the freelist so the re-publish climb
-        // below allocates nothing.
-        for tl in rec.trail {
-            self.recycle_level(tl);
         }
         let (trail, cost) = self.build_trail(o, proxy, OpKind::Repair, LedgerKind::Repair);
-        self.records.insert(o, ObjectRecord { trail });
+        self.records.insert(o, ObjectRecord::new(trail));
         self.repair_spent += cost;
         self.emit_op(OpKind::Repair, o, cost);
         Ok(cost)
@@ -533,20 +524,17 @@ impl<'a> MotTracker<'a> {
         {
             let (holder, lb_cost) = self.placement_traced(to, 0, o, op, ledger);
             cost += lb_cost;
-            self.stores.dl_add(to, 0, o, holder);
-            let mut tl = self.take_level(to);
-            tl.holders.push(to);
-            let (entry, sp_cost) = self.install_sp(to, 0, 0, to, o, op, ledger);
-            cost += sp_cost;
-            if let Some(e) = entry {
-                tl.sp_entries.push(e);
+            self.load[holder.index()] += 1;
+            let tl = self.new_level(to, 0);
+            if tl.guarded {
+                cost += self.install_sp(to, 0, 0, to, o, op, ledger);
             }
             new_levels.push(tl);
         }
         let mut meet: Option<(usize, NodeId)> = None;
         'climb: for level in 1..=h {
-            let station = overlay.station(to, level);
-            let mut tl = self.take_level(to);
+            let tl = self.new_level(to, level);
+            let station = tl.holders(overlay, level);
             for (j, &s) in station.iter().enumerate() {
                 let d = overlay.hop_in(to, level, j);
                 cost += d;
@@ -556,7 +544,7 @@ impl<'a> MotTracker<'a> {
                 // cluster in load-balanced mode.
                 let (holder, lb_cost) = self.placement_traced(s, level, o, op, ledger);
                 cost += lb_cost;
-                if self.stores.dl_has(s, level, o) {
+                if rec.holds(overlay, s, level) {
                     // Found the lowest ancestor already holding o: the
                     // insert stops here (Algorithm 1, line 9). Additions
                     // made at the meet level before the holder was found
@@ -564,35 +552,30 @@ impl<'a> MotTracker<'a> {
                     // level remains the complete parent set of a single
                     // origin — the invariant that keeps the distributed
                     // (message-passing) rendering's routing state exact.
-                    // sp_entries, when present, pair positionally with
-                    // holders (SP applicability depends only on the level).
-                    debug_assert!(
-                        tl.sp_entries.is_empty() || tl.sp_entries.len() == tl.holders.len()
-                    );
                     let mut back = s;
-                    for ri in (0..tl.holders.len()).rev() {
-                        let rs = tl.holders[ri];
+                    for ri in (0..j).rev() {
+                        let rs = station[ri];
                         let d = overlay.hop_back(to, level, ri + 1);
                         cost += d;
                         self.hop(op, TracePhase::Rollback, ledger, o, back, rs, level, d);
                         back = rs;
                         let (h2, lb2) = self.placement_traced(rs, level, o, op, ledger);
                         cost += lb2;
-                        self.stores.dl_remove(rs, level, o, h2);
-                        if let Some(&e) = tl.sp_entries.get(ri) {
-                            cost += self.remove_sp(e, level, o, op, ledger);
+                        self.release(h2);
+                        if tl.guarded {
+                            let e = SpEntry {
+                                host: overlay.sp_host(to, level, ri),
+                                child: rs,
+                            };
+                            cost += self.remove_sp(e, true, level, o, op, ledger);
                         }
                     }
                     meet = Some((level, s));
-                    self.recycle_level(tl);
                     break 'climb;
                 }
-                self.stores.dl_add(s, level, o, holder);
-                tl.holders.push(s);
-                let (entry, sp_cost) = self.install_sp(to, level, j, s, o, op, ledger);
-                cost += sp_cost;
-                if let Some(e) = entry {
-                    tl.sp_entries.push(e);
+                self.load[holder.index()] += 1;
+                if tl.guarded {
+                    cost += self.install_sp(to, level, j, s, o, op, ledger);
                 }
             }
             new_levels.push(tl);
@@ -602,9 +585,8 @@ impl<'a> MotTracker<'a> {
         // ---- delete: walk the stale trail below the meet downward ------
         let mut dcur = meet_node;
         for level in (0..meet_level).rev() {
-            let tl = std::mem::take(&mut rec.trail[level]);
-            debug_assert_eq!(tl.holders, overlay.station(tl.origin, level));
-            for (i, &hnode) in tl.holders.iter().enumerate() {
+            let tl = rec.trail[level];
+            for (i, &hnode) in tl.holders(overlay, level).iter().enumerate() {
                 // Only the hop down from the level above can join two
                 // different detection paths; the rest — and that one
                 // too when `dcur` is on this level's own path — are
@@ -622,67 +604,93 @@ impl<'a> MotTracker<'a> {
                 dcur = hnode;
                 let (holder, lb_cost) = self.placement_traced(hnode, level, o, op, ledger);
                 cost += lb_cost;
-                self.stores.dl_remove(hnode, level, o, holder);
+                if !rec.is_lost(level, hnode) {
+                    self.release(holder);
+                }
             }
-            for &e in &tl.sp_entries {
-                cost += self.remove_sp(e, level, o, op, ledger);
+            for e in tl.guards(overlay, level) {
+                let live = !rec.is_lost(level, e.host);
+                cost += self.remove_sp(e, live, level, o, op, ledger);
             }
-            self.recycle_level(tl);
         }
 
         // ---- splice the new fragment under the old upper trail ---------
-        // Write the fresh fragment (levels 0..meet_level-1) over the
-        // scrubbed slots of the record's existing trail vector, keeping
-        // both the trail vector and the fragment buffer alive across
-        // moves (capacity-only reuse, DESIGN.md §16).
         debug_assert_eq!(new_levels.len(), meet_level);
-        for (level, tl) in new_levels.drain(..).enumerate() {
-            rec.trail[level] = tl;
-        }
+        rec.trail[..meet_level].copy_from_slice(&new_levels);
+        rec.clear_lost_below(meet_level);
+        new_levels.clear();
         self.frag_buf = new_levels;
-        debug_assert_eq!(rec.trail.len(), h + 1);
         self.emit_op(OpKind::Move, o, cost);
         Ok(MoveOutcome { from, cost })
+    }
+
+    /// Each node's count of the live entries the trails list as charged
+    /// to it — what its load must read.
+    fn charged_loads(&self) -> Vec<usize> {
+        let overlay = self.overlay;
+        let mut charged = vec![0usize; self.load.len()];
+        for (&o, rec) in &self.records {
+            for (level, tl) in rec.trail.iter().enumerate() {
+                for &hnode in tl.holders(overlay, level) {
+                    if !rec.is_lost(level, hnode) {
+                        charged[self.holder_of(hnode, level, o).index()] += 1;
+                    }
+                }
+                for e in tl.guards(overlay, level) {
+                    if !rec.is_lost(level, e.host) {
+                        let holder = self.holder_of(e.host, overlay.sp_level(level), o);
+                        charged[holder.index()] += 1;
+                    }
+                }
+            }
+        }
+        charged
     }
 
     /// Verifies the structural invariants of every object record; used by
     /// tests and exposed for the simulator's sanity sweeps. Panics with a
     /// description on violation.
     pub fn check_invariants(&self) {
-        let h = self.overlay.height();
+        let overlay = self.overlay;
+        let h = overlay.height();
         for (&o, rec) in &self.records {
             assert_eq!(rec.trail.len(), h + 1, "{o:?}: trail height mismatch");
             assert_eq!(
-                rec.trail[0].holders.len(),
-                1,
-                "{o:?}: proxy level must be single"
+                rec.trail[0].holders(overlay, 0),
+                [rec.proxy()],
+                "{o:?}: the proxy level must be the proxy alone"
             );
             for (level, tl) in rec.trail.iter().enumerate() {
-                assert!(!tl.holders.is_empty(), "{o:?}: empty trail level {level}");
-                assert_eq!(
-                    tl.holders,
-                    self.overlay.station(tl.origin, level),
-                    "{o:?}: level {level} is not the station of its origin {}",
-                    tl.origin
+                let holders = tl.holders(overlay, level);
+                // Only a crash handoff leaves a level unguarded that
+                // special parents would guard: the bottom one.
+                assert!(
+                    tl.guarded == self.new_level(tl.origin, level).guarded
+                        || (level == 0 && !tl.guarded),
+                    "{o:?}: level {level} guarded {}",
+                    tl.guarded
                 );
-                for &hnode in &tl.holders {
+                for &hnode in holders {
                     assert!(
-                        self.stores.dl_has(hnode, level, o),
+                        !rec.is_lost(level, hnode),
                         "{o:?}: trail holder {hnode} lost its level-{level} DL entry"
                     );
                 }
                 // Every junction from the level above that the overlay
                 // answers must read what the oracle would have said.
-                let above = rec.trail.get(level + 1).map_or(&[][..], |up| &up.holders);
+                let above = rec
+                    .trail
+                    .get(level + 1)
+                    .map_or(&[][..], |up| up.holders(overlay, level + 1));
                 for &from in above {
-                    let Some(drop) = self.overlay.drop_hop(tl.origin, level, from) else {
+                    let Some(drop) = overlay.drop_hop(tl.origin, level, from) else {
                         continue;
                     };
                     let dist = |to: NodeId| self.oracle.dist(from, to).to_bits();
-                    let nearest = tl.holders[drop.nearest];
+                    let nearest = holders[drop.nearest];
                     assert_eq!(
                         (drop.first.to_bits(), drop.nearest_dist.to_bits()),
-                        (dist(tl.holders[0]), dist(nearest)),
+                        (dist(holders[0]), dist(nearest)),
                         "{o:?}: stored drop {from} -> level {level} of {} differs from the oracle",
                         tl.origin
                     );
@@ -691,15 +699,24 @@ impl<'a> MotTracker<'a> {
                         d < drop.nearest_dist || (d == drop.nearest_dist && to < nearest)
                     };
                     assert!(
-                        !tl.holders.iter().any(closer),
+                        !holders.iter().any(closer),
                         "{o:?}: {nearest} is not the holder nearest {from} at level {level}"
                     );
                 }
             }
-            let root = self.overlay.root();
+            let root = overlay.root();
             assert!(
-                rec.trail[h].holders.contains(&root),
+                rec.trail[h].holders(overlay, h).contains(&root),
                 "{o:?}: root dropped from the trail"
+            );
+        }
+        // A crash releases the entries of the node that stored them, which
+        // under load balancing is not the node they are charged to.
+        if self.clusters.is_none() || !self.ever_crashed {
+            assert_eq!(
+                self.load,
+                self.charged_loads(),
+                "node loads differ from the live entries the trails list"
             );
         }
     }
@@ -723,7 +740,7 @@ impl Tracker for MotTracker<'_> {
             return Err(CoreError::NodeDown(s));
         }
         let (trail, cost) = self.build_trail(o, proxy, OpKind::Publish, LedgerKind::Publish);
-        self.records.insert(o, ObjectRecord { trail });
+        self.records.insert(o, ObjectRecord::new(trail));
         self.emit_op(OpKind::Publish, o, cost);
         Ok(cost)
     }
@@ -744,7 +761,7 @@ impl Tracker for MotTracker<'_> {
         }
         // The record is looked up once and edited in place. The table
         // steps out of `self` meanwhile, because the climb below borrows
-        // the whole tracker mutably (stores, freelists) and never reads
+        // the whole tracker mutably (loads, fragment buffer) and never reads
         // `records`; moving an `IdMap` is four words and no allocation.
         let mut records = std::mem::take(&mut self.records);
         let out = match records.get_mut(&o) {
@@ -761,7 +778,7 @@ impl Tracker for MotTracker<'_> {
         if self.ever_crashed {
             // A read-only query cannot repair; surface the dead node so
             // a mutable caller can run `repair_object` and retry.
-            if let Some(s) = self.damage_in(o, rec) {
+            if let Some(s) = self.damage_in(rec) {
                 return Err(CoreError::NodeDown(s));
             }
             if let Some(s) = self.path_blocked(from) {
@@ -774,6 +791,7 @@ impl Tracker for MotTracker<'_> {
         let h = self.overlay.height();
         let mut cost = 0.0;
         let mut cur = from;
+        let prober = rec.prober(self.overlay);
         for level in 0..=h {
             for (j, &s) in self.overlay.station(from, level).iter().enumerate() {
                 let d = self.overlay.hop_in(from, level, j);
@@ -786,23 +804,22 @@ impl Tracker for MotTracker<'_> {
                 // is cheapest.
                 let (_, lb_cost) = self.placement_traced(s, level, o, op, ledger);
                 cost += lb_cost;
-                if let Some(found_level) = self.stores.dl_lowest_level(s, o) {
-                    cost += self.descend(rec, o, s, found_level, Some((op, ledger)));
-                    self.emit_op(op, o, cost);
-                    return Ok(QueryResult { proxy, cost });
-                }
-                if self.cfg.use_special_parents {
-                    if let Some((guarded_level, child)) = self.stores.sdl_get(s, o) {
+                match prober.probe(s) {
+                    Some(Probe::Dl(found_level)) => {
+                        cost += self.descend(rec, o, s, found_level, Some((op, ledger)));
+                    }
+                    Some(Probe::Sdl(guarded_level, child)) => {
                         // Jump to the special child, then follow its DL
                         // trail down (Algorithm 1, line 24).
                         let jump = self.oracle.dist(s, child);
                         cost += jump;
                         self.hop(op, TracePhase::SdlJump, ledger, o, s, child, level, jump);
                         cost += self.descend(rec, o, child, guarded_level, Some((op, ledger)));
-                        self.emit_op(op, o, cost);
-                        return Ok(QueryResult { proxy, cost });
                     }
+                    None => continue,
                 }
+                self.emit_op(op, o, cost);
+                return Ok(QueryResult { proxy, cost });
             }
         }
         unreachable!("the root station always resolves a published object")
@@ -813,7 +830,7 @@ impl Tracker for MotTracker<'_> {
     }
 
     fn node_loads(&self) -> Vec<usize> {
-        self.stores.loads().to_vec()
+        self.load.clone()
     }
 
     fn crash_node(&mut self, u: NodeId) {
@@ -823,18 +840,26 @@ impl Tracker for MotTracker<'_> {
         self.down[u.index()] = true;
         self.down_count += 1;
         self.ever_crashed = true;
-        self.stores.wipe_node(u);
+        // Every entry stored at `u` is lost. Load accounting assumes
+        // entries are charged to the node that stores them (plain mode);
+        // the fault model does not compose with load-balanced placement,
+        // whose entries live on hashed cluster members.
+        //
         // Graceful degradation: objects proxied at the crashed sensor
         // are re-detected by the nearest live sensor, which takes over
         // as proxy immediately (one handoff hop, billed as repair). The
         // rest of the pointer path is re-published lazily by the next
         // operation that notices the damage.
-        let mut orphaned: Vec<ObjectId> = self
-            .records
-            .iter()
-            .filter(|(_, rec)| rec.proxy() == u)
-            .map(|(&o, _)| o)
-            .collect();
+        let overlay = self.overlay;
+        let mut wiped = 0;
+        let mut orphaned = Vec::new();
+        for (&o, rec) in &mut self.records {
+            wiped += rec.mark_lost(overlay, u);
+            if rec.proxy() == u {
+                orphaned.push(o);
+            }
+        }
+        self.load[u.index()] = self.load[u.index()].saturating_sub(wiped);
         orphaned.sort();
         if orphaned.is_empty() {
             return;
@@ -856,21 +881,24 @@ impl Tracker for MotTracker<'_> {
                 d,
             );
             self.emit_op(OpKind::Repair, o, d);
-            let (holder, _) = self.placement(next, 0, o);
-            let old_sp = {
-                let rec = self
-                    .records
-                    .get_mut(&o)
-                    .expect("orphan ids come from records");
-                rec.trail[0].origin = next;
-                rec.trail[0].holders = vec![next];
-                std::mem::take(&mut rec.trail[0].sp_entries)
-            };
-            self.stores.dl_add(next, 0, o, holder);
-            for e in old_sp {
-                // Old guards point at the dead proxy; drop them locally.
-                self.stores.sdl_remove(e, 0, o);
+            // The proxy level is never balanced: `next` stores its entry.
+            self.load[next.index()] += 1;
+            // Old guards point at the dead proxy; drop them locally.
+            let bottom = self.records[&o].trail[0];
+            for e in bottom.guards(overlay, 0) {
+                if !self.records[&o].is_lost(0, e.host) {
+                    self.release(self.holder_of(e.host, overlay.sp_level(0), o));
+                }
             }
+            let rec = self
+                .records
+                .get_mut(&o)
+                .expect("orphan ids come from records");
+            rec.trail[0] = TrailLevel {
+                origin: next,
+                guarded: false,
+            };
+            rec.clear_lost_below(1);
         }
     }
 
@@ -887,7 +915,7 @@ impl Tracker for MotTracker<'_> {
         }
         let damaged = {
             let rec = self.records.get(&o).ok_or(CoreError::UnknownObject(o))?;
-            self.damage_in(o, rec).is_some()
+            self.damage_in(rec).is_some()
         };
         if !damaged {
             return Ok(0.0);
@@ -1032,52 +1060,139 @@ mod tests {
     }
 
     #[test]
-    fn random_walk_spills_sdl_slots_and_drains_them_back() {
-        // A special parent that guards one object through several
-        // children keeps them in one slot: the first pair inline, the
-        // rest spilled. A long walk must take slots both ways, in
-        // whatever order the moves happen to install and remove guards.
+    fn crash_walk_keeps_loads_equal_to_the_live_trail_entries() {
+        // Crashes, recoveries, moves, queries and repairs in a seeded
+        // mix: at every step each node's load is exactly the number of
+        // live entries the trails list at it — lost ones release nothing
+        // when a prune, scrub or handoff later removes them.
         let f = fixture(8, 8);
         let mut t = MotTracker::new(&f.overlay, &f.m, MotConfig::plain());
         let mut rng = ChaCha8Rng::seed_from_u64(19);
-        let mut proxies: Vec<NodeId> = (0..6).map(|_| NodeId(rng.gen_range(0..64))).collect();
-        for (i, &p) in proxies.iter().enumerate() {
-            t.publish(ObjectId(i as u32), p).unwrap();
+        let objects: Vec<ObjectId> = (0..24).map(ObjectId).collect();
+        for &o in &objects {
+            t.publish(o, NodeId(rng.gen_range(0..64))).unwrap();
         }
-        let mut widest = 0;
-        let mut drained = 0;
-        let mut before = t.stores.sdl_spilled();
-        for step in 0..2000 {
-            let i = rng.gen_range(0..proxies.len());
-            let o = ObjectId(i as u32);
-            let nbrs = f.g.neighbors(proxies[i]);
-            proxies[i] = nbrs[rng.gen_range(0..nbrs.len())].to;
-            t.move_object(o, proxies[i]).unwrap();
-            let after = t.stores.sdl_spilled();
-            widest = widest.max(after.iter().map(|s| s.2).max().unwrap_or(0));
-            // A slot that was spilled before this move and is not now
-            // went back to its inline pair (or away altogether).
-            let gone =
-                |s: &&(NodeId, ObjectId, usize)| !after.iter().any(|a| (a.0, a.1) == (s.0, s.1));
-            let newly_drained = before.iter().filter(gone).count();
-            if newly_drained > 0 || step % 97 == 0 {
-                drained += newly_drained;
-                t.check_invariants();
-                let from = NodeId(rng.gen_range(0..64));
-                assert_eq!(t.query(from, o).unwrap().proxy, proxies[i], "step {step}");
-                // The stores hold exactly the guards the trails list.
-                let listed: usize = t
-                    .records
-                    .values()
-                    .flat_map(|rec| &rec.trail)
-                    .map(|tl| tl.sp_entries.len())
-                    .sum();
-                assert_eq!(t.stores.total_sdl_entries(), listed, "step {step}");
+        let (mut down, mut moved_past_lost, mut answered) = (Vec::new(), 0, 0);
+        for step in 0..1500 {
+            let o = objects[rng.gen_range(0..objects.len())];
+            match rng.gen_range(0..10) {
+                0 if down.len() < 2 => {
+                    let v = NodeId(rng.gen_range(0..64));
+                    t.crash_node(v);
+                    down.push(v);
+                }
+                1 if !down.is_empty() => t.recover_node(down.swap_remove(0)),
+                2 => {
+                    let _ = t.repair_object(o);
+                }
+                3..=5 => match t.query(NodeId(rng.gen_range(0..64)), o) {
+                    Ok(q) => {
+                        assert_eq!(Some(q.proxy), t.proxy_of(o), "step {step}");
+                        answered += 1;
+                    }
+                    Err(e) => assert!(matches!(e, CoreError::NodeDown(_)), "{e:?}"),
+                },
+                _ => {
+                    let rec = &t.records[&o];
+                    let lost_guard = rec.trail.iter().enumerate().any(|(level, tl)| {
+                        tl.guards(&f.overlay, level)
+                            .any(|e| rec.is_lost(level, e.host))
+                    });
+                    let nbrs = f.g.neighbors(t.proxy_of(o).unwrap());
+                    let to = nbrs[rng.gen_range(0..nbrs.len())].to;
+                    if t.move_object(o, to).is_ok() && lost_guard {
+                        moved_past_lost += 1;
+                    }
+                }
             }
-            before = after;
+            assert_eq!(t.node_loads(), t.charged_loads(), "step {step}");
         }
-        assert!(widest >= 3, "no slot ever held three guards ({widest})");
-        assert!(drained >= 10, "only {drained} spilled slots drained back");
+        for v in down {
+            t.recover_node(v);
+        }
+        for &o in &objects {
+            t.repair_object(o).unwrap();
+        }
+        t.check_invariants();
+        assert!(answered > 200, "only {answered} queries answered");
+        assert!(
+            moved_past_lost > 10,
+            "only {moved_past_lost} moves ran on a trail with a lost guard"
+        );
+    }
+
+    #[test]
+    fn a_recovered_holder_keeps_failing_queries_until_the_object_is_repaired() {
+        let f = fixture(8, 8);
+        let mut t = MotTracker::new(&f.overlay, &f.m, MotConfig::plain());
+        let o = ObjectId(0);
+        t.publish(o, NodeId(9)).unwrap();
+        let u = (0..64)
+            .map(NodeId::from_index)
+            .find(|&v| v != NodeId(9) && (1..=f.overlay.height()).any(|l| t.holds(v, l, o)))
+            .expect("a published trail has internal holders");
+        let load = t.node_loads()[u.index()];
+        t.crash_node(u);
+        assert_eq!(
+            t.node_loads()[u.index()],
+            0,
+            "the crash wiped {load} entries"
+        );
+        t.recover_node(u);
+        // Recovery brings the sensor back, not what it stored: every read
+        // names it, and reads repair nothing.
+        for from in [NodeId(0), NodeId(63), u, NodeId(9)] {
+            assert_eq!(t.query(from, o), Err(CoreError::NodeDown(u)), "from {from}");
+        }
+        assert!((1..=f.overlay.height()).all(|l| !t.holds(u, l, o)));
+        assert!(t.repair_object(o).unwrap() > 0.0);
+        assert_eq!(t.query(NodeId(63), o).unwrap().proxy, NodeId(9));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn a_guard_lost_at_a_crashed_host_is_never_used_by_a_query() {
+        use crate::trace::MemorySink;
+        let f = fixture(8, 8);
+        let sink = MemorySink::new();
+        let mut t = MotTracker::new(&f.overlay, &f.m, MotConfig::plain()).with_sink(&sink);
+        let o = ObjectId(0);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut proxy = NodeId(27);
+        t.publish(o, proxy).unwrap();
+        // Walk until some host guards `o` but holds no DL entry for it:
+        // its crash damages no holder, so queries still run on the trail.
+        let guard_only = |t: &MotTracker| {
+            (0..64).map(NodeId::from_index).find(|&v| {
+                t.guard(v, o).is_some() && (0..=f.overlay.height()).all(|l| !t.holds(v, l, o))
+            })
+        };
+        let mut host = None;
+        for _ in 0..500 {
+            let nbrs = f.g.neighbors(proxy);
+            proxy = nbrs[rng.gen_range(0..nbrs.len())].to;
+            t.move_object(o, proxy).unwrap();
+            host = guard_only(&t);
+            if host.is_some() {
+                break;
+            }
+        }
+        let host = host.expect("a fragmented trail has a guard-only host");
+        let jumps_from = |sink: &MemorySink| {
+            sink.events()
+                .iter()
+                .filter(|e| e.phase == TracePhase::SdlJump && e.src == host)
+                .count()
+        };
+        t.query(host, o).unwrap();
+        assert_eq!(jumps_from(&sink), 1, "the live guard answers at its host");
+        t.crash_node(host);
+        t.recover_node(host);
+        assert_eq!(t.guard(host, o), None);
+        for from in f.g.nodes() {
+            assert_eq!(t.query(from, o).unwrap().proxy, proxy, "from {from}");
+        }
+        assert_eq!(jumps_from(&sink), 1, "a lost guard was used");
     }
 
     #[test]
@@ -1410,9 +1525,9 @@ mod tests {
                     );
                     if e.phase == TracePhase::Descend {
                         // A query leaves the trail as it found it.
-                        let tl = &t.records[&o].trail[e.level as usize];
+                        let tl = t.records[&o].trail[e.level as usize];
                         let nearest = tl
-                            .holders
+                            .holders(&overlay, e.level as usize)
                             .iter()
                             .map(|&hnode| (m.dist(e.src, hnode), hnode))
                             .min_by(|a, b| a.partial_cmp(b).unwrap());

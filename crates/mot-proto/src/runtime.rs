@@ -242,6 +242,12 @@ impl<'a> ProtoTracker<'a> {
         self.inner.borrow().nodes[node.index()].holds(o, level)
     }
 
+    /// `node`'s canonical SDL entry for `o`, as `(guarded level, child)`
+    /// (for differential tests).
+    pub fn sdl_entry(&self, node: NodeId, o: ObjectId) -> Option<(usize, NodeId)> {
+        self.inner.borrow().nodes[node.index()].sdl_entry(o)
+    }
+
     /// Total reply (result delivery) distance accumulated so far.
     pub fn reply_distance(&self) -> f64 {
         self.inner.borrow().reply_distance

@@ -3,7 +3,8 @@
 //!
 //! Both are renderings of the same algorithm over the same overlay, so on
 //! identical workloads they must agree *exactly*: same proxies, identical
-//! detection-list state at every (node, level), identical per-node loads,
+//! detection-list state at every (node, level), the same canonical SDL
+//! entry at every (node, object), identical per-node loads,
 //! and equal operation costs (maintenance to the last bit; queries too,
 //! since both use the same canonical probing and nearest-holder descent).
 
@@ -31,15 +32,19 @@ fn env(g: Graph, seed: u64, cfg: &OverlayConfig) -> Env {
 
 fn assert_state_identical(env: &Env, direct: &MotTracker, proto: &ProtoTracker, objects: u32) {
     for node in env.graph.nodes() {
-        for level in 0..=env.overlay.height() {
-            for o in 0..objects {
-                let o = ObjectId(o);
+        for o in (0..objects).map(ObjectId) {
+            for level in 0..=env.overlay.height() {
                 assert_eq!(
                     direct.holds(node, level, o),
                     proto.holds(node, level, o),
                     "DL divergence at node {node}, level {level}, object {o}"
                 );
             }
+            assert_eq!(
+                direct.guard(node, o),
+                proto.sdl_entry(node, o),
+                "SDL divergence at node {node}, object {o}"
+            );
         }
     }
     assert_eq!(direct.node_loads(), proto.node_loads(), "load divergence");

@@ -64,6 +64,11 @@ fn proto_and_direct_agree_on_random_walks() {
                     "case {case}: DL divergence at {node} level {level}"
                 );
             }
+            assert_eq!(
+                direct.guard(node, o),
+                proto.sdl_entry(node, o),
+                "case {case}: SDL divergence at {node}"
+            );
         }
         assert_eq!(direct.node_loads(), proto.node_loads(), "case {case}");
 

@@ -139,8 +139,8 @@ fn direct_tracker_moves_and_queries_allocate_next_to_nothing() {
         }
     };
 
-    // Warm-up: trail vectors, the level freelist and every node's maps
-    // reach their high-water capacities.
+    // Warm-up: the move's fragment buffer reaches its high-water
+    // capacity.
     walk(&mut t, &mut rng);
 
     let before = allocs();
@@ -154,9 +154,10 @@ fn direct_tracker_moves_and_queries_allocate_next_to_nothing() {
     }
     let in_queries = allocs() - before;
 
-    // With a `Vec` per SDL slot this read 0.447 a move: every special
-    // parent installed was one allocation. What is left is the rare
-    // slot that spills and a node's map growing past its old capacity.
+    // A trail level is its origin (holders and guards are overlay
+    // stations), so a move's writes are load counts and a steady-state
+    // move allocates nothing. With a `Vec` per SDL slot this read 0.447
+    // a move: every special parent installed was one allocation.
     assert!(
         per_move <= 0.05,
         "a steady-state move allocates {per_move:.3} times; \
