@@ -1,11 +1,11 @@
 //! Message-pruning-tree semantics shared by every baseline.
 //!
 //! A tracking tree spans all sensors. For each object, the nodes holding
-//! it in their detection sets are exactly the tree ancestors of its proxy.
+//! it (its detection chain) are exactly the tree ancestors of its proxy.
 //! A move climbs from the new proxy to the lowest ancestor that already
 //! knows the object (the LCA with the old proxy's path), then prunes the
 //! stale branch downward; a query climbs to the first ancestor that knows
-//! the object and descends the detection chain. Tree edges may be logical
+//! the object and descends the chain. Tree edges may be logical
 //! (representative-to-representative), so each hop costs the shortest-path
 //! distance between its endpoints. The tree is fixed, so those lengths
 //! are constants: the tracker reads each parent edge from the oracle once
@@ -13,17 +13,26 @@
 //! the stored values. Only the shortcut jump and the crash handoff, whose
 //! endpoints are not a tree edge, ask the oracle on the op path.
 //!
-//! Detection sets, the proxy table and the crash-dirty set are keyed by
-//! `ObjectId` and probed at every tree hop, so they are
-//! [`mot_net::IdSet`]s / [`mot_net::IdMap`]s (one multiply per probe,
-//! DESIGN.md §13) — the same tables, under the same hasher, as the MOT
-//! tracker they are measured against.
+//! The chain is derived, not stored: the tree keeps each node's pre-order
+//! interval, so "`u` holds `o`" is one O(1) test, `u` an ancestor of the
+//! proxy (`TrackingTree::is_ancestor`). The proxy table is a clean
+//! object's only state; writes move only the per-node load counts.
+//!
+//! Crash rule: a crash breaks the chain of every object the sensor held.
+//! Each gets a dirty entry listing the exact nodes that still hold it —
+//! the proxy's ancestors, less crashed holders, plus the live sensor a
+//! crashed proxy handed it to. Queries name the break; the next move or
+//! repair releases exactly the listed holders and climbs a fresh chain.
+//! Recovery restores the sensor, not what it held.
+//!
+//! The proxy table and the dirty map are [`mot_net::IdMap`]s (one
+//! multiply per probe, DESIGN.md §13), as in the MOT tracker.
 
 use mot_core::{
     CoreError, LedgerKind, MoveOutcome, ObjectId, OpKind, QueryResult, TraceEvent, TracePhase,
     TraceSink, Tracker,
 };
-use mot_net::{DistanceOracle, IdMap, IdSet, NodeId};
+use mot_net::{DistanceOracle, IdMap, NodeId};
 use std::cell::Cell;
 
 /// A rooted spanning tree over the sensor nodes.
@@ -32,6 +41,10 @@ pub struct TrackingTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,
     depth: Vec<usize>,
+    /// Pre-order interval of each subtree: `d` lies below `a` (or is `a`)
+    /// iff `tin[a] <= tin[d] < tout[a]`.
+    tin: Vec<u32>,
+    tout: Vec<u32>,
 }
 
 impl TrackingTree {
@@ -67,10 +80,31 @@ impl TrackingTree {
                 depth[node] = base + k + 1;
             }
         }
+        // Pre-order intervals without child lists: subtree sizes deepest
+        // first, then each node, shallowest first, takes the next free
+        // slot in its parent's range.
+        let mut by_depth: Vec<usize> = (0..n).collect();
+        by_depth.sort_by_key(|&u| depth[u]);
+        let mut size = vec![1u32; n];
+        for &u in by_depth.iter().rev() {
+            if let Some(p) = parent[u] {
+                size[p.index()] += size[u];
+            }
+        }
+        let (mut tin, mut next) = (vec![0u32; n], vec![1u32; n]);
+        for &u in &by_depth[1..] {
+            let p = parent[u].expect("only the root comes first").index();
+            tin[u] = next[p];
+            next[p] += size[u];
+            next[u] = tin[u] + 1;
+        }
+        let tout = tin.iter().zip(&size).map(|(t, s)| t + s).collect();
         TrackingTree {
             root,
             parent,
             depth,
+            tin,
+            tout,
         }
     }
 
@@ -97,6 +131,20 @@ impl TrackingTree {
     /// Hop depth of `u` below the root.
     pub fn depth(&self, u: NodeId) -> usize {
         self.depth[u.index()]
+    }
+
+    /// Whether `a` is `d` or lies on `d`'s walk to the root, in O(1);
+    /// false when either node is outside the tree.
+    pub(crate) fn is_ancestor(&self, a: NodeId, d: NodeId) -> bool {
+        match (self.tin.get(a.index()), self.tin.get(d.index())) {
+            (Some(&ta), Some(&td)) => ta <= td && td < self.tout[a.index()],
+            _ => false,
+        }
+    }
+
+    /// The walk from `u` up to the root, both included.
+    pub(crate) fn ancestors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(Some(u), |&c| self.parent(c))
     }
 
     /// Tree-path distance from `u` to the root, with each tree hop costed
@@ -144,7 +192,6 @@ impl TrackingTree {
             .fold(0.0, f64::max)
     }
 }
-
 /// Message-pruning-tree tracker: the [`Tracker`] implementation shared by
 /// STUN, DAT, Z-DAT, and Z-DAT+shortcuts.
 pub struct TreeTracker<'a> {
@@ -159,7 +206,7 @@ pub struct TreeTracker<'a> {
     /// reason the overlay's `StationTable` stores both directions of a
     /// hop: a weighted solve may round each direction differently.
     hop_down: Vec<f64>,
-    detection: Vec<IdSet<ObjectId>>,
+    /// A clean object's only state: it is held on the proxy's ancestors.
     proxies: IdMap<ObjectId, NodeId>,
     /// Liu-et-al.-style shortcuts: ancestors keep enough detail that a
     /// located query routes straight (shortest path) to the proxy instead
@@ -171,15 +218,17 @@ pub struct TreeTracker<'a> {
     /// cost ratio degrades (§1.3: "DAB does not take the query cost
     /// into account").
     via_root: bool,
+    /// Number of objects each node holds.
     load: Vec<usize>,
     /// Per-node liveness under the fault model (true = crashed).
     down: Vec<bool>,
     /// Number of nodes currently down (0 ⇒ skip liveness checks).
     down_count: usize,
-    /// Objects that lost a detection entry to a crash and whose chain has
-    /// not been rebuilt yet. Empty on fault-free runs, so those stay
-    /// bit-identical to a build without the fault layer.
-    dirty: IdSet<ObjectId>,
+    /// Objects whose chain a crash broke and that have not been rebuilt
+    /// yet, each with the exact nodes that still hold it. Empty on
+    /// fault-free runs, so those stay bit-identical to a build without
+    /// the fault layer.
+    dirty: IdMap<ObjectId, Vec<NodeId>>,
     /// Message distance spent on crash repair (handoffs + chain rebuilds).
     repair_spent: f64,
     /// Scratch of [`TreeTracker::descend`]: a tree path, bottom first, at
@@ -215,14 +264,13 @@ impl<'a> TreeTracker<'a> {
             oracle,
             hop_up,
             hop_down,
-            detection: vec![IdSet::default(); n],
             proxies: IdMap::default(),
             shortcuts,
             via_root: false,
             load: vec![0; n],
             down: vec![false; n],
             down_count: 0,
-            dirty: IdSet::default(),
+            dirty: IdMap::default(),
             repair_spent: 0.0,
             chain: Cell::default(),
             sink: None,
@@ -301,22 +349,18 @@ impl<'a> TreeTracker<'a> {
         Ok(())
     }
 
-    fn add(&mut self, u: NodeId, o: ObjectId) {
-        if self.detection[u.index()].insert(o) {
-            self.load[u.index()] += 1;
-        }
-    }
-
-    fn remove(&mut self, u: NodeId, o: ObjectId) {
-        if self.detection[u.index()].remove(&o) {
-            self.load[u.index()] -= 1;
-        }
-    }
-
-    /// Whether `u` currently holds `o` in its detection set (committed
-    /// state; used by the concurrent execution engine).
+    /// Whether `u` currently holds `o` (committed state; used by the
+    /// concurrent execution engine): an ancestor of a clean object's
+    /// proxy, or a listed holder of a broken one. False for a node
+    /// outside the tree or an unpublished object.
     pub fn holds(&self, u: NodeId, o: ObjectId) -> bool {
-        self.detection[u.index()].contains(&o)
+        match self.dirty.get(&o) {
+            Some(holders) => holders.contains(&u),
+            None => self
+                .proxies
+                .get(&o)
+                .is_some_and(|&p| self.tree.is_ancestor(u, p)),
+        }
     }
 
     /// The live node nearest to `u` (deterministic tie-break by id) —
@@ -332,16 +376,23 @@ impl<'a> TreeTracker<'a> {
         if self.down_count == 0 {
             return None;
         }
-        let mut cur = v;
-        loop {
-            if self.down[cur.index()] {
-                return Some(cur);
-            }
-            match self.tree.parent(cur) {
-                Some(p) => cur = p,
-                None => return None,
-            }
+        self.tree.ancestors(v).find(|c| self.down[c.index()])
+    }
+
+    /// Bills the climb from `proxy` to the root and charges one load at
+    /// every node of it: the chain a clean object at `proxy` is held on.
+    fn climb_chain(&mut self, o: ObjectId, proxy: NodeId, op: OpKind, ledger: LedgerKind) -> f64 {
+        let mut cost = 0.0;
+        let mut cur = proxy;
+        self.load[cur.index()] += 1;
+        while let Some(p) = self.tree.parent(cur) {
+            let d = self.hop_up[cur.index()];
+            cost += d;
+            self.hop(op, TracePhase::Climb, ledger, o, cur, p, d);
+            cur = p;
+            self.load[cur.index()] += 1;
         }
+        cost
     }
 
     /// Cost of the downward phase of a query that located `o` at `node`,
@@ -367,27 +418,18 @@ impl<'a> TreeTracker<'a> {
         bottom: NodeId,
         mut visit: impl FnMut(NodeId, NodeId, f64),
     ) -> bool {
+        if !self.tree.is_ancestor(top, bottom) {
+            return false;
+        }
         let mut chain = self.chain.take();
-        let mut cur = bottom;
-        let reached = loop {
-            if cur == top {
-                break true;
-            }
-            chain.push(cur);
-            match self.tree.parent(cur) {
-                Some(p) => cur = p,
-                None => break false,
-            }
-        };
-        if reached {
-            for &c in chain.iter().rev() {
-                let p = self.tree.parent(c).expect("a chain node below `top`");
-                visit(p, c, self.hop_down[c.index()]);
-            }
+        chain.extend(self.tree.ancestors(bottom).take_while(|&c| c != top));
+        for &c in chain.iter().rev() {
+            let p = self.tree.parent(c).expect("a chain node below `top`");
+            visit(p, c, self.hop_down[c.index()]);
         }
         chain.clear();
         self.chain.set(chain);
-        reached
+        true
     }
 }
 
@@ -404,24 +446,7 @@ impl Tracker for TreeTracker<'_> {
         if let Some(b) = self.path_blocked(proxy) {
             return Err(CoreError::NodeDown(b));
         }
-        let mut cost = 0.0;
-        let mut cur = proxy;
-        self.add(cur, o);
-        while let Some(p) = self.tree.parent(cur) {
-            let d = self.hop_up[cur.index()];
-            cost += d;
-            self.hop(
-                OpKind::Publish,
-                TracePhase::Climb,
-                LedgerKind::Publish,
-                o,
-                cur,
-                p,
-                d,
-            );
-            cur = p;
-            self.add(cur, o);
-        }
+        let cost = self.climb_chain(o, proxy, OpKind::Publish, LedgerKind::Publish);
         self.proxies.insert(o, proxy);
         self.emit_op(OpKind::Publish, o, cost);
         Ok(cost)
@@ -435,7 +460,7 @@ impl Tracker for TreeTracker<'_> {
         if let Some(b) = self.path_blocked(to) {
             return Err(CoreError::NodeDown(b));
         }
-        if self.dirty.contains(&o) {
+        if self.dirty.contains_key(&o) {
             // Self-repair: rebuild the broken detection chain before the
             // climb, or the prune below would walk into the gap.
             self.repair_object(o)?;
@@ -449,8 +474,8 @@ impl Tracker for TreeTracker<'_> {
         // insert: climb from the new proxy to the first holder (the LCA
         // of the old and new proxies).
         let mut cur = to;
-        while !self.holds(cur, o) {
-            self.add(cur, o);
+        while !self.tree.is_ancestor(cur, from) {
+            self.load[cur.index()] += 1;
             let p = self
                 .tree
                 .parent(cur)
@@ -470,8 +495,8 @@ impl Tracker for TreeTracker<'_> {
         }
         let meet = cur;
         // delete: prune the stale branch from the meet down to `from`,
-        // billed top-down, then drop it from the detection sets.
-        let pruned = self.descend(meet, from, |p, c, d| {
+        // billed top-down, then release its loads.
+        self.descend(meet, from, |p, c, d| {
             cost += d;
             self.hop(
                 OpKind::Move,
@@ -483,11 +508,8 @@ impl Tracker for TreeTracker<'_> {
                 d,
             );
         });
-        assert!(pruned, "the meet must be an ancestor of the old proxy");
-        let mut c = from;
-        while c != meet {
-            self.remove(c, o);
-            c = self.tree.parent(c).expect("a node below the meet");
+        for c in self.tree.ancestors(from).take_while(|&c| c != meet) {
+            self.load[c.index()] -= 1;
         }
         self.proxies.insert(o, to);
         self.emit_op(OpKind::Move, o, cost);
@@ -497,21 +519,14 @@ impl Tracker for TreeTracker<'_> {
     fn query(&self, from: NodeId, o: ObjectId) -> mot_core::Result<QueryResult> {
         self.check_node(from)?;
         let proxy = *self.proxies.get(&o).ok_or(CoreError::UnknownObject(o))?;
-        if self.dirty.contains(&o) {
+        if let Some(holders) = self.dirty.get(&o) {
             // A read-only query cannot rebuild the chain; name the node
             // that broke it so a mutable caller can repair and retry.
-            let mut culprit = proxy;
-            let mut cur = proxy;
-            loop {
-                if self.down[cur.index()] || !self.holds(cur, o) {
-                    culprit = cur;
-                    break;
-                }
-                match self.tree.parent(cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
+            let culprit = self
+                .tree
+                .ancestors(proxy)
+                .find(|c| self.down[c.index()] || !holders.contains(c))
+                .unwrap_or(proxy);
             return Err(CoreError::NodeDown(culprit));
         }
         if let Some(b) = self.path_blocked(from) {
@@ -519,14 +534,8 @@ impl Tracker for TreeTracker<'_> {
         }
         let mut cost = 0.0;
         let mut cur = from;
-        let done = |t: &Self, cur: NodeId| {
-            if t.via_root {
-                cur == t.tree.root()
-            } else {
-                t.holds(cur, o)
-            }
-        };
-        while !done(self, cur) {
+        // The first holder stops the climb; under STUN routing, the root.
+        while cur != self.tree.root() && (self.via_root || !self.tree.is_ancestor(cur, proxy)) {
             let p = self
                 .tree
                 .parent(cur)
@@ -591,32 +600,37 @@ impl Tracker for TreeTracker<'_> {
         }
         self.down[u.index()] = true;
         self.down_count += 1;
-        let lost = std::mem::take(&mut self.detection[u.index()]);
-        self.load[u.index()] = self.load[u.index()].saturating_sub(lost.len());
-        let mut lost: Vec<ObjectId> = lost.into_iter().collect();
+        let mut lost: Vec<ObjectId> = self.proxies.keys().copied().collect();
+        lost.retain(|&o| self.holds(u, o));
         lost.sort();
+        self.load[u.index()] -= lost.len();
         for o in lost {
-            self.dirty.insert(o);
+            let proxy = self.proxies[&o];
             // Graceful degradation: an object proxied at the crashed
             // sensor is re-detected by the nearest live one (one handoff
             // hop, billed as repair); its chain rebuild stays lazy.
-            if self.proxies.get(&o) == Some(&u) {
-                if let Some(next) = self.nearest_live(u) {
-                    let d = self.oracle.dist(u, next);
-                    self.repair_spent += d;
-                    self.hop(
-                        OpKind::Repair,
-                        TracePhase::Handoff,
-                        LedgerKind::Repair,
-                        o,
-                        u,
-                        next,
-                        d,
-                    );
-                    self.emit_op(OpKind::Repair, o, d);
-                    self.proxies.insert(o, next);
-                    self.add(next, o);
-                }
+            let next = (proxy == u).then(|| self.nearest_live(u)).flatten();
+            if let Some(next) = next {
+                let d = self.oracle.dist(u, next);
+                self.repair_spent += d;
+                self.hop(
+                    OpKind::Repair,
+                    TracePhase::Handoff,
+                    LedgerKind::Repair,
+                    o,
+                    u,
+                    next,
+                    d,
+                );
+                self.emit_op(OpKind::Repair, o, d);
+                self.proxies.insert(o, next);
+            }
+            let chain = || self.tree.ancestors(proxy).collect();
+            let holders = self.dirty.entry(o).or_insert_with(chain);
+            holders.retain(|&c| c != u);
+            if let Some(next) = next.filter(|next| !holders.contains(next)) {
+                holders.push(next);
+                self.load[next.index()] += 1;
             }
         }
     }
@@ -629,7 +643,7 @@ impl Tracker for TreeTracker<'_> {
     }
 
     fn repair_object(&mut self, o: ObjectId) -> mot_core::Result<f64> {
-        if !self.dirty.contains(&o) {
+        if !self.dirty.contains_key(&o) {
             return Ok(0.0);
         }
         let recorded = *self.proxies.get(&o).ok_or(CoreError::UnknownObject(o))?;
@@ -644,32 +658,15 @@ impl Tracker for TreeTracker<'_> {
             // operation after it reboots finishes the repair.
             return Err(CoreError::NodeDown(b));
         }
-        // Scrub every surviving entry (stale branches included), then
-        // re-publish the chain from the proxy; the climb is the repair.
-        for i in 0..self.tree.len() {
-            self.remove(NodeId::from_index(i), o);
+        // Release every surviving holder (stale branches and handoffs
+        // included), then re-publish the chain from the proxy; the climb
+        // is the repair.
+        for c in self.dirty.remove(&o).expect("checked above") {
+            self.load[c.index()] -= 1;
         }
         self.proxies.insert(o, proxy);
-        let mut cost = 0.0;
-        let mut cur = proxy;
-        self.add(cur, o);
-        while let Some(p) = self.tree.parent(cur) {
-            let d = self.hop_up[cur.index()];
-            cost += d;
-            self.hop(
-                OpKind::Repair,
-                TracePhase::Climb,
-                LedgerKind::Repair,
-                o,
-                cur,
-                p,
-                d,
-            );
-            cur = p;
-            self.add(cur, o);
-        }
+        let cost = self.climb_chain(o, proxy, OpKind::Repair, LedgerKind::Repair);
         self.repair_spent += cost;
-        self.dirty.remove(&o);
         self.emit_op(OpKind::Repair, o, cost);
         Ok(cost)
     }
@@ -682,21 +679,19 @@ impl Tracker for TreeTracker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mot_net::generators;
-    use mot_net::DenseOracle;
+    use mot_net::{generators, DenseOracle, IdSet};
 
     /// A simple BFS tree over a grid for exercising the tracker.
-    fn grid_tracker(shortcuts: bool) -> (mot_net::Graph, DenseOracle, Vec<Option<NodeId>>) {
+    fn grid_tracker() -> (mot_net::Graph, DenseOracle, Vec<Option<NodeId>>) {
         let g = generators::grid(4, 4).unwrap();
         let m = DenseOracle::build(&g).unwrap();
         let spt = mot_net::shortest_path_tree(&g, NodeId(0));
-        let _ = shortcuts;
         (g, m, spt.parent)
     }
 
     #[test]
     fn from_parents_builds_consistent_structure() {
-        let (_, _, parents) = grid_tracker(false);
+        let (_, _, parents) = grid_tracker();
         let t = TrackingTree::from_parents(NodeId(0), parents);
         assert_eq!(t.root(), NodeId(0));
         assert_eq!(t.depth(NodeId(0)), 0);
@@ -705,6 +700,23 @@ mod tests {
             let u = NodeId(i);
             let p = t.parent(u).unwrap();
             assert_eq!(t.depth(u), t.depth(p) + 1);
+        }
+        // The interval test agrees with a parent walk on every pair, on
+        // the BFS tree and on a STUN tree, whose shape the rates decide.
+        let g = generators::grid(6, 6).unwrap();
+        let stun = crate::build_stun(&g, &crate::DetectionRates::uniform(&g));
+        for t in [&t, &stun] {
+            let nodes = (0..t.len()).map(NodeId::from_index);
+            for d in nodes.clone() {
+                let mut walk = vec![d];
+                while let Some(p) = t.parent(*walk.last().unwrap()) {
+                    walk.push(p);
+                }
+                assert_eq!(t.ancestors(d).collect::<Vec<_>>(), walk);
+                for a in nodes.clone() {
+                    assert_eq!(t.is_ancestor(a, d), walk.contains(&a), "{a} over {d}");
+                }
+            }
         }
     }
 
@@ -718,7 +730,7 @@ mod tests {
 
     #[test]
     fn publish_move_query_roundtrip() {
-        let (g, m, parents) = grid_tracker(false);
+        let (g, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let mut t = TreeTracker::new("BFS", tree, &m, false);
         let o = ObjectId(0);
@@ -736,7 +748,7 @@ mod tests {
 
     #[test]
     fn detection_sets_are_exactly_proxy_ancestors() {
-        let (_, m, parents) = grid_tracker(false);
+        let (_, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let mut t = TreeTracker::new("BFS", tree, &m, false);
         let o = ObjectId(4);
@@ -765,7 +777,7 @@ mod tests {
 
     #[test]
     fn shortcuts_never_cost_more_on_queries() {
-        let (g, m, parents) = grid_tracker(false);
+        let (g, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents.clone());
         let tree2 = TrackingTree::from_parents(NodeId(0), parents);
         let mut plain = TreeTracker::new("plain", tree, &m, false);
@@ -790,7 +802,7 @@ mod tests {
 
     #[test]
     fn move_to_same_proxy_is_free() {
-        let (_, m, parents) = grid_tracker(false);
+        let (_, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let mut t = TreeTracker::new("BFS", tree, &m, false);
         t.publish(ObjectId(0), NodeId(3)).unwrap();
@@ -799,7 +811,7 @@ mod tests {
 
     #[test]
     fn crashed_proxy_hands_object_to_live_neighbor() {
-        let (g, m, parents) = grid_tracker(false);
+        let (g, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let mut t = TreeTracker::new("BFS", tree, &m, false);
         let o = ObjectId(0);
@@ -818,7 +830,7 @@ mod tests {
 
     #[test]
     fn mid_chain_crash_query_surfaces_node_down_then_repairs() {
-        let (g, m, parents) = grid_tracker(false);
+        let (g, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         // STUN semantics: queries via the root
         let mut t = TreeTracker::new("STUN", tree, &m, false).with_root_queries();
@@ -839,7 +851,7 @@ mod tests {
 
     #[test]
     fn move_self_repairs_after_proxy_crash() {
-        let (_, m, parents) = grid_tracker(false);
+        let (_, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let mut t = TreeTracker::new("BFS", tree, &m, false);
         let o = ObjectId(0);
@@ -858,7 +870,7 @@ mod tests {
 
     #[test]
     fn operations_refuse_paths_through_down_nodes() {
-        let (_, m, parents) = grid_tracker(false);
+        let (_, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let mut t = TreeTracker::new("BFS", tree, &m, false);
         t.crash_node(NodeId(0)); // the root blocks every climb
@@ -873,7 +885,7 @@ mod tests {
     #[test]
     fn trace_events_sum_to_costs_and_tag_tree_depth() {
         use mot_core::MemorySink;
-        let (_, m, parents) = grid_tracker(false);
+        let (_, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let sink = MemorySink::new();
         let mut t = TreeTracker::new("BFS", tree, &m, false).with_sink(&sink);
@@ -890,7 +902,7 @@ mod tests {
             assert_eq!(ev.level, t.tree().depth(ev.dst) as u32);
         }
         // tracing off must not change costs (bit parity)
-        let (_, m2, parents2) = grid_tracker(false);
+        let (_, m2, parents2) = grid_tracker();
         let tree2 = TrackingTree::from_parents(NodeId(0), parents2);
         let mut silent = TreeTracker::new("BFS", tree2, &m2, false);
         assert_eq!(
@@ -909,7 +921,7 @@ mod tests {
 
     #[test]
     fn errors_match_core_conventions() {
-        let (_, m, parents) = grid_tracker(false);
+        let (_, m, parents) = grid_tracker();
         let tree = TrackingTree::from_parents(NodeId(0), parents);
         let mut t = TreeTracker::new("BFS", tree, &m, false);
         assert!(matches!(
@@ -925,5 +937,102 @@ mod tests {
             t.publish(ObjectId(2), NodeId(99)),
             Err(CoreError::UnknownNode(_))
         ));
+        // A node outside the tree holds nothing and locates nothing.
+        assert!(!t.holds(NodeId(99), ObjectId(1)));
+        assert_eq!(t.descend_cost(ObjectId(1), NodeId(99)), None);
+        assert!(!t.tree().is_ancestor(NodeId(99), NodeId(1)));
+        assert!(!t.tree().is_ancestor(NodeId(0), NodeId(99)));
+    }
+
+    #[test]
+    fn crash_walk_keeps_loads_equal_to_the_held_entries() {
+        // Crashes, recoveries, moves, queries and repairs in a seeded mix
+        // on every tree baseline. At every step each node's load is the
+        // number of objects it holds, and a clean object is held exactly
+        // on its proxy's parent walk. Every op's result (cost bits, or the
+        // node a `NodeDown` names) folds into a digest, pinned from the
+        // tracker that kept a detection set per sensor.
+        use crate::{build_stun, build_zdat, DetectionRates, ZdatParams};
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let g = generators::grid(8, 8).unwrap();
+        let m = DenseOracle::build(&g).unwrap();
+        let rates = DetectionRates::uniform(&g);
+        let zdat = || build_zdat(&g, &rates, ZdatParams::default()).unwrap();
+        let trackers = [
+            TreeTracker::new("STUN", build_stun(&g, &rates), &m, false).with_root_queries(),
+            TreeTracker::new("Z-DAT", zdat(), &m, false),
+            TreeTracker::new("Z-DAT+shortcuts", zdat(), &m, true),
+        ];
+        let fold = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0100_0000_01b3);
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        for mut t in trackers {
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            let objects: Vec<ObjectId> = (0..24).map(ObjectId).collect();
+            for &o in &objects {
+                let cost = t.publish(o, NodeId(rng.gen_range(0..64))).unwrap();
+                digest = fold(digest, cost.to_bits());
+            }
+            let (mut down, mut answered, mut broken_moves) = (Vec::new(), 0, 0);
+            for step in 0..1500 {
+                let o = objects[rng.gen_range(0..objects.len())];
+                let result = match rng.gen_range(0..10) {
+                    0 if down.len() < 2 => {
+                        let v = NodeId(rng.gen_range(0..64));
+                        t.crash_node(v);
+                        down.push(v);
+                        Ok(0.0)
+                    }
+                    1 if !down.is_empty() => {
+                        t.recover_node(down.swap_remove(0));
+                        Ok(0.0)
+                    }
+                    2 => t.repair_object(o),
+                    3..=5 => t.query(NodeId(rng.gen_range(0..64)), o).map(|q| {
+                        assert_eq!(Some(q.proxy), t.proxy_of(o), "step {step}");
+                        answered += 1;
+                        q.cost
+                    }),
+                    _ => {
+                        let nbrs = g.neighbors(t.proxy_of(o).unwrap());
+                        let to = nbrs[rng.gen_range(0..nbrs.len())].to;
+                        let broken = t.dirty.contains_key(&o);
+                        t.move_object(o, to).map(|mv| {
+                            broken_moves += usize::from(broken);
+                            mv.cost
+                        })
+                    }
+                };
+                digest = fold(
+                    digest,
+                    match result {
+                        Ok(cost) => cost.to_bits(),
+                        Err(CoreError::NodeDown(b)) => u64::from(b.0) | 1 << 63,
+                        Err(e) => panic!("{} step {step}: {e:?}", t.name()),
+                    },
+                );
+                let mut recount = vec![0; 64];
+                for u in g.nodes() {
+                    recount[u.index()] = objects.iter().filter(|&&o| t.holds(u, o)).count();
+                }
+                assert_eq!(t.node_loads(), recount, "{} step {step}", t.name());
+                for &o in objects.iter().filter(|o| !t.dirty.contains_key(o)) {
+                    let mut walk = vec![t.proxy_of(o).unwrap()];
+                    while let Some(p) = t.tree().parent(*walk.last().unwrap()) {
+                        walk.push(p);
+                    }
+                    for u in g.nodes() {
+                        assert_eq!(t.holds(u, o), walk.contains(&u), "{} step {step}", t.name());
+                    }
+                }
+            }
+            assert!(answered > 300, "{}: {answered} queries answered", t.name());
+            assert!(
+                broken_moves > 20,
+                "{}: {broken_moves} broken moves",
+                t.name()
+            );
+        }
+        assert_eq!(digest, 0x2540_305a_4126_f504);
     }
 }
