@@ -468,7 +468,11 @@ impl Tracker for TreeTracker<'_> {
         let from = *self.proxies.get(&o).expect("checked above");
         if from == to {
             self.emit_op(OpKind::Move, o, 0.0);
-            return Ok(MoveOutcome { from, cost: 0.0 });
+            return Ok(MoveOutcome {
+                from,
+                cost: 0.0,
+                climb: 0.0,
+            });
         }
         let mut cost = 0.0;
         // insert: climb from the new proxy to the first holder (the LCA
@@ -494,6 +498,8 @@ impl Tracker for TreeTracker<'_> {
             cur = p;
         }
         let meet = cur;
+        // Nothing else is billed yet: the climb share is the whole cost.
+        let climb = cost;
         // delete: prune the stale branch from the meet down to `from`,
         // billed top-down, then release its loads.
         self.descend(meet, from, |p, c, d| {
@@ -513,7 +519,7 @@ impl Tracker for TreeTracker<'_> {
         }
         self.proxies.insert(o, to);
         self.emit_op(OpKind::Move, o, cost);
-        Ok(MoveOutcome { from, cost })
+        Ok(MoveOutcome { from, cost, climb })
     }
 
     fn query(&self, from: NodeId, o: ObjectId) -> mot_core::Result<QueryResult> {

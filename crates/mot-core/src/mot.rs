@@ -505,7 +505,11 @@ impl<'a> MotTracker<'a> {
         let from = rec.proxy();
         if from == to {
             self.emit_op(OpKind::Move, o, 0.0);
-            return Ok(MoveOutcome { from, cost: 0.0 });
+            return Ok(MoveOutcome {
+                from,
+                cost: 0.0,
+                climb: 0.0,
+            });
         }
         let op = OpKind::Move;
         let ledger = LedgerKind::Maintenance;
@@ -515,6 +519,7 @@ impl<'a> MotTracker<'a> {
         let overlay = self.overlay;
         let h = overlay.height();
         let mut cost = 0.0;
+        let mut climb = 0.0;
         let mut cur = to;
 
         // ---- insert: climb DPath(to) until a node already holds o ------
@@ -538,6 +543,7 @@ impl<'a> MotTracker<'a> {
             for (j, &s) in station.iter().enumerate() {
                 let d = overlay.hop_in(to, level, j);
                 cost += d;
+                climb += d;
                 self.hop(op, TracePhase::Climb, ledger, o, cur, s, level, d);
                 cur = s;
                 // Probing the DL costs a de Bruijn round within the
@@ -621,7 +627,7 @@ impl<'a> MotTracker<'a> {
         new_levels.clear();
         self.frag_buf = new_levels;
         self.emit_op(OpKind::Move, o, cost);
-        Ok(MoveOutcome { from, cost })
+        Ok(MoveOutcome { from, cost, climb })
     }
 
     /// Each node's count of the live entries the trails list as charged

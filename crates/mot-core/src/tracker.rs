@@ -42,10 +42,13 @@ pub struct QueryResult {
 /// use mot_core::MoveOutcome;
 /// use mot_net::NodeId;
 ///
-/// let m = MoveOutcome { from: NodeId(1), cost: 4.0 };
+/// let m = MoveOutcome { from: NodeId(1), cost: 4.0, climb: 3.0 };
 /// // `from` is the structure's own record of the old proxy — the
 /// // simulator cross-checks it against the workload's ground truth.
 /// assert_eq!(m.from, NodeId(1));
+/// // The climb to the meet is part of the cost; the rest went on
+/// // pruning the stale branch.
+/// assert!(m.climb <= m.cost);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MoveOutcome {
@@ -54,6 +57,11 @@ pub struct MoveOutcome {
     pub from: NodeId,
     /// Total message distance spent updating the structure.
     pub cost: f64,
+    /// The share of `cost` billed by the climb from the new proxy to the
+    /// meet: its hops' stored lengths, added bottom-up from 0.0 (0 when
+    /// the object did not move). The concurrent engine bills a racing
+    /// request's wasted distance against it.
+    pub climb: f64,
 }
 
 /// A location-tracking structure: publish / maintenance / query with
@@ -104,7 +112,7 @@ pub trait Tracker {
     fn publish(&mut self, o: ObjectId, proxy: NodeId) -> Result<f64>;
 
     /// Object `o` moved to proxy `to`; update the structure. Returns the
-    /// old proxy and the maintenance cost.
+    /// old proxy, the maintenance cost and its climb share.
     fn move_object(&mut self, o: ObjectId, to: NodeId) -> Result<MoveOutcome>;
 
     /// Locate `o` from node `from`. Pure read: must not mutate lists.
@@ -162,8 +170,12 @@ mod tests {
         assert_eq!(q, q2);
         let m = MoveOutcome {
             from: NodeId(1),
-            cost: 0.0,
+            cost: 2.0,
+            climb: 1.5,
         };
+        let m2 = m;
+        assert_eq!(m, m2);
         assert_eq!(m.from, NodeId(1));
+        assert!(m.climb <= m.cost);
     }
 }

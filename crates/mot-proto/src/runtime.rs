@@ -285,15 +285,23 @@ impl Tracker for ProtoTracker<'_> {
         let mut inner = self.inner.borrow_mut();
         let from = *inner.proxies.get(&o).ok_or(CoreError::UnknownObject(o))?;
         if from == to {
-            return Ok(MoveOutcome { from, cost: 0.0 });
+            return Ok(MoveOutcome {
+                from,
+                cost: 0.0,
+                climb: 0.0,
+            });
         }
         inner.transport.ledger_mut().reset();
         inner.start_climb(o, to, false);
         inner.run_to_idle()?;
         inner.proxies.insert(o, to);
+        let ledger = inner.transport.ledger();
         Ok(MoveOutcome {
             from,
-            cost: inner.transport.ledger().charged,
+            cost: ledger.charged,
+            // The climb's messages are the `insert` kind; its meet-level
+            // rollback travels as `delete`.
+            climb: ledger.of_kind("insert"),
         })
     }
 

@@ -5,8 +5,9 @@
 //! identical workloads they must agree *exactly*: same proxies, identical
 //! detection-list state at every (node, level), the same canonical SDL
 //! entry at every (node, object), identical per-node loads,
-//! and equal operation costs (maintenance to the last bit; queries too,
-//! since both use the same canonical probing and nearest-holder descent).
+//! and equal operation costs (maintenance to the last bit, its climb
+//! share bit for bit; queries too, since both use the same canonical
+//! probing and nearest-holder descent).
 
 use mot_core::{MotConfig, MotTracker, ObjectId, Tracker};
 use mot_hierarchy::{build_doubling, Overlay, OverlayConfig};
@@ -86,6 +87,13 @@ fn run_differential(env: &Env, objects: u32, moves: usize, seed: u64, cfg: MotCo
             m.to,
             md.cost,
             mp.cost
+        );
+        assert_eq!(
+            md.climb.to_bits(),
+            mp.climb.to_bits(),
+            "step {step}: climb share divergence direct {} vs proto {}",
+            md.climb,
+            mp.climb
         );
         if step % 29 == 0 {
             assert_state_identical(env, &direct, &proto, objects);

@@ -19,28 +19,51 @@
 use crate::metrics::CostStats;
 use crate::mobility::Workload;
 use mot_baselines::TreeTracker;
-use mot_core::{MotTracker, ObjectId, Result, Tracker};
+use mot_core::{CoreError, MotTracker, ObjectId, Result, Tracker};
 use mot_net::{DistanceOracle, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// One stop of a climb: the station node, its level, and the length of
-/// the hop that brings the climb there from the stop before (0 at the
-/// first stop). The length is the structure's stored constant, bit for
-/// bit the oracle's `dist(previous, node)`.
-pub type Stop = (NodeId, usize, f64);
+/// One stop of a climb from an origin: member `index` of the origin's
+/// level-`level` station (on a tree, the ancestor `level` hops up, at
+/// index 0), and the length of the hop that brings the climb there from
+/// the stop before (0 at the first stop). The length is the structure's
+/// stored constant, bit for bit the oracle's `dist(previous, node)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Stop {
+    /// The station node.
+    pub node: NodeId,
+    /// Its level on the climb.
+    pub level: usize,
+    /// Its position in the level's station.
+    pub index: usize,
+    /// The length of the hop into it.
+    pub hop: f64,
+}
+
+impl Stop {
+    /// The first stop of every climb from `v`: `v` itself, at level 0,
+    /// reached at no cost.
+    pub fn first(v: NodeId) -> Stop {
+        Stop {
+            node: v,
+            level: 0,
+            index: 0,
+            hop: 0.0,
+        }
+    }
+}
 
 /// A tracking structure the event engine can drive: a climb order, a
 /// committed-state probe, a locate probe for queries, and the forwarding
 /// period per level.
 pub trait ClimbStructure: Tracker {
-    /// Replaces the contents of `path` with the visiting sequence of a
-    /// maintenance/query climb from `v`: its [`Stop`]s in order, ending
-    /// at the root. Whatever `path` held before is gone; only its
-    /// capacity is reused.
-    fn climb_into(&self, v: NodeId, path: &mut Vec<Stop>);
+    /// The stop after `at` on the climb from `v` (which starts at
+    /// [`Stop::first`]`(v)`), or `None` once `at` is the root. Reads the
+    /// structure's stored stations and hops: O(1), and allocates nothing.
+    fn next_stop(&self, v: NodeId, at: Stop) -> Option<Stop>;
 
     /// Whether `node` holds `o` at role `level` in the committed state.
     fn committed_holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool;
@@ -55,13 +78,21 @@ pub trait ClimbStructure: Tracker {
 }
 
 impl ClimbStructure for MotTracker<'_> {
-    fn climb_into(&self, v: NodeId, path: &mut Vec<Stop>) {
+    fn next_stop(&self, v: NodeId, at: Stop) -> Option<Stop> {
         let overlay = self.overlay();
-        path.clear();
-        for l in 0..=overlay.height() {
-            let station = overlay.station(v, l).iter().enumerate();
-            path.extend(station.map(|(j, &s)| (s, l, overlay.hop_in(v, l, j))));
-        }
+        let (level, index) = if at.index + 1 < overlay.station(v, at.level).len() {
+            (at.level, at.index + 1)
+        } else if at.level < overlay.height() {
+            (at.level + 1, 0)
+        } else {
+            return None;
+        };
+        Some(Stop {
+            node: overlay.station(v, level)[index],
+            level,
+            index,
+            hop: overlay.hop_in(v, level, index),
+        })
     }
 
     fn committed_holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool {
@@ -78,14 +109,14 @@ impl ClimbStructure for MotTracker<'_> {
 }
 
 impl ClimbStructure for TreeTracker<'_> {
-    fn climb_into(&self, v: NodeId, path: &mut Vec<Stop>) {
-        path.clear();
-        path.push((v, 0, 0.0));
-        let mut cur = v;
-        while let Some(p) = self.tree().parent(cur) {
-            path.push((p, path.len(), self.hop_up(cur)));
-            cur = p;
-        }
+    fn next_stop(&self, _v: NodeId, at: Stop) -> Option<Stop> {
+        let parent = self.tree().parent(at.node)?;
+        Some(Stop {
+            node: parent,
+            level: at.level + 1,
+            index: 0,
+            hop: self.hop_up(at.node),
+        })
     }
 
     fn committed_holds(&self, node: NodeId, _level: usize, o: ObjectId) -> bool {
@@ -147,36 +178,35 @@ pub struct ConcurrentOutcome {
 }
 
 enum Task {
-    /// A maintenance request heading to `to`, currently probing
-    /// `path[pos]`. `optimal` is the operation's share of `C*(E)` — the
-    /// distance the object physically moved for this trace step (the
-    /// paper's optimal is defined on the operation *set*, independent of
-    /// the realized commit order).
-    Move { to: NodeId, optimal: f64 },
-    /// A query from `from`, climbing; after locating it verifies/chases.
-    QueryClimb { from: NodeId },
+    /// A maintenance request heading to the op's origin. `optimal` is
+    /// the operation's share of `C*(E)` — the distance the object
+    /// physically moved for this trace step (the paper's optimal is
+    /// defined on the operation *set*, independent of the realized
+    /// commit order).
+    Move { optimal: f64 },
+    /// A query from the op's origin, climbing; after locating it
+    /// verifies/chases.
+    QueryClimb,
     /// A query result in flight toward `expected` proxy; on arrival the
     /// proxy may have moved again.
-    QueryChase {
-        from: NodeId,
-        expected: NodeId,
-        cost_so_far: f64,
-    },
+    QueryChase { expected: NodeId, cost_so_far: f64 },
 }
 
 struct Op {
     task: Task,
-    path: Vec<Stop>,
-    pos: usize,
-    /// Distance travelled along `path[..=pos]`: [`ConcurrentEngine::advance`]
+    /// Where the op's climb started: a move's destination or a query's
+    /// source.
+    origin: NodeId,
+    /// The stop the op probes next.
+    at: Stop,
+    /// Distance travelled up to `at`: [`ConcurrentEngine::advance`]
     /// adds each hop as it schedules it, first hop first.
     travelled: f64,
 }
 
 /// The state of one run: its results so far, the query stream, and the
 /// buffers it keeps between batches so that a batch allocates nothing
-/// once the largest one has been seen (DESIGN.md §16: a buffer is
-/// cleared when it is recycled, and only its capacity is reused).
+/// once the largest one has been seen.
 struct Run {
     outcome: ConcurrentOutcome,
     /// Query placement; drawn batch by batch, in batch order.
@@ -185,40 +215,21 @@ struct Run {
     ops: Vec<Op>,
     /// Pending events; a batch runs until it is empty.
     heap: BinaryHeap<Event>,
-    /// Cleared climb paths of finished ops, for the next batch's.
-    spare_paths: Vec<Vec<Stop>>,
 }
 
 impl Run {
-    /// Admits one op climbing from `v`, first probe at `start`.
-    fn admit<S: ClimbStructure + ?Sized>(
-        &mut self,
-        tracker: &S,
-        v: NodeId,
-        start: f64,
-        task: Task,
-    ) {
-        let mut path = self.spare_paths.pop().unwrap_or_default();
-        tracker.climb_into(v, &mut path);
+    /// Admits one op climbing from `origin`, first probe at `start`.
+    fn admit(&mut self, origin: NodeId, start: f64, task: Task) {
         self.heap.push(Event {
             time: start,
             op: self.ops.len(),
         });
         self.ops.push(Op {
             task,
-            path,
-            pos: 0,
+            origin,
+            at: Stop::first(origin),
             travelled: 0.0,
         });
-    }
-
-    /// Retires the finished batch: its paths go back, cleared.
-    fn recycle(&mut self) {
-        debug_assert!(self.heap.is_empty(), "a batch ends when no event is left");
-        for mut op in self.ops.drain(..) {
-            op.path.clear();
-            self.spare_paths.push(op.path);
-        }
     }
 }
 
@@ -283,21 +294,22 @@ impl ConcurrentEngine {
     /// batches of `max_inflight_per_object` simultaneous requests
     /// (batches for one object run in trace order; objects never
     /// interact, so batch order across objects is immaterial). Optional
-    /// queries race each batch.
+    /// queries race each batch. An object with moves that `tracker`
+    /// never published is [`CoreError::UnknownObject`], returned before
+    /// its first batch runs.
     pub fn run<S: ClimbStructure + ?Sized>(
         tracker: &mut S,
         workload: &Workload,
         oracle: &dyn DistanceOracle,
         cfg: &ConcurrentConfig,
     ) -> Result<ConcurrentOutcome> {
+        let k = cfg.max_inflight_per_object.max(1);
         let mut run = Run {
             outcome: ConcurrentOutcome::default(),
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
-            ops: Vec::new(),
-            heap: BinaryHeap::new(),
-            spare_paths: Vec::new(),
+            ops: Vec::with_capacity(k + cfg.queries_per_batch),
+            heap: BinaryHeap::with_capacity(k + cfg.queries_per_batch),
         };
-        let k = cfg.max_inflight_per_object.max(1);
         let Some(&first) = workload.moves.first() else {
             return Ok(run.outcome);
         };
@@ -323,6 +335,9 @@ impl ConcurrentEngine {
         let mut start = 0;
         for (oi, &end) in ends[..objects].iter().enumerate() {
             let object = ObjectId(oi as u32);
+            if start < end && tracker.proxy_of(object).is_none() {
+                return Err(CoreError::UnknownObject(object));
+            }
             for batch in grouped[start..end].chunks(k) {
                 Self::run_batch(tracker, object, batch, oracle, cfg, &mut run)?;
             }
@@ -341,7 +356,7 @@ impl ConcurrentEngine {
     ) -> Result<()> {
         for mv in destinations {
             let optimal = oracle.dist(mv.from, mv.to);
-            run.admit(tracker, mv.to, 0.0, Task::Move { to: mv.to, optimal });
+            run.admit(mv.to, 0.0, Task::Move { optimal });
         }
         let n = oracle.node_count();
         for _ in 0..cfg.queries_per_batch {
@@ -349,7 +364,7 @@ impl ConcurrentEngine {
             // Queries start staggered through the batch's early phase so
             // some overlap the racing maintenance mid-flight.
             let start = run.rng.gen_range(0.0..oracle.diameter().max(1.0));
-            run.admit(tracker, from, start, Task::QueryClimb { from });
+            run.admit(from, start, Task::QueryClimb);
             run.outcome.queries_issued += 1;
         }
 
@@ -357,48 +372,43 @@ impl ConcurrentEngine {
             ops, heap, outcome, ..
         } = run;
         while let Some(Event { time, op: op_idx }) = heap.pop() {
-            let (node, level, _) = ops[op_idx].path[ops[op_idx].pos];
-            match ops[op_idx].task {
-                Task::Move { to, optimal } => {
+            let op = &mut ops[op_idx];
+            let Stop { node, level, .. } = op.at;
+            match op.task {
+                Task::Move { optimal } => {
                     if tracker.committed_holds(node, level, object) {
                         // The request found the object's information: the
                         // update commits against the committed state. The
-                        // request may have climbed past levels that were
+                        // request may have climbed past stops that were
                         // empty when it probed them but have been
                         // re-populated by a racing commit since —
-                        // `move_object`'s fresh climb stops at the first
-                        // holder *now*, so bill the difference between
-                        // the distance this op actually traveled and the
-                        // fresh climb (the wasted racing distance).
-                        let travelled = ops[op_idx].travelled;
-                        let fresh = Self::fresh_climb_cost(tracker, &ops[op_idx], object);
-                        let mv = tracker.move_object(object, to)?;
-                        let waste = (travelled - fresh).max(0.0);
+                        // `move_object` climbs from the same origin over
+                        // the same stored hops and stops at the first
+                        // holder *now*, so what this op travelled beyond
+                        // that climb is the wasted racing distance.
+                        let mv = tracker.move_object(object, op.origin)?;
+                        let waste = (op.travelled - mv.climb).max(0.0);
                         outcome.maintenance.record(mv.cost + waste, optimal);
                     } else {
-                        Self::advance(tracker, ops, op_idx, time, heap);
+                        Self::advance(tracker, op_idx, op, time, heap);
                     }
                 }
-                Task::QueryClimb { from } => {
+                Task::QueryClimb => {
                     if let Some(descend) = tracker.locate(node, level, object) {
-                        let climbed = ops[op_idx].travelled;
                         let expected = tracker.proxy_of(object).expect("object is published");
-                        let cost_so_far = climbed + descend;
-                        ops[op_idx].task = Task::QueryChase {
-                            from,
+                        op.task = Task::QueryChase {
                             expected,
-                            cost_so_far,
+                            cost_so_far: op.travelled + descend,
                         };
                         heap.push(Event {
                             time: time + descend,
                             op: op_idx,
                         });
                     } else {
-                        Self::advance(tracker, ops, op_idx, time, heap);
+                        Self::advance(tracker, op_idx, op, time, heap);
                     }
                 }
                 Task::QueryChase {
-                    from,
                     expected,
                     cost_so_far,
                 } => {
@@ -406,7 +416,7 @@ impl ConcurrentEngine {
                     if live == expected {
                         // Query settled on the true proxy.
                         outcome.queries_correct += 1;
-                        let optimal = oracle.dist(from, live);
+                        let optimal = oracle.dist(op.origin, live);
                         if optimal > 0.0 {
                             outcome.queries.record(cost_so_far, optimal);
                         }
@@ -415,8 +425,7 @@ impl ConcurrentEngine {
                         // flight: the stale proxy forwards the query
                         // along the location carried by the delete.
                         let hop = oracle.dist(expected, live);
-                        ops[op_idx].task = Task::QueryChase {
-                            from,
+                        op.task = Task::QueryChase {
                             expected: live,
                             cost_so_far: cost_so_far + hop,
                         };
@@ -428,54 +437,32 @@ impl ConcurrentEngine {
                 }
             }
         }
-        run.recycle();
+        ops.clear();
         Ok(())
     }
 
-    /// Distance a climb along `op.path` would travel against the current
-    /// committed state (stopping at the first holder) — what
-    /// `move_object` is about to recompute and charge internally. The
-    /// op's own stop `path[pos]` holds, so the climb ends there at the
-    /// latest, and the sum is `travelled` unless a racing commit filled
-    /// a stop below it.
-    fn fresh_climb_cost<S: ClimbStructure + ?Sized>(tracker: &S, op: &Op, object: ObjectId) -> f64 {
-        let mut cost = 0.0;
-        for k in 0..op.pos {
-            let (node, level, _) = op.path[k];
-            if tracker.committed_holds(node, level, object) {
-                break;
-            }
-            cost += op.path[k + 1].2;
-        }
-        cost
-    }
-
-    /// Schedules the next probe of a climbing op — travel time plus the
-    /// period barrier when crossing into a higher level — and bills the
-    /// hop to the op's `travelled`.
+    /// Moves a climbing op to its next stop, bills the hop to its
+    /// `travelled`, and schedules the probe there: travel time plus the
+    /// period barrier when crossing into a higher level.
     fn advance<S: ClimbStructure + ?Sized>(
         tracker: &S,
-        ops: &mut [Op],
         op_idx: usize,
+        op: &mut Op,
         now: f64,
         heap: &mut BinaryHeap<Event>,
     ) {
-        let op = &mut ops[op_idx];
-        debug_assert!(
-            op.pos + 1 < op.path.len(),
-            "climb ran past the root without meeting the object"
-        );
-        let cur_level = op.path[op.pos].1;
-        op.pos += 1;
-        let (_, next_level, hop) = op.path[op.pos];
-        op.travelled += hop;
-        let mut t = now + hop.max(1e-9);
-        if next_level > cur_level {
-            let phi = tracker.level_period(next_level);
+        let next = tracker
+            .next_stop(op.origin, op.at)
+            .expect("the root holds every published object");
+        op.travelled += next.hop;
+        let mut t = now + next.hop.max(1e-9);
+        if next.level > op.at.level {
+            let phi = tracker.level_period(next.level);
             if phi > 0.0 {
                 t = (t / phi).ceil() * phi;
             }
         }
+        op.at = next;
         heap.push(Event {
             time: t,
             op: op_idx,
@@ -640,22 +627,13 @@ mod tests {
     fn outcomes_match_the_constants_of_the_unpooled_engine() {
         // Constants from a run at the commit before the engine pooled its
         // buffers and began carrying `travelled`. Every object has 25
-        // moves at 10 in flight, so its batches shrink (10, 10, 5) and
-        // the last one reuses paths the earlier ones filled; on a 6×6
-        // grid a corner's climb is shorter than the centre's, so a
-        // recycled path that kept stale stations would move these bits.
+        // moves at 10 in flight, so its batches shrink (10, 10, 5).
         let (g, m, overlay) = grid_env();
         let w = WorkloadSpec::new(3, 25, 6).generate(&g);
         let rates = DetectionRates::from_moves(&g, &w.move_pairs());
         let mot = || MotTracker::new(&overlay, &m, MotConfig::plain());
         let stun =
             || TreeTracker::new("STUN", build_stun(&g, &rates), &m, false).with_root_queries();
-        let (mut corner, mut centre) = (Vec::new(), Vec::new());
-        mot().climb_into(NodeId(0), &mut corner);
-        mot().climb_into(NodeId(14), &mut centre);
-        assert!(corner.len() < centre.len(), "the bed must mix path lengths");
-        mot().climb_into(NodeId(0), &mut centre);
-        assert_eq!(centre, corner, "climb_into replaces what the buffer held");
 
         // (queries per batch, MOT?, maintenance total, maintenance ratio
         // sum, query total, query ratio sum, queries issued) — f64s as bits.
@@ -710,6 +688,39 @@ mod tests {
             );
             assert_eq!(out.maintenance.operations, 75);
             assert_eq!(out.queries_correct, out.queries_issued);
+        }
+    }
+
+    #[test]
+    fn an_unpublished_object_is_an_error_not_a_panic() {
+        // Object 1 has moves but was never published: its first batch
+        // would climb past the root without meeting it.
+        let (g, m, overlay) = grid_env();
+        let w = WorkloadSpec::new(3, 12, 4).generate(&g);
+        let rates = DetectionRates::from_moves(&g, &w.move_pairs());
+        for queries_per_batch in [0, 1] {
+            let cfg = ConcurrentConfig {
+                max_inflight_per_object: 10,
+                queries_per_batch,
+                seed: 3,
+            };
+            let mut mot = MotTracker::new(&overlay, &m, MotConfig::plain());
+            let mut stun = TreeTracker::new("STUN", build_stun(&g, &rates), &m, false);
+            let trackers: [&mut dyn ClimbStructure; 2] = [&mut mot, &mut stun];
+            for t in trackers {
+                for (oi, &proxy) in w.initial.iter().enumerate() {
+                    if oi != 1 {
+                        t.publish(ObjectId(oi as u32), proxy).unwrap();
+                    }
+                }
+                let err = ConcurrentEngine::run(t, &w, &m, &cfg).unwrap_err();
+                assert_eq!(
+                    err,
+                    CoreError::UnknownObject(ObjectId(1)),
+                    "{}, {queries_per_batch} queries a batch",
+                    t.name()
+                );
+            }
         }
     }
 }

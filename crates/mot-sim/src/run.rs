@@ -281,7 +281,11 @@ mod tests {
         fn move_object(&mut self, o: ObjectId, to: NodeId) -> Result<MoveOutcome> {
             self.repair_object(o)?;
             let from = std::mem::replace(&mut self.objects[o.index()].0, to);
-            Ok(MoveOutcome { from, cost: 1.0 })
+            Ok(MoveOutcome {
+                from,
+                cost: 1.0,
+                climb: 0.0,
+            })
         }
         fn query(&self, from: NodeId, o: ObjectId) -> Result<QueryResult> {
             self.queries.borrow_mut().push((from.0, o.0));

@@ -5,10 +5,12 @@
 //! freelist and cache, once under the counter — and a test fails if the
 //! steady-state allocation count per operation creeps past its ceiling.
 //! The tree trackers need no warm-up: they are counted from publish on.
+//! Nor does the concurrent engine: one whole 22 000-op run is counted
+//! against a ceiling per run, not per op.
 //! Wall-clock benchmarks drift with the machine; allocation counts are
 //! deterministic, so these are the CI-safe witnesses that the
 //! arena/freelist work, the inline SDL slot, the tree trackers' chain
-//! scratch and the concurrent engine's pooled buffers keep paying.
+//! scratch and the concurrent engine's path-free ops keep paying.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,6 +60,7 @@ use mot_core::{MotConfig, MotTracker, ObjectId, Tracker};
 use mot_hierarchy::{build_doubling, OverlayConfig};
 use mot_net::{generators, DenseOracle, NodeId};
 use mot_proto::ProtoTracker;
+use mot_sim::concurrent::ClimbStructure;
 use mot_sim::{run_publish, ConcurrentConfig, ConcurrentEngine, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -224,31 +227,40 @@ fn tree_tracker_moves_allocate_next_to_nothing() {
 
 #[test]
 fn concurrent_engine_allocates_per_run_not_per_op() {
-    // A fig-14 cell on a 16×16 bed. With a fresh path `Vec` per op and a
-    // fresh op table and event heap per batch this read 3.25 an op; it
-    // reads 0.035 now — the run's own set-up (the grouped moves, the
-    // buffers growing to the largest batch) and what a cold tracker's
-    // `move_object` allocates while its node maps grow.
+    // A fig-14 cell on a 16×16 bed, 22 000 ops. With a fresh path `Vec`
+    // per op and a fresh op table and event heap per batch this read
+    // 3.25 allocations an op. Pooling the paths brought it to 56 a run
+    // for MOT and 34 for STUN and Z-DAT. With no path at all an op holds
+    // only its current stop, and what is left is the run's own set-up
+    // (the grouped moves, the op table and the event heap): it reads 6,
+    // 5 and 5.
     let g = generators::grid(16, 16).unwrap();
     let m = DenseOracle::build(&g).unwrap();
     let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 0);
     let w = WorkloadSpec::new(100, 200, 1).generate(&g);
-    let mut t = MotTracker::new(&overlay, &m, MotConfig::plain());
-    run_publish(&mut t, &w).unwrap();
+    let rates = DetectionRates::from_moves(&g, &w.move_pairs());
     let cfg = ConcurrentConfig {
         max_inflight_per_object: 10,
         queries_per_batch: 1,
         seed: 0,
     };
-
-    let before = allocs();
-    let out = ConcurrentEngine::run(&mut t, &w, &m, &cfg).unwrap();
-    let ops = (out.maintenance.operations + out.queries_issued) as f64;
-    let per_op = (allocs() - before) as f64 / ops;
-    assert_eq!(out.maintenance.operations, w.moves.len());
-    assert!(
-        per_op <= 0.1,
-        "the concurrent engine allocates {per_op:.3} times per op; \
-         its path, op or event buffers are per batch again"
-    );
+    let mut mot = MotTracker::new(&overlay, &m, MotConfig::plain());
+    let mut stun = TreeTracker::new("STUN", build_stun(&g, &rates), &m, false).with_root_queries();
+    let zdat = build_zdat(&g, &rates, ZdatParams::default()).unwrap();
+    let mut zdat = TreeTracker::new("Z-DAT", zdat, &m, false);
+    let trackers: [&mut dyn ClimbStructure; 3] = [&mut mot, &mut stun, &mut zdat];
+    for t in trackers {
+        run_publish(t, &w).unwrap();
+        let before = allocs();
+        let out = ConcurrentEngine::run(t, &w, &m, &cfg).unwrap();
+        let in_run = allocs() - before;
+        assert_eq!(out.maintenance.operations, w.moves.len());
+        assert_eq!(out.maintenance.operations + out.queries_issued, 22_000);
+        assert!(
+            in_run <= 16,
+            "the concurrent engine allocates {in_run} times in a {} run; \
+             an op, batch or commit allocates again",
+            t.name()
+        );
+    }
 }

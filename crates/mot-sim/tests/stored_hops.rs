@@ -2,22 +2,25 @@
 //! weighted beds.
 //!
 //! The tree baselines read each parent edge's length once per direction
-//! when they are built, and `ClimbStructure::climb_into` hands the
+//! when they are built, and `ClimbStructure::next_stop` hands the
 //! concurrent engine the hop into every stop, so no climb, prune or
 //! descent asks the oracle. No committed table runs a tree on a weighted
 //! graph, where a shortest path summed from one end can round to a
 //! different `f32` than the same path summed from the other. These
 //! tests hold every billed hop to `oracle.dist(src, dst)` there: the
-//! trace events of each operation, the sum they add up to, and the
-//! lengths a climb path carries. The hand-built bed at the end has a
-//! tree edge whose two directions differ, so a prune or descent that
-//! bills the upward length fails it.
+//! trace events of each operation, the sum they add up to, each move's
+//! climb share (what the engine bills a racing request's waste
+//! against), and the lengths a climb's stops carry. The hand-built bed
+//! at the end has a tree edge whose two directions differ, so a prune
+//! or descent that bills the upward length fails it.
 
-use mot_baselines::{DetectionRates, TrackingTree, TreeTracker};
+use mot_baselines::{
+    build_stun, build_zdat, DetectionRates, TrackingTree, TreeTracker, ZdatParams,
+};
 use mot_core::{MemorySink, ObjectId, TracePhase};
 use mot_hierarchy::{build_doubling, OverlayConfig};
 use mot_net::{generators, DenseOracle, DistanceOracle, Graph, GraphBuilder, NodeId};
-use mot_sim::concurrent::ClimbStructure;
+use mot_sim::concurrent::{ClimbStructure, Stop};
 use mot_sim::{tracker_over, Algo, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -35,9 +38,16 @@ struct Seen {
 /// Checks the events `t` emitted since the previous call: each reads
 /// `m.dist(src, dst)` bit for bit, and in emission order they sum to
 /// `cost`, which is also the cost the operation reported to the sink.
-fn settle(sink: &MemorySink, m: &dyn DistanceOracle, seen: &mut Seen, cost: f64, what: &str) {
+/// Returns the sum of the `Climb` events alone, in emission order.
+fn settle(
+    sink: &MemorySink,
+    m: &dyn DistanceOracle,
+    seen: &mut Seen,
+    cost: f64,
+    what: &str,
+) -> f64 {
     let events = sink.events();
-    let mut sum = 0.0;
+    let (mut sum, mut climb) = (0.0, 0.0);
     for ev in &events[seen.events..] {
         assert_eq!(
             ev.distance.to_bits(),
@@ -54,12 +64,16 @@ fn settle(sink: &MemorySink, m: &dyn DistanceOracle, seen: &mut Seen, cost: f64,
                 seen.asymmetric_down_hops += 1;
             }
         }
+        if ev.phase == TracePhase::Climb {
+            climb += ev.distance;
+        }
         sum += ev.distance;
     }
     seen.events = events.len();
     assert_eq!(sum.to_bits(), cost.to_bits(), "{what}: events sum to {sum}");
     let reported = sink.ops().last().expect("the op completed").2;
     assert_eq!(reported.to_bits(), cost.to_bits(), "{what}: reported cost");
+    climb
 }
 
 /// Publishes, moves and queries through `t`, settling after each op.
@@ -78,13 +92,14 @@ fn drive(
         settle(sink, m, &mut seen, cost, &format!("{name} publish"));
     }
     for &(o, to) in moves {
-        let cost = t.move_object(o, to).unwrap().cost;
-        settle(
-            sink,
-            m,
-            &mut seen,
-            cost,
-            &format!("{name} move {o} -> {to}"),
+        let mv = t.move_object(o, to).unwrap();
+        let what = format!("{name} move {o} -> {to}");
+        let climb = settle(sink, m, &mut seen, mv.cost, &what);
+        assert_eq!(
+            mv.climb.to_bits(),
+            climb.to_bits(),
+            "{what}: climb share {} is not its climb hops' sum {climb}",
+            mv.climb
         );
     }
     for &(from, o) in queries {
@@ -100,27 +115,29 @@ fn drive(
     seen
 }
 
-/// Every hop a climb path from any node carries is the oracle's
-/// distance from the stop before; the first stop carries 0.
-fn check_climbs(t: &dyn ClimbStructure, m: &dyn DistanceOracle) {
-    let mut path = Vec::new();
+/// Every hop a climb from any node carries is the oracle's distance
+/// from the stop before, and the climb ends at the root.
+fn check_climbs(t: &dyn ClimbStructure, m: &dyn DistanceOracle, root: NodeId) {
     for v in (0..m.node_count()).map(NodeId::from_index) {
-        t.climb_into(v, &mut path);
+        let mut prev = Stop::first(v);
+        while let Some(stop) = t.next_stop(v, prev) {
+            assert_eq!(
+                stop.hop.to_bits(),
+                m.dist(prev.node, stop.node).to_bits(),
+                "{}: climb from {v}, hop {} -> {} at level {}",
+                t.name(),
+                prev.node,
+                stop.node,
+                stop.level
+            );
+            prev = stop;
+        }
         assert_eq!(
-            path[0].2,
-            0.0,
-            "{}: climb from {v} starts at no cost",
+            prev.node,
+            root,
+            "{}: climb from {v} ends at the root",
             t.name()
         );
-        for w in path.windows(2) {
-            let (prev, (stop, level, hop)) = (w[0].0, w[1]);
-            assert_eq!(
-                hop.to_bits(),
-                m.dist(prev, stop).to_bits(),
-                "{}: climb from {v}, hop {prev} -> {stop} at level {level}",
-                t.name()
-            );
-        }
     }
 }
 
@@ -137,10 +154,16 @@ fn check_bed(g: &Graph, name: &str) {
             (from, ObjectId(rng.gen_range(0..6)))
         })
         .collect();
-    for algo in [Algo::Mot, Algo::Stun, Algo::Zdat, Algo::ZdatShortcuts] {
+    let zdat_root = build_zdat(g, &rates, ZdatParams::default()).unwrap().root();
+    for (algo, root) in [
+        (Algo::Mot, overlay.root()),
+        (Algo::Stun, build_stun(g, &rates).root()),
+        (Algo::Zdat, zdat_root),
+        (Algo::ZdatShortcuts, zdat_root),
+    ] {
         let sink = MemorySink::new();
         let mut t = tracker_over(g, &m, &overlay, algo, &rates, Some(&sink)).unwrap();
-        check_climbs(t.as_ref(), &m);
+        check_climbs(t.as_ref(), &m, root);
         let seen = drive(t.as_mut(), &sink, &m, &w.initial, &moves, &queries);
         assert!(seen.events > 0, "{name} {}: nothing billed", algo.label());
         if algo != Algo::Mot {
@@ -212,7 +235,7 @@ fn downward_tree_hops_bill_the_downward_direction() {
             if via_root {
                 t = t.with_root_queries();
             }
-            check_climbs(&t, &m);
+            check_climbs(&t, &m, NodeId(0));
             let seen = drive(&mut t, &sink, &m, &[NodeId(3)], &moves, &queries);
             assert!(
                 seen.asymmetric_down_hops > 0,
