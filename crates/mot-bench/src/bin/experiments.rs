@@ -12,6 +12,13 @@
 //! hardware thread). Output is bit-identical for every value — see
 //! DESIGN.md §12 — so the flag only changes wall-clock time.
 //!
+//! The maintenance and query figures of one execution mode and object
+//! count are one sweep (fig4/fig6, fig5/fig7, fig12/fig14, fig13/fig15):
+//! when both ids of a pair are asked for (`all` always asks), the sweep
+//! runs once, with its queries, for the first of them, and the other's
+//! table is printed and written in its own turn, so its `[figN took …]`
+//! reads near zero. A lone maintenance id runs the sweep without queries.
+//!
 //! `IDS` default to every figure. Examples:
 //!
 //! ```text
@@ -42,7 +49,8 @@
 //! and, for every sweep-shaped figure (`fig4`…`fig15`, `locality`,
 //! `mobility`, `faults`, `faults-smoke`), where the sweep's time went:
 //! seconds summed over cells per shared input and per cell phase, split
-//! by algorithm, and the runner's efficiency.
+//! by algorithm, and the runner's efficiency (a figure pair's sweep
+//! prints once, under the id that ran it).
 //! Stdout tables are unaffected, so the flag composes with `--csv` and
 //! the determinism checks. See PERFORMANCE.md for the flamegraph recipe
 //! when per-function attribution is needed below phase granularity.
@@ -57,13 +65,12 @@
 //! unrepaired objects) — exits nonzero with a readable message.
 
 use mot_bench::{
-    ablation_table, churn_smoke_table, churn_table, faults_table_profiled, general_graph_table,
-    instrumented_run, level_decomposition_table, load_figure_profiled, locality_table_profiled,
-    maintenance_figure_profiled, mobility_table_profiled, profile_fig4_phases, publish_cost_table,
-    query_figure_profiled, run_baseline, scale_table, scenario_tables, scenarios_smoke_table,
-    service_phase_timings, service_run, state_size_table, trace_events, BaselineProfile,
-    BenchError, FigureTable, Profile, ProfiledResult, RunReport, ScenarioProfile, ServiceSpec,
-    SizeSpec,
+    ablation_table, churn_smoke_table, churn_table, faults_table_profiled, figure_pair,
+    general_graph_table, instrumented_run, level_decomposition_table, load_figure_profiled,
+    locality_table_profiled, mobility_table_profiled, profile_fig4_phases, publish_cost_table,
+    run_baseline, scale_table, scenario_tables, scenarios_smoke_table, service_phase_timings,
+    service_run, state_size_table, trace_events, BaselineProfile, BenchError, FigurePair,
+    FigureTable, Profile, ProfiledResult, RunReport, ScenarioProfile, ServiceSpec, SizeSpec,
 };
 use mot_net::OracleKind;
 use mot_sim::Algo;
@@ -100,6 +107,15 @@ const ALL_IDS: [&str; 29] = [
     "service",
     "service-smoke",
     "level-decomp",
+];
+
+/// The figure pairs one sweep serves (see the module docs):
+/// `(maintenance id, query id, objects, concurrent)`.
+const PAIRS: [(&str, &str, usize, bool); 4] = [
+    ("fig4", "fig6", 100, false),
+    ("fig5", "fig7", 1000, false),
+    ("fig12", "fig14", 100, true),
+    ("fig13", "fig15", 1000, true),
 ];
 
 fn profile_for(
@@ -207,6 +223,9 @@ fn run() -> Result<(), BenchError> {
                      \x20                  [--experiment ID] [IDS...]\n\
                      ids: {}\n\
                      \x20    all\n\
+                     fig4/fig6, fig5/fig7, fig12/fig14 and fig13/fig15 are one sweep\n\
+                     each: asked for together they run it once (the second id's\n\
+                     time reads near zero); a lone fig4/5/12/13 runs no queries;\n\
                      bench-baseline also accepts --profile smoke|full and writes\n\
                      its phase timings to --bench-out (default BENCH_pr8.json);\n\
                      --profile-phases prints self-timing breakdowns (stderr) for\n\
@@ -282,8 +301,40 @@ fn run() -> Result<(), BenchError> {
             table
         })
     };
+    // A figure pair's id: one sweep, with the queries if `fig` is the
+    // query figure or its partner comes `later`, in which case the
+    // partner's table is held for its turn.
+    let run_pair = |fig: &str, later: &[String], held: &mut Vec<(&str, FigureTable)>| {
+        let &(maint_id, query_id, objects, concurrent) = PAIRS
+            .iter()
+            .find(|&&(m, q, ..)| fig == m || fig == q)
+            .ok_or("not a figure pair")?;
+        let wants_query = fig == query_id;
+        let partner = if wants_query { maint_id } else { query_id };
+        let partner_later = later.iter().any(|id| id == partner);
+        let p = profile_for(objects, &profile_name, oracle, jobs)?;
+        let FigurePair {
+            maintenance,
+            query,
+            phases,
+        } = figure_pair(&p, concurrent, wants_query || partner_later)?;
+        if profile_phases {
+            eprint!("{}", phases.render());
+        }
+        let (mine, theirs) = if wants_query {
+            (query, Some(maintenance))
+        } else {
+            (Some(maintenance), query)
+        };
+        if let (true, Some(table)) = (partner_later, theirs) {
+            held.push((partner, table));
+        }
+        mine.ok_or_else(|| BenchError::from("the sweep ran no queries"))
+    };
     let mut service_json: Option<String> = None;
-    for id in &ids {
+    // Tables a figure pair's sweep made for an id still to come.
+    let mut held: Vec<(&str, FigureTable)> = Vec::new();
+    for (i, id) in ids.iter().enumerate() {
         let started = std::time::Instant::now();
         let name = profile_name.as_str();
         if profile_phases && id == "fig4" {
@@ -302,6 +353,13 @@ fn run() -> Result<(), BenchError> {
             eprint!("{}", timings.render());
         }
         let table = match id.as_str() {
+            fig if PAIRS.iter().any(|&(m, q, ..)| fig == m || fig == q) => {
+                match held.iter().position(|(h, _)| *h == fig) {
+                    // Its partner's sweep made it.
+                    Some(at) => Ok(held.swap_remove(at).1),
+                    None => run_pair(fig, &ids[i + 1..], &mut held),
+                }
+            }
             "bench-baseline" => baseline_profile_for(name, oracle_flag, jobs)
                 .and_then(|bp| run_baseline(&bp))
                 .and_then(|rep| {
@@ -313,22 +371,6 @@ fn run() -> Result<(), BenchError> {
                     }
                     Ok(rep.to_table())
                 }),
-            "fig4" => sweep(maintenance_figure_profiled(
-                &profile_for(100, name, oracle, jobs)?,
-                false,
-            )),
-            "fig5" => sweep(maintenance_figure_profiled(
-                &profile_for(1000, name, oracle, jobs)?,
-                false,
-            )),
-            "fig6" => sweep(query_figure_profiled(
-                &profile_for(100, name, oracle, jobs)?,
-                false,
-            )),
-            "fig7" => sweep(query_figure_profiled(
-                &profile_for(1000, name, oracle, jobs)?,
-                false,
-            )),
             "fig8" => sweep(load_figure_profiled(
                 &profile_for(100, name, oracle, jobs)?,
                 Algo::Stun,
@@ -348,22 +390,6 @@ fn run() -> Result<(), BenchError> {
                 &profile_for(100, name, oracle, jobs)?,
                 Algo::Zdat,
                 10,
-            )),
-            "fig12" => sweep(maintenance_figure_profiled(
-                &profile_for(100, name, oracle, jobs)?,
-                true,
-            )),
-            "fig13" => sweep(maintenance_figure_profiled(
-                &profile_for(1000, name, oracle, jobs)?,
-                true,
-            )),
-            "fig14" => sweep(query_figure_profiled(
-                &profile_for(100, name, oracle, jobs)?,
-                true,
-            )),
-            "fig15" => sweep(query_figure_profiled(
-                &profile_for(1000, name, oracle, jobs)?,
-                true,
             )),
             "pub-cost" => publish_cost_table(&profile_for(100, name, oracle, jobs)?),
             "ablations" => ablation_table(&profile_for(100, name, oracle, jobs)?),

@@ -8,15 +8,22 @@
 //! sequential — they are one fixed-seed run by construction.
 //!
 //! The cells of a sweep differ in the algorithm and share everything
-//! else, so the six sweep-shaped runners (`maintenance_figure`,
-//! `query_figure`, `load_figure`, `locality_table`, `mobility_table`,
-//! `faults_table`) take their graph, distance backend, overlay,
-//! workload and detection rates from one `SharedInputs` per call
-//! (`shared.rs`): built once per grid or per (grid, seed) by whichever
-//! worker needs them first, dropped when that grid's last cell is done.
-//! A cell instantiates only its tracker. Each of the six also has a
-//! `_profiled` twin returning the table *and* where the time went
-//! ([`SweepPhases`]); the plain function is that one minus the timings.
+//! else, so the five sweep-shaped runners (`figure_pair`, `load_figure`,
+//! `locality_table`, `mobility_table`, `faults_table`) take their graph,
+//! distance backend, overlay, workload and detection rates from one
+//! `SharedInputs` per call (`shared.rs`): built once per grid or per
+//! (grid, seed) by whichever worker needs them first, dropped when that
+//! grid's last cell is done. A cell instantiates only its tracker. Each
+//! runner also reports where the time went ([`SweepPhases`]):
+//! `figure_pair` in its result, the other four through a `_profiled`
+//! twin of which the plain function is the table alone.
+//!
+//! The paper measures maintenance (Figs. 4/5, 12/13) and queries after
+//! the maintenance workload (Figs. 6/7, 14/15) on the same runs, so a
+//! maintenance figure is the maintenance half of its query figure's
+//! sweep: [`figure_pair`] runs the sweep once, with or without the
+//! queries, and reduces it to one table or both. [`maintenance_figure`]
+//! runs it without queries and [`query_figure`] with them.
 
 use crate::profiling::{Laps, SweepPhases, CELL_PHASES, INPUTS, PUBLISH, QUERIES, RUN, TRACKER};
 use crate::report::{BedMemory, FigureTable};
@@ -32,6 +39,7 @@ use mot_sim::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Errors a figure run can surface: tracker/simulation failures plus the
@@ -264,192 +272,139 @@ pub(crate) fn all_correct(what: &str, correct: usize, issued: usize) -> Result<(
     .into())
 }
 
-/// One maintenance cell: publish, then the workload one by one or
-/// through the concurrent engine.
-fn maintenance_cell(
-    inp: &CellInputs,
-    algo: Algo,
-    seed: u64,
-    concurrent: bool,
-    laps: &mut Laps,
-) -> Result<CostStats, BenchError> {
-    let w = &inp.drawn.workload;
-    let mut t = inp.tracker(algo)?;
-    laps.lap(TRACKER);
-    run_publish(t.as_mut(), w)?;
-    laps.lap(PUBLISH);
-    let stats = if concurrent {
-        ConcurrentEngine::run(
-            t.as_mut(),
-            w,
-            inp.oracle(),
-            &ConcurrentConfig {
-                max_inflight_per_object: 10,
-                queries_per_batch: 0,
-                seed,
-            },
-        )?
-        .maintenance
-    } else {
-        replay(t.as_mut(), w, inp.oracle(), None)?.cost
-    };
-    laps.lap(RUN);
-    Ok(stats)
-}
-
-/// One query cell: the maintenance workload, then (or, concurrently,
-/// racing it) the queries. Wrong answers fail the cell.
-fn query_cell(
+/// One cell of a figure pair: publish, then the workload one by one or
+/// through the concurrent engine, then the queries if `queries` asks
+/// for them — after the replay, or racing the engine's maintenance
+/// batches (§4.2.2). Returns the maintenance and the query costs (the
+/// latter empty without queries). Wrong answers fail the cell.
+fn pair_cell(
     p: &Profile,
     inp: &CellInputs,
     algo: Algo,
     seed: u64,
     concurrent: bool,
+    queries: bool,
     laps: &mut Laps,
-) -> Result<CostStats, BenchError> {
+) -> Result<(CostStats, CostStats), BenchError> {
     let w = &inp.drawn.workload;
     let mut t = inp.tracker(algo)?;
     laps.lap(TRACKER);
     run_publish(t.as_mut(), w)?;
     laps.lap(PUBLISH);
     if concurrent {
-        // queries race the maintenance batches (§4.2.2)
-        let out = ConcurrentEngine::run(
-            t.as_mut(),
-            w,
-            inp.oracle(),
-            &ConcurrentConfig {
-                max_inflight_per_object: 10,
-                queries_per_batch: 1,
-                seed,
-            },
-        )?;
+        let cfg = ConcurrentConfig {
+            max_inflight_per_object: 10,
+            queries_per_batch: queries as usize,
+            seed,
+        };
+        let out = ConcurrentEngine::run(t.as_mut(), w, inp.oracle(), &cfg)?;
         laps.lap(RUN);
         let what = format!("{} concurrent", algo.label());
         all_correct(&what, out.queries_correct, out.queries_issued)?;
-        Ok(out.queries)
-    } else {
-        replay(t.as_mut(), w, inp.oracle(), None)?;
-        laps.lap(RUN);
-        let q = query_batch(
-            t.as_mut(),
-            inp.oracle(),
-            p.objects,
-            p.queries,
-            seed + 31,
-            Draw::UNIFORM,
-            None,
-        )?;
-        laps.lap(QUERIES);
-        all_correct(algo.label(), q.correct, p.queries)?;
-        Ok(q.cost)
+        return Ok((out.maintenance, out.queries));
     }
+    let maintenance = replay(t.as_mut(), w, inp.oracle(), None)?.cost;
+    laps.lap(RUN);
+    if !queries {
+        return Ok((maintenance, CostStats::default()));
+    }
+    let q = query_batch(
+        t.as_mut(),
+        inp.oracle(),
+        p.objects,
+        p.queries,
+        seed + 31,
+        Draw::UNIFORM,
+        None,
+    )?;
+    laps.lap(QUERIES);
+    all_correct(algo.label(), q.correct, p.queries)?;
+    Ok((maintenance, q.cost))
 }
 
-/// Figs. 4/5 (one-by-one) and 12/13 (concurrent): maintenance cost ratio
-/// across network sizes.
+/// What [`figure_pair`] returns: one sweep's maintenance table, its
+/// query table when the sweep ran the queries, and where its time went.
+pub struct FigurePair {
+    /// Fig. 4, 5, 12 or 13.
+    pub maintenance: FigureTable,
+    /// Fig. 6, 7, 14 or 15; `None` when the sweep ran no queries.
+    pub query: Option<FigureTable>,
+    /// The sweep's timings.
+    pub phases: SweepPhases,
+}
+
+/// Figs. 4/5 (one-by-one) and 12/13 (concurrent), the maintenance cost
+/// ratio across network sizes, and, when `queries`, Figs. 6/7 and 14/15
+/// on the same runs: the query cost ratio after (or, concurrently,
+/// during) the maintenance workload. One sweep, two reductions.
+pub fn figure_pair(p: &Profile, concurrent: bool, queries: bool) -> Result<FigurePair, BenchError> {
+    let algos = lineup();
+    let figure = match (queries, concurrent) {
+        (false, false) => "maint",
+        (false, true) => "maint-conc",
+        (true, false) => "query",
+        (true, true) => "query-conc",
+    };
+    let (shared, cells) = sweep_cells(p, figure, &algos);
+    let (results, phases) = run_sweep(
+        p,
+        if concurrent { "engine" } else { "replay" },
+        &shared,
+        &cells,
+        |&(grid, seed, _)| (grid, seed as usize),
+        |&(_, seed, algo), inp, laps| pair_cell(p, inp, algo, seed, concurrent, queries, laps),
+    )?;
+    let (maintenance, query): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    // A query figure's number is two past its maintenance figure's.
+    let fig = match (concurrent, p.objects >= 1000) {
+        (false, false) => 4,
+        (false, true) => 5,
+        (true, false) => 12,
+        (true, true) => 13,
+    };
+    let execution = if concurrent {
+        "concurrent"
+    } else {
+        "one-by-one"
+    };
+    let table = |what: &str, fig: u32, stats, reduce: fn(&CostStats) -> f64| -> BenchResult {
+        let rows = p
+            .grids
+            .iter()
+            .zip(merge_sweep(p, algos.len(), stats)?)
+            .map(|(&(r, c), per_algo)| ((r * c).to_string(), per_algo.iter().map(reduce).collect()))
+            .collect();
+        Ok(FigureTable {
+            title: format!(
+                "{what} cost ratio, {} objects, {execution} execution (paper Fig. {fig})",
+                p.objects
+            ),
+            x_label: "nodes".into(),
+            columns: algos.iter().map(|a| a.label().to_string()).collect(),
+            rows,
+        })
+    };
+    Ok(FigurePair {
+        maintenance: table("Maintenance", fig, maintenance, CostStats::ratio)?,
+        query: if queries {
+            Some(table("Query", fig + 2, query, CostStats::mean_ratio)?)
+        } else {
+            None
+        },
+        phases,
+    })
+}
+
+/// The maintenance half of [`figure_pair`], run without queries.
 pub fn maintenance_figure(p: &Profile, concurrent: bool) -> BenchResult {
-    Ok(maintenance_figure_profiled(p, concurrent)?.0)
+    Ok(figure_pair(p, concurrent, false)?.maintenance)
 }
 
-/// [`maintenance_figure`] plus where its time went.
-pub fn maintenance_figure_profiled(p: &Profile, concurrent: bool) -> ProfiledResult {
-    let algos = lineup();
-    let figure = if concurrent { "maint-conc" } else { "maint" };
-    let (shared, cells) = sweep_cells(p, figure, &algos);
-    let (results, phases) = run_sweep(
-        p,
-        if concurrent { "engine" } else { "replay" },
-        &shared,
-        &cells,
-        |&(grid, seed, _)| (grid, seed as usize),
-        |&(_, seed, algo), inp, laps| maintenance_cell(inp, algo, seed, concurrent, laps),
-    )?;
-    let rows = p
-        .grids
-        .iter()
-        .zip(merge_sweep(p, algos.len(), results)?)
-        .map(|(&(r, c), per_algo)| {
-            (
-                (r * c).to_string(),
-                per_algo.iter().map(CostStats::ratio).collect(),
-            )
-        })
-        .collect();
-    let table = FigureTable {
-        title: format!(
-            "Maintenance cost ratio, {} objects, {} execution (paper Fig. {})",
-            p.objects,
-            if concurrent {
-                "concurrent"
-            } else {
-                "one-by-one"
-            },
-            match (p.objects >= 1000, concurrent) {
-                (false, false) => "4",
-                (true, false) => "5",
-                (false, true) => "12",
-                (true, true) => "13",
-            }
-        ),
-        x_label: "nodes".into(),
-        columns: algos.iter().map(|a| a.label().to_string()).collect(),
-        rows,
-    };
-    Ok((table, phases))
-}
-
-/// Figs. 6/7 (one-by-one) and 14/15 (concurrent): query cost ratio across
-/// network sizes, after the maintenance workload.
+/// The query half of [`figure_pair`].
 pub fn query_figure(p: &Profile, concurrent: bool) -> BenchResult {
-    Ok(query_figure_profiled(p, concurrent)?.0)
-}
-
-/// [`query_figure`] plus where its time went.
-pub fn query_figure_profiled(p: &Profile, concurrent: bool) -> ProfiledResult {
-    let algos = lineup();
-    let figure = if concurrent { "query-conc" } else { "query" };
-    let (shared, cells) = sweep_cells(p, figure, &algos);
-    let (results, phases) = run_sweep(
-        p,
-        if concurrent { "engine" } else { "replay" },
-        &shared,
-        &cells,
-        |&(grid, seed, _)| (grid, seed as usize),
-        |&(_, seed, algo), inp, laps| query_cell(p, inp, algo, seed, concurrent, laps),
-    )?;
-    let rows = p
-        .grids
-        .iter()
-        .zip(merge_sweep(p, algos.len(), results)?)
-        .map(|(&(r, c), per_algo)| {
-            (
-                (r * c).to_string(),
-                per_algo.iter().map(CostStats::mean_ratio).collect(),
-            )
-        })
-        .collect();
-    let table = FigureTable {
-        title: format!(
-            "Query cost ratio, {} objects, {} execution (paper Fig. {})",
-            p.objects,
-            if concurrent {
-                "concurrent"
-            } else {
-                "one-by-one"
-            },
-            match (p.objects >= 1000, concurrent) {
-                (false, false) => "6",
-                (true, false) => "7",
-                (false, true) => "14",
-                (true, true) => "15",
-            }
-        ),
-        x_label: "nodes".into(),
-        columns: algos.iter().map(|a| a.label().to_string()).collect(),
-        rows,
-    };
-    Ok((table, phases))
+    figure_pair(p, concurrent, true)?
+        .query
+        .ok_or_else(|| "a sweep with queries returned no query table".into())
 }
 
 /// Figs. 8–11: per-node load of MOT(+LB) against a baseline, on the
@@ -1099,6 +1054,9 @@ pub fn faults_table_profiled(p: &Profile, grid: (usize, usize)) -> ProfiledResul
         .collect();
     let cells_per_seed = crash_counts.len() * drop_rates.len() * algos.len();
     let shared = SharedInputs::new(p.oracle, &[grid], specs, cells_per_seed);
+    // The repair probe, found by the first cell to need it: every cell
+    // runs on the sweep's one graph.
+    let center = OnceLock::new();
     // Each cell replays one (fault mix, algo, seed) run, keeping its
     // health checks (query correctness + full repair) inside the cell so
     // a failure names the exact run that broke.
@@ -1136,8 +1094,8 @@ pub fn faults_table_profiled(p: &Profile, grid: (usize, usize)) -> ProfiledResul
             let what = format!("{} (drop {drop_rate}, {crashes} crashes)", algo.label());
             all_correct(&what, q.correct, p.queries)?;
             repair_all(t.as_mut(), p.objects)?;
-            let unrepaired =
-                unrepaired_objects(t.as_ref(), p.objects, graph_center(&inp.net.graph));
+            let probe = *center.get_or_init(|| graph_center(&inp.net.graph));
+            let unrepaired = unrepaired_objects(t.as_ref(), p.objects, probe);
             if unrepaired != 0 {
                 return Err(format!(
                     "{} (drop {drop_rate}, {crashes} crashes): {unrepaired} \
@@ -1207,8 +1165,10 @@ mod tests {
     use mot_net::NetError;
     use mot_sim::SimError;
 
-    /// A sweep cell the way every runner built it before the inputs were
-    /// shared: its own bed, its own workload, its own rates.
+    /// A figure-pair cell the way every runner built it before the
+    /// inputs were shared: its own bed, its own workload, its own rates.
+    /// Returns the maintenance and query costs, the latter empty without
+    /// queries.
     fn fresh_cell(
         p: &Profile,
         (r, c): (usize, usize),
@@ -1216,7 +1176,7 @@ mod tests {
         algo: Algo,
         concurrent: bool,
         queries: bool,
-    ) -> CostStats {
+    ) -> (CostStats, CostStats) {
         let bed = TestBed::grid_with_oracle(r, c, seed, p.oracle).unwrap();
         let w = WorkloadSpec::new(p.objects, p.moves_per_object, seed * 7 + 1).generate(&bed.graph);
         let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
@@ -1229,17 +1189,13 @@ mod tests {
                 seed,
             };
             let out = ConcurrentEngine::run(t.as_mut(), &w, &*bed.oracle, &cfg).unwrap();
-            return if queries {
-                out.queries
-            } else {
-                out.maintenance
-            };
+            return (out.maintenance, out.queries);
         }
         let maint = replay(t.as_mut(), &w, &*bed.oracle, None).unwrap().cost;
         if !queries {
-            return maint;
+            return (maint, CostStats::default());
         }
-        query_batch(
+        let q = query_batch(
             t.as_mut(),
             &*bed.oracle,
             p.objects,
@@ -1248,8 +1204,8 @@ mod tests {
             Draw::UNIFORM,
             None,
         )
-        .unwrap()
-        .cost
+        .unwrap();
+        (maint, q.cost)
     }
 
     fn bits(s: &CostStats) -> (u64, u64, u64, usize, usize) {
@@ -1274,20 +1230,14 @@ mod tests {
                 let (grid, seed, algo) = cell.data;
                 let inp = shared.cell(grid, seed as usize).unwrap();
                 let mut laps = Laps::start();
-                let on_shared = if queries {
-                    query_cell(&p, &inp, algo, seed, concurrent, &mut laps)
-                } else {
-                    maintenance_cell(&inp, algo, seed, concurrent, &mut laps)
-                }
-                .unwrap();
+                let (maint, query) =
+                    pair_cell(&p, &inp, algo, seed, concurrent, queries, &mut laps).unwrap();
                 let fresh = fresh_cell(&p, p.grids[grid], seed, algo, concurrent, queries);
-                assert!(fresh.operations > 0, "{}: nothing compared", cell.key);
-                assert_eq!(
-                    bits(&on_shared),
-                    bits(&fresh),
-                    "{} (concurrent {concurrent}, queries {queries})",
-                    cell.key
-                );
+                assert!(fresh.0.operations > 0, "{}: nothing compared", cell.key);
+                assert_eq!(fresh.1.operations > 0, queries, "{}", cell.key);
+                let what = format!("{} (concurrent {concurrent}, queries {queries})", cell.key);
+                assert_eq!(bits(&maint), bits(&fresh.0), "{what}: maintenance");
+                assert_eq!(bits(&query), bits(&fresh.1), "{what}: queries");
             }
         }
     }

@@ -51,11 +51,11 @@ pub use baseline::{
 };
 pub use churn::{churn_smoke_table, churn_table};
 pub use figures::{
-    ablation_table, faults_table, faults_table_profiled, general_graph_table, instrumented_run,
-    level_decomposition_table, load_figure, load_figure_profiled, locality_table,
-    locality_table_profiled, maintenance_figure, maintenance_figure_profiled, mobility_table,
-    mobility_table_profiled, publish_cost_table, query_figure, query_figure_profiled, scale_table,
-    state_size_table, trace_events, BenchError, BenchResult, Profile, ProfiledResult,
+    ablation_table, faults_table, faults_table_profiled, figure_pair, general_graph_table,
+    instrumented_run, level_decomposition_table, load_figure, load_figure_profiled, locality_table,
+    locality_table_profiled, maintenance_figure, mobility_table, mobility_table_profiled,
+    publish_cost_table, query_figure, scale_table, state_size_table, trace_events, BenchError,
+    BenchResult, FigurePair, Profile, ProfiledResult,
 };
 pub use profiling::{profile_fig4_phases, service_phase_timings, PhaseTimings, SweepPhases};
 pub use report::{BedMemory, FigureTable, RunReport};

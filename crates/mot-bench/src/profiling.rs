@@ -323,13 +323,18 @@ mod tests {
 
     #[test]
     fn sweep_phases_account_for_the_cells_and_leave_the_table_alone() {
-        use crate::figures::{maintenance_figure, maintenance_figure_profiled, Profile};
+        use crate::figures::{figure_pair, maintenance_figure, query_figure, Profile};
         let p = Profile::quick(5).with_jobs(2);
-        let (table, phases) = maintenance_figure_profiled(&p, true).unwrap();
+        let pair = figure_pair(&p, true, true).unwrap();
         assert_eq!(
-            table.to_csv(),
+            pair.maintenance.to_csv(),
             maintenance_figure(&p, true).unwrap().to_csv()
         );
+        assert_eq!(
+            pair.query.map(|t| t.to_csv()),
+            Some(query_figure(&p, true).unwrap().to_csv())
+        );
+        let phases = pair.phases;
         assert_eq!(phases.algos, ["MOT", "STUN", "Z-DAT", "Z-DAT+shortcuts"]);
         let names: Vec<&str> = phases.per_algo.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["inputs", "tracker", "publish", "engine", "queries"]);
@@ -339,7 +344,7 @@ mod tests {
         assert!(in_phases > 0.0 && in_phases <= phases.cell_secs);
         assert!(phases.efficiency() > 0.0 && phases.efficiency() <= 1.01);
         let rendered = phases.render();
-        for needle in ["maint-conc sweep", "graph+oracle", "engine", "efficiency"] {
+        for needle in ["query-conc sweep", "graph+oracle", "engine", "efficiency"] {
             assert!(rendered.contains(needle), "{needle} missing:\n{rendered}");
         }
     }

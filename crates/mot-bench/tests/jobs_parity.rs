@@ -9,8 +9,8 @@
 //! to run, and the bytes may not.
 
 use mot_bench::{
-    churn_table, faults_table, load_figure, locality_table, maintenance_figure, mobility_table,
-    query_figure, FigureTable, Profile,
+    churn_table, faults_table, figure_pair, load_figure, locality_table, maintenance_figure,
+    mobility_table, query_figure, FigureTable, Profile,
 };
 use mot_sim::{Algo, CellKey, Keyed, ParallelRunner, SimError};
 
@@ -51,6 +51,26 @@ fn tables_are_byte_identical_for_1_and_4_jobs() {
     }
 }
 
+/// A maintenance figure is the maintenance half of its query figure's
+/// sweep: run alone (no queries) it has the same bytes, one-by-one and
+/// concurrent, at 1 and 2 jobs.
+#[test]
+fn a_maintenance_figure_is_the_maintenance_half_of_its_query_sweep() {
+    for jobs in [1, 2] {
+        let p = profile(jobs);
+        for concurrent in [false, true] {
+            let lone = maintenance_figure(&p, concurrent).expect("maintenance");
+            let pair = figure_pair(&p, concurrent, true).expect("pair");
+            assert!(
+                pair.query.is_some(),
+                "the query-bearing sweep has its query table"
+            );
+            let what = format!("jobs {jobs}, concurrent {concurrent}");
+            assert_eq!(bytes_of(&lone), bytes_of(&pair.maintenance), "{what}");
+        }
+    }
+}
+
 #[test]
 fn churn_experiment_is_byte_identical_for_1_and_4_jobs() {
     // The churn table's cells mutate per-cell hierarchy state; parity
@@ -77,6 +97,8 @@ fn fault_sweep_is_byte_identical_for_1_and_4_jobs() {
 /// End-to-end parity through the `experiments` binary: identical CSV
 /// files and identical `--metrics` JSON (after dropping the wall-clock
 /// `timings_secs` span, the one intentionally non-deterministic field).
+/// `fig4 fig6` is one sweep with queries; `fig4` alone runs it without
+/// them and must write the same `fig4.csv`.
 #[test]
 fn binary_output_is_byte_identical_across_jobs() {
     let exe = env!("CARGO_BIN_EXE_experiments");
@@ -110,7 +132,22 @@ fn binary_output_is_byte_identical_across_jobs() {
         let json = std::fs::read_to_string(&metrics).expect("metrics.json");
         outputs.push((fig4, fig6, strip_timings(&json)));
     }
+    let lone = tmp.join("fig4-alone");
+    let status = std::process::Command::new(exe)
+        .args(["--profile", "quick", "--jobs", "2", "--csv"])
+        .arg(&lone)
+        .arg("fig4")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run experiments");
+    assert!(status.success(), "experiments fig4 failed");
+    let lone_fig4 = std::fs::read(lone.join("fig4.csv")).expect("lone fig4.csv");
     let _ = std::fs::remove_dir_all(&tmp);
+    assert_eq!(
+        lone_fig4, outputs[0].0,
+        "fig4.csv differs alone and with fig6"
+    );
     assert_eq!(outputs[0].0, outputs[1].0, "fig4.csv differs across --jobs");
     assert_eq!(outputs[0].1, outputs[1].1, "fig6.csv differs across --jobs");
     assert_eq!(

@@ -15,14 +15,14 @@
 //! Every level is climbed on one bottom node's detection path, so it is
 //! that node's whole station: a [`TrailLevel`] is its origin, and its
 //! holders and their guards are overlay constants
-//! ([`TrailLevel::holders`], [`TrailLevel::guards`]).
+//! (`TrailLevel::holders`, `TrailLevel::guards`).
 //!
 //! The trails are the only copy of the DL/SDL state: a sensor's DL and
 //! SDL are a *view* of them. "Does `v` hold `o` at level ℓ" is
 //! `v ∈ trail[ℓ].holders`; the DL a query probes at `v` is the lowest
 //! level whose holders contain `v`; the SDL entry it probes is the
 //! minimum `(level, child)` pair over the trail's guards hosted at `v`
-//! ([`ObjectRecord::probe`]). An operation looks the object up once and
+//! (`ObjectRecord::probe`). An operation looks the object up once and
 //! then reads a few words of record and the overlay's station table,
 //! not a hash map per sensor it visits. What stays per sensor is its
 //! physical load — an entry count the tracker moves on every write.
@@ -233,7 +233,7 @@ impl ObjectRecord {
 
 /// One record's probes from a query's climb. A 512-bit filter over the
 /// nodes storing any of its entries answers most misses with one bit
-/// test; the rest read the record ([`ObjectRecord::probe`]).
+/// test; the rest read the record (`ObjectRecord::probe`).
 pub(crate) struct Prober<'r> {
     rec: &'r ObjectRecord,
     overlay: &'r Overlay,
