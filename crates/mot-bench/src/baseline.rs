@@ -16,15 +16,7 @@
 //!    records exactly that collapse;
 //! 3. `hierarchy_secs` — [`build_doubling`], the bounded-ball builder
 //!    every caller runs at every size;
-//! 4. `hierarchy_seq_secs` — the frozen pre-optimization builder on the
-//!    same inputs, whose overlay is then asserted **identical** to the
-//!    optimized one (a mismatch fails the run, not just a test). The
-//!    reference scans full oracle rows, always over a dense matrix (the
-//!    bed's, or one built untimed for it), so this phase and the derived
-//!    `hierarchy_speedup` only run up to
-//!    [`REFERENCE_PHASE_NODE_LIMIT`] nodes and serialize as `null`
-//!    beyond it;
-//! 5. `fig4_replay_secs` — publish + one-by-one move replay of a Fig. 4
+//! 4. `fig4_replay_secs` — publish + one-by-one move replay of a Fig. 4
 //!    MOT arm, plus its cost ratio as a cross-check value. The bed
 //!    reuses the already-built oracle and overlay.
 //!
@@ -46,29 +38,23 @@ use crate::figures::BenchError;
 use crate::service::{service_run, ServiceSpec};
 use mot_baselines::DetectionRates;
 use mot_core::fmt_f64;
-use mot_hierarchy::{build_doubling, reference_build_doubling, Overlay, OverlayConfig};
-use mot_net::{generators, DenseOracle, DistanceOracle, Graph, OracleKind};
+use mot_hierarchy::{build_doubling, OverlayConfig};
+use mot_net::{generators, Graph, OracleKind};
 use mot_sim::{replay, run_publish, Algo, TestBed, WorkloadSpec};
 use std::time::Instant;
 
 /// Schema identifier stamped into every report this module writes.
 ///
-/// `/2` added `topology`, the cache hit/miss/memory counters, and made
-/// `hierarchy_seq_secs` / `hierarchy_speedup` nullable past
-/// [`REFERENCE_PHASE_NODE_LIMIT`]. `/3` added the `service` phase
+/// `/2` added `topology`, the cache hit/miss/memory counters, and a
+/// nullable reference-builder phase. `/3` added the `service` phase
 /// family: wall-clock throughput plus deterministic cost quantiles from
 /// the chaos-soak specs of [`crate::service`]. `/4` dropped `/3`'s
 /// dispatch-phase column: [`build_doubling`] no longer chooses between
-/// builders, so `hierarchy_secs` already is what callers pay.
-pub const BENCH_SCHEMA: &str = "mot-bench-baseline/4";
-
-/// Largest size on which the frozen reference builder (full oracle-row
-/// scans) is timed and identity-checked. Matches
-/// [`OracleKind::DENSE_NODE_LIMIT`]: up to here a dense matrix is cheap
-/// enough that the O(k²) reference finishes in seconds; beyond it the
-/// reference would itself re-introduce the n² cost this harness exists
-/// to show is gone.
-pub const REFERENCE_PHASE_NODE_LIMIT: usize = 4096;
+/// builders, so `hierarchy_secs` already is what callers pay. `/5`
+/// dropped the reference-builder phase and its speedup column with the
+/// builder: overlays are held to the doubling rules by
+/// `mot_hierarchy::validate`, not to a second construction.
+pub const BENCH_SCHEMA: &str = "mot-bench-baseline/5";
 
 /// One benchmark topology, sized and seeded.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -262,12 +248,6 @@ pub struct SizeTiming {
     pub oracle_warmup_secs: f64,
     /// Doubling-overlay construction ([`build_doubling`]).
     pub hierarchy_secs: f64,
-    /// Frozen reference doubling-overlay construction (same inputs);
-    /// `None` past [`REFERENCE_PHASE_NODE_LIMIT`].
-    pub hierarchy_seq_secs: Option<f64>,
-    /// `hierarchy_seq_secs / hierarchy_secs`; `None` when the reference
-    /// phase was skipped.
-    pub hierarchy_speedup: Option<f64>,
     /// Publish + one-by-one replay of the fig4 MOT arm.
     pub fig4_replay_secs: f64,
     /// Maintenance cost ratio of that arm (cross-check value).
@@ -337,13 +317,9 @@ pub struct BaselineReport {
     pub service: Vec<ServiceTiming>,
 }
 
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map(fmt_f64).unwrap_or_else(|| "null".into())
-}
-
 impl BaselineReport {
     /// Pretty-printed JSON matching the schema documented in
-    /// PERFORMANCE.md. Skipped phases serialize as `null`.
+    /// PERFORMANCE.md.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -366,8 +342,6 @@ impl BaselineReport {
                 ("graph_build_secs", fmt_f64(s.graph_build_secs)),
                 ("oracle_warmup_secs", fmt_f64(s.oracle_warmup_secs)),
                 ("hierarchy_secs", fmt_f64(s.hierarchy_secs)),
-                ("hierarchy_seq_secs", fmt_opt(s.hierarchy_seq_secs)),
-                ("hierarchy_speedup", fmt_opt(s.hierarchy_speedup)),
                 ("fig4_replay_secs", fmt_f64(s.fig4_replay_secs)),
                 ("fig4_mot_ratio", fmt_f64(s.fig4_mot_ratio)),
                 ("oracle_cache_hits", s.oracle_cache_hits.to_string()),
@@ -425,8 +399,7 @@ impl BaselineReport {
 
 impl BaselineReport {
     /// Human-readable summary table (same rendering pipeline as the
-    /// figure experiments; seconds, plus the speedup column). Skipped
-    /// reference phases render as `NaN`.
+    /// figure experiments; seconds, plus the fig4 cost ratio).
     pub fn to_table(&self) -> crate::report::FigureTable {
         crate::report::FigureTable {
             title: format!(
@@ -438,8 +411,6 @@ impl BaselineReport {
                 "graph_s".into(),
                 "oracle_s".into(),
                 "hier_s".into(),
-                "hier_seq_s".into(),
-                "speedup".into(),
                 "fig4_s".into(),
                 "fig4_ratio".into(),
             ],
@@ -458,8 +429,6 @@ impl BaselineReport {
                             s.graph_build_secs,
                             s.oracle_warmup_secs,
                             s.hierarchy_secs,
-                            s.hierarchy_seq_secs.unwrap_or(f64::NAN),
-                            s.hierarchy_speedup.unwrap_or(f64::NAN),
                             s.fig4_replay_secs,
                             s.fig4_mot_ratio,
                         ],
@@ -508,38 +477,9 @@ impl BaselineReport {
     }
 }
 
-/// Structural equality through the public overlay accessors: kinds,
-/// levels, and every per-node station must agree.
-fn overlays_identical(a: &Overlay, b: &Overlay) -> bool {
-    if a.kind() != b.kind()
-        || a.height() != b.height()
-        || a.node_count() != b.node_count()
-        || a.sp_gap() != b.sp_gap()
-    {
-        return false;
-    }
-    for l in 0..=a.height() {
-        if a.level_members(l) != b.level_members(l) {
-            return false;
-        }
-    }
-    for u in 0..a.node_count() {
-        let u = mot_net::NodeId::from_index(u);
-        for l in 0..=a.height() {
-            if a.station(u, l) != b.station(u, l) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Runs every phase of the baseline for every size in the profile.
 ///
-/// Fails if any phase fails or if (on sizes where the reference phase
-/// runs) the optimized and reference overlays ever disagree — the
-/// speedup column is only meaningful while both builders produce the
-/// same structure.
+/// Fails if any phase fails.
 pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
     let cfg = OverlayConfig::practical();
     let mut sizes = Vec::with_capacity(p.sizes.len());
@@ -553,39 +493,10 @@ pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
         let oracle_warmup_secs = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let fast = build_doubling(&g, &*oracle, &cfg, p.seed);
+        let overlay = build_doubling(&g, &*oracle, &cfg, p.seed);
         let hierarchy_secs = t.elapsed().as_secs_f64();
 
         let nodes = g.node_count();
-        let (hierarchy_seq_secs, hierarchy_speedup) = if nodes <= REFERENCE_PHASE_NODE_LIMIT {
-            // The reference scans every pair of a level, which on the
-            // on-demand backend is a solve per pair: it reads a matrix,
-            // the bed's own when the bed is dense, else one built here,
-            // untimed.
-            let matrix;
-            let rows: &dyn DistanceOracle = if p.oracle.resolve(nodes) == OracleKind::Dense {
-                &*oracle
-            } else {
-                matrix = DenseOracle::build(&g)?;
-                &matrix
-            };
-            let t = Instant::now();
-            let reference = reference_build_doubling(&g, rows, &cfg, p.seed);
-            let seq = t.elapsed().as_secs_f64();
-            if !overlays_identical(&fast, &reference) {
-                let (rows, cols) = spec.rows_cols();
-                return Err(format!(
-                    "optimized and reference overlays differ on {} {rows}x{cols} \
-                         ({nodes} nodes, seed {}) — speedup numbers would be meaningless",
-                    spec.topology(),
-                    p.seed
-                )
-                .into());
-            }
-            (Some(seq), Some(seq / hierarchy_secs.max(1e-12)))
-        } else {
-            (None, None)
-        };
 
         // Reuse the timed oracle and overlay instead of rebuilding a
         // bed from scratch: at these sizes a second hierarchy build
@@ -594,7 +505,7 @@ pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
         let bed = TestBed {
             graph: g,
             oracle,
-            overlay: fast,
+            overlay,
             faults: None,
         };
         let w =
@@ -617,8 +528,6 @@ pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
             graph_build_secs,
             oracle_warmup_secs,
             hierarchy_secs,
-            hierarchy_seq_secs,
-            hierarchy_speedup,
             fig4_replay_secs,
             fig4_mot_ratio: stats.ratio(),
             oracle_cache_hits: ledger.hits,
@@ -702,8 +611,6 @@ mod tests {
         for s in &report.sizes {
             assert_eq!(s.topology, "grid");
             assert!(s.hierarchy_secs > 0.0);
-            assert!(s.hierarchy_seq_secs.unwrap() > 0.0);
-            assert!(s.hierarchy_speedup.unwrap() > 0.0);
             assert!(s.fig4_mot_ratio >= 1.0 - 1e-9, "ratio {}", s.fig4_mot_ratio);
         }
         assert_eq!(report.service.len(), 1);
@@ -712,10 +619,10 @@ mod tests {
         assert!(sv.wall_secs > 0.0 && sv.ops_per_sec > 0.0);
         assert!(sv.move_p99_cost >= sv.move_p50_cost);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"mot-bench-baseline/4\""));
+        assert!(json.contains("\"schema\": \"mot-bench-baseline/5\""));
         assert!(json.contains("\"topology\": \"grid\""));
         assert!(json.contains("\"nodes\": 25"));
-        assert!(json.contains("\"hierarchy_speedup\""));
+        assert!(json.contains("\"hierarchy_secs\""));
         assert!(json.contains("\"oracle_cache_hits\""));
         assert!(json.contains("\"name\": \"micro\""));
         assert!(json.contains("\"ops_per_sec\""));
@@ -763,9 +670,9 @@ mod tests {
     }
 
     #[test]
-    fn skipped_reference_phase_serializes_as_null() {
-        // Past REFERENCE_PHASE_NODE_LIMIT the seq phase is skipped;
-        // exercise the serialization without running a 4096+-node bench.
+    fn report_serializes_without_the_reference_phase() {
+        // A large size's report built by hand, so no 65 536-node bench
+        // runs: schema /5 carries no reference-builder phase.
         let report = BaselineReport {
             schema: BENCH_SCHEMA,
             profile: "test".into(),
@@ -780,8 +687,6 @@ mod tests {
                 graph_build_secs: 0.1,
                 oracle_warmup_secs: 0.1,
                 hierarchy_secs: 0.1,
-                hierarchy_seq_secs: None,
-                hierarchy_speedup: None,
                 fig4_replay_secs: 0.1,
                 fig4_mot_ratio: 1.5,
                 oracle_cache_hits: 10,
@@ -791,11 +696,45 @@ mod tests {
             service: vec![],
         };
         let json = report.to_json();
-        assert!(json.contains("\"hierarchy_seq_secs\": null"), "{json}");
-        assert!(json.contains("\"hierarchy_speedup\": null"), "{json}");
+        let keys: Vec<&str> = json
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\": "))
+            .map(|(k, _)| k)
+            .collect();
+        let size_keys = [
+            "topology",
+            "rows",
+            "cols",
+            "nodes",
+            "graph_build_secs",
+            "oracle_warmup_secs",
+            "hierarchy_secs",
+            "fig4_replay_secs",
+            "fig4_mot_ratio",
+            "oracle_cache_hits",
+            "oracle_cache_misses",
+            "oracle_memory_bytes",
+        ];
+        let head = [
+            "schema",
+            "profile",
+            "oracle",
+            "jobs",
+            "hardware_threads",
+            "sizes",
+        ];
+        assert_eq!(
+            keys,
+            [&head[..], &size_keys, &["service"]].concat(),
+            "{json}"
+        );
         assert!(!json.contains(",\n    }"), "{json}");
         let table = report.to_table();
-        assert!(table.rows[0].1[3].is_nan());
+        assert_eq!(
+            table.columns,
+            ["graph_s", "oracle_s", "hier_s", "fig4_s", "fig4_ratio"]
+        );
+        assert_eq!(table.rows[0].1[3], 0.1);
         assert!(report.service_to_table().is_none());
     }
 

@@ -36,11 +36,9 @@
 //! ```
 //!
 //! `bench-baseline` is the wall-clock harness (PERFORMANCE.md): it times
-//! graph build, oracle warm-up, hierarchy construction vs the frozen
-//! reference (the reference phase only up to 4096 nodes), and a fig4
-//! replay per size, plus the profile's service
-//! soaks, then writes the schema'd JSON to `--bench-out` (default
-//! `BENCH_pr8.json`). Its profiles are `smoke`/`full`; the figure
+//! graph build, oracle warm-up, hierarchy construction and a fig4
+//! replay per size, plus the profile's service soaks, then writes the
+//! schema'd JSON to `--bench-out` (default `BENCH_pr8.json`). Its profiles are `smoke`/`full`; the figure
 //! profile names map onto them.
 //!
 //! `--profile-phases` additionally prints a self-timing breakdown to

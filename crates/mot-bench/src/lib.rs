@@ -21,7 +21,7 @@
 //! | `scenarios` | §8 | mobility/workload scenario suite: waypoint, Lévy, hotspot, Zipf, adversarial |
 //! | `scenarios-smoke` | §8 | fixed-spec scenario sweep + gated claims + scenario service soak (CI) |
 //! | `level-decomp` | — | per-level cost decomposition of an instrumented MOT run |
-//! | `bench-baseline` | — | wall-clock phase timings vs the frozen builder (`BENCH_*.json`) |
+//! | `bench-baseline` | — | wall-clock phase timings per size and service soak (`BENCH_*.json`) |
 //!
 //! `--metrics out.json` additionally writes a machine-readable
 //! [`RunReport`]; `--trace out.ndjson` dumps the fixed-seed instrumented
@@ -47,7 +47,7 @@ mod shared;
 
 pub use baseline::{
     run_baseline, BaselineProfile, BaselineReport, ServiceTiming, SizeSpec, SizeTiming,
-    BENCH_SCHEMA, REFERENCE_PHASE_NODE_LIMIT,
+    BENCH_SCHEMA,
 };
 pub use churn::{churn_smoke_table, churn_table};
 pub use figures::{

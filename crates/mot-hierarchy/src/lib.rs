@@ -19,6 +19,12 @@
 //! [`Overlay`] type packages paths (one flat station table), levels, and
 //! the special-parent pairing (Definition 3) consumed by `mot-core`.
 //!
+//! [`validate::validate`] states the §2.2 rules — nested levels, each a
+//! maximal independent set of the one below, nearest default parents,
+//! stations of the members within `ρ · 2^ℓ` — and checks an overlay
+//! against them and every stored hop length against the oracle. Tests
+//! run it on the overlays they build.
+//!
 //! For §7 topology churn, [`RepairableHierarchy`] maintains the same
 //! doubling structure under sensor leave/join deltas via deterministic
 //! hash-priority MIS and localized repair, with a rebuild-vs-repair
@@ -60,7 +66,6 @@ pub mod doubling;
 pub mod general;
 pub mod mis;
 pub mod overlay;
-pub mod reference;
 pub mod repair;
 mod table;
 pub mod validate;
@@ -70,7 +75,6 @@ pub use doubling::build_doubling;
 pub use general::build_general;
 pub use mis::luby_mis;
 pub use overlay::{Overlay, OverlayKind};
-pub use reference::reference_build_doubling;
 pub use repair::{
     HierarchySnapshot, RepairDecision, RepairLedger, RepairReport, RepairableHierarchy,
 };

@@ -853,47 +853,42 @@ fn construct(g: &Graph, cfg: &OverlayConfig, seed: u64, ws: &mut DijkstraWorkspa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{home_rules, level_issues};
     use mot_net::generators;
 
     #[test]
     fn build_matches_doubling_invariants() {
-        let g = generators::grid(8, 8).unwrap();
-        let h = RepairableHierarchy::build(&g, &OverlayConfig::practical(), 7).unwrap();
-        assert_eq!(h.level_members(h.height()).len(), 1);
-        assert_eq!(h.level_members(0).len(), 64);
-        // Nested independent sets with 2^l separation (same predicate
-        // family as build_doubling; checked via fresh Dijkstra).
-        let m = mot_net::DenseOracle::build(&g).unwrap();
-        for l in 1..=h.height() {
-            let cur = h.level_members(l);
-            for &v in cur {
-                assert!(h.is_member(l - 1, v));
-            }
-            let sep = (1u64 << l) as f64;
-            for (i, &a) in cur.iter().enumerate() {
-                for &b in &cur[i + 1..] {
-                    assert!(m.dist(a, b) >= sep, "level {l}: {a},{b}");
+        // The rules `validate` holds overlays to, stated by the same
+        // functions, on this construction's own parents and stations.
+        for g in [
+            generators::grid(8, 8).unwrap(),
+            generators::grid(13, 9).unwrap(),
+            generators::random_geometric(70, 9.0, 2.5, 3).unwrap(),
+        ] {
+            let m = mot_net::DenseOracle::build(&g).unwrap();
+            for cfg in [
+                OverlayConfig::practical(),
+                OverlayConfig::paper_exact(),
+                OverlayConfig::singleton_parents(),
+            ] {
+                let h = RepairableHierarchy::build(&g, &cfg, 7).unwrap();
+                assert_eq!(h.level_members(h.height()).len(), 1);
+                assert!(h.level_members(0).iter().copied().eq(g.nodes()));
+                for l in 1..=h.height() {
+                    let (lower, upper) = (h.level_members(l - 1), h.level_members(l));
+                    assert_eq!(level_issues(l, lower, upper, &m), Vec::<String>::new());
+                    let reach = cfg.parent_set_radius_mult * (1u64 << l) as f64;
+                    for (&home, (parent, station)) in
+                        lower.iter().zip(home_rules(lower, upper, reach, &m))
+                    {
+                        assert_eq!(h.parent(l - 1, home), Some(parent), "level {l} home {home}");
+                        assert_eq!(
+                            h.station_of_home(l, home),
+                            Some(&station[..]),
+                            "level {l} home {home}"
+                        );
+                    }
                 }
-            }
-        }
-        // Every member has a covering default parent.
-        for l in 0..h.height() {
-            let cover = (1u64 << (l + 1)) as f64;
-            for &w in h.level_members(l) {
-                let p = h.parent(l, w).unwrap();
-                assert!(h.is_member(l + 1, p));
-                assert!(m.dist(w, p) < cover + 1e-6);
-            }
-        }
-        // Stations exist for every home, sorted, containing the
-        // default parent.
-        for l in 1..=h.height() {
-            for &home in h.level_members(l - 1) {
-                let s = h.station_of_home(l, home).unwrap();
-                assert!(!s.is_empty());
-                assert!(s.windows(2).all(|w| w[0] < w[1]));
-                let dp = h.parent(l - 1, home).unwrap();
-                assert!(s.contains(&dp));
             }
         }
     }

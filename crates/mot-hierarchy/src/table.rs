@@ -173,7 +173,7 @@ impl StationTable {
     }
 
     /// One record per `(node, level)`, every hop and drop read from the
-    /// oracle: the fill of the general and reference builders. Nodes
+    /// oracle: the general builder's fill (and the validator tests'). Nodes
     /// whose paths share stations repeat the same pairs, so each distinct
     /// pair is asked once (on the on-demand backend every read is a solve).
     pub(crate) fn from_oracle(stations: &[Vec<Vec<NodeId>>], m: &dyn DistanceOracle) -> Self {

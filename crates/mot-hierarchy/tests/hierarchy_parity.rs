@@ -1,15 +1,19 @@
-//! Bit-parity between [`build_doubling`] and its frozen witness.
+//! [`build_doubling`] meets the doubling rules on every topology
+//! generator.
 //!
-//! [`build_doubling`] replaced the reference builder's `O(k²)` oracle
-//! scans with radius-bounded Dijkstra over the CSR graph plus f32
-//! re-quantization of every distance before each predicate. These tests
-//! pin the claim that the rewrite changed *nothing* about the output:
-//! identical levels, identical detection paths, on every topology
-//! generator, several seeds and configs, both oracle backends, and at
-//! sizes either side of the 1024 nodes below which the reference used
-//! to be dispatched to.
+//! Each test builds overlays on several seeds and configs and holds
+//! them to [`assert_valid`]: nested levels, each a maximal independent
+//! set of the one below at radius `2^ℓ`, every home's default parent
+//! its (distance, id)-nearest member of the level above, every station
+//! exactly the members within `ρ · 2^ℓ` of its home plus that parent,
+//! and every stored hop the oracle's own distance. Checked against the
+//! dense matrix, since the rules ask for `O(k²)` distances per level.
+//! The builder solves on the graph, so the backend it is handed must
+//! not change its output either: the dense- and cached-backed builds
+//! are compared bit for bit either side of 1024 nodes.
 
-use mot_hierarchy::{build_doubling, reference_build_doubling, Overlay, OverlayConfig};
+use mot_hierarchy::validate::assert_valid;
+use mot_hierarchy::{build_doubling, Overlay, OverlayConfig};
 use mot_net::{generators, CachedOracle, DenseOracle, Graph};
 
 /// Compares two overlays through the public accessors only.
@@ -29,11 +33,9 @@ fn assert_overlays_identical(a: &Overlay, b: &Overlay, ctx: &str) {
     }
 }
 
-fn check(g: &Graph, seed: u64, cfg: &OverlayConfig, ctx: &str) {
+fn check(g: &Graph, seed: u64, cfg: &OverlayConfig) {
     let m = DenseOracle::build(g).unwrap();
-    let fast = build_doubling(g, &m, cfg, seed);
-    let reference = reference_build_doubling(g, &m, cfg, seed);
-    assert_overlays_identical(&fast, &reference, ctx);
+    assert_valid(&build_doubling(g, &m, cfg, seed), &m, cfg);
 }
 
 #[test]
@@ -41,30 +43,20 @@ fn parity_on_grids() {
     for (rows, cols) in [(1, 1), (1, 7), (5, 5), (9, 6), (12, 12)] {
         let g = generators::grid(rows, cols).unwrap();
         for seed in [0, 1, 7] {
-            check(
-                &g,
-                seed,
-                &OverlayConfig::practical(),
-                &format!("grid {rows}x{cols} seed {seed}"),
-            );
+            check(&g, seed, &OverlayConfig::practical());
         }
     }
 }
 
 #[test]
 fn parity_on_torus_ring_line() {
-    for (g, name) in [
-        (generators::torus(6, 6).unwrap(), "torus 6x6"),
-        (generators::ring(40).unwrap(), "ring 40"),
-        (generators::line(33).unwrap(), "line 33"),
+    for g in [
+        generators::torus(6, 6).unwrap(),
+        generators::ring(40).unwrap(),
+        generators::line(33).unwrap(),
     ] {
         for seed in [2, 11] {
-            check(
-                &g,
-                seed,
-                &OverlayConfig::practical(),
-                &format!("{name} seed {seed}"),
-            );
+            check(&g, seed, &OverlayConfig::practical());
         }
     }
 }
@@ -72,53 +64,30 @@ fn parity_on_torus_ring_line() {
 #[test]
 fn parity_on_random_topologies() {
     for seed in [3, 13] {
-        let g = generators::random_tree(80, seed).unwrap();
-        check(
-            &g,
-            seed,
-            &OverlayConfig::practical(),
-            &format!("tree seed {seed}"),
-        );
-
-        let g = generators::random_geometric(70, 9.0, 2.5, seed).unwrap();
-        check(
-            &g,
-            seed,
-            &OverlayConfig::practical(),
-            &format!("geometric seed {seed}"),
-        );
-
-        let g = generators::perturbed_grid(8, 8, 0.3, seed).unwrap();
-        check(
-            &g,
-            seed,
-            &OverlayConfig::practical(),
-            &format!("perturbed seed {seed}"),
-        );
-
-        let g = generators::clustered(60, 4, 12.0, 3.0, seed).unwrap();
-        check(
-            &g,
-            seed,
-            &OverlayConfig::practical(),
-            &format!("clustered seed {seed}"),
-        );
+        for g in [
+            generators::random_tree(80, seed).unwrap(),
+            generators::random_geometric(70, 9.0, 2.5, seed).unwrap(),
+            generators::perturbed_grid(8, 8, 0.3, seed).unwrap(),
+            generators::clustered(60, 4, 12.0, 3.0, seed).unwrap(),
+        ] {
+            check(&g, seed, &OverlayConfig::practical());
+        }
     }
 }
 
 #[test]
 fn parity_on_dense_and_cached_either_side_of_1024_nodes() {
-    // 16×16, 32×32 and 45×45 grids. The ball builder solves on the
-    // graph, so the backend it is handed must not matter either.
+    // 16×16, 32×32 and 45×45 grids.
     for side in [16, 32, 45] {
         let g = generators::grid(side, side).unwrap();
         let dense = DenseOracle::build(&g).unwrap();
         let cached = CachedOracle::new(&g).unwrap();
         let cfg = OverlayConfig::practical();
-        let reference = reference_build_doubling(&g, &dense, &cfg, 7);
-        let ctx = format!("grid {side}x{side}");
-        assert_overlays_identical(&build_doubling(&g, &dense, &cfg, 7), &reference, &ctx);
-        assert_overlays_identical(&build_doubling(&g, &cached, &cfg, 7), &reference, &ctx);
+        let on_dense = build_doubling(&g, &dense, &cfg, 7);
+        let on_cached = build_doubling(&g, &cached, &cfg, 7);
+        assert_overlays_identical(&on_dense, &on_cached, &format!("grid {side}x{side}"));
+        assert_valid(&on_dense, &dense, &cfg);
+        assert_valid(&on_cached, &dense, &cfg);
     }
 }
 
@@ -130,6 +99,6 @@ fn parity_across_configs() {
         OverlayConfig::paper_exact(),
         OverlayConfig::singleton_parents(),
     ] {
-        check(&g, 5, &cfg, &format!("grid 8x8 cfg {cfg:?}"));
+        check(&g, 5, &cfg);
     }
 }

@@ -11,9 +11,7 @@
 //! elsewhere): the weighted generators below are what hold it to that.
 
 use mot_hierarchy::validate::validate;
-use mot_hierarchy::{
-    build_doubling, build_general, reference_build_doubling, Overlay, OverlayConfig,
-};
+use mot_hierarchy::{build_doubling, build_general, Overlay, OverlayConfig};
 use mot_net::{generators, CachedOracle, DenseOracle, DistanceOracle, Graph, GraphBuilder, NodeId};
 
 /// Compares every stored hop of `o` with `m.dist`; returns how many
@@ -101,17 +99,9 @@ fn profiles() -> [(&'static str, OverlayConfig); 3] {
 type Builder = fn(&Graph, &dyn DistanceOracle, &OverlayConfig, u64) -> Overlay;
 
 const BALLS: (&str, Builder) = ("balls", build_doubling);
-const ALL_BUILDERS: [(&str, Builder); 3] = [
-    BALLS,
-    ("reference", reference_build_doubling),
-    ("general", build_general),
-];
+const ALL_BUILDERS: [(&str, Builder); 2] = [BALLS, ("general", build_general)];
 
-/// `builders` on one graph, each profile, both oracles — except the
-/// reference builder, which reads nothing but `dist` (where the backends
-/// agree bit for bit, `oracle_differential`) over every pair of a level:
-/// on the on-demand backend that is a solve per pair, so it runs on the
-/// matrix only, as in `hierarchy_parity`.
+/// `builders` on one graph, each profile, both oracles.
 fn check_graph(g: &Graph, name: &str, seed: u64, builders: &[(&str, Builder)]) -> [usize; 3] {
     let dense = DenseOracle::build(g).unwrap();
     let cached = CachedOracle::new(g).unwrap();
@@ -119,12 +109,7 @@ fn check_graph(g: &Graph, name: &str, seed: u64, builders: &[(&str, Builder)]) -
     let mut checked = [0; 3];
     for (profile, cfg) in profiles() {
         for &(builder, build) in builders {
-            let backends = if builder == "reference" {
-                &oracles[..1]
-            } else {
-                &oracles[..]
-            };
-            for &(backend, m) in backends {
+            for &(backend, m) in &oracles {
                 let ctx = format!("{name} seed {seed} {profile} {builder} {backend}");
                 let o = build(g, m, &cfg, seed);
                 // Checked against the dense matrix whichever oracle built
@@ -133,7 +118,7 @@ fn check_graph(g: &Graph, name: &str, seed: u64, builders: &[(&str, Builder)]) -
                 for (sum, n) in checked.iter_mut().zip(check_hops(&o, &dense, &ctx)) {
                     *sum += n;
                 }
-                let issues = validate(&o, &dense);
+                let issues = validate(&o, &dense, &cfg);
                 assert!(issues.is_empty(), "{ctx}: {issues:?}");
             }
         }
