@@ -534,45 +534,16 @@ mod tests {
 
     #[test]
     fn levels_are_nested_independent_sets() {
-        let (o, m) = build(8, 8, OverlayConfig::practical());
-        for l in 1..=o.height() {
-            let cur = o.level_members(l);
-            let prev: std::collections::HashSet<_> =
-                o.level_members(l - 1).iter().copied().collect();
-            for &v in cur {
-                assert!(
-                    prev.contains(&v),
-                    "level {l} member {v} missing from level below"
-                );
-            }
-            // pairwise separation >= 2^l
-            let sep = (1u64 << l) as f64;
-            for (i, &a) in cur.iter().enumerate() {
-                for &b in &cur[i + 1..] {
-                    assert!(
-                        m.dist(a, b) >= sep,
-                        "level {l}: dist({a},{b}) = {} < {sep}",
-                        m.dist(a, b)
-                    );
-                }
-            }
-        }
+        let cfg = OverlayConfig::practical();
+        let (o, m) = build(8, 8, cfg.clone());
+        crate::validate::assert_valid(&o, &m, &cfg);
     }
 
     #[test]
     fn every_node_covered_by_next_level() {
-        let (o, m) = build(12, 12, OverlayConfig::practical());
-        for l in 0..o.height() {
-            let next = o.level_members(l + 1);
-            let cover = (1u64 << (l + 1)) as f64;
-            for &w in o.level_members(l) {
-                let nearest = m.nearest_in(w, next).unwrap();
-                assert!(
-                    m.dist(w, nearest) < cover + 1e-6,
-                    "level {l} node {w} uncovered at radius {cover}"
-                );
-            }
-        }
+        let cfg = OverlayConfig::practical();
+        let (o, m) = build(12, 12, cfg.clone());
+        crate::validate::assert_valid(&o, &m, &cfg);
     }
 
     #[test]

@@ -316,8 +316,14 @@ impl ConcurrentEngine {
 
         // Group moves per object, keeping trace order: a counting sort
         // into one vector. `ends[o]` is where object `o`'s next move
-        // goes while filling, and where its group ends afterwards.
-        let objects = workload.object_count();
+        // goes while filling, and where its group ends afterwards. The
+        // moves, not `initial`, bound the ids: both fields are public.
+        let objects = workload
+            .moves
+            .iter()
+            .map(|m| m.object.index() + 1)
+            .max()
+            .unwrap_or(0);
         let mut ends = vec![0usize; objects + 1];
         for m in &workload.moves {
             ends[m.object.index() + 1] += 1;
@@ -689,6 +695,50 @@ mod tests {
             assert_eq!(out.maintenance.operations, 75);
             assert_eq!(out.queries_correct, out.queries_issued);
         }
+    }
+
+    #[test]
+    fn a_move_past_the_initial_objects_runs_as_in_replay() {
+        // `Workload`'s fields are public: a move may name an object
+        // `initial` does not list. Published, it runs as replay runs it;
+        // unpublished, it is the same error as any unknown object.
+        fn check<T: ClimbStructure>(make: impl Fn() -> T, w: &Workload, m: &DenseOracle) {
+            let extra = ObjectId(w.object_count() as u32);
+            let last = *w.moves.last().unwrap();
+            let cfg = ConcurrentConfig {
+                max_inflight_per_object: 1,
+                queries_per_batch: 0,
+                seed: 3,
+            };
+            let (mut seq, mut con, mut bare) = (make(), make(), make());
+            for t in [&mut seq, &mut con, &mut bare] {
+                run_publish(t, w).unwrap();
+            }
+            seq.publish(extra, last.from).unwrap();
+            con.publish(extra, last.from).unwrap();
+            let replayed = crate::run::replay(&mut seq, w, m, None).unwrap().cost;
+            let out = ConcurrentEngine::run(&mut con, w, m, &cfg).unwrap();
+            assert_eq!(out.maintenance.operations, w.moves.len(), "{}", con.name());
+            assert!((out.maintenance.total - replayed.total).abs() < 1e-6);
+            assert_eq!(con.proxy_of(extra), Some(last.to));
+            let err = ConcurrentEngine::run(&mut bare, w, m, &cfg).unwrap_err();
+            assert_eq!(err, CoreError::UnknownObject(extra), "{}", bare.name());
+        }
+
+        let (g, m, overlay) = grid_env();
+        let mut w = WorkloadSpec::new(2, 12, 4).generate(&g);
+        w.moves.push(crate::mobility::MoveOp {
+            object: ObjectId(w.object_count() as u32),
+            from: NodeId(0),
+            to: NodeId(1),
+        });
+        let rates = DetectionRates::from_moves(&g, &w.move_pairs());
+        check(|| MotTracker::new(&overlay, &m, MotConfig::plain()), &w, &m);
+        check(
+            || TreeTracker::new("STUN", build_stun(&g, &rates), &m, false),
+            &w,
+            &m,
+        );
     }
 
     #[test]

@@ -36,6 +36,16 @@
 //!   tick. Past `degrade_depth` queries are answered from the shard
 //!   ledger (cheap, still counted); past `shed_depth` queries are shed
 //!   (counted, terminal). State ops are **never** shed.
+//! * **Two ticks in flight.** The coordinator routes and sends tick t
+//!   while the shards still hold ticks t−1 and t−2. It waits for every
+//!   outstanding tick, oldest first, at exactly two points: after a
+//!   tick that crashes a shard (its redeliveries lead tick t+1's due
+//!   list) and when it alone could end the loop after t (stream
+//!   drained, nothing scheduled, no crash pending; the loop-end test
+//!   then reads t's backlog). The report cannot move: what each shard
+//!   receives, in what order, and every fault coin depend only on the
+//!   stream and the schedule, and worker outputs feed only the
+//!   redeliveries and the backlog total, read only at those two points.
 //!
 //! # Determinism
 //!
@@ -752,6 +762,24 @@ fn worker_main<'a>(
 
 // ---- coordinator ----------------------------------------------------
 
+/// Ticks the coordinator leaves with the shards while it routes the
+/// next one. With one, a worker still idles whenever the coordinator's
+/// wake-up plus its routing outlasts a tick's tracker work; two absorb
+/// most of that, and four bought a few percent more (PERFORMANCE.md).
+const IN_FLIGHT: usize = 2;
+
+/// The error of a worker that stopped taking ticks: its own
+/// `FromWorker::Error` when one waits in its channel `rx`, else that it
+/// exited. With ticks in flight a failed send can be the first sign
+/// of the exit, ahead of the error the worker queued before leaving.
+fn worker_gone(rx: &Receiver<FromWorker>) -> SimError {
+    let why = rx.try_iter().find_map(|m| match m {
+        FromWorker::Error(e) => Some(e),
+        _ => None,
+    });
+    SimError::Service(why.unwrap_or_else(|| "a worker exited mid-run".into()))
+}
+
 /// Absorbs control-plane delta `delta` of the stream's churn schedule
 /// into the coordinator's hierarchy mirror. A topology op that arrives
 /// without a schedule, without a mirror, or past the schedule's end
@@ -772,6 +800,30 @@ fn apply_topology(
         .repair(batch)
         .map_err(|e| SimError::Service(format!("mirror repair: {e}")))?;
     Ok(())
+}
+
+/// The crash schedule: tick → the shards that crash at its start, in
+/// shard order. Drawn from the fault seed before the loop starts, so
+/// it is independent of worker count.
+fn crash_schedule(cfg: &ServiceConfig) -> BTreeMap<u64, Vec<usize>> {
+    let mut crash_at: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    if cfg.faults.crashes == 0 {
+        return crash_at;
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.faults.seed ^ CRASH_STREAM);
+    let span = (cfg.stream.ops / cfg.batch as u64 + 1).max(2);
+    let mut seen: HashSet<(u64, usize)> = HashSet::new();
+    for _ in 0..cfg.faults.crashes {
+        let t = rng.gen_range(1..span);
+        let s = rng.gen_range(0..cfg.shards);
+        if seen.insert((t, s)) {
+            crash_at.entry(t).or_default().push(s);
+        }
+    }
+    for v in crash_at.values_mut() {
+        v.sort_unstable();
+    }
+    crash_at
 }
 
 /// Runs the service loop to quiescence and verifies its operational
@@ -808,24 +860,7 @@ pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome,
     let tick_limit =
         est_ticks + (max_attempts as u64 + 2) * (cfg.backoff.cap + 2) + cfg.stream.ops + 64;
 
-    // Crash schedule: (tick, shard) pairs from the fault seed, fixed
-    // before the loop starts so it is independent of worker count.
-    let mut crash_at: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    if cfg.faults.crashes > 0 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ CRASH_STREAM);
-        let span = est_ticks.max(2);
-        let mut seen: HashSet<(u64, usize)> = HashSet::new();
-        for _ in 0..cfg.faults.crashes {
-            let t = rng.gen_range(1..span);
-            let s = rng.gen_range(0..shards);
-            if seen.insert((t, s)) {
-                crash_at.entry(t).or_default().push(s);
-            }
-        }
-        for v in crash_at.values_mut() {
-            v.sort_unstable();
-        }
-    }
+    let mut crash_at = crash_schedule(cfg);
 
     let rates = DetectionRates::uniform(&bed.graph);
     let start = Instant::now();
@@ -848,22 +883,21 @@ pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome,
     }
 
     let out: LoopOut = std::thread::scope(|scope| -> Result<LoopOut, SimError> {
-        let (from_tx, from_rx) = std::sync::mpsc::channel::<FromWorker>();
+        // One channel each way per worker: a worker answers its ticks in
+        // order, so its oldest unread message is its oldest tick in flight.
         let mut to_workers: Vec<Sender<ToWorker>> = Vec::with_capacity(workers);
+        let mut from_workers: Vec<Receiver<FromWorker>> = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = std::sync::mpsc::channel::<ToWorker>();
+            let (from_tx, from_rx) = std::sync::mpsc::channel::<FromWorker>();
             to_workers.push(tx);
-            let from_tx = from_tx.clone();
+            from_workers.push(from_rx);
             let owned: Vec<usize> = (w..shards).step_by(workers).collect();
             let rates = &rates;
             scope.spawn(move || worker_main(bed, cfg, rates, owned, rx, from_tx));
         }
-        drop(from_tx);
 
-        let recv = |rx: &Receiver<FromWorker>| -> Result<FromWorker, SimError> {
-            rx.recv()
-                .map_err(|_| SimError::Service("a worker exited mid-run".into()))
-        };
+        let recv = |rx: &Receiver<FromWorker>| rx.recv().map_err(|_| worker_gone(rx));
 
         let mut stream = OpStream::new(&bed.graph, cfg.stream);
         // Control plane: with churn in the stream, the coordinator
@@ -888,8 +922,12 @@ pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome,
         let (mut delayed, mut redelivered, mut crash_events) = (0u64, 0u64, 0u64);
         let mut tick = 0u64;
         // Per-shard delivery buffers, reused across ticks: workers drain
-        // them and ship the empties back in each `TickOut`.
+        // them and ship the empties back in each `TickOut`, into a spare
+        // pool (the shard's slot may already hold a later tick's
+        // deliveries) that each dispatch refills the slots from.
         let mut per_shard: Vec<Vec<Delivered>> = vec![Vec::new(); shards];
+        let mut spare: Vec<Vec<Delivered>> = Vec::new();
+        let (mut in_flight, mut backlog_total) = (0usize, 0usize);
 
         loop {
             // 1. This tick's deliveries: carried retries/delays/dups
@@ -972,43 +1010,58 @@ pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome,
                     .map(|s| ShardTickMsg {
                         shard: s,
                         crash: crashing.contains(&s),
-                        deliveries: std::mem::take(&mut per_shard[s]),
+                        deliveries: std::mem::replace(
+                            &mut per_shard[s],
+                            spare.pop().unwrap_or_default(),
+                        ),
                     })
                     .collect();
                 to.send(ToWorker::Tick { tick, shards: msgs })
-                    .map_err(|_| SimError::Service("a worker exited mid-run".into()))?;
+                    .map_err(|_| worker_gone(&from_workers[w]))?;
             }
+            in_flight += 1;
 
-            // 4. Barrier: collect every worker, merge in shard order.
-            let mut outs: Vec<TickOut> = Vec::with_capacity(shards);
-            for _ in 0..workers {
-                match recv(&from_rx)? {
-                    FromWorker::Ticked(v) => outs.extend(v),
-                    FromWorker::Error(e) => return Err(SimError::Service(e)),
-                    FromWorker::Finished(_) => {
-                        return Err(SimError::Service("worker finished early".into()))
+            // 4. Collect, oldest tick first, merging each in shard order.
+            //    Worker outputs feed only redeliveries and the backlog
+            //    total, read only where the coordinator waits for every
+            //    tick in flight: after a crash tick (its redeliveries
+            //    lead the next due list) and when it alone could end the
+            //    loop; also at the tick limit, so its error names the
+            //    backlog. Elsewhere `IN_FLIGHT` ticks stay with the shards.
+            let may_end =
+                stream.emitted() >= stream.total() && scheduled.is_empty() && crash_at.is_empty();
+            let wait = !crashing.is_empty() || may_end || tick >= tick_limit;
+            while in_flight > if wait { 0 } else { IN_FLIGHT } {
+                in_flight -= 1;
+                let mut outs: Vec<TickOut> = Vec::with_capacity(shards);
+                for rx in &from_workers {
+                    match recv(rx)? {
+                        FromWorker::Ticked(v) => outs.extend(v),
+                        FromWorker::Error(e) => return Err(SimError::Service(e)),
+                        FromWorker::Finished(_) => {
+                            return Err(SimError::Service("worker finished early".into()))
+                        }
                     }
                 }
-            }
-            outs.sort_unstable_by_key(|o| o.shard);
-            let mut backlog_total = 0usize;
-            for o in outs {
-                backlog_total += o.depth;
-                debug_assert!(o.spent.is_empty(), "spent buffers must come back drained");
-                per_shard[o.shard] = o.spent;
-                for d in o.redeliver {
-                    redelivered += 1;
-                    scheduled.entry(tick + 1).or_default().push(Sched {
-                        env: d.env,
-                        attempt: d.attempt,
-                        dup: false,
-                    });
+                outs.sort_unstable_by_key(|o| o.shard);
+                backlog_total = 0;
+                for o in outs {
+                    backlog_total += o.depth;
+                    debug_assert!(o.spent.is_empty(), "spent buffers must come back drained");
+                    spare.push(o.spent);
+                    for d in o.redeliver {
+                        redelivered += 1;
+                        scheduled.entry(tick + 1).or_default().push(Sched {
+                            env: d.env,
+                            attempt: d.attempt,
+                            dup: false,
+                        });
+                    }
                 }
             }
 
             tick += 1;
-            let stream_done = stream.emitted() >= stream.total();
-            if stream_done && scheduled.is_empty() && backlog_total == 0 && crash_at.is_empty() {
+            if may_end && scheduled.is_empty() && backlog_total == 0 {
                 break;
             }
             if tick > tick_limit {
@@ -1025,8 +1078,8 @@ pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome,
                 .map_err(|_| SimError::Service("a worker exited before finish".into()))?;
         }
         let mut finals: Vec<ShardFinal> = Vec::with_capacity(shards);
-        for _ in 0..workers {
-            match recv(&from_rx)? {
+        for rx in &from_workers {
+            match recv(rx)? {
                 FromWorker::Finished(v) => finals.extend(v),
                 FromWorker::Error(e) => return Err(SimError::Service(e)),
                 FromWorker::Ticked(_) => {
@@ -1216,6 +1269,36 @@ mod tests {
         apply_topology(Some(schedule), Some(&mut mirror), 0).unwrap();
     }
 
+    /// No public input is known to make a worker fail, so the helper
+    /// that names a gone worker's error is held to hand-built channels:
+    /// the error a worker queued behind earlier ticks' outputs
+    /// survives; a worker that left none exited.
+    #[test]
+    fn a_gone_worker_keeps_its_own_error() {
+        let why = |msgs: Vec<FromWorker>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            for m in msgs {
+                tx.send(m).unwrap();
+            }
+            drop(tx);
+            match worker_gone(&rx) {
+                SimError::Service(why) => why,
+                other => panic!("expected a service error, got {other:?}"),
+            }
+        };
+        let queued = vec![
+            FromWorker::Ticked(Vec::new()),
+            FromWorker::Ticked(Vec::new()),
+            FromWorker::Error("shard 3: unknown object 7".into()),
+        ];
+        assert_eq!(why(queued), "shard 3: unknown object 7");
+        assert_eq!(
+            why(vec![FromWorker::Ticked(Vec::new())]),
+            "a worker exited mid-run"
+        );
+        assert_eq!(why(Vec::new()), "a worker exited mid-run");
+    }
+
     /// The reason `run_service` gives for refusing `cfg`.
     fn rejection(cfg: &ServiceConfig) -> String {
         match run_service(&bed(), cfg) {
@@ -1338,6 +1421,91 @@ mod tests {
             four.report.deterministic_json()
         );
         assert_eq!(one.final_positions, four.final_positions);
+    }
+
+    /// FNV-1a over a run's deterministic report, folded onto the hash
+    /// of its final map.
+    fn run_digest(out: &ServiceOutcome) -> u64 {
+        let mut h = fnv1a_map(&out.final_positions);
+        for b in out.report.deterministic_json().bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+
+    /// `cfg` under the first fault seed whose crash schedule satisfies
+    /// `hit`.
+    fn crashing_where(
+        cfg: &ServiceConfig,
+        hit: impl Fn(&BTreeMap<u64, Vec<usize>>) -> bool,
+    ) -> ServiceConfig {
+        (0..10_000)
+            .map(|seed| {
+                let mut c = cfg.clone();
+                c.faults.seed = seed;
+                c
+            })
+            .find(|c| hit(&crash_schedule(c)))
+            .expect("some fault seed hits the schedule")
+    }
+
+    /// One config per point where the coordinator must hold every
+    /// outstanding tick before it goes on: a crash (its redeliveries
+    /// lead the next tick's due list) at tick 1, on two ticks in a row
+    /// and on the stream's last tick, and the end test with backlog
+    /// left at stream end. Checkpoint-free replay and churn ride along.
+    /// Each report and final map is pinned, at 1, 2 and 4 workers; the
+    /// constants come from the loop that ran each tick to a barrier.
+    #[test]
+    fn reports_are_pinned_where_the_coordinator_waits() {
+        let bed = bed();
+        let mut base = ServiceConfig::new(StreamSpec::new(12, 500, 5));
+        base.shards = 6;
+        base.batch = 50;
+        base.checkpoint_every = 4;
+        // A bounded budget keeps ops queued, so a crash has some to
+        // hand back for redelivery.
+        base.shard_budget = 6;
+        base.faults = composed_faults(0);
+        let last = (base.stream.ops - 1) / base.batch as u64;
+
+        let tick_one = crashing_where(&base, |c| c.contains_key(&1));
+        let in_a_row = crashing_where(&base, |c| c.keys().any(|t| c.contains_key(&(t + 1))));
+        let last_tick = crashing_where(&base, |c| c.contains_key(&last));
+        let mut backlog = base.clone();
+        backlog.faults = FaultConfig::default();
+        backlog.shard_budget = 3;
+        let mut no_checkpoint = crashing_where(&base, |c| c.keys().any(|&t| t > 4));
+        no_checkpoint.checkpoint_every = 0;
+        let mut churn = base.clone();
+        churn.stream.churn_every = 50;
+
+        let matrix = [
+            ("crash at tick 1", tick_one, 0xb080_64f1_bd9e_ddfc),
+            ("crashes in a row", in_a_row, 0xcb73_9ba2_8b35_8116),
+            ("crash on the last tick", last_tick, 0xf8e8_f17a_94c0_9107),
+            ("backlog at stream end", backlog, 0xb2c4_ffa1_2c76_105c),
+            ("no checkpoints", no_checkpoint, 0x6d59_be0f_7b21_d7e6),
+            ("churn", churn, 0xf23c_8a8a_795a_6a67),
+        ];
+        for (name, mut cfg, pinned) in matrix {
+            for jobs in [1, 2, 4] {
+                cfg.jobs = jobs;
+                let out = run_service(&bed, &cfg).unwrap();
+                let r = &out.report;
+                assert!(r.accounted() && r.queries_wrong == 0, "{name}");
+                assert!(r.crash_events == 0 || r.redelivered > 0, "{name}");
+                if cfg.shard_budget > 0 {
+                    assert!(
+                        r.ticks > last + 2,
+                        "{name}: backlog must outlast the stream"
+                    );
+                }
+                let digest = run_digest(&out);
+                assert_eq!(digest, pinned, "{name} at {jobs} jobs: {digest:#x}");
+            }
+        }
     }
 
     #[test]
