@@ -54,6 +54,30 @@
 //! are several times the size of all later ones together, and kept to
 //! the end they, not the table, would set the build's peak memory.
 //!
+//! Every ball is a pure function of the graph, the level's members and
+//! the finished lower levels, so from `PARALLEL_MIN_NODES` (4 096)
+//! nodes up two per-member passes run on
+//! `std::thread::available_parallelism()` threads, at most
+//! `MAX_THREADS` (8), spawned per pass under `std::thread::scope`
+//! (`blocks::in_blocks`): the ball pass (rows, I_ℓ edges, drops and
+//! deferred `up` hops) and the default parents with their stations. The
+//! calling thread works too; each thread claims the next block of at
+//! most 64 members from one atomic counter, so a descheduled helper
+//! delays one block, not half the level. A block's output waits until
+//! the blocks before it are applied, and the calling thread applies
+//! them in member order: rows, edges and stations are appended, every
+//! drop and `up` slot is written, exactly as one thread walking the
+//! members would. So the overlay is the same bits for any thread count,
+//! which `any_thread_count_builds_the_same_bits` pins at 1, 2, 3 and 8.
+//! Luby's draw (one stream), the member → waiting-reads index and the
+//! node-major index stay on the calling thread, and so do the hops
+//! inside stations and the `up` hops read from rows: split into blocks
+//! they ran no faster, their cost being the table writes the calling
+//! thread makes either way. Smaller graphs, every figure, scenario and
+//! service bed among them, run the same passes on the calling thread
+//! alone; nothing else selects the thread count (the experiment
+//! runner's `--jobs` does not).
+//!
 //! Stations are stored once per `(level, home)` pair — every node whose
 //! detection path passes through the same home shares the same station
 //! by definition. All predicates quantize the exact f64 Dijkstra
@@ -66,6 +90,7 @@
 //! rule; the determinism pins (golden cost tuples, the standard CSV
 //! manifest, the seed-1 digests) hold that. See DESIGN.md §13.
 
+use crate::blocks::in_blocks;
 use crate::config::OverlayConfig;
 use crate::mis::luby_mis;
 use crate::overlay::{Overlay, OverlayKind};
@@ -73,11 +98,24 @@ use crate::table::{DropHop, StationTable};
 use mot_net::{DijkstraWorkspace, DistanceOracle, Graph, NodeId, BALL_PAD};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
+
+/// Graphs with fewer nodes build on the calling thread alone. Their
+/// levels are too small to pay for threads, and every figure, scenario
+/// and service bed is below it.
+const PARALLEL_MIN_NODES: usize = 4096;
+
+/// Most threads one build uses. Each holds a workspace of 16 bytes a
+/// node, and past a few threads the serial share (Luby's draw, the
+/// waiting-reads index) sets the build's time, not the ball passes.
+const MAX_THREADS: usize = 8;
 
 /// Builds the MIS-coarsened overlay for a (constant-doubling) network
 /// by radius-bounded Dijkstra over the CSR graph (see the module docs).
 /// It never asks the oracle for a distance, so it runs warm-up-free on
-/// the on-demand backend, at every size.
+/// the on-demand backend, at every size. From 4 096 nodes up each
+/// level's per-member work runs on every available core (up to 8); the
+/// overlay is the same bits on any number of them.
 ///
 /// `seed` drives Luby's random priorities; identical seeds yield identical
 /// overlays.
@@ -87,6 +125,37 @@ pub fn build_doubling(
     cfg: &OverlayConfig,
     seed: u64,
 ) -> Overlay {
+    let threads = if g.node_count() < PARALLEL_MIN_NODES {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |t| t.get().min(MAX_THREADS))
+    };
+    build_on_threads(g, m, cfg, seed, threads)
+}
+
+/// A thread's workspaces: `ws` holds one member's ball, `fwd` runs the
+/// forward re-solves while it is held (it grows on first use, which
+/// unit-weight graphs never reach).
+struct Scratch {
+    ws: DijkstraWorkspace,
+    fwd: DijkstraWorkspace,
+}
+
+/// What one waiting read found in its member's ball.
+enum Answer {
+    Up(f32),
+    Drop(DropHop),
+}
+
+/// [`build_doubling`] on exactly `threads` threads, whatever the size
+/// of the graph.
+pub(crate) fn build_on_threads(
+    g: &Graph,
+    m: &dyn DistanceOracle,
+    cfg: &OverlayConfig,
+    seed: u64,
+    threads: usize,
+) -> Overlay {
     assert_eq!(
         g.node_count(),
         m.node_count(),
@@ -95,10 +164,12 @@ pub fn build_doubling(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = g.node_count();
     let mult = cfg.parent_set_radius_mult;
-    let mut ws = DijkstraWorkspace::with_capacity(n);
-    // Second workspace for forward re-solves while `ws` holds a ball;
-    // grows on first use, which unit-weight graphs never reach.
-    let mut fwd_ws = DijkstraWorkspace::new();
+    let mut scratch: Vec<Scratch> = (0..threads.max(1))
+        .map(|_| Scratch {
+            ws: DijkstraWorkspace::with_capacity(n),
+            fwd: DijkstraWorkspace::new(),
+        })
+        .collect();
     let slack = reversal_slack(n);
     // Position of each node in the level being processed (stamped so a
     // new level needs no O(n) clear; level ℓ's stamp is ℓ + 1).
@@ -149,43 +220,78 @@ pub fn build_doubling(
         let radius = link.max(reach) * BALL_PAD;
         // Fresh per level: the level-0 rows are the largest by far, and
         // capacity carried past them would sit at the build's peak.
-        let mut rows = LevelRows::default();
+        let mut rows = Rows::default();
+        // Luby's input stays one vector per member, allocated on this
+        // thread. A flat one is faster to read, but freed it leaves no
+        // resident heap for the next bed's grid, which then pays ≈ 320
+        // more page faults (PERFORMANCE.md, "Cold start on every core").
+        let mut adjacency: Vec<Vec<usize>> = Vec::with_capacity(cur.len());
         let reads = std::mem::take(&mut waiting);
-        for (i, &u) in cur.iter().enumerate() {
-            ws.bounded_ball(g, u, radius);
-            rows.push(&ws, &pos, stamp);
-            for &(r, k) in reads.of(i) {
-                if k == UP_HOP {
-                    // --- a deferred hop up into `u` ----------------------
-                    // The ball is rooted at the hop's far end. Its
-                    // distance is used only where the reversed sum
-                    // provably quantizes alike; otherwise (and outside
-                    // the ball) the hop is solved forwards.
-                    let last = *table.station(r as usize).last().expect("non-empty");
-                    let back = ws.dist(last);
-                    let d = if back <= radius && quantizes_alike(back, slack) {
-                        back
-                    } else {
-                        fwd_ws.distance(g, last, u)
-                    };
-                    table.set_up(r, d as f32);
-                    continue;
+        let next_base = table.record_count() as u32;
+        let (stations, mut fill) = table.split();
+        in_blocks(
+            &mut scratch,
+            cur.len(),
+            |Scratch { ws, fwd }, members| {
+                let mut block_rows = Rows::with_capacity(members.len(), 32);
+                let mut linked = Rows::with_capacity(members.len(), 8);
+                let mut answers = Vec::with_capacity(reads.of(members.clone()).len());
+                for i in members {
+                    let u = cur[i];
+                    ws.bounded_ball(g, u, radius);
+                    block_rows.push_ball(ws, &pos, stamp);
+                    // I_ℓ's edges out of `u`.
+                    let row = block_rows.row(block_rows.len() - 1).iter();
+                    let near = row.filter(|&&(j, d)| j as usize != i && (d as f64) < link);
+                    linked.push(near.map(|&(j, _)| j));
+                    answers.extend(reads.of(i..i + 1).iter().map(|&(r, k)| {
+                        if k == UP_HOP {
+                            // --- a deferred hop up into `u` --------------
+                            // The ball is rooted at the hop's far end.
+                            // Its distance is used only where the
+                            // reversed sum provably quantizes alike;
+                            // otherwise (and outside the ball) the hop is
+                            // solved forwards.
+                            let last = *stations.get(r as usize).last().expect("non-empty");
+                            let back = ws.dist(last);
+                            let d = if back <= radius && quantizes_alike(back, slack) {
+                                back
+                            } else {
+                                fwd.distance(g, last, u)
+                            };
+                            return Answer::Up(d as f32);
+                        }
+                        // --- a drop from `u` into a station one level down
+                        // With R = max(link, reach): a target sits in the
+                        // station of a level-(ℓ−2) home, within R/4 of it
+                        // (at ℓ = 1 it is that home); the home is within
+                        // link/4 of its default parent; and `u` is in
+                        // that parent's station, within R/2 of it.
+                        // 3R/4 + link/4 ≤ R in all, so every target is
+                        // inside this ball — which is rooted at the
+                        // drop's source, so its sums are the oracle's
+                        // own. A target the ball missed all the same is
+                        // solved forwards.
+                        let targets = stations.get(r as usize).iter();
+                        let dists = targets.map(|&t| ball_dist(ws, radius, fwd, g, u, t) as f32);
+                        Answer::Drop(DropHop::toward(dists))
+                    }));
                 }
-                // --- a drop from `u` into a station one level down -------
-                // With R = max(link, reach): a target sits in the station
-                // of a level-(ℓ−2) home, within R/4 of it (at ℓ = 1 it is
-                // that home); the home is within link/4 of its default
-                // parent; and `u` is in that parent's station, within R/2
-                // of it. 3R/4 + link/4 ≤ R in all, so every target is
-                // inside this ball — which is rooted at the drop's
-                // source, so its sums are the oracle's own. A target the
-                // ball missed all the same is solved forwards.
-                let targets = table.station(r as usize).iter();
-                let dists = targets.map(|&t| ball_dist(&ws, radius, &mut fwd_ws, g, u, t) as f32);
-                let hop = DropHop::toward(dists);
-                table.set_drop(r, k as usize, hop);
-            }
-        }
+                (block_rows, linked, answers)
+            },
+            |members, (block_rows, linked, answers)| {
+                for (&(r, k), answer) in reads.of(members.clone()).iter().zip(answers) {
+                    match answer {
+                        Answer::Up(d) => fill.set_up(r, d),
+                        Answer::Drop(hop) => fill.set_drop(r, k as usize, hop),
+                    }
+                }
+                rows.append(&block_rows);
+                adjacency.extend(
+                    (0..linked.len()).map(|i| linked.row(i).iter().map(|&j| j as usize).collect()),
+                );
+            },
+        );
         drop(reads);
         if cur.len() == 1 {
             break;
@@ -196,7 +302,6 @@ pub fn build_doubling(
         // max(link, reach) / 2 of its home (quantized, so a relative
         // 2⁻²⁴ over), hence within max(link, reach) of each other up to
         // rounding far below BALL_PAD: b is in a's row and a in b's.
-        let next_base = table.record_count() as u32;
         for r in base..next_base {
             for j in 1..table.station(r as usize).len() {
                 let s = table.station(r as usize);
@@ -208,15 +313,6 @@ pub fn build_doubling(
         }
 
         // --- level ℓ+1: an MIS of the connectivity graph -----------------
-        let adjacency: Vec<Vec<usize>> = (0..cur.len())
-            .map(|i| {
-                rows.row(i)
-                    .iter()
-                    .filter(|&&(j, d)| j as usize != i && (d as f64) < link)
-                    .map(|&(j, _)| j as usize)
-                    .collect()
-            })
-            .collect();
         let next = luby_mis(&cur, &adjacency, &mut rng);
         drop(adjacency);
         let mut next_pos = vec![u32::MAX; cur.len()];
@@ -230,34 +326,41 @@ pub fn build_doubling(
         // path through that home.
         // Position in `next` of each `cur` member's default parent.
         let mut parent: Vec<u32> = Vec::with_capacity(cur.len());
-        let mut station: Vec<NodeId> = Vec::new();
-        for i in 0..cur.len() {
-            let upper = rows
-                .row(i)
-                .iter()
-                .filter(|&&(j, _)| next_pos[j as usize] != u32::MAX);
-            // MIS maximality guarantees a next-level member with
-            // quantized distance < link; rows are in id order, so
-            // (distance, position) is the (distance, id) tie-break.
-            let &(dp, dp_dist) = upper
-                .clone()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
-                .expect("non-empty upper level");
-            debug_assert!(
-                (dp_dist as f64) < link + 1e-6,
-                "default parent of {} must lie within 2^{}: {dp_dist}",
-                cur[i],
-                level + 1
-            );
-            station.clear();
-            station.extend(
-                upper
-                    .filter(|&&(j, d)| (d as f64) <= reach || j == dp)
-                    .map(|&(j, _)| cur[j as usize]),
-            );
-            table.push_record(&station);
-            parent.push(next_pos[dp as usize]);
-        }
+        in_blocks(
+            &mut scratch,
+            cur.len(),
+            |_, members| {
+                let mut block_parents = Vec::with_capacity(members.len());
+                let mut block_stations = Rows::with_capacity(members.len(), 8);
+                for i in members {
+                    let upper = rows
+                        .row(i)
+                        .iter()
+                        .filter(|&&(j, _)| next_pos[j as usize] != u32::MAX);
+                    // MIS maximality guarantees a next-level member with
+                    // quantized distance < link; rows are in id order, so
+                    // (distance, position) is the (distance, id) tie-break.
+                    let &(dp, dp_dist) = upper
+                        .clone()
+                        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+                        .expect("non-empty upper level");
+                    debug_assert!(
+                        (dp_dist as f64) < link + 1e-6,
+                        "default parent of {} must lie within 2^{}: {dp_dist}",
+                        cur[i],
+                        level + 1
+                    );
+                    let station = upper.filter(|&&(j, d)| (d as f64) <= reach || j == dp);
+                    block_stations.push(station.map(|&(j, _)| cur[j as usize]));
+                    block_parents.push(next_pos[dp as usize]);
+                }
+                (block_parents, block_stations)
+            },
+            |_, (block_parents, block_stations)| {
+                table.push_records(&block_stations.start, &block_stations.items);
+                parent.extend_from_slice(&block_parents);
+            },
+        );
 
         // --- the hop from each `cur`-level station up to the next one ----
         // Read forwards from the last member's own row where that
@@ -307,6 +410,9 @@ pub fn build_doubling(
         levels.push(std::mem::replace(&mut cur, next));
     }
     levels.push(cur);
+    // The finished table and its index are the build's peak: the
+    // workspaces go first.
+    drop(scratch);
     // The loop above always terminates with a singleton: once
     // 2^ℓ > diameter the connectivity graph is complete.
     assert_eq!(
@@ -372,41 +478,78 @@ fn quantizes_alike(d: f64, slack: f64) -> bool {
     (d * (1.0 - slack)) as f32 == (d * (1.0 + slack)) as f32
 }
 
-/// The bounded balls of one level, kept until its MIS is known: per
-/// member (by position in the level) the level members inside its ball
-/// with their quantized distances, in position — hence id — order.
-struct LevelRows {
+/// Rows of items back to back, row `i` at `items[start[i]..start[i + 1]]`:
+/// a level's rows (below), and one block's share of them, of its I_ℓ
+/// edges or of its stations on their way to the table.
+struct Rows<T> {
     start: Vec<u32>,
-    entries: Vec<(u32, f32)>,
+    items: Vec<T>,
 }
 
-impl Default for LevelRows {
+impl<T> Default for Rows<T> {
     fn default() -> Self {
-        LevelRows {
+        Rows {
             start: vec![0],
-            entries: Vec::new(),
+            items: Vec::new(),
         }
     }
 }
 
-impl LevelRows {
+impl<T: Copy> Rows<T> {
+    /// Room for `rows` rows of `per_row` items each: a block's output
+    /// is sized once, not grown by doubling on every thread at once.
+    fn with_capacity(rows: usize, per_row: usize) -> Self {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        Rows {
+            start,
+            items: Vec::with_capacity(rows * per_row),
+        }
+    }
+
+    fn push(&mut self, row: impl IntoIterator<Item = T>) {
+        self.items.extend(row);
+        self.close_row();
+    }
+
+    fn close_row(&mut self) {
+        let end = u32::try_from(self.items.len()).expect("level rows exceed u32 offsets");
+        self.start.push(end);
+    }
+
+    /// Appends every row of `other`, in order.
+    fn append(&mut self, other: &Rows<T>) {
+        let offset = self.items.len() as u32;
+        self.items.extend_from_slice(&other.items);
+        u32::try_from(self.items.len()).expect("level rows exceed u32 offsets");
+        self.start
+            .extend(other.start[1..].iter().map(|&s| offset + s));
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+}
+
+impl Rows<(u32, f32)> {
     /// Appends the row of the next member from its ball, live in `ws`
-    /// (level positions are stamped into `pos`).
-    fn push(&mut self, ws: &DijkstraWorkspace, pos: &[(u32, u32)], stamp: u32) {
-        let from = self.entries.len();
-        self.entries.extend(
+    /// (level positions are stamped into `pos`): the level members
+    /// inside the ball with their quantized distances, in position —
+    /// hence id — order.
+    fn push_ball(&mut self, ws: &DijkstraWorkspace, pos: &[(u32, u32)], stamp: u32) {
+        let from = self.items.len();
+        self.items.extend(
             ws.settled()
                 .iter()
                 .filter(|v| pos[v.index()].0 == stamp)
                 .map(|&v| (pos[v.index()].1, ws.dist(v) as f32)),
         );
-        self.entries[from..].sort_unstable_by_key(|e| e.0);
-        let end = u32::try_from(self.entries.len()).expect("level rows exceed u32 offsets");
-        self.start.push(end);
-    }
-
-    fn row(&self, i: usize) -> &[(u32, f32)] {
-        &self.entries[self.start[i] as usize..self.start[i + 1] as usize]
+        self.items[from..].sort_unstable_by_key(|e| e.0);
+        self.close_row();
     }
 
     /// Quantized distance from member `a` to member `b`, if `b` lies in
@@ -453,12 +596,12 @@ impl Waiting {
         Waiting { start, reads }
     }
 
-    /// The reads waiting for member `i`'s ball; none before any were
-    /// indexed.
-    fn of(&self, i: usize) -> &[(u32, u32)] {
-        match self.start.get(i..i + 2) {
-            Some(w) => &self.reads[w[0] as usize..w[1] as usize],
-            None => &[],
+    /// The reads waiting for the balls of `members`, member by member;
+    /// none before any were indexed.
+    fn of(&self, members: Range<usize>) -> &[(u32, u32)] {
+        match (self.start.get(members.start), self.start.get(members.end)) {
+            (Some(&from), Some(&to)) => &self.reads[from as usize..to as usize],
+            _ => &[],
         }
     }
 }
@@ -503,6 +646,65 @@ mod tests {
         // Relaxed to 2.0 but never settled: not the ball's to answer.
         assert_eq!(dist(NodeId(4)), 2.0);
         assert_eq!(dist(NodeId(7)), 5.0);
+    }
+
+    #[test]
+    fn any_thread_count_builds_the_same_bits() {
+        // The perturbed grid is weighted: its `up` hops take the
+        // reversed-read and forward re-solve branches.
+        let beds = [
+            ("grid 24x24", generators::grid(24, 24).unwrap()),
+            (
+                "perturbed grid",
+                generators::perturbed_grid(16, 16, 0.3, 5).unwrap(),
+            ),
+            ("ring", generators::ring(300).unwrap()),
+            (
+                "random geometric",
+                generators::random_geometric(250, 16.0, 2.5, 3).unwrap(),
+            ),
+        ];
+        for (name, g) in &beds {
+            let m = DenseOracle::build(g).unwrap();
+            for cfg in [OverlayConfig::practical(), OverlayConfig::paper_exact()] {
+                let serial = build_on_threads(g, &m, &cfg, 11, 1);
+                for threads in [2, 3, 8] {
+                    let o = build_on_threads(g, &m, &cfg, 11, threads);
+                    assert!(o == serial, "{name}: {threads} threads built other bits");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_parallel_build_starts_at_4096_nodes_with_the_serial_bits() {
+        assert_eq!(PARALLEL_MIN_NODES, 4096);
+        // 64 × 64 is the smallest grid on the parallel side; the
+        // builder never asks the oracle, so the cheap one will do.
+        let g = generators::grid(64, 64).unwrap();
+        assert_eq!(g.node_count(), PARALLEL_MIN_NODES);
+        let m = mot_net::CachedOracle::new(&g).unwrap();
+        let cfg = OverlayConfig::practical();
+        let serial = build_on_threads(&g, &m, &cfg, 2, 1);
+        assert!(build_doubling(&g, &m, &cfg, 2) == serial);
+        assert!(build_on_threads(&g, &m, &cfg, 2, 2) == serial);
+    }
+
+    #[test]
+    fn a_hub_station_past_256_members_builds() {
+        // A star is connected but not doubling: the hub's station above
+        // a leaf can hold every other leaf, far past Observation 1's 64.
+        let mut b = mot_net::GraphBuilder::new(601);
+        for leaf in 1..601 {
+            b.add_edge(NodeId(0), NodeId(leaf), 1.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let m = DenseOracle::build(&g).unwrap();
+        let cfg = OverlayConfig::practical();
+        for seed in 0..5 {
+            let o = build_doubling(&g, &m, &cfg, seed);
+            crate::validate::assert_valid(&o, &m, &cfg);
+        }
     }
 
     #[test]

@@ -61,6 +61,7 @@
 
 #![warn(missing_docs)]
 
+mod blocks;
 pub mod config;
 pub mod doubling;
 pub mod general;

@@ -27,7 +27,7 @@ pub enum OverlayKind {
 /// hop lengths beside the members; see DESIGN.md §13), so a tracker
 /// climbing, rolling back, pruning or descending along a detection path
 /// reads constants and never asks a distance oracle.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Overlay {
     kind: OverlayKind,
     height: usize,

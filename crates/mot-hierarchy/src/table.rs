@@ -27,6 +27,10 @@
 //!   descent bills. Which record lies above `r` is not stored: every
 //!   path through `r` continues into the same one, so a reader takes it
 //!   from `index`. A slot never written holds NaN and reads as absent.
+//!   A position is one byte: Observation 1 bounds a station by 2^{3ρ}
+//!   members (64 in the plane), but only in doubling metrics — a star's
+//!   hub station holds every leaf — so positions from 255 up are kept
+//!   by slot in `drop_far`, beside a 255 in `drop_at`.
 //!
 //! A station is stored once however many detection paths pass through
 //! it: doubling overlays key records by `(level, home)`, general
@@ -77,8 +81,10 @@ impl DropHop {
     }
 }
 
-/// See the module docs.
-#[derive(Clone, Debug, Default)]
+/// See the module docs. Equal tables hold equal bits: every length is a
+/// non-negative sum, so `==` on the `f32`s tells no two bit patterns
+/// apart, and a slot left NaN makes a table unequal even to itself.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct StationTable {
     /// Levels per node, `h + 1`.
     stride: usize,
@@ -90,6 +96,63 @@ pub(crate) struct StationTable {
     drop_start: Vec<u32>,
     drop_len: Vec<[f32; 2]>,
     drop_at: Vec<u8>,
+    drop_far: IdMap<u32, u32>,
+}
+
+/// `drop_at` of a slot whose position is in `drop_far`.
+const FAR: u8 = u8::MAX;
+
+/// The stations of a [`StationTable`], read-only: what a level pass
+/// reads while it fills the same table's slots through [`Fill`].
+#[derive(Clone, Copy)]
+pub(crate) struct Stations<'a> {
+    start: &'a [u32],
+    members: &'a [NodeId],
+}
+
+impl<'a> Stations<'a> {
+    /// Members of record `r`, in visiting order.
+    #[inline]
+    pub(crate) fn get(&self, r: usize) -> &'a [NodeId] {
+        &self.members[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+}
+
+/// Write access to every `up` and drop slot of a [`StationTable`],
+/// beside its read-only [`Stations`] (see [`StationTable::split`]).
+pub(crate) struct Fill<'a> {
+    up: &'a mut [f32],
+    drop_start: &'a [u32],
+    drop_len: &'a mut [[f32; 2]],
+    drop_at: &'a mut [u8],
+    drop_far: &'a mut IdMap<u32, u32>,
+}
+
+impl Fill<'_> {
+    /// Sets record `r`'s hop to the first member of the record above.
+    pub(crate) fn set_up(&mut self, r: u32, up: f32) {
+        self.up[r as usize] = up;
+    }
+
+    /// Writes the drop into record `r` from member `k` of the record
+    /// above it (once: a far position is not taken back).
+    pub(crate) fn set_drop(&mut self, r: u32, k: usize, hop: DropHop) {
+        let (from, to) = (
+            self.drop_start[r as usize] as usize,
+            self.drop_start[r as usize + 1] as usize,
+        );
+        assert!(k < to - from, "record {r} has no drop slot {k}");
+        let slot = from + k;
+        self.drop_len[slot] = [hop.first as f32, hop.nearest_dist as f32];
+        self.drop_at[slot] = match u8::try_from(hop.nearest) {
+            Ok(at) if at < FAR => at,
+            // Slots and station positions are both counted in u32.
+            _ => {
+                self.drop_far.insert(slot as u32, hop.nearest as u32);
+                FAR
+            }
+        };
+    }
 }
 
 impl StationTable {
@@ -109,14 +172,26 @@ impl StationTable {
     /// starts at zero — see [`set_hop`](Self::set_hop) and
     /// [`set_up`](Self::set_up).
     pub(crate) fn push_record(&mut self, members: &[NodeId]) -> u32 {
-        assert!(!members.is_empty(), "a station has at least one member");
         let id = self.up.len();
+        self.push_records(&[0, members.len() as u32], members);
+        u32::try_from(id).expect("record ids fit u32 whenever offsets do")
+    }
+
+    /// Appends stations given back to back, station `i` at
+    /// `members[start[i]..start[i + 1]]` (`start[0]` is 0), in one copy.
+    pub(crate) fn push_records(&mut self, start: &[u32], members: &[NodeId]) {
+        debug_assert_eq!(start.last().map(|&s| s as usize), Some(members.len()));
+        assert!(
+            start.windows(2).all(|w| w[0] < w[1]),
+            "a station has at least one member"
+        );
+        // Every earlier push checked its end against u32.
+        let offset = self.members.len() as u32;
         self.members.extend_from_slice(members);
         self.hops.resize(self.members.len(), [0.0; 2]);
-        let end = u32::try_from(self.members.len()).expect("station table exceeds u32 offsets");
-        self.start.push(end);
-        self.up.push(0.0);
-        u32::try_from(id).expect("record ids fit u32 whenever offsets do")
+        u32::try_from(self.members.len()).expect("station table exceeds u32 offsets");
+        self.start.extend(start[1..].iter().map(|&s| offset + s));
+        self.up.resize(self.up.len() + start.len() - 1, 0.0);
     }
 
     /// Sets the hop pair of member `j ≥ 1` of record `r`.
@@ -128,6 +203,24 @@ impl StationTable {
     /// Sets record `r`'s hop to the first member of the record above.
     pub(crate) fn set_up(&mut self, r: u32, up: f32) {
         self.up[r as usize] = up;
+    }
+
+    /// The stations, read-only, beside write access to every `up` and
+    /// drop slot: a level's ball pass reads the first on every thread
+    /// while the calling thread fills the second.
+    pub(crate) fn split(&mut self) -> (Stations<'_>, Fill<'_>) {
+        let stations = Stations {
+            start: &self.start,
+            members: &self.members,
+        };
+        let fill = Fill {
+            up: &mut self.up,
+            drop_start: &self.drop_start,
+            drop_len: &mut self.drop_len,
+            drop_at: &mut self.drop_at,
+            drop_far: &mut self.drop_far,
+        };
+        (stations, fill)
     }
 
     /// Makes room for exactly `slots` more drop slots over `records`
@@ -154,13 +247,7 @@ impl StationTable {
     /// Writes the drop into record `r` from member `k` of the record
     /// above it.
     pub(crate) fn set_drop(&mut self, r: u32, k: usize, hop: DropHop) {
-        let (from, to) = self.drop_range(r as usize);
-        assert!(k < to - from, "record {r} has no drop slot {k}");
-        self.drop_len[from + k] = [hop.first as f32, hop.nearest_dist as f32];
-        // Observation 1 bounds a station by 2^{3ρ} members (64 in the
-        // plane); a byte per slot is what keeps the table's growth small.
-        self.drop_at[from + k] =
-            u8::try_from(hop.nearest).expect("a station's nearest member sits below position 256");
+        self.split().1.set_drop(r, k, hop);
     }
 
     /// Closes the table with the node-major index: the record of
@@ -222,7 +309,16 @@ impl StationTable {
     /// Members of record `r`, in visiting order.
     #[inline]
     pub(crate) fn station(&self, r: usize) -> &[NodeId] {
-        &self.members[self.start[r] as usize..self.start[r + 1] as usize]
+        self.stations().get(r)
+    }
+
+    /// Every station, read-only.
+    #[inline]
+    pub(crate) fn stations(&self) -> Stations<'_> {
+        Stations {
+            start: &self.start,
+            members: &self.members,
+        }
     }
 
     /// Hop pairs of record `r`, parallel to [`station`](Self::station).
@@ -254,7 +350,10 @@ impl StationTable {
         let [first, nearest_dist] = self.drop_len[slot];
         (!first.is_nan()).then(|| DropHop {
             first: first as f64,
-            nearest: self.drop_at[slot] as usize,
+            nearest: match self.drop_at[slot] {
+                FAR => self.drop_far[&(slot as u32)] as usize,
+                at => at as usize,
+            },
             nearest_dist: nearest_dist as f64,
         })
     }
@@ -264,7 +363,7 @@ impl StationTable {
         self.up.len()
     }
 
-    /// Heap bytes of the eight vectors.
+    /// Heap bytes of the eight vectors and the far positions.
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.index.len() * size_of::<u32>()
@@ -275,6 +374,7 @@ impl StationTable {
             + self.drop_start.len() * size_of::<u32>()
             + self.drop_len.len() * size_of::<[f32; 2]>()
             + self.drop_at.len() * size_of::<u8>()
+            + self.drop_far.len() * size_of::<(u32, u32)>()
     }
 }
 
@@ -326,6 +426,21 @@ mod tests {
             nearest_dist: 3.0,
         };
         assert_eq!(t.drop(r as usize, 0), Some(want));
+    }
+
+    #[test]
+    fn positions_past_a_byte_read_back() {
+        let mut t = StationTable::new();
+        let members: Vec<NodeId> = (0..300).map(NodeId).collect();
+        let r = t.push_record(&members);
+        t.push_drops(4);
+        for (k, nearest) in [254, 255, 256, 299].into_iter().enumerate() {
+            let dists = (0..300).map(|j| if j == nearest { 1.0 } else { 2.0 });
+            t.set_drop(r, k, DropHop::toward(dists));
+        }
+        let at = |k| t.drop(r as usize, k).map(|d| d.nearest);
+        assert_eq!([at(0), at(1), at(2), at(3)], [254, 255, 256, 299].map(Some));
+        assert_eq!(t.drop_far.len(), 3, "only positions from 255 up are far");
     }
 
     #[test]
