@@ -27,7 +27,7 @@
 
 use crate::object::ObjectId;
 use mot_net::NodeId;
-use std::cell::RefCell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The operation a traced hop belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -211,10 +211,12 @@ pub fn fmt_f64(x: f64) -> String {
 /// A consumer of structured operation traces.
 ///
 /// Methods take `&self` (queries are `&self` on trackers), so sinks use
-/// interior mutability. Implementations must not assume events arrive
-/// from a single operation at a time in concurrent executions; the
-/// one-by-one executors do guarantee it.
-pub trait TraceSink {
+/// interior mutability, and a sink is `Sync` so that a tracker holding
+/// one can move between threads (the service hands a shard's tracker to
+/// whichever thread runs its next tick). Implementations must not assume
+/// events arrive from a single operation at a time in concurrent
+/// executions; the one-by-one executors do guarantee it.
+pub trait TraceSink: Sync {
     /// One billed message hop.
     fn event(&self, ev: &TraceEvent);
 
@@ -228,8 +230,14 @@ pub trait TraceSink {
 /// determinism and sum-to-cost tests.
 #[derive(Default)]
 pub struct MemorySink {
-    events: RefCell<Vec<TraceEvent>>,
-    ops: RefCell<Vec<(OpKind, ObjectId, f64)>>,
+    events: Mutex<Vec<TraceEvent>>,
+    ops: Mutex<Vec<(OpKind, ObjectId, f64)>>,
+}
+
+/// Locks a sink's buffer. A panic elsewhere cannot leave a half-pushed
+/// entry behind, so a poisoned lock still holds whole values.
+fn held<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl MemorySink {
@@ -240,18 +248,17 @@ impl MemorySink {
 
     /// All events seen so far, in emission order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.borrow().clone()
+        held(&self.events).clone()
     }
 
     /// All completed operations `(op, object, cost)`, in order.
     pub fn ops(&self) -> Vec<(OpKind, ObjectId, f64)> {
-        self.ops.borrow().clone()
+        held(&self.ops).clone()
     }
 
     /// Sum of event distances billed under `ledger`.
     pub fn ledger_total(&self, ledger: LedgerKind) -> f64 {
-        self.events
-            .borrow()
+        held(&self.events)
             .iter()
             .filter(|e| e.ledger == ledger)
             .map(|e| e.distance)
@@ -261,11 +268,11 @@ impl MemorySink {
 
 impl TraceSink for MemorySink {
     fn event(&self, ev: &TraceEvent) {
-        self.events.borrow_mut().push(*ev);
+        held(&self.events).push(*ev);
     }
 
     fn op_complete(&self, op: OpKind, object: ObjectId, cost: f64) {
-        self.ops.borrow_mut().push((op, object, cost));
+        held(&self.ops).push((op, object, cost));
     }
 }
 

@@ -41,13 +41,13 @@ pub enum SimError {
     },
     /// Service mode detected an operational-invariant violation: an op
     /// unaccounted for (silent loss), a shard ledger that disagrees with
-    /// its tracker, a worker that died mid-tick, or an event loop that
-    /// failed to quiesce after the stream ended. Any of these means the
-    /// run's zero-silent-loss guarantee does not hold, so the run is
-    /// rejected rather than reported. A configuration no run can honour
-    /// (zero shards, a fault rate outside `[0, 1]`) is refused with this
-    /// error before anything runs, by `run_service` and by
-    /// [`crate::FaultConfig::plan`] alike.
+    /// its tracker, or an event loop that failed to quiesce after the
+    /// stream ended. Any of these means the run's zero-silent-loss
+    /// guarantee does not hold, so the run is rejected rather than
+    /// reported. A configuration no run can honour (zero shards, a fault
+    /// rate outside `[0, 1]`, a retry backoff past any tick a `u64`
+    /// counts) is refused with this error before anything runs, by
+    /// `run_service` and by [`crate::FaultConfig::plan`] alike.
     Service(String),
 }
 

@@ -3,7 +3,7 @@
 //! histograms, and a trace-consuming [`Recorder`].
 
 use mot_core::{fmt_f64, LedgerKind, ObjectId, OpKind, TraceEvent, TraceSink};
-use std::cell::RefCell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Accumulated algorithm-vs-optimal communication cost.
 ///
@@ -452,11 +452,11 @@ impl LevelLedger {
 
 /// The standard trace consumer: aggregates events into a [`LevelLedger`]
 /// plus hop-count and per-op cost histograms, all mergeable across
-/// seeds. Implements [`TraceSink`] with interior mutability (trackers
-/// emit through `&self`).
+/// seeds. Implements [`TraceSink`] behind a lock (trackers emit through
+/// `&self`, and a sink must be `Sync`).
 #[derive(Default)]
 pub struct Recorder {
-    state: RefCell<RecorderState>,
+    state: Mutex<RecorderState>,
 }
 
 #[derive(Default)]
@@ -493,7 +493,10 @@ impl Recorder {
 
     /// Consumes the recorder, returning its aggregates.
     pub fn finish(self) -> TraceAggregates {
-        let s = self.state.into_inner();
+        let s = self
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         TraceAggregates {
             ledger: s.ledger,
             hops: s.hops,
@@ -502,9 +505,15 @@ impl Recorder {
         }
     }
 
+    /// The aggregates, locked. Each event updates them whole, so a lock
+    /// poisoned by a panic elsewhere still holds consistent values.
+    fn held(&self) -> MutexGuard<'_, RecorderState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A snapshot of the aggregates without consuming the recorder.
     pub fn snapshot(&self) -> TraceAggregates {
-        let s = self.state.borrow();
+        let s = self.held();
         TraceAggregates {
             ledger: s.ledger.clone(),
             hops: s.hops.clone(),
@@ -516,13 +525,13 @@ impl Recorder {
 
 impl TraceSink for Recorder {
     fn event(&self, ev: &TraceEvent) {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.held();
         s.ledger.add(ev.level as usize, ev.ledger, ev.distance);
         s.pending_hops += 1;
     }
 
     fn op_complete(&self, op: OpKind, _object: ObjectId, cost: f64) {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.held();
         let hops = s.pending_hops;
         s.pending_hops = 0;
         s.hops.record(hops as f64);
