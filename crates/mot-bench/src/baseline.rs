@@ -37,7 +37,7 @@
 use crate::figures::BenchError;
 use crate::service::{service_run, ServiceSpec};
 use mot_baselines::DetectionRates;
-use mot_core::fmt_f64;
+use mot_core::{JsonWriter, ToJson};
 use mot_hierarchy::{build_doubling, OverlayConfig};
 use mot_net::{generators, Graph, OracleKind};
 use mot_sim::{replay, run_publish, Algo, TestBed, WorkloadSpec};
@@ -318,82 +318,66 @@ pub struct BaselineReport {
 }
 
 impl BaselineReport {
-    /// Pretty-printed JSON matching the schema documented in
+    /// The report as JSON, one line, matching the schema documented in
     /// PERFORMANCE.md.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", self.schema));
-        out.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        out.push_str(&format!("  \"oracle\": \"{}\",\n", self.oracle));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"hardware_threads\": {},\n",
-            self.hardware_threads
-        ));
-        out.push_str("  \"sizes\": [\n");
-        for (i, s) in self.sizes.iter().enumerate() {
-            out.push_str("    {\n");
-            let fields = [
-                ("topology", format!("\"{}\"", s.topology)),
-                ("rows", s.rows.to_string()),
-                ("cols", s.cols.to_string()),
-                ("nodes", s.nodes.to_string()),
-                ("graph_build_secs", fmt_f64(s.graph_build_secs)),
-                ("oracle_warmup_secs", fmt_f64(s.oracle_warmup_secs)),
-                ("hierarchy_secs", fmt_f64(s.hierarchy_secs)),
-                ("fig4_replay_secs", fmt_f64(s.fig4_replay_secs)),
-                ("fig4_mot_ratio", fmt_f64(s.fig4_mot_ratio)),
-                ("oracle_cache_hits", s.oracle_cache_hits.to_string()),
-                ("oracle_cache_misses", s.oracle_cache_misses.to_string()),
-                ("oracle_memory_bytes", s.oracle_memory_bytes.to_string()),
-            ];
-            let body: Vec<String> = fields
-                .iter()
-                .map(|(k, v)| format!("      \"{k}\": {v}"))
-                .collect();
-            out.push_str(&body.join(",\n"));
-            out.push('\n');
-            out.push_str(if i + 1 == self.sizes.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"service\": [\n");
-        for (i, s) in self.service.iter().enumerate() {
-            out.push_str("    {\n");
-            let fields = [
-                ("name", format!("\"{}\"", s.name)),
-                ("rows", s.rows.to_string()),
-                ("cols", s.cols.to_string()),
-                ("nodes", s.nodes.to_string()),
-                ("objects", s.objects.to_string()),
-                ("ops", s.ops.to_string()),
-                ("shards", s.shards.to_string()),
-                ("jobs", s.jobs.to_string()),
-                ("wall_secs", fmt_f64(s.wall_secs)),
-                ("ops_per_sec", fmt_f64(s.ops_per_sec)),
-                ("move_p50_cost", fmt_f64(s.move_p50_cost)),
-                ("move_p99_cost", fmt_f64(s.move_p99_cost)),
-                ("query_p50_cost", fmt_f64(s.query_p50_cost)),
-                ("query_p99_cost", fmt_f64(s.query_p99_cost)),
-            ];
-            let body: Vec<String> = fields
-                .iter()
-                .map(|(k, v)| format!("      \"{k}\": {v}"))
-                .collect();
-            out.push_str(&body.join(",\n"));
-            out.push('\n');
-            out.push_str(if i + 1 == self.service.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let mut json = JsonWriter::render(self);
+        json.push('\n');
+        json
+    }
+}
+
+impl ToJson for BaselineReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("schema", self.schema)
+                .field("profile", &self.profile)
+                .field("oracle", &self.oracle)
+                .field("jobs", self.jobs)
+                .field("hardware_threads", self.hardware_threads)
+                .field("sizes", &self.sizes)
+                .field("service", &self.service);
+        });
+    }
+}
+
+impl ToJson for SizeTiming {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("topology", self.topology)
+                .field("rows", self.rows)
+                .field("cols", self.cols)
+                .field("nodes", self.nodes)
+                .field("graph_build_secs", self.graph_build_secs)
+                .field("oracle_warmup_secs", self.oracle_warmup_secs)
+                .field("hierarchy_secs", self.hierarchy_secs)
+                .field("fig4_replay_secs", self.fig4_replay_secs)
+                .field("fig4_mot_ratio", self.fig4_mot_ratio)
+                .field("oracle_cache_hits", self.oracle_cache_hits)
+                .field("oracle_cache_misses", self.oracle_cache_misses)
+                .field("oracle_memory_bytes", self.oracle_memory_bytes);
+        });
+    }
+}
+
+impl ToJson for ServiceTiming {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("name", &self.name)
+                .field("rows", self.rows)
+                .field("cols", self.cols)
+                .field("nodes", self.nodes)
+                .field("objects", self.objects)
+                .field("ops", self.ops)
+                .field("shards", self.shards)
+                .field("jobs", self.jobs)
+                .field("wall_secs", self.wall_secs)
+                .field("ops_per_sec", self.ops_per_sec)
+                .field("move_p50_cost", self.move_p50_cost)
+                .field("move_p99_cost", self.move_p99_cost)
+                .field("query_p50_cost", self.query_p50_cost)
+                .field("query_p99_cost", self.query_p99_cost);
+        });
     }
 }
 
@@ -540,7 +524,7 @@ pub fn run_baseline(p: &BaselineProfile) -> Result<BaselineReport, BenchError> {
         let (_, rep) = service_run(spec)?;
         // The report's own wall clock wraps just the soak loop; bed
         // construction cost is the sizes section's concern.
-        let wall_secs = rep.wall_secs;
+        let wall_secs = rep.trailer.wall_secs;
         let (rows, cols) = spec.grid;
         let ops = spec.cfg.stream.ops;
         service.push(ServiceTiming {
@@ -619,16 +603,15 @@ mod tests {
         assert!(sv.wall_secs > 0.0 && sv.ops_per_sec > 0.0);
         assert!(sv.move_p99_cost >= sv.move_p50_cost);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"mot-bench-baseline/5\""));
-        assert!(json.contains("\"topology\": \"grid\""));
-        assert!(json.contains("\"nodes\": 25"));
+        assert!(json.contains("\"schema\":\"mot-bench-baseline/5\""));
+        assert!(json.contains("\"topology\":\"grid\""));
+        assert!(json.contains("\"nodes\":25"));
         assert!(json.contains("\"hierarchy_secs\""));
         assert!(json.contains("\"oracle_cache_hits\""));
-        assert!(json.contains("\"name\": \"micro\""));
+        assert!(json.contains("\"name\":\"micro\""));
         assert!(json.contains("\"ops_per_sec\""));
-        // No trailing commas before closers (the usual hand-rolled bug).
-        assert!(!json.contains(",\n    }"), "{json}");
-        assert!(!json.contains(",\n  ]"), "{json}");
+        // No trailing commas before closers.
+        assert!(!json.contains(",}") && !json.contains(",]"), "{json}");
         let service_table = report.service_to_table().unwrap();
         assert_eq!(service_table.rows.len(), 1);
     }
@@ -649,7 +632,7 @@ mod tests {
             ("geometric", 0, 0, 60)
         );
         let json = report.to_json();
-        assert!(json.contains("\"topology\": \"geometric\""));
+        assert!(json.contains("\"topology\":\"geometric\""));
         let table = report.to_table();
         assert_eq!(table.rows[0].0, "60 (geometric)");
     }
@@ -696,10 +679,12 @@ mod tests {
             service: vec![],
         };
         let json = report.to_json();
-        let keys: Vec<&str> = json
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\": "))
-            .map(|(k, _)| k)
+        // A key is a quoted token with a colon after it.
+        let tokens: Vec<&str> = json.split('"').collect();
+        let keys: Vec<&str> = tokens
+            .windows(2)
+            .filter(|t| t[1].starts_with(':'))
+            .map(|t| t[0])
             .collect();
         let size_keys = [
             "topology",
@@ -728,7 +713,7 @@ mod tests {
             [&head[..], &size_keys, &["service"]].concat(),
             "{json}"
         );
-        assert!(!json.contains(",\n    }"), "{json}");
+        assert!(!json.contains(",}") && !json.contains(",]"), "{json}");
         let table = report.to_table();
         assert_eq!(
             table.columns,

@@ -41,14 +41,13 @@
 //! schema'd JSON to `--bench-out` (default `BENCH_pr8.json`). Its profiles are `smoke`/`full`; the figure
 //! profile names map onto them.
 //!
-//! `--profile-phases` additionally prints a self-timing breakdown to
-//! stderr for the `fig4` and `service`/`service-smoke` experiments
-//! (graph/oracle/hierarchy/publish/replay/queries, bed-build vs soak)
-//! and, for every sweep-shaped figure (`fig4`…`fig15`, `locality`,
-//! `mobility`, `faults`, `faults-smoke`), where the sweep's time went:
-//! seconds summed over cells per shared input and per cell phase, split
-//! by algorithm, and the runner's efficiency (a figure pair's sweep
-//! prints once, under the id that ran it).
+//! `--profile-phases` additionally prints to stderr, for every
+//! sweep-shaped figure (`fig4`…`fig15`, `locality`, `mobility`,
+//! `faults`, `faults-smoke`), where the sweep's time went: seconds
+//! summed over cells per shared input (graph, oracle, overlay,
+//! workload) and per cell phase, split by algorithm, and the runner's
+//! efficiency (a figure pair's sweep prints once, under the id that ran
+//! it).
 //! Stdout tables are unaffected, so the flag composes with `--csv` and
 //! the determinism checks. See PERFORMANCE.md for the flamegraph recipe
 //! when per-function attribution is needed below phase granularity.
@@ -63,15 +62,14 @@
 //! unrepaired objects) — exits nonzero with a readable message.
 
 use mot_bench::{
-    ablation_table, churn_smoke_table, churn_table, faults_table_profiled, figure_pair,
-    general_graph_table, instrumented_run, level_decomposition_table, load_figure_profiled,
-    locality_table_profiled, mobility_table_profiled, profile_fig4_phases, publish_cost_table,
-    run_baseline, scale_table, scenario_tables, scenarios_smoke_table, service_phase_timings,
+    ablation_table, churn_smoke_table, churn_table, faults_table, figure_pair, general_graph_table,
+    instrumented_run, level_decomposition_table, load_figure, locality_table, mobility_table,
+    publish_cost_table, run_baseline, scale_table, scenario_tables, scenarios_smoke_table,
     service_run, state_size_table, trace_events, BaselineProfile, BenchError, FigurePair,
-    FigureTable, Profile, ProfiledResult, RunReport, ScenarioProfile, ServiceSpec, SizeSpec,
+    FigureTable, Profile, RunReport, ScenarioProfile, ServiceSpec, SweepPhases,
 };
 use mot_net::OracleKind;
-use mot_sim::Algo;
+use mot_sim::{Algo, ServiceReport};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -226,8 +224,8 @@ fn run() -> Result<(), BenchError> {
                      time reads near zero); a lone fig4/5/12/13 runs no queries;\n\
                      bench-baseline also accepts --profile smoke|full and writes\n\
                      its phase timings to --bench-out (default BENCH_pr8.json);\n\
-                     --profile-phases prints self-timing breakdowns (stderr) for\n\
-                     the sweep figures and service/service-smoke runs;\n\
+                     --profile-phases prints where each sweep figure's time went\n\
+                     (stderr);\n\
                      scenarios prints one table per family (waypoint levy hotspot\n\
                      zipf adversarial) before its summary — see EXPERIMENTS.md's\n\
                      scenario handbook",
@@ -268,34 +266,32 @@ fn run() -> Result<(), BenchError> {
     // Runs the chaos soak, prints its wall-clock throughput (stderr —
     // tables stay byte-identical across --jobs), and stashes the full
     // report for the --metrics trailer.
-    let run_service_id =
-        |spec: ServiceSpec, service_out: &mut Option<String>| -> Result<FigureTable, BenchError> {
-            let t0 = std::time::Instant::now();
-            let (table, rep) = service_run(&spec)?;
-            let end_to_end = t0.elapsed().as_secs_f64();
-            eprintln!(
-                "[service: {} ops in {:.2}s = {:.0} ops/s, {} workers]",
-                rep.sent,
-                rep.wall_secs,
-                rep.sent as f64 / rep.wall_secs.max(1e-9),
-                rep.workers
-            );
-            if profile_phases {
-                eprint!(
-                    "{}",
-                    service_phase_timings(&spec, &rep, end_to_end).render()
-                );
-            }
-            *service_out = Some(rep.to_json());
-            Ok(table)
-        };
-    // A sweep-shaped figure: its timings go to stderr when asked for,
-    // its table down the common path either way.
-    let sweep = |run: ProfiledResult| {
+    let run_service_id = |spec: ServiceSpec,
+                          service_out: &mut Option<ServiceReport>|
+     -> Result<FigureTable, BenchError> {
+        let (table, rep) = service_run(&spec)?;
+        let wall = &rep.trailer;
+        eprintln!(
+            "[service: {} ops in {:.2}s = {:.0} ops/s, {} workers]",
+            rep.sent,
+            wall.wall_secs,
+            rep.sent as f64 / wall.wall_secs.max(1e-9),
+            wall.workers
+        );
+        *service_out = Some(rep);
+        Ok(table)
+    };
+    // A sweep's timings go to stderr when asked for.
+    let print_phases = |phases: &SweepPhases| {
+        if profile_phases {
+            eprint!("{}", phases.render());
+        }
+    };
+    // A sweep-shaped figure: its timings as above, its table down the
+    // common path.
+    let sweep = |run: Result<(FigureTable, SweepPhases), BenchError>| {
         run.map(|(table, phases)| {
-            if profile_phases {
-                eprint!("{}", phases.render());
-            }
+            print_phases(&phases);
             table
         })
     };
@@ -316,9 +312,7 @@ fn run() -> Result<(), BenchError> {
             query,
             phases,
         } = figure_pair(&p, concurrent, wants_query || partner_later)?;
-        if profile_phases {
-            eprint!("{}", phases.render());
-        }
+        print_phases(&phases);
         let (mine, theirs) = if wants_query {
             (query, Some(maintenance))
         } else {
@@ -329,27 +323,12 @@ fn run() -> Result<(), BenchError> {
         }
         mine.ok_or_else(|| BenchError::from("the sweep ran no queries"))
     };
-    let mut service_json: Option<String> = None;
+    let mut service_report = None;
     // Tables a figure pair's sweep made for an id still to come.
     let mut held: Vec<(&str, FigureTable)> = Vec::new();
     for (i, id) in ids.iter().enumerate() {
         let started = std::time::Instant::now();
         let name = profile_name.as_str();
-        if profile_phases && id == "fig4" {
-            // One extra instrumented replay on the profile's largest
-            // grid — the figure sweep itself stays untouched.
-            let p = profile_for(100, name, oracle, jobs)?;
-            let &(rows, cols) = p.grids.last().expect("profiles sweep at least one grid");
-            let timings = profile_fig4_phases(
-                SizeSpec::Grid { rows, cols },
-                p.objects,
-                p.moves_per_object,
-                p.oracle,
-                1,
-            )
-            .map_err(|e| format!("--profile-phases fig4 run failed: {e}"))?;
-            eprint!("{}", timings.render());
-        }
         let table = match id.as_str() {
             fig if PAIRS.iter().any(|&(m, q, ..)| fig == m || fig == q) => {
                 match held.iter().position(|(h, _)| *h == fig) {
@@ -369,22 +348,22 @@ fn run() -> Result<(), BenchError> {
                     }
                     Ok(rep.to_table())
                 }),
-            "fig8" => sweep(load_figure_profiled(
+            "fig8" => sweep(load_figure(
                 &profile_for(100, name, oracle, jobs)?,
                 Algo::Stun,
                 0,
             )),
-            "fig9" => sweep(load_figure_profiled(
+            "fig9" => sweep(load_figure(
                 &profile_for(100, name, oracle, jobs)?,
                 Algo::Stun,
                 10,
             )),
-            "fig10" => sweep(load_figure_profiled(
+            "fig10" => sweep(load_figure(
                 &profile_for(100, name, oracle, jobs)?,
                 Algo::Zdat,
                 0,
             )),
-            "fig11" => sweep(load_figure_profiled(
+            "fig11" => sweep(load_figure(
                 &profile_for(100, name, oracle, jobs)?,
                 Algo::Zdat,
                 10,
@@ -414,24 +393,17 @@ fn run() -> Result<(), BenchError> {
             // Fixed CI spec: --profile has no effect, --jobs does.
             "scenarios-smoke" => scenarios_smoke_table(jobs),
             "state-size" => state_size_table(&profile_for(100, name, oracle, jobs)?),
-            "locality" => sweep(locality_table_profiled(&profile_for(
-                100, name, oracle, jobs,
-            )?)),
-            "mobility" => sweep(mobility_table_profiled(&profile_for(
-                50, name, oracle, jobs,
-            )?)),
+            "locality" => sweep(locality_table(&profile_for(100, name, oracle, jobs)?)),
+            "mobility" => sweep(mobility_table(&profile_for(50, name, oracle, jobs)?)),
             "scale" => scale_table(&scale_profile(name, oracle, jobs)?),
-            "faults" => sweep(faults_table_profiled(
+            "faults" => sweep(faults_table(
                 &profile_for(100, name, oracle, jobs)?,
                 (32, 32),
             )),
-            "faults-smoke" => sweep(faults_table_profiled(
-                &smoke_profile(oracle, jobs),
-                (16, 16),
-            )),
+            "faults-smoke" => sweep(faults_table(&smoke_profile(oracle, jobs), (16, 16))),
             "service" => ServiceSpec::for_profile(name)
                 .map(|s| s.with_oracle(oracle).with_jobs(jobs))
-                .and_then(|s| run_service_id(s, &mut service_json)),
+                .and_then(|s| run_service_id(s, &mut service_report)),
             "service-smoke" => {
                 // Fixed CI spec: --profile has no effect, --jobs does
                 // (parity is part of the contract being smoked).
@@ -439,7 +411,7 @@ fn run() -> Result<(), BenchError> {
                 if jobs != 0 {
                     spec = spec.with_jobs(jobs);
                 }
-                run_service_id(spec, &mut service_json)
+                run_service_id(spec, &mut service_report)
             }
             "level-decomp" => level_decomposition_table(&profile_for(100, name, oracle, jobs)?),
             other => {
@@ -475,7 +447,7 @@ fn run() -> Result<(), BenchError> {
         report.trace = Some(agg);
         report.cache = cache;
         report.memory = Some(memory);
-        report.service = service_json;
+        report.service = service_report;
         std::fs::write(path, report.to_json())
             .map_err(|e| format!("cannot write '{path}': {e}"))?;
         eprintln!("wrote {path}");

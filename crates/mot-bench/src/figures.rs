@@ -14,9 +14,8 @@
 //! `SharedInputs` per call (`shared.rs`): built once per grid or per
 //! (grid, seed) by whichever worker needs them first, dropped when that
 //! grid's last cell is done. A cell instantiates only its tracker. Each
-//! runner also reports where the time went ([`SweepPhases`]):
-//! `figure_pair` in its result, the other four through a `_profiled`
-//! twin of which the plain function is the table alone.
+//! of the five returns its table(s) with where the time went
+//! ([`SweepPhases`]).
 //!
 //! The paper measures maintenance (Figs. 4/5, 12/13) and queries after
 //! the maintenance workload (Figs. 6/7, 14/15) on the same runs, so a
@@ -50,9 +49,6 @@ pub type BenchError = Box<dyn std::error::Error + Send + Sync>;
 /// Every runner returns the table or a readable error — the
 /// `experiments` binary turns these into a nonzero exit, not a panic.
 pub type BenchResult = Result<FigureTable, BenchError>;
-
-/// What a `_profiled` runner returns: the table and the sweep's timings.
-pub type ProfiledResult = Result<(FigureTable, SweepPhases), BenchError>;
 
 /// Workload scale for a figure run.
 #[derive(Clone, Debug)]
@@ -410,12 +406,11 @@ pub fn query_figure(p: &Profile, concurrent: bool) -> BenchResult {
 /// Figs. 8–11: per-node load of MOT(+LB) against a baseline, on the
 /// largest grid of the profile, `moves_per_object` moves after
 /// initialization (0 = "just after initialization").
-pub fn load_figure(p: &Profile, vs: Algo, moves_per_object: usize) -> BenchResult {
-    Ok(load_figure_profiled(p, vs, moves_per_object)?.0)
-}
-
-/// [`load_figure`] plus where its time went.
-pub fn load_figure_profiled(p: &Profile, vs: Algo, moves_per_object: usize) -> ProfiledResult {
+pub fn load_figure(
+    p: &Profile,
+    vs: Algo,
+    moves_per_object: usize,
+) -> Result<(FigureTable, SweepPhases), BenchError> {
     let &(r, c) = p.grids.last().ok_or("profile has no grids")?;
     let cells: Vec<Keyed<Algo>> = [Algo::MotLb, vs]
         .into_iter()
@@ -679,12 +674,7 @@ pub fn state_size_table(p: &Profile) -> BenchResult {
 /// the requester is from the object. MOT's O(1) promise (Thm 4.11) is
 /// strongest for nearby requesters; sink-routed STUN pays its full
 /// root detour exactly there.
-pub fn locality_table(p: &Profile) -> BenchResult {
-    Ok(locality_table_profiled(p)?.0)
-}
-
-/// [`locality_table`] plus where its time went.
-pub fn locality_table_profiled(p: &Profile) -> ProfiledResult {
+pub fn locality_table(p: &Profile) -> Result<(FigureTable, SweepPhases), BenchError> {
     let &(r, c) = p.grids.last().ok_or("profile has no grids")?;
     let algos = [Algo::Mot, Algo::Stun, Algo::Zdat, Algo::ZdatShortcuts];
     let cells: Vec<Keyed<Algo>> = algos
@@ -763,12 +753,7 @@ pub fn locality_table_profiled(p: &Profile) -> ProfiledResult {
 /// mobility models, including the *commuter* model — perfectly
 /// predictable traffic, the best case for rate-built trees and the
 /// honest worst case for MOT's traffic-obliviousness.
-pub fn mobility_table(p: &Profile) -> BenchResult {
-    Ok(mobility_table_profiled(p)?.0)
-}
-
-/// [`mobility_table`] plus where its time went.
-pub fn mobility_table_profiled(p: &Profile) -> ProfiledResult {
+pub fn mobility_table(p: &Profile) -> Result<(FigureTable, SweepPhases), BenchError> {
     use mot_sim::MobilityModel;
     let (r, c) = (16usize, 16usize);
     let algos = [Algo::Mot, Algo::Stun, Algo::Dat, Algo::Zdat];
@@ -1014,12 +999,10 @@ pub fn level_decomposition_table(p: &Profile) -> BenchResult {
 /// Every cell is also a health check: all queries must answer correctly
 /// (after self-repair) and a final repair pass must leave zero
 /// unrepaired objects, or the run fails with a readable error.
-pub fn faults_table(p: &Profile, grid: (usize, usize)) -> BenchResult {
-    Ok(faults_table_profiled(p, grid)?.0)
-}
-
-/// [`faults_table`] plus where its time went.
-pub fn faults_table_profiled(p: &Profile, grid: (usize, usize)) -> ProfiledResult {
+pub fn faults_table(
+    p: &Profile,
+    grid: (usize, usize),
+) -> Result<(FigureTable, SweepPhases), BenchError> {
     let (r, c) = grid;
     let drop_rates = [0.0, 0.01, 0.05, 0.10];
     let crash_counts = [0usize, 4, 16];
@@ -1291,7 +1274,7 @@ mod tests {
     fn load_figure_shows_balanced_mot() {
         let mut p = Profile::quick(30);
         p.grids = vec![(10, 10)];
-        let t = load_figure(&p, Algo::Stun, 0).unwrap();
+        let (t, _) = load_figure(&p, Algo::Stun, 0).unwrap();
         let mot = &t.rows[0];
         let stun = &t.rows[1];
         assert_eq!(mot.0, "MOT+LB");
@@ -1333,7 +1316,7 @@ mod tests {
         let mut p = Profile::quick(20);
         p.grids = vec![(12, 12)];
         p.queries = 150;
-        let t = locality_table(&p).unwrap();
+        let (t, _) = locality_table(&p).unwrap();
         let mot = t.column("MOT").unwrap();
         let stun = t.column("STUN").unwrap();
         // STUN pays far more than MOT for the nearest requesters
@@ -1368,7 +1351,7 @@ mod tests {
         let mut p = Profile::quick(6);
         p.seeds = 1;
         p.queries = 60;
-        let t = faults_table(&p, (8, 8)).unwrap();
+        let (t, _) = faults_table(&p, (8, 8)).unwrap();
         assert_eq!(t.rows.len(), 12, "4 drop rates x 3 crash counts");
         assert_eq!(t.columns.len(), 8, "4 metrics per algorithm");
         // the clean cell pays no overhead at all
@@ -1424,7 +1407,7 @@ mod tests {
     fn mobility_table_covers_three_models() {
         let mut p = Profile::quick(8);
         p.moves_per_object = 40;
-        let t = mobility_table(&p).unwrap();
+        let (t, _) = mobility_table(&p).unwrap();
         assert_eq!(t.rows.len(), 3);
         let labels: Vec<&str> = t.rows.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels, vec!["random-walk", "waypoint", "commuter"]);

@@ -51,13 +51,12 @@ pub use baseline::{
 };
 pub use churn::{churn_smoke_table, churn_table};
 pub use figures::{
-    ablation_table, faults_table, faults_table_profiled, figure_pair, general_graph_table,
-    instrumented_run, level_decomposition_table, load_figure, load_figure_profiled, locality_table,
-    locality_table_profiled, maintenance_figure, mobility_table, mobility_table_profiled,
+    ablation_table, faults_table, figure_pair, general_graph_table, instrumented_run,
+    level_decomposition_table, load_figure, locality_table, maintenance_figure, mobility_table,
     publish_cost_table, query_figure, scale_table, state_size_table, trace_events, BenchError,
-    BenchResult, FigurePair, Profile, ProfiledResult,
+    BenchResult, FigurePair, Profile,
 };
-pub use profiling::{profile_fig4_phases, service_phase_timings, PhaseTimings, SweepPhases};
+pub use profiling::SweepPhases;
 pub use report::{BedMemory, FigureTable, RunReport};
 pub use scenarios::{scenario_tables, scenarios_smoke_table, ScenarioProfile};
 pub use service::{service_run, service_table, ServiceSpec};

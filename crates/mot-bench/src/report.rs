@@ -1,28 +1,9 @@
 //! Plain-text / CSV / JSON rendering of experiment tables, plus the
 //! machine-readable [`RunReport`] behind `experiments --metrics`.
 
-use mot_core::fmt_f64;
+use mot_core::{JsonWriter, ToJson};
 use mot_net::CacheLedger;
-use mot_sim::TraceAggregates;
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// table titles and ids are plain ASCII, but stay correct regardless.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use mot_sim::{ServiceReport, TraceAggregates};
 
 /// One regenerated figure: a labelled series per algorithm over an x axis
 /// (network size, usually).
@@ -105,22 +86,25 @@ impl FigureTable {
     /// JSON rendering:
     /// `{"title":…,"x_label":…,"columns":[…],"rows":[{"x":…,"ys":[…]}]}`.
     pub fn to_json(&self) -> String {
-        let columns: Vec<String> = self.columns.iter().map(|c| json_string(c)).collect();
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|(x, ys)| {
-                let vals: Vec<String> = ys.iter().map(|&y| fmt_f64(y)).collect();
-                format!("{{\"x\":{},\"ys\":[{}]}}", json_string(x), vals.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"title\":{},\"x_label\":{},\"columns\":[{}],\"rows\":[{}]}}",
-            json_string(&self.title),
-            json_string(&self.x_label),
-            columns.join(","),
-            rows.join(",")
-        )
+        JsonWriter::render(self)
+    }
+}
+
+impl ToJson for FigureTable {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("title", &self.title)
+                .field("x_label", &self.x_label)
+                .field("columns", &self.columns)
+                .key("rows")
+                .array(|w| {
+                    for (x, ys) in &self.rows {
+                        w.object(|w| {
+                            w.field("x", x).field("ys", ys);
+                        });
+                    }
+                });
+        });
     }
 }
 
@@ -157,61 +141,50 @@ pub struct RunReport {
     pub cache: Option<CacheLedger>,
     /// Footprint of the instrumented run's bed, when collected.
     pub memory: Option<BedMemory>,
-    /// Full service-mode report JSON (counters, histograms, and the
+    /// The service-mode report (counters, histograms, and the
     /// wall-clock throughput trailer), when a `service*` experiment ran.
-    pub service: Option<String>,
+    pub service: Option<ServiceReport>,
 }
 
 impl RunReport {
     /// The whole report as one JSON object (tables keyed by experiment
     /// id, timings, and the optional trace aggregates).
     pub fn to_json(&self) -> String {
-        let tables: Vec<String> = self
-            .tables
-            .iter()
-            .map(|(id, t)| format!("{}:{}", json_string(id), t.to_json()))
-            .collect();
-        let timings: Vec<String> = self
-            .timings_secs
-            .iter()
-            .map(|(id, s)| format!("{}:{}", json_string(id), fmt_f64(*s)))
-            .collect();
-        let trace = self
-            .trace
-            .as_ref()
-            .map_or_else(|| "null".to_string(), TraceAggregates::to_json);
-        let cache = self.cache.as_ref().map_or_else(
-            || "null".to_string(),
-            |c| {
-                format!(
-                    "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"promotions\":{},\
-                     \"resident_rows\":{},\"resident_bytes\":{}}}",
-                    c.hits, c.misses, c.evictions, c.promotions, c.resident_rows, c.resident_bytes
-                )
-            },
-        );
-        let memory = self.memory.map_or_else(
-            || "null".to_string(),
-            |m| {
-                format!(
-                    "{{\"oracle_bytes\":{},\"overlay_bytes\":{}}}",
-                    m.oracle_bytes, m.overlay_bytes
-                )
-            },
-        );
-        let service = self.service.clone().unwrap_or_else(|| "null".to_string());
-        format!(
-            "{{\"profile\":{},\"oracle\":{},\"timings_secs\":{{{}}},\"trace\":{},\
-             \"cache\":{},\"memory\":{},\"service\":{},\"tables\":{{{}}}}}",
-            json_string(&self.profile),
-            json_string(&self.oracle),
-            timings.join(","),
-            trace,
-            cache,
-            memory,
-            service,
-            tables.join(",")
-        )
+        JsonWriter::render(self)
+    }
+}
+
+impl ToJson for RunReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("profile", &self.profile)
+                .field("oracle", &self.oracle)
+                .key("timings_secs")
+                .object(|w| {
+                    for (id, secs) in &self.timings_secs {
+                        w.field(id, secs);
+                    }
+                });
+            w.field("trace", &self.trace)
+                .field("cache", self.cache)
+                .field("memory", self.memory)
+                .field("service", &self.service)
+                .key("tables")
+                .object(|w| {
+                    for (id, table) in &self.tables {
+                        w.field(id, table);
+                    }
+                });
+        });
+    }
+}
+
+impl ToJson for BedMemory {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("oracle_bytes", self.oracle_bytes)
+                .field("overlay_bytes", self.overlay_bytes);
+        });
     }
 }
 
@@ -266,7 +239,10 @@ mod tests {
 
     #[test]
     fn json_strings_escape_quotes_and_backslashes() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        let mut t = sample();
+        t.title = "a\"b\\c".into();
+        let j = t.to_json();
+        assert!(j.starts_with("{\"title\":\"a\\\"b\\\\c\","), "{j}");
     }
 
     #[test]
@@ -307,7 +283,7 @@ mod tests {
                 oracle_bytes: 4096,
                 overlay_bytes: 640,
             }),
-            service: Some("{\"sent\":5}".into()),
+            service: Some(tiny_service_report()),
             ..RunReport::default()
         };
         let j = r.to_json();
@@ -319,6 +295,14 @@ mod tests {
             j.contains("\"memory\":{\"oracle_bytes\":4096,\"overlay_bytes\":640}"),
             "{j}"
         );
-        assert!(j.contains("\"service\":{\"sent\":5}"), "{j}");
+        assert!(j.contains("\"service\":{\"sent\":40,"), "{j}");
+        assert!(j.contains(",\"wall\":{\"secs\":"), "{j}");
+    }
+
+    fn tiny_service_report() -> ServiceReport {
+        let mut spec = crate::ServiceSpec::smoke();
+        spec.cfg.stream.ops = 40;
+        spec.cfg.stream.objects = 4;
+        crate::service_run(&spec).unwrap().1
     }
 }

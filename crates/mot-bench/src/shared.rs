@@ -87,10 +87,11 @@ struct GridSlot {
 }
 
 /// The kinds of build [`SharedInputs`] times, in build order.
-const BUILDS: [&str; 3] = ["graph+oracle", "overlay", "workload+rates"];
-const NET: usize = 0;
-const OVERLAY: usize = 1;
-const TRAFFIC: usize = 2;
+const BUILDS: [&str; 4] = ["graph", "oracle", "overlay", "workload+rates"];
+const GRAPH: usize = 0;
+const ORACLE: usize = 1;
+const OVERLAY: usize = 2;
+const TRAFFIC: usize = 3;
 
 /// The shared inputs of one sweep; see the module docs.
 pub(crate) struct SharedInputs {
@@ -141,8 +142,10 @@ impl SharedInputs {
             let t = Instant::now();
             let (rows, cols) = slot.dims;
             let graph = generators::grid(rows, cols)?;
+            self.bill(GRAPH, t);
+            let t = Instant::now();
             let oracle = self.oracle.build(&graph)?;
-            self.bill(NET, t);
+            self.bill(ORACLE, t);
             Ok(Net { graph, oracle })
         })?;
         let drawn = slot.drawn[spec].get(|| {

@@ -23,8 +23,8 @@ fn chaos_profile(jobs: usize) -> Profile {
 
 #[test]
 fn faulty_replay_tables_are_byte_identical_for_jobs_1_and_4() {
-    let a = faults_table(&chaos_profile(1), (12, 12)).expect("faults jobs=1");
-    let b = faults_table(&chaos_profile(4), (12, 12)).expect("faults jobs=4");
+    let (a, _) = faults_table(&chaos_profile(1), (12, 12)).expect("faults jobs=1");
+    let (b, _) = faults_table(&chaos_profile(4), (12, 12)).expect("faults jobs=4");
     assert_eq!(
         a.to_csv(),
         b.to_csv(),

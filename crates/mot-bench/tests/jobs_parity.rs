@@ -37,9 +37,9 @@ fn tables_are_byte_identical_for_1_and_4_jobs() {
                 bytes_of(&query_figure(&p, false).expect("query")),
                 bytes_of(&maintenance_figure(&p, true).expect("concurrent maintenance")),
                 bytes_of(&query_figure(&p, true).expect("concurrent query")),
-                bytes_of(&load_figure(&p, Algo::Stun, 10).expect("load")),
-                bytes_of(&locality_table(&p).expect("locality")),
-                bytes_of(&mobility_table(&p).expect("mobility")),
+                bytes_of(&load_figure(&p, Algo::Stun, 10).expect("load").0),
+                bytes_of(&locality_table(&p).expect("locality").0),
+                bytes_of(&mobility_table(&p).expect("mobility").0),
             ]
         })
         .collect();
@@ -88,10 +88,27 @@ fn fault_sweep_is_byte_identical_for_1_and_4_jobs() {
     let mut p = profile(1);
     p.moves_per_object = 20;
     p.queries = 40;
-    let a = faults_table(&p, (8, 8)).expect("faults jobs=1");
-    let b = faults_table(&p.clone().with_jobs(4), (8, 8)).expect("faults jobs=4");
+    let (a, _) = faults_table(&p, (8, 8)).expect("faults jobs=1");
+    let (b, _) = faults_table(&p.clone().with_jobs(4), (8, 8)).expect("faults jobs=4");
     assert_eq!(a.to_csv(), b.to_csv());
     assert_eq!(a.to_json(), b.to_json());
+}
+
+/// Runs the `experiments` binary; it must succeed.
+fn experiments(args: &[&str]) -> std::process::Output {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("run experiments");
+    assert!(out.status.success(), "experiments {args:?} failed");
+    out
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    dir
 }
 
 /// End-to-end parity through the `experiments` binary: identical CSV
@@ -101,47 +118,39 @@ fn fault_sweep_is_byte_identical_for_1_and_4_jobs() {
 /// them and must write the same `fig4.csv`.
 #[test]
 fn binary_output_is_byte_identical_across_jobs() {
-    let exe = env!("CARGO_BIN_EXE_experiments");
-    let tmp = std::env::temp_dir().join(format!("jobs-parity-{}", std::process::id()));
+    let tmp = scratch("jobs-parity");
     let mut outputs = Vec::new();
     for jobs in ["1", "4"] {
-        let dir = tmp.join(format!("j{jobs}"));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let csv = dir.join("csv");
-        let metrics = dir.join("metrics.json");
-        let status = std::process::Command::new(exe)
-            .args([
-                "--profile",
-                "quick",
-                "--jobs",
-                jobs,
-                "--csv",
-                csv.to_str().unwrap(),
-                "--metrics",
-                metrics.to_str().unwrap(),
-                "fig4",
-                "fig6",
-            ])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
-            .expect("run experiments");
-        assert!(status.success(), "experiments --jobs {jobs} failed");
+        let csv = tmp.join(format!("csv{jobs}"));
+        let metrics = tmp.join(format!("metrics{jobs}.json"));
+        let (csv_dir, metrics_file) = (csv.to_str().unwrap(), metrics.to_str().unwrap());
+        experiments(&[
+            "--profile",
+            "quick",
+            "--jobs",
+            jobs,
+            "--csv",
+            csv_dir,
+            "--metrics",
+            metrics_file,
+            "fig4",
+            "fig6",
+        ]);
         let fig4 = std::fs::read(csv.join("fig4.csv")).expect("fig4.csv");
         let fig6 = std::fs::read(csv.join("fig6.csv")).expect("fig6.csv");
         let json = std::fs::read_to_string(&metrics).expect("metrics.json");
         outputs.push((fig4, fig6, strip_timings(&json)));
     }
     let lone = tmp.join("fig4-alone");
-    let status = std::process::Command::new(exe)
-        .args(["--profile", "quick", "--jobs", "2", "--csv"])
-        .arg(&lone)
-        .arg("fig4")
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("run experiments");
-    assert!(status.success(), "experiments fig4 failed");
+    experiments(&[
+        "--profile",
+        "quick",
+        "--jobs",
+        "2",
+        "--csv",
+        lone.to_str().unwrap(),
+        "fig4",
+    ]);
     let lone_fig4 = std::fs::read(lone.join("fig4.csv")).expect("lone fig4.csv");
     let _ = std::fs::remove_dir_all(&tmp);
     assert_eq!(
@@ -154,6 +163,67 @@ fn binary_output_is_byte_identical_across_jobs() {
         outputs[0].2, outputs[1].2,
         "metrics JSON differs across --jobs (timings stripped)"
     );
+}
+
+/// `--profile-phases` writes only to stderr: stdout is byte-identical
+/// with and without it, and every sweep-shaped id prints its block
+/// (`fig4` alone runs the maintenance sweep), the shared-input builds
+/// timed one by one.
+#[test]
+fn profile_phases_leave_stdout_alone_and_time_every_sweep() {
+    let ids = ["fig4", "fig8", "locality", "mobility", "faults-smoke"];
+    let args = ["--profile", "quick", "--jobs", "2"];
+    let plain = experiments(&[&args[..], &ids].concat());
+    let timed = experiments(&[&args[..], &["--profile-phases"], &ids].concat());
+    assert_eq!(
+        plain.stdout, timed.stdout,
+        "--profile-phases changed stdout"
+    );
+    let stderr = String::from_utf8(timed.stderr).expect("utf-8 stderr");
+    for sweep in ["maint", "load", "locality", "mobility", "faults"] {
+        let block = format!("profile-phases: {sweep} sweep, ");
+        assert_eq!(stderr.matches(&block).count(), 1, "{block}\n{stderr}");
+    }
+    for build in ["graph", "oracle", "overlay", "workload+rates"] {
+        let row = format!("\n    {build} ");
+        assert!(stderr.contains(&row), "{build}\n{stderr}");
+    }
+}
+
+/// The `--metrics` report (timings stripped) and the `--trace` NDJSON of
+/// one fixed quick run, pinned by digest: any change to how a table, a
+/// ledger, a histogram or a trace event is written moves them.
+#[test]
+fn metrics_and_trace_bytes_are_pinned() {
+    let tmp = scratch("json-pins");
+    let (metrics, trace) = (tmp.join("metrics.json"), tmp.join("trace.ndjson"));
+    experiments(&[
+        "--profile",
+        "quick",
+        "--jobs",
+        "2",
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--trace",
+        trace.to_str().unwrap(),
+        "fig4",
+        "fig6",
+        "level-decomp",
+    ]);
+    let json = std::fs::read_to_string(&metrics).expect("metrics.json");
+    let events = std::fs::read(&trace).expect("trace.ndjson");
+    let _ = std::fs::remove_dir_all(&tmp);
+    let report = fnv1a(strip_timings(&json).as_bytes());
+    assert_eq!(report, 0x57c0_d68a_892d_35a2, "metrics {report:#x}");
+    let events = fnv1a(&events);
+    assert_eq!(events, 0xe9e2_5c51_9312_56ba, "trace {events:#x}");
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// Removes the `"timings_secs":{...}` span — wall-clock measurements,

@@ -56,6 +56,7 @@
 pub mod config;
 pub mod dynamics;
 pub mod error;
+pub mod json;
 pub mod lb;
 pub mod mot;
 pub mod object;
@@ -66,12 +67,13 @@ pub mod tracker;
 
 pub use config::MotConfig;
 pub use error::CoreError;
+pub use json::{fmt_f64, JsonWriter, ToJson};
 pub use mot::MotTracker;
 /// Distance-backend selector, re-exported for experiment configuration.
 pub use mot_net::OracleKind;
 pub use object::ObjectId;
 pub use op::{OpId, OpLedger};
-pub use trace::{fmt_f64, LedgerKind, MemorySink, OpKind, TraceEvent, TracePhase, TraceSink};
+pub use trace::{LedgerKind, MemorySink, OpKind, TraceEvent, TracePhase, TraceSink};
 pub use tracker::{MoveOutcome, QueryResult, Tracker};
 
 /// Convenient result alias for this crate.

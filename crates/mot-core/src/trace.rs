@@ -25,6 +25,7 @@
 //! --trace` flag. [`TraceEvent::to_ndjson`] is the one canonical JSON
 //! rendering so every consumer writes the same schema.
 
+use crate::json::{JsonWriter, ToJson};
 use crate::object::ObjectId;
 use mot_net::NodeId;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -183,28 +184,22 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Canonical one-line JSON rendering (the `--trace` NDJSON schema).
     pub fn to_ndjson(&self) -> String {
-        format!(
-            "{{\"op\":\"{}\",\"phase\":\"{}\",\"ledger\":\"{}\",\"object\":{},\
-             \"src\":{},\"dst\":{},\"level\":{},\"dist\":{}}}",
-            self.op.label(),
-            self.phase.label(),
-            self.ledger.label(),
-            self.object.0,
-            self.src.0,
-            self.dst.0,
-            self.level,
-            fmt_f64(self.distance),
-        )
+        JsonWriter::render(self)
     }
 }
 
-/// Renders an f64 the way every JSON export in the suite does: shortest
-/// round-trippable form, so identical runs produce identical bytes.
-pub fn fmt_f64(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{x:.1}")
-    } else {
-        format!("{x}")
+impl ToJson for TraceEvent {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("op", self.op.label())
+                .field("phase", self.phase.label())
+                .field("ledger", self.ledger.label())
+                .field("object", self.object.0)
+                .field("src", self.src.0)
+                .field("dst", self.dst.0)
+                .field("level", self.level)
+                .field("dist", self.distance);
+        });
     }
 }
 

@@ -91,6 +91,8 @@ pub use mobility::{MobilityModel, MoveOp, Workload, WorkloadSpec};
 pub use parallel::{CellKey, Keyed, ParallelRunner};
 pub use run::{query_batch, replay, run_publish, Draw, QueryBatchStats, ReplayStats};
 pub use scenario::{QueryModel, ZipfSampler};
-pub use service::{run_service, ServiceConfig, ServiceOutcome, ServiceReport, ShedPolicy};
+pub use service::{
+    run_service, ServiceConfig, ServiceOutcome, ServiceReport, ServiceTrailer, ShedPolicy,
+};
 pub use stream::{OpEnvelope, OpStream, ServiceOp, StreamSpec};
 pub use testbed::{graph_center, tracker_over, Algo, TestBed};

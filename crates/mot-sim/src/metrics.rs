@@ -2,7 +2,7 @@
 //! observability layer: per-level cost ledgers, mergeable log-spaced
 //! histograms, and a trace-consuming [`Recorder`].
 
-use mot_core::{fmt_f64, LedgerKind, ObjectId, OpKind, TraceEvent, TraceSink};
+use mot_core::{JsonWriter, LedgerKind, ObjectId, OpKind, ToJson, TraceEvent, TraceSink};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Accumulated algorithm-vs-optimal communication cost.
@@ -281,6 +281,13 @@ impl Histogram {
         self.sum += x;
     }
 
+    /// Folds in `n` zero samples at once: leaves exactly what `n`
+    /// calls of `record(0.0)` leave (a zero adds nothing to `sum`).
+    pub fn record_zeros(&mut self, n: u64) {
+        self.buckets[0] += n;
+        self.count += n;
+    }
+
     /// Merges another histogram (e.g. across seeds). Exact: buckets are
     /// fixed, so merging N per-seed histograms equals one histogram fed
     /// all N sample streams.
@@ -345,14 +352,18 @@ impl Histogram {
     /// JSON rendering: `{"count":N,"sum":S,"buckets":[...]}` with the
     /// trailing run of empty buckets trimmed.
     pub fn to_json(&self) -> String {
+        JsonWriter::render(self)
+    }
+}
+
+impl ToJson for Histogram {
+    fn write_json(&self, w: &mut JsonWriter) {
         let used = self.max_bucket().map_or(0, |i| i + 1);
-        let buckets: Vec<String> = self.buckets[..used].iter().map(u64::to_string).collect();
-        format!(
-            "{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-            self.count,
-            fmt_f64(self.sum),
-            buckets.join(",")
-        )
+        w.object(|w| {
+            w.field("count", self.count)
+                .field("sum", self.sum)
+                .field("buckets", &self.buckets[..used]);
+        });
     }
 }
 
@@ -431,22 +442,24 @@ impl LevelLedger {
     /// JSON rendering: an array of per-level objects keyed by ledger
     /// label, zero entries omitted.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(l, row)| {
-                let fields: Vec<String> = LedgerKind::all()
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| row[*k] != 0.0)
-                    .map(|(k, kind)| format!("\"{}\":{}", kind.label(), fmt_f64(row[k])))
-                    .collect();
-                let sep = if fields.is_empty() { "" } else { "," };
-                format!("{{\"level\":{l}{sep}{}}}", fields.join(","))
-            })
-            .collect();
-        format!("[{}]", rows.join(","))
+        JsonWriter::render(self)
+    }
+}
+
+impl ToJson for LevelLedger {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.array(|w| {
+            for (l, row) in self.levels.iter().enumerate() {
+                w.object(|w| {
+                    w.field("level", l);
+                    for (kind, &v) in LedgerKind::all().iter().zip(row) {
+                        if v != 0.0 {
+                            w.field(kind.label(), v);
+                        }
+                    }
+                });
+            }
+        });
     }
 }
 
@@ -560,24 +573,45 @@ impl TraceAggregates {
     /// JSON rendering bundling the ledger, both histograms, and the
     /// per-kind operation counts.
     pub fn to_json(&self) -> String {
-        let counts: Vec<String> = self
-            .op_counts
-            .iter()
-            .map(|(op, n)| format!("\"{}\":{n}", op.label()))
-            .collect();
-        format!(
-            "{{\"ledger\":{},\"hops\":{},\"op_costs\":{},\"op_counts\":{{{}}}}}",
-            self.ledger.to_json(),
-            self.hops.to_json(),
-            self.op_costs.to_json(),
-            counts.join(",")
-        )
+        JsonWriter::render(self)
+    }
+}
+
+impl ToJson for TraceAggregates {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("ledger", &self.ledger)
+                .field("hops", &self.hops)
+                .field("op_costs", &self.op_costs)
+                .key("op_counts")
+                .object(|w| {
+                    for (op, n) in &self.op_counts {
+                        w.field(op.label(), n);
+                    }
+                });
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_zeros_equals_recording_zero_one_by_one() {
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        for x in [3.0, 0.5, 1e3] {
+            a.record(x);
+            b.record(x);
+        }
+        for _ in 0..1000 {
+            a.record(0.0);
+        }
+        b.record_zeros(1000);
+        assert_eq!(a, b);
+        assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+    }
 
     #[test]
     fn ratio_accumulates() {

@@ -72,7 +72,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use mot_core::{fmt_f64, MotConfig, MotTracker, ObjectId, OpLedger, Tracker};
+use mot_core::{JsonWriter, MotConfig, MotTracker, ObjectId, OpLedger, ToJson, Tracker};
 use mot_hierarchy::{OverlayConfig, RepairableHierarchy};
 use mot_net::{splitmix64, CacheLedger, ChurnSchedule, IdMap, IdSet, NodeId};
 use mot_proto::Backoff;
@@ -116,8 +116,9 @@ pub struct ServiceConfig {
     /// Fixed independently of `jobs` — the determinism anchor.
     pub shards: usize,
     /// Worker threads besides the coordinator, which runs shard ticks
-    /// too wherever it would otherwise wait for them; `0` means one per
-    /// available hardware thread. Capped at the shard count.
+    /// too wherever it would otherwise wait for them; `0` means one
+    /// fewer than the available hardware threads (none on one CPU: the
+    /// coordinator runs every tick). Capped at the shard count.
     pub jobs: usize,
     /// Stream ops injected per tick.
     pub batch: usize,
@@ -155,8 +156,8 @@ impl ServiceConfig {
 }
 
 /// The deterministic ledger of one service run plus a wall-clock
-/// trailer. Everything except `workers`, the `*_secs` fields and `cache`
-/// is byte-identical across worker counts.
+/// trailer. Every field but `trailer` is byte-identical across worker
+/// counts.
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
     /// Ops emitted by the stream.
@@ -238,26 +239,58 @@ pub struct ServiceReport {
     pub shards: usize,
     /// FNV-1a hash of the final object→location map.
     pub final_map_fnv: u64,
-    /// Worker threads actually used (wall trailer only).
+    /// What the run measured rather than computed, written after the
+    /// deterministic body.
+    pub trailer: ServiceTrailer,
+}
+
+/// The part of a [`ServiceReport`] that varies from run to run and with
+/// the worker count: where the wall clock went, and the distance
+/// oracle's counters. [`ServiceReport::to_json`] writes it after the
+/// deterministic body as the `"wall"` and `"cache"` keys;
+/// [`ServiceReport::deterministic_json`] never reads it.
+#[derive(Clone, Debug, Default)]
+pub struct ServiceTrailer {
+    /// Worker threads started beside the coordinator.
     pub workers: usize,
-    /// Wall-clock seconds (wall trailer only).
+    /// Wall-clock seconds of the whole run.
     pub wall_secs: f64,
     /// Of `wall_secs`, the seconds the coordinator worked: routing,
     /// fault coins, the hierarchy mirror, the shard ticks it ran and the
-    /// final merge (wall trailer only).
+    /// final merge.
     pub coordinator_busy_secs: f64,
     /// Of `wall_secs`, the seconds the coordinator waited for a tick's
-    /// outputs with no shard tick left to run (wall trailer only).
+    /// outputs with no shard tick left to run.
     pub coordinator_blocked_secs: f64,
-    /// Seconds of shard ticks the coordinator ran (wall trailer only).
+    /// Seconds of shard ticks the coordinator ran.
     pub coordinator_shard_secs: f64,
-    /// Seconds of shard ticks the workers ran, summed over workers
-    /// (wall trailer only).
+    /// Seconds of shard ticks the workers ran, summed over workers.
     pub worker_shard_secs: f64,
     /// Distance-oracle cache counters, when the bed's oracle keeps them
-    /// (wall trailer only: interleaving across workers makes them
-    /// timing-dependent).
+    /// (interleaving across workers makes them timing-dependent).
     pub cache: Option<CacheLedger>,
+}
+
+impl ServiceTrailer {
+    /// Writes the `"wall"` and `"cache"` keys of a run that sent `sent`
+    /// ops.
+    fn write_fields(&self, w: &mut JsonWriter, sent: u64) {
+        let ops_per_sec = if self.wall_secs > 0.0 {
+            sent as f64 / self.wall_secs
+        } else {
+            0.0
+        };
+        w.key("wall").object(|w| {
+            w.field("secs", self.wall_secs)
+                .field("ops_per_sec", ops_per_sec)
+                .field("workers", self.workers)
+                .field("coordinator_busy_secs", self.coordinator_busy_secs)
+                .field("coordinator_blocked_secs", self.coordinator_blocked_secs)
+                .field("coordinator_shard_secs", self.coordinator_shard_secs)
+                .field("worker_shard_secs", self.worker_shard_secs);
+        });
+        w.field("cache", self.cache);
+    }
 }
 
 impl ServiceReport {
@@ -270,64 +303,9 @@ impl ServiceReport {
     /// The jobs-independent slice of the report as JSON — what parity
     /// tests compare byte-for-byte.
     pub fn deterministic_json(&self) -> String {
-        format!(
-            "{{\"sent\":{},\"applied\":{},\"shed\":{},\"lost\":{},\
-             \"publishes\":{},\"moves\":{},\"queries\":{},\
-             \"superseded\":{},\"degraded\":{},\
-             \"queries_correct\":{},\"queries_wrong\":{},\"fenced\":{},\
-             \"dropped_attempts\":{},\"retries\":{},\"dup_deliveries\":{},\
-             \"delayed\":{},\"crash_events\":{},\"replayed_ops\":{},\
-             \"redelivered\":{},\"recovery_cost\":{},\
-             \"topology\":{{\"ops\":{},\"repairs\":{},\"rebuilds\":{},\
-             \"repair_units\":{},\"divergence\":{}}},\
-             \"ticks\":{},\"shards\":{},\"final_map_fnv\":{},\
-             \"backlog\":{{\"depth\":{},\"age\":{},\"max_depth\":{},\
-             \"max_age\":{},\"depth_p50\":{},\"depth_p99\":{},\"age_p99\":{}}},\
-             \"costs\":{{\"publish\":{},\"move\":{},\"query\":{},\
-             \"move_p50\":{},\"move_p99\":{},\"query_p50\":{},\"query_p99\":{}}}}}",
-            self.sent,
-            self.applied,
-            self.shed,
-            self.lost,
-            self.publishes,
-            self.moves,
-            self.queries,
-            self.superseded,
-            self.degraded,
-            self.queries_correct,
-            self.queries_wrong,
-            self.fenced,
-            self.dropped_attempts,
-            self.retries,
-            self.dup_deliveries,
-            self.delayed,
-            self.crash_events,
-            self.replayed_ops,
-            self.redelivered,
-            fmt_f64(self.recovery_cost),
-            self.topology_ops,
-            self.hier_repairs,
-            self.hier_rebuilds,
-            self.hier_repair_units,
-            self.hier_divergence,
-            self.ticks,
-            self.shards,
-            self.final_map_fnv,
-            self.backlog_depth.to_json(),
-            self.backlog_age.to_json(),
-            self.max_depth,
-            self.max_age,
-            fmt_f64(self.backlog_depth.quantile(0.5)),
-            fmt_f64(self.backlog_depth.quantile(0.99)),
-            fmt_f64(self.backlog_age.quantile(0.99)),
-            self.publish_cost.to_json(),
-            self.move_cost.to_json(),
-            self.query_cost.to_json(),
-            fmt_f64(self.move_cost.quantile(0.5)),
-            fmt_f64(self.move_cost.quantile(0.99)),
-            fmt_f64(self.query_cost.quantile(0.5)),
-            fmt_f64(self.query_cost.quantile(0.99)),
-        )
+        let mut w = JsonWriter::new();
+        w.object(|w| self.write_body(w));
+        w.finish()
     }
 
     /// Full JSON: the deterministic slice plus the `"wall"` trailer
@@ -335,35 +313,108 @@ impl ServiceReport {
     /// oracle cache counters. Strip from `"wall"` onward — or compare
     /// [`Self::deterministic_json`] — for byte-level parity checks.
     pub fn to_json(&self) -> String {
-        let mut s = self.deterministic_json();
-        s.pop();
-        let ops_per_sec = if self.wall_secs > 0.0 {
-            self.sent as f64 / self.wall_secs
-        } else {
-            0.0
-        };
-        s.push_str(&format!(
-            ",\"wall\":{{\"secs\":{},\"ops_per_sec\":{},\"workers\":{},\
-             \"coordinator_busy_secs\":{},\"coordinator_blocked_secs\":{},\
-             \"coordinator_shard_secs\":{},\"worker_shard_secs\":{}}}",
-            fmt_f64(self.wall_secs),
-            fmt_f64(ops_per_sec),
-            self.workers,
-            fmt_f64(self.coordinator_busy_secs),
-            fmt_f64(self.coordinator_blocked_secs),
-            fmt_f64(self.coordinator_shard_secs),
-            fmt_f64(self.worker_shard_secs),
-        ));
-        match &self.cache {
-            None => s.push_str(",\"cache\":null"),
-            Some(c) => s.push_str(&format!(
-                ",\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
-                 \"promotions\":{},\"resident_rows\":{},\"resident_bytes\":{}}}",
-                c.hits, c.misses, c.evictions, c.promotions, c.resident_rows, c.resident_bytes
-            )),
-        }
-        s.push('}');
-        s
+        JsonWriter::render(self)
+    }
+
+    /// The deterministic body's keys. Every field is named here, so a
+    /// new one must be written or set aside on purpose; the trailer is
+    /// the one set aside.
+    fn write_body(&self, w: &mut JsonWriter) {
+        let ServiceReport {
+            sent,
+            applied,
+            shed,
+            lost,
+            publishes,
+            moves,
+            queries,
+            superseded,
+            degraded,
+            queries_correct,
+            queries_wrong,
+            fenced,
+            dropped_attempts,
+            retries,
+            dup_deliveries,
+            delayed,
+            crash_events,
+            replayed_ops,
+            redelivered,
+            recovery_cost,
+            topology_ops,
+            hier_repairs,
+            hier_rebuilds,
+            hier_repair_units,
+            hier_divergence,
+            backlog_depth,
+            backlog_age,
+            max_depth,
+            max_age,
+            publish_cost,
+            move_cost,
+            query_cost,
+            ticks,
+            shards,
+            final_map_fnv,
+            trailer: _,
+        } = self;
+        w.field("sent", sent)
+            .field("applied", applied)
+            .field("shed", shed)
+            .field("lost", lost)
+            .field("publishes", publishes)
+            .field("moves", moves)
+            .field("queries", queries)
+            .field("superseded", superseded)
+            .field("degraded", degraded)
+            .field("queries_correct", queries_correct)
+            .field("queries_wrong", queries_wrong)
+            .field("fenced", fenced)
+            .field("dropped_attempts", dropped_attempts)
+            .field("retries", retries)
+            .field("dup_deliveries", dup_deliveries)
+            .field("delayed", delayed)
+            .field("crash_events", crash_events)
+            .field("replayed_ops", replayed_ops)
+            .field("redelivered", redelivered)
+            .field("recovery_cost", recovery_cost);
+        w.key("topology").object(|w| {
+            w.field("ops", topology_ops)
+                .field("repairs", hier_repairs)
+                .field("rebuilds", hier_rebuilds)
+                .field("repair_units", hier_repair_units)
+                .field("divergence", hier_divergence);
+        });
+        w.field("ticks", ticks)
+            .field("shards", shards)
+            .field("final_map_fnv", final_map_fnv);
+        w.key("backlog").object(|w| {
+            w.field("depth", backlog_depth)
+                .field("age", backlog_age)
+                .field("max_depth", max_depth)
+                .field("max_age", max_age)
+                .field("depth_p50", backlog_depth.quantile(0.5))
+                .field("depth_p99", backlog_depth.quantile(0.99))
+                .field("age_p99", backlog_age.quantile(0.99));
+        });
+        w.key("costs").object(|w| {
+            w.field("publish", publish_cost)
+                .field("move", move_cost)
+                .field("query", query_cost)
+                .field("move_p50", move_cost.quantile(0.5))
+                .field("move_p99", move_cost.quantile(0.99))
+                .field("query_p50", query_cost.quantile(0.5))
+                .field("query_p99", query_cost.quantile(0.99));
+        });
+    }
+}
+
+impl ToJson for ServiceReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            self.write_body(w);
+            self.trailer.write_fields(w, self.sent);
+        });
     }
 }
 
@@ -562,8 +613,7 @@ impl<'a> ShardState<'a> {
             done += 1;
         }
         if cfg.checkpoint_every > 0 && tick > 0 && tick.is_multiple_of(cfg.checkpoint_every) {
-            self.ledger.checkpoint = self.ledger.positions_sorted();
-            self.ledger.tail.clear();
+            self.checkpoint();
         }
         let depth = self.queue.len();
         self.stats.depth_hist.record(depth as f64);
@@ -576,6 +626,30 @@ impl<'a> ShardState<'a> {
             redeliver,
             spent: deliveries,
         })
+    }
+
+    /// Snapshots every adopted object's position; replay after a crash
+    /// starts from here.
+    fn checkpoint(&mut self) {
+        self.ledger.checkpoint = self.ledger.positions_sorted();
+        self.ledger.tail.clear();
+    }
+
+    /// Ticks `from..to` at once, for a shard with nothing queued and
+    /// nothing delivered to it: each would record a zero depth and a
+    /// zero age, and a checkpoint due among them would snapshot the
+    /// same positions however often it ran.
+    fn idle_span(&mut self, from: u64, to: u64, cfg: &ServiceConfig) {
+        debug_assert!(self.queue.is_empty(), "an idle shard has nothing queued");
+        self.stats.depth_hist.record_zeros(to - from);
+        self.stats.age_hist.record_zeros(to - from);
+        let every = cfg.checkpoint_every;
+        let first_due = (every > 0)
+            .then(|| from.max(1).div_ceil(every).checked_mul(every))
+            .flatten();
+        if first_due.is_some_and(|t| t < to) {
+            self.checkpoint();
+        }
     }
 
     /// Destroys the tracker and queue, then re-adopts the shard from
@@ -886,6 +960,16 @@ where
         }
     }
 
+    /// Runs `f` on every shard's state, in shard order. Only between
+    /// ticks: with no tick in flight every state is on the board.
+    fn each_shard(&self, mut f: impl FnMut(&mut S)) {
+        let mut b = self.lock();
+        assert!(b.ticks.is_empty(), "a tick is in flight");
+        for state in &mut b.idle {
+            f(state.as_mut().expect("no tick is in flight"));
+        }
+    }
+
     /// Runs `task` unlocked and files its outcome; returns the lock.
     fn run_task(
         &self,
@@ -1117,16 +1201,21 @@ fn tick_horizon(cfg: &ServiceConfig, max_attempts: u32) -> Option<u64> {
 /// (a shard tick's own error surfaces as itself). So is a configuration
 /// no run can honour, rejected before any thread starts.
 pub fn run_service(bed: &TestBed, cfg: &ServiceConfig) -> Result<ServiceOutcome, SimError> {
-    let workers = if cfg.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_service_on(bed, cfg, workers_for(cfg.jobs, hardware, cfg.shards))
+}
+
+/// The worker threads a run starts beside the coordinator: `jobs`, or
+/// for `0` one fewer than the `hardware` threads, since the coordinator
+/// runs shard ticks too (so one hardware thread runs every tick on the
+/// coordinator); never more than the shards.
+fn workers_for(jobs: usize, hardware: usize, shards: usize) -> usize {
+    let wanted = if jobs == 0 {
+        hardware.saturating_sub(1)
     } else {
-        cfg.jobs
-    }
-    .min(cfg.shards)
-    .max(1);
-    run_service_on(bed, cfg, workers)
+        jobs
+    };
+    wanted.min(shards)
 }
 
 /// [`run_service`] with `workers` threads beside the coordinator, which
@@ -1302,14 +1391,24 @@ pub(crate) fn run_service_on<'a>(
 
             // 4. Collect, oldest tick first, merging each in shard order
             //    (running shard ticks meanwhile). Shard outputs feed only
-            //    redeliveries and the backlog total, read only where the coordinator waits for every
-            //    tick in flight: after a crash tick (its redeliveries
-            //    lead the next due list) and when it alone could end the
-            //    loop; also at the tick limit, so its error names the
-            //    backlog. Elsewhere `IN_FLIGHT` ticks stay with the shards.
-            let may_end =
-                stream.emitted() >= stream.total() && scheduled.is_empty() && crash_at.is_empty();
-            let wait = !crashing.is_empty() || may_end || tick >= tick_limit;
+            //    redeliveries and the backlog total, read only where the
+            //    coordinator waits for every tick in flight: after a
+            //    crash tick (its redeliveries lead the next due list),
+            //    when it alone could end the loop, and when an idle span
+            //    may follow (the stream drained, the last tick taken left
+            //    no backlog, nothing is due next tick); also at the tick
+            //    limit, so its error names the backlog. Elsewhere
+            //    `IN_FLIGHT` ticks stay with the shards.
+            let drained = stream.emitted() >= stream.total();
+            let may_end = drained && scheduled.is_empty() && crash_at.is_empty();
+            let next_due = [scheduled.keys().next(), crash_at.keys().next()]
+                .into_iter()
+                .flatten()
+                .min()
+                .copied();
+            let idle_ahead =
+                drained && backlog_total == 0 && next_due.is_some_and(|t| t > tick + 1);
+            let wait = !crashing.is_empty() || may_end || idle_ahead || tick >= tick_limit;
             while in_flight > if wait { 0 } else { IN_FLIGHT } {
                 in_flight -= 1;
                 backlog_total = 0;
@@ -1338,6 +1437,16 @@ pub(crate) fn run_service_on<'a>(
                      ({backlog_total} queued, {} scheduled)",
                     scheduled.len()
                 )));
+            }
+            // 5. With every queue empty and nothing due before `to`, the
+            //    ticks up to it deliver nothing and process nothing: the
+            //    shards record them at once and the loop jumps to `to`.
+            if let Some(due) = next_due.filter(|_| idle_ahead && backlog_total == 0) {
+                let to = due.min(tick_limit);
+                if to > tick {
+                    board.each_shard(|shard| shard.idle_span(tick, to, cfg));
+                    tick = to;
+                }
             }
         }
 
@@ -1417,13 +1526,13 @@ pub(crate) fn run_service_on<'a>(
         ticks: out.ticks,
         shards,
         final_map_fnv: 0,
-        workers,
-        wall_secs: 0.0,
-        coordinator_busy_secs: 0.0,
-        coordinator_blocked_secs: spent.blocked,
-        coordinator_shard_secs: spent.coordinator_shard,
-        worker_shard_secs: spent.worker_shard,
-        cache: None,
+        trailer: ServiceTrailer {
+            workers,
+            coordinator_blocked_secs: spent.blocked,
+            coordinator_shard_secs: spent.coordinator_shard,
+            worker_shard_secs: spent.worker_shard,
+            ..ServiceTrailer::default()
+        },
     };
     let mut final_positions: Vec<Option<NodeId>> = vec![None; cfg.stream.objects];
     let mut integrity = 0usize;
@@ -1454,9 +1563,10 @@ pub(crate) fn run_service_on<'a>(
         }
     }
     report.final_map_fnv = fnv1a_map(&final_positions);
-    report.wall_secs = start.elapsed().as_secs_f64();
-    report.coordinator_busy_secs = report.wall_secs - spent.blocked;
-    report.cache = bed.oracle.cache_stats();
+    let wall_secs = start.elapsed().as_secs_f64();
+    report.trailer.wall_secs = wall_secs;
+    report.trailer.coordinator_busy_secs = wall_secs - spent.blocked;
+    report.trailer.cache = bed.oracle.cache_stats();
 
     if integrity > 0 {
         return Err(SimError::Service(format!(
@@ -1790,6 +1900,12 @@ mod tests {
         let mut churn = base.clone();
         churn.stream.churn_every = 50;
 
+        // Retries land hundreds of ticks out and a shard crashes on the
+        // first tick after the stream: the drained loop skips the idle
+        // spans between them, checkpoints due inside them included.
+        let mut idle_gaps = crashing_where(&base, |c| c.contains_key(&(last + 1)));
+        idle_gaps.backoff = Backoff::new(200, 400);
+
         let matrix = [
             ("crash at tick 1", tick_one, 0xb080_64f1_bd9e_ddfc),
             ("crashes in a row", in_a_row, 0xcb73_9ba2_8b35_8116),
@@ -1797,6 +1913,11 @@ mod tests {
             ("backlog at stream end", backlog, 0xb2c4_ffa1_2c76_105c),
             ("no checkpoints", no_checkpoint, 0x6d59_be0f_7b21_d7e6),
             ("churn", churn, 0xf23c_8a8a_795a_6a67),
+            (
+                "idle gaps after the stream",
+                idle_gaps,
+                0x90b7_a606_b00f_f256,
+            ),
         ];
         for (name, cfg, pinned) in matrix {
             for workers in [0, 1, 2, 4] {
@@ -1928,6 +2049,39 @@ mod tests {
         );
     }
 
+    /// A representable but huge backoff: every retry lands about 2^40
+    /// ticks out. The drained loop jumps the idle spans instead of
+    /// walking them, so the run ends at once.
+    #[test]
+    fn a_huge_backoff_skips_its_idle_ticks() {
+        let bed = TestBed::grid(4, 4, 42).unwrap();
+        let mut cfg = ServiceConfig::new(StreamSpec::new(5, 200, 3));
+        cfg.faults = FaultConfig::dropping(0.3, 1);
+        cfg.backoff = Backoff::new(1 << 40, 1 << 40);
+        let start = Instant::now();
+        let out = run_service(&bed, &cfg).unwrap();
+        let secs = start.elapsed().as_secs_f64();
+        let r = &out.report;
+        assert!(r.accounted() && r.retries > 0);
+        assert!(r.ticks > 1 << 40, "{} ticks", r.ticks);
+        assert!(secs < 5.0, "{secs:.1} s");
+        assert_eq!(r.backlog_depth.count, r.ticks * cfg.shards as u64);
+    }
+
+    #[test]
+    fn auto_jobs_leave_the_coordinator_a_thread() {
+        assert_eq!(
+            workers_for(0, 1, 8),
+            0,
+            "one CPU: the coordinator runs every tick"
+        );
+        assert_eq!(workers_for(0, 2, 8), 1);
+        assert_eq!(workers_for(0, 16, 8), 8, "never more than the shards");
+        assert_eq!(workers_for(0, 0, 8), 0);
+        assert_eq!(workers_for(2, 1, 8), 2, "an explicit count stands");
+        assert_eq!(workers_for(4, 8, 3), 3);
+    }
+
     #[test]
     fn report_json_has_deterministic_body_and_wall_trailer() {
         let bed = bed();
@@ -1953,7 +2107,7 @@ mod tests {
         // ran each shard on one worker thread.
         let digest = run_digest(&out);
         assert_eq!(digest, 0xf1d6_b714_85a2_a776, "{digest:#x}");
-        let r = &out.report;
+        let r = &out.report.trailer;
         assert!(r.coordinator_shard_secs + r.worker_shard_secs > 0.0);
         let split = r.coordinator_busy_secs + r.coordinator_blocked_secs;
         assert!((split - r.wall_secs).abs() < 1e-9, "busy + blocked = wall");
