@@ -317,16 +317,8 @@ pub struct BaselineReport {
     pub service: Vec<ServiceTiming>,
 }
 
-impl BaselineReport {
-    /// The report as JSON, one line, matching the schema documented in
-    /// PERFORMANCE.md.
-    pub fn to_json(&self) -> String {
-        let mut json = JsonWriter::render(self);
-        json.push('\n');
-        json
-    }
-}
-
+/// The report as one line of JSON, matching the schema documented in
+/// PERFORMANCE.md.
 impl ToJson for BaselineReport {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -602,7 +594,7 @@ mod tests {
         assert_eq!((sv.name.as_str(), sv.nodes, sv.ops), ("micro", 144, 1_000));
         assert!(sv.wall_secs > 0.0 && sv.ops_per_sec > 0.0);
         assert!(sv.move_p99_cost >= sv.move_p50_cost);
-        let json = report.to_json();
+        let json = JsonWriter::render(&report);
         assert!(json.contains("\"schema\":\"mot-bench-baseline/5\""));
         assert!(json.contains("\"topology\":\"grid\""));
         assert!(json.contains("\"nodes\":25"));
@@ -631,7 +623,7 @@ mod tests {
             (s.topology, s.rows, s.cols, s.nodes),
             ("geometric", 0, 0, 60)
         );
-        let json = report.to_json();
+        let json = JsonWriter::render(&report);
         assert!(json.contains("\"topology\":\"geometric\""));
         let table = report.to_table();
         assert_eq!(table.rows[0].0, "60 (geometric)");
@@ -678,7 +670,7 @@ mod tests {
             }],
             service: vec![],
         };
-        let json = report.to_json();
+        let json = JsonWriter::render(&report);
         // A key is a quoted token with a colon after it.
         let tokens: Vec<&str> = json.split('"').collect();
         let keys: Vec<&str> = tokens

@@ -68,6 +68,7 @@ use mot_bench::{
     service_run, state_size_table, trace_events, BaselineProfile, BenchError, FigurePair,
     FigureTable, Profile, RunReport, ScenarioProfile, ServiceSpec, SweepPhases,
 };
+use mot_core::JsonWriter;
 use mot_net::OracleKind;
 use mot_sim::{Algo, ServiceReport};
 use std::io::Write;
@@ -340,7 +341,7 @@ fn run() -> Result<(), BenchError> {
             "bench-baseline" => baseline_profile_for(name, oracle_flag, jobs)
                 .and_then(|bp| run_baseline(&bp))
                 .and_then(|rep| {
-                    std::fs::write(&bench_out, rep.to_json())
+                    std::fs::write(&bench_out, JsonWriter::render(&rep) + "\n")
                         .map_err(|e| format!("cannot write '{bench_out}': {e}"))?;
                     eprintln!("wrote {bench_out}");
                     if let Some(service) = rep.service_to_table() {
@@ -434,7 +435,7 @@ fn run() -> Result<(), BenchError> {
             .map_err(|e| format!("--trace run failed: {e}"))?;
         let mut out = String::new();
         for ev in &events {
-            out.push_str(&ev.to_ndjson());
+            out.push_str(&JsonWriter::render(ev));
             out.push('\n');
         }
         std::fs::write(path, out).map_err(|e| format!("cannot write '{path}': {e}"))?;
@@ -448,7 +449,7 @@ fn run() -> Result<(), BenchError> {
         report.cache = cache;
         report.memory = Some(memory);
         report.service = service_report;
-        std::fs::write(path, report.to_json())
+        std::fs::write(path, JsonWriter::render(&report))
             .map_err(|e| format!("cannot write '{path}': {e}"))?;
         eprintln!("wrote {path}");
     }

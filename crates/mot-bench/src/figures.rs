@@ -1145,6 +1145,7 @@ pub fn faults_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mot_core::JsonWriter;
     use mot_net::NetError;
     use mot_sim::SimError;
 
@@ -1400,7 +1401,7 @@ mod tests {
         assert_eq!(a, b, "same profile + seed must produce identical traces");
         let (agg1, _, _) = instrumented_run(&p, 3).unwrap();
         let (agg2, _, _) = instrumented_run(&p, 3).unwrap();
-        assert_eq!(agg1.to_json(), agg2.to_json());
+        assert_eq!(JsonWriter::render(&agg1), JsonWriter::render(&agg2));
     }
 
     #[test]

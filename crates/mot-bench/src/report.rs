@@ -82,14 +82,9 @@ impl FigureTable {
         let idx = self.columns.iter().position(|c| c == name)?;
         Some(self.rows.iter().map(|(_, ys)| ys[idx]).collect())
     }
-
-    /// JSON rendering:
-    /// `{"title":…,"x_label":…,"columns":[…],"rows":[{"x":…,"ys":[…]}]}`.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(self)
-    }
 }
 
+/// `{"title":…,"x_label":…,"columns":[…],"rows":[{"x":…,"ys":[…]}]}`.
 impl ToJson for FigureTable {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -146,14 +141,8 @@ pub struct RunReport {
     pub service: Option<ServiceReport>,
 }
 
-impl RunReport {
-    /// The whole report as one JSON object (tables keyed by experiment
-    /// id, timings, and the optional trace aggregates).
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(self)
-    }
-}
-
+/// The whole report as one JSON object (tables keyed by experiment id,
+/// timings, and the optional trace aggregates).
 impl ToJson for RunReport {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -231,7 +220,7 @@ mod tests {
 
     #[test]
     fn json_rendering_is_complete() {
-        let j = sample().to_json();
+        let j = JsonWriter::render(&sample());
         assert!(j.contains("\"columns\":[\"MOT\",\"STUN\"]"), "{j}");
         assert!(j.contains("{\"x\":\"1024\",\"ys\":[2.25,30.125]}"), "{j}");
         assert!(j.starts_with('{') && j.ends_with('}'));
@@ -241,7 +230,7 @@ mod tests {
     fn json_strings_escape_quotes_and_backslashes() {
         let mut t = sample();
         t.title = "a\"b\\c".into();
-        let j = t.to_json();
+        let j = JsonWriter::render(&t);
         assert!(j.starts_with("{\"title\":\"a\\\"b\\\\c\","), "{j}");
     }
 
@@ -257,7 +246,7 @@ mod tests {
             memory: None,
             service: None,
         };
-        let j = r.to_json();
+        let j = JsonWriter::render(&r);
         assert!(j.contains("\"fig4\":{\"title\""), "{j}");
         assert!(j.contains("\"trace\":null"), "{j}");
         assert!(j.contains("\"cache\":null"), "{j}");
@@ -286,7 +275,7 @@ mod tests {
             service: Some(tiny_service_report()),
             ..RunReport::default()
         };
-        let j = r.to_json();
+        let j = JsonWriter::render(&r);
         assert!(
             j.contains("\"cache\":{\"hits\":10,\"misses\":3,\"evictions\":1,"),
             "{j}"

@@ -9,6 +9,7 @@
 //! fail on the first byte that differs.
 
 use mot_bench::{faults_table, service_table, Profile, ServiceSpec};
+use mot_core::JsonWriter;
 
 /// A fault sweep with more chaos per cell than the smoke default:
 /// every drop-rate × crash-count × algo × seed cell replays a faulty
@@ -31,8 +32,8 @@ fn faulty_replay_tables_are_byte_identical_for_jobs_1_and_4() {
         "fault sweep CSV differs across jobs"
     );
     assert_eq!(
-        a.to_json(),
-        b.to_json(),
+        JsonWriter::render(&a),
+        JsonWriter::render(&b),
         "fault sweep JSON differs across jobs"
     );
 }
@@ -42,7 +43,11 @@ fn service_soak_under_composed_faults_is_byte_identical_across_jobs() {
     let a = service_table(&ServiceSpec::smoke().with_jobs(1)).expect("service jobs=1");
     let b = service_table(&ServiceSpec::smoke().with_jobs(4)).expect("service jobs=4");
     assert_eq!(a.to_csv(), b.to_csv(), "service CSV differs across jobs");
-    assert_eq!(a.to_json(), b.to_json(), "service JSON differs across jobs");
+    assert_eq!(
+        JsonWriter::render(&a),
+        JsonWriter::render(&b),
+        "service JSON differs across jobs"
+    );
 }
 
 /// End-to-end through the binary: `faults-smoke` + `service-smoke`

@@ -12,6 +12,7 @@ use mot_bench::{
     churn_table, faults_table, figure_pair, load_figure, locality_table, maintenance_figure,
     mobility_table, query_figure, FigureTable, Profile,
 };
+use mot_core::JsonWriter;
 use mot_sim::{Algo, CellKey, Keyed, ParallelRunner, SimError};
 
 /// A small but non-trivial profile: 3 grids × 2 seeds × the full
@@ -21,7 +22,7 @@ fn profile(jobs: usize) -> Profile {
 }
 
 fn bytes_of(t: &FigureTable) -> (String, String) {
-    (t.to_csv(), t.to_json())
+    (t.to_csv(), JsonWriter::render(&t))
 }
 
 /// Every runner on shared inputs but the fault sweep (below), one-by-one
@@ -78,7 +79,7 @@ fn churn_experiment_is_byte_identical_for_1_and_4_jobs() {
     let a = churn_table(1).expect("churn jobs=1");
     let b = churn_table(4).expect("churn jobs=4");
     assert_eq!(a.to_csv(), b.to_csv());
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(JsonWriter::render(&a), JsonWriter::render(&b));
 }
 
 #[test]
@@ -91,7 +92,7 @@ fn fault_sweep_is_byte_identical_for_1_and_4_jobs() {
     let (a, _) = faults_table(&p, (8, 8)).expect("faults jobs=1");
     let (b, _) = faults_table(&p.clone().with_jobs(4), (8, 8)).expect("faults jobs=4");
     assert_eq!(a.to_csv(), b.to_csv());
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(JsonWriter::render(&a), JsonWriter::render(&b));
 }
 
 /// Runs the `experiments` binary; it must succeed.

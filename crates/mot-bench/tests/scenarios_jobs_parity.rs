@@ -5,12 +5,13 @@
 //! `experiments` binary's CSV output.
 
 use mot_bench::{scenario_tables, scenarios_smoke_table, ScenarioProfile};
+use mot_core::JsonWriter;
 
 fn all_bytes(p: ScenarioProfile) -> Vec<(String, String, String)> {
     scenario_tables(&p)
         .expect("scenario sweep")
         .into_iter()
-        .map(|(id, t)| (id, t.to_csv(), t.to_json()))
+        .map(|(id, t)| (id, t.to_csv(), JsonWriter::render(&t)))
         .collect()
 }
 
@@ -31,7 +32,7 @@ fn smoke_table_is_byte_identical_for_1_and_4_jobs() {
     let a = scenarios_smoke_table(1).expect("smoke jobs=1");
     let b = scenarios_smoke_table(4).expect("smoke jobs=4");
     assert_eq!(a.to_csv(), b.to_csv());
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(JsonWriter::render(&a), JsonWriter::render(&b));
 }
 
 /// End-to-end parity through the `experiments` binary: the `scenarios`

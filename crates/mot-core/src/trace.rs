@@ -22,8 +22,8 @@
 //!
 //! Aggregators (per-level cost ledgers, hop histograms) live in
 //! `mot_sim::metrics`; NDJSON streaming lives behind the `experiments
-//! --trace` flag. [`TraceEvent::to_ndjson`] is the one canonical JSON
-//! rendering so every consumer writes the same schema.
+//! --trace` flag. [`TraceEvent`]'s [`ToJson`] impl is the one canonical
+//! JSON rendering, so every consumer writes the same schema.
 
 use crate::json::{JsonWriter, ToJson};
 use crate::object::ObjectId;
@@ -181,13 +181,7 @@ pub struct TraceEvent {
     pub distance: f64,
 }
 
-impl TraceEvent {
-    /// Canonical one-line JSON rendering (the `--trace` NDJSON schema).
-    pub fn to_ndjson(&self) -> String {
-        JsonWriter::render(self)
-    }
-}
-
+/// One line of the `--trace` NDJSON schema.
 impl ToJson for TraceEvent {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -288,7 +282,7 @@ mod tests {
             distance: 4.0,
         };
         assert_eq!(
-            ev.to_ndjson(),
+            JsonWriter::render(&ev),
             "{\"op\":\"move\",\"phase\":\"climb\",\"ledger\":\"maintenance\",\
              \"object\":3,\"src\":5,\"dst\":9,\"level\":2,\"dist\":4.0}"
         );
@@ -306,7 +300,7 @@ mod tests {
             level: 0,
             distance: 2.5,
         };
-        assert!(ev.to_ndjson().contains("\"dist\":2.5"));
+        assert!(JsonWriter::render(&ev).contains("\"dist\":2.5"));
     }
 
     #[test]

@@ -283,7 +283,7 @@ impl Histogram {
 
     /// Folds in `n` zero samples at once: leaves exactly what `n`
     /// calls of `record(0.0)` leave (a zero adds nothing to `sum`).
-    pub fn record_zeros(&mut self, n: u64) {
+    pub(crate) fn record_zeros(&mut self, n: u64) {
         self.buckets[0] += n;
         self.count += n;
     }
@@ -348,14 +348,10 @@ impl Histogram {
         }
         unreachable!("cumulative count reaches total count");
     }
-
-    /// JSON rendering: `{"count":N,"sum":S,"buckets":[...]}` with the
-    /// trailing run of empty buckets trimmed.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(self)
-    }
 }
 
+/// `{"count":N,"sum":S,"buckets":[...]}` with the trailing run of empty
+/// buckets trimmed.
 impl ToJson for Histogram {
     fn write_json(&self, w: &mut JsonWriter) {
         let used = self.max_bucket().map_or(0, |i| i + 1);
@@ -438,14 +434,10 @@ impl LevelLedger {
             }
         }
     }
-
-    /// JSON rendering: an array of per-level objects keyed by ledger
-    /// label, zero entries omitted.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(self)
-    }
 }
 
+/// An array of per-level objects keyed by ledger label, zero entries
+/// omitted.
 impl ToJson for LevelLedger {
     fn write_json(&self, w: &mut JsonWriter) {
         w.array(|w| {
@@ -569,14 +561,9 @@ impl TraceAggregates {
             }
         }
     }
-
-    /// JSON rendering bundling the ledger, both histograms, and the
-    /// per-kind operation counts.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(self)
-    }
 }
 
+/// The ledger, both histograms, and the per-kind operation counts.
 impl ToJson for TraceAggregates {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -815,11 +802,11 @@ mod tests {
         h.record(0.0);
         h.record(5.0);
         assert_eq!(
-            h.to_json(),
+            JsonWriter::render(&h),
             "{\"count\":2,\"sum\":5.0,\"buckets\":[1,0,0,1]}"
         );
         assert_eq!(
-            Histogram::new().to_json(),
+            JsonWriter::render(&Histogram::new()),
             "{\"count\":0,\"sum\":0.0,\"buckets\":[]}"
         );
     }
@@ -841,7 +828,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.height(), 6);
         assert_eq!(a.total(), 10.0);
-        assert!(a.to_json().contains("\"level\":5,\"repair\":3.0"));
+        assert!(JsonWriter::render(&a).contains("\"level\":5,\"repair\":3.0"));
     }
 
     #[test]

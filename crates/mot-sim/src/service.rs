@@ -246,7 +246,7 @@ pub struct ServiceReport {
 
 /// The part of a [`ServiceReport`] that varies from run to run and with
 /// the worker count: where the wall clock went, and the distance
-/// oracle's counters. [`ServiceReport::to_json`] writes it after the
+/// oracle's counters. The full report's JSON writes it after the
 /// deterministic body as the `"wall"` and `"cache"` keys;
 /// [`ServiceReport::deterministic_json`] never reads it.
 #[derive(Clone, Debug, Default)]
@@ -306,14 +306,6 @@ impl ServiceReport {
         let mut w = JsonWriter::new();
         w.object(|w| self.write_body(w));
         w.finish()
-    }
-
-    /// Full JSON: the deterministic slice plus the `"wall"` trailer
-    /// (throughput, worker count, where the threads' time went) and the
-    /// oracle cache counters. Strip from `"wall"` onward — or compare
-    /// [`Self::deterministic_json`] — for byte-level parity checks.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(self)
     }
 
     /// The deterministic body's keys. Every field is named here, so a
@@ -409,6 +401,10 @@ impl ServiceReport {
     }
 }
 
+/// The deterministic slice plus the `"wall"` trailer (throughput, worker
+/// count, where the threads' time went) and the oracle cache counters.
+/// Strip from `"wall"` onward — or compare
+/// [`ServiceReport::deterministic_json`] — for byte-level parity checks.
 impl ToJson for ServiceReport {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -1174,6 +1170,19 @@ fn crash_schedule(cfg: &ServiceConfig) -> BTreeMap<u64, Vec<usize>> {
     crash_at
 }
 
+/// The first tick at which a retry, delay, duplicate, redelivery or
+/// crash is due.
+fn next_due(
+    scheduled: &BTreeMap<u64, Vec<Sched>>,
+    crash_at: &BTreeMap<u64, Vec<usize>>,
+) -> Option<u64> {
+    [scheduled.keys().next(), crash_at.keys().next()]
+        .into_iter()
+        .flatten()
+        .min()
+        .copied()
+}
+
 /// The last tick a run may reach before it is declared stuck, or `None`
 /// where a retry under `backoff` could not land on a tick a `u64`
 /// counts. A retry waits at most `backoff.delay(max_attempts - 2)`
@@ -1401,13 +1410,9 @@ pub(crate) fn run_service_on<'a>(
             //    `IN_FLIGHT` ticks stay with the shards.
             let drained = stream.emitted() >= stream.total();
             let may_end = drained && scheduled.is_empty() && crash_at.is_empty();
-            let next_due = [scheduled.keys().next(), crash_at.keys().next()]
-                .into_iter()
-                .flatten()
-                .min()
-                .copied();
-            let idle_ahead =
-                drained && backlog_total == 0 && next_due.is_some_and(|t| t > tick + 1);
+            let idle_ahead = drained
+                && backlog_total == 0
+                && next_due(&scheduled, &crash_at).is_some_and(|t| t > tick + 1);
             let wait = !crashing.is_empty() || may_end || idle_ahead || tick >= tick_limit;
             while in_flight > if wait { 0 } else { IN_FLIGHT } {
                 in_flight -= 1;
@@ -1438,14 +1443,18 @@ pub(crate) fn run_service_on<'a>(
                     scheduled.len()
                 )));
             }
-            // 5. With every queue empty and nothing due before `to`, the
-            //    ticks up to it deliver nothing and process nothing: the
-            //    shards record them at once and the loop jumps to `to`.
-            if let Some(due) = next_due.filter(|_| idle_ahead && backlog_total == 0) {
-                let to = due.min(tick_limit);
-                if to > tick {
-                    board.each_shard(|shard| shard.idle_span(tick, to, cfg));
-                    tick = to;
+            // 5. With every tick collected, every queue empty and nothing
+            //    due before `to` (the collect above may have scheduled a
+            //    crash's redeliveries for the next tick), the ticks up to
+            //    `to` deliver nothing and process nothing: the shards
+            //    record them at once and the loop jumps to `to`.
+            if in_flight == 0 && drained && backlog_total == 0 {
+                if let Some(due) = next_due(&scheduled, &crash_at) {
+                    let to = due.min(tick_limit);
+                    if to > tick {
+                        board.each_shard(|shard| shard.idle_span(tick, to, cfg));
+                        tick = to;
+                    }
                 }
             }
         }
@@ -1905,6 +1914,16 @@ mod tests {
         // spans between them, checkpoints due inside them included.
         let mut idle_gaps = crashing_where(&base, |c| c.contains_key(&(last + 1)));
         idle_gaps.backoff = Backoff::new(200, 400);
+        // A crash on the stream's last tick hands back ops a shard queued
+        // the tick before, while every retry waits hundreds of ticks: the
+        // redeliveries are due on the next tick, and no idle span may jump
+        // over them.
+        let mut redelivery_then_gap = base.clone();
+        redelivery_then_gap.stream.ops = 460;
+        redelivery_then_gap.shard_budget = 10;
+        redelivery_then_gap.backoff = Backoff::new(200, 400);
+        redelivery_then_gap.faults.seed = 6;
+        assert!(crash_schedule(&redelivery_then_gap).contains_key(&last));
 
         let matrix = [
             ("crash at tick 1", tick_one, 0xb080_64f1_bd9e_ddfc),
@@ -1917,6 +1936,11 @@ mod tests {
                 "idle gaps after the stream",
                 idle_gaps,
                 0x90b7_a606_b00f_f256,
+            ),
+            (
+                "redeliveries before an idle gap",
+                redelivery_then_gap,
+                0x463a_0cb2_25e9_7a53,
             ),
         ];
         for (name, cfg, pinned) in matrix {
@@ -2088,7 +2112,7 @@ mod tests {
         let cfg = ServiceConfig::new(StreamSpec::new(5, 100, 1));
         let out = run_service(&bed, &cfg).unwrap();
         let det = out.report.deterministic_json();
-        let full = out.report.to_json();
+        let full = JsonWriter::render(&out.report);
         assert!(!det.contains("\"wall\""));
         for key in [
             "ops_per_sec",
