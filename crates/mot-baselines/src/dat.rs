@@ -24,8 +24,7 @@ pub fn build_dat(g: &Graph, rates: &DetectionRates, sink: NodeId) -> TrackingTre
         }
         let du = dist[u.index()];
         let best = g
-            .neighbors(u)
-            .iter()
+            .half_edges(u)
             .filter(|e| (dist[e.to.index()] + e.weight - du).abs() < 1e-9)
             .max_by(|x, y| {
                 rates

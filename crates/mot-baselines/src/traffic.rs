@@ -69,7 +69,7 @@ impl DetectionRates {
     /// Total measured activity of a node — the sum of its incident edge
     /// rates (used by zone constructions to pick active heads).
     pub fn node_activity(&self, g: &Graph, u: NodeId) -> f64 {
-        g.neighbors(u).iter().map(|e| self.rate(u, e.to)).sum()
+        g.neighbors(u).iter().map(|&v| self.rate(u, v)).sum()
     }
 
     /// All edges sorted by descending rate (DAB's merge order), ties by

@@ -1001,7 +1001,7 @@ mod tests {
                     }),
                     _ => {
                         let nbrs = g.neighbors(t.proxy_of(o).unwrap());
-                        let to = nbrs[rng.gen_range(0..nbrs.len())].to;
+                        let to = nbrs[rng.gen_range(0..nbrs.len())];
                         let broken = t.dirty.contains_key(&o);
                         t.move_object(o, to).map(|mv| {
                             broken_moves += usize::from(broken);

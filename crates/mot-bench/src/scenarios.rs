@@ -285,16 +285,16 @@ fn worst_edge(
 ) -> Result<(NodeId, NodeId), BenchError> {
     let mut best: Option<(f64, NodeId, NodeId)> = None;
     for u in bed.graph.nodes() {
-        for e in bed.graph.neighbors(u) {
-            if u >= e.to {
+        for &v in bed.graph.neighbors(u) {
+            if u >= v {
                 continue;
             }
             let mut t = bed.make_tracker(algo, rates)?;
             t.publish(ObjectId(0), u)?;
-            let out = t.move_object(ObjectId(0), e.to)?;
-            let stretch = out.cost / bed.oracle.dist(u, e.to).max(1e-9);
+            let out = t.move_object(ObjectId(0), v)?;
+            let stretch = out.cost / bed.oracle.dist(u, v).max(1e-9);
             if best.map(|(bs, _, _)| stretch > bs).unwrap_or(true) {
-                best = Some((stretch, u, e.to));
+                best = Some((stretch, u, v));
             }
         }
     }

@@ -1045,7 +1045,7 @@ mod tests {
             let i = rng.gen_range(0..objects.len());
             let cur = proxies[i];
             let nbrs = f.g.neighbors(cur);
-            let next = nbrs[rng.gen_range(0..nbrs.len())].to;
+            let next = nbrs[rng.gen_range(0..nbrs.len())];
             let mv = t.move_object(objects[i], next).unwrap();
             assert_eq!(mv.from, cur, "step {step}");
             proxies[i] = next;
@@ -1105,7 +1105,7 @@ mod tests {
                             .any(|e| rec.is_lost(level, e.host))
                     });
                     let nbrs = f.g.neighbors(t.proxy_of(o).unwrap());
-                    let to = nbrs[rng.gen_range(0..nbrs.len())].to;
+                    let to = nbrs[rng.gen_range(0..nbrs.len())];
                     if t.move_object(o, to).is_ok() && lost_guard {
                         moved_past_lost += 1;
                     }
@@ -1176,7 +1176,7 @@ mod tests {
         let mut host = None;
         for _ in 0..500 {
             let nbrs = f.g.neighbors(proxy);
-            proxy = nbrs[rng.gen_range(0..nbrs.len())].to;
+            proxy = nbrs[rng.gen_range(0..nbrs.len())];
             t.move_object(o, proxy).unwrap();
             host = guard_only(&t);
             if host.is_some() {
@@ -1302,7 +1302,7 @@ mod tests {
         let mut proxy = NodeId(0);
         for _ in 0..60 {
             let nbrs = f.g.neighbors(proxy);
-            proxy = nbrs[rng.gen_range(0..nbrs.len())].to;
+            proxy = nbrs[rng.gen_range(0..nbrs.len())];
             t.move_object(ObjectId(0), proxy).unwrap();
         }
         for x in f.g.nodes() {
@@ -1511,7 +1511,7 @@ mod tests {
                     t.query(NodeId(rng.gen_range(0..n)), o).unwrap();
                 } else {
                     let nbrs = g.neighbors(proxies[i]);
-                    proxies[i] = nbrs[rng.gen_range(0..nbrs.len())].to;
+                    proxies[i] = nbrs[rng.gen_range(0..nbrs.len())];
                     t.move_object(o, proxies[i]).unwrap();
                 }
                 let events = sink.events();

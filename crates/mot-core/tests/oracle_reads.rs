@@ -36,7 +36,7 @@ fn a_fixed_walk_reads_the_oracle_a_fraction_of_once_per_move() {
     for _ in 0..MOVES_PER_OBJECT {
         for (i, proxy) in proxies.iter_mut().enumerate() {
             let nbrs = g.neighbors(*proxy);
-            *proxy = nbrs[draw(nbrs.len() as u64) as usize].to;
+            *proxy = nbrs[draw(nbrs.len() as u64) as usize];
             tracker.move_object(ObjectId(i as u32), *proxy).unwrap();
         }
     }

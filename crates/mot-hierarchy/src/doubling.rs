@@ -13,7 +13,8 @@
 //! `dist` calls per level for the connectivity graph and `O(n · k_ℓ)`
 //! more for the detection-path stations. It now runs radius-bounded
 //! Dijkstra (`bounded_ball` on a reusable
-//! [`mot_net::DijkstraWorkspace`]) straight over the CSR graph, touching
+//! [`mot_net::DijkstraWorkspace`]: distances only, in nondecreasing
+//! order, which is all a row reads) straight over the CSR graph, touching
 //! only the `O(2^{dim·ℓ})`-sized neighborhoods the doubling predicate
 //! actually inspects — **one ball pass per level, not three**. The
 //! connectivity rows of `I_ℓ`, the default parents and the level-(ℓ+1)
@@ -69,11 +70,15 @@
 //! drop and `up` slot is written, exactly as one thread walking the
 //! members would. So the overlay is the same bits for any thread count,
 //! which `any_thread_count_builds_the_same_bits` pins at 1, 2, 3 and 8.
-//! Luby's draw (one stream), the member → waiting-reads index and the
-//! node-major index stay on the calling thread, and so do the hops
-//! inside stations and the `up` hops read from rows: split into blocks
-//! they ran no faster, their cost being the table writes the calling
-//! thread makes either way. Smaller graphs, every figure, scenario and
+//! The member → waiting-reads index (`Waiting::index`) is built in one
+//! part per thread, each from its share of the records; a member's reads
+//! are the concatenation of its parts', and their order is free, since
+//! each read writes its own slot. Luby's draw (one stream), opening a
+//! level's drop slots (one call) and the node-major index stay on the
+//! calling thread, and so do the hops inside stations and the `up` hops
+//! read from rows: split into blocks they ran no faster, their cost
+//! being the table writes the calling thread makes either way. Smaller
+//! graphs, every figure, scenario and
 //! service bed among them, run the same passes on the calling thread
 //! alone; nothing else selects the thread count (the experiment
 //! runner's `--jobs` does not).
@@ -107,7 +112,7 @@ const PARALLEL_MIN_NODES: usize = 4096;
 
 /// Most threads one build uses. Each holds a workspace of 16 bytes a
 /// node, and past a few threads the serial share (Luby's draw, the
-/// waiting-reads index) sets the build's time, not the ball passes.
+/// table writes) sets the build's time, not the ball passes.
 const MAX_THREADS: usize = 8;
 
 /// Builds the MIS-coarsened overlay for a (constant-doubling) network
@@ -235,7 +240,7 @@ pub(crate) fn build_on_threads(
             |Scratch { ws, fwd }, members| {
                 let mut block_rows = Rows::with_capacity(members.len(), 32);
                 let mut linked = Rows::with_capacity(members.len(), 8);
-                let mut answers = Vec::with_capacity(reads.of(members.clone()).len());
+                let mut answers = Vec::with_capacity(reads.count(members.clone()));
                 for i in members {
                     let u = cur[i];
                     ws.bounded_ball(g, u, radius);
@@ -244,7 +249,7 @@ pub(crate) fn build_on_threads(
                     let row = block_rows.row(block_rows.len() - 1).iter();
                     let near = row.filter(|&&(j, d)| j as usize != i && (d as f64) < link);
                     linked.push(near.map(|&(j, _)| j));
-                    answers.extend(reads.of(i..i + 1).iter().map(|&(r, k)| {
+                    answers.extend(reads.of(i).map(|&(r, k)| {
                         if k == UP_HOP {
                             // --- a deferred hop up into `u` --------------
                             // The ball is rooted at the hop's far end.
@@ -280,7 +285,8 @@ pub(crate) fn build_on_threads(
                 (block_rows, linked, answers)
             },
             |members, (block_rows, linked, answers)| {
-                for (&(r, k), answer) in reads.of(members.clone()).iter().zip(answers) {
+                let waited = members.clone().flat_map(|i| reads.of(i));
+                for (&(r, k), answer) in waited.zip(answers) {
                     match answer {
                         Answer::Up(d) => fill.set_up(r, d),
                         Answer::Drop(hop) => fill.set_drop(r, k as usize, hop),
@@ -387,22 +393,33 @@ pub(crate) fn build_on_threads(
         for (i, &v) in next.iter().enumerate() {
             pos[v.index()] = (stamp + 1, i as u32);
         }
+        // One share of the records per thread, the deferred `up` hops
+        // with the last: the index is built on as many threads as the
+        // passes run on.
         let next_at = &pos;
-        let drops = (base..next_base).flat_map(|r| {
-            let sources = table.station((next_base + above(r - base)) as usize);
-            let slots = sources.iter().enumerate();
-            slots.map(move |(k, &a)| (next_at[a.index()].1, r, k as u32))
-        });
-        let ups = pending
-            .iter()
-            .map(|&(first, r)| (next_at[first.index()].1, r, UP_HOP));
-        waiting = Waiting::index(next.len(), drops.chain(ups));
-        let slots = waiting.reads.len() - pending.len();
-        table.reserve_drops((next_base - base) as usize, slots);
-        for r in base..next_base {
-            let above_len = table.station((next_base + above(r - base)) as usize).len();
-            table.push_drops(above_len);
-        }
+        let above = &above;
+        let (records, shares) = (next_base - base, scratch.len() as u32);
+        let sources: Vec<_> = (0..shares)
+            .map(|t| {
+                let share = base + records * t / shares..base + records * (t + 1) / shares;
+                let table = &table;
+                let drops = share.flat_map(move |r| {
+                    let sources = table.station((next_base + above(r - base)) as usize);
+                    let slots = sources.iter().enumerate();
+                    slots.map(move |(k, &a)| (next_at[a.index()].1, r, k as u32))
+                });
+                let ups = if t + 1 == shares { &pending[..] } else { &[] };
+                let ups = ups
+                    .iter()
+                    .map(|&(first, r)| (next_at[first.index()].1, r, UP_HOP));
+                drops.chain(ups)
+            })
+            .collect();
+        waiting = Waiting::index(next.len(), sources);
+        let above_lens: Vec<usize> = (base..next_base)
+            .map(|r| table.station((next_base + above(r - base)) as usize).len())
+            .collect();
+        table.push_drops(&above_lens);
 
         station_base.push(next_base);
         base = next_base;
@@ -422,9 +439,7 @@ pub(crate) fn build_on_threads(
         m.diameter()
     );
     // Top-level stations have nowhere to drop from.
-    let top = table.record_count() - base as usize;
-    table.reserve_drops(top, 0);
-    (0..top).for_each(|_| table.push_drops(0));
+    table.push_drops(&vec![0; table.record_count() - base as usize]);
 
     // --- the node-major index: every node's chain of homes ---------------
     let stride = levels.len();
@@ -570,15 +585,64 @@ const UP_HOP: u32 = u32::MAX;
 /// the records whose `up` hop ends at it and was out of their own rows'
 /// reach. Built for one pass and dropped after it, so the large
 /// low-level ones do not outlive the levels they serve.
+///
+/// It is built in parts, one per thread, each from its own share of the
+/// triples; a member's reads are the concatenation of its parts'. Their
+/// order within a member is free: each read writes its own slot.
 #[derive(Default)]
 struct Waiting {
+    parts: Vec<Part>,
+}
+
+/// One part of a [`Waiting`]: its triples grouped by member position,
+/// member `i`'s at `reads[start[i]..start[i + 1]]`.
+struct Part {
     start: Vec<u32>,
     reads: Vec<(u32, u32)>,
 }
 
 impl Waiting {
-    /// Groups `(member position, record, k)` triples by position (a
-    /// counting sort: the triples are walked twice, nothing is resized).
+    /// Indexes each source of `(member position, record, k)` triples as
+    /// one part, the first on the calling thread and each other on a
+    /// thread of its own.
+    fn index<I>(members: usize, sources: Vec<I>) -> Self
+    where
+        I: Iterator<Item = (u32, u32, u32)> + Clone + Send,
+    {
+        let mut sources = sources.into_iter();
+        let Some(first) = sources.next() else {
+            return Waiting::default();
+        };
+        let parts = std::thread::scope(|s| {
+            let helpers: Vec<_> = sources
+                .map(|triples| s.spawn(move || Part::index(members, triples)))
+                .collect();
+            let mut parts = vec![Part::index(members, first)];
+            parts.extend(helpers.into_iter().map(|h| match h.join() {
+                Ok(part) => part,
+                Err(panic) => std::panic::resume_unwind(panic),
+            }));
+            parts
+        });
+        Waiting { parts }
+    }
+
+    /// The reads waiting for member `i`'s ball; none before any were
+    /// indexed.
+    fn of(&self, i: usize) -> impl Iterator<Item = &(u32, u32)> + '_ {
+        self.parts.iter().flat_map(move |p| p.of(i))
+    }
+
+    /// How many reads wait for the balls of `members`.
+    fn count(&self, members: Range<usize>) -> usize {
+        let part = |p: &Part| (p.start[members.end] - p.start[members.start]) as usize;
+        self.parts.iter().map(part).sum()
+    }
+}
+
+impl Part {
+    /// Groups the triples by position (a counting sort: they are walked
+    /// twice, nothing is resized).
     fn index(members: usize, triples: impl Iterator<Item = (u32, u32, u32)> + Clone) -> Self {
         let mut start = vec![0u32; members + 1];
         for (p, _, _) in triples.clone() {
@@ -593,16 +657,11 @@ impl Waiting {
             reads[fill[p as usize] as usize] = (r, k);
             fill[p as usize] += 1;
         }
-        Waiting { start, reads }
+        Part { start, reads }
     }
 
-    /// The reads waiting for the balls of `members`, member by member;
-    /// none before any were indexed.
-    fn of(&self, members: Range<usize>) -> &[(u32, u32)] {
-        match (self.start.get(members.start), self.start.get(members.end)) {
-            (Some(&from), Some(&to)) => &self.reads[from as usize..to as usize],
-            _ => &[],
-        }
+    fn of(&self, i: usize) -> &[(u32, u32)] {
+        &self.reads[self.start[i] as usize..self.start[i + 1] as usize]
     }
 }
 
@@ -651,9 +710,24 @@ mod tests {
     #[test]
     fn any_thread_count_builds_the_same_bits() {
         // The perturbed grid is weighted: its `up` hops take the
-        // reversed-read and forward re-solve branches.
+        // reversed-read and forward re-solve branches. The churned grid
+        // serves its rows from the patch overlay; the grid with a heavy
+        // star is a unit grid whose weights were written out on restore.
+        let mut churned = generators::grid(20, 20).unwrap();
+        for u in [21, 57, 210, 399, 57] {
+            let star = churned.remove_node(NodeId(u)).unwrap();
+            churned.restore_node(NodeId(u), &star).unwrap();
+        }
+        assert!(churned.is_unit_weight());
+        let mut heavy = generators::grid(20, 20).unwrap();
+        let mut star = heavy.remove_node(NodeId(190)).unwrap();
+        star[1].weight = 3.0;
+        heavy.restore_node(NodeId(190), &star).unwrap();
+        assert!(!heavy.is_unit_weight());
         let beds = [
             ("grid 24x24", generators::grid(24, 24).unwrap()),
+            ("churned grid", churned),
+            ("grid with a heavy star", heavy),
             (
                 "perturbed grid",
                 generators::perturbed_grid(16, 16, 0.3, 5).unwrap(),

@@ -238,9 +238,7 @@ mod tests {
 
         // Drops: into [i] from the station above it, into `near` and
         // `far` from the root.
-        for above_len in [1, 1, 2, 2, 1, 1, 0] {
-            table.push_drops(above_len);
-        }
+        table.push_drops(&[1, 1, 2, 2, 1, 1, 0]);
         for (i, &r) in bottom.iter().enumerate() {
             table.set_drop(r, 0, DropHop::toward([i as f32])); // dist(0, i)
         }

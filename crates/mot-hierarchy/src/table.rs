@@ -224,24 +224,30 @@ impl StationTable {
     }
 
     /// Makes room for exactly `slots` more drop slots over `records`
-    /// more records, so a level's worth of
-    /// [`push_drops`](Self::push_drops) never over-allocates.
+    /// more records, so opening them one record at a time
+    /// ([`push_drops`](Self::push_drops)) does not reallocate at each.
     pub(crate) fn reserve_drops(&mut self, records: usize, slots: usize) {
         self.drop_start.reserve_exact(records);
         self.drop_len.reserve_exact(slots);
         self.drop_at.reserve_exact(slots);
     }
 
-    /// Opens the drop slots of the next record that has none yet: one
-    /// per member of the record above it (`0` for a top-level record),
-    /// all absent until [`set_drop`](Self::set_drop) writes them.
-    pub(crate) fn push_drops(&mut self, above_len: usize) {
-        debug_assert!(self.drop_start.len() <= self.record_count());
-        let end = self.drop_len.len() + above_len;
+    /// Opens the drop slots of the next records that have none yet, one
+    /// record per entry of `above_lens`: one slot per member of the
+    /// record above it (`0` for a top-level record), all absent until
+    /// [`set_drop`](Self::set_drop) writes them. A whole level's slots
+    /// are sized and opened in one call.
+    pub(crate) fn push_drops(&mut self, above_lens: &[usize]) {
+        debug_assert!(self.drop_start.len() + above_lens.len() <= self.record_count() + 1);
+        let slots: usize = above_lens.iter().sum();
+        self.reserve_drops(above_lens.len(), slots);
+        let mut end = self.drop_len.len();
+        self.drop_start.extend(above_lens.iter().map(|&len| {
+            end += len;
+            u32::try_from(end).expect("station table exceeds u32 offsets")
+        }));
         self.drop_len.resize(end, [f32::NAN; 2]);
         self.drop_at.resize(end, 0);
-        self.drop_start
-            .push(u32::try_from(end).expect("station table exceeds u32 offsets"));
     }
 
     /// Writes the drop into record `r` from member `k` of the record
@@ -283,7 +289,7 @@ impl StationTable {
                     let last = *station.last().expect("stations are non-empty");
                     t.set_up(r, dist(last, first));
                 }
-                t.push_drops(above.len());
+                t.push_drops(&[above.len()]);
                 for (k, &from) in above.iter().enumerate() {
                     let dists = station.iter().map(|&to| dist(from, to));
                     t.set_drop(r, k, DropHop::toward(dists));
@@ -390,9 +396,7 @@ mod tests {
         let b = t.push_record(&[NodeId(1), NodeId(5)]);
         t.set_hop(b, 1, [4.0, 4.5]);
         t.set_up(a, 2.0);
-        t.reserve_drops(2, 2);
-        t.push_drops(2);
-        t.push_drops(0);
+        t.push_drops(&[2, 0]);
         t.set_drop(a, 1, DropHop::toward([7.0]));
         t.set_index(2, vec![a, b, a, b]);
         assert_eq!(t.node_count(), 2);
@@ -418,7 +422,7 @@ mod tests {
     fn a_drop_keeps_the_first_and_the_nearest_member_by_distance_then_id() {
         let mut t = StationTable::new();
         let r = t.push_record(&[NodeId(2), NodeId(4), NodeId(6), NodeId(9)]);
-        t.push_drops(1);
+        t.push_drops(&[1]);
         t.set_drop(r, 0, DropHop::toward([5.0, 3.0, 3.0, 8.0]));
         let want = DropHop {
             first: 5.0,
@@ -433,7 +437,7 @@ mod tests {
         let mut t = StationTable::new();
         let members: Vec<NodeId> = (0..300).map(NodeId).collect();
         let r = t.push_record(&members);
-        t.push_drops(4);
+        t.push_drops(&[4]);
         for (k, nearest) in [254, 255, 256, 299].into_iter().enumerate() {
             let dists = (0..300).map(|j| if j == nearest { 1.0 } else { 2.0 });
             t.set_drop(r, k, DropHop::toward(dists));

@@ -192,7 +192,7 @@ mod tests {
         b.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         b.add_edge(NodeId(0), NodeId(2), 1.0).unwrap();
         let g = b.build().unwrap();
-        let order: Vec<_> = g.neighbors(NodeId(0)).iter().map(|e| e.to).collect();
+        let order = g.neighbors(NodeId(0)).to_vec();
         assert_eq!(order, vec![NodeId(1), NodeId(2), NodeId(3)]);
     }
 

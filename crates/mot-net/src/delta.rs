@@ -147,7 +147,7 @@ impl ChurnSpec {
 /// }
 /// // ...and equals the base graph induced on the active node set.
 /// for u in g.active_nodes() {
-///     for e in g.neighbors(u) {
+///     for e in g.half_edges(u) {
 ///         assert_eq!(base.edge_weight(u, e.to), Some(e.weight));
 ///     }
 /// }
@@ -228,10 +228,8 @@ impl ChurnSchedule {
             // Rejoin with the base star filtered to active endpoints,
             // preserving the induced-subgraph invariant.
             let star: Vec<Edge> = base
-                .neighbors(u)
-                .iter()
+                .half_edges(u)
                 .filter(|e| shadow.is_active(e.to))
-                .copied()
                 .collect();
             shadow.restore_node(u, &star)?;
             deltas.push(TopologyDelta::join(u, star));
@@ -301,13 +299,8 @@ mod tests {
                 continue;
             }
             // Active rows are the base rows filtered to active peers.
-            let expect: Vec<Edge> = g
-                .neighbors(u)
-                .iter()
-                .filter(|e| live.is_active(e.to))
-                .copied()
-                .collect();
-            assert_eq!(live.neighbors(u), expect.as_slice());
+            let expect: Vec<Edge> = g.half_edges(u).filter(|e| live.is_active(e.to)).collect();
+            assert!(live.half_edges(u).eq(expect), "row {u}");
         }
     }
 

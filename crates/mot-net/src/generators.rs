@@ -8,7 +8,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::error::NetError;
-use crate::graph::{Edge, Graph};
+use crate::graph::Graph;
 use crate::node::{NodeId, Point};
 use crate::Result;
 use rand::prelude::*;
@@ -29,19 +29,14 @@ pub fn grid(rows: usize, cols: usize) -> Result<Graph> {
     let n = rows * cols;
     assert!(4 * n <= u32::MAX as usize, "grid overflows the CSR offsets");
     let mut offsets = Vec::with_capacity(n + 1);
-    let mut edges = Vec::with_capacity(4 * n - 2 * (rows + cols));
+    let mut targets = Vec::with_capacity(4 * n - 2 * (rows + cols));
     let mut positions = Vec::with_capacity(n);
     offsets.push(0u32);
     for r in 0..rows {
         for c in 0..cols {
             positions.push(Point::new(c as f64, r as f64));
             let id = r * cols + c;
-            let mut link = |to: usize| {
-                edges.push(Edge {
-                    to: NodeId::from_index(to),
-                    weight: 1.0,
-                })
-            };
+            let mut link = |to: usize| targets.push(NodeId::from_index(to));
             if r > 0 {
                 link(id - cols);
             }
@@ -54,10 +49,10 @@ pub fn grid(rows: usize, cols: usize) -> Result<Graph> {
             if r + 1 < rows {
                 link(id + cols);
             }
-            offsets.push(edges.len() as u32);
+            offsets.push(targets.len() as u32);
         }
     }
-    Ok(Graph::from_csr(offsets, edges, Some(positions), true))
+    Ok(Graph::from_csr(offsets, targets, None, Some(positions)))
 }
 
 /// `rows × cols` grid with wrap-around edges (a torus). Diameter is half
@@ -226,10 +221,10 @@ fn component_labels(g: &Graph) -> Vec<usize> {
         let mut stack = vec![s];
         label[s] = next;
         while let Some(u) = stack.pop() {
-            for e in g.neighbors(NodeId::from_index(u)) {
-                if label[e.to.index()] == usize::MAX {
-                    label[e.to.index()] = next;
-                    stack.push(e.to.index());
+            for &v in g.neighbors(NodeId::from_index(u)) {
+                if label[v.index()] == usize::MAX {
+                    label[v.index()] = next;
+                    stack.push(v.index());
                 }
             }
         }

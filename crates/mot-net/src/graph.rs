@@ -3,22 +3,27 @@
 //! # Memory layout
 //!
 //! The graph is stored in compressed-sparse-row (CSR) form: one flat
-//! array of packed half-[`Edge`]s plus a `u32` offset per node
-//! (`neighbors(u)` is the slice `edges[offsets[u]..offsets[u+1]]`).
+//! array of neighbour ids plus a `u32` offset per node
+//! (`neighbors(u)` is the slice `targets[offsets[u]..offsets[u+1]]`).
 //! Every shortest-path run — and therefore every oracle row, hierarchy
 //! radius query, and cost account in the suite — iterates neighbor
 //! lists, so they are contiguous in memory instead of one heap
 //! allocation per node. See DESIGN.md §13.
 //!
-//! Beside the arrays the graph carries one fact about its weights,
-//! [`Graph::is_unit_weight`], which is all the shortest-path kernel
-//! needs to skip its heap on the paper's unit grids.
+//! A half-edge is its neighbour's id, 4 bytes. Its weight lives in a
+//! parallel `f64` array at the same index, which a unit-weight graph
+//! ([`Graph::is_unit_weight`]: the paper's grids, every torus, ring,
+//! line and random tree) does not allocate: there every weight is 1.0,
+//! and the searches that run on it read ids only. The one reader of
+//! weights is [`Graph::half_edges`].
 
 use crate::error::NetError;
 use crate::node::{NodeId, Point};
 use crate::Result;
 
-/// A weighted half-edge stored in a node's adjacency row.
+/// A weighted half-edge: the value one entry of a row stands for, as
+/// [`Graph::half_edges`] hands it out and as
+/// [`Graph::remove_node`] / [`Graph::restore_node`] take edge stars.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Edge {
     /// The neighbor this half-edge points to.
@@ -42,10 +47,10 @@ pub struct Edge {
 /// against an older generation can invalidate precisely (DESIGN.md §17).
 ///
 /// Internally the adjacency structure is a flat CSR array (see the
-/// module docs), but the API is unchanged from the per-node
-/// representation: [`Graph::neighbors`] still hands out a `&[Edge]`
-/// slice per node. A never-mutated graph pays one predictable branch
-/// per `neighbors` call; mutated rows live in per-node patch vectors
+/// module docs): [`Graph::neighbors`] hands out a `&[NodeId]` slice per
+/// node, and [`Graph::half_edges`] the same row with its weights. A
+/// never-mutated graph pays one predictable branch per `neighbors`
+/// call; mutated rows live in per-node patch rows of the same layout,
 /// layered over the immutable CSR base.
 ///
 /// # Example
@@ -58,42 +63,52 @@ pub struct Edge {
 ///
 /// let g = generators::grid(3, 3)?; // unit 3×3 grid
 /// let center = NodeId(4);
-/// // The adjacency row is a plain slice, sorted by neighbor id.
+/// // The adjacency row is a plain slice of ids, sorted ascending.
 /// let row = g.neighbors(center);
-/// assert_eq!(row.len(), 4);
-/// assert!(row.windows(2).all(|w| w[0].to < w[1].to));
-/// // Summing weights over a row touches one contiguous cache run.
-/// let total: f64 = row.iter().map(|e| e.weight).sum();
+/// assert_eq!(row, &[NodeId(1), NodeId(3), NodeId(5), NodeId(7)]);
+/// // Weights come with the row through `half_edges`.
+/// let total: f64 = g.half_edges(center).map(|e| e.weight).sum();
 /// assert_eq!(total, 4.0);
 /// # Ok::<(), mot_net::NetError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct Graph {
     /// CSR row offsets: node `u`'s half-edges live at
-    /// `edges[offsets[u] as usize..offsets[u + 1] as usize]`.
+    /// `targets[offsets[u] as usize..offsets[u + 1] as usize]`.
     /// `offsets.len() == node_count() + 1`.
     offsets: Vec<u32>,
-    /// All half-edges, packed row by row (each undirected edge appears
-    /// twice, once per endpoint).
-    edges: Vec<Edge>,
+    /// All half-edges' neighbour ids, packed row by row (each undirected
+    /// edge appears twice, once per endpoint).
+    targets: Vec<NodeId>,
+    /// `weights[k]` is the weight of half-edge `targets[k]`; `None`
+    /// exactly while the graph is unit-weight (see
+    /// [`Graph::is_unit_weight`]). Set by whoever held the weights at
+    /// construction; never derived by a scan of its own.
+    weights: Option<Vec<f64>>,
     positions: Option<Vec<Point>>,
     edge_count: usize,
-    /// See [`Graph::is_unit_weight`]. Set by whoever held the weights at
-    /// construction; never derived by a scan of its own.
-    unit_weight: bool,
     /// Mutation overlay; `None` until the first `remove_node` /
     /// `restore_node` so static graphs stay branch-predictable and pay
     /// no extra memory.
     dyn_state: Option<Box<DynState>>,
 }
 
+/// One owned adjacency row of the mutation overlay, in the CSR base's
+/// layout: ids, and their weights while the graph has any.
+#[derive(Clone, Debug, Default)]
+struct Row {
+    to: Vec<NodeId>,
+    /// Empty while the graph is unit-weight, else one per `to`.
+    weight: Vec<f64>,
+}
+
 /// Copy-on-write mutation overlay for a [`Graph`]. Rows that a mutation
-/// touched are shadowed by owned vectors; untouched rows keep serving
+/// touched are shadowed by owned rows; untouched rows keep serving
 /// straight from the CSR base.
 #[derive(Clone, Debug)]
 struct DynState {
     /// `patch[u] = Some(row)` shadows the CSR row of `u`.
-    patch: Vec<Option<Vec<Edge>>>,
+    patch: Vec<Option<Row>>,
     /// `true` while the node is removed from the topology.
     inactive: Vec<bool>,
     inactive_count: usize,
@@ -117,35 +132,40 @@ impl Graph {
             "half-edge count overflows the CSR u32 offsets"
         );
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(half_edges);
+        let mut targets = Vec::with_capacity(half_edges);
+        let mut weights = (!unit_weight).then(|| Vec::with_capacity(half_edges));
         offsets.push(0u32);
         for row in &adjacency {
-            edges.extend_from_slice(row);
-            offsets.push(edges.len() as u32);
+            targets.extend(row.iter().map(|e| e.to));
+            if let Some(w) = &mut weights {
+                w.extend(row.iter().map(|e| e.weight));
+            }
+            offsets.push(targets.len() as u32);
         }
-        debug_assert_eq!(edges.len(), 2 * edge_count);
-        Self::from_csr(offsets, edges, positions, unit_weight)
+        debug_assert_eq!(targets.len(), 2 * edge_count);
+        debug_assert!(!unit_weight || adjacency.iter().flatten().all(|e| e.weight == 1.0));
+        Self::from_csr(offsets, targets, weights, positions)
     }
 
     /// A graph from finished CSR arrays: `offsets.len() == n + 1`, every
     /// row sorted by neighbor id, every undirected edge stored once per
     /// endpoint. For generators that can emit rows in that form directly.
-    /// `unit_weight` is the caller's word that every weight is exactly 1.0
-    /// (it wrote them); `false` is always safe.
+    /// `weights` is `None` on the caller's word that every weight is
+    /// exactly 1.0 (it wrote them); `Some` is always safe.
     pub(crate) fn from_csr(
         offsets: Vec<u32>,
-        edges: Vec<Edge>,
+        targets: Vec<NodeId>,
+        weights: Option<Vec<f64>>,
         positions: Option<Vec<Point>>,
-        unit_weight: bool,
     ) -> Self {
-        debug_assert_eq!(offsets.last().map(|&e| e as usize), Some(edges.len()));
-        debug_assert!(!unit_weight || edges.iter().all(|e| e.weight == 1.0));
+        debug_assert_eq!(offsets.last().map(|&e| e as usize), Some(targets.len()));
+        debug_assert!(weights.as_ref().is_none_or(|w| w.len() == targets.len()));
         Graph {
             offsets,
-            edge_count: edges.len() / 2,
-            edges,
+            edge_count: targets.len() / 2,
+            targets,
+            weights,
             positions,
-            unit_weight,
             dyn_state: None,
         }
     }
@@ -177,13 +197,13 @@ impl Graph {
     }
 
     /// Number of stored half-edges (`2 |E|`). For a never-mutated graph
-    /// this is the length of the packed CSR edge array.
+    /// this is the length of the packed CSR id array.
     #[inline]
     pub fn half_edge_count(&self) -> usize {
         if self.dyn_state.is_some() {
             2 * self.edge_count
         } else {
-            self.edges.len()
+            self.targets.len()
         }
     }
 
@@ -192,19 +212,54 @@ impl Graph {
         (0..self.node_count()).map(NodeId::from_index)
     }
 
-    /// The adjacency row of `u`: a contiguous slice of half-edges,
-    /// sorted ascending by neighbor id. For an inactive node the row is
-    /// empty. Mutated rows come from the patch overlay; untouched rows
-    /// come straight from the CSR base.
+    /// The patch row shadowing `u`'s CSR row, if a mutation wrote one.
     #[inline]
-    pub fn neighbors(&self, u: NodeId) -> &[Edge] {
+    fn patched(&self, i: usize) -> Option<&Row> {
+        self.dyn_state.as_ref().and_then(|d| d.patch[i].as_ref())
+    }
+
+    /// The CSR base range of `u`'s row.
+    #[inline]
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+
+    /// The adjacency row of `u`: a contiguous slice of neighbour ids,
+    /// sorted ascending. For an inactive node the row is empty. Mutated
+    /// rows come from the patch overlay; untouched rows come straight
+    /// from the CSR base.
+    #[inline]
+    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
         let i = u.index();
-        if let Some(d) = &self.dyn_state {
-            if let Some(row) = &d.patch[i] {
-                return row;
-            }
+        match self.patched(i) {
+            Some(row) => &row.to,
+            None => &self.targets[self.span(i)],
         }
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The weights of `u`'s row, in row order; `None` on a unit-weight
+    /// graph, whose every weight is 1.0.
+    #[inline]
+    fn row_weights(&self, u: NodeId) -> Option<&[f64]> {
+        let base = self.weights.as_deref()?;
+        let i = u.index();
+        Some(match self.patched(i) {
+            Some(row) => &row.weight,
+            None => &base[self.span(i)],
+        })
+    }
+
+    /// `u`'s row with its weights: one [`Edge`] per entry of
+    /// [`Graph::neighbors`], in the same order (every weight 1.0 on a
+    /// unit-weight graph). The one way to read a weight off a row.
+    #[inline]
+    pub fn half_edges(&self, u: NodeId) -> impl ExactSizeIterator<Item = Edge> + '_ {
+        let to = self.neighbors(u);
+        let weight = self.row_weights(u);
+        (0..to.len()).map(move |k| Edge {
+            to: to[k],
+            weight: weight.map_or(1.0, |w| w[k]),
+        })
     }
 
     /// Degree of `u` (0 while `u` is inactive).
@@ -220,22 +275,19 @@ impl Graph {
             return Some(0.0);
         }
         // Rows are sorted by neighbor id, so this is a binary search.
-        let row = self.neighbors(u);
-        row.binary_search_by(|e| e.to.cmp(&v))
-            .ok()
-            .map(|i| row[i].weight)
+        let k = self.neighbors(u).binary_search(&v).ok()?;
+        Some(self.row_weights(u).map_or(1.0, |w| w[k]))
     }
 
     /// True when `(u, v)` is an edge of `G`.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        u != v && self.neighbors(u).binary_search_by(|e| e.to.cmp(&v)).is_ok()
+        u != v && self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Iterator over undirected edges, each reported once with `a < b`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
         self.nodes().flat_map(move |a| {
-            self.neighbors(a)
-                .iter()
+            self.half_edges(a)
                 .filter(move |e| a < e.to)
                 .map(move |e| (a, e.to, e.weight))
         })
@@ -265,21 +317,24 @@ impl Graph {
     }
 
     /// True when every edge is known to weigh exactly 1.0 — the paper's
-    /// grids, and every torus, ring, line and random tree. Shortest-path
-    /// runs on such a graph take the layered inner loop of
+    /// grids, and every torus, ring, line and random tree. Such a graph
+    /// stores no weights at all (see the module docs), and shortest-path
+    /// runs on it take the layered inner loop of
     /// [`crate::DijkstraWorkspace`] instead of the heap; results are
-    /// bit-identical either way, so the flag only ever buys speed.
+    /// bit-identical either way, so the flag only ever buys speed and
+    /// memory.
     ///
     /// It is a property of the input, fixed where the weights are
     /// written: generators and [`crate::GraphBuilder`] set it,
     /// [`Graph::normalized`] re-derives it from the rescaled weights, and
     /// [`Graph::restore_node`] clears it for good on the first star with
-    /// a non-1.0 edge. [`Graph::remove_node`] leaves it alone, so under
+    /// a non-1.0 edge, writing out a weight of 1.0 for every half-edge
+    /// already there. [`Graph::remove_node`] leaves it alone, so under
     /// churn it is conservative: a graph whose only weighted edges have
     /// all left again still reads `false` and merely runs the heap.
     #[inline]
     pub fn is_unit_weight(&self) -> bool {
-        self.unit_weight
+        self.weights.is_none()
     }
 
     /// Returns a copy of the graph with all edge weights rescaled so the
@@ -292,23 +347,29 @@ impl Graph {
         if (min_w - 1.0).abs() < f64::EPSILON {
             return self.clone();
         }
+        // A unit-weight graph's minimum is 1: this one stores weights.
         let mut g = self.clone();
         // Shadowed CSR rows are rescaled (and counted) with the live ones:
         // at worst a conservative `false`.
         let mut unit = true;
-        let mut rescale = |e: &mut Edge| {
-            e.weight /= min_w;
-            unit &= e.weight == 1.0;
+        let mut rescale = |w: &mut f64| {
+            *w /= min_w;
+            unit &= *w == 1.0;
         };
-        g.edges.iter_mut().for_each(&mut rescale);
+        g.weights.iter_mut().flatten().for_each(&mut rescale);
         if let Some(d) = &mut g.dyn_state {
-            d.patch
-                .iter_mut()
-                .flatten()
-                .flatten()
-                .for_each(&mut rescale);
+            let rows = d.patch.iter_mut().flatten();
+            rows.flat_map(|row| &mut row.weight).for_each(&mut rescale);
         }
-        g.unit_weight = unit;
+        if unit {
+            g.weights = None;
+            if let Some(d) = &mut g.dyn_state {
+                d.patch
+                    .iter_mut()
+                    .flatten()
+                    .for_each(|row| row.weight = Vec::new());
+            }
+        }
         g
     }
 
@@ -336,8 +397,8 @@ impl Graph {
         seen[start] = true;
         let mut visited = 1usize;
         while let Some(u) = stack.pop() {
-            for e in self.neighbors(NodeId::from_index(u)) {
-                let v = e.to.index();
+            for &v in self.neighbors(NodeId::from_index(u)) {
+                let v = v.index();
                 if !seen[v] {
                     seen[v] = true;
                     visited += 1;
@@ -384,6 +445,14 @@ impl Graph {
         self.nodes().filter(move |&u| self.is_active(u))
     }
 
+    /// An owned copy of `v`'s row, for the overlay to change and keep.
+    fn owned_row(&self, v: NodeId) -> Row {
+        Row {
+            to: self.neighbors(v).to_vec(),
+            weight: self.row_weights(v).map_or_else(Vec::new, <[f64]>::to_vec),
+        }
+    }
+
     /// Removes sensor `u` from the topology (a §7 "leave" event).
     ///
     /// The node id stays valid — queries see an isolated, inactive node
@@ -425,19 +494,23 @@ impl Graph {
         if !self.is_active(u) {
             return Err(NetError::NodeInactive { node: u });
         }
-        let star = self.neighbors(u).to_vec();
+        let star: Vec<Edge> = self.half_edges(u).collect();
         let d = self.dyn_state_mut();
         d.generation += 1;
         let gen = d.generation;
         d.touched[u.index()] = gen;
-        d.patch[u.index()] = Some(Vec::new());
+        d.patch[u.index()] = Some(Row::default());
         d.inactive[u.index()] = true;
         d.inactive_count += 1;
         self.edge_count -= star.len();
         for e in &star {
             let v = e.to;
-            let mut row = self.neighbors(v).to_vec();
-            row.retain(|f| f.to != u);
+            let mut row = self.owned_row(v);
+            let pos = row.to.binary_search(&u).expect("edges are symmetric");
+            row.to.remove(pos);
+            if !row.weight.is_empty() {
+                row.weight.remove(pos);
+            }
             let d = self.dyn_state_mut();
             d.patch[v.index()] = Some(row);
             d.touched[v.index()] = gen;
@@ -453,7 +526,8 @@ impl Graph {
     /// duplicates. On success the star is installed sorted by neighbor
     /// id and the generation is bumped, stamping `u` and every new
     /// neighbor. A star with any weight other than 1.0 clears
-    /// [`Graph::is_unit_weight`] for the rest of the graph's life.
+    /// [`Graph::is_unit_weight`] for the rest of the graph's life, and
+    /// writes out the weights the graph did not store until then, once.
     ///
     /// Errors with [`NetError::NodeActive`] if `u` was not removed, and
     /// with the usual construction errors for a bad star.
@@ -490,7 +564,10 @@ impl Graph {
             }
             unit &= e.weight == 1.0;
         }
-        self.unit_weight &= unit;
+        if !unit && self.is_unit_weight() {
+            self.store_weights();
+        }
+        let weighted = !self.is_unit_weight();
         let added = star.len();
         let d = self.dyn_state_mut();
         d.generation += 1;
@@ -500,23 +577,39 @@ impl Graph {
         d.inactive_count -= 1;
         for e in &star {
             let v = e.to;
-            let mut row = self.neighbors(v).to_vec();
-            let pos = row.partition_point(|f| f.to < u);
-            debug_assert!(row.get(pos).map(|f| f.to) != Some(u));
-            row.insert(
-                pos,
-                Edge {
-                    to: u,
-                    weight: e.weight,
-                },
-            );
+            let mut row = self.owned_row(v);
+            let pos = row.to.partition_point(|&f| f < u);
+            debug_assert!(row.to.get(pos) != Some(&u));
+            row.to.insert(pos, u);
+            if weighted {
+                row.weight.insert(pos, e.weight);
+            }
             let d = self.dyn_state_mut();
             d.patch[v.index()] = Some(row);
             d.touched[v.index()] = gen;
         }
-        self.dyn_state_mut().patch[u.index()] = Some(star);
+        let own = Row {
+            to: star.iter().map(|e| e.to).collect(),
+            weight: if weighted {
+                star.iter().map(|e| e.weight).collect()
+            } else {
+                Vec::new()
+            },
+        };
+        self.dyn_state_mut().patch[u.index()] = Some(own);
         self.edge_count += added;
         Ok(())
+    }
+
+    /// Writes out the weight (1.0) of every half-edge of a unit-weight
+    /// graph, base and patch rows alike: from here on it is weighted.
+    fn store_weights(&mut self) {
+        self.weights = Some(vec![1.0; self.targets.len()]);
+        if let Some(d) = &mut self.dyn_state {
+            for row in d.patch.iter_mut().flatten() {
+                row.weight = vec![1.0; row.to.len()];
+            }
+        }
     }
 }
 
@@ -571,7 +664,7 @@ mod tests {
         for u in g.nodes() {
             let row = g.neighbors(u);
             assert_eq!(row.len(), g.degree(u));
-            assert!(row.windows(2).all(|w| w[0].to < w[1].to));
+            assert!(row.windows(2).all(|w| w[0] < w[1]));
             total += row.len();
         }
         assert_eq!(total, g.half_edge_count());
@@ -632,6 +725,218 @@ mod tests {
         assert!(!g.normalized().is_unit_weight());
     }
 
+    /// The rows as `Edge` vectors, one per node: the layout the graph
+    /// kept before its rows became ids, and the model the tests below
+    /// mutate the way that layout was mutated.
+    fn edge_rows(g: &Graph) -> Vec<Vec<Edge>> {
+        g.nodes().map(|u| g.half_edges(u).collect()).collect()
+    }
+
+    /// `g`'s id rows and weights are `want`'s `Edge` rows, bit for bit,
+    /// and the graph stores weights exactly when it is not unit-weight.
+    fn assert_rows(g: &Graph, want: &[Vec<Edge>], ctx: &str) {
+        let bits = |row: &[Edge]| -> Vec<(NodeId, u64)> {
+            row.iter().map(|e| (e.to, e.weight.to_bits())).collect()
+        };
+        for u in g.nodes() {
+            let row = &want[u.index()];
+            let ids: Vec<NodeId> = row.iter().map(|e| e.to).collect();
+            assert_eq!(g.neighbors(u), ids.as_slice(), "{ctx}: ids of {u}");
+            let got: Vec<Edge> = g.half_edges(u).collect();
+            assert_eq!(bits(&got), bits(row), "{ctx}: weights of {u}");
+            for e in row {
+                let w = g.edge_weight(u, e.to).map(f64::to_bits);
+                assert_eq!(
+                    w,
+                    Some(e.weight.to_bits()),
+                    "{ctx}: edge_weight({u}, {})",
+                    e.to
+                );
+            }
+        }
+        let unit = g.is_unit_weight();
+        assert_eq!(
+            g.weights.is_none(),
+            unit,
+            "{ctx}: weights stored on a unit graph"
+        );
+        if unit {
+            assert!(want.iter().flatten().all(|e| e.weight == 1.0), "{ctx}");
+        }
+        let patched = g.dyn_state.iter().flat_map(|d| d.patch.iter().flatten());
+        for row in patched {
+            let stored = if unit { 0 } else { row.to.len() };
+            assert_eq!(row.weight.len(), stored, "{ctx}: a patch row's weights");
+        }
+        let half_edges: usize = want.iter().map(Vec::len).sum();
+        assert_eq!(g.half_edge_count(), half_edges, "{ctx}");
+    }
+
+    /// `remove_node` on the model, as it ran on `Edge` rows.
+    fn model_remove(rows: &mut [Vec<Edge>], u: NodeId) -> Vec<Edge> {
+        let star = std::mem::take(&mut rows[u.index()]);
+        for e in &star {
+            rows[e.to.index()].retain(|f| f.to != u);
+        }
+        star
+    }
+
+    /// `restore_node` on the model, as it ran on `Edge` rows.
+    fn model_restore(rows: &mut [Vec<Edge>], u: NodeId, star: &[Edge]) {
+        let mut star = star.to_vec();
+        star.sort_by_key(|e| e.to);
+        for e in &star {
+            let row = &mut rows[e.to.index()];
+            let pos = row.partition_point(|f| f.to < u);
+            row.insert(
+                pos,
+                Edge {
+                    to: u,
+                    weight: e.weight,
+                },
+            );
+        }
+        rows[u.index()] = star;
+    }
+
+    #[test]
+    fn rows_are_ids_with_the_weights_beside_them() {
+        use crate::generators;
+        let beds = [
+            (generators::grid(7, 9).unwrap(), "grid"),
+            (generators::torus(5, 6).unwrap(), "torus"),
+            (generators::ring(12).unwrap(), "ring"),
+            (generators::line(9).unwrap(), "line"),
+            (generators::random_tree(40, 3).unwrap(), "tree"),
+            (
+                generators::random_geometric(60, 8.0, 2.5, 4).unwrap(),
+                "geometric",
+            ),
+            (
+                generators::perturbed_grid(6, 6, 0.3, 2).unwrap(),
+                "perturbed",
+            ),
+            (
+                generators::clustered(40, 3, 10.0, 3.0, 6).unwrap(),
+                "clustered",
+            ),
+            (triangle(), "triangle"),
+        ];
+        for (g, name) in beds {
+            let rows = edge_rows(&g);
+            assert_rows(&g, &rows, name);
+            // Each half-edge has its twin, with the same weight bits,
+            // and a builder fed the edges stores the same rows.
+            let mut b = GraphBuilder::new(g.node_count());
+            for (u, row) in rows.iter().enumerate() {
+                let u = NodeId::from_index(u);
+                for e in row {
+                    let twin = rows[e.to.index()].iter().find(|f| f.to == u);
+                    let twin = twin.map(|f| f.weight.to_bits());
+                    assert_eq!(twin, Some(e.weight.to_bits()), "{name}: {u} - {}", e.to);
+                    b.add_edge(u, e.to, e.weight).unwrap();
+                }
+            }
+            assert_rows(&b.build_unchecked(), &rows, &format!("{name} rebuilt"));
+
+            // Remove and restore: patched rows, against the model.
+            let (mut g, mut model) = (g, rows);
+            let n = g.node_count();
+            let mut gone = Vec::new();
+            for step in 0..3 * n {
+                let u = NodeId::from_index(step * 7 % n);
+                let ctx = format!("{name} step {step}");
+                if g.is_active(u) && gone.len() < n / 3 {
+                    let star = g.remove_node(u).unwrap();
+                    assert_eq!(star, model_remove(&mut model, u), "{ctx}: star");
+                    gone.push((u, star));
+                } else if let Some((v, star)) = gone.pop() {
+                    // Back with the edges to nodes still there.
+                    let star: Vec<Edge> = star.into_iter().filter(|e| g.is_active(e.to)).collect();
+                    g.restore_node(v, &star).unwrap();
+                    model_restore(&mut model, v, &star);
+                }
+                assert_rows(&g, &model, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn a_heavy_star_writes_out_the_weights_of_a_unit_graph_once() {
+        let mut g = crate::generators::grid(5, 5).unwrap();
+        let mut model = edge_rows(&g);
+        // Unit churn first, so some rows are patched before the weights
+        // exist.
+        for u in [6, 12, 18] {
+            let star = g.remove_node(NodeId(u)).unwrap();
+            model_remove(&mut model, NodeId(u));
+            if u != 12 {
+                g.restore_node(NodeId(u), &star).unwrap();
+                model_restore(&mut model, NodeId(u), &star);
+            }
+        }
+        assert!(g.is_unit_weight());
+        assert_rows(&g, &model, "unit churn");
+        let star = [
+            Edge {
+                to: NodeId(7),
+                weight: 2.5,
+            },
+            Edge {
+                to: NodeId(11),
+                weight: 1.0,
+            },
+            Edge {
+                to: NodeId(17),
+                weight: 0.5,
+            },
+        ];
+        g.restore_node(NodeId(12), &star).unwrap();
+        model_restore(&mut model, NodeId(12), &star);
+        assert!(!g.is_unit_weight());
+        assert_rows(&g, &model, "heavy star");
+        // Weighted from here on, through more churn.
+        for u in [7, 12] {
+            let star = g.remove_node(NodeId(u)).unwrap();
+            assert_eq!(star, model_remove(&mut model, NodeId(u)));
+            assert_rows(&g, &model, "weighted leave");
+            g.restore_node(NodeId(u), &star).unwrap();
+            model_restore(&mut model, NodeId(u), &star);
+            assert_rows(&g, &model, "weighted join");
+        }
+        // Normalizing rescales every stored weight, patch rows included.
+        let norm = g.normalized();
+        let scaled: Vec<Vec<Edge>> = model
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|e| Edge {
+                        weight: e.weight / 0.5,
+                        ..*e
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_rows(&norm, &scaled, "normalized");
+    }
+
+    #[test]
+    fn normalizing_to_unit_weights_drops_the_weights() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(NodeId(0), NodeId(1), 2.5).unwrap();
+        b.add_edge(NodeId(1), NodeId(2), 2.5).unwrap();
+        let mut heavy = b.build().unwrap();
+        let star = heavy.remove_node(NodeId(2)).unwrap();
+        heavy.restore_node(NodeId(2), &star).unwrap();
+        let unit = heavy.normalized();
+        assert!(unit.is_unit_weight());
+        let rows: Vec<Vec<Edge>> = edge_rows(&heavy)
+            .iter()
+            .map(|row| row.iter().map(|e| Edge { weight: 1.0, ..*e }).collect())
+            .collect();
+        assert_rows(&unit, &rows, "normalized");
+    }
+
     #[test]
     fn connectivity_detection() {
         let g = triangle();
@@ -664,6 +969,7 @@ mod tests {
         // Every row is bit-identical to the never-mutated graph.
         for u in base.nodes() {
             assert_eq!(g.neighbors(u), base.neighbors(u));
+            assert!(g.half_edges(u).eq(base.half_edges(u)));
         }
         assert_eq!(g.generation(), 2);
     }

@@ -131,13 +131,13 @@ impl CachedOracle {
         // On a churned graph the sweep ranges over the active component.
         let start = self.g.active_nodes().next().unwrap_or(NodeId(0));
         self.with_ws(|ws| {
-            ws.sssp(&self.g, start);
+            ws.bounded_ball(&self.g, start, f64::INFINITY);
             let far = (0..n as u32)
                 .map(|v| (ws.dist(NodeId(v)) as f32, v))
                 .filter(|(d, _)| d.is_finite())
                 .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
                 .map_or(start, |(_, v)| NodeId(v));
-            ws.sssp(&self.g, far);
+            ws.bounded_ball(&self.g, far, f64::INFINITY);
             (0..n as u32)
                 .map(|v| ws.dist(NodeId(v)) as f32)
                 .filter(|d| d.is_finite())

@@ -96,11 +96,12 @@ impl DenseOracle {
                 let start = chunk_idx * rows_per;
                 s.spawn(move || {
                     // One workspace per worker: after the first row, each
-                    // source solve reuses the same dist/heap buffers.
+                    // source solve reuses the same dist/heap buffers. A
+                    // row is distances only, so it is an unbounded ball.
                     let mut ws = DijkstraWorkspace::with_capacity(n);
                     for (row_off, row) in chunk.chunks_mut(n).enumerate() {
                         let src = NodeId::from_index(start + row_off);
-                        ws.sssp(g, src);
+                        ws.bounded_ball(g, src, f64::INFINITY);
                         for (v, cell) in row.iter_mut().enumerate() {
                             *cell = ws.dist(NodeId::from_index(v)) as f32;
                         }

@@ -19,19 +19,28 @@
 //!     ascending node id — the exact total order the seed `BinaryHeap`
 //!     implementation used, which makes settle order, relaxation order,
 //!     parents, and distances bit-identical to the seed implementation
-//!     (DESIGN.md §12/§13 determinism contract).
+//!     (DESIGN.md §12/§13 determinism contract). It is the one loop that
+//!     reads weights ([`Graph::half_edges`]).
 //!   * *Layered loop* — when every edge weighs exactly 1.0 the settle
 //!     order is layer by layer, so the heap is dead weight (≈ 115 ns a
-//!     node against ≈ 17 on a 256×256 grid). The current layer is the
-//!     tail of `settled`; a node is stamped, given its distance and
-//!     parent, and appended the first time any node of the layer touches
-//!     it. **Each new layer is sorted by id before it is expanded.** In
-//!     the heap loop a unit-weight node is pushed exactly once — by its
+//!     node against ≈ 17 on a 256×256 grid), and so are the weights: it
+//!     reads the id rows ([`Graph::neighbors`]) alone. The current layer
+//!     is the tail of `settled`; a node is stamped, given its distance,
+//!     and appended the first time any node of the layer touches it.
+//!     For [`DijkstraWorkspace::sssp`] **each new layer is sorted by id
+//!     before it is expanded, and parents are written.** In the heap
+//!     loop a unit-weight node is pushed exactly once — by its
 //!     first-popped, i.e. smallest-id, neighbour in the previous layer —
 //!     and a layer pops in id order; expanding a sorted layer and keeping
 //!     the first touch reproduces both, so distances, parents, the
 //!     `(dist, id)` settle order and the settled count are bit for bit
 //!     the heap loop's.
+//! * **A ball is distances only.** [`DijkstraWorkspace::bounded_ball`]
+//!   promises what its callers read: the nodes within the radius, in
+//!   nondecreasing distance, each with its exact distance. On unit
+//!   weights it skips the sort and the parents; a layer's set, and
+//!   every node's distance, do not depend on the order it is expanded
+//!   in. No parent is readable after a ball.
 //! * **An early stop leaves the same state behind.** A bounded ball ends
 //!   when the next layer's distance exceeds the radius: that layer is
 //!   dropped from `settled` and keeps tentative distances `> radius`,
@@ -40,12 +49,13 @@
 //!   `ball_dist` relies on.
 //! * **A distance is not a search tree.** [`DijkstraWorkspace::distance`]
 //!   answers one pair and leaves nothing readable. On unit-weight fields
-//!   it is a bidirectional breadth-first search that returns where the
-//!   two balls meet: no sort, no `dist`/`parent` writes, two generation
-//!   values on the one `stamp` array. Hop counts are exact integers in
-//!   f64, so the answer is bit for bit a source-`u` solve's. Weighted
-//!   fields run the heap loop from `u` until `v` settles, because a
-//!   meet-in-the-middle f64 sum need not be.
+//!   it is a bidirectional breadth-first search over the id rows that
+//!   returns where the two balls meet: no sort, no `dist`/`parent`
+//!   writes, two generation values on the one `stamp` array. Hop counts
+//!   are exact integers in f64, so the answer is bit for bit a
+//!   source-`u` solve's. Weighted fields run the heap loop from `u`
+//!   until `v` settles, because a meet-in-the-middle f64 sum need not
+//!   be.
 //!
 //! The classic entry points [`crate::dijkstra()`] and
 //! [`crate::shortest_path_tree()`] are thin wrappers that run a fresh
@@ -141,8 +151,9 @@ impl QuadHeap {
 /// after the first run on a given size, [`DijkstraWorkspace::sssp`] and
 /// [`DijkstraWorkspace::bounded_ball`] perform **zero heap allocations**.
 /// Results are read back through [`DijkstraWorkspace::dist`] /
-/// [`DijkstraWorkspace::parent`] / [`DijkstraWorkspace::settled`] and
-/// stay valid until the next run on the same workspace.
+/// [`DijkstraWorkspace::settled`] (and, after `sssp`,
+/// [`DijkstraWorkspace::parent`]) and stay valid until the next run on
+/// the same workspace.
 /// [`DijkstraWorkspace::distance`] returns its one answer and leaves
 /// nothing to read back.
 ///
@@ -168,12 +179,15 @@ impl QuadHeap {
 ///
 /// // The same workspace, reused: a radius-2 ball around the far corner.
 /// // `bounded_ball` settles exactly the nodes within the radius and
-/// // returns them sorted by (distance, node id). Copy the slice out if
-/// // you need to query distances afterwards (it borrows the workspace).
+/// // returns them in nondecreasing distance. Copy the slice out if you
+/// // need to query distances afterwards (it borrows the workspace).
 /// let ball = ws.bounded_ball(&g, NodeId(15), 2.0).to_vec();
 /// assert_eq!(ball.len(), 6); // self + 2 at distance 1 + 3 at distance 2
 /// assert_eq!(ball[0], NodeId(15));
-/// assert!(ball.iter().all(|&v| ws.dist(v) <= 2.0));
+/// assert!(ball.windows(2).all(|w| ws.dist(w[0]) <= ws.dist(w[1])));
+/// assert_eq!(ws.dist(ball[5]), 2.0);
+/// // A ball is distances only: no search tree to read.
+/// assert_eq!(ws.parent(ball[5]), None);
 ///
 /// // One pair's distance; it leaves nothing behind to read.
 /// assert_eq!(ws.distance(&g, NodeId(0), NodeId(15)), 6.0);
@@ -190,10 +204,13 @@ pub struct DijkstraWorkspace {
     stamp: Vec<u32>,
     /// Current run's generation; bumped (not cleared) at every start.
     generation: u32,
+    /// Whether the last run was an `sssp`, the one whose parents are
+    /// readable.
+    tree: bool,
     heap: QuadHeap,
-    /// Nodes settled by the last run, in settle order = ascending
-    /// `(dist, node id)`. A unit-weight `distance` borrows it as the
-    /// forward frontier.
+    /// Nodes settled by the last run, in settle order: nondecreasing
+    /// distance, ascending `(dist, node id)` for a tree run. A
+    /// unit-weight `distance` borrows it as the forward frontier.
     settled: Vec<NodeId>,
     /// The backward frontier of a unit-weight `distance`; empty between
     /// calls.
@@ -228,11 +245,13 @@ impl DijkstraWorkspace {
     }
 
     /// Starts a new run: bumps the generation (lazily invalidating every
-    /// slot), clears the heap and settled list, and makes the source live
-    /// at distance 0.
-    fn begin(&mut self, g: &Graph, source: NodeId) {
+    /// slot), clears the heap and settled list, makes the source live
+    /// at distance 0, and records whether the run's parents are to be
+    /// readable.
+    fn begin(&mut self, g: &Graph, source: NodeId, tree: bool) {
         self.reserve(g.node_count());
         self.advance(1);
+        self.tree = tree;
         self.heap.clear();
         self.settled.clear();
         let s = source.index();
@@ -263,21 +282,30 @@ impl DijkstraWorkspace {
     }
 
     /// The one entry point behind both run flavors: settles nodes in
-    /// ascending `(dist, node)` order; stops early when the next settle
-    /// distance exceeds `radius`. Which inner loop does it is the graph's
-    /// business, not the caller's.
-    fn run(&mut self, g: &Graph, source: NodeId, radius: f64) {
+    /// nondecreasing distance; stops early when the next settle distance
+    /// exceeds `radius`. A `tree` run settles in ascending `(dist, node)`
+    /// order and leaves parents to read. Which inner loop does it is the
+    /// graph's business, not the caller's.
+    fn run(&mut self, g: &Graph, source: NodeId, radius: f64, tree: bool) {
         if g.is_unit_weight() {
-            self.run_layered(g, source, radius);
+            self.run_layered(g, source, radius, tree);
         } else {
-            self.run_heap(g, source, radius, None);
+            self.run_heap(g, source, radius, None, tree);
         }
     }
 
     /// Dijkstra over the 4-ary heap: any positive weights. Also stops
     /// when `target` settles (a weighted [`DijkstraWorkspace::distance`]).
-    fn run_heap(&mut self, g: &Graph, source: NodeId, radius: f64, target: Option<NodeId>) {
-        self.begin(g, source);
+    /// It writes parents either way; `tree` says whether they are read.
+    fn run_heap(
+        &mut self,
+        g: &Graph,
+        source: NodeId,
+        radius: f64,
+        target: Option<NodeId>,
+        tree: bool,
+    ) {
+        self.begin(g, source, tree);
         self.heap.push(0.0, source.0);
         while let Some((d, u)) = self.heap.pop() {
             let ui = u as usize;
@@ -291,7 +319,7 @@ impl DijkstraWorkspace {
             if target == Some(NodeId(u)) {
                 return;
             }
-            for e in g.neighbors(NodeId(u)) {
+            for e in g.half_edges(NodeId(u)) {
                 let nd = d + e.weight;
                 let vi = e.to.index();
                 if nd < self.live_dist(vi) {
@@ -305,10 +333,11 @@ impl DijkstraWorkspace {
     }
 
     /// The same run on a graph whose every edge weighs exactly 1.0, one
-    /// id-sorted layer at a time (see the module docs for why that is the
-    /// heap loop's order and state, bit for bit).
-    fn run_layered(&mut self, g: &Graph, source: NodeId, radius: f64) {
-        self.begin(g, source);
+    /// layer at a time. A `tree` run sorts each layer by id and writes
+    /// parents (see the module docs for why that is the heap loop's
+    /// order and state, bit for bit); any other writes distances alone.
+    fn run_layered(&mut self, g: &Graph, source: NodeId, radius: f64, tree: bool) {
+        self.begin(g, source, tree);
         self.settled.push(source);
         // `settled[layer..]` is the current layer, every node at `d`.
         let (mut layer, mut d) = (0, 0.0);
@@ -320,17 +349,21 @@ impl DijkstraWorkspace {
                 return;
             }
             let end = self.settled.len();
-            self.settled[layer..end].sort_unstable();
+            if tree {
+                self.settled[layer..end].sort_unstable();
+            }
             let nd = d + 1.0;
             for i in layer..end {
                 let u = self.settled[i];
-                for e in g.neighbors(u) {
-                    let vi = e.to.index();
+                for &v in g.neighbors(u) {
+                    let vi = v.index();
                     if self.stamp[vi] != self.generation {
                         self.stamp[vi] = self.generation;
                         self.dist[vi] = nd;
-                        self.parent[vi] = u.0;
-                        self.settled.push(e.to);
+                        if tree {
+                            self.parent[vi] = u.0;
+                        }
+                        self.settled.push(v);
                     }
                 }
             }
@@ -339,10 +372,13 @@ impl DijkstraWorkspace {
     }
 
     /// Single-source shortest paths from `source` to every reachable
-    /// node. Read results via [`DijkstraWorkspace::dist`] (and
-    /// [`DijkstraWorkspace::parent`] for the shortest-path tree).
+    /// node, as a search tree: read results via
+    /// [`DijkstraWorkspace::dist`], [`DijkstraWorkspace::parent`] and
+    /// [`DijkstraWorkspace::settled`] (ascending `(dist, node id)`, the
+    /// seed solver's settle order). A caller that reads distances alone
+    /// wants [`DijkstraWorkspace::bounded_ball`] with an infinite radius.
     pub fn sssp(&mut self, g: &Graph, source: NodeId) {
-        self.run(g, source, f64::INFINITY);
+        self.run(g, source, f64::INFINITY, true);
     }
 
     /// Shortest-path distance from `u` to `v` (`INFINITY` if unreached),
@@ -360,7 +396,7 @@ impl DijkstraWorkspace {
         let d = if g.is_unit_weight() {
             self.meet(g, u, v)
         } else {
-            self.run_heap(g, u, f64::INFINITY, Some(v));
+            self.run_heap(g, u, f64::INFINITY, Some(v), false);
             self.live_dist(v.index())
         };
         self.advance(1);
@@ -409,14 +445,18 @@ impl DijkstraWorkspace {
     }
 
     /// Dijkstra truncated at `radius`: settles exactly the nodes `v` with
-    /// `d(source, v) <= radius` and returns them sorted by
-    /// `(distance, node id)` — the paper's neighborhood `N(v, r)`.
+    /// `d(source, v) <= radius` and returns them in nondecreasing
+    /// distance — the paper's neighborhood `N(v, r)`. Nodes at one
+    /// distance come in no promised order (by id on weighted graphs,
+    /// in discovery order on unit-weight ones).
     ///
     /// After this call, [`DijkstraWorkspace::dist`] is exact for the
-    /// returned nodes; nodes outside the ball may hold tentative
-    /// (over-)estimates or `INFINITY`.
+    /// returned nodes; nodes outside the ball hold tentative distances
+    /// above `radius` or `INFINITY`, so `dist(v) <= radius` means "in the
+    /// ball". A ball is distances only:
+    /// [`DijkstraWorkspace::parent`] reads `None` after it.
     pub fn bounded_ball(&mut self, g: &Graph, source: NodeId, radius: f64) -> &[NodeId] {
-        self.run(g, source, radius);
+        self.run(g, source, radius, false);
         &self.settled
     }
 
@@ -428,21 +468,23 @@ impl DijkstraWorkspace {
         self.live_dist(v.index())
     }
 
-    /// Parent of `v` in the shortest-path tree of the last run (`None`
-    /// for the source and for unreached nodes).
+    /// Parent of `v` in the shortest-path tree of the last run if that
+    /// was an [`DijkstraWorkspace::sssp`] (`None` for the source, for
+    /// unreached nodes, and after any other run).
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
         let vi = v.index();
-        if self.stamp[vi] == self.generation && self.parent[vi] != NO_PARENT {
+        if self.tree && self.stamp[vi] == self.generation && self.parent[vi] != NO_PARENT {
             Some(NodeId(self.parent[vi]))
         } else {
             None
         }
     }
 
-    /// Nodes settled by the last run, in settle order (ascending
-    /// `(dist, node id)`). After a full [`DijkstraWorkspace::sssp`] on a
-    /// connected graph this is every node.
+    /// Nodes settled by the last run, in settle order: nondecreasing
+    /// distance, and ascending `(dist, node id)` after an
+    /// [`DijkstraWorkspace::sssp`]. After a full run on a connected graph
+    /// this is every node.
     pub fn settled(&self) -> &[NodeId] {
         &self.settled
     }
@@ -473,14 +515,14 @@ fn expand_layer(
 ) -> bool {
     let end = frontier.len();
     for i in *at..end {
-        for e in g.neighbors(frontier[i]) {
-            let s = &mut stamp[e.to.index()];
+        for &v in g.neighbors(frontier[i]) {
+            let s = &mut stamp[v.index()];
             if *s == theirs {
                 return true;
             }
             if *s != mine {
                 *s = mine;
-                frontier.push(e.to);
+                frontier.push(v);
             }
         }
     }
@@ -528,6 +570,14 @@ mod tests {
         )
     }
 
+    /// The readout with the settled list ordered by `(dist, id)`: a
+    /// ball promises each distance's set of nodes, not their order.
+    fn by_distance(ws: &DijkstraWorkspace, g: &Graph) -> Readout {
+        let (dist, parent, mut settled) = readout(ws, g);
+        settled.sort_by(|a, b| ws.dist(*a).total_cmp(&ws.dist(*b)).then(a.cmp(b)));
+        (dist, parent, settled)
+    }
+
     #[test]
     fn layered_loop_leaves_exactly_the_heap_loops_state() {
         let mut holed = generators::grid(6, 6).unwrap();
@@ -549,15 +599,24 @@ mod tests {
             let n = g.node_count();
             let blank: Readout = (vec![f64::INFINITY.to_bits(); n], vec![None; n], vec![]);
             for s in g.nodes() {
-                let adjacent = g.neighbors(s).first().map_or(s, |e| e.to);
+                let adjacent = g.neighbors(s).first().copied().unwrap_or(s);
                 let targets = [s, adjacent, NodeId::from_index((s.index() * 7 + 3) % n)];
-                ws.run_heap(g, s, f64::INFINITY, None);
+                ws.run_heap(g, s, f64::INFINITY, None, true);
                 let full = readout(&ws, g).0;
                 for radius in [f64::INFINITY, -1.0, 0.0, 0.5, 1.0, 2.5, 7.0, n as f64] {
-                    ws.run_heap(g, s, radius, None);
+                    let ctx = format!("n={n} source={s} radius={radius}");
+                    // A search tree: every bit of the heap loop's state.
+                    ws.run_heap(g, s, radius, None, true);
                     let want = readout(&ws, g);
-                    ws.run_layered(g, s, radius);
-                    assert_eq!(readout(&ws, g), want, "n={n} source={s} radius={radius}");
+                    ws.run_layered(g, s, radius, true);
+                    assert_eq!(readout(&ws, g), want, "{ctx}");
+                    // A ball: every distance (the early stop's tentative
+                    // layer too), each distance's nodes, and no parents.
+                    ws.run_heap(g, s, radius, None, false);
+                    let want = readout(&ws, g);
+                    assert_eq!(want.1, blank.1, "{ctx}: a heap ball left parents");
+                    ws.run_layered(g, s, radius, false);
+                    assert_eq!(by_distance(&ws, g), want, "{ctx}: ball");
                     for t in targets {
                         let d = ws.distance(g, s, t);
                         assert_eq!(d.to_bits(), full[t.index()], "n={n} {s} -> {t}");
@@ -620,15 +679,19 @@ mod tests {
         let mut full = DijkstraWorkspace::new();
         for src in g.nodes() {
             for r in [0.0, 1.0, 2.5, 100.0] {
-                let ball: Vec<NodeId> = ws.bounded_ball(&g, src, r).to_vec();
+                ws.bounded_ball(&g, src, r);
+                let ball = by_distance(&ws, &g).2;
+                assert!(ws
+                    .settled()
+                    .windows(2)
+                    .all(|w| ws.dist(w[0]) <= ws.dist(w[1])));
                 full.sssp(&g, src);
-                let mut expect: Vec<(f64, NodeId)> = g
-                    .nodes()
+                let expect: Vec<NodeId> = full
+                    .settled()
+                    .iter()
+                    .copied()
                     .filter(|&v| full.dist(v) <= r)
-                    .map(|v| (full.dist(v), v))
                     .collect();
-                expect.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-                let expect: Vec<NodeId> = expect.into_iter().map(|(_, v)| v).collect();
                 assert_eq!(ball, expect, "src={src:?} r={r}");
                 for &v in &ball {
                     assert_eq!(ws.dist(v), full.dist(v));

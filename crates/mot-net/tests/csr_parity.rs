@@ -15,15 +15,19 @@
 //! exactly what a fresh one does.
 //!
 //! The workspace has two inner loops — the heap for weighted fields, a
-//! layered search where [`Graph::is_unit_weight`] — plus, for one pair's
-//! distance on unit-weight fields, a bidirectional BFS; this is the one
-//! solver in the repository that shares code with none of them (the
-//! free functions in `dijkstra.rs` wrap the workspace). Every flavour of
-//! run is held to it: full, bounded (nothing outside the ball may read
-//! `<= radius`) and `distance` (the work of every `CachedOracle::dist`;
-//! its bits are the seed's distance from the source), on static graphs
-//! and across `remove_node` / `restore_node` churn that keeps, then
-//! drops, the flag.
+//! layered search over the id rows where [`Graph::is_unit_weight`] —
+//! plus, for one pair's distance on unit-weight fields, a bidirectional
+//! BFS; this is the one solver in the repository that shares code with
+//! none of them (the free functions in `dijkstra.rs` wrap the
+//! workspace). Every flavour of run is held to it, each to what its
+//! callers read: `sssp` to the seed's distances, parents and settle
+//! order; a bounded ball to the seed's distances and, per distance, its
+//! set of settled nodes, with the same state left where it stops (a
+//! ball promises no order within a distance and no parents); and
+//! `distance` (the work of every `CachedOracle::dist`) to the seed's
+//! distance from the source. All of it on static graphs and across
+//! `remove_node` / `restore_node` churn that keeps, then drops, the
+//! flag.
 
 use mot_net::{generators, ChurnSchedule, ChurnSpec, DijkstraWorkspace, Graph, NodeId};
 use rand::seq::SliceRandom;
@@ -58,9 +62,14 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// The seed repo's Dijkstra, verbatim: distances, parents, and the
+/// The seed repo's Dijkstra, verbatim but for the stop at `radius`:
+/// distances (tentative ones where it stopped), parents, and the
 /// settle order (first pop of each node).
-fn seed_dijkstra(g: &Graph, source: NodeId) -> (Vec<f64>, Vec<Option<NodeId>>, Vec<NodeId>) {
+fn seed_dijkstra(
+    g: &Graph,
+    source: NodeId,
+    radius: f64,
+) -> (Vec<f64>, Vec<Option<NodeId>>, Vec<NodeId>) {
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
@@ -75,8 +84,11 @@ fn seed_dijkstra(g: &Graph, source: NodeId) -> (Vec<f64>, Vec<Option<NodeId>>, V
         if d > dist[u.index()] {
             continue;
         }
+        if d > radius {
+            break;
+        }
         settled.push(u);
-        for e in g.neighbors(u) {
+        for e in g.half_edges(u) {
             let nd = d + e.weight;
             let vi = e.to.index();
             if nd < dist[vi] {
@@ -120,25 +132,27 @@ fn suite() -> Vec<(Graph, &'static str)> {
 
 const RADII: [f64; 7] = [-1.0, 0.0, 0.5, 1.0, 2.5, 7.0, f64::MAX];
 
-/// A bounded run against the seed solver: the settled list is the seed
-/// pop order cut at the radius, settled nodes carry the seed distances
-/// and parents, and nothing else reads as inside the ball.
+/// A bounded run against the seed solver stopped at the same radius:
+/// per distance the same set of settled nodes, in nondecreasing
+/// distance, the same count, and every node's distance bits the seed's
+/// — the ball's exact ones and the tentative ones where it stopped, so
+/// nothing outside the ball reads `<= radius`. A ball is distances
+/// only: no parent is readable after it.
 fn assert_ball_matches_seed(ws: &mut DijkstraWorkspace, g: &Graph, src: NodeId, ctx: &str) {
-    let (dist, parent, settled) = seed_dijkstra(g, src);
     for radius in RADII {
-        let cut = settled.partition_point(|v| dist[v.index()] <= radius);
-        let ball = ws.bounded_ball(g, src, radius).to_vec();
-        assert_eq!(ball, &settled[..cut], "{ctx}: ball({src}, {radius})");
-        let mut inside = vec![false; g.node_count()];
-        for &v in &ball {
-            inside[v.index()] = true;
-            assert_eq!(ws.dist(v).to_bits(), dist[v.index()].to_bits(), "{ctx}");
-            assert_eq!(ws.parent(v), parent[v.index()], "{ctx}: parent({v})");
-        }
-        for v in g.nodes().filter(|v| !inside[v.index()]) {
-            // Tentative or untouched, but never mistakable for settled.
+        let (dist, _, settled) = seed_dijkstra(g, src, radius);
+        let mut ball = ws.bounded_ball(g, src, radius).to_vec();
+        let at = |v: &NodeId| dist[v.index()];
+        assert!(
+            ball.windows(2).all(|w| at(&w[0]) <= at(&w[1])),
+            "{ctx}: ball({src}, {radius}) out of distance order"
+        );
+        ball.sort_by(|a, b| at(a).total_cmp(&at(b)).then(a.cmp(b)));
+        assert_eq!(ball, settled, "{ctx}: ball({src}, {radius})");
+        for v in g.nodes() {
             let d = ws.dist(v);
-            assert!(d > radius, "{ctx}: ball({src}, {radius}) reads {v} at {d}");
+            assert_eq!(d.to_bits(), dist[v.index()].to_bits(), "{ctx}: {v} at {d}");
+            assert_eq!(ws.parent(v), None, "{ctx}: a ball left a parent at {v}");
         }
     }
 }
@@ -151,7 +165,7 @@ fn assert_distance_matches_seed(
     (src, target): (NodeId, NodeId),
     ctx: &str,
 ) -> f64 {
-    let (dist, _, _) = seed_dijkstra(g, src);
+    let (dist, _, _) = seed_dijkstra(g, src, f64::INFINITY);
     let got = ws.distance(g, src, target);
     assert_eq!(
         got.to_bits(),
@@ -176,7 +190,7 @@ fn seeded_pairs(g: &Graph, count: usize, rng: &mut ChaCha8Rng) -> Vec<(NodeId, N
             let src = *active.choose(rng).expect("an active node");
             let target = match i % 5 {
                 0 => src,
-                1 => g.neighbors(src).choose(rng).map_or(src, |e| e.to),
+                1 => g.neighbors(src).choose(rng).copied().unwrap_or(src),
                 _ => *active.choose(rng).expect("an active node"),
             };
             (src, target)
@@ -190,7 +204,7 @@ fn workspace_matches_seed_solver_on_every_generator() {
     for (g, name) in suite() {
         for src in [0usize, 1, g.node_count() / 2, g.node_count() - 1] {
             let src = NodeId::from_index(src);
-            let (dist, parent, settled) = seed_dijkstra(&g, src);
+            let (dist, parent, settled) = seed_dijkstra(&g, src, f64::INFINITY);
             ws.sssp(&g, src);
             for v in g.nodes() {
                 assert_eq!(
@@ -303,7 +317,7 @@ fn interleaved_reused_workspaces_stay_deterministic() {
     for (gi, si, wi) in calls {
         let (g, name) = &graphs[gi];
         let src = NodeId::from_index(si);
-        let (dist, parent, _) = seed_dijkstra(g, src);
+        let (dist, parent, _) = seed_dijkstra(g, src, f64::INFINITY);
         let ws = &mut pool[wi];
         ws.sssp(g, src);
         for v in g.nodes() {

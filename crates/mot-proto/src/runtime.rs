@@ -533,7 +533,7 @@ mod tests {
         t.publish(o, proxy).unwrap();
         for _ in 0..150 {
             let nbrs = g.neighbors(proxy);
-            proxy = nbrs[rng.gen_range(0..nbrs.len())].to;
+            proxy = nbrs[rng.gen_range(0..nbrs.len())];
             let mv = t.move_object(o, proxy).unwrap();
             assert!(mv.cost > 0.0);
         }

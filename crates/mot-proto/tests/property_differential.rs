@@ -44,7 +44,7 @@ fn proto_and_direct_agree_on_random_walks() {
 
         for i in 0..step_count {
             let nbrs = g.neighbors(proxy);
-            proxy = nbrs[rng.gen_range(0..nbrs.len())].to;
+            proxy = nbrs[rng.gen_range(0..nbrs.len())];
             let md = direct.move_object(o, proxy).unwrap();
             let mp = proto.move_object(o, proxy).unwrap();
             assert!(

@@ -357,7 +357,7 @@ impl WorkloadSpec {
                 let next = match self.model {
                     MobilityModel::RandomWalk => {
                         let nbrs = g.neighbors(cur);
-                        nbrs[rng.gen_range(0..nbrs.len())].to
+                        nbrs[rng.gen_range(0..nbrs.len())]
                     }
                     MobilityModel::Waypoint => {
                         if waypoint_path.is_empty() {
@@ -383,7 +383,7 @@ impl WorkloadSpec {
                             if target == cur {
                                 // degenerate: anchors adjacent loops; hop away
                                 let nbrs = g.neighbors(cur);
-                                waypoint_path = vec![nbrs[0].to];
+                                waypoint_path = vec![nbrs[0]];
                             } else {
                                 let tree = mot_net::shortest_path_tree(g, target);
                                 let mut path = tree.path_to_root(cur);
@@ -408,7 +408,7 @@ impl WorkloadSpec {
                                 // Already at the destination: hop away so
                                 // the move count stays on schedule.
                                 let nbrs = g.neighbors(cur);
-                                waypoint_path = vec![nbrs[rng.gen_range(0..nbrs.len())].to];
+                                waypoint_path = vec![nbrs[rng.gen_range(0..nbrs.len())]];
                             } else {
                                 waypoint_path = flight_to(g, cur, target);
                             }
@@ -422,7 +422,7 @@ impl WorkloadSpec {
                                 // Degenerate a == b spec: behave like the
                                 // commuter's adjacent-anchor fallback.
                                 let nbrs = g.neighbors(cur);
-                                waypoint_path = vec![nbrs[0].to];
+                                waypoint_path = vec![nbrs[0]];
                             } else {
                                 waypoint_path = flight_to(g, cur, target);
                             }

@@ -319,19 +319,19 @@ impl<'g> OpStream<'g> {
             MobilityModel::RandomWalk => {
                 let nbrs = self.graph.neighbors(cur);
                 match &self.schedule {
-                    None => nbrs[self.rng.gen_range(0..nbrs.len())].to,
+                    None => nbrs[self.rng.gen_range(0..nbrs.len())],
                     Some(sched) => {
                         // Steer the hop toward non-removable neighbors;
                         // if the object is cornered, any hop will do —
                         // the data plane runs on the static base graph.
                         self.move_scratch.clear();
-                        for e in nbrs {
-                            if sched.removable().binary_search(&e.to).is_err() {
-                                self.move_scratch.push(e.to);
+                        for &v in nbrs {
+                            if sched.removable().binary_search(&v).is_err() {
+                                self.move_scratch.push(v);
                             }
                         }
                         if self.move_scratch.is_empty() {
-                            nbrs[self.rng.gen_range(0..nbrs.len())].to
+                            nbrs[self.rng.gen_range(0..nbrs.len())]
                         } else {
                             let i = self.rng.gen_range(0..self.move_scratch.len());
                             self.move_scratch[i]
@@ -381,7 +381,7 @@ impl<'g> OpStream<'g> {
                 self.commuter[o] = Some((home, far, !heading_out));
                 let target = if heading_out { far } else { home };
                 if target == cur {
-                    vec![g.neighbors(cur)[0].to]
+                    vec![g.neighbors(cur)[0]]
                 } else {
                     flight_to(g, cur, target)
                 }
@@ -394,7 +394,7 @@ impl<'g> OpStream<'g> {
                 let target = hotspot_target(g, &self.hotspot_anchors, locality, &mut self.rng);
                 if target == cur {
                     let nbrs = g.neighbors(cur);
-                    vec![nbrs[self.rng.gen_range(0..nbrs.len())].to]
+                    vec![nbrs[self.rng.gen_range(0..nbrs.len())]]
                 } else {
                     flight_to(g, cur, target)
                 }
@@ -402,7 +402,7 @@ impl<'g> OpStream<'g> {
             MobilityModel::PingPong { a, b } => {
                 let target = if cur == a { b } else { a };
                 if target == cur {
-                    vec![g.neighbors(cur)[0].to]
+                    vec![g.neighbors(cur)[0]]
                 } else {
                     flight_to(g, cur, target)
                 }
@@ -531,10 +531,7 @@ mod tests {
                 }
                 ServiceOp::Move { to } => {
                     let cur = replay[e.object.index()].expect("move after publish");
-                    assert!(
-                        g.neighbors(cur).iter().any(|edge| edge.to == to),
-                        "moves hop one adjacency"
-                    );
+                    assert!(g.neighbors(cur).contains(&to), "moves hop one adjacency");
                     replay[e.object.index()] = Some(to);
                 }
                 ServiceOp::Query { .. } => {}
@@ -624,7 +621,7 @@ mod tests {
                         ServiceOp::Move { to } => {
                             let cur = replay[e.object.index()].expect("move after publish");
                             assert!(
-                                g.neighbors(cur).iter().any(|edge| edge.to == to),
+                                g.neighbors(cur).contains(&to),
                                 "{mobility:?}: move {cur} -> {to} not an adjacency"
                             );
                             replay[e.object.index()] = Some(to);

@@ -174,13 +174,13 @@ impl TestBed {
     pub fn boundary_pair(&self) -> (NodeId, NodeId) {
         let mut best: Option<(usize, NodeId, NodeId)> = None;
         for u in self.graph.nodes() {
-            for e in self.graph.neighbors(u) {
-                if u >= e.to {
+            for &v in self.graph.neighbors(u) {
+                if u >= v {
                     continue;
                 }
-                let level = self.overlay.meet_level(u, e.to);
+                let level = self.overlay.meet_level(u, v);
                 if best.map(|(bl, _, _)| level > bl).unwrap_or(true) {
-                    best = Some((level, u, e.to));
+                    best = Some((level, u, v));
                 }
             }
         }
@@ -358,8 +358,8 @@ mod tests {
         // No edge meets strictly deeper than the reported pair.
         let level = bed.overlay.meet_level(a, b);
         for u in bed.graph.nodes() {
-            for e in bed.graph.neighbors(u) {
-                assert!(bed.overlay.meet_level(u, e.to) <= level);
+            for &v in bed.graph.neighbors(u) {
+                assert!(bed.overlay.meet_level(u, v) <= level);
             }
         }
         assert!(level >= 1, "an 8×8 overlay has at least one real cut");

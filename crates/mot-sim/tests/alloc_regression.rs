@@ -138,7 +138,7 @@ fn direct_tracker_moves_and_queries_allocate_next_to_nothing() {
         for _ in 0..MOVES {
             let o = rng.gen_range(0..OBJECTS);
             let nbrs = g.neighbors(at[o as usize]);
-            at[o as usize] = nbrs[rng.gen_range(0..nbrs.len())].to;
+            at[o as usize] = nbrs[rng.gen_range(0..nbrs.len())];
             t.move_object(ObjectId(o), at[o as usize]).unwrap();
         }
     };

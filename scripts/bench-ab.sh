@@ -36,7 +36,10 @@ ab="$root/target/ab"
 parent_sha="$(git -C "$root" rev-parse --short "$parent_ref^{commit}")"
 rm -rf "$ab/parent-src" "$ab/runs"
 mkdir -p "$ab/parent-src" "$ab/runs"
-git -C "$root" archive "$parent_ref" | tar -x -C "$ab/parent-src"
+# -m stamps the files with the time of extraction: an archive keeps the
+# commit's time, older than a parent build left from another parent-ref,
+# which cargo would then take as up to date.
+git -C "$root" archive "$parent_ref" | tar -x -m -C "$ab/parent-src"
 
 build() { # <source root> <target dir>
     cargo build --manifest-path "$1/benchmark/Cargo.toml" --release --offline --locked \

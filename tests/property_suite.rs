@@ -83,7 +83,7 @@ fn queries_always_find_the_true_proxy() {
         t.publish(o, proxy).unwrap();
         for _ in 0..move_count {
             let nbrs = g.neighbors(proxy);
-            proxy = nbrs[rng.gen_range(0..nbrs.len())].to;
+            proxy = nbrs[rng.gen_range(0..nbrs.len())];
             t.move_object(o, proxy).unwrap();
         }
         t.check_invariants();
@@ -146,7 +146,7 @@ fn tree_detection_sets_are_proxy_ancestors() {
         t.publish(o, proxy).unwrap();
         for _ in 0..move_count {
             let nbrs = g.neighbors(proxy);
-            proxy = nbrs[rng.gen_range(0..nbrs.len())].to;
+            proxy = nbrs[rng.gen_range(0..nbrs.len())];
             t.move_object(o, proxy).unwrap();
         }
         // expected ancestor chain
