@@ -25,7 +25,7 @@
 //! runs it without queries and [`query_figure`] with them.
 
 use crate::profiling::{Laps, SweepPhases, CELL_PHASES, INPUTS, PUBLISH, QUERIES, RUN, TRACKER};
-use crate::report::{BedMemory, FigureTable};
+use crate::report::{BedMemory, FigureTable, HeapLedger};
 use crate::shared::{CellInputs, InputSpec, SharedInputs};
 use mot_baselines::DetectionRates;
 use mot_core::{LedgerKind, MemorySink, MotConfig, MotTracker, TraceEvent, TraceSink, Tracker};
@@ -886,12 +886,11 @@ fn observed_mot_run(
     let bed = TestBed::grid_with_oracle(r, c, seed, p.oracle)?;
     let w = WorkloadSpec::new(p.objects.min(100), p.moves_per_object, seed * 7 + 1)
         .generate(&bed.graph);
-    let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
-    let mut t = bed.make_tracker_traced(Algo::Mot, &rates, sink)?;
-    run_publish(t.as_mut(), &w)?;
-    let maint = replay(t.as_mut(), &w, &*bed.oracle, None)?.cost;
+    let mut t = MotTracker::new(&bed.overlay, &*bed.oracle, MotConfig::plain()).with_sink(sink);
+    run_publish(&mut t, &w)?;
+    let maint = replay(&mut t, &w, &*bed.oracle, None)?.cost;
     query_batch(
-        t.as_mut(),
+        &mut t,
         &*bed.oracle,
         w.object_count(),
         p.queries,
@@ -902,6 +901,7 @@ fn observed_mot_run(
     let memory = BedMemory {
         oracle_bytes: bed.oracle.memory_bytes(),
         overlay_bytes: bed.overlay.memory_bytes(),
+        heap: HeapLedger::of(&bed.graph, &*bed.oracle, &bed.overlay, &t),
     };
     Ok((maint, bed.oracle.cache_stats(), memory))
 }

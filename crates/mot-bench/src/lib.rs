@@ -57,6 +57,6 @@ pub use figures::{
     BenchResult, FigurePair, Profile,
 };
 pub use profiling::SweepPhases;
-pub use report::{BedMemory, FigureTable, RunReport};
+pub use report::{BedMemory, FigureTable, HeapLedger, RunReport};
 pub use scenarios::{scenario_tables, scenarios_smoke_table, ScenarioProfile};
 pub use service::{service_run, service_table, ServiceSpec};

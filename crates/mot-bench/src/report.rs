@@ -1,8 +1,9 @@
 //! Plain-text / CSV / JSON rendering of experiment tables, plus the
 //! machine-readable [`RunReport`] behind `experiments --metrics`.
 
-use mot_core::{JsonWriter, ToJson};
-use mot_net::CacheLedger;
+use mot_core::{JsonWriter, MotTracker, ToJson};
+use mot_hierarchy::{Overlay, OverlayBytes};
+use mot_net::{CacheLedger, DistanceOracle, Graph};
 use mot_sim::{ServiceReport, TraceAggregates};
 
 /// One regenerated figure: a labelled series per algorithm over an x axis
@@ -105,14 +106,57 @@ impl ToJson for FigureTable {
 
 /// Heap bytes held by the bed of the fixed-seed instrumented run once
 /// its replay finished: the distance backend's storage
-/// (`DistanceOracle::memory_bytes`) and the overlay's detection-path
-/// table (`Overlay::memory_bytes`).
+/// (`DistanceOracle::memory_bytes`), the overlay's detection-path
+/// table (`Overlay::memory_bytes`), and the heap ledger of every
+/// long-lived structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BedMemory {
     /// Matrix, cached rows or pinned rows, whichever the backend keeps.
     pub oracle_bytes: usize,
     /// Stations, hop lengths and the per-node record index.
     pub overlay_bytes: usize,
+    /// Heap bytes by structure.
+    pub heap: HeapLedger,
+}
+
+/// Heap bytes of a tracking bed, by structure: what splits a process's
+/// live heap (and so most of its peak RSS) into the parts that hold it.
+/// Each structure counts its own buffers at capacity; the graph is
+/// counted once, by `graph`, however many clones of it share its base
+/// (an on-demand oracle keeps one).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeapLedger {
+    /// The bed's graph ([`Graph::heap_bytes`]).
+    pub graph: usize,
+    /// What the oracle owns beyond the graph
+    /// ([`DistanceOracle::heap_bytes`]).
+    pub oracle: usize,
+    /// The overlay's level lists and station table, by field.
+    pub overlay: OverlayBytes,
+    /// The MOT tracker's own state ([`MotTracker::heap_bytes`]).
+    pub tracker: usize,
+}
+
+impl HeapLedger {
+    /// The ledger of a bed and the tracker running on it.
+    pub fn of(
+        graph: &Graph,
+        oracle: &dyn DistanceOracle,
+        overlay: &Overlay,
+        tracker: &MotTracker,
+    ) -> Self {
+        HeapLedger {
+            graph: graph.heap_bytes(),
+            oracle: oracle.heap_bytes(),
+            overlay: overlay.heap_bytes(),
+            tracker: tracker.heap_bytes(),
+        }
+    }
+
+    /// Every structure together.
+    pub fn total(&self) -> usize {
+        self.graph + self.oracle + self.overlay.total() + self.tracker
+    }
 }
 
 /// The machine-readable report `experiments --metrics out.json` writes:
@@ -172,7 +216,36 @@ impl ToJson for BedMemory {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
             w.field("oracle_bytes", self.oracle_bytes)
-                .field("overlay_bytes", self.overlay_bytes);
+                .field("overlay_bytes", self.overlay_bytes)
+                .field("heap", self.heap);
+        });
+    }
+}
+
+/// `{"graph":…,"oracle":…,"overlay":{"levels":…,"index":…,…},"tracker":…,"total":…}`.
+impl ToJson for HeapLedger {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let (o, t) = (&self.overlay, &self.overlay.table);
+        w.object(|w| {
+            w.field("graph", self.graph)
+                .field("oracle", self.oracle)
+                .key("overlay")
+                .object(|w| {
+                    w.field("levels", o.levels)
+                        .field("index", t.index)
+                        .field("start", t.start)
+                        .field("members", t.members)
+                        .field("hops", t.hops)
+                        .field("hops_back", t.hops_back)
+                        .field("up", t.up)
+                        .field("drop_start", t.drop_start)
+                        .field("drop_len", t.drop_len)
+                        .field("drop_at", t.drop_at)
+                        .field("drop_far", t.drop_far)
+                        .field("total", o.total());
+                });
+            w.field("tracker", self.tracker)
+                .field("total", self.total());
         });
     }
 }
@@ -271,6 +344,12 @@ mod tests {
             memory: Some(BedMemory {
                 oracle_bytes: 4096,
                 overlay_bytes: 640,
+                heap: HeapLedger {
+                    graph: 100,
+                    oracle: 20,
+                    tracker: 3,
+                    ..HeapLedger::default()
+                },
             }),
             service: Some(tiny_service_report()),
             ..RunReport::default()
@@ -281,7 +360,15 @@ mod tests {
             "{j}"
         );
         assert!(
-            j.contains("\"memory\":{\"oracle_bytes\":4096,\"overlay_bytes\":640}"),
+            j.contains("\"memory\":{\"oracle_bytes\":4096,\"overlay_bytes\":640,"),
+            "{j}"
+        );
+        assert!(
+            j.contains("\"heap\":{\"graph\":100,\"oracle\":20,\"overlay\":{\"levels\":0,"),
+            "{j}"
+        );
+        assert!(
+            j.contains("\"drop_far\":0,\"total\":0},\"tracker\":3,\"total\":123}}"),
             "{j}"
         );
         assert!(j.contains("\"service\":{\"sent\":40,"), "{j}");

@@ -215,7 +215,7 @@ fn metrics_and_trace_bytes_are_pinned() {
     let events = std::fs::read(&trace).expect("trace.ndjson");
     let _ = std::fs::remove_dir_all(&tmp);
     let report = fnv1a(strip_timings(&json).as_bytes());
-    assert_eq!(report, 0x57c0_d68a_892d_35a2, "metrics {report:#x}");
+    assert_eq!(report, 0x5bcc_101f_31c9_8466, "metrics {report:#x}");
     let events = fnv1a(&events);
     assert_eq!(events, 0xe9e2_5c51_9312_56ba, "trace {events:#x}");
 }

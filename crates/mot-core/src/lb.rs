@@ -9,7 +9,7 @@
 use crate::object::ObjectId;
 use mot_debruijn::Embedding;
 use mot_hierarchy::Overlay;
-use mot_net::{DistanceOracle, IdMap, NodeId};
+use mot_net::{map_heap_bytes, DistanceOracle, IdMap, NodeId};
 
 /// Placement of one logical entry.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,6 +42,12 @@ impl ClusterTable {
             }
         }
         ClusterTable { clusters }
+    }
+
+    /// Heap bytes of the table and its clusters' member lists.
+    pub fn heap_bytes(&self) -> usize {
+        let members: usize = self.clusters.values().map(Embedding::len).sum();
+        map_heap_bytes(&self.clusters) + members * std::mem::size_of::<NodeId>()
     }
 
     /// The cluster embedding of internal role `(center, level)`, if the

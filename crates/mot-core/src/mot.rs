@@ -42,7 +42,7 @@ use crate::trace::{LedgerKind, OpKind, TraceEvent, TracePhase, TraceSink};
 use crate::tracker::{MoveOutcome, QueryResult, Tracker};
 use crate::Result;
 use mot_hierarchy::Overlay;
-use mot_net::{DistanceOracle, IdMap, NodeId};
+use mot_net::{map_heap_bytes, DistanceOracle, IdMap, NodeId};
 
 /// Mobile Object Tracking using sensors.
 pub struct MotTracker<'a> {
@@ -103,6 +103,22 @@ impl<'a> MotTracker<'a> {
             origin,
             guarded: self.cfg.use_special_parents && self.overlay.sp_level(level) != level,
         }
+    }
+
+    /// Heap bytes of the tracker's own state: every object's trail and
+    /// crash marks, the table that keys them, the per-node load counts
+    /// and liveness flags, the load-balancing clusters when on, and the
+    /// move scratch. The overlay and the oracle are borrowed, and
+    /// counted by their owners.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let records: usize = self.records.values().map(ObjectRecord::heap_bytes).sum();
+        map_heap_bytes(&self.records)
+            + records
+            + self.load.capacity() * size_of::<usize>()
+            + self.down.capacity() * size_of::<bool>()
+            + self.clusters.as_ref().map_or(0, ClusterTable::heap_bytes)
+            + self.frag_buf.capacity() * size_of::<TrailLevel>()
     }
 
     /// Attaches a structured-trace sink: every billed message hop will

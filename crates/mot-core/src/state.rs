@@ -128,6 +128,12 @@ impl ObjectRecord {
         }
     }
 
+    /// Heap bytes of the trail and the crash marks.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.trail.capacity() * std::mem::size_of::<TrailLevel>()
+            + self.lost.capacity() * std::mem::size_of::<(u32, NodeId)>()
+    }
+
     /// The current proxy: the origin of the bottom level, whose station
     /// is the origin alone.
     pub fn proxy(&self) -> NodeId {

@@ -110,9 +110,10 @@ use std::ops::Range;
 /// and service bed is below it.
 const PARALLEL_MIN_NODES: usize = 4096;
 
-/// Most threads one build uses. Each holds a workspace of 16 bytes a
-/// node, and past a few threads the serial share (Luby's draw, the
-/// table writes) sets the build's time, not the ball passes.
+/// Most threads one build uses. Each holds a workspace of 12 bytes a
+/// node (balls and distances write no parents), and past a few threads
+/// the serial share (Luby's draw, the table writes) sets the build's
+/// time, not the ball passes.
 const MAX_THREADS: usize = 8;
 
 /// Builds the MIS-coarsened overlay for a (constant-doubling) network

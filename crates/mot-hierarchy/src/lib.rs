@@ -75,8 +75,8 @@ pub use config::OverlayConfig;
 pub use doubling::build_doubling;
 pub use general::build_general;
 pub use mis::luby_mis;
-pub use overlay::{Overlay, OverlayKind};
+pub use overlay::{Overlay, OverlayBytes, OverlayKind};
 pub use repair::{
     HierarchySnapshot, RepairDecision, RepairLedger, RepairReport, RepairableHierarchy,
 };
-pub use table::DropHop;
+pub use table::{DropHop, TableBytes};

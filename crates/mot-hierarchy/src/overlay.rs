@@ -1,6 +1,6 @@
 //! The assembled overlay `HS` consumed by the tracking algorithms.
 
-use crate::table::{DropHop, StationTable};
+use crate::table::{DropHop, StationTable, TableBytes};
 use mot_net::NodeId;
 
 /// Which construction produced the overlay.
@@ -96,7 +96,7 @@ impl Overlay {
     #[inline]
     pub fn hop_in(&self, u: NodeId, level: usize, j: usize) -> f64 {
         if j > 0 {
-            self.table.hops(self.table.record(u, level))[j][0] as f64
+            self.table.hops(self.table.record(u, level))[j] as f64
         } else if level > 0 {
             self.table.up(self.table.record(u, level - 1)) as f64
         } else {
@@ -110,7 +110,7 @@ impl Overlay {
     #[inline]
     pub fn hop_back(&self, u: NodeId, level: usize, j: usize) -> f64 {
         debug_assert!(j > 0, "the first member has no predecessor in its station");
-        self.table.hops(self.table.record(u, level))[j][1] as f64
+        self.table.hop_back(self.table.record(u, level), j) as f64
     }
 
     /// The hop from `from` down into `station(u, level)`, when `from` is
@@ -185,11 +185,24 @@ impl Overlay {
             .unwrap_or(0)
     }
 
-    /// Heap bytes of the detection-path storage: stations, hop and drop
-    /// lengths and the per-node record index (the level membership lists, a few
-    /// bytes per node, are not counted).
+    /// Bytes of the detection-path storage: stations, hop and drop
+    /// lengths and the per-node record index, entry by entry (the level
+    /// membership lists, a few bytes per node, are not counted).
     pub fn memory_bytes(&self) -> usize {
         self.table.memory_bytes()
+    }
+
+    /// Heap bytes of the whole overlay at its buffers' capacities, part
+    /// by part: the level membership lists and each field of the station
+    /// table. Where [`Overlay::memory_bytes`] counts what is stored, this
+    /// counts what the allocator handed out for it.
+    pub fn heap_bytes(&self) -> OverlayBytes {
+        let lists = self.levels.iter().map(|l| l.capacity()).sum::<usize>();
+        OverlayBytes {
+            levels: self.levels.capacity() * std::mem::size_of::<Vec<NodeId>>()
+                + lists * std::mem::size_of::<NodeId>(),
+            table: self.table.heap_bytes(),
+        }
     }
 
     /// Number of distinct (level ≥ 1) parent roles a physical node plays —
@@ -198,6 +211,22 @@ impl Overlay {
         (1..=self.height)
             .filter(|&l| self.levels[l].binary_search(&u).is_ok())
             .count()
+    }
+}
+
+/// Heap bytes of an [`Overlay`] (see [`Overlay::heap_bytes`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OverlayBytes {
+    /// The level membership lists.
+    pub levels: usize,
+    /// The station table, by field.
+    pub table: TableBytes,
+}
+
+impl OverlayBytes {
+    /// The lists and every table field together.
+    pub fn total(&self) -> usize {
+        self.levels + self.table.total()
     }
 }
 

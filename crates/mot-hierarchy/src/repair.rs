@@ -133,7 +133,8 @@ struct Core {
 
 /// A doubling hierarchy that absorbs topology deltas in place.
 ///
-/// Owns a private copy of the graph; feed the same deltas to every
+/// Keeps its own clone of the graph, which shares the caller's CSR base
+/// (see [`mot_net::Graph`]); feed the same deltas to every
 /// consumer (graph, oracle, hierarchy) to keep them in sync. See the
 /// module docs for the repair rule and the bit-identity contract.
 ///
@@ -210,8 +211,7 @@ impl RepairableHierarchy {
         })
     }
 
-    /// The hierarchy's private graph copy (reflects every absorbed
-    /// delta).
+    /// The hierarchy's own graph (reflects every absorbed delta).
     pub fn graph(&self) -> &Graph {
         &self.g
     }

@@ -4,14 +4,21 @@
 //! the length of every hop between consecutive stops are constants. So
 //! is every *drop*: the hop a downward walk (a prune, a query's descent)
 //! takes from a member of `station(u, ℓ + 1)` into `station(u, ℓ)`. The
-//! table stores them CSR-style, in eight flat vectors:
+//! table stores them CSR-style, in eight flat vectors and two maps:
 //!
 //! * `members` / `hops` — every distinct station back to back; beside
-//!   each member the pair `[dist(prev, member), dist(member, prev)]`
-//!   for the member `prev` before it in the same station (both
-//!   directions: a message climbs a station forwards, a meet-level
-//!   rollback walks it backwards, and the two Dijkstra sums may round
-//!   differently on weighted graphs). The first member's pair is zero.
+//!   each member one length, `dist(prev, member)` for the member `prev`
+//!   before it in the same station (zero for the first member). A
+//!   message climbs a station forwards and a meet-level rollback walks
+//!   it backwards, and on weighted graphs the two directions' Dijkstra
+//!   sums may round to different `f32`s. So `hops_back` keeps, by member
+//!   slot, the reverse length `dist(member, prev)` of exactly the
+//!   members whose two directions differ in their bits; every other
+//!   reverse length is the forward one. On unit-weight graphs a length
+//!   is a hop count and the map stays empty; on weighted ones it holds
+//!   the rare members whose sum lands on an `f32` rounding boundary
+//!   from one side only (none on any seeded `random_geometric` bed
+//!   tried), far fewer than a second column would store.
 //! * `start` — record `r` is `members[start[r]..start[r + 1]]`.
 //! * `up` — per record, `dist(last member, first member of the record
 //!   above)`: the hop that carries a climb to the next level. Zero for
@@ -30,7 +37,8 @@
 //!   A position is one byte: Observation 1 bounds a station by 2^{3ρ}
 //!   members (64 in the plane), but only in doubling metrics — a star's
 //!   hub station holds every leaf — so positions from 255 up are kept
-//!   by slot in `drop_far`, beside a 255 in `drop_at`.
+//!   by slot in `drop_far`, beside a 255 in `drop_at`. `drop_len` is not
+//!   a direction pair: its two lengths lead to two different members.
 //!
 //! A station is stored once however many detection paths pass through
 //! it: doubling overlays key records by `(level, home)`, general
@@ -38,9 +46,10 @@
 //! oracle backend quantizes through, so widening it back to `f64`
 //! reproduces `oracle.dist(prev, next)` bit for bit (DESIGN.md §13).
 
-use mot_net::{DistanceOracle, IdMap, NodeId};
+use mot_net::{map_heap_bytes, DistanceOracle, IdMap, NodeId};
 
-/// `[dist(prev, member), dist(member, prev)]` for one station member.
+/// `[dist(prev, member), dist(member, prev)]` for one station member, as
+/// the builders hand it to [`StationTable::set_hop`].
 pub(crate) type Hop = [f32; 2];
 
 /// The hop from a member of `station(u, ℓ + 1)` down into
@@ -91,7 +100,8 @@ pub(crate) struct StationTable {
     index: Vec<u32>,
     start: Vec<u32>,
     members: Vec<NodeId>,
-    hops: Vec<Hop>,
+    hops: Vec<f32>,
+    hops_back: IdMap<u32, f32>,
     up: Vec<f32>,
     drop_start: Vec<u32>,
     drop_len: Vec<[f32; 2]>,
@@ -188,16 +198,23 @@ impl StationTable {
         // Every earlier push checked its end against u32.
         let offset = self.members.len() as u32;
         self.members.extend_from_slice(members);
-        self.hops.resize(self.members.len(), [0.0; 2]);
+        self.hops.resize(self.members.len(), 0.0);
         u32::try_from(self.members.len()).expect("station table exceeds u32 offsets");
         self.start.extend(start[1..].iter().map(|&s| offset + s));
         self.up.resize(self.up.len() + start.len() - 1, 0.0);
     }
 
-    /// Sets the hop pair of member `j ≥ 1` of record `r`.
-    pub(crate) fn set_hop(&mut self, r: u32, j: usize, hop: Hop) {
+    /// Sets the hop pair of member `j ≥ 1` of record `r`: the forward
+    /// length, and the reverse one only where its bits differ.
+    pub(crate) fn set_hop(&mut self, r: u32, j: usize, [fwd, back]: Hop) {
         debug_assert!(j > 0 && j < self.station(r as usize).len());
-        self.hops[self.start[r as usize] as usize + j] = hop;
+        let slot = self.start[r as usize] + j as u32;
+        self.hops[slot as usize] = fwd;
+        if back.to_bits() != fwd.to_bits() {
+            self.hops_back.insert(slot, back);
+        } else if !self.hops_back.is_empty() {
+            self.hops_back.remove(&slot);
+        }
     }
 
     /// Sets record `r`'s hop to the first member of the record above.
@@ -327,10 +344,22 @@ impl StationTable {
         }
     }
 
-    /// Hop pairs of record `r`, parallel to [`station`](Self::station).
+    /// Forward hop lengths of record `r`, parallel to
+    /// [`station`](Self::station).
     #[inline]
-    pub(crate) fn hops(&self, r: usize) -> &[Hop] {
+    pub(crate) fn hops(&self, r: usize) -> &[f32] {
         &self.hops[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+
+    /// The reverse hop from member `j` of record `r` back to member
+    /// `j - 1`.
+    #[inline]
+    pub(crate) fn hop_back(&self, r: usize, j: usize) -> f32 {
+        let slot = self.start[r] as usize + j;
+        match self.hops_back.get(&(slot as u32)) {
+            Some(&back) => back,
+            None => self.hops[slot],
+        }
     }
 
     /// Hop from record `r`'s last member to the record above.
@@ -369,18 +398,84 @@ impl StationTable {
         self.up.len()
     }
 
-    /// Heap bytes of the eight vectors and the far positions.
+    /// Bytes of what the eight vectors and the two maps store, entry by
+    /// entry.
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.index.len() * size_of::<u32>()
             + self.start.len() * size_of::<u32>()
             + self.members.len() * size_of::<NodeId>()
-            + self.hops.len() * size_of::<Hop>()
+            + self.hops.len() * size_of::<f32>()
+            + self.hops_back.len() * size_of::<(u32, f32)>()
             + self.up.len() * size_of::<f32>()
             + self.drop_start.len() * size_of::<u32>()
             + self.drop_len.len() * size_of::<[f32; 2]>()
             + self.drop_at.len() * size_of::<u8>()
             + self.drop_far.len() * size_of::<(u32, u32)>()
+    }
+
+    /// Heap bytes of each vector and map at its capacity: what the
+    /// allocator handed out for them.
+    pub(crate) fn heap_bytes(&self) -> TableBytes {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        TableBytes {
+            index: vec(&self.index),
+            start: vec(&self.start),
+            members: vec(&self.members),
+            hops: vec(&self.hops),
+            hops_back: map_heap_bytes(&self.hops_back),
+            up: vec(&self.up),
+            drop_start: vec(&self.drop_start),
+            drop_len: vec(&self.drop_len),
+            drop_at: vec(&self.drop_at),
+            drop_far: map_heap_bytes(&self.drop_far),
+        }
+    }
+}
+
+/// Heap bytes of a station table, field by field (see
+/// [`Overlay::heap_bytes`](crate::Overlay::heap_bytes) and DESIGN.md
+/// §13 for what each holds).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TableBytes {
+    /// The node-major record index, one `u32` per node and level.
+    pub index: usize,
+    /// Each record's first member.
+    pub start: usize,
+    /// Every station's members, back to back.
+    pub members: usize,
+    /// One forward hop length per member.
+    pub hops: usize,
+    /// The reverse hop lengths that differ from the forward ones, by
+    /// member slot: 0 on unit-weight graphs.
+    pub hops_back: usize,
+    /// Each record's hop up to the record above.
+    pub up: usize,
+    /// Each record's first drop slot.
+    pub drop_start: usize,
+    /// Per drop slot, the lengths to the first and the nearest member.
+    pub drop_len: usize,
+    /// Per drop slot, the nearest member's position.
+    pub drop_at: usize,
+    /// The positions from 255 up, by slot.
+    pub drop_far: usize,
+}
+
+impl TableBytes {
+    /// The sum over the fields.
+    pub fn total(&self) -> usize {
+        self.index
+            + self.start
+            + self.members
+            + self.hops
+            + self.hops_back
+            + self.up
+            + self.drop_start
+            + self.drop_len
+            + self.drop_at
+            + self.drop_far
     }
 }
 
@@ -403,7 +498,8 @@ mod tests {
         assert_eq!(t.record_count(), 2);
         let r = t.record(NodeId(1), 1);
         assert_eq!(t.station(r), &[NodeId(1), NodeId(5)]);
-        assert_eq!(t.hops(r), &[[0.0, 0.0], [4.0, 4.5]]);
+        assert_eq!(t.hops(r), &[0.0, 4.0]);
+        assert_eq!(t.hop_back(r, 1), 4.5);
         assert_eq!(t.up(t.record(NodeId(0), 0)), 2.0);
         assert_eq!(t.up(r), 0.0);
         assert_eq!(t.drop(a as usize, 0), None, "opened but never written");
@@ -411,10 +507,17 @@ mod tests {
         assert_eq!(t.drop(a as usize, 2), None, "past the record above");
         assert_eq!(t.drop(b as usize, 0), None, "top-level records have none");
         // index 2×2 + start 3 + members 3 + drop_start 3 (u32 each),
-        // hops 3×8, up 2×4, drops 2×(8 + 1)
+        // hops 3×4, one reverse hop 8, up 2×4, drops 2×(8 + 1)
         assert_eq!(
             t.memory_bytes(),
-            (4 + 3 + 3 + 3) * 4 + 3 * 8 + 2 * 4 + 2 * 9
+            (4 + 3 + 3 + 3) * 4 + 3 * 4 + 8 + 2 * 4 + 2 * 9
+        );
+        // An equal reverse length takes its exception back.
+        t.set_hop(b, 1, [4.0, 4.0]);
+        assert_eq!(t.hop_back(r, 1), 4.0);
+        assert_eq!(
+            t.memory_bytes(),
+            (4 + 3 + 3 + 3) * 4 + 3 * 4 + 2 * 4 + 2 * 9
         );
     }
 
@@ -459,7 +562,9 @@ mod tests {
         let t = StationTable::from_oracle(&stations, &m);
         assert_eq!((t.node_count(), t.record_count()), (1, 3));
         assert_eq!(t.up(t.record(NodeId(0), 0)), 2.0);
-        assert_eq!(t.hops(t.record(NodeId(0), 1))[1], [3.0, 3.0]);
+        assert_eq!(t.hops(t.record(NodeId(0), 1))[1], 3.0);
+        assert_eq!(t.hop_back(t.record(NodeId(0), 1), 1), 3.0);
+        assert_eq!(t.heap_bytes().hops_back, 0, "a line's hops are symmetric");
         assert_eq!(t.up(t.record(NodeId(0), 1)), 1.0);
         assert_eq!(t.up(t.record(NodeId(0), 2)), 0.0);
         // Into [0] from 2 and from 5; into [2, 5] from 6.

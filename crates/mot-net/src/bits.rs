@@ -116,6 +116,20 @@ pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// A `HashSet` of internal identities (see [`IdHasher`]).
 pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
+/// Heap bytes behind a `HashMap` of `capacity()` entries, by the
+/// standard table's layout: a power-of-two bucket count (capacity + 1
+/// below 8 buckets, else 8/7 of it), each bucket an entry and a control
+/// byte, plus one 16-byte control group. What the heap ledgers count for
+/// a map; it does not follow any heap the keys or values own.
+pub fn map_heap_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let buckets = if cap < 8 { cap + 1 } else { cap * 8 / 7 }.next_power_of_two();
+    buckets * (std::mem::size_of::<(K, V)>() + 1) + 16
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

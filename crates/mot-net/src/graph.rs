@@ -16,6 +16,16 @@
 //! line and random tree) does not allocate: there every weight is 1.0,
 //! and the searches that run on it read ids only. The one reader of
 //! weights is [`Graph::half_edges`].
+//!
+//! The CSR arrays and the positions are one immutable base behind an
+//! [`Arc`]: cloning a graph shares it, so a distance oracle or a repair
+//! mirror that keeps a graph of its own holds the same bytes as the
+//! caller's. Mutation is copy-on-write: churn writes only the per-graph
+//! patch overlay, and the two writes that change the base itself (a
+//! unit-weight graph's first heavy star, normalizing) go through
+//! [`Arc::make_mut`], which copies the base only while it is shared.
+
+use std::sync::Arc;
 
 use crate::error::NetError;
 use crate::node::{NodeId, Point};
@@ -73,6 +83,19 @@ pub struct Edge {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Graph {
+    /// The immutable CSR base, shared by every clone.
+    base: Arc<Csr>,
+    edge_count: usize,
+    /// Mutation overlay; `None` until the first `remove_node` /
+    /// `restore_node` so static graphs stay branch-predictable and pay
+    /// no extra memory.
+    dyn_state: Option<Box<DynState>>,
+}
+
+/// The rows a graph was built with, and its positions: never written
+/// in place while another graph shares them (see the module docs).
+#[derive(Clone, Debug)]
+struct Csr {
     /// CSR row offsets: node `u`'s half-edges live at
     /// `targets[offsets[u] as usize..offsets[u + 1] as usize]`.
     /// `offsets.len() == node_count() + 1`.
@@ -86,11 +109,17 @@ pub struct Graph {
     /// construction; never derived by a scan of its own.
     weights: Option<Vec<f64>>,
     positions: Option<Vec<Point>>,
-    edge_count: usize,
-    /// Mutation overlay; `None` until the first `remove_node` /
-    /// `restore_node` so static graphs stay branch-predictable and pay
-    /// no extra memory.
-    dyn_state: Option<Box<DynState>>,
+}
+
+impl Csr {
+    /// Heap bytes of the four arrays.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.offsets.capacity() * size_of::<u32>()
+            + self.targets.capacity() * size_of::<NodeId>()
+            + self.weights.as_ref().map_or(0, |w| w.capacity()) * size_of::<f64>()
+            + self.positions.as_ref().map_or(0, |p| p.capacity()) * size_of::<Point>()
+    }
 }
 
 /// One owned adjacency row of the mutation overlay, in the CSR base's
@@ -116,6 +145,23 @@ struct DynState {
     generation: u64,
     /// Per-node stamp of the generation that last changed its row.
     touched: Vec<u64>,
+}
+
+impl DynState {
+    /// Heap bytes of the box, the per-node arrays and the patch rows.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let rows: usize = (self.patch.iter().flatten())
+            .map(|row| {
+                row.to.capacity() * size_of::<NodeId>() + row.weight.capacity() * size_of::<f64>()
+            })
+            .sum();
+        size_of::<DynState>()
+            + self.patch.capacity() * size_of::<Option<Row>>()
+            + rows
+            + self.inactive.capacity() * size_of::<bool>()
+            + self.touched.capacity() * size_of::<u64>()
+    }
 }
 
 impl Graph {
@@ -161,11 +207,13 @@ impl Graph {
         debug_assert_eq!(offsets.last().map(|&e| e as usize), Some(targets.len()));
         debug_assert!(weights.as_ref().is_none_or(|w| w.len() == targets.len()));
         Graph {
-            offsets,
             edge_count: targets.len() / 2,
-            targets,
-            weights,
-            positions,
+            base: Arc::new(Csr {
+                offsets,
+                targets,
+                weights,
+                positions,
+            }),
             dyn_state: None,
         }
     }
@@ -187,7 +235,7 @@ impl Graph {
     /// Number of sensor nodes `n = |V|`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.base.offsets.len() - 1
     }
 
     /// Number of undirected edges `|E|`.
@@ -203,7 +251,7 @@ impl Graph {
         if self.dyn_state.is_some() {
             2 * self.edge_count
         } else {
-            self.targets.len()
+            self.base.targets.len()
         }
     }
 
@@ -221,7 +269,7 @@ impl Graph {
     /// The CSR base range of `u`'s row.
     #[inline]
     fn span(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
+        self.base.offsets[i] as usize..self.base.offsets[i + 1] as usize
     }
 
     /// The adjacency row of `u`: a contiguous slice of neighbour ids,
@@ -233,7 +281,7 @@ impl Graph {
         let i = u.index();
         match self.patched(i) {
             Some(row) => &row.to,
-            None => &self.targets[self.span(i)],
+            None => &self.base.targets[self.span(i)],
         }
     }
 
@@ -241,7 +289,7 @@ impl Graph {
     /// graph, whose every weight is 1.0.
     #[inline]
     fn row_weights(&self, u: NodeId) -> Option<&[f64]> {
-        let base = self.weights.as_deref()?;
+        let base = self.base.weights.as_deref()?;
         let i = u.index();
         Some(match self.patched(i) {
             Some(row) => &row.weight,
@@ -295,15 +343,30 @@ impl Graph {
 
     /// Geographic positions, if the graph carries them.
     pub fn positions(&self) -> Option<&[Point]> {
-        self.positions.as_deref()
+        self.base.positions.as_deref()
     }
 
     /// Geographic position of `u`, or an error if the graph has none.
     pub fn position(&self, u: NodeId) -> Result<Point> {
-        self.positions
-            .as_ref()
+        self.positions()
             .map(|p| p[u.index()])
             .ok_or(NetError::MissingPositions)
+    }
+
+    /// Heap bytes this graph holds: the CSR base (offsets, id rows, the
+    /// weights a weighted graph stores, positions) plus the patch
+    /// overlay of a churned graph. Clones share the base (see the module
+    /// docs), so a ledger over several structures that each keep a clone
+    /// counts it once: [`Graph::shares_base`] tells which do.
+    pub fn heap_bytes(&self) -> usize {
+        self.base.heap_bytes() + self.dyn_state.as_ref().map_or(0, |d| d.heap_bytes())
+    }
+
+    /// True when `self` and `other` read one CSR base (one is a clone of
+    /// the other, or of a common graph, and neither has written its base
+    /// since).
+    pub fn shares_base(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
     }
 
     /// The smallest edge weight in the graph.
@@ -334,7 +397,7 @@ impl Graph {
     /// all left again still reads `false` and merely runs the heap.
     #[inline]
     pub fn is_unit_weight(&self) -> bool {
-        self.weights.is_none()
+        self.base.weights.is_none()
     }
 
     /// Returns a copy of the graph with all edge weights rescaled so the
@@ -356,13 +419,14 @@ impl Graph {
             *w /= min_w;
             unit &= *w == 1.0;
         };
-        g.weights.iter_mut().flatten().for_each(&mut rescale);
+        let base = Arc::make_mut(&mut g.base);
+        base.weights.iter_mut().flatten().for_each(&mut rescale);
         if let Some(d) = &mut g.dyn_state {
             let rows = d.patch.iter_mut().flatten();
             rows.flat_map(|row| &mut row.weight).for_each(&mut rescale);
         }
         if unit {
-            g.weights = None;
+            base.weights = None;
             if let Some(d) = &mut g.dyn_state {
                 d.patch
                     .iter_mut()
@@ -604,7 +668,8 @@ impl Graph {
     /// Writes out the weight (1.0) of every half-edge of a unit-weight
     /// graph, base and patch rows alike: from here on it is weighted.
     fn store_weights(&mut self) {
-        self.weights = Some(vec![1.0; self.targets.len()]);
+        let base = Arc::make_mut(&mut self.base);
+        base.weights = Some(vec![1.0; base.targets.len()]);
         if let Some(d) = &mut self.dyn_state {
             for row in d.patch.iter_mut().flatten() {
                 row.weight = vec![1.0; row.to.len()];
@@ -756,7 +821,7 @@ mod tests {
         }
         let unit = g.is_unit_weight();
         assert_eq!(
-            g.weights.is_none(),
+            g.base.weights.is_none(),
             unit,
             "{ctx}: weights stored on a unit graph"
         );
@@ -935,6 +1000,64 @@ mod tests {
             .map(|row| row.iter().map(|e| Edge { weight: 1.0, ..*e }).collect())
             .collect();
         assert_rows(&unit, &rows, "normalized");
+    }
+
+    /// A graph's rows, weight bits and unit-weight flag: everything a
+    /// write through a clone must leave alone.
+    fn fingerprint(g: &Graph) -> (Vec<Vec<(NodeId, u64)>>, bool) {
+        let rows = g.nodes().map(|u| {
+            let row = g.half_edges(u).map(|e| (e.to, e.weight.to_bits()));
+            row.collect()
+        });
+        (rows.collect(), g.is_unit_weight())
+    }
+
+    #[test]
+    fn clones_share_one_base_and_write_only_their_own() {
+        use crate::{CachedOracle, DistanceOracle};
+        let g = crate::generators::grid(6, 6).unwrap();
+        let want = fingerprint(&g);
+        let (a, b) = (g.clone(), g.clone());
+        assert!(a.shares_base(&g) && b.shares_base(&a));
+        assert_eq!(Arc::strong_count(&g.base), 3);
+        assert_eq!(a.heap_bytes(), g.heap_bytes());
+        // An oracle keeps a clone too, and its ledger stops at the graph:
+        // the base is counted once, by whoever counts the graph.
+        let oracle = CachedOracle::new(&g).unwrap();
+        assert!(oracle.graph().shares_base(&g));
+        assert_eq!(oracle.heap_bytes(), 0, "nothing solved, nothing owned");
+        assert_eq!(oracle.dist(NodeId(0), NodeId(35)), 10.0);
+        let pooled = oracle.heap_bytes();
+        assert!(pooled >= 12 * 36 && pooled < g.heap_bytes() + 12 * 36);
+
+        // Churn writes the clone's patch overlay, not the base.
+        let mut churned = g.clone();
+        let mut star = churned.remove_node(NodeId(14)).unwrap();
+        assert!(churned.shares_base(&g));
+        assert!(churned.heap_bytes() > g.heap_bytes(), "the overlay counts");
+        // A heavy star writes weights into the base: the clone copies it.
+        star[0].weight = 2.5;
+        churned.restore_node(NodeId(14), &star).unwrap();
+        assert!(!churned.is_unit_weight());
+        assert!(!churned.shares_base(&g));
+        assert_eq!(fingerprint(&g), want);
+        assert!(a.shares_base(&g), "the other clones keep sharing");
+
+        // Normalizing rescales a copy of a shared weighted base.
+        let mut bld = GraphBuilder::new(4);
+        bld.add_edge(NodeId(0), NodeId(1), 2.5).unwrap();
+        bld.add_edge(NodeId(1), NodeId(2), 5.0).unwrap();
+        bld.add_edge(NodeId(2), NodeId(3), 2.5).unwrap();
+        let heavy = bld.build().unwrap();
+        let want = fingerprint(&heavy);
+        let clone = heavy.clone();
+        let norm = clone.normalized();
+        assert_eq!(norm.edge_weight(NodeId(1), NodeId(2)), Some(2.0));
+        assert!(!norm.shares_base(&heavy) && clone.shares_base(&heavy));
+        assert_eq!(fingerprint(&heavy), want);
+        assert_eq!(fingerprint(&clone), want);
+        // Already normalized: the result is one more clone.
+        assert!(g.normalized().shares_base(&g));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod node;
 pub mod oracle;
 pub mod workspace;
 
-pub use bits::{q32, splitmix64, IdHasher, IdMap, IdSet, BALL_PAD};
+pub use bits::{map_heap_bytes, q32, splitmix64, IdHasher, IdMap, IdSet, BALL_PAD};
 pub use builder::GraphBuilder;
 pub use delta::{ChurnEvent, ChurnSchedule, ChurnSpec, TopologyDelta};
 pub use dijkstra::{dijkstra, shortest_path_tree, PathTree};

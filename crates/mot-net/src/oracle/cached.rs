@@ -10,7 +10,10 @@
 //! Dijkstra (the hierarchy builder's padded-ball + f32-filter
 //! discipline). Solves run in pooled [`DijkstraWorkspace`]s; concurrent
 //! callers share nothing but the pool's lock and one solve counter
-//! ([`CachedOracle::solves`]).
+//! ([`CachedOracle::solves`]). The oracle keeps a clone of the graph it
+//! was built on, which shares the caller's CSR base (see
+//! [`crate::Graph`]): it holds no second copy of the rows, and only a
+//! delta it absorbs writes graph state of its own.
 //!
 //! Every distance returned is the f32 quantization of the exact
 //! distance a Dijkstra from `u` reads — the bits the dense matrix stores
@@ -34,7 +37,7 @@ use crate::Result;
 const POOL: usize = 8;
 
 /// Distance oracle that answers every `dist` and `ball` with a bounded
-/// solve over its own copy of the graph.
+/// solve over its own clone of the graph (sharing the caller's rows).
 ///
 /// # Example
 ///
@@ -46,6 +49,7 @@ const POOL: usize = 8;
 /// assert_eq!(m.dist(NodeId(0), NodeId(15)), 6.0); // one search
 /// assert_eq!(m.solves(), 1);
 /// assert_eq!(m.memory_bytes(), 0); // no distance is stored
+/// assert!(m.graph().shares_base(&g)); // nor a second copy of the rows
 /// # Ok::<(), mot_net::NetError>(())
 /// ```
 pub struct CachedOracle {
@@ -84,7 +88,8 @@ impl CachedOracle {
         })
     }
 
-    /// The underlying graph (on-demand backends own a copy).
+    /// The graph the oracle solves on: a clone of the one it was built
+    /// on, sharing its CSR base until a delta applied here writes it.
     pub fn graph(&self) -> &Graph {
         &self.g
     }
@@ -109,7 +114,7 @@ impl CachedOracle {
         out
     }
 
-    /// Absorbs a topology delta: mutates the owned graph copy and resets
+    /// Absorbs a topology delta: mutates the oracle's graph and resets
     /// the diameter estimate. The oracle holds no distances, so nothing
     /// else can go stale; the next solve runs on the new topology.
     ///
@@ -185,6 +190,14 @@ impl DistanceOracle for CachedOracle {
 
     fn memory_bytes(&self) -> usize {
         0
+    }
+
+    /// The pooled workspaces; the graph is shared with the caller (see
+    /// the module docs).
+    fn heap_bytes(&self) -> usize {
+        let pool = self.workspaces.lock().unwrap_or_else(|e| e.into_inner());
+        let buffers: usize = pool.iter().map(DijkstraWorkspace::heap_bytes).sum();
+        buffers + pool.capacity() * std::mem::size_of::<DijkstraWorkspace>()
     }
 
     fn cache_stats(&self) -> Option<CacheLedger> {

@@ -250,6 +250,13 @@ impl DistanceOracle for DenseOracle {
     fn memory_bytes(&self) -> usize {
         DenseOracle::memory_bytes(self)
     }
+
+    /// The matrix and built ball rows, plus the index's per-source
+    /// slots, built or not.
+    fn heap_bytes(&self) -> usize {
+        self.memory_bytes()
+            + self.index.capacity() * std::mem::size_of::<OnceLock<Vec<(f32, u32)>>>()
+    }
 }
 
 #[cfg(test)]

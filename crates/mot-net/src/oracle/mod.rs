@@ -114,6 +114,17 @@ pub trait DistanceOracle: Send + Sync {
     /// backends at scale.
     fn memory_bytes(&self) -> usize;
 
+    /// Heap bytes the backend owns beyond the graph it answers on: its
+    /// stored distances and whatever it keeps to compute them (the
+    /// dense backend's sorted ball rows, the on-demand backend's pooled
+    /// workspaces). The graph is the caller's, counted by
+    /// [`Graph::heap_bytes`] once. Defaults to
+    /// [`memory_bytes`](Self::memory_bytes), which a backend that keeps
+    /// nothing else need not override.
+    fn heap_bytes(&self) -> usize {
+        self.memory_bytes()
+    }
+
     /// Solve counters for backends that solve on demand
     /// ([`CachedOracle`]); `None` for backends without a ledger.
     /// Experiment reports surface these to show how much distance work
@@ -205,6 +216,10 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for Box<T> {
 
     fn memory_bytes(&self) -> usize {
         (**self).memory_bytes()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (**self).heap_bytes()
     }
 
     fn cache_stats(&self) -> Option<CacheLedger> {

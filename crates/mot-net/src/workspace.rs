@@ -40,7 +40,9 @@
 //!   nondecreasing distance, each with its exact distance. On unit
 //!   weights it skips the sort and the parents; a layer's set, and
 //!   every node's distance, do not depend on the order it is expanded
-//!   in. No parent is readable after a ball.
+//!   in. No parent is readable after a ball, and none is written: a
+//!   workspace that never ran [`DijkstraWorkspace::sssp`] has no parent
+//!   array at all, 12 bytes a node instead of 16.
 //! * **An early stop leaves the same state behind.** A bounded ball ends
 //!   when the next layer's distance exceeds the radius: that layer is
 //!   dropped from `settled` and keeps tentative distances `> radius`,
@@ -230,13 +232,26 @@ impl DijkstraWorkspace {
         ws
     }
 
-    /// Grows the buffers to hold `n` nodes without running anything.
+    /// Grows the buffers to hold `n` nodes without running anything:
+    /// 12 bytes a node (a distance and a stamp). The parent array, 4
+    /// more, is sized by the first [`DijkstraWorkspace::sssp`] alone,
+    /// the one run that writes it.
     pub fn reserve(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
-            self.parent.resize(n, NO_PARENT);
             self.stamp.resize(n, 0);
         }
+    }
+
+    /// Heap bytes of the buffers: the per-node arrays, the heap, and the
+    /// settled and frontier lists at their current capacities.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.dist.capacity() * size_of::<f64>()
+            + self.parent.capacity() * size_of::<u32>()
+            + self.stamp.capacity() * size_of::<u32>()
+            + self.heap.slots.capacity() * size_of::<(f64, u32)>()
+            + (self.settled.capacity() + self.back.capacity()) * size_of::<NodeId>()
     }
 
     /// Number of nodes the buffers currently hold.
@@ -249,15 +264,21 @@ impl DijkstraWorkspace {
     /// at distance 0, and records whether the run's parents are to be
     /// readable.
     fn begin(&mut self, g: &Graph, source: NodeId, tree: bool) {
-        self.reserve(g.node_count());
+        let n = g.node_count();
+        self.reserve(n);
         self.advance(1);
         self.tree = tree;
         self.heap.clear();
         self.settled.clear();
         let s = source.index();
         self.dist[s] = 0.0;
-        self.parent[s] = NO_PARENT;
         self.stamp[s] = self.generation;
+        if tree {
+            if self.parent.len() < n {
+                self.parent.resize(n, NO_PARENT);
+            }
+            self.parent[s] = NO_PARENT;
+        }
     }
 
     /// Takes `k` fresh generation values, makes the last one current and
@@ -296,7 +317,7 @@ impl DijkstraWorkspace {
 
     /// Dijkstra over the 4-ary heap: any positive weights. Also stops
     /// when `target` settles (a weighted [`DijkstraWorkspace::distance`]).
-    /// It writes parents either way; `tree` says whether they are read.
+    /// Only a `tree` run writes parents.
     fn run_heap(
         &mut self,
         g: &Graph,
@@ -324,7 +345,9 @@ impl DijkstraWorkspace {
                 let vi = e.to.index();
                 if nd < self.live_dist(vi) {
                     self.dist[vi] = nd;
-                    self.parent[vi] = u;
+                    if tree {
+                        self.parent[vi] = u;
+                    }
                     self.stamp[vi] = self.generation;
                     self.heap.push(nd, e.to.0);
                 }
@@ -720,6 +743,26 @@ mod tests {
         ws.sssp(&g, NodeId(11));
         for v in g.nodes() {
             assert_eq!(ws.dist(v), (11 - v.index()) as f64);
+        }
+    }
+
+    #[test]
+    fn only_a_search_tree_sizes_the_parent_array() {
+        let grid = generators::grid(16, 16).unwrap();
+        let weighted = generators::random_geometric(60, 8.0, 2.5, 4).unwrap();
+        for g in [&grid, &weighted] {
+            let n = g.node_count();
+            let mut ws = DijkstraWorkspace::with_capacity(n);
+            assert_eq!(ws.heap_bytes(), 12 * n, "a distance and a stamp a node");
+            ws.bounded_ball(g, NodeId(3), 4.0);
+            ws.bounded_ball(g, NodeId(5), f64::INFINITY);
+            ws.distance(g, NodeId(0), NodeId::from_index(n - 1));
+            assert!(ws.parent.is_empty(), "a ball or a distance sized parents");
+            ws.sssp(g, NodeId(0));
+            assert_eq!(ws.parent.len(), n);
+            let lists =
+                ws.heap.slots.capacity() * 16 + (ws.settled.capacity() + ws.back.capacity()) * 4;
+            assert_eq!(ws.heap_bytes(), 16 * n + lists);
         }
     }
 

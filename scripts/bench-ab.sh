@@ -12,10 +12,11 @@
 # seed i, plain pass, and the sides alternate which runs first. Defaults:
 # 10 pairs, BENCHMARK.json's 12 seconds, all five workloads. Prints one
 # PERFORMANCE.md table row per workload and end-to-end metric, then the
-# per-pair `wall_s` and whether the two sides' digests agree.
+# per-pair `wall_s`, `peak_rss_mb` and `setup_s`, and whether the two
+# sides' digests agree.
 set -euo pipefail
 
-[[ $# -ge 1 ]] || { sed -n '2,15p' "$0" >&2; exit 2; }
+[[ $# -ge 1 ]] || { sed -n '2,16p' "$0" >&2; exit 2; }
 parent_ref="$1"; shift
 pairs=10
 seconds=12
@@ -119,11 +120,13 @@ for w in workloads:
         better = f"{wins} / {pairs - ties}" + (f" ({ties} ties)" if ties else "")
         print(f"| `{w}` · `{name}` | {fmt(pq1)} / **{fmt(pmed)}** / {fmt(pq3)} "
               f"| {fmt(cq1)} / **{fmt(cmed)}** / {fmt(cq3)} | {verdict} | {better} |")
-    walls = " ".join(f"{a[1]['wall_s']:.3f}/{b[1]['wall_s']:.3f}"
-                     for a, b in zip(sides["parent"], sides["change"]))
-    same = sum(a[0] == b[0] for a, b in zip(sides["parent"], sides["change"]))
-    notes.append(f"`{w}` · `wall_s` parent/change per pair: {walls}; "
-                 f"digests equal in {same} / {pairs} pairs")
+    pairs_of = list(zip(sides["parent"], sides["change"]))
+    for name, digits in (("wall_s", 3), ("peak_rss_mb", 2), ("setup_s", 5)):
+        per_pair = " ".join(f"{a[1][name]:.{digits}f}/{b[1][name]:.{digits}f}"
+                            for a, b in pairs_of)
+        notes.append(f"`{w}` · `{name}` parent/change per pair: {per_pair}")
+    same = sum(a[0] == b[0] for a, b in pairs_of)
+    notes.append(f"`{w}` · digests equal in {same} / {pairs} pairs")
 print()
 print("\n".join(notes))
 PY
