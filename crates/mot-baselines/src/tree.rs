@@ -353,6 +353,7 @@ impl<'a> TreeTracker<'a> {
     /// concurrent execution engine): an ancestor of a clean object's
     /// proxy, or a listed holder of a broken one. False for a node
     /// outside the tree or an unpublished object.
+    #[inline]
     pub fn holds(&self, u: NodeId, o: ObjectId) -> bool {
         match self.dirty.get(&o) {
             Some(holders) => holders.contains(&u),

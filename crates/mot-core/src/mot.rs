@@ -355,6 +355,7 @@ impl<'a> MotTracker<'a> {
 
     /// Whether `node` currently holds `o` in its level-`level` detection
     /// list (committed state; used by the concurrent execution engine).
+    #[inline]
     pub fn holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool {
         self.records
             .get(&o)

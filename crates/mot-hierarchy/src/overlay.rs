@@ -104,6 +104,31 @@ impl Overlay {
         }
     }
 
+    /// One step of the climb along `DPath(u)` from member `index` of
+    /// `station(u, level)`: the next member of that station, or else the
+    /// first member of the station above, as `(node, level, index, hop)`
+    /// with `hop` = [`hop_in`](Self::hop_in) of the stop returned. `None`
+    /// at the last member of the root station. Reads `u`'s index row
+    /// once; the hop is the stored `hops[index + 1]` or the record's `up`.
+    #[inline]
+    pub fn climb_step(
+        &self,
+        u: NodeId,
+        level: usize,
+        index: usize,
+    ) -> Option<(NodeId, usize, usize, f64)> {
+        let records = self.table.records(u);
+        let r = records[level] as usize;
+        let (station, hops) = (self.table.station(r), self.table.hops(r));
+        if let Some(&node) = station.get(index + 1) {
+            Some((node, level, index + 1, hops[index + 1] as f64))
+        } else {
+            let above = *records.get(level + 1)? as usize;
+            let node = self.table.station(above)[0];
+            Some((node, level + 1, 0, self.table.up(r) as f64))
+        }
+    }
+
     /// Length of the reverse hop from member `j ≥ 1` of
     /// `station(u, level)` back to member `j - 1` (the meet-level
     /// rollback direction). Bit-identical to `oracle.dist(member, prev)`.
@@ -337,6 +362,32 @@ mod tests {
         assert_eq!(o.path_length(NodeId(3), 99), 7.0, "clamped above height");
         assert_eq!(o.path_length(NodeId(1), 2), 1.0);
         assert!(o.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn climb_steps_walk_the_path_with_its_hops() {
+        let o = toy_overlay();
+        // DPath(3) = 3 -> 0 -> 2 -> 0: each step is `hop_in` of its stop.
+        let mut at = (NodeId(3), 0, 0, 0.0);
+        let mut walked = vec![at];
+        while let Some(next) = o.climb_step(NodeId(3), at.1, at.2) {
+            assert_eq!(next.3, o.hop_in(NodeId(3), next.1, next.2));
+            walked.push(next);
+            at = next;
+        }
+        let path = [
+            (3, 0, 0, 0.0),
+            (0, 1, 0, 3.0),
+            (2, 1, 1, 2.0),
+            (0, 2, 0, 2.0),
+        ];
+        let path = path.map(|(u, l, j, hop)| (NodeId(u), l, j, hop));
+        assert_eq!(walked, path);
+        assert_eq!(
+            o.climb_step(NodeId(1), 2, 0),
+            None,
+            "the root station ends it"
+        );
     }
 
     #[test]

@@ -329,6 +329,12 @@ impl StationTable {
         self.index[u.index() * self.stride + level] as usize
     }
 
+    /// Record ids of `u`'s stations, level 0 first: `u`'s index row.
+    #[inline]
+    pub(crate) fn records(&self, u: NodeId) -> &[u32] {
+        &self.index[u.index() * self.stride..][..self.stride]
+    }
+
     /// Members of record `r`, in visiting order.
     #[inline]
     pub(crate) fn station(&self, r: usize) -> &[NodeId] {

@@ -15,6 +15,13 @@
 //! against the committed state, descends, and — if the object moved while
 //! the result message was in flight — chases the forwarding pointer the
 //! delete message left behind, until it lands on the live proxy.
+//!
+//! An event is one packed integer key: the probe time's bits above the
+//! op index, so a min-heap of keys pops by time, then op, with no float
+//! comparator (times are finite and non-negative, whose bits order as
+//! their values). [`ConcurrentEngine::run`] dispatches once per run, to
+//! [`ClimbStructure::run_engine`], which runs the engine compiled for
+//! the tracker's own type: every probe is a static call.
 
 use crate::metrics::CostStats;
 use crate::mobility::Workload;
@@ -23,7 +30,7 @@ use mot_core::{CoreError, MotTracker, ObjectId, Result, Tracker};
 use mot_net::{DistanceOracle, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One stop of a climb from an origin: member `index` of the origin's
@@ -60,6 +67,18 @@ impl Stop {
 /// committed-state probe, a locate probe for queries, and the forwarding
 /// period per level.
 pub trait ClimbStructure: Tracker {
+    /// Runs the engine compiled for `Self` (what [`ConcurrentEngine::run`]
+    /// calls, once per run, so that a `dyn` tracker's probes are static
+    /// calls too). Implementors keep the provided body.
+    fn run_engine(
+        &mut self,
+        workload: &Workload,
+        oracle: &dyn DistanceOracle,
+        cfg: &ConcurrentConfig,
+    ) -> Result<ConcurrentOutcome> {
+        ConcurrentEngine::run_typed(self, workload, oracle, cfg)
+    }
+
     /// The stop after `at` on the climb from `v` (which starts at
     /// [`Stop::first`]`(v)`), or `None` once `at` is the root. Reads the
     /// structure's stored stations and hops: O(1), and allocates nothing.
@@ -78,23 +97,18 @@ pub trait ClimbStructure: Tracker {
 }
 
 impl ClimbStructure for MotTracker<'_> {
+    #[inline]
     fn next_stop(&self, v: NodeId, at: Stop) -> Option<Stop> {
-        let overlay = self.overlay();
-        let (level, index) = if at.index + 1 < overlay.station(v, at.level).len() {
-            (at.level, at.index + 1)
-        } else if at.level < overlay.height() {
-            (at.level + 1, 0)
-        } else {
-            return None;
-        };
+        let (node, level, index, hop) = self.overlay().climb_step(v, at.level, at.index)?;
         Some(Stop {
-            node: overlay.station(v, level)[index],
+            node,
             level,
             index,
-            hop: overlay.hop_in(v, level, index),
+            hop,
         })
     }
 
+    #[inline]
     fn committed_holds(&self, node: NodeId, level: usize, o: ObjectId) -> bool {
         self.holds(node, level, o)
     }
@@ -103,12 +117,14 @@ impl ClimbStructure for MotTracker<'_> {
         self.locate_cost(node, level, o)
     }
 
+    #[inline]
     fn level_period(&self, level: usize) -> f64 {
         (1u64 << level) as f64
     }
 }
 
 impl ClimbStructure for TreeTracker<'_> {
+    #[inline]
     fn next_stop(&self, _v: NodeId, at: Stop) -> Option<Stop> {
         let parent = self.tree().parent(at.node)?;
         Some(Stop {
@@ -119,6 +135,7 @@ impl ClimbStructure for TreeTracker<'_> {
         })
     }
 
+    #[inline]
     fn committed_holds(&self, node: NodeId, _level: usize, o: ObjectId) -> bool {
         self.holds(node, o)
     }
@@ -136,6 +153,7 @@ impl ClimbStructure for TreeTracker<'_> {
         }
     }
 
+    #[inline]
     fn level_period(&self, _level: usize) -> f64 {
         0.0
     }
@@ -175,6 +193,9 @@ pub struct ConcurrentOutcome {
     pub queries_issued: usize,
     /// Queries that located the true proxy despite racing moves.
     pub queries_correct: usize,
+    /// Events the engine popped: every probe of a climbing op, and every
+    /// arrival of a query's result.
+    pub probes: usize,
 }
 
 enum Task {
@@ -213,17 +234,14 @@ struct Run {
     rng: ChaCha8Rng,
     /// The live batch's ops; empty between batches.
     ops: Vec<Op>,
-    /// Pending events; a batch runs until it is empty.
-    heap: BinaryHeap<Event>,
+    /// Pending events as [`key`]s; a batch runs until it is empty.
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl Run {
     /// Admits one op climbing from `origin`, first probe at `start`.
     fn admit(&mut self, origin: NodeId, start: f64, task: Task) {
-        self.heap.push(Event {
-            time: start,
-            op: self.ops.len(),
-        });
+        self.heap.push(key(start, self.ops.len()));
         self.ops.push(Op {
             task,
             origin,
@@ -233,31 +251,15 @@ impl Run {
     }
 }
 
-struct Event {
-    time: f64,
-    op: usize,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.op == other.op
-    }
-}
-impl Eq for Event {}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap by (time, op id)
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then(other.op.cmp(&self.op))
-    }
-}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The event of `op` probing at `time`, as a min-heap entry: the time's
+/// bits above the op index. A finite `time ≥ 0` orders by its bits as by
+/// its value, so keys order as `(time, op)`; `-0.0` is stored as `+0.0`,
+/// whose bits sort first.
+#[inline]
+fn key(time: f64, op: usize) -> Reverse<u128> {
+    debug_assert!(time.is_finite() && time >= 0.0, "event time {time}");
+    let bits = if time == 0.0 { 0 } else { time.to_bits() };
+    Reverse((bits as u128) << 64 | op as u128)
 }
 
 /// The discrete-event concurrent executor.
@@ -298,6 +300,17 @@ impl ConcurrentEngine {
     /// never published is [`CoreError::UnknownObject`], returned before
     /// its first batch runs.
     pub fn run<S: ClimbStructure + ?Sized>(
+        tracker: &mut S,
+        workload: &Workload,
+        oracle: &dyn DistanceOracle,
+        cfg: &ConcurrentConfig,
+    ) -> Result<ConcurrentOutcome> {
+        tracker.run_engine(workload, oracle, cfg)
+    }
+
+    /// [`run`](Self::run) on a concrete tracker type:
+    /// [`ClimbStructure::run_engine`]'s body.
+    fn run_typed<S: ClimbStructure + ?Sized>(
         tracker: &mut S,
         workload: &Workload,
         oracle: &dyn DistanceOracle,
@@ -377,7 +390,9 @@ impl ConcurrentEngine {
         let Run {
             ops, heap, outcome, ..
         } = run;
-        while let Some(Event { time, op: op_idx }) = heap.pop() {
+        while let Some(Reverse(event)) = heap.pop() {
+            let (time, op_idx) = (f64::from_bits((event >> 64) as u64), event as u64 as usize);
+            outcome.probes += 1;
             let op = &mut ops[op_idx];
             let Stop { node, level, .. } = op.at;
             match op.task {
@@ -406,10 +421,7 @@ impl ConcurrentEngine {
                             expected,
                             cost_so_far: op.travelled + descend,
                         };
-                        heap.push(Event {
-                            time: time + descend,
-                            op: op_idx,
-                        });
+                        heap.push(key(time + descend, op_idx));
                     } else {
                         Self::advance(tracker, op_idx, op, time, heap);
                     }
@@ -435,10 +447,7 @@ impl ConcurrentEngine {
                             expected: live,
                             cost_so_far: cost_so_far + hop,
                         };
-                        heap.push(Event {
-                            time: time + hop.max(1e-9),
-                            op: op_idx,
-                        });
+                        heap.push(key(time + hop.max(1e-9), op_idx));
                     }
                 }
             }
@@ -455,7 +464,7 @@ impl ConcurrentEngine {
         op_idx: usize,
         op: &mut Op,
         now: f64,
-        heap: &mut BinaryHeap<Event>,
+        heap: &mut BinaryHeap<Reverse<u128>>,
     ) {
         let next = tracker
             .next_stop(op.origin, op.at)
@@ -469,10 +478,7 @@ impl ConcurrentEngine {
             }
         }
         op.at = next;
-        heap.push(Event {
-            time: t,
-            op: op_idx,
-        });
+        heap.push(key(t, op_idx));
     }
 }
 
@@ -487,6 +493,18 @@ mod tests {
     use mot_net::generators;
     use mot_net::DenseOracle;
 
+    fn cfg(
+        max_inflight_per_object: usize,
+        queries_per_batch: usize,
+        seed: u64,
+    ) -> ConcurrentConfig {
+        ConcurrentConfig {
+            max_inflight_per_object,
+            queries_per_batch,
+            seed,
+        }
+    }
+
     fn grid_env() -> (mot_net::Graph, DenseOracle, mot_hierarchy::Overlay) {
         let g = generators::grid(6, 6).unwrap();
         let m = DenseOracle::build(&g).unwrap();
@@ -500,17 +518,7 @@ mod tests {
         let mut t = MotTracker::new(&overlay, &m, MotConfig::plain());
         let w = WorkloadSpec::new(3, 50, 2).generate(&g);
         run_publish(&mut t, &w).unwrap();
-        let out = ConcurrentEngine::run(
-            &mut t,
-            &w,
-            &m,
-            &ConcurrentConfig {
-                max_inflight_per_object: 10,
-                queries_per_batch: 0,
-                seed: 1,
-            },
-        )
-        .unwrap();
+        let out = ConcurrentEngine::run(&mut t, &w, &m, &cfg(10, 0, 1)).unwrap();
         assert_eq!(out.maintenance.operations, 150);
         assert!(out.maintenance.ratio() >= 1.0);
         t.check_invariants();
@@ -541,17 +549,7 @@ mod tests {
 
         let mut con = MotTracker::new(&overlay, &m, MotConfig::plain());
         run_publish(&mut con, &w).unwrap();
-        let out = ConcurrentEngine::run(
-            &mut con,
-            &w,
-            &m,
-            &ConcurrentConfig {
-                max_inflight_per_object: 1,
-                queries_per_batch: 0,
-                seed: 1,
-            },
-        )
-        .unwrap();
+        let out = ConcurrentEngine::run(&mut con, &w, &m, &cfg(1, 0, 1)).unwrap();
         assert!(
             (out.maintenance.total - seq_stats.total).abs() < 1e-6,
             "k=1 concurrent {} != sequential {}",
@@ -567,17 +565,7 @@ mod tests {
         let mut t = MotTracker::new(&overlay, &m, MotConfig::plain());
         let w = WorkloadSpec::new(2, 60, 3).generate(&g);
         run_publish(&mut t, &w).unwrap();
-        let out = ConcurrentEngine::run(
-            &mut t,
-            &w,
-            &m,
-            &ConcurrentConfig {
-                max_inflight_per_object: 10,
-                queries_per_batch: 4,
-                seed: 7,
-            },
-        )
-        .unwrap();
+        let out = ConcurrentEngine::run(&mut t, &w, &m, &cfg(10, 4, 7)).unwrap();
         assert!(out.queries_issued > 0);
         assert_eq!(out.queries_correct, out.queries_issued);
         assert!(out.queries.ratio() >= 1.0);
@@ -592,17 +580,7 @@ mod tests {
         let tree: TrackingTree = build_stun(&g, &rates);
         let mut t = TreeTracker::new("STUN", tree, &m, false);
         run_publish(&mut t, &w).unwrap();
-        let out = ConcurrentEngine::run(
-            &mut t,
-            &w,
-            &m,
-            &ConcurrentConfig {
-                max_inflight_per_object: 5,
-                queries_per_batch: 2,
-                seed: 5,
-            },
-        )
-        .unwrap();
+        let out = ConcurrentEngine::run(&mut t, &w, &m, &cfg(5, 2, 5)).unwrap();
         assert_eq!(out.maintenance.operations, 60);
         assert_eq!(out.queries_correct, out.queries_issued);
     }
@@ -632,7 +610,8 @@ mod tests {
     #[test]
     fn outcomes_match_the_constants_of_the_unpooled_engine() {
         // Constants from a run at the commit before the engine pooled its
-        // buffers and began carrying `travelled`. Every object has 25
+        // buffers and began carrying `travelled`; the probe counts from
+        // the engine before it packed its event keys. Every object has 25
         // moves at 10 in flight, so its batches shrink (10, 10, 5).
         let (g, m, overlay) = grid_env();
         let w = WorkloadSpec::new(3, 25, 6).generate(&g);
@@ -642,7 +621,8 @@ mod tests {
             || TreeTracker::new("STUN", build_stun(&g, &rates), &m, false).with_root_queries();
 
         // (queries per batch, MOT?, maintenance total, maintenance ratio
-        // sum, query total, query ratio sum, queries issued) — f64s as bits.
+        // sum, query total, query ratio sum, queries issued) — f64s as
+        // bits —, and the probes each row pops.
         let pins: [(usize, bool, u64, u64, u64, u64, usize); 4] = [
             (0, true, 0x4080580000000000, 0x4080580000000000, 0, 0, 0),
             (0, false, 0x4070200000000000, 0x4070200000000000, 0, 0, 0),
@@ -665,12 +645,13 @@ mod tests {
                 18,
             ),
         ];
-        for (queries_per_batch, is_mot, maint, maint_ratios, query, query_ratios, issued) in pins {
-            let cfg = ConcurrentConfig {
-                max_inflight_per_object: 10,
-                queries_per_batch,
-                seed: 9,
-            };
+        let probes = [233, 146, 314, 208];
+        for (
+            (queries_per_batch, is_mot, maint, maint_ratios, query, query_ratios, issued),
+            probes,
+        ) in pins.into_iter().zip(probes)
+        {
+            let cfg = cfg(10, queries_per_batch, 9);
             let out = if is_mot {
                 let mut t = mot();
                 run_publish(&mut t, &w).unwrap();
@@ -686,10 +667,11 @@ mod tests {
                 out.queries.total.to_bits(),
                 out.queries.ratio_sum.to_bits(),
                 out.queries_issued,
+                out.probes,
             );
             assert_eq!(
                 got,
-                (maint, maint_ratios, query, query_ratios, issued),
+                (maint, maint_ratios, query, query_ratios, issued, probes),
                 "mot {is_mot}, {queries_per_batch} queries a batch"
             );
             assert_eq!(out.maintenance.operations, 75);
@@ -705,11 +687,7 @@ mod tests {
         fn check<T: ClimbStructure>(make: impl Fn() -> T, w: &Workload, m: &DenseOracle) {
             let extra = ObjectId(w.object_count() as u32);
             let last = *w.moves.last().unwrap();
-            let cfg = ConcurrentConfig {
-                max_inflight_per_object: 1,
-                queries_per_batch: 0,
-                seed: 3,
-            };
+            let cfg = cfg(1, 0, 3);
             let (mut seq, mut con, mut bare) = (make(), make(), make());
             for t in [&mut seq, &mut con, &mut bare] {
                 run_publish(t, w).unwrap();
@@ -749,11 +727,7 @@ mod tests {
         let w = WorkloadSpec::new(3, 12, 4).generate(&g);
         let rates = DetectionRates::from_moves(&g, &w.move_pairs());
         for queries_per_batch in [0, 1] {
-            let cfg = ConcurrentConfig {
-                max_inflight_per_object: 10,
-                queries_per_batch,
-                seed: 3,
-            };
+            let cfg = cfg(10, queries_per_batch, 3);
             let mut mot = MotTracker::new(&overlay, &m, MotConfig::plain());
             let mut stun = TreeTracker::new("STUN", build_stun(&g, &rates), &m, false);
             let trackers: [&mut dyn ClimbStructure; 2] = [&mut mot, &mut stun];
@@ -770,6 +744,27 @@ mod tests {
                     "{}, {queries_per_batch} queries a batch",
                     t.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_keys_order_as_time_then_op() {
+        // Φ-ceilings `c`, ties under different ops, 1e-9 steps and times
+        // past 2^40, against the `(time, op)` comparator the keys replaced.
+        let c = |t: f64, phi: f64| (t / phi).ceil() * phi;
+        let times = [0.0, -0.0, 1e-9, 2e-9, 1.0 + 1e-9, 3.0]
+            .into_iter()
+            .chain([c(3.0 + 1e-9, 4.0), c(5.5, 8.0), c(1e6 / 3.0, 1024.0)])
+            .chain([1.65e12, 4.4e12 + 1e-3, c(3.5e13 + 3.0, 4096.0)]);
+        let events: Vec<(f64, usize)> = times
+            .flat_map(|t| [(t, 0), (t, 7), (t, u32::MAX as usize + 1)])
+            .collect();
+        for &(ta, oa) in &events {
+            for &(tb, ob) in &events {
+                let old = ta.partial_cmp(&tb).unwrap().then(oa.cmp(&ob));
+                let new = key(tb, ob).cmp(&key(ta, oa));
+                assert_eq!(new, old, "({ta:e}, {oa}) against ({tb:e}, {ob})");
             }
         }
     }

@@ -18,7 +18,7 @@ use mot_baselines::{
     build_stun, build_zdat, DetectionRates, TrackingTree, TreeTracker, ZdatParams,
 };
 use mot_core::{MemorySink, ObjectId, TracePhase};
-use mot_hierarchy::{build_doubling, OverlayConfig};
+use mot_hierarchy::{build_doubling, build_general, Overlay, OverlayConfig};
 use mot_net::{generators, DenseOracle, DistanceOracle, Graph, GraphBuilder, NodeId};
 use mot_sim::concurrent::{ClimbStructure, Stop};
 use mot_sim::{tracker_over, Algo, WorkloadSpec};
@@ -116,11 +116,21 @@ fn drive(
 }
 
 /// Every hop a climb from any node carries is the oracle's distance
-/// from the stop before, and the climb ends at the root.
-fn check_climbs(t: &dyn ClimbStructure, m: &dyn DistanceOracle, root: NodeId) {
+/// from the stop before, and the climb ends at the root. Given MOT's
+/// overlay, the climb from `v` also walks `DPath(v)`: the members of
+/// `station(v, 0)`, …, `station(v, h)` in order, each stop naming its
+/// level and its index in the station.
+fn check_climbs(
+    t: &dyn ClimbStructure,
+    m: &dyn DistanceOracle,
+    root: NodeId,
+    overlay: Option<&Overlay>,
+) {
     for v in (0..m.node_count()).map(NodeId::from_index) {
         let mut prev = Stop::first(v);
+        let mut walked = vec![(prev.node, prev.level, prev.index)];
         while let Some(stop) = t.next_stop(v, prev) {
+            walked.push((stop.node, stop.level, stop.index));
             assert_eq!(
                 stop.hop.to_bits(),
                 m.dist(prev.node, stop.node).to_bits(),
@@ -138,12 +148,27 @@ fn check_climbs(t: &dyn ClimbStructure, m: &dyn DistanceOracle, root: NodeId) {
             "{}: climb from {v} ends at the root",
             t.name()
         );
+        if let Some(o) = overlay {
+            let path: Vec<(NodeId, usize, usize)> = (0..=o.height())
+                .flat_map(|l| (o.station(v, l).iter().enumerate()).map(move |(j, &u)| (u, l, j)))
+                .collect();
+            assert_eq!(
+                walked,
+                path,
+                "{}: climb from {v} walks DPath({v})",
+                t.name()
+            );
+        }
     }
 }
 
-fn check_bed(g: &Graph, name: &str) {
+/// What builds the overlay MOT runs on: `build_doubling` or
+/// `build_general`.
+type Build = fn(&Graph, &dyn DistanceOracle, &OverlayConfig, u64) -> Overlay;
+
+fn check_bed(g: &Graph, name: &str, build: Build) {
     let m = DenseOracle::build(g).unwrap();
-    let overlay = build_doubling(g, &m, &OverlayConfig::practical(), 1);
+    let overlay = build(g, &m, &OverlayConfig::practical(), 1);
     let w = WorkloadSpec::new(6, 60, 1).generate(g);
     let rates = DetectionRates::from_moves(g, &w.move_pairs());
     let moves: Vec<(ObjectId, NodeId)> = w.moves.iter().map(|mv| (mv.object, mv.to)).collect();
@@ -163,7 +188,8 @@ fn check_bed(g: &Graph, name: &str) {
     ] {
         let sink = MemorySink::new();
         let mut t = tracker_over(g, &m, &overlay, algo, &rates, Some(&sink)).unwrap();
-        check_climbs(t.as_ref(), &m, root);
+        let path_of = (algo == Algo::Mot).then_some(&overlay);
+        check_climbs(t.as_ref(), &m, root, path_of);
         let seen = drive(t.as_mut(), &sink, &m, &w.initial, &moves, &queries);
         assert!(seen.events > 0, "{name} {}: nothing billed", algo.label());
         if algo != Algo::Mot {
@@ -181,6 +207,7 @@ fn trackers_bill_oracle_distances_on_a_random_geometric_bed() {
     check_bed(
         &generators::random_geometric(90, 10.0, 2.5, 1).unwrap(),
         "geometric 90",
+        build_doubling,
     );
 }
 
@@ -189,6 +216,16 @@ fn trackers_bill_oracle_distances_on_a_perturbed_grid() {
     check_bed(
         &generators::perturbed_grid(12, 12, 0.3, 1).unwrap(),
         "perturbed 12x12",
+        build_doubling,
+    );
+}
+
+#[test]
+fn trackers_bill_oracle_distances_over_a_general_overlay() {
+    check_bed(
+        &generators::random_geometric(90, 10.0, 2.5, 1).unwrap(),
+        "geometric 90, general overlay",
+        build_general,
     );
 }
 
@@ -235,7 +272,7 @@ fn downward_tree_hops_bill_the_downward_direction() {
             if via_root {
                 t = t.with_root_queries();
             }
-            check_climbs(&t, &m, NodeId(0));
+            check_climbs(&t, &m, NodeId(0), None);
             let seen = drive(&mut t, &sink, &m, &[NodeId(3)], &moves, &queries);
             assert!(
                 seen.asymmetric_down_hops > 0,

@@ -1,6 +1,7 @@
 //! Cross-crate tests of the concurrent execution engine (§4.1.2, §4.2.2).
 
 use mot_tracking::prelude::*;
+use mot_tracking::sim::concurrent::ClimbStructure;
 
 fn bed_and_workload(seed: u64) -> (TestBed, Workload) {
     let bed = TestBed::grid(8, 8, seed).unwrap();
@@ -130,4 +131,48 @@ fn mot_invariants_survive_concurrency() {
     // and the structure still answers every query correctly afterwards
     let q = query_batch(&mut t, &bed.oracle, 4, 200, 8, Draw::UNIFORM, None).unwrap();
     assert_eq!(q.correct, 200);
+}
+
+#[test]
+fn a_dyn_tracker_runs_the_engine_of_its_concrete_type() {
+    // `ConcurrentEngine::run` dispatches once, to the engine compiled for
+    // the tracker's own type: through `&mut dyn ClimbStructure` a run
+    // pops the same events and ends in the same state as on the type.
+    fn check<T: ClimbStructure>(make: impl Fn() -> T, w: &Workload, m: &dyn DistanceOracle) {
+        for queries_per_batch in [0, 2] {
+            let cfg = ConcurrentConfig {
+                queries_per_batch,
+                seed: 11,
+                ..ConcurrentConfig::default()
+            };
+            let (mut typed, mut erased) = (make(), make());
+            run_publish(&mut typed, w).unwrap();
+            run_publish(&mut erased, w).unwrap();
+            let by_type = ConcurrentEngine::run(&mut typed, w, m, &cfg).unwrap();
+            let erased: &mut dyn ClimbStructure = &mut erased;
+            let by_dyn = ConcurrentEngine::run(erased, w, m, &cfg).unwrap();
+            let what = format!("{}, {queries_per_batch} queries a batch", typed.name());
+            assert_eq!(by_type, by_dyn, "{what}");
+            assert!(by_type.probes > by_type.maintenance.operations, "{what}");
+            assert_eq!(by_type.queries_issued > 0, queries_per_batch > 0, "{what}");
+            for o in (0..w.object_count()).map(|o| ObjectId(o as u32)) {
+                assert_eq!(typed.proxy_of(o), erased.proxy_of(o), "{what}: {o}");
+            }
+        }
+    }
+
+    let (bed, w) = bed_and_workload(3);
+    let rates = DetectionRates::from_moves(&bed.graph, &w.move_pairs());
+    let m: &dyn DistanceOracle = &*bed.oracle;
+    check(
+        || MotTracker::new(&bed.overlay, m, MotConfig::plain()),
+        &w,
+        m,
+    );
+    let stun = || build_stun(&bed.graph, &rates);
+    check(
+        || TreeTracker::new("STUN", stun(), m, false).with_root_queries(),
+        &w,
+        m,
+    );
 }
