@@ -20,15 +20,6 @@ pub enum CoreError {
     /// [`crate::Tracker::repair_object`] and retry; mutating operations
     /// self-repair instead of returning it.
     NodeDown(NodeId),
-    /// A lossy transport exhausted its retry budget for a message of
-    /// `object` after `attempts` transmissions; the operation did not
-    /// complete.
-    DeliveryFailed {
-        /// The object whose message was lost.
-        object: ObjectId,
-        /// Transmissions attempted before giving up.
-        attempts: u32,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -40,10 +31,6 @@ impl fmt::Display for CoreError {
             CoreError::NodeDown(u) => {
                 write!(f, "node {u} crashed and lost its tracking state")
             }
-            CoreError::DeliveryFailed { object, attempts } => write!(
-                f,
-                "delivery failed for a message of object {object} after {attempts} attempts"
-            ),
         }
     }
 }
@@ -64,11 +51,6 @@ mod tests {
             .contains('9'));
         assert!(CoreError::UnknownNode(NodeId(5)).to_string().contains('5'));
         assert!(CoreError::NodeDown(NodeId(4)).to_string().contains('4'));
-        let e = CoreError::DeliveryFailed {
-            object: ObjectId(2),
-            attempts: 16,
-        };
-        assert!(e.to_string().contains('2') && e.to_string().contains("16"));
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Operation identities and the exactly-once ledger for service-mode
 //! delivery (DESIGN.md §15).
 //!
-//! The message transport already deduplicates *messages* by sequence
-//! number (`mot-proto`'s `LossyTransport`); service mode needs the same
-//! discipline one level up, for whole *operations* (publish / move /
-//! query) delivered at-least-once to sharded trackers. This module is
-//! that mechanism, generalized so both layers share it:
+//! Service mode delivers whole *operations* (publish / move / query)
+//! at-least-once to sharded trackers. This module is the discipline
+//! that keeps that exact:
 //!
 //! * every operation carries an [`OpId`] and an attempt number,
 //! * an [`OpLedger`] admits each id exactly once — a redundant or stale

@@ -1,7 +1,7 @@
 //! Structured operation traces — the observability layer's event schema.
 //!
 //! Every billed message hop in the suite (MOT climbs and descents, tree
-//! climbs and prunes, protocol transmissions, crash handoffs, retries)
+//! climbs and prunes, protocol deliveries, crash handoffs)
 //! can emit one [`TraceEvent`] into a [`TraceSink`]. Sinks are attached
 //! at tracker construction (`with_sink`); a tracker without a sink pays
 //! nothing — the emit helpers branch on `Option<&dyn TraceSink>` and
@@ -14,9 +14,9 @@
 //!   repair / raw transport),
 //! * the **phase** within the operation ([`TracePhase`]: climb, descend,
 //!   rollback, prune, SP install/remove, de Bruijn route, SDL jump,
-//!   crash handoff, retransmission),
-//! * the **ledger** the distance is billed to ([`LedgerKind`]; the
-//!   `Repair` and `Retry` accounts are the fault-layer overheads),
+//!   crash handoff, protocol delivery),
+//! * the **ledger** the distance is billed to ([`LedgerKind`]; `Repair`
+//!   is the crash layer's overhead),
 //! * the **hierarchy level** touched (tree depth for the baselines),
 //! * src/dst node and the billed distance.
 //!
@@ -62,9 +62,8 @@ impl OpKind {
 /// The cost account a traced hop is billed under.
 ///
 /// `Maintenance`, `Query`, and `Publish` partition the charged traffic
-/// of the paper's analysis; `Repair` and `Retry` are the fault-layer
-/// overhead accounts (crash handoffs / path re-publishes, and wasted
-/// transmissions under the ack/retry transport, respectively).
+/// of the paper's analysis; `Repair` is the crash layer's overhead
+/// account (crash handoffs / path re-publishes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LedgerKind {
     /// One-time publish traffic (Thm 4.1's `O(D)` account).
@@ -75,7 +74,10 @@ pub enum LedgerKind {
     Query,
     /// Crash handoffs and pointer-path re-publishes.
     Repair,
-    /// Wasted transmissions under the ack/retry transport.
+    /// Wasted transmissions. No hop is billed here: replay bills retries
+    /// statistically (`mot_sim::FaultPlan::transmission_overhead`) and
+    /// the service counts them, so the account reads 0; it stays an
+    /// export column (`level-decomp`'s `retry`).
     Retry,
     /// Uncharged protocol bookkeeping (special-parent updates, repoints,
     /// query replies) — traffic the paper's ratios exclude.
@@ -129,12 +131,8 @@ pub enum TracePhase {
     SdlJump,
     /// Crash handoff of a proxied object to the nearest live sensor.
     Handoff,
-    /// A wasted transmission (drop, retransmission, duplicate arrival).
-    Retransmit,
     /// A protocol message delivery (message-passing rendering).
     Deliver,
-    /// A message whose retry budget ran out: recorded lost, never silent.
-    Exhausted,
 }
 
 impl TracePhase {
@@ -150,9 +148,7 @@ impl TracePhase {
             TracePhase::LbRoute => "lb_route",
             TracePhase::SdlJump => "sdl_jump",
             TracePhase::Handoff => "handoff",
-            TracePhase::Retransmit => "retransmit",
             TracePhase::Deliver => "deliver",
-            TracePhase::Exhausted => "exhausted",
         }
     }
 }

@@ -12,10 +12,9 @@
 //!   *down-member* routing state (which lower-level holders a delete or
 //!   query descent should visit), SDL entries, and the handler that maps
 //!   one incoming message to outgoing messages,
-//! * [`transport`] — a deterministic message queue with a distance-based
-//!   cost ledger per message kind, plus [`LossyTransport`]: an ack/retry
-//!   pipe that consults a pluggable [`faults::FaultModel`] and bills
-//!   fault overhead under the uncharged `retries` kind,
+//! * [`transport`] — a deterministic FIFO message queue with a
+//!   distance-based cost ledger per message kind, and the capped
+//!   [`Backoff`] schedule the `mot-sim` service loop retries by,
 //! * [`runtime`] — [`ProtoTracker`], a [`mot_core::Tracker`] that drives
 //!   the node machines to quiescence per operation (the paper's
 //!   one-by-one case).
@@ -25,6 +24,12 @@
 //! byte-identical detection-list state and *exactly equal* maintenance
 //! costs — the two implementations are two renderings of the same
 //! algorithm.
+//!
+//! Loss is not modelled here: the workspace's one executed fault
+//! protocol — per-attempt drop, duplicate, delay and dead-link coins,
+//! retries under [`Backoff`], exactly-once admission and recorded
+//! loss — is `mot-sim`'s service loop, and `mot-sim/tests/loss_models.rs`
+//! checks the replay's hop-statistical retry model against it.
 //!
 //! # Example
 //!
@@ -59,14 +64,12 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod faults;
 pub mod message;
 pub mod node;
 pub mod runtime;
 pub mod transport;
 
 pub use arena::{ArenaStats, RouteArena};
-pub use faults::{FaultModel, NoFaults, ScriptedFaults};
 pub use message::{Message, Payload};
 pub use runtime::ProtoTracker;
-pub use transport::{Backoff, CostLedger, Delivery, LossyTransport, Transport, RETRIES_KIND};
+pub use transport::{Backoff, CostLedger, Transport};

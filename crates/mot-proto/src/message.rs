@@ -123,8 +123,7 @@ impl Payload {
         )
     }
 
-    /// The object this message concerns (named in trace events and in
-    /// [`mot_core::CoreError::DeliveryFailed`]).
+    /// The object this message concerns (named in trace events).
     pub fn object(&self) -> ObjectId {
         match *self {
             Payload::Climb { object, .. }
@@ -176,10 +175,9 @@ impl Payload {
         KIND_LABELS[self.kind_index()]
     }
 
-    /// Dense index of this payload's ledger kind into [`KIND_LABELS`]
-    /// (the retry account, which no payload carries, sits last). Lets
-    /// the transport ledger bill into a flat array instead of hashing a
-    /// label per delivery.
+    /// Dense index of this payload's ledger kind into [`KIND_LABELS`].
+    /// Lets the transport ledger bill into a flat array instead of
+    /// hashing a label per delivery.
     pub fn kind_index(&self) -> usize {
         match self {
             Payload::Climb { publish: true, .. } => 0,
@@ -196,11 +194,10 @@ impl Payload {
 }
 
 /// Number of ledger-kind accounts: the nine payload kinds of
-/// [`Payload::kind_index`] plus the retry account.
-pub const KIND_COUNT: usize = 10;
+/// [`Payload::kind_index`].
+pub const KIND_COUNT: usize = 9;
 
-/// Ledger labels, indexed by [`Payload::kind_index`]; the last entry is
-/// the retry account ([`crate::RETRIES_KIND`]).
+/// Ledger labels, indexed by [`Payload::kind_index`].
 pub const KIND_LABELS: [&str; KIND_COUNT] = [
     "publish",
     "insert",
@@ -211,7 +208,6 @@ pub const KIND_LABELS: [&str; KIND_COUNT] = [
     "query",
     "descend",
     "reply",
-    "retries",
 ];
 
 /// A message in flight between two sensors (routed along a shortest

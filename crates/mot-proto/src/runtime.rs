@@ -3,79 +3,20 @@
 //! times dwarf message propagation times).
 
 use crate::arena::{ArenaStats, RouteArena};
-use crate::faults::FaultModel;
 use crate::message::{Message, Payload};
 use crate::node::{Ctx, DlEntry, NodeState};
-use crate::transport::{CostLedger, Delivery, LossyTransport, Transport};
+use crate::transport::{CostLedger, Transport};
 use mot_core::{CoreError, MotConfig, MoveOutcome, ObjectId, QueryResult, Tracker};
 use mot_hierarchy::Overlay;
 use mot_net::{DistanceOracle, IdMap, NodeId};
 use std::cell::RefCell;
-
-/// The one-by-one delivery pipe: reliable FIFO, or lossy with ack/retry.
-enum Pipe {
-    Reliable(Transport),
-    Lossy(LossyTransport),
-}
-
-impl Pipe {
-    fn send(&mut self, msg: Message) {
-        match self {
-            Pipe::Reliable(t) => t.send(msg),
-            Pipe::Lossy(t) => t.send(msg),
-        }
-    }
-
-    fn send_all(&mut self, msgs: impl IntoIterator<Item = Message>) {
-        match self {
-            Pipe::Reliable(t) => t.send_all(msgs),
-            Pipe::Lossy(t) => t.send_all(msgs),
-        }
-    }
-
-    fn ledger(&self) -> &CostLedger {
-        match self {
-            Pipe::Reliable(t) => &t.ledger,
-            Pipe::Lossy(t) => &t.ledger,
-        }
-    }
-
-    fn ledger_mut(&mut self) -> &mut CostLedger {
-        match self {
-            Pipe::Reliable(t) => &mut t.ledger,
-            Pipe::Lossy(t) => &mut t.ledger,
-        }
-    }
-
-    /// The next message whose effects should be applied. Duplicates are
-    /// consumed here (already billed as retries, never re-applied);
-    /// retry-budget exhaustion surfaces as [`CoreError::DeliveryFailed`].
-    fn deliver(&mut self, oracle: &dyn DistanceOracle) -> mot_core::Result<Option<Message>> {
-        match self {
-            Pipe::Reliable(t) => Ok(t.deliver(oracle)),
-            Pipe::Lossy(t) => loop {
-                match t.deliver(oracle) {
-                    None => return Ok(None),
-                    Some(Delivery::Apply(m)) => return Ok(Some(m)),
-                    Some(Delivery::Duplicate(_)) => continue,
-                    Some(Delivery::Failed { msg, attempts }) => {
-                        return Err(CoreError::DeliveryFailed {
-                            object: msg.payload.object(),
-                            attempts,
-                        })
-                    }
-                }
-            },
-        }
-    }
-}
 
 struct Inner<'a> {
     overlay: &'a Overlay,
     oracle: &'a dyn DistanceOracle,
     use_special_parents: bool,
     nodes: Vec<NodeState>,
-    transport: Pipe,
+    transport: Transport,
     proxies: IdMap<ObjectId, NodeId>,
     last_reply: Option<(ObjectId, NodeId)>,
     /// Reply (result delivery) distance, reported separately from the
@@ -88,8 +29,8 @@ struct Inner<'a> {
 }
 
 impl Inner<'_> {
-    fn run_to_idle(&mut self) -> mot_core::Result<()> {
-        while let Some(msg) = self.transport.deliver(self.oracle)? {
+    fn run_to_idle(&mut self) {
+        while let Some(msg) = self.transport.deliver(self.oracle) {
             if let Payload::Reply { object, proxy } = msg.payload {
                 self.last_reply = Some((object, proxy));
                 self.reply_distance += self.oracle.dist(msg.src, msg.dst);
@@ -110,7 +51,6 @@ impl Inner<'_> {
             );
             self.transport.send_all(self.out_buf.drain(..));
         }
-        Ok(())
     }
 
     /// Seeds the level-0 entry at a (new) proxy and sends the messages
@@ -173,42 +113,13 @@ impl<'a> ProtoTracker<'a> {
     /// models plain MOT; load balancing composes at the storage layer and
     /// is exercised through the direct implementation).
     pub fn new(overlay: &'a Overlay, oracle: &'a dyn DistanceOracle, cfg: &MotConfig) -> Self {
-        Self::with_pipe(overlay, oracle, cfg, Pipe::Reliable(Transport::new()))
-    }
-
-    /// Creates the runtime over a [`LossyTransport`] driven by `faults`:
-    /// charged messages ride the ack/retry protocol (`max_attempts`
-    /// transmissions each before [`CoreError::DeliveryFailed`]), wasted
-    /// distance accrues under the uncharged `retries` ledger kind, and
-    /// redelivered messages are applied exactly once.
-    pub fn with_faults(
-        overlay: &'a Overlay,
-        oracle: &'a dyn DistanceOracle,
-        cfg: &MotConfig,
-        faults: Box<dyn FaultModel>,
-        max_attempts: u32,
-    ) -> Self {
-        Self::with_pipe(
-            overlay,
-            oracle,
-            cfg,
-            Pipe::Lossy(LossyTransport::new(faults, max_attempts)),
-        )
-    }
-
-    fn with_pipe(
-        overlay: &'a Overlay,
-        oracle: &'a dyn DistanceOracle,
-        cfg: &MotConfig,
-        transport: Pipe,
-    ) -> Self {
         ProtoTracker {
             inner: RefCell::new(Inner {
                 overlay,
                 oracle,
                 use_special_parents: cfg.use_special_parents,
                 nodes: vec![NodeState::default(); overlay.node_count()],
-                transport,
+                transport: Transport::new(),
                 proxies: IdMap::default(),
                 last_reply: None,
                 reply_distance: 0.0,
@@ -219,10 +130,9 @@ impl<'a> ProtoTracker<'a> {
     }
 
     /// The most recent operation's per-kind message ledger: charged and
-    /// bookkeeping distance by payload kind, plus fault overhead under
-    /// the `retries` kind (0 on the reliable transport).
+    /// bookkeeping distance by payload kind.
     pub fn ledger(&self) -> CostLedger {
-        self.inner.borrow().transport.ledger().clone()
+        self.inner.borrow().transport.ledger.clone()
     }
 
     /// Toggles route-buffer reuse (on by default). Disabling makes every
@@ -273,11 +183,11 @@ impl Tracker for ProtoTracker<'_> {
         if inner.proxies.contains_key(&o) {
             return Err(CoreError::AlreadyPublished(o));
         }
-        inner.transport.ledger_mut().reset();
+        inner.transport.ledger.reset();
         inner.start_climb(o, proxy, true);
-        inner.run_to_idle()?;
+        inner.run_to_idle();
         inner.proxies.insert(o, proxy);
-        Ok(inner.transport.ledger().charged)
+        Ok(inner.transport.ledger.charged)
     }
 
     fn move_object(&mut self, o: ObjectId, to: NodeId) -> mot_core::Result<MoveOutcome> {
@@ -291,11 +201,11 @@ impl Tracker for ProtoTracker<'_> {
                 climb: 0.0,
             });
         }
-        inner.transport.ledger_mut().reset();
+        inner.transport.ledger.reset();
         inner.start_climb(o, to, false);
-        inner.run_to_idle()?;
+        inner.run_to_idle();
         inner.proxies.insert(o, to);
-        let ledger = inner.transport.ledger();
+        let ledger = &inner.transport.ledger;
         Ok(MoveOutcome {
             from,
             cost: ledger.charged,
@@ -311,7 +221,7 @@ impl Tracker for ProtoTracker<'_> {
         if !inner.proxies.contains_key(&o) {
             return Err(CoreError::UnknownObject(o));
         }
-        inner.transport.ledger_mut().reset();
+        inner.transport.ledger.reset();
         inner.last_reply = None;
         inner.arena.begin_op();
         inner.transport.send(Message {
@@ -324,12 +234,12 @@ impl Tracker for ProtoTracker<'_> {
                 index: 0,
             },
         });
-        inner.run_to_idle()?;
+        inner.run_to_idle();
         let (obj, proxy) = inner.last_reply.expect("published objects always resolve");
         debug_assert_eq!(obj, o);
         Ok(QueryResult {
             proxy,
-            cost: inner.transport.ledger().charged,
+            cost: inner.transport.ledger.charged,
         })
     }
 
@@ -420,105 +330,6 @@ mod tests {
             t.publish(ObjectId(1), NodeId(999)),
             Err(CoreError::UnknownNode(_))
         ));
-    }
-
-    #[test]
-    fn lossy_runtime_with_clean_model_matches_reliable_costs() {
-        use crate::faults::NoFaults;
-        let (g, m) = env();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
-        let mut clean = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        let mut lossy =
-            ProtoTracker::with_faults(&overlay, &m, &MotConfig::plain(), Box::new(NoFaults), 8);
-        let o = ObjectId(0);
-        assert_eq!(
-            clean.publish(o, NodeId(0)).unwrap(),
-            lossy.publish(o, NodeId(0)).unwrap()
-        );
-        assert_eq!(
-            clean.move_object(o, NodeId(7)).unwrap().cost,
-            lossy.move_object(o, NodeId(7)).unwrap().cost
-        );
-        assert_eq!(
-            clean.query(NodeId(35), o).unwrap().cost,
-            lossy.query(NodeId(35), o).unwrap().cost
-        );
-        assert_eq!(lossy.ledger().retries(), 0.0);
-    }
-
-    #[test]
-    fn dropped_messages_retry_to_completion_with_identical_charges() {
-        use crate::faults::ScriptedFaults;
-        let (g, m) = env();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
-        let mut clean = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        // drop the 2nd and 5th transmissions of the publish
-        let faults = ScriptedFaults::dropping([false, true, false, false, true]);
-        let mut lossy =
-            ProtoTracker::with_faults(&overlay, &m, &MotConfig::plain(), Box::new(faults), 8);
-        let o = ObjectId(0);
-        let c_clean = clean.publish(o, NodeId(14)).unwrap();
-        let c_lossy = lossy.publish(o, NodeId(14)).unwrap();
-        assert_eq!(
-            c_clean, c_lossy,
-            "retries restore delivery; charged cost unchanged"
-        );
-        assert!(
-            lossy.ledger().retries() > 0.0,
-            "wasted attempts were billed"
-        );
-        for x in g.nodes() {
-            assert_eq!(lossy.query(x, o).unwrap().proxy, NodeId(14));
-        }
-    }
-
-    #[test]
-    fn duplicated_messages_apply_once_end_to_end() {
-        use crate::faults::ScriptedFaults;
-        let (g, m) = env();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
-        let mut clean = ProtoTracker::new(&overlay, &m, &MotConfig::plain());
-        // duplicate the first three deliveries of every operation
-        let faults = ScriptedFaults::duplicating([true, true, true]);
-        let mut lossy =
-            ProtoTracker::with_faults(&overlay, &m, &MotConfig::plain(), Box::new(faults), 8);
-        let o = ObjectId(0);
-        let c_clean = clean.publish(o, NodeId(3)).unwrap();
-        let c_lossy = lossy.publish(o, NodeId(3)).unwrap();
-        assert_eq!(c_clean, c_lossy, "duplicates never double-charge");
-        assert!(lossy.ledger().retries() > 0.0, "duplicate arrivals billed");
-        // identical final state: redelivery applied exactly once
-        for node in g.nodes() {
-            for level in 0..=overlay.height() {
-                assert_eq!(
-                    clean.holds(node, level, o),
-                    lossy.holds(node, level, o),
-                    "state diverged at {node} level {level}"
-                );
-            }
-        }
-        for x in g.nodes() {
-            assert_eq!(lossy.query(x, o).unwrap().proxy, NodeId(3));
-        }
-    }
-
-    #[test]
-    fn exhausted_retry_budget_surfaces_delivery_failed() {
-        use crate::faults::ScriptedFaults;
-        let (g, m) = env();
-        let overlay = build_doubling(&g, &m, &OverlayConfig::practical(), 3);
-        // every node's inbox is gone: the first climb message can never
-        // land, so the publish must fail cleanly instead of hanging
-        let faults = ScriptedFaults::nodes_down(g.nodes());
-        let mut t =
-            ProtoTracker::with_faults(&overlay, &m, &MotConfig::plain(), Box::new(faults), 4);
-        match t.publish(ObjectId(9), NodeId(0)) {
-            Err(CoreError::DeliveryFailed { object, attempts }) => {
-                assert_eq!(object, ObjectId(9));
-                assert_eq!(attempts, 4);
-            }
-            other => panic!("expected DeliveryFailed, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,29 +1,31 @@
 //! Seeded fault plans and the repair checks run after them.
 //!
-//! A [`FaultConfig`] is a handful of rates plus an RNG seed; expanding it
-//! against a topology yields a [`FaultPlan`] — a deterministic, replayable
-//! schedule of message drops, duplications, delays, link failures, and
-//! sensor crashes. The same config always expands to the same plan, so
-//! every faulty experiment can be re-run bit-identically. A rate outside
-//! `[0, 1]` is refused ([`FaultConfig::check`]).
+//! A [`FaultConfig`] is a handful of rates plus an RNG seed. It has two
+//! consumers, and each reads only some of its fields:
 //!
-//! The plan plays two roles:
+//! * the service loop ([`crate::run_service`]) is the workspace's one
+//!   executed fault protocol: per-attempt drop, duplicate, delay and
+//!   dead-link coins keyed on `(seed, op, attempt)`, retries under a
+//!   capped backoff, exactly-once admission and recorded loss;
+//! * replay ([`crate::run::replay`], [`crate::run::query_batch`]) expands
+//!   the config against a topology into a [`FaultPlan`]: a deterministic
+//!   crash schedule plus the *hop-statistical* loss model
+//!   ([`FaultPlan::transmission_overhead`]). An operation of cost `c` is
+//!   `⌈c⌉` unit transmissions, each lost with `drop_rate` and retried
+//!   within the bounded budget, the wasted distance accumulating as
+//!   retry overhead.
 //!
-//! * it implements [`mot_proto::FaultModel`], so it can drive the
-//!   message-level ack/retry pipe (`LossyTransport`) directly, and
-//! * handed to [`crate::run::replay`] or [`crate::run::query_batch`], it
-//!   injects its crash schedule and provides the *hop-statistical* loss
-//!   model used for the direct trackers ([`FaultPlan::transmission_overhead`]):
-//!   an operation of cost `c` is treated as `⌈c⌉` unit transmissions,
-//!   each lost with `drop_rate` and retried within the bounded budget,
-//!   the wasted distance accumulating as retry overhead.
+//! The same config always expands to the same plan, so every faulty
+//! experiment can be re-run bit-identically. A rate outside `[0, 1]` is
+//! refused ([`FaultConfig::check`]).
 //!
-//! `tests/loss_models.rs` drives one workload both ways: per unit of
-//! traffic the statistical model matches the exact per-message protocol
-//! (sequence numbers, `DeliveryFailed`) in `mot-proto`. The runners feed
-//! it each op's *charged* cost, though, and MOT's uncharged bookkeeping
-//! (SDL installs/removes, repoints) is ≈ 2.7× more traffic on top, so
-//! MOT's retry overhead here is ≈ 3.7× below what the protocol pays
+//! `tests/loss_models.rs` checks the statistical model against the
+//! service's per-attempt coins: per transmission, the model's wasted
+//! share matches the service's `retries / sent` at every drop rate
+//! checked. The runners feed the model each op's *charged* cost,
+//! though, and MOT's uncharged bookkeeping (SDL installs/removes,
+//! repoints) is ≈ 2.7× more traffic on top, so MOT's retry overhead
+//! here is ≈ 3.7× below what a message-level protocol would pay
 //! (DESIGN.md §6).
 //!
 //! Crashes here are "reboot with amnesia": the victim loses all its
@@ -38,28 +40,35 @@
 use crate::error::SimError;
 use mot_core::{ObjectId, Tracker};
 use mot_net::NodeId;
-use mot_proto::FaultModel;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 
 /// Fault rates plus the seed they are expanded with. All rates are
-/// probabilities in `[0, 1]`; the default is fault-free.
+/// probabilities in `[0, 1]`; the default is fault-free. Each field
+/// names its readers: replay's [`FaultPlan`] and the service loop
+/// ([`crate::run_service`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultConfig {
-    /// Seed for the plan's RNG streams.
+    /// Seed of every fault stream. Replay and service.
     pub seed: u64,
-    /// Probability each transmission attempt is lost.
+    /// Probability each transmission attempt is lost. Replay (per unit
+    /// hop) and service (per op attempt).
     pub drop_rate: f64,
     /// Probability a successful delivery spawns a redundant duplicate.
+    /// Replay and service.
     pub duplicate_rate: f64,
-    /// Probability a delivery is deferred behind the rest of the queue.
+    /// Probability a delivery is deferred by one tick. Service only.
     pub delay_rate: f64,
-    /// Probability a link is dead, decided once on its first use.
+    /// Probability an object's link is dead, which loses its first
+    /// attempt of every op. Service only.
     pub link_failure_rate: f64,
-    /// Number of distinct sensors that crash during the replay.
+    /// Crash count: distinct sensors crashed during a replay, or shard
+    /// crashes scheduled across a service run. Replay and service.
     pub crashes: usize,
-    /// Transmission attempts per message before delivery fails.
+    /// Transmission attempts before delivery fails (replay takes the
+    /// last one as delivered; the service records the op lost). Replay
+    /// and service.
     pub max_attempts: u32,
 }
 
@@ -123,19 +132,16 @@ impl FaultConfig {
 /// A deterministic, replayable fault schedule: the expansion of a
 /// [`FaultConfig`] against one topology and workload length.
 ///
-/// Message-level decisions (drop/duplicate/delay, made in delivery
-/// order) come from one seeded stream; the crash schedule comes from an
-/// independent stream, so changing a message rate never shifts *which*
-/// sensors crash or *when*.
+/// The loss model's coins come from one seeded stream, consumed in
+/// operation order; the crash schedule comes from an independent
+/// stream, so changing a message rate never shifts *which* sensors
+/// crash or *when*.
 pub struct FaultPlan {
     cfg: FaultConfig,
-    /// Message-event stream, consumed in delivery order.
+    /// Loss-model stream, consumed in operation order.
     rng: ChaCha8Rng,
     /// Crash events as `(move step, victim)`, sorted by step then id.
     crash_schedule: Vec<(usize, NodeId)>,
-    /// Links already decided on first use; the failed subset.
-    checked_links: HashSet<(NodeId, NodeId)>,
-    failed_links: HashSet<(NodeId, NodeId)>,
 }
 
 impl FaultPlan {
@@ -162,8 +168,6 @@ impl FaultPlan {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
             cfg,
             crash_schedule,
-            checked_links: HashSet::new(),
-            failed_links: HashSet::new(),
         }
     }
 
@@ -172,26 +176,13 @@ impl FaultPlan {
         &self.crash_schedule
     }
 
-    /// Lazily decides (once, on first use) whether the `src↔dst` link is
-    /// dead. A dead link loses every transmission over it.
-    fn link_failed(&mut self, src: NodeId, dst: NodeId) -> bool {
-        if self.cfg.link_failure_rate <= 0.0 {
-            return false;
-        }
-        let key = if src <= dst { (src, dst) } else { (dst, src) };
-        if self.checked_links.insert(key) && self.rng.gen_bool(self.cfg.link_failure_rate) {
-            self.failed_links.insert(key);
-        }
-        self.failed_links.contains(&key)
-    }
-
     /// Hop-statistical fault overhead for one direct-tracker operation of
     /// cost `op_cost`: the operation is `⌈op_cost⌉` unit transmissions,
     /// each dropped with `drop_rate` and retransmitted within the
     /// `max_attempts` budget (the final attempt is taken as delivered, so
     /// the statistical model degrades cost without stalling the replay;
-    /// exhaustion semantics are exercised at message level in
-    /// `mot-proto`). Duplicated deliveries add one redundant arrival.
+    /// the service loop records exhaustion as loss). Duplicated
+    /// deliveries add one redundant arrival.
     /// Returns the wasted distance.
     pub fn transmission_overhead(&mut self, op_cost: f64) -> f64 {
         let drops = self.cfg.drop_rate > 0.0;
@@ -214,23 +205,6 @@ impl FaultPlan {
             }
         }
         overhead
-    }
-}
-
-impl FaultModel for FaultPlan {
-    fn drop_message(&mut self, src: NodeId, dst: NodeId) -> bool {
-        if self.link_failed(src, dst) {
-            return true;
-        }
-        self.cfg.drop_rate > 0.0 && self.rng.gen_bool(self.cfg.drop_rate)
-    }
-
-    fn duplicate_message(&mut self, _src: NodeId, _dst: NodeId) -> bool {
-        self.cfg.duplicate_rate > 0.0 && self.rng.gen_bool(self.cfg.duplicate_rate)
-    }
-
-    fn delay_message(&mut self, _src: NodeId, _dst: NodeId) -> bool {
-        self.cfg.delay_rate > 0.0 && self.rng.gen_bool(self.cfg.delay_rate)
     }
 }
 
@@ -281,23 +255,22 @@ mod tests {
         let mut plan = FaultConfig::default().plan(100, 500).unwrap();
         assert!(plan.crash_schedule().is_empty());
         for _ in 0..50 {
-            assert!(!plan.drop_message(NodeId(1), NodeId(2)));
-            assert!(!plan.duplicate_message(NodeId(1), NodeId(2)));
-            assert!(!plan.delay_message(NodeId(1), NodeId(2)));
+            assert_eq!(plan.transmission_overhead(37.0), 0.0);
         }
-        assert_eq!(plan.transmission_overhead(37.0), 0.0);
-        // The RNG stream is untouched: a fresh plan from the same config
-        // makes the same (first) decision once a rate is turned on.
+        // The RNG stream is untouched: its next draw is a fresh stream's
+        // first.
+        let fresh = ChaCha8Rng::seed_from_u64(0).gen::<u64>();
+        assert_eq!(plan.rng.gen::<u64>(), fresh);
+        // A fresh plan from the same config makes the same decisions
+        // once a rate is turned on.
         let noisy = FaultConfig {
             drop_rate: 0.5,
             ..FaultConfig::default()
         };
-        let first = noisy
-            .plan(100, 500)
-            .unwrap()
-            .drop_message(NodeId(1), NodeId(2));
+        let first = noisy.plan(100, 500).unwrap().transmission_overhead(37.0);
         let mut replayed = noisy.plan(100, 500).unwrap();
-        assert_eq!(first, replayed.drop_message(NodeId(1), NodeId(2)));
+        assert!(first > 0.0);
+        assert_eq!(first, replayed.transmission_overhead(37.0));
     }
 
     #[test]
@@ -352,21 +325,6 @@ mod tests {
         .plan(16, 10)
         .unwrap();
         assert_eq!(capped.crash_schedule().len(), 16);
-    }
-
-    #[test]
-    fn dead_links_lose_every_transmission() {
-        let cfg = FaultConfig {
-            link_failure_rate: 1.0,
-            seed: 3,
-            ..FaultConfig::default()
-        };
-        let mut plan = cfg.plan(10, 0).unwrap();
-        assert!(plan.drop_message(NodeId(0), NodeId(1)));
-        assert!(
-            plan.drop_message(NodeId(1), NodeId(0)),
-            "link failure is symmetric and persistent"
-        );
     }
 
     #[test]

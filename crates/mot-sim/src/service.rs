@@ -1228,8 +1228,9 @@ fn workers_for(jobs: usize, hardware: usize, shards: usize) -> usize {
 }
 
 /// [`run_service`] with `workers` threads beside the coordinator, which
-/// runs every shard tick itself at `0`.
-pub(crate) fn run_service_on<'a>(
+/// runs every shard tick itself at `0`. The report's deterministic body
+/// and the final map do not depend on `workers`.
+pub fn run_service_on<'a>(
     bed: &'a TestBed,
     cfg: &ServiceConfig,
     workers: usize,
